@@ -20,6 +20,7 @@ from .errors import (
     NonExpandingConcept,
     UnknownConcept,
 )
+from .fnsynth import DEFAULT_ITER_CAP, DEFAULT_SIZE_CAP, DEFAULT_VALUE_CAP
 
 Token = str
 
@@ -112,9 +113,9 @@ class Config:
     valence_hop_cap: int = 6
     beam_base: int = 4
     pool_base: int = 64
-    synth_size_cap: int = 7
-    iter_cap: int = 100
-    value_cap: int = 10**6
+    synth_size_cap: int = DEFAULT_SIZE_CAP
+    iter_cap: int = DEFAULT_ITER_CAP
+    value_cap: int = DEFAULT_VALUE_CAP
     smoothness_threshold: float = 1.0
 
     def __post_init__(self) -> None:

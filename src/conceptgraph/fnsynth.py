@@ -7,12 +7,26 @@ ascending term size with a fixed order inside each size, so the returned
 term is the canonical smallest one consistent with every example.  Each
 learned function joins the library and becomes a building block for the
 rest, which is what lets later, harder functions become reachable at all.
+
+Terms are enumerated together with their value vectors on the example
+inputs, and only the first term of each vector is kept (observational
+equivalence).  A call's vector is computed from its argument vectors and an
+iteration's from its count, seed and filler vectors, so no subterm is
+evaluated twice.  Terms that overflow or exceed the iteration cap on any
+example are dropped as well, and the search stops at the first kept term
+whose vector equals the example outputs.  Pruning keeps the canonical
+answer: the pruned order is a subsequence of the full order, and evaluation
+is strict and compositional, so a first consistent term with a pruned
+subterm would give an earlier consistent term by swapping in the earlier
+equivalent one.  Library definitions only call earlier entries, so
+evaluation terminates.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import ArityMismatch, IterCountExceeded, MalformedTerm, Overflow
 from . import sexpr
@@ -82,17 +96,62 @@ def _builtin_succ(x: int) -> int:
     return x + 1
 
 
-_BUILTINS: dict[str, Callable] = {"succ": _builtin_succ}
+_BUILTINS: dict[str, tuple[int, Callable]] = {"succ": (1, _builtin_succ)}
+
+
+def _check_term(term: Term, arity: int, known: dict[str, LibraryFn]) -> None:
+    """Raise MalformedTerm unless `term` reads only variables below `arity`
+    and calls only `known` functions, each with its arity."""
+    if isinstance(term, Var):
+        if not 0 <= term.index < arity:
+            raise MalformedTerm(f"var {term.index} out of range for arity {arity}")
+    elif isinstance(term, Const):
+        return
+    elif isinstance(term, Call):
+        callee = known.get(term.fn)
+        if callee is None or callee.arity != len(term.args):
+            raise MalformedTerm(f"call to {term.fn!r} with {len(term.args)} args "
+                                "does not match an earlier library entry")
+        for arg in term.args:
+            _check_term(arg, arity, known)
+    elif isinstance(term, Iter):
+        section = term.section
+        callee = known.get(section.fn)
+        if (callee is None or len(section.fillers) != callee.arity - 1
+                or not 0 <= section.open_slot < callee.arity):
+            raise MalformedTerm(f"section of {section.fn!r} does not fit an earlier "
+                                "library entry")
+        for sub in (*section.fillers, term.count, term.seed):
+            _check_term(sub, arity, known)
+    else:
+        raise MalformedTerm(f"unknown term {term!r}")
+
+
+def _check_entry(fn: LibraryFn, known: dict[str, LibraryFn]) -> None:
+    """Raise MalformedTerm unless `fn` can follow the `known` entries."""
+    if fn.definition is None:
+        builtin = _BUILTINS.get(fn.name)
+        if builtin is None or builtin[0] != fn.arity:
+            raise MalformedTerm(f"no builtin {fn.name!r} of arity {fn.arity}")
+    elif fn.arity < 0:
+        raise MalformedTerm(f"{fn.name!r} has negative arity")
+    else:
+        _check_term(fn.definition, fn.arity, known)
 
 
 class Library:
-    """Ordered function store; definitions only reference earlier entries."""
+    """Ordered function store; definitions only reference earlier entries.
+
+    Every entry is checked when it is added, so evaluating a library term
+    always terminates (iteration counts are capped) and never meets an
+    unknown function or a wrong argument count.
+    """
 
     def __init__(self, entries: Optional[list[LibraryFn]] = None):
-        self.entries: list[LibraryFn] = list(entries or [])
-        self._by_name = {fn.name: i for i, fn in enumerate(self.entries)}
-        if len(self._by_name) != len(self.entries):
-            raise ValueError("duplicate function names")
+        self.entries: list[LibraryFn] = []
+        self._by_name: dict[str, LibraryFn] = {}
+        for fn in entries or []:
+            self._append(fn)
 
     @staticmethod
     def initial() -> "Library":
@@ -105,16 +164,20 @@ class Library:
         return name in self._by_name
 
     def fn(self, name: str) -> LibraryFn:
-        idx = self._by_name.get(name)
-        if idx is None:
+        fn = self._by_name.get(name)
+        if fn is None:
             raise MalformedTerm(f"unknown function {name!r}")
-        return self.entries[idx]
+        return fn
 
     def define(self, name: str, arity: int, definition: Term) -> None:
-        if name in self._by_name:
-            raise ValueError(f"function {name!r} already defined")
-        self._by_name[name] = len(self.entries)
-        self.entries.append(LibraryFn(name, arity, definition))
+        self._append(LibraryFn(name, arity, definition))
+
+    def _append(self, fn: LibraryFn) -> None:
+        if fn.name in self._by_name:
+            raise ValueError(f"function {fn.name!r} already defined")
+        _check_entry(fn, self._by_name)
+        self._by_name[fn.name] = fn
+        self.entries.append(fn)
 
     def copy(self) -> "Library":
         return Library(list(self.entries))
@@ -143,26 +206,21 @@ class _Evaluator:
             values = tuple(self.eval(a, inputs) for a in term.args)
             return self.apply(fn, values)
         if isinstance(term, Iter):
-            count = self.eval(term.count, inputs)
-            if count > self.iter_cap:
-                raise IterCountExceeded(f"iteration count {count} exceeds cap {self.iter_cap}")
-            value = self.eval(term.seed, inputs)
-            fn = self.library.fn(term.section.fn)
-            if len(term.section.fillers) != fn.arity - 1:
+            section = term.section
+            fn = self.library.fn(section.fn)
+            if len(section.fillers) != fn.arity - 1:
                 raise MalformedTerm("section fillers do not match arity")
-            filled = [self.eval(f, inputs) for f in term.section.fillers]
-            slot = term.section.open_slot
-            if not 0 <= slot < fn.arity:
+            if not 0 <= section.open_slot < fn.arity:
                 raise MalformedTerm("section open slot out of range")
-            for _ in range(count):
-                args = filled[:slot] + [value] + filled[slot:]
-                value = self.apply(fn, tuple(args))
-            return value
+            count = self.eval(term.count, inputs)
+            seed = self.eval(term.seed, inputs)
+            fillers = tuple(self.eval(f, inputs) for f in section.fillers)
+            return self.iterate(fn, section.open_slot, fillers, count, seed)
         raise MalformedTerm(f"unknown term {term!r}")
 
     def apply(self, fn: LibraryFn, values: tuple[int, ...]) -> int:
         if fn.definition is None:
-            result = _BUILTINS[fn.name](*values)
+            result = _BUILTINS[fn.name][1](*values)
         else:
             key = (fn.name, values)
             cached = self.memo.get(key)
@@ -174,6 +232,17 @@ class _Evaluator:
         if result > self.value_cap:
             raise Overflow(f"value {result} exceeds cap {self.value_cap}")
         return result
+
+    def iterate(self, fn: LibraryFn, slot: int, fillers: tuple[int, ...],
+                count: int, value: int) -> int:
+        """`value` after `count` applications of `fn` with `value` in `slot`
+        and `fillers` in the other slots: the one meaning of an Iter."""
+        if count > self.iter_cap:
+            raise IterCountExceeded(f"iteration count {count} exceeds cap {self.iter_cap}")
+        head, tail = fillers[:slot], fillers[slot:]
+        for _ in range(count):
+            value = self.apply(fn, head + (value,) + tail)
+        return value
 
 
 def eval_term(term: Term, inputs: Sequence[int], library: Library,
@@ -190,30 +259,31 @@ class FunctionExample:
     output: int
 
 
-def _leaves(arity: int) -> list[Term]:
-    return [Var(i) for i in range(arity)] + [Const(0), Const(1)]
+Vector = tuple[int, ...]  # a term's values on the example inputs, in order
 
 
-def _sections(library: Library, arity: int) -> list[Section]:
-    """All one-open-slot sections, in (fn index, slot, filler order)."""
-    leaves = _leaves(arity)
-    out: list[Section] = []
+def _sections(library: Library, leaves: list[tuple[Term, Vector]]
+              ) -> list[tuple[Section, LibraryFn, list[tuple[int, ...]]]]:
+    """All one-open-slot sections over `leaves`, in (fn index, slot, filler
+    order), each with its library entry and its filler values per input."""
+    rows = range(len(leaves[0][1]))
+    out = []
     for fn in library.entries:
         for slot in range(fn.arity):
-            if fn.arity == 1:
-                out.append(Section(fn.name, slot, ()))
-                continue
-            stack: list[tuple] = [()]
-            for _ in range(fn.arity - 1):
-                stack = [fillers + (leaf,) for fillers in stack for leaf in leaves]
-            out.extend(Section(fn.name, slot, fillers) for fillers in stack)
+            for fillers in itertools.product(leaves, repeat=fn.arity - 1):
+                section = Section(fn.name, slot, tuple(term for term, _ in fillers))
+                values = [tuple(vector[r] for _, vector in fillers) for r in rows]
+                out.append((section, fn, values))
     return out
 
 
 def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
-    """Ordered compositions of `total` into `parts` positive integers."""
-    if parts == 1:
-        return [(total,)] if total >= 1 else []
+    """Ordered compositions of `total` into `parts` positive integers.
+
+    None for zero parts: a nullary call would have size 1, and size 1 holds
+    only the leaves."""
+    if parts <= 1:
+        return [(total,)] if parts == 1 and total >= 1 else []
     out = []
     for head in range(1, total - parts + 2):
         for rest in _compositions(total - head, parts - 1):
@@ -222,36 +292,95 @@ def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
 
 
 class _Enumerator:
-    """Terms by ascending size in a fixed order: Var < Const < Calls by
-    registration index < Iter (sections by fn index, slot, fillers)."""
+    """Kept terms by ascending size, each with its vector on `inputs`.
 
-    def __init__(self, library: Library, arity: int):
-        self.library = library
-        self.arity = arity
-        self.by_size: dict[int, list[Term]] = {1: _leaves(arity)}
-        self.sections = _sections(library, arity)
+    Order inside a size: Var < Const < Calls by registration index (argument
+    sizes, then arguments, first argument slowest) < Iter (sections by fn
+    index, slot, fillers; then count size, count, seed), every subterm
+    drawn from the kept terms.  A term is kept only when it evaluates on
+    every input without overflow or an iteration count over the cap, and
+    its vector differs from every earlier kept term's.
 
-    def terms_of(self, size: int) -> list[Term]:
-        cached = self.by_size.get(size)
-        if cached is not None:
-            return cached
-        out: list[Term] = []
-        for fn in self.library.entries:
+    The kept order is a subsequence of the full order and keeps the first
+    term of every vector.  Evaluation is strict and compositional: a term
+    with a dropped subterm either fails too or has the same vector as the
+    term with the subterm's earlier equivalent in its place, which comes
+    earlier in the order.  So the first kept term with a vector is the first
+    term with that vector in the full order, and a search that stops at the
+    first kept match returns the canonical smallest term.
+    """
+
+    def __init__(self, evaluator: _Evaluator, inputs: Sequence[tuple[int, ...]]):
+        self.evaluator = evaluator
+        self.seen: set[Vector] = set()
+        leaves = [(Var(i), tuple(row[i] for row in inputs)) for i in range(len(inputs[0]))]
+        leaves += [(Const(c), (c,) * len(inputs)) for c in (0, 1)]
+        self.levels: dict[int, list[tuple[Term, Vector]]] = {
+            1: [leaf for leaf in leaves if self._keep(leaf[1])]}
+        self.sections = _sections(evaluator.library, self.levels[1])
+
+    def _keep(self, vector: Optional[Vector]) -> bool:
+        if vector is None or vector in self.seen:
+            return False
+        self.seen.add(vector)
+        return True
+
+    def grow(self, size: int) -> Iterator[tuple[Term, Vector]]:
+        """Yield the kept (term, vector) pairs of `size`, in order.
+
+        The level is built on first use from the complete smaller levels.
+        A caller that stops early must drop the enumerator, since the
+        vectors seen so far are already recorded.
+        """
+        if size in self.levels:
+            yield from self.levels[size]
+            return
+        level: list[tuple[Term, Vector]] = []
+        for fn in self.evaluator.library.entries:
             for shape in _compositions(size - 1, fn.arity):
-                pools = [self.terms_of(s) for s in shape]
-                stack: list[tuple] = [()]
-                for pool in pools:
-                    stack = [args + (t,) for args in stack for t in pool]
-                out.extend(Call(fn.name, args) for args in stack)
-        for section in self.sections:
+                for args in itertools.product(*(self.levels[s] for s in shape)):
+                    vector = self._call(fn, [v for _, v in args])
+                    if self._keep(vector):
+                        level.append((Call(fn.name, tuple(t for t, _ in args)), vector))
+                        yield level[-1]
+        iter_cap = self.evaluator.iter_cap
+        for section, fn, fillers in self.sections:
             budget = size - 1 - section_size(section)
             for count_size in range(1, budget):
-                seed_size = budget - count_size
-                for count in self.terms_of(count_size):
-                    for seed in self.terms_of(seed_size):
-                        out.append(Iter(section, count, seed))
-        self.by_size[size] = out
-        return out
+                seeds = self.levels[budget - count_size]
+                for count, counts in self.levels[count_size]:
+                    if max(counts) > iter_cap:
+                        continue  # over the cap on some input, whatever the seed
+                    for seed, seed_values in seeds:
+                        vector = self._iter(fn, section.open_slot, fillers, counts,
+                                            seed_values)
+                        if self._keep(vector):
+                            level.append((Iter(section, count, seed), vector))
+                            yield level[-1]
+        self.levels[size] = level
+
+    def terms_of(self, size: int) -> list[Term]:
+        """The kept terms of `size`, building every level below it first."""
+        for s in range(2, size + 1):
+            for _ in self.grow(s):
+                pass
+        return [term for term, _ in self.levels[size]]
+
+    def _call(self, fn: LibraryFn, arg_vectors: list[Vector]) -> Optional[Vector]:
+        apply = self.evaluator.apply
+        try:
+            return tuple([apply(fn, values) for values in zip(*arg_vectors)])
+        except (Overflow, IterCountExceeded):
+            return None
+
+    def _iter(self, fn: LibraryFn, slot: int, fillers: list[tuple[int, ...]],
+              counts: Vector, seeds: Vector) -> Optional[Vector]:
+        iterate = self.evaluator.iterate
+        try:
+            return tuple([iterate(fn, slot, f, c, s)
+                          for f, c, s in zip(fillers, counts, seeds)])
+        except (Overflow, IterCountExceeded):
+            return None
 
 
 def synthesize(examples: Sequence[FunctionExample], library: Library,
@@ -261,27 +390,19 @@ def synthesize(examples: Sequence[FunctionExample], library: Library,
     """Smallest term consistent with every example, or None if unlearnable.
 
     Overflow and iteration-cap breaches count as inconsistency, not errors.
+    The search stops at the first kept term whose vector equals the outputs.
     """
     if not examples:
         raise ArityMismatch("need at least one example")
     arity = len(examples[0].inputs)
     if any(len(ex.inputs) != arity for ex in examples):
         raise ArityMismatch("inconsistent example arity")
-    rows = [(ex.inputs, ex.output) for ex in examples]
-    evaluator = _Evaluator(library, iter_cap, value_cap)
-    enum = _Enumerator(library, arity)
+    target = tuple(ex.output for ex in examples)
+    enum = _Enumerator(_Evaluator(library, iter_cap, value_cap),
+                       [ex.inputs for ex in examples])
     for size in range(1, size_cap + 1):
-        for term in enum.terms_of(size):
-            ok = True
-            for inputs, output in rows:
-                try:
-                    if evaluator.eval(term, inputs) != output:
-                        ok = False
-                        break
-                except (Overflow, IterCountExceeded):
-                    ok = False
-                    break
-            if ok:
+        for term, vector in enum.grow(size):
+            if vector == target:
                 return term
     return None
 
@@ -402,16 +523,22 @@ def library_to_lines(library: Library) -> list[str]:
 
 
 def library_from_lines(lines: Iterable[str]) -> Library:
+    """Inverse of library_to_lines; raises MalformedTerm for a malformed
+    entry and ValueError for a repeated name."""
     entries: list[LibraryFn] = []
     for line in lines:
         line = line.strip()
         if not line:
             continue
-        node = sexpr.parse_one(line)
-        if node[0] == "builtin":
-            entries.append(LibraryFn(str(node[1]), int(node[2]), None))
-        elif node[0] == "def":
-            entries.append(LibraryFn(str(node[1]), int(node[2]), term_from_sexpr(node[3])))
-        else:
-            raise MalformedTerm(f"unknown library line {line!r}")
+        try:
+            node = sexpr.parse_one(line)
+            if node[0] == "builtin" and len(node) == 3:
+                entries.append(LibraryFn(str(node[1]), int(node[2]), None))
+            elif node[0] == "def" and len(node) == 4:
+                entries.append(LibraryFn(str(node[1]), int(node[2]),
+                                         term_from_sexpr(node[3])))
+            else:
+                raise MalformedTerm(f"unknown library line {line!r}")
+        except (IndexError, TypeError, ValueError) as exc:
+            raise MalformedTerm(f"bad library line {line!r}: {exc}") from None
     return Library(entries)

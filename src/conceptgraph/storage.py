@@ -29,6 +29,7 @@ from .core import (
 from .errors import (
     CorruptFile,
     IoFailure,
+    MalformedTerm,
     UnknownConcept,
     UnresolvedReference,
     VersionMismatch,
@@ -196,7 +197,7 @@ def graph_from_json(data) -> ConceptGraph:
         return graph
     except (VersionMismatch, CorruptFile):
         raise
-    except (KeyError, ValueError, TypeError, IndexError) as exc:
+    except (KeyError, ValueError, TypeError, IndexError, MalformedTerm) as exc:
         raise CorruptFile(f"malformed graph file: {exc}") from exc
 
 

@@ -47,6 +47,17 @@ def test_missing_graph_is_data_error(tmp_path, capsys):
     assert "error" in err
 
 
+def test_self_calling_library_is_data_error(tmp_path, capsys):
+    graph = tmp_path / "g.cg"
+    run(capsys, "init", "--alphabet", "ab", "--out", str(graph))
+    data = json.loads(graph.read_text())
+    data["library"].append("(def f 1 (call f (var 0)))")
+    graph.write_text(json.dumps(data))
+    code, _, err = run(capsys, "stats", "--graph", str(graph))
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_bad_episode_token_is_data_error(tmp_path, capsys):
     graph = tmp_path / "g.cg"
     data = tmp_path / "in.txt"

@@ -1,6 +1,8 @@
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conceptgraph.errors import (
     ArityMismatch,
@@ -9,6 +11,8 @@ from conceptgraph.errors import (
     Overflow,
 )
 from conceptgraph.fnsynth import (
+    DEFAULT_ITER_CAP,
+    DEFAULT_VALUE_CAP,
     Call,
     Const,
     FunctionExample,
@@ -146,13 +150,52 @@ def test_minimality_cross_checked_naively(examples):
     assert term_size(term) == term_size(naive_best)
 
 
+def _with_add():
+    lib = Library.initial()
+    lib.define("add", 2, Iter(SUCC, Var(0), Var(1)))
+    return lib
+
+
+LIBRARIES = {"initial": Library.initial(), "add": _with_add()}
+
+
+@functools.lru_cache(maxsize=None)
+def _naive_terms(lib_name, arity):
+    return tuple(naive_enumerate(LIBRARIES[lib_name], arity, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), lib_name=st.sampled_from(sorted(LIBRARIES)),
+       arity=st.integers(1, 2), iter_cap=st.integers(0, 6),
+       value_cap=st.integers(1, 12))
+def test_synthesize_returns_first_naive_term(data, lib_name, arity, iter_cap, value_cap):
+    # tight caps make overflow and the iteration cap prune terms
+    lib = LIBRARIES[lib_name]
+    rows = data.draw(st.lists(st.tuples(st.tuples(*[st.integers(0, 4)] * arity),
+                                        st.integers(0, 6)), min_size=1, max_size=3))
+    examples = [FunctionExample("f", inputs, output) for inputs, output in rows]
+
+    def consistent(t):
+        try:
+            return all(eval_term(t, ex.inputs, lib, iter_cap, value_cap) == ex.output
+                       for ex in examples)
+        except (Overflow, IterCountExceeded):
+            return False
+
+    naive_first = next((t for t in _naive_terms(lib_name, arity) if consistent(t)), None)
+    assert synthesize(examples, lib, size_cap=5, iter_cap=iter_cap,
+                      value_cap=value_cap) == naive_first
+
+
 def test_succ_only_terms_are_affine_sums():
     # with succ alone, every evaluable term computes a variable-sum plus a
-    # constant; checked exhaustively at the full search cap
+    # constant; checked exhaustively at the full search cap.  The enumerator
+    # keeps one term per vector on the probes, and the property depends only
+    # on those values, so it covers every term.
     lib = Library.initial()
-    from conceptgraph.fnsynth import _Enumerator
-    enum = _Enumerator(lib, 2)
+    from conceptgraph.fnsynth import _Enumerator, _Evaluator
     probes = [(0, 0), (1, 0), (0, 1), (3, 5), (7, 2)]
+    enum = _Enumerator(_Evaluator(lib, DEFAULT_ITER_CAP, DEFAULT_VALUE_CAP), probes)
     for size in range(1, 8):
         for term in enum.terms_of(size):
             try:
@@ -164,6 +207,16 @@ def test_succ_only_terms_are_affine_sums():
             cy = values[2] - base
             for (x, y), value in zip(probes, values):
                 assert value == base + cx * x + cy * y
+
+
+def test_learn_all_with_a_nullary_function():
+    # a learned constant joins the library but is never enumerated as a call
+    two = [FunctionExample("two", (), 2)]
+    inc = [FunctionExample("inc", (1,), 2), FunctionExample("inc", (4,), 5)]
+    lib, unsolved = learn_all([("two", two), ("inc", inc)])
+    assert unsolved == []
+    assert lib.fn("two").definition == Call("succ", (Const(1),))
+    assert lib.fn("inc").definition == Call("succ", (Var(0),))
 
 
 def test_learn_all_red_then_green():
@@ -227,3 +280,32 @@ def test_library_sexpr_roundtrip():
 def test_term_sexpr_roundtrip():
     term = Iter(Section("red", 1, (Const(1),)), Call("succ", (Var(0),)), Const(0))
     assert term_from_sexpr(sexpr.parse_one(term_to_sexpr(term))) == term
+
+
+@pytest.mark.parametrize("lines", [
+    ["(builtin succ 1)", "(def f 1 (call f (var 0)))"],                # self call
+    ["(builtin succ 1)", "(def f 1 (call g (var 0)))", "(def g 1 (var 0))"],  # later
+    ["(builtin succ 1)", "(def f 1 (call nope (var 0)))"],             # unknown
+    ["(builtin succ 1)", "(def f 1 (call succ (var 0) (var 0)))"],     # arg count
+    ["(builtin succ 1)", "(def f 1 (iter (sec succ 1) (var 0) (var 0)))"],  # slot
+    ["(builtin succ 1)", "(def f 1 (iter (sec succ 0 (var 0)) (var 0) (var 0)))"],
+    ["(builtin succ 1)", "(def f 1 (iter (sec f 0) (var 0) (var 0)))"],  # self section
+    ["(builtin succ 1)", "(def f 1 (var 1))"],                         # var range
+    ["(builtin succ 1)", "(def f -1 (const 0))"],
+    ["(builtin pred 1)"],
+    ["(builtin succ 2)"],
+    ["(builtin succ 1)", "(def f 1)"],
+    ["(builtin succ 1)", "(def f 1 (var x))"],
+])
+def test_malformed_library_rejected(lines):
+    with pytest.raises(MalformedTerm):
+        library_from_lines(lines)
+
+
+def test_define_checks_the_definition():
+    lib = Library.initial()
+    with pytest.raises(MalformedTerm):
+        lib.define("f", 1, Call("f", (Var(0),)))
+    with pytest.raises(MalformedTerm):
+        lib.define("f", 1, Iter(Section("succ", 0, ()), Var(0), Call("succ", ())))
+    assert [fn.name for fn in lib.entries] == ["succ"]

@@ -100,6 +100,15 @@ def test_library_persists(tmp_path):
     assert [fn.name for fn in restored.library.entries] == ["succ", "red"]
 
 
+def test_load_rejects_malformed_library(tmp_path):
+    data = json.loads(dumps(ConceptGraph("ab")))
+    data["library"].append("(def f 1 (call f (var 0)))")
+    path = tmp_path / "bad.cg"
+    path.write_text(json.dumps(data))
+    with pytest.raises(CorruptFile):
+        load(str(path))
+
+
 def test_dot_fresh_graph():
     text = dot_text(ConceptGraph("a"))
     assert text.count("[label=") == 3
