@@ -8,6 +8,7 @@ carry holes and only expand through an Apply that fills them.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
@@ -15,9 +16,11 @@ from typing import Iterable, Optional, Sequence, Union
 from .errors import (
     ArityMismatch,
     DanglingReference,
+    GraphError,
     InvalidCount,
     MalformedTemplate,
     NonExpandingConcept,
+    ReconstructionMismatch,
     UnknownConcept,
 )
 from .fnsynth import DEFAULT_ITER_CAP, DEFAULT_SIZE_CAP, DEFAULT_VALUE_CAP
@@ -329,7 +332,8 @@ class ConceptGraph:
     def replace_kind(self, cid: int, kind: Kind) -> None:
         """Structural rewrite (Concat -> Apply abstraction).
 
-        The expansion must be unchanged; id and weight are preserved.  The
+        The expansion must be unchanged (else `ReconstructionMismatch`, with
+        the graph left as it was); id and weight are preserved.  The
         rewritten concept may reference a template with a higher id, which
         keeps the graph acyclic because the template body only references
         concepts older than `cid`.
@@ -345,12 +349,19 @@ class ConceptGraph:
                 raise ArityMismatch("replacement must reference a template")
             if len(kind.fillers) != tpl.holes:
                 raise ArityMismatch("filler count does not match template holes")
+        concept.kind = kind
+        self._expansions.pop(cid, None)
+        try:
+            after = self.expansion(cid)
+        except (GraphError, RecursionError):
+            after = None
+        if after != before:
+            concept.kind = old
+            self._expansions[cid] = before
+            raise ReconstructionMismatch(f"rewrite of concept {cid} changed its expansion")
         self.model_child_slots += _kind_slots(kind) - _kind_slots(old)
         del self._dedup[old]
         self._dedup.setdefault(kind, cid)
-        concept.kind = kind
-        self._expansions.pop(cid, None)
-        assert self.expansion(cid) == before, "rewrite changed an expansion"
 
     # ------------------------------------------------------------------
     # expansion
@@ -387,8 +398,8 @@ class ConceptGraph:
 
     def set_weight(self, cid: int, weight: float) -> None:
         """Set one weight directly, keeping the code-mass counter in sync."""
-        if weight < 0:
-            raise ValueError("weight must be non-negative")
+        if not 0 <= weight < math.inf:
+            raise ValueError("weight must be finite and non-negative")
         concept = self.concept(cid)
         if isinstance(concept.kind, _CODEABLE):
             self._codeable_weight += weight - concept.weight
@@ -418,13 +429,6 @@ class ConceptGraph:
             c.id for c in self.concepts
             if isinstance(c.kind, _PARSEABLE) and c.weight >= theta
         }
-
-    def fast_path_index(self) -> dict[tuple[Token, ...], tuple[int, ...]]:
-        """Exact-match index: expansion -> ids, over the fast-path set."""
-        index: dict[tuple[Token, ...], list[int]] = {}
-        for cid in sorted(self.fast_path_set()):
-            index.setdefault(self.expansion(cid), []).append(cid)
-        return {k: tuple(v) for k, v in index.items()}
 
     # ------------------------------------------------------------------
     # valence

@@ -12,8 +12,10 @@ an immediate bit gain.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional, Sequence, Union
 
 from . import mdl
@@ -30,7 +32,7 @@ from .core import (
     Template,
     Token,
 )
-from .errors import InvalidDescription, UnknownEpisode, UnknownToken
+from .errors import GraphError, InvalidDescription, UnknownEpisode, UnknownToken
 from .mdl import DLReport, description_dl, gamma_len, raw_dl
 from .segmenter import RawStream, Segment, TOKEN, identity_token_class, segment_tokens
 
@@ -123,77 +125,86 @@ class _State:
         return tuple(out)
 
 
-def _order_states(bucket: list[_State], tokens) -> list[_State]:
-    """Sort by cost; break exact ties by node signature, shorter first."""
-    bucket.sort(key=lambda s: s.cost)
-    out: list[_State] = []
-    i = 0
-    while i < len(bucket):
-        j = i
-        while j < len(bucket) and bucket[j].cost == bucket[i].cost:
-            j += 1
-        if j - i == 1:
-            out.append(bucket[i])
-        else:
-            out.extend(sorted(bucket[i:j], key=lambda s: s.signature(tokens)))
-        i = j
-    return out
+_cost = attrgetter("cost")
+
+
+def _select_beam(bucket: list[_State], k: int, tokens) -> list[_State]:
+    """The `k` cheapest states; exact cost ties at the cut go by signature.
+
+    Equals sorting the whole bucket by (cost, signature) and keeping the
+    first `k`, but signatures are built only for the tie group that
+    straddles the cut.  Callers re-select or take a minimum, so the order
+    of the returned states does not matter.
+    """
+    if len(bucket) <= k:
+        return bucket
+    head = heapq.nsmallest(k + 1, bucket, key=_cost)
+    cut = head[k - 1].cost
+    if head[k].cost != cut:
+        return head[:k]
+    keep = [s for s in head if s.cost < cut]
+    tied = sorted((s for s in bucket if s.cost == cut), key=lambda s: s.signature(tokens))
+    return keep + tied[:k - len(keep)]
+
+
+def _cheapest(finals: list[_State], tokens) -> _State:
+    """Minimum cost; exact ties go to the smallest signature."""
+    best = min(finals, key=_cost)
+    tied = [s for s in finals if s.cost == best.cost]
+    if len(tied) == 1:
+        return best
+    return min(tied, key=lambda s: s.signature(tokens))
 
 
 class _ParseContext:
-    """Per-episode parse machinery: candidate pool, fast index, ref costs.
+    """Per-episode parse machinery: candidate expansions, their trie, ref costs.
 
-    Weights are constant between ticks, so one context serves every parse
-    call an ingest makes (segments plus blob residue).
+    The candidates are the top-pool concepts by weight plus the fast-path
+    set, each with its (id, length, reference bits) entry.  With the fast
+    index on, the expansions are merged into a token trie whose nodes list
+    the entries ending there, so a lookup walks only as far as the longest
+    match; off, every candidate is compared by slicing (the linear-scan
+    reference).  Weights are constant between ticks, so one context serves
+    every parse call an ingest makes (segments plus blob residue).
     """
 
-    __slots__ = ("graph", "budget", "use_fast_index", "log_d", "sigma_bits",
-                 "rc", "fast", "index", "index_lengths", "pool_order", "expansions")
+    __slots__ = ("budget", "log_d", "sigma_bits", "expansions", "entries", "trie")
 
     def __init__(self, graph: ConceptGraph, budget: Budget, use_fast_index: bool = True):
-        self.graph = graph
         self.budget = budget
-        self.use_fast_index = use_fast_index
         self.log_d = math.log2(graph.codeable_weight() + graph.codeable_count() + 1.0)
         self.sigma_bits = math.log2(len(graph.alphabet))
-        self.rc: dict[int, float] = {}
-        self.fast = graph.fast_path_set()
-        self.index = graph.fast_path_index() if use_fast_index else None
-        self.index_lengths = sorted({len(k) for k in self.index}) if use_fast_index else []
-        self.pool_order = sorted(
+        pool = sorted(
             graph.parseable_ids(),
             key=lambda cid: (-graph.concepts[cid].weight, cid))[:budget.pool]
-        self.expansions = {cid: graph.expansion(cid) for cid in self.pool_order}
-        for cid in self.fast:
-            self.expansions.setdefault(cid, graph.expansion(cid))
+        self.expansions = {cid: graph.expansion(cid)
+                           for cid in graph.fast_path_set().union(pool)}
+        self.entries = [
+            (cid, len(self.expansions[cid]),
+             self.log_d - math.log2(graph.concepts[cid].weight + 1.0))
+            for cid in sorted(self.expansions)]
+        self.trie = None
+        if use_fast_index:
+            self.trie = ({}, [])
+            for entry in self.entries:
+                node = self.trie
+                for token in self.expansions[entry[0]]:
+                    node = node[0].setdefault(token, ({}, []))
+                node[1].append(entry)
 
-    def ref_bits(self, cid: int) -> float:
-        bits = self.rc.get(cid)
-        if bits is None:
-            bits = self.log_d - math.log2(self.graph.concepts[cid].weight + 1.0)
-            self.rc[cid] = bits
-        return bits
-
-    def candidates_at(self, tokens: tuple, pos: int) -> list[tuple[int, int]]:
-        n = len(tokens)
-        found: dict[int, int] = {}
-        if self.use_fast_index:
-            for length in self.index_lengths:
-                if pos + length > n:
-                    break
-                for cid in self.index.get(tokens[pos:pos + length], ()):
-                    found[cid] = length
-        else:
-            for cid in sorted(self.fast):
-                exp = self.expansions[cid]
-                if tokens[pos:pos + len(exp)] == exp:
-                    found[cid] = len(exp)
-        for cid in self.pool_order:
-            if cid not in found:
-                exp = self.expansions[cid]
-                if tokens[pos:pos + len(exp)] == exp:
-                    found[cid] = len(exp)
-        return sorted(found.items())
+    def candidates_at(self, tokens: tuple, pos: int) -> list[tuple[int, int, float]]:
+        """Entries of the candidates whose expansion prefixes tokens[pos:]."""
+        if self.trie is None:
+            return [entry for entry in self.entries
+                    if tokens[pos:pos + entry[1]] == self.expansions[entry[0]]]
+        found = []
+        node = self.trie
+        for i in range(pos, len(tokens)):
+            node = node[0].get(tokens[i])
+            if node is None:
+                break
+            found.extend(node[1])
+        return found
 
 
 def parse(graph: ConceptGraph, tokens: Sequence[Token],
@@ -201,11 +212,11 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token],
           context: Optional[_ParseContext] = None) -> Description:
     """Minimum-description-length parse of `tokens` against the graph.
 
-    Candidates at each position are fast-path exact matches, the top-pool
-    concepts by weight whose expansion prefixes the remainder, and a
-    single-token blob.  The all-blob description is always considered.  The
-    memo index only accelerates the fast-path lookup; results are identical
-    with it disabled.
+    Candidates at each position are the fast-path and top-pool concepts
+    (by weight) whose expansion prefixes the remainder, and a single-token
+    blob.  The all-blob description is always considered.  The fast index
+    (the context's expansion trie) only accelerates the candidate lookup;
+    results are identical with it disabled.
     """
     tokens = tuple(tokens)
     alphabet = set(graph.alphabet)
@@ -220,7 +231,6 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token],
     ctx = context if context is not None else _ParseContext(graph, budget, use_fast_index)
     log_d = ctx.log_d
     sigma_bits = ctx.sigma_bits
-    ref_bits = ctx.ref_bits
 
     start = _State(float(gamma_len(1)), 0, 0, None, None, 0)
     frontier: dict[int, list[_State]] = {0: [start]}
@@ -230,13 +240,13 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token],
         bucket = frontier.pop(pos, None)
         if not bucket:
             continue
-        bucket = _order_states(bucket, tokens)[:budget.beam]
+        bucket = _select_beam(bucket, budget.beam, tokens)
         cands = ctx.candidates_at(tokens, pos)
         for state in bucket:
             header_next = gamma_len(state.count + 2) - gamma_len(state.count + 1)
-            for cid, length in cands:
-                succ = _State(state.cost + header_next + ref_bits(cid),
-                              state.count + 1, pos + length,
+            ref_base = state.cost + header_next
+            for cid, length, bits in cands:
+                succ = _State(ref_base + bits, state.count + 1, pos + length,
                               ("r", cid), state, 0)
                 (finals if succ.pos == n else frontier.setdefault(succ.pos, [])).append(succ)
             if state.blob_len:
@@ -256,7 +266,7 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token],
     all_blob = _State(gamma_len(2) + log_d + gamma_len(n) + n * sigma_bits,
                       1, n, ("b", 0, n), start, n)
     finals.append(all_blob)
-    best = _order_states(finals, tokens)[0]
+    best = _cheapest(finals, tokens)
     return Description(best.nodes(tokens))
 
 
@@ -303,8 +313,8 @@ def _gated_add(graph: ConceptGraph, kind, nodes: list[Node], rewrite) -> tuple[b
     new_nodes = rewrite(cid)
     ep_after = _desc_dl(graph, new_nodes)
     if ep_after < ep_before - 1e-9:
-        if graph.check_objective:
-            assert ep_after < _desc_dl(graph, nodes), "accepted step raised episode bits"
+        if graph.check_objective and not ep_after < _desc_dl(graph, nodes):
+            raise GraphError("accepted step raised episode bits")
         return True, cid, new_nodes
     graph.pop_last()
     return False, None, nodes
@@ -585,15 +595,20 @@ def _resegment_blobs(graph: ConceptGraph, desc: Description,
     Unexplained stretches are re-divided at the finest contrast (symbol
     runs) and parsed again, so induction always gets reference material to
     work with; the caller keeps the original description if this ends up
-    costlier even after induction.
+    costlier even after induction.  Neither the graph nor the context
+    changes during the call, so each distinct run is parsed once.
     """
     out: list[Node] = []
+    parsed: dict[tuple, tuple[Node, ...]] = {}
     for node in desc.nodes:
         if isinstance(node, Blob) and len(node.tokens) > 1:
             runs = segment_tokens(RawStream.tokens(node.tokens), identity_token_class)
             for seg in runs:
-                out.extend(parse(graph, seg.payload, context.budget,
-                                 context=context).nodes)
+                nodes = parsed.get(seg.payload)
+                if nodes is None:
+                    nodes = parsed[seg.payload] = parse(
+                        graph, seg.payload, context.budget, context=context).nodes
+                out.extend(nodes)
         else:
             out.append(node)
     return Description(tuple(out))

@@ -168,13 +168,12 @@ def graph_from_json(data) -> ConceptGraph:
                     raise CorruptFile("initial concepts do not match the alphabet")
             else:
                 graph.concepts.append(Concept(
-                    id=int(entry["id"]), kind=kind,
-                    weight=float(entry["weight"]),
+                    id=int(entry["id"]), kind=kind, weight=0.0,
                     created_at=int(entry["created_at"])))
             concept = graph.concepts[i]
             if concept.id != i or int(entry["id"]) != i:
                 raise CorruptFile("concept ids must be dense and ascending")
-            concept.weight = float(entry["weight"])
+            graph.set_weight(i, float(entry["weight"]))  # rejects NaN, inf and < 0
             concept.created_at = int(entry["created_at"])
         graph.rebuild_derived()
 

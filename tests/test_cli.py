@@ -1,5 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import conceptgraph
 from conceptgraph.cli import main
 
 
@@ -56,6 +62,27 @@ def test_self_calling_library_is_data_error(tmp_path, capsys):
     code, _, err = run(capsys, "stats", "--graph", str(graph))
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("weight", ["nan", "1e400", "-1"])
+def test_bad_weight_is_data_error_for_parse_and_refine(tmp_path, capsys, weight):
+    graph = tmp_path / "g.cg"
+    data = tmp_path / "in.txt"
+    data.write_text("abab\n")
+    run(capsys, "init", "--alphabet", "ab", "--out", str(graph))
+    run(capsys, "ingest", "--graph", str(graph), "--input", str(data))
+    doc = json.loads(graph.read_text())
+    doc["concepts"][0]["weight"] = weight
+    graph.write_text(json.dumps(doc))
+    # a subprocess, so a parse that never ends fails the test instead of hanging it
+    src = os.path.dirname(os.path.dirname(conceptgraph.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (["parse", "--graph", str(graph), "--input", str(data)],
+                 ["refine", "--graph", str(graph), "--episode", "0"]):
+        proc = subprocess.run([sys.executable, "-m", "conceptgraph.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=30)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
 def test_bad_episode_token_is_data_error(tmp_path, capsys):

@@ -22,6 +22,7 @@ from conceptgraph.core import (
 from conceptgraph.errors import (
     ArityMismatch,
     DanglingReference,
+    GraphError,
     InvalidCount,
     MalformedTemplate,
     NonExpandingConcept,
@@ -152,14 +153,6 @@ def test_fast_path_zero_threshold_admits_all_expanding():
     assert g.fast_path_set() == {0, 1, c1}
 
 
-def test_fast_path_index_groups_by_expansion():
-    g = fresh("ab", fast_path_threshold=0.5)
-    c1 = g.add(Concat((0, 1)))
-    index = g.fast_path_index()
-    assert index[("a", "b")] == (c1,)
-    assert index[("a",)] == (0,)
-
-
 def test_valence_decay_along_path():
     g = fresh("ab", valence_decay=0.5)
     # pleasure -- assoc -- concept chain
@@ -258,6 +251,29 @@ def test_replace_kind_preserves_expansion_and_dedup():
     assert g.expansion(x) == before
     assert g.find(Apply(tpl, (1,))) == x
     assert g.find(Concat((0, 1, 2))) is None
+
+
+def test_replace_kind_rejects_an_expansion_change():
+    g = fresh("abc")
+    x = g.add(Concat((0, 1, 2)))
+    tpl = g.add(Template((SlotRef(0), Hole(0), SlotRef(2))))
+    slots = g.model_child_slots
+    with pytest.raises(GraphError):
+        g.replace_kind(x, Apply(tpl, (0,)))  # "aac" != "abc"
+    with pytest.raises(GraphError):
+        g.replace_kind(x, Apply(tpl, (x,)))  # x would contain itself
+    assert g.concept(x).kind == Concat((0, 1, 2))
+    assert g.expansion(x) == ("a", "b", "c")
+    assert g.find(Concat((0, 1, 2))) == x and g.find(Apply(tpl, (0,))) is None
+    assert g.model_child_slots == slots
+
+
+def test_set_weight_rejects_negative_and_non_finite():
+    g = fresh("ab")
+    for bad in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            g.set_weight(0, bad)
+    assert g.concepts[0].weight == 1.0
 
 
 def test_rebuild_derived_matches_incremental_counters():

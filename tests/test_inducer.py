@@ -1,6 +1,8 @@
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conceptgraph.core import (
     Apply,
@@ -14,13 +16,17 @@ from conceptgraph.core import (
     SlotRef,
     Template,
 )
+from conceptgraph.corpus import GRAMMAR_ALPHABET, gen_grammar_corpus
 from conceptgraph.errors import InvalidDescription, UnknownEpisode, UnknownToken
 from conceptgraph.inducer import (
     Blob,
     Budget,
     Description,
     Ref,
+    _State,
     _apply_forgetting,
+    _cheapest,
+    _select_beam,
     abstract_common,
     induce_repeats,
     ingest,
@@ -307,6 +313,100 @@ def test_fast_path_equivalence_small():
     for _ in range(50):
         tokens = tuple(rng.choice("ab") for _ in range(rng.randint(0, 30)))
         assert parse(g, tokens, use_fast_index=True) == parse(g, tokens, use_fast_index=False)
+
+
+def test_fast_path_equivalence_sigma16_beyond_the_pool():
+    sigma = "abcdefghijklmnop"
+    g = ConceptGraph(sigma)
+    rng = random.Random(16)
+    for _ in range(12):
+        ingest(g, "".join(rng.choice(sigma) for _ in range(rng.randint(32, 160))))
+    concats = [c.id for c in g.concepts if isinstance(c.kind, Concat)]
+    # a flat twin of each nested concat: several ids share one expansion
+    for cid in concats[:20]:
+        flat = []
+        for child in g.concept(cid).kind.children:
+            kind = g.concept(child).kind
+            flat.extend(kind.children if isinstance(kind, Concat) else (child,))
+        if len(flat) > len(g.concept(cid).kind.children):
+            g.set_weight(g.add(Concat(tuple(flat))), 9.0)
+    parseable = g.parseable_ids()
+    for cid in rng.sample(parseable, 80):
+        g.set_weight(cid, rng.uniform(8.0, 20.0))
+    pool_size = g.config.pool_base
+    pool = set(sorted(parseable, key=lambda c: (-g.concepts[c].weight, c))[:pool_size])
+    assert len(parseable) > pool_size
+    assert g.fast_path_set() - pool, "the fast path must add candidates beyond the pool"
+    candidates = g.fast_path_set() | pool
+    expansions = [g.expansion(c) for c in candidates]
+    assert len(set(expansions)) < len(expansions), "candidates must share expansions"
+    pieces = [g.expansion(c) for c in parseable]
+    for _ in range(60):
+        tokens, size = [], rng.randint(0, 96)
+        while len(tokens) < size:
+            tokens.extend(rng.choice(pieces) if rng.random() < 0.7 else rng.choice(sigma))
+        assert parse(g, tokens, use_fast_index=True) == parse(g, tokens, use_fast_index=False)
+
+
+def _beam_states(draw):
+    """Distinct-signature states over shared tokens, with exact cost ties."""
+    node = st.one_of(st.tuples(st.just(0), st.integers(0, 4)),
+                     st.tuples(st.just(1), st.lists(st.sampled_from("ab"), min_size=1,
+                                                    max_size=3).map(tuple)))
+    sigs = draw(st.lists(st.lists(node, max_size=3).map(tuple), min_size=1,
+                         max_size=14, unique=True))
+    costs = draw(st.lists(st.sampled_from([0.5, 0.1 + 0.2, 0.3, 1.0, 2.0]),
+                          min_size=len(sigs), max_size=len(sigs)))
+    k = draw(st.integers(1, len(sigs) + 1))
+    if k < len(sigs) and draw(st.booleans()):
+        # force an exact tie across the cut
+        order = sorted(range(len(sigs)), key=lambda i: costs[i])
+        costs[order[k]] = costs[order[k - 1]]
+    tokens: list = []
+    bucket = []
+    for sig, cost in zip(sigs, costs):
+        state = _State(cost, 0, 0, None, None, 0)
+        for tag, payload in sig:
+            if tag == 0:
+                entry = ("r", payload)
+            else:
+                entry = ("b", len(tokens), len(tokens) + len(payload))
+                tokens.extend(payload)
+            state = _State(cost, 0, 0, entry, state, 0)
+        bucket.append(state)
+    return bucket, k, tuple(tokens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_beam_cut_matches_full_sort(data):
+    bucket, k, tokens = _beam_states(data.draw)
+    # the rule the cut replaces: sort by cost, exact ties by signature
+    want = sorted(bucket, key=lambda s: (s.cost, s.signature(tokens)))
+    got = _select_beam(list(bucket), k, tokens)
+    assert sorted(map(id, got)) == sorted(map(id, want[:k]))
+    assert _cheapest(list(bucket), tokens) is want[0]
+
+
+def _graph_sha256(graph):
+    return hashlib.sha256(dumps(graph).encode()).hexdigest()
+
+
+def test_ingest_graph_bytes_are_pinned():
+    sigma = "abcdefghijklmnop"
+    rng = random.Random(7)
+    g = ConceptGraph(sigma)
+    for _ in range(60):
+        ingest(g, "".join(rng.choice(sigma) for _ in range(rng.randint(0, 256))))
+    assert len(g) == 564
+    assert _graph_sha256(g) == "6c9d0996818335909a5bd40e0277847b788c771749628fd7934c70a1afa63313"
+
+    tokens, _ = gen_grammar_corpus(7, 5, 64 * 60, rules_per_level=3)
+    g = ConceptGraph(GRAMMAR_ALPHABET)
+    for i in range(0, 64 * 60, 64):
+        ingest(g, tokens[i:i + 64])
+    assert len(g) == 27
+    assert _graph_sha256(g) == "ce3cf609c31051fe933998fba5f1271eea8971be433300a1da783e8c6f1bb45d"
 
 
 def test_ingest_determinism_byte_level():

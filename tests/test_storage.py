@@ -90,6 +90,16 @@ def test_load_errors(tmp_path):
         load(str(wrong))
 
 
+@pytest.mark.parametrize("weight", ["nan", "1e400", "-inf", "-1"])
+def test_load_rejects_non_finite_or_negative_weight(tmp_path, weight):
+    data = json.loads(dumps(ConceptGraph("ab")))
+    data["concepts"][0]["weight"] = weight
+    path = tmp_path / "bad.cg"
+    path.write_text(json.dumps(data))
+    with pytest.raises(CorruptFile):
+        load(str(path))
+
+
 def test_library_persists(tmp_path):
     g = ConceptGraph("ab")
     red = [FunctionExample("red", i, o) for i, o in [((1, 3), 4), ((2, 3), 5), ((5, 2), 7)]]
