@@ -23,13 +23,8 @@ from .core import (
     SlotConstraint,
     SlotRef,
     Template,
-    add_concept,
     default_emotion_templates,
-    expansion,
-    fast_path_set,
     match_emotion,
-    propagate_valence,
-    tick_weights,
 )
 from .inducer import (
     Blob,

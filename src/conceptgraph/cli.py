@@ -121,7 +121,7 @@ def _cmd_ingest(args) -> int:
             report = ingest(graph, line)
         print(f"episode {report.episode}: nodes={len(report.description.nodes)} "
               f"new_concepts={len(report.new_concepts)} "
-              f"described_bits={report.dl.described_bits:.9f}")
+              f"described_bits={report.described_bits:.9f}")
     storage.save(graph, args.graph)
     return 0
 

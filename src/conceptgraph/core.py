@@ -131,8 +131,9 @@ class Config:
                      "value_cap", "valence_hop_cap"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.fast_path_threshold < 0:
-            raise ValueError("fast_path_threshold must be non-negative")
+        for name in ("contrast_threshold", "fast_path_threshold", "smoothness_threshold"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
 
 
 @dataclass
@@ -144,11 +145,14 @@ class Concept:
 
 
 class ConceptGraph:
-    """Single-writer graph of concepts plus the bookkeeping the inducer needs.
+    """Single-writer graph of concepts plus the state the inducer keeps.
 
     Concepts are appended with strictly increasing ids and deduplicated
     structurally.  Primitives (one per alphabet symbol) and the two affect
-    primitives are created at initialization.
+    primitives are created at initialization.  Besides the concepts, the
+    graph caches expansions and the codeable count and weight (the code
+    denominator), and holds the refinement store and the digram, run and
+    association counts; description lengths are computed on demand in `mdl`.
     """
 
     def __init__(self, alphabet: Sequence[Token], config: Optional[Config] = None):
@@ -174,11 +178,6 @@ class ConceptGraph:
         self._expansions: dict[int, tuple[Token, ...]] = {}
         self._codeable_count = 0
         self._codeable_weight = 0.0
-        # child/hole slots across non-primitive codeable definitions
-        self.model_child_slots = 0
-        # Ref/Blob node totals across stored descriptions
-        self.stored_ref_nodes = 0
-        self.stored_blob_nodes = 0
         # when True, gated induction steps re-verify the full objective
         self.check_objective = False
         # learned function library (shell attaches/persists it)
@@ -302,7 +301,6 @@ class ConceptGraph:
         if isinstance(kind, _CODEABLE):
             self._codeable_count += 1
             self._codeable_weight += 1.0
-            self.model_child_slots += _kind_slots(kind)
         return cid
 
     def pop_last(self) -> None:
@@ -313,7 +311,6 @@ class ConceptGraph:
         if isinstance(concept.kind, _CODEABLE):
             self._codeable_count -= 1
             self._codeable_weight -= concept.weight
-            self.model_child_slots -= _kind_slots(concept.kind)
 
     def rebuild_derived(self) -> None:
         """Recompute caches and counters after a bulk restore (load)."""
@@ -321,13 +318,11 @@ class ConceptGraph:
         self._expansions = {}
         self._codeable_count = 0
         self._codeable_weight = 0.0
-        self.model_child_slots = 0
         for concept in self.concepts:
             self._dedup.setdefault(concept.kind, concept.id)
             if isinstance(concept.kind, _CODEABLE):
                 self._codeable_count += 1
                 self._codeable_weight += concept.weight
-                self.model_child_slots += _kind_slots(concept.kind)
 
     def replace_kind(self, cid: int, kind: Kind) -> None:
         """Structural rewrite (Concat -> Apply abstraction).
@@ -359,7 +354,6 @@ class ConceptGraph:
             concept.kind = old
             self._expansions[cid] = before
             raise ReconstructionMismatch(f"rewrite of concept {cid} changed its expansion")
-        self.model_child_slots += _kind_slots(kind) - _kind_slots(old)
         del self._dedup[old]
         self._dedup.setdefault(kind, cid)
 
@@ -487,42 +481,6 @@ class ConceptGraph:
         valences[self.pleasure_id] = 1.0
         valences[self.pain_id] = -1.0
         return valences
-
-
-def _kind_slots(kind: Kind) -> int:
-    """Reference/hole slots a definition contributes to the model code."""
-    if isinstance(kind, Concat):
-        return len(kind.children)
-    if isinstance(kind, Repeat):
-        return 1
-    if isinstance(kind, Template):
-        return len(kind.body)
-    if isinstance(kind, Apply):
-        return 1 + len(kind.fillers)
-    return 0
-
-
-# ----------------------------------------------------------------------
-# function-style aliases for the graph operations
-
-def add_concept(graph: ConceptGraph, kind: Kind) -> int:
-    return graph.add(kind)
-
-
-def expansion(graph: ConceptGraph, cid: int) -> tuple[Token, ...]:
-    return graph.expansion(cid)
-
-
-def tick_weights(graph: ConceptGraph, used: Iterable[int]) -> None:
-    graph.tick_weights(used)
-
-
-def fast_path_set(graph: ConceptGraph) -> set[int]:
-    return graph.fast_path_set()
-
-
-def propagate_valence(graph: ConceptGraph) -> dict[int, float]:
-    return graph.propagate_valence()
 
 
 # ----------------------------------------------------------------------

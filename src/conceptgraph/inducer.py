@@ -3,11 +3,11 @@
 Parsing is a left-to-right beam search over concept references and raw
 blobs, minimizing description bits.  Induction proposes digram concats and
 run repeats, accepting a candidate only when the episode's description
-bits strictly drop; model bits are tracked in the reports but creation is
-paid for by the data side, which is what lets structure bootstrap from
-short experiences.  Number templates and common-component abstractions are
-forced by their generalization thresholds: their payoff is expressive, not
-an immediate bit gain.
+bits strictly drop.  The gate does not charge the new definition's model
+bits (`mdl.model_dl`): creation is paid for by the data side, which is
+what lets structure bootstrap from short experiences.  Number templates
+and common-component abstractions are forced by their generalization
+thresholds: their payoff is expressive, not an immediate bit gain.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .core import (
     Token,
 )
 from .errors import GraphError, InvalidDescription, UnknownEpisode, UnknownToken
-from .mdl import DLReport, description_dl, gamma_len, raw_dl
+from .mdl import description_dl, gamma_len, raw_dl
 from .segmenter import RawStream, Segment, TOKEN, identity_token_class, segment_tokens
 
 
@@ -83,7 +83,8 @@ class IngestReport:
     description: Description
     new_concepts: list[int]
     new_associations: list[tuple[int, int]]
-    dl: DLReport
+    raw_bits: float
+    described_bits: float
 
 
 # ----------------------------------------------------------------------
@@ -172,7 +173,7 @@ class _ParseContext:
 
     def __init__(self, graph: ConceptGraph, budget: Budget, use_fast_index: bool = True):
         self.budget = budget
-        self.log_d = math.log2(graph.codeable_weight() + graph.codeable_count() + 1.0)
+        self.log_d = mdl.escape_cost(graph)
         self.sigma_bits = math.log2(len(graph.alphabet))
         pool = sorted(
             graph.parseable_ids(),
@@ -550,20 +551,6 @@ def _transitive_refs(graph: ConceptGraph, roots: set[int]) -> set[int]:
     return seen
 
 
-def _store_description(graph: ConceptGraph, episode_id: int, desc: Description) -> None:
-    graph.refinement_store.setdefault(episode_id, []).append(desc)
-    refs = sum(1 for n in desc.nodes if isinstance(n, Ref))
-    graph.stored_ref_nodes += refs
-    graph.stored_blob_nodes += len(desc.nodes) - refs
-
-
-def _drop_deepest(graph: ConceptGraph, chain: list[Description]) -> None:
-    desc = chain.pop()
-    refs = sum(1 for n in desc.nodes if isinstance(n, Ref))
-    graph.stored_ref_nodes -= refs
-    graph.stored_blob_nodes -= len(desc.nodes) - refs
-
-
 FORGET_WEIGHT = 2.0 ** -20
 
 
@@ -577,7 +564,7 @@ def _apply_forgetting(graph: ConceptGraph) -> None:
             shallow |= desc.refs()
         exclusive = chain[-1].refs() - shallow
         if exclusive and all(graph.concept(c).weight < FORGET_WEIGHT for c in exclusive):
-            _drop_deepest(graph, chain)
+            chain.pop()
 
 
 def _normalize_stream(experience) -> RawStream:
@@ -658,21 +645,16 @@ def ingest(graph: ConceptGraph, experience,
 
     graph.tick_weights(_transitive_refs(graph, desc.refs()))
     episode_id = graph.episode
-    _store_description(graph, episode_id, desc)
+    graph.refinement_store.setdefault(episode_id, []).append(desc)
     for pair, count in _episode_digrams(list(desc.nodes))[0].items():
         graph.digram_counts[pair] = graph.digram_counts.get(pair, 0) + count
-    graph.raw_bits_total += raw_dl(len(stream.samples), len(graph.alphabet))
+    raw_bits = raw_dl(len(stream.samples), len(graph.alphabet))
+    graph.raw_bits_total += raw_bits
     _apply_forgetting(graph)
     graph.episode += 1
-
-    report = DLReport(
-        raw_bits=raw_dl(len(stream.samples), len(graph.alphabet)),
-        described_bits=description_dl(graph, desc),
-        model_bits=mdl.model_dl(graph),
-    )
     return IngestReport(episode=episode_id, description=desc,
                         new_concepts=new_concepts, new_associations=new_pairs,
-                        dl=report)
+                        raw_bits=raw_bits, described_bits=description_dl(graph, desc))
 
 
 def refine(graph: ConceptGraph, episode_id: int) -> Description:
@@ -690,5 +672,5 @@ def refine(graph: ConceptGraph, episode_id: int) -> Description:
     previous = chain[-1]
     if description_dl(graph, previous) <= description_dl(graph, candidate):
         candidate = previous
-    _store_description(graph, episode_id, candidate)
+    chain.append(candidate)
     return candidate

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import (
     InvalidDescription,
@@ -109,18 +109,15 @@ def description_dl(graph: "ConceptGraph", desc: "Description") -> float:
 
 
 def concept_model_dl(graph: "ConceptGraph", cid: int,
-                     log_d: Optional[float] = None,
-                     weight_of: Optional[Callable[[int], float]] = None) -> float:
+                     log_d: Optional[float] = None) -> float:
     """Model bits for one definition: 2-bit kind header, body-count gamma,
     children coded with ref_cost; Repeat adds gamma_len(count), holes are
     coded as escape plus their index."""
     if log_d is None:
         log_d = math.log2(_denominator(graph))
-    if weight_of is None:
-        weight_of = lambda c: graph.concept(c).weight
 
     def rc(child: int) -> float:
-        return log_d - math.log2(weight_of(child) + 1.0)
+        return log_d - math.log2(graph.concept(child).weight + 1.0)
 
     kind = graph.concept(cid).kind
     if isinstance(kind, Concat):

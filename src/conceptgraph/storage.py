@@ -8,6 +8,7 @@ line-oriented s-expressions in strict topological order.
 from __future__ import annotations
 
 import json
+import math
 
 from . import sexpr
 from .core import (
@@ -175,10 +176,15 @@ def graph_from_json(data) -> ConceptGraph:
                 raise CorruptFile("concept ids must be dense and ascending")
             graph.set_weight(i, float(entry["weight"]))  # rejects NaN, inf and < 0
             concept.created_at = int(entry["created_at"])
+        _check_references(graph)
         graph.rebuild_derived()
 
         graph.episode = int(data["episode"])
+        if graph.episode < 0:
+            raise CorruptFile("episode must be non-negative")
         graph.raw_bits_total = float(data["raw_bits_total"])
+        if not 0.0 <= graph.raw_bits_total < math.inf:
+            raise CorruptFile("raw_bits_total must be finite and non-negative")
         graph.assoc_counts = {(int(a), int(b)): int(n) for a, b, n in data["assoc_counts"]}
         graph.digram_counts = {(int(a), int(b)): int(n) for a, b, n in data["digram_counts"]}
         graph.run_observations = {int(k): set(int(c) for c in v)
@@ -186,18 +192,44 @@ def graph_from_json(data) -> ConceptGraph:
         marker = data.get("follows_marker")
         graph.follows_marker_id = int(marker) if marker is not None else None
         for ep, chain in data["refinements"].items():
-            descs = [_desc_from_json(d) for d in chain]
-            graph.refinement_store[int(ep)] = descs
-            for desc in descs:
-                refs = sum(1 for n in desc.nodes if isinstance(n, Ref))
-                graph.stored_ref_nodes += refs
-                graph.stored_blob_nodes += len(desc.nodes) - refs
+            graph.refinement_store[int(ep)] = [_desc_from_json(d) for d in chain]
         graph.library = library_from_lines(data["library"])
         return graph
     except (VersionMismatch, CorruptFile):
         raise
     except (KeyError, ValueError, TypeError, IndexError, MalformedTerm) as exc:
         raise CorruptFile(f"malformed graph file: {exc}") from exc
+
+
+def _check_references(graph: ConceptGraph) -> None:
+    """`CorruptFile` for a reference to a missing concept or any reference cycle.
+
+    Ids alone cannot rule out cycles, since an Apply rewritten by
+    `replace_kind` may name a newer template; this is an iterative
+    depth-first search over `reference_edges`, so deep chains cannot
+    exhaust the stack.
+    """
+    n = len(graph.concepts)
+    state = [0] * n  # 0 unvisited, 1 on the current path, 2 finished
+    for root in range(n):
+        if state[root]:
+            continue
+        state[root] = 1
+        stack = [(root, iter(graph.reference_edges(root)))]
+        while stack:
+            cid, edges = stack[-1]
+            for ref in edges:
+                if not 0 <= ref < n:
+                    raise CorruptFile(f"concept {cid} references missing concept {ref}")
+                if state[ref] == 1:
+                    raise CorruptFile(f"reference cycle through concept {ref}")
+                if state[ref] == 0:
+                    state[ref] = 1
+                    stack.append((ref, iter(graph.reference_edges(ref))))
+                    break
+            else:
+                state[cid] = 2
+                stack.pop()
 
 
 def load(path: str) -> ConceptGraph:
@@ -297,6 +329,34 @@ def export_teach(graph: ConceptGraph, cid: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _teach_kind(node, resolve) -> Kind:
+    """The concept kind one parsed teach line describes."""
+    head = node[0]
+    if head == "prim":
+        return Primitive(node[1])
+    if head == "affect":
+        return AffectPrimitive(int(node[1]))
+    if head == "marker":
+        return Marker(node[1])
+    if head == "concat":
+        return Concat(tuple(resolve(a) for a in node[1:]))
+    if head == "repeat":
+        return Repeat(resolve(node[1]), int(node[2]))
+    if head == "template":
+        slots = []
+        for item in node[1:]:
+            if item[0] == "hole":
+                slots.append(Hole(int(item[1])))
+            else:
+                slots.append(SlotRef(resolve(item[1])))
+        return Template(tuple(slots))
+    if head == "apply":
+        return Apply(resolve(node[1]), tuple(resolve(a) for a in node[2:]))
+    if head == "assoc":
+        return Association(resolve(node[1]), resolve(node[2]))
+    raise CorruptFile(f"unknown teach head {head!r}")
+
+
 def import_teach(graph: ConceptGraph, script: str) -> int:
     """Rebuild a taught concept in `graph`; returns the final concept id."""
     local: list[int] = []
@@ -312,35 +372,9 @@ def import_teach(graph: ConceptGraph, script: str) -> int:
         if not raw:
             continue
         try:
-            node = sexpr.parse_one(raw)
-        except ValueError as exc:
+            local.append(graph.add(_teach_kind(sexpr.parse_one(raw), resolve)))
+        except (IndexError, ValueError, TypeError) as exc:  # malformed line
             raise CorruptFile(f"bad teach line {raw!r}: {exc}") from exc
-        head = node[0]
-        if head == "prim":
-            kind: Kind = Primitive(node[1])
-        elif head == "affect":
-            kind = AffectPrimitive(int(node[1]))
-        elif head == "marker":
-            kind = Marker(node[1])
-        elif head == "concat":
-            kind = Concat(tuple(resolve(a) for a in node[1:]))
-        elif head == "repeat":
-            kind = Repeat(resolve(node[1]), int(node[2]))
-        elif head == "template":
-            slots = []
-            for item in node[1:]:
-                if item[0] == "hole":
-                    slots.append(Hole(int(item[1])))
-                else:
-                    slots.append(SlotRef(resolve(item[1])))
-            kind = Template(tuple(slots))
-        elif head == "apply":
-            kind = Apply(resolve(node[1]), tuple(resolve(a) for a in node[2:]))
-        elif head == "assoc":
-            kind = Association(resolve(node[1]), resolve(node[2]))
-        else:
-            raise CorruptFile(f"unknown teach head {head!r}")
-        local.append(graph.add(kind))
     if not local:
         raise CorruptFile("empty teach script")
     return local[-1]

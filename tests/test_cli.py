@@ -7,6 +7,8 @@ import pytest
 
 import conceptgraph
 from conceptgraph.cli import main
+from conceptgraph.core import Concat, ConceptGraph
+from conceptgraph.storage import dumps
 
 
 def run(capsys, *argv):
@@ -74,15 +76,36 @@ def test_bad_weight_is_data_error_for_parse_and_refine(tmp_path, capsys, weight)
     doc = json.loads(graph.read_text())
     doc["concepts"][0]["weight"] = weight
     graph.write_text(json.dumps(doc))
-    # a subprocess, so a parse that never ends fails the test instead of hanging it
+    assert_data_error(["parse", "--graph", str(graph), "--input", str(data)],
+                      ["refine", "--graph", str(graph), "--episode", "0"])
+
+
+def assert_data_error(*argvs):
+    """Each command exits 2 with a one-line error and no traceback.
+
+    It runs in a subprocess, so a command that never ends fails the test
+    instead of hanging it, and a traceback shows up on stderr.
+    """
     src = os.path.dirname(os.path.dirname(conceptgraph.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    for argv in (["parse", "--graph", str(graph), "--input", str(data)],
-                 ["refine", "--graph", str(graph), "--episode", "0"]):
+    for argv in argvs:
         proc = subprocess.run([sys.executable, "-m", "conceptgraph.cli", *argv],
                               capture_output=True, text=True, env=env, timeout=30)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("children", [[4, 1], [5, 1]])
+def test_cyclic_graph_file_is_data_error(tmp_path, children):
+    g = ConceptGraph("ab")
+    g.add(Concat((g.add(Concat((0, 1))), 0)))  # 4 = "ab", 5 = "aba"
+    doc = json.loads(dumps(g))
+    doc["concepts"][4]["children"] = children  # 4 -> 4, or 4 -> 5 -> 4
+    graph = tmp_path / "g.cg"
+    graph.write_text(json.dumps(doc))
+    data = tmp_path / "in.txt"
+    data.write_text("abab\n")
+    assert_data_error(["parse", "--graph", str(graph), "--input", str(data)])
 
 
 def test_bad_episode_token_is_data_error(tmp_path, capsys):

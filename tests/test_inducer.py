@@ -231,7 +231,7 @@ def test_ingest_learns_triple_pattern():
     report = ingest(g, "abcabcabc")
     assert any(g.is_parseable(c.id) and "".join(g.expansion(c.id)) == "abc"
                for c in g.concepts)
-    assert report.dl.described_bits < report.dl.raw_bits
+    assert report.described_bits < report.raw_bits
 
 
 def test_ingest_empty_episode():
@@ -294,7 +294,6 @@ def test_forgetting_drops_deepest_level():
     deep = g.add(Repeat(0, 5))
     chain = g.refinement_store[0]
     chain.append(Description((Ref(deep),)))
-    g.stored_ref_nodes += 1
     _apply_forgetting(g)
     assert len(chain) == 2  # still above the forgetting threshold
     g.set_weight(deep, 2.0**-21)

@@ -10,6 +10,7 @@ from conceptgraph.core import (
     ConceptGraph,
     Hole,
     Repeat,
+    SlotRef,
     Template,
 )
 from conceptgraph.errors import (
@@ -26,6 +27,7 @@ from conceptgraph.storage import (
     dot_text,
     dumps,
     export_teach,
+    graph_from_json,
     import_teach,
     load,
     save,
@@ -98,6 +100,54 @@ def test_load_rejects_non_finite_or_negative_weight(tmp_path, weight):
     path.write_text(json.dumps(data))
     with pytest.raises(CorruptFile):
         load(str(path))
+
+
+@pytest.mark.parametrize("section, field, value", [
+    ("config", "fast_path_threshold", "nan"),
+    ("config", "contrast_threshold", "nan"),
+    ("config", "contrast_threshold", "-1"),
+    ("config", "smoothness_threshold", "inf"),
+    (None, "raw_bits_total", "nan"),
+    (None, "raw_bits_total", "-3"),
+    (None, "episode", -5),
+])
+def test_load_rejects_bad_config_and_counters(section, field, value):
+    data = json.loads(dumps(ConceptGraph("ab")))
+    (data[section] if section else data)[field] = value
+    with pytest.raises(CorruptFile):
+        graph_from_json(data)
+
+
+def cyclic_graph_data(cycle):
+    """A saved graph whose concat 4 ("ab") and 5 ("aba") are edited into a cycle."""
+    g = ConceptGraph("ab")
+    g.add(Concat((g.add(Concat((0, 1))), 0)))
+    data = json.loads(dumps(g))
+    if cycle == "self":
+        data["concepts"][4]["children"] = [4, 1]
+    else:
+        data["concepts"][4]["children"] = [5, 1]
+    return data
+
+
+@pytest.mark.parametrize("cycle", ["self", "pair"])
+def test_load_rejects_reference_cycles(cycle):
+    with pytest.raises(CorruptFile):
+        graph_from_json(cyclic_graph_data(cycle))
+
+
+def test_load_rejects_missing_reference_and_accepts_newer_template():
+    data = json.loads(dumps(ConceptGraph("ab")))
+    data["concepts"].append({"id": 4, "created_at": 0, "weight": "1.000000000",
+                             "kind": "concat", "children": [0, 99]})
+    with pytest.raises(CorruptFile):
+        graph_from_json(data)
+    # an Apply rewritten to name a template added after it is not a cycle
+    g = ConceptGraph("abc")
+    x = g.add(Concat((0, 1, 2)))
+    tpl = g.add(Template((SlotRef(0), Hole(0), SlotRef(2))))
+    g.replace_kind(x, Apply(tpl, (1,)))
+    assert graph_from_json(json.loads(dumps(g))).expansion(x) == ("a", "b", "c")
 
 
 def test_library_persists(tmp_path):
@@ -181,3 +231,18 @@ def test_teach_unknown_concept_and_bad_script():
         export_teach(g, 99)
     with pytest.raises(CorruptFile):
         import_teach(g, "(wobble 1)\n")
+
+
+@pytest.mark.parametrize("script", [
+    "()",
+    "(prim)",
+    "(prim a)\n(repeat 0)",
+    "(prim a)\n(template (hole))",
+    "(prim a)\n(template (ref))",
+    "(prim a)\n(concat 0 x)",
+    "(affect 2)",
+    "(prim (a))",
+])
+def test_teach_malformed_line_is_corrupt_file(script):
+    with pytest.raises(CorruptFile):
+        import_teach(ConceptGraph("ab"), script)
