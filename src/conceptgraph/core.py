@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
     ArityMismatch,
     DanglingReference,
-    GraphError,
     InvalidCount,
     MalformedTemplate,
     NonExpandingConcept,
@@ -148,11 +148,17 @@ class ConceptGraph:
     """Single-writer graph of concepts plus the state the inducer keeps.
 
     Concepts are appended with strictly increasing ids and deduplicated
-    structurally.  Primitives (one per alphabet symbol) and the two affect
-    primitives are created at initialization.  Besides the concepts, the
-    graph caches expansions and the codeable count and weight (the code
-    denominator), and holds the refinement store and the digram, run and
-    association counts; description lengths are computed on demand in `mdl`.
+    structurally.  The circuit grows bottom-up: a concept may only reference
+    older concepts, except that an Apply may name a newer template whose
+    slot refs are older than the Apply (`_validate` holds the rule, for
+    `add`, `replace_kind` and load alike).  So references never form a
+    cycle, and each parseable concept's expansion is stored when it is
+    added, built from its references' stored expansions.  Primitives (one
+    per alphabet symbol) and the two affect primitives are created at
+    initialization.  Besides the concepts, the graph keeps the expansions
+    and the codeable count and weight (the code denominator), and holds the
+    refinement store and the digram, run and association counts;
+    description lengths are computed on demand in `mdl`.
     """
 
     def __init__(self, alphabet: Sequence[Token], config: Optional[Config] = None):
@@ -230,72 +236,95 @@ class ConceptGraph:
     # ------------------------------------------------------------------
     # construction
 
-    def _validate(self, kind: Kind) -> None:
-        next_id = len(self.concepts)
+    def _validate(self, kind: Kind, cid: int) -> None:
+        """Raise unless `kind` may be concept `cid` (a `GraphError` for a bad reference).
 
-        def check_ref(cid: int) -> None:
-            if not isinstance(cid, int) or not 0 <= cid < next_id:
-                raise DanglingReference(f"reference to missing concept {cid}")
-
-        if isinstance(kind, Primitive):
-            if kind.token not in self.alphabet:
-                raise DanglingReference(f"token {kind.token!r} not in alphabet")
+        The one growth rule, used by `add`, `replace_kind` and load: every
+        reference names a concept older than `cid`, and a reference that
+        must expand names a parseable concept.  The one exception is an
+        Apply's template, which may be any existing template (an older
+        concat is rewritten as an application of a new template), as long
+        as the template would itself be valid at `cid`, i.e. its slot refs
+        are older than `cid`.  So no concept reaches itself, and expansions
+        can be built in id order.
+        """
+        expands = True  # whether the references below must expand
+        if isinstance(kind, Apply):
+            tid = kind.template
+            if not isinstance(tid, int) or not 0 <= tid < len(self.concepts):
+                raise DanglingReference(f"reference to missing concept {tid}")
+            tpl = self.concepts[tid].kind
+            if not isinstance(tpl, Template):
+                raise ArityMismatch(f"concept {tid} is not a template")
+            if tid > cid:  # an older template was validated at its own, older id
+                self._validate(tpl, cid)
+            if len(kind.fillers) != tpl.holes:
+                raise ArityMismatch(
+                    f"template {tid} has {tpl.holes} holes, got {len(kind.fillers)} fillers")
+            refs = kind.fillers
         elif isinstance(kind, Concat):
             if len(kind.children) < 2:
                 raise ArityMismatch("concat needs at least 2 children")
-            for cid in kind.children:
-                check_ref(cid)
-                if not self.is_parseable(cid):
-                    raise NonExpandingConcept(f"concat child {cid} does not expand")
+            refs = kind.children
+        elif isinstance(kind, Template):
+            if not kind.body:
+                raise MalformedTemplate("template body is empty")
+            holes = {s.index for s in kind.body if isinstance(s, Hole)}
+            if not holes:
+                raise ArityMismatch("template needs at least 1 hole")
+            if holes != set(range(len(holes))):
+                raise ArityMismatch("hole indices must be contiguous from 0")
+            refs = [s.concept for s in kind.body if isinstance(s, SlotRef)]
         elif isinstance(kind, Repeat):
             if kind.count < 2:
                 raise InvalidCount("repeat count must be >= 2")
-            check_ref(kind.child)
-            if not self.is_parseable(kind.child):
-                raise NonExpandingConcept(f"repeat child {kind.child} does not expand")
-        elif isinstance(kind, Template):
-            holes = [s.index for s in kind.body if isinstance(s, Hole)]
-            if not kind.body:
-                raise MalformedTemplate("template body is empty")
-            if not holes:
-                raise ArityMismatch("template needs at least 1 hole")
-            if sorted(set(holes)) != list(range(max(holes) + 1)):
-                raise ArityMismatch("hole indices must be contiguous from 0")
-            for s in kind.body:
-                if isinstance(s, SlotRef):
-                    check_ref(s.concept)
-                    if not self.is_parseable(s.concept):
-                        raise NonExpandingConcept(f"template ref {s.concept} does not expand")
-        elif isinstance(kind, Apply):
-            check_ref(kind.template)
-            tpl = self.concept(kind.template).kind
-            if not isinstance(tpl, Template):
-                raise ArityMismatch(f"concept {kind.template} is not a template")
-            if len(kind.fillers) != tpl.holes:
-                raise ArityMismatch(
-                    f"template {kind.template} has {tpl.holes} holes, got {len(kind.fillers)} fillers")
-            for cid in kind.fillers:
-                check_ref(cid)
-                if not self.is_parseable(cid):
-                    raise NonExpandingConcept(f"filler {cid} does not expand")
+            refs = (kind.child,)
         elif isinstance(kind, Association):
-            check_ref(kind.a)
-            check_ref(kind.b)
+            refs, expands = (kind.a, kind.b), False
+        elif isinstance(kind, Primitive):
+            if kind.token not in self.alphabet:
+                raise DanglingReference(f"token {kind.token!r} not in alphabet")
+            return
         elif isinstance(kind, AffectPrimitive):
             if kind.sign not in (PLEASURE, PAIN):
                 raise ValueError("affect sign must be +1 or -1")
+            return
         elif isinstance(kind, Marker):
-            pass
+            return
         else:
             raise TypeError(f"unknown kind {kind!r}")
+        stored = self._expansions  # held for every parseable concept older than `cid`
+        for ref in refs:
+            if not isinstance(ref, int) or not 0 <= ref < cid:
+                raise DanglingReference(f"concept {cid} references {ref}, which is not older")
+            if expands and ref not in stored:
+                raise NonExpandingConcept(f"concept {cid} references {ref}, which does not expand")
+
+    def _expand(self, kind: Kind) -> tuple[Token, ...]:
+        """Expansion of a validated parseable kind, one level deep: its
+        references' expansions are already stored."""
+        stored = self._expansions
+        if isinstance(kind, Apply):
+            fillers = kind.fillers
+            parts = [stored[fillers[s.index] if isinstance(s, Hole) else s.concept]
+                     for s in self.concepts[kind.template].kind.body]
+        elif isinstance(kind, Concat):
+            parts = [stored[child] for child in kind.children]
+        elif isinstance(kind, Repeat):
+            return stored[kind.child] * kind.count
+        else:
+            return (kind.token,)
+        return tuple(chain.from_iterable(parts))
 
     def add(self, kind: Kind) -> int:
         """Append a concept, or return the existing id of a structural twin."""
         existing = self._dedup.get(kind)
         if existing is not None:
             return existing
-        self._validate(kind)
         cid = len(self.concepts)
+        self._validate(kind, cid)
+        if isinstance(kind, _PARSEABLE):
+            self._expansions[cid] = self._expand(kind)
         self.concepts.append(Concept(id=cid, kind=kind, weight=1.0, created_at=self.episode))
         self._dedup[kind] = cid
         if isinstance(kind, _CODEABLE):
@@ -313,47 +342,39 @@ class ConceptGraph:
             self._codeable_weight -= concept.weight
 
     def rebuild_derived(self) -> None:
-        """Recompute caches and counters after a bulk restore (load)."""
+        """Validate every concept and rebuild caches and counters in id
+        order after a bulk restore (load); raises like `add`."""
         self._dedup = {}
         self._expansions = {}
         self._codeable_count = 0
         self._codeable_weight = 0.0
         for concept in self.concepts:
-            self._dedup.setdefault(concept.kind, concept.id)
-            if isinstance(concept.kind, _CODEABLE):
+            kind = concept.kind
+            self._validate(kind, concept.id)
+            if isinstance(kind, _PARSEABLE):
+                self._expansions[concept.id] = self._expand(kind)
+            self._dedup.setdefault(kind, concept.id)
+            if isinstance(kind, _CODEABLE):
                 self._codeable_count += 1
                 self._codeable_weight += concept.weight
 
     def replace_kind(self, cid: int, kind: Kind) -> None:
         """Structural rewrite (Concat -> Apply abstraction).
 
-        The expansion must be unchanged (else `ReconstructionMismatch`, with
-        the graph left as it was); id and weight are preserved.  The
-        rewritten concept may reference a template with a higher id, which
-        keeps the graph acyclic because the template body only references
-        concepts older than `cid`.
+        `kind` must be valid at `cid` under `_validate`'s rule, so it may
+        name a newer template whose slot refs are older than `cid`, and its
+        expansion must equal the stored one (else `ReconstructionMismatch`).
+        On any error the graph is left as it was; id and weight are kept.
         """
         concept = self.concept(cid)
         old = concept.kind
         if type(old) is type(kind) and old == kind:
             return
         before = self.expansion(cid)
-        if isinstance(kind, Apply):
-            tpl = self.concept(kind.template).kind
-            if not isinstance(tpl, Template):
-                raise ArityMismatch("replacement must reference a template")
-            if len(kind.fillers) != tpl.holes:
-                raise ArityMismatch("filler count does not match template holes")
-        concept.kind = kind
-        self._expansions.pop(cid, None)
-        try:
-            after = self.expansion(cid)
-        except (GraphError, RecursionError):
-            after = None
-        if after != before:
-            concept.kind = old
-            self._expansions[cid] = before
+        self._validate(kind, cid)
+        if not isinstance(kind, _PARSEABLE) or self._expand(kind) != before:
             raise ReconstructionMismatch(f"rewrite of concept {cid} changed its expansion")
+        concept.kind = kind
         del self._dedup[old]
         self._dedup.setdefault(kind, cid)
 
@@ -362,30 +383,12 @@ class ConceptGraph:
 
     def expansion(self, cid: int) -> tuple[Token, ...]:
         """Token sequence denoted by `cid`; raises for relational concepts."""
-        cached = self._expansions.get(cid)
-        if cached is not None:
-            return cached
-        kind = self.concept(cid).kind
-        if not isinstance(kind, _PARSEABLE):
-            raise NonExpandingConcept(f"concept {cid} ({type(kind).__name__}) does not expand")
-        if isinstance(kind, Primitive):
-            result: tuple[Token, ...] = (kind.token,)
-        elif isinstance(kind, Concat):
-            parts = [self.expansion(c) for c in kind.children]
-            result = tuple(t for part in parts for t in part)
-        elif isinstance(kind, Repeat):
-            result = self.expansion(kind.child) * kind.count
-        else:  # Apply
-            tpl = self.concept(kind.template).kind
-            out: list[Token] = []
-            for slot in tpl.body:
-                if isinstance(slot, Hole):
-                    out.extend(self.expansion(kind.fillers[slot.index]))
-                else:
-                    out.extend(self.expansion(slot.concept))
-            result = tuple(out)
-        self._expansions[cid] = result
-        return result
+        try:
+            return self._expansions[cid]
+        except KeyError:
+            kind = self.concept(cid).kind  # raises UnknownConcept
+            raise NonExpandingConcept(
+                f"concept {cid} ({type(kind).__name__}) does not expand") from None
 
     # ------------------------------------------------------------------
     # weight dynamics

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+# Deepest list nesting `parse_one` reads.  Teach lines nest 2 deep, and a
+# library line nests one level more than its term, which nests at most as
+# deep as its size (`fnsynth.DEFAULT_SIZE_CAP`); the bound keeps the readers
+# of parsed lines, all recursive, far from the interpreter's stack limit.
+MAX_DEPTH = 64
+
 
 def quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
@@ -41,13 +47,15 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _read(tokens: list[str], pos: int):
+def _read(tokens: list[str], pos: int, depth: int):
     token = tokens[pos]
     if token == "(":
+        if depth == MAX_DEPTH:
+            raise ValueError(f"expression nests deeper than {MAX_DEPTH}")
         out = []
         pos += 1
         while pos < len(tokens) and tokens[pos] != ")":
-            item, pos = _read(tokens, pos)
+            item, pos = _read(tokens, pos, depth + 1)
             out.append(item)
         if pos >= len(tokens):
             raise ValueError("unbalanced parentheses")
@@ -60,11 +68,14 @@ def _read(tokens: list[str], pos: int):
 
 
 def parse_one(text: str):
-    """Parse a single expression; atoms are returned as plain strings."""
+    """Parse a single expression; atoms are returned as plain strings.
+
+    Raises ValueError for malformed text or nesting deeper than `MAX_DEPTH`.
+    """
     tokens = tokenize(text)
     if not tokens:
         raise ValueError("empty expression")
-    node, pos = _read(tokens, 0)
+    node, pos = _read(tokens, 0, 0)
     if pos != len(tokens):
         raise ValueError("trailing tokens after expression")
     return node

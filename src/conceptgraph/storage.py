@@ -1,8 +1,12 @@
 """Persistence and export formats: graph files, DOT, teach scripts.
 
 Graph files are JSON with sorted keys and 9-decimal fixed float formatting,
-so saving the same graph always produces the same bytes.  Teach scripts are
-line-oriented s-expressions in strict topological order.
+so saving the same graph always produces the same bytes.  Loading checks
+each concept with the rule that `add` uses (`ConceptGraph._validate`, through
+`rebuild_derived`): references point at older concepts of a fitting kind,
+so a loaded graph has no dangling reference and no cycle, and any violation
+is a `CorruptFile`.  Teach scripts are line-oriented s-expressions in strict
+topological order.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from .core import (
 )
 from .errors import (
     CorruptFile,
+    GraphError,
     IoFailure,
-    MalformedTerm,
     UnknownConcept,
     UnresolvedReference,
     VersionMismatch,
@@ -101,11 +105,14 @@ def _desc_to_json(desc: Description):
             for n in desc.nodes]
 
 
-def _desc_from_json(data) -> Description:
+def _desc_from_json(data, parseable: set[int]) -> Description:
     nodes = []
     for tag, payload in data:
         if tag == "ref":
-            nodes.append(Ref(int(payload)))
+            cid = int(payload)
+            if cid not in parseable:
+                raise CorruptFile(f"description references {cid}, which does not expand")
+            nodes.append(Ref(cid))
         elif tag == "blob":
             nodes.append(Blob(tuple(payload)))
         else:
@@ -160,24 +167,19 @@ def graph_from_json(data) -> ConceptGraph:
         kwargs.update({name: int(config_data[name]) for name in _CONFIG_INTS})
         graph = ConceptGraph(tuple(data["alphabet"]), Config(**kwargs))
 
-        concepts = data["concepts"]
         base = len(graph.concepts)
-        for i, entry in enumerate(concepts):
+        for i, entry in enumerate(data["concepts"]):
             kind = _kind_from_json(entry)
+            if int(entry["id"]) != i:
+                raise CorruptFile("concept ids must be dense and ascending")
             if i < base:
                 if graph.concepts[i].kind != kind:
                     raise CorruptFile("initial concepts do not match the alphabet")
             else:
-                graph.concepts.append(Concept(
-                    id=int(entry["id"]), kind=kind, weight=0.0,
-                    created_at=int(entry["created_at"])))
-            concept = graph.concepts[i]
-            if concept.id != i or int(entry["id"]) != i:
-                raise CorruptFile("concept ids must be dense and ascending")
+                graph.concepts.append(Concept(id=i, kind=kind, weight=0.0, created_at=0))
             graph.set_weight(i, float(entry["weight"]))  # rejects NaN, inf and < 0
-            concept.created_at = int(entry["created_at"])
-        _check_references(graph)
-        graph.rebuild_derived()
+            graph.concepts[i].created_at = int(entry["created_at"])
+        graph.rebuild_derived()  # the growth rule of `ConceptGraph._validate`
 
         graph.episode = int(data["episode"])
         if graph.episode < 0:
@@ -191,45 +193,15 @@ def graph_from_json(data) -> ConceptGraph:
                                   for k, v in data["run_observations"].items()}
         marker = data.get("follows_marker")
         graph.follows_marker_id = int(marker) if marker is not None else None
+        parseable = set(graph.parseable_ids())
         for ep, chain in data["refinements"].items():
-            graph.refinement_store[int(ep)] = [_desc_from_json(d) for d in chain]
+            graph.refinement_store[int(ep)] = [_desc_from_json(d, parseable) for d in chain]
         graph.library = library_from_lines(data["library"])
         return graph
     except (VersionMismatch, CorruptFile):
         raise
-    except (KeyError, ValueError, TypeError, IndexError, MalformedTerm) as exc:
+    except (GraphError, KeyError, ValueError, TypeError, IndexError) as exc:
         raise CorruptFile(f"malformed graph file: {exc}") from exc
-
-
-def _check_references(graph: ConceptGraph) -> None:
-    """`CorruptFile` for a reference to a missing concept or any reference cycle.
-
-    Ids alone cannot rule out cycles, since an Apply rewritten by
-    `replace_kind` may name a newer template; this is an iterative
-    depth-first search over `reference_edges`, so deep chains cannot
-    exhaust the stack.
-    """
-    n = len(graph.concepts)
-    state = [0] * n  # 0 unvisited, 1 on the current path, 2 finished
-    for root in range(n):
-        if state[root]:
-            continue
-        state[root] = 1
-        stack = [(root, iter(graph.reference_edges(root)))]
-        while stack:
-            cid, edges = stack[-1]
-            for ref in edges:
-                if not 0 <= ref < n:
-                    raise CorruptFile(f"concept {cid} references missing concept {ref}")
-                if state[ref] == 1:
-                    raise CorruptFile(f"reference cycle through concept {ref}")
-                if state[ref] == 0:
-                    state[ref] = 1
-                    stack.append((ref, iter(graph.reference_edges(ref))))
-                    break
-            else:
-                state[cid] = 2
-                stack.pop()
 
 
 def load(path: str) -> ConceptGraph:
@@ -287,18 +259,19 @@ def export_dot(graph: ConceptGraph, path: str) -> None:
 def export_teach(graph: ConceptGraph, cid: int) -> str:
     """Script rebuilding `cid` bottom-up: every line references earlier lines."""
     graph.concept(cid)  # raises UnknownConcept
-    order: list[int] = []
-    seen: set[int] = set()
-
-    def visit(node: int) -> None:
-        if node in seen:
-            return
-        seen.add(node)
-        for ref in graph.reference_edges(node):
-            visit(ref)
-        order.append(node)
-
-    visit(cid)
+    order: list[int] = []  # post-order: each concept after its references
+    seen = {cid}
+    stack = [(cid, iter(graph.reference_edges(cid)))]
+    while stack:
+        node, refs = stack[-1]
+        for ref in refs:
+            if ref not in seen:
+                seen.add(ref)
+                stack.append((ref, iter(graph.reference_edges(ref))))
+                break
+        else:
+            order.append(node)
+            stack.pop()
     index = {node: i for i, node in enumerate(order)}
     lines = []
     for node in order:
@@ -378,29 +351,3 @@ def import_teach(graph: ConceptGraph, script: str) -> int:
     if not local:
         raise CorruptFile("empty teach script")
     return local[-1]
-
-
-def check_teach_topology(script: str) -> bool:
-    """Single forward scan: every reference points at an earlier line."""
-    count = 0
-    for raw in script.splitlines():
-        raw = raw.strip()
-        if not raw:
-            continue
-        node = sexpr.parse_one(raw)
-        refs: list[int] = []
-        head = node[0]
-        if head == "concat":
-            refs = [int(a) for a in node[1:]]
-        elif head == "repeat":
-            refs = [int(node[1])]
-        elif head == "template":
-            refs = [int(item[1]) for item in node[1:] if item[0] == "ref"]
-        elif head == "apply":
-            refs = [int(a) for a in node[1:]]
-        elif head == "assoc":
-            refs = [int(node[1]), int(node[2])]
-        if any(not 0 <= r < count for r in refs):
-            return False
-        count += 1
-    return count > 0

@@ -43,7 +43,7 @@ from conceptgraph.mdl import (
     raw_dl,
     two_part_total,
 )
-from conceptgraph.storage import check_teach_topology, export_teach, import_teach
+from conceptgraph.storage import export_teach, import_teach
 
 
 def report(n, name, started, budget):
@@ -205,7 +205,6 @@ def test_09_teach_roundtrip():
     picks = [rng.choice(candidates) for _ in range(100)]
     for cid in picks:
         script = export_teach(graph, cid)
-        assert check_teach_topology(script)
         fresh = ConceptGraph(sigma)
         assert fresh.expansion(import_teach(fresh, script)) == graph.expansion(cid)
     report(9, "teach roundtrip", started, 60)

@@ -7,8 +7,8 @@ import pytest
 
 import conceptgraph
 from conceptgraph.cli import main
-from conceptgraph.core import Concat, ConceptGraph
-from conceptgraph.storage import dumps
+from conceptgraph.core import Apply, Concat, ConceptGraph, Hole, SlotRef, Template
+from conceptgraph.storage import dumps, import_teach
 
 
 def run(capsys, *argv):
@@ -80,17 +80,19 @@ def test_bad_weight_is_data_error_for_parse_and_refine(tmp_path, capsys, weight)
                       ["refine", "--graph", str(graph), "--episode", "0"])
 
 
-def assert_data_error(*argvs):
-    """Each command exits 2 with a one-line error and no traceback.
-
-    It runs in a subprocess, so a command that never ends fails the test
-    instead of hanging it, and a traceback shows up on stderr.
-    """
+def run_cli(*argv):
+    """The CLI in a subprocess, so a command that never ends fails the test
+    instead of hanging it, and a traceback shows up on stderr."""
     src = os.path.dirname(os.path.dirname(conceptgraph.__file__))
     env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "conceptgraph.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=30)
+
+
+def assert_data_error(*argvs):
+    """Each command exits 2 with a one-line error and no traceback."""
     for argv in argvs:
-        proc = subprocess.run([sys.executable, "-m", "conceptgraph.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=30)
+        proc = run_cli(*argv)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
@@ -106,6 +108,49 @@ def test_cyclic_graph_file_is_data_error(tmp_path, children):
     data = tmp_path / "in.txt"
     data.write_text("abab\n")
     assert_data_error(["parse", "--graph", str(graph), "--input", str(data)])
+
+
+def test_apply_naming_an_affect_primitive_is_data_error(tmp_path):
+    g = ConceptGraph("abc")  # 3 and 4 are the affect primitives
+    tpl = g.add(Template((Hole(0), SlotRef(1))))
+    g.add(Apply(tpl, (0,)))
+    doc = json.loads(dumps(g))
+    doc["concepts"][6]["template"] = 4
+    graph = tmp_path / "g.cg"
+    graph.write_text(json.dumps(doc))
+    data = tmp_path / "in.txt"
+    data.write_text("abab\n")
+    assert_data_error(["parse", "--graph", str(graph), "--input", str(data)])
+
+
+def test_deep_chain_graph_file_works(tmp_path):
+    """A concat chain 3000 deep, (... ((a b) b) ... b), top concept at weight 50."""
+    g = ConceptGraph("ab")
+    top = 0
+    for _ in range(3000):
+        top = g.add(Concat((top, 1)))
+    g.set_weight(top, 50.0)
+    graph = tmp_path / "g.cg"
+    graph.write_text(dumps(g))
+    data = tmp_path / "in.txt"
+    data.write_text("a" + "b" * 3000 + "\n")
+    script = tmp_path / "top.teach"
+    for argv in (["parse", "--graph", str(graph), "--input", str(data)],
+                 ["teach", "--graph", str(graph), "--concept", str(top), "--out", str(script)],
+                 ["ingest", "--graph", str(graph), "--input", str(data)]):
+        proc = run_cli(*argv)
+        assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("episode 0: nodes=1 ")
+    fresh = ConceptGraph("ab")
+    assert fresh.expansion(import_teach(fresh, script.read_text())) == g.expansion(top)
+
+
+def test_deeply_nested_library_line_is_data_error(tmp_path):
+    doc = json.loads(dumps(ConceptGraph("ab")))
+    doc["library"].append("(def f 1 " + "(call succ " * 2000 + "(var 0)" + ")" * 2001)
+    graph = tmp_path / "g.cg"
+    graph.write_text(json.dumps(doc))
+    assert_data_error(["stats", "--graph", str(graph)])
 
 
 def test_bad_episode_token_is_data_error(tmp_path, capsys):

@@ -266,6 +266,20 @@ def test_replace_kind_rejects_an_expansion_change():
     assert g.find(Concat((0, 1, 2))) == x and g.find(Apply(tpl, (0,))) is None
 
 
+def test_replace_kind_rejects_a_template_with_a_newer_slot_ref():
+    g = fresh("abc")
+    x = g.add(Concat((0, 1, 2)))
+    ab = g.add(Concat((0, 1)))  # newer than x
+    tpl = g.add(Template((SlotRef(ab), Hole(0))))
+    with pytest.raises(DanglingReference):
+        g.replace_kind(x, Apply(tpl, (2,)))  # same expansion "abc", but x would reach ab
+    assert g.concept(x).kind == Concat((0, 1, 2))
+    assert g.find(Concat((0, 1, 2))) == x and g.find(Apply(tpl, (2,))) is None
+    older = g.add(Template((SlotRef(0), Hole(0), SlotRef(2))))
+    g.replace_kind(x, Apply(older, (1,)))  # a newer template with older slot refs
+    assert g.expansion(x) == ("a", "b", "c")
+
+
 def test_set_weight_rejects_negative_and_non_finite():
     g = fresh("ab")
     for bad in (-1.0, float("inf"), float("nan")):

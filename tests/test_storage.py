@@ -1,8 +1,11 @@
+import functools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conceptgraph import sexpr
 from conceptgraph.core import (
     Apply,
     Association,
@@ -21,9 +24,8 @@ from conceptgraph.errors import (
     VersionMismatch,
 )
 from conceptgraph.fnsynth import FunctionExample, learn_all
-from conceptgraph.inducer import ingest
+from conceptgraph.inducer import ingest, parse, reconstruct
 from conceptgraph.storage import (
-    check_teach_topology,
     dot_text,
     dumps,
     export_teach,
@@ -150,6 +152,90 @@ def test_load_rejects_missing_reference_and_accepts_newer_template():
     assert graph_from_json(json.loads(dumps(g))).expansion(x) == ("a", "b", "c")
 
 
+def reference_kinds_data():
+    """A saved graph with every reference kind: 5 = "ab", 6 = a two-hole
+    template, 7 = "ab" + "c" through it, 8 = "abab", 9 = an association,
+    10 = "ababa" and 11 = a template whose slot ref 8 is newer than 7."""
+    g = ConceptGraph("abc")
+    ab = g.add(Concat((0, 1)))
+    tpl = g.add(Template((Hole(0), Hole(1))))
+    g.add(Apply(tpl, (ab, 2)))
+    abab = g.add(Repeat(ab, 2))
+    g.add(Association(ab, abab))
+    g.add(Concat((abab, 0)))
+    g.add(Template((SlotRef(abab), Hole(0), Hole(1))))
+    return json.loads(dumps(g))
+
+
+@pytest.mark.parametrize("cid, field, value", [
+    pytest.param(7, "template", 3, id="apply-names-an-affect-primitive"),
+    pytest.param(7, "fillers", [], id="two-hole-apply-without-fillers"),
+    pytest.param(6, "body", [["hole", 0], ["hole", 5]], id="hole-indices-0-5"),
+    pytest.param(8, "count", -2, id="negative-repeat-count"),
+    pytest.param(10, "children", [9, 0], id="concat-child-is-an-association"),
+    pytest.param(7, "template", 11, id="newer-template-with-a-newer-slot-ref"),
+])
+def test_load_rejects_invalid_concepts(cid, field, value):
+    data = reference_kinds_data()
+    assert graph_from_json(data).expansion(10) == tuple("ababa")
+    data["concepts"][cid][field] = value
+    with pytest.raises(CorruptFile):
+        graph_from_json(data)
+
+
+def test_load_rejects_a_refinement_ref_that_does_not_expand():
+    g = trained_graph()
+    data = json.loads(dumps(g))
+    chain = next(iter(data["refinements"].values()))
+    node = next(n for n in chain[0] if n[0] == "ref")
+    for bad in (g.pleasure_id, len(g)):
+        node[1] = bad
+        with pytest.raises(CorruptFile):
+            graph_from_json(data)
+
+
+def int_fields(entry) -> list[tuple]:
+    """Paths of the integer reference and count fields of one saved concept."""
+    kind = entry["kind"]
+    if kind == "concat":
+        return [("children", i) for i in range(len(entry["children"]))]
+    if kind == "repeat":
+        return [("child",), ("count",)]
+    if kind == "template":
+        return [("body", i, 1) for i in range(len(entry["body"]))]
+    if kind == "apply":
+        return [("template",)] + [("fillers", i) for i in range(len(entry["fillers"]))]
+    if kind == "association":
+        return [("a",), ("b",)]
+    return []
+
+
+@functools.cache
+def trained_graph_text() -> str:
+    return dumps(trained_graph())
+
+
+@settings(max_examples=300, deadline=1000)
+@given(st.data())
+def test_load_of_a_graph_with_one_edited_integer(data):
+    """Each edit either loads a graph that parses and reconstructs, or is a
+    `CorruptFile`; no other exception."""
+    doc = json.loads(trained_graph_text())
+    concepts = doc["concepts"]
+    cid = data.draw(st.sampled_from([i for i, e in enumerate(concepts) if int_fields(e)]))
+    *path, last = data.draw(st.sampled_from(int_fields(concepts[cid])))
+    field = concepts[cid]
+    for key in path:
+        field = field[key]
+    field[last] = data.draw(st.integers(-2, len(concepts) + 2))
+    try:
+        g = graph_from_json(doc)
+    except CorruptFile:
+        return
+    tokens = tuple("abcdabcaabbbddcab")
+    assert reconstruct(g, parse(g, tokens)) == tokens
+
+
 def test_library_persists(tmp_path):
     g = ConceptGraph("ab")
     red = [FunctionExample("red", i, o) for i, o in [((1, 3), 4), ((2, 3), 5), ((5, 2), 7)]]
@@ -191,7 +277,6 @@ def test_teach_export_is_topological_and_deterministic():
     tpl = g.add(Template((Hole(0), Hole(0))))
     app = g.add(Apply(tpl, (p,)))
     script = export_teach(g, app)
-    assert check_teach_topology(script)
     lines = script.strip().splitlines()
     assert lines[-1].startswith("(apply")
     assert script == export_teach(g, app)
@@ -213,16 +298,54 @@ def test_teach_roundtrip_random_concepts():
     candidates = [c.id for c in g.concepts if g.is_parseable(c.id)]
     for cid in rng.sample(candidates, min(25, len(candidates))):
         script = export_teach(g, cid)
-        assert check_teach_topology(script)
         fresh = ConceptGraph("abcd")
         new_id = import_teach(fresh, script)
         assert fresh.expansion(new_id) == g.expansion(cid)
 
 
+def chain_teach_script(depth: int) -> str:
+    """Teach lines for a concat chain (... ((a b) b) ... b), `depth` concats deep."""
+    lines = ['(prim "a")', '(prim "b")', "(concat 0 1)"]
+    lines += [f"(concat {i} 1)" for i in range(2, depth + 1)]
+    return "\n".join(lines) + "\n"
+
+
+def test_deep_chain_from_teach_parses_and_reconstructs():
+    g = ConceptGraph("ab")
+    top = import_teach(g, chain_teach_script(3000))
+    g.set_weight(top, 50.0)
+    tokens = g.expansion(top)
+    assert tokens == ("a",) + ("b",) * 3000
+    desc = parse(g, tokens)
+    assert reconstruct(g, desc) == tokens
+
+
+def test_deep_chain_exports_and_reimports():
+    g = ConceptGraph("ab")
+    top = import_teach(g, chain_teach_script(3000))
+    script = export_teach(g, top)
+    assert script == chain_teach_script(3000)
+    fresh = ConceptGraph("ab")
+    assert fresh.expansion(import_teach(fresh, script)) == g.expansion(top)
+
+
+def test_parse_one_bounds_nesting():
+    ok = "(" * sexpr.MAX_DEPTH + ")" * sexpr.MAX_DEPTH
+    assert sexpr.parse_one(ok) is not None
+    with pytest.raises(ValueError):
+        sexpr.parse_one("(" + ok + ")")
+
+
+def test_deeply_nested_library_line_is_corrupt_file():
+    data = json.loads(dumps(ConceptGraph("ab")))
+    data["library"].append("(def f 1 " + "(call succ " * 2000 + "(var 0)" + ")" * 2001)
+    with pytest.raises(CorruptFile):
+        graph_from_json(data)
+
+
 def test_teach_forward_reference_rejected():
     with pytest.raises(UnresolvedReference):
         import_teach(ConceptGraph("ab"), "(concat 0 1)\n(prim \"a\")\n")
-    assert not check_teach_topology("(concat 0 1)\n(prim \"a\")\n")
 
 
 def test_teach_unknown_concept_and_bad_script():
@@ -242,6 +365,7 @@ def test_teach_unknown_concept_and_bad_script():
     "(prim a)\n(concat 0 x)",
     "(affect 2)",
     "(prim (a))",
+    pytest.param('(prim "a")\n(concat ' + "(" * 2000 + ")" * 2000 + " 0)", id="deep-nesting"),
 ])
 def test_teach_malformed_line_is_corrupt_file(script):
     with pytest.raises(CorruptFile):
