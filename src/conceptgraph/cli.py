@@ -175,9 +175,7 @@ def _cmd_export(args) -> int:
 
 def _cmd_teach(args) -> int:
     graph = storage.load(args.graph)
-    script = storage.export_teach(graph, args.concept)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(script)
+    storage.write_text(args.out, storage.export_teach(graph, args.concept))
     print(f"wrote {args.out}")
     return 0
 

@@ -21,6 +21,7 @@ from .errors import (
     MalformedTemplate,
     NonExpandingConcept,
     ReconstructionMismatch,
+    TooLarge,
     UnknownConcept,
 )
 from .fnsynth import DEFAULT_ITER_CAP, DEFAULT_SIZE_CAP, DEFAULT_VALUE_CAP
@@ -29,6 +30,11 @@ Token = str
 
 PLEASURE = 1
 PAIN = -1
+
+# Longest expansion of one concept, in tokens (`_expand` checks it).  `ingest`
+# refuses longer episodes, so induction, whose expansions are substrings of
+# episodes, never meets the cap.
+MAX_EXPANSION = 1 << 20
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,8 +190,6 @@ class ConceptGraph:
         self._expansions: dict[int, tuple[Token, ...]] = {}
         self._codeable_count = 0
         self._codeable_weight = 0.0
-        # when True, gated induction steps re-verify the full objective
-        self.check_objective = False
         # learned function library (shell attaches/persists it)
         self.library = None
 
@@ -302,7 +306,7 @@ class ConceptGraph:
 
     def _expand(self, kind: Kind) -> tuple[Token, ...]:
         """Expansion of a validated parseable kind, one level deep: its
-        references' expansions are already stored."""
+        references' expansions are already stored; `TooLarge` past the cap."""
         stored = self._expansions
         if isinstance(kind, Apply):
             fillers = kind.fillers
@@ -311,9 +315,14 @@ class ConceptGraph:
         elif isinstance(kind, Concat):
             parts = [stored[child] for child in kind.children]
         elif isinstance(kind, Repeat):
-            return stored[kind.child] * kind.count
+            child = stored[kind.child]
+            if len(child) * kind.count > MAX_EXPANSION:
+                raise TooLarge(f"expansion exceeds {MAX_EXPANSION} tokens")
+            return child * kind.count
         else:
             return (kind.token,)
+        if sum(map(len, parts)) > MAX_EXPANSION:
+            raise TooLarge(f"expansion exceeds {MAX_EXPANSION} tokens")
         return tuple(chain.from_iterable(parts))
 
     def add(self, kind: Kind) -> int:

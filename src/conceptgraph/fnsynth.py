@@ -184,7 +184,9 @@ class Library:
 
 
 class _Evaluator:
-    """Term interpreter with value/iteration caps and a per-fn memo."""
+    """Term interpreter with value/iteration caps and a per-fn memo.  Terms
+    are checked before they get here (`Library`, `eval_term`), or built to
+    fit (`_Enumerator`)."""
 
     def __init__(self, library: Library, iter_cap: int, value_cap: int):
         self.library = library
@@ -194,24 +196,15 @@ class _Evaluator:
 
     def eval(self, term: Term, inputs: tuple[int, ...]) -> int:
         if isinstance(term, Var):
-            if not 0 <= term.index < len(inputs):
-                raise MalformedTerm(f"var {term.index} out of range for arity {len(inputs)}")
             return inputs[term.index]
         if isinstance(term, Const):
             return term.value
         if isinstance(term, Call):
-            fn = self.library.fn(term.fn)
-            if len(term.args) != fn.arity:
-                raise MalformedTerm(f"{term.fn} expects {fn.arity} args")
             values = tuple(self.eval(a, inputs) for a in term.args)
-            return self.apply(fn, values)
+            return self.apply(self.library.fn(term.fn), values)
         if isinstance(term, Iter):
             section = term.section
             fn = self.library.fn(section.fn)
-            if len(section.fillers) != fn.arity - 1:
-                raise MalformedTerm("section fillers do not match arity")
-            if not 0 <= section.open_slot < fn.arity:
-                raise MalformedTerm("section open slot out of range")
             count = self.eval(term.count, inputs)
             seed = self.eval(term.seed, inputs)
             fillers = tuple(self.eval(f, inputs) for f in section.fillers)
@@ -248,8 +241,11 @@ class _Evaluator:
 def eval_term(term: Term, inputs: Sequence[int], library: Library,
               iter_cap: int = DEFAULT_ITER_CAP,
               value_cap: int = DEFAULT_VALUE_CAP) -> int:
-    """Evaluate a term on concrete inputs; raises Overflow/IterCountExceeded."""
-    return _Evaluator(library, iter_cap, value_cap).eval(term, tuple(inputs))
+    """Evaluate a term on concrete inputs; raises MalformedTerm (checked
+    first), Overflow or IterCountExceeded."""
+    inputs = tuple(inputs)
+    _check_term(term, len(inputs), library._by_name)
+    return _Evaluator(library, iter_cap, value_cap).eval(term, inputs)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,14 @@
 """The induction loop: parse experiences, grow concepts, keep refinements.
 
 Parsing is a left-to-right beam search over concept references and raw
-blobs, minimizing description bits.  Induction proposes digram concats and
-run repeats, accepting a candidate only when the episode's description
-bits strictly drop.  The gate does not charge the new definition's model
-bits (`mdl.model_dl`): creation is paid for by the data side, which is
-what lets structure bootstrap from short experiences.  Number templates
-and common-component abstractions are forced by their generalization
-thresholds: their payoff is expressive, not an immediate bit gain.
+blobs, minimizing description bits.  Induction scans candidate steps,
+digram concats then runs, takes the first that pays (one gate: the
+episode's description bits strictly drop) and scans again.  The gate does
+not charge the new definition's model bits (`mdl.model_dl`): creation is
+paid for by the data side, which lets structure bootstrap from short
+experiences.  Number templates, their applications to runs and the
+common-component abstractions are forced by generalization thresholds
+instead: their payoff is expressive, not an immediate bit gain.
 """
 
 from __future__ import annotations
@@ -15,11 +16,13 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
 from typing import Optional, Sequence, Union
 
 from . import mdl
 from .core import (
+    MAX_EXPANSION,
     Apply,
     Association,
     Concat,
@@ -32,7 +35,7 @@ from .core import (
     Template,
     Token,
 )
-from .errors import GraphError, InvalidDescription, UnknownEpisode, UnknownToken
+from .errors import InvalidDescription, TooLarge, UnknownEpisode, UnknownToken
 from .mdl import description_dl, gamma_len, raw_dl
 from .segmenter import RawStream, Segment, TOKEN, identity_token_class, segment_tokens
 
@@ -65,7 +68,6 @@ EMPTY_DESCRIPTION = Description(())
 class Budget:
     """Search effort: beam width and candidate pool double per level."""
 
-    level: int
     beam: int
     pool: int
 
@@ -73,8 +75,7 @@ class Budget:
     def from_config(config: Config, level: int = 0) -> "Budget":
         if level < 0:
             raise ValueError("budget level must be >= 0")
-        return Budget(level=level, beam=config.beam_base << level,
-                      pool=config.pool_base << level)
+        return Budget(beam=config.beam_base << level, pool=config.pool_base << level)
 
 
 @dataclass(frozen=True)
@@ -215,9 +216,9 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token],
 
     Candidates at each position are the fast-path and top-pool concepts
     (by weight) whose expansion prefixes the remainder, and a single-token
-    blob.  The all-blob description is always considered.  The fast index
-    (the context's expansion trie) only accelerates the candidate lookup;
-    results are identical with it disabled.
+    blob.  The all-blob description is always considered.  The budget is
+    the context's if one is passed.  The fast index (the context's trie)
+    only accelerates the candidate lookup; results are identical without.
     """
     tokens = tuple(tokens)
     alphabet = set(graph.alphabet)
@@ -227,9 +228,9 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token],
     n = len(tokens)
     if n == 0:
         return EMPTY_DESCRIPTION
-    if budget is None:
-        budget = Budget.from_config(graph.config, 0)
-    ctx = context if context is not None else _ParseContext(graph, budget, use_fast_index)
+    ctx = context or _ParseContext(
+        graph, budget or Budget.from_config(graph.config, 0), use_fast_index)
+    beam = ctx.budget.beam
     log_d = ctx.log_d
     sigma_bits = ctx.sigma_bits
 
@@ -241,7 +242,7 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token],
         bucket = frontier.pop(pos, None)
         if not bucket:
             continue
-        bucket = _select_beam(bucket, budget.beam, tokens)
+        bucket = _select_beam(bucket, beam, tokens)
         cands = ctx.candidates_at(tokens, pos)
         for state in bucket:
             header_next = gamma_len(state.count + 2) - gamma_len(state.count + 1)
@@ -295,30 +296,24 @@ def _desc_dl(graph: ConceptGraph, nodes: list[Node]) -> float:
     return description_dl(graph, Description(tuple(nodes)))
 
 
-def _gated_add(graph: ConceptGraph, kind, nodes: list[Node], rewrite) -> tuple[bool, Optional[int], list[Node]]:
-    """Add `kind` and rewrite the episode nodes iff its description bits drop.
+def _gated_add(graph: ConceptGraph, kind, nodes: list[Node], rewrite) -> tuple[bool, list[Node]]:
+    """Rewrite the episode with `kind` (or its existing twin) iff its
+    description bits strictly drop, charged at the post-add code state.
 
-    Returns (accepted, new_cid_or_None, nodes_after).  The gate charges the
-    episode's description bits at the post-add code state, so a candidate
-    whose reference would be dearer than what it replaces is rolled back.
+    Returns (accepted, nodes_after).  On rejection a concept this call
+    added is popped, so the graph is left as it was.
     """
     ep_before = _desc_dl(graph, nodes)
-    existing = graph.find(kind)
-    if existing is not None:
-        new_nodes = rewrite(existing)
-        if _desc_dl(graph, new_nodes) < ep_before - 1e-9:
-            return True, None, new_nodes
-        return False, None, nodes
-
-    cid = graph.add(kind)
+    cid = graph.find(kind)
+    added = cid is None
+    if added:
+        cid = graph.add(kind)
     new_nodes = rewrite(cid)
-    ep_after = _desc_dl(graph, new_nodes)
-    if ep_after < ep_before - 1e-9:
-        if graph.check_objective and not ep_after < _desc_dl(graph, nodes):
-            raise GraphError("accepted step raised episode bits")
-        return True, cid, new_nodes
-    graph.pop_last()
-    return False, None, nodes
+    if _desc_dl(graph, new_nodes) < ep_before - 1e-9:
+        return True, new_nodes
+    if added:
+        graph.pop_last()
+    return False, nodes
 
 
 def _episode_digrams(nodes: list[Node]) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
@@ -346,9 +341,8 @@ def _digram_candidates(graph: ConceptGraph, nodes: list[Node]) -> list[tuple[int
     counts, first = _episode_digrams(nodes)
     combined = {pair: n + graph.digram_counts.get(pair, 0) for pair, n in counts.items()}
     threshold = graph.config.repeat_threshold
-    ordered = sorted((p for p in combined if combined[p] >= threshold),
-                     key=lambda p: (-combined[p], first[p], p))
-    return [(p, combined[p]) for p in ordered]
+    return sorted((p for p in combined if combined[p] >= threshold),
+                  key=lambda p: (-combined[p], first[p], p))
 
 
 def _rewrite_pair(nodes: list[Node], pair: tuple[int, int], cid: int) -> list[Node]:
@@ -366,8 +360,8 @@ def _rewrite_pair(nodes: list[Node], pair: tuple[int, int], cid: int) -> list[No
     return out
 
 
-def _maximal_runs(nodes: list[Node]) -> list[tuple[int, int, int]]:
-    """Maximal runs of identical Refs: (concept, length, start), length >= 2."""
+def _maximal_runs(nodes: list[Node]) -> list[tuple[int, int]]:
+    """Maximal runs of identical Refs: (concept, length), length >= 2."""
     runs = []
     i = 0
     while i < len(nodes):
@@ -377,7 +371,7 @@ def _maximal_runs(nodes: list[Node]) -> list[tuple[int, int, int]]:
             while j < len(nodes) and nodes[j] == node:
                 j += 1
             if j - i >= 2:
-                runs.append((node.concept, j - i, i))
+                runs.append((node.concept, j - i))
             i = j
         else:
             i += 1
@@ -408,78 +402,66 @@ def _number_template_id(graph: ConceptGraph, k: int) -> Optional[int]:
     return graph.find(Template((Hole(0),) * k))
 
 
+def _steps(graph: ConceptGraph, nodes: list[Node]):
+    """One scan's candidate steps, as (kind, rewrite, gated): digram concats,
+    then runs, as a Repeat or, once the k-fold number template exists, an
+    ungated application.  The caller stops at the first step taken, so runs
+    are observed only in a scan where no digram was accepted."""
+    for pair in _digram_candidates(graph, nodes):
+        yield Concat(pair), partial(_rewrite_pair, nodes, pair), True
+    runs = _maximal_runs(nodes)
+    for concept, length in runs:
+        graph.run_observations.setdefault(length, set()).add(concept)
+    for concept, length in runs:
+        rewrite = partial(_rewrite_runs, nodes, concept, length)
+        num_tpl = _number_template_id(graph, length)
+        if num_tpl is None:
+            yield Repeat(concept, length), rewrite, True
+        else:
+            yield Apply(num_tpl, (concept,)), rewrite, False
+
+
 def induce_repeats(graph: ConceptGraph, desc: Description) -> tuple[Description, list[int]]:
     """Grow concepts from within-episode repetition and rewrite the episode.
 
-    Digram and run candidates must strictly lower the episode's description
-    bits.  Once a k-fold number template exists, runs of length k are
-    rewritten as template applications; the templates themselves appear as
-    soon as runs of length k have been observed for enough distinct
-    children.
+    Take the first of `_steps` that pays (`_gated_add`; ungated steps
+    always do) and scan again, until a scan takes none; then create the
+    number templates whose runs span enough children.  A rejected step
+    adds nothing, so the new ids are those from the old length on.
     """
+    before = len(graph)
     nodes = list(desc.nodes)
-    new_ids: list[int] = []
-
-    changed = True
-    while changed:
-        changed = False
-        for pair, _count in _digram_candidates(graph, nodes):
-            accepted, cid, nodes = _gated_add(
-                graph, Concat(pair), nodes,
-                lambda c, p=pair, ns=nodes: _rewrite_pair(ns, p, c))
+    while True:
+        for kind, rewrite, gated in _steps(graph, nodes):
+            if gated:
+                accepted, nodes = _gated_add(graph, kind, nodes, rewrite)
+            else:
+                accepted, nodes = True, rewrite(graph.add(kind))
             if accepted:
-                if cid is not None:
-                    new_ids.append(cid)
-                changed = True
                 break
-        if changed:
-            continue
-
-        runs = _maximal_runs(nodes)
-        for concept, length, _start in runs:
-            graph.run_observations.setdefault(length, set()).add(concept)
-        for concept, length, _start in runs:
-            num_tpl = _number_template_id(graph, length)
-            if num_tpl is not None:
-                before = len(graph)
-                cid = graph.add(Apply(num_tpl, (concept,)))
-                if cid >= before:
-                    new_ids.append(cid)
-                nodes = _rewrite_runs(nodes, concept, length, cid)
-                changed = True
-                break
-            accepted, cid, nodes = _gated_add(
-                graph, Repeat(concept, length), nodes,
-                lambda c, cc=concept, ln=length, ns=nodes: _rewrite_runs(ns, cc, ln, c))
-            if accepted:
-                if cid is not None:
-                    new_ids.append(cid)
-                changed = True
-                break
-
-    new_ids.extend(_generalize_numbers(graph))
-    return Description(tuple(nodes)), new_ids
+        else:
+            break  # no step paid
+    _generalize_numbers(graph)
+    return Description(tuple(nodes)), list(range(before, len(graph)))
 
 
-def _generalize_numbers(graph: ConceptGraph) -> list[int]:
+def _generalize_numbers(graph: ConceptGraph) -> None:
     """Create the k-fold template once runs of length k span enough children."""
     cfg = graph.config
     children_by_k: dict[int, set[int]] = {k: set(v) for k, v in graph.run_observations.items()}
     for concept in graph.concepts:
         if isinstance(concept.kind, Repeat):
             children_by_k.setdefault(concept.kind.count, set()).add(concept.kind.child)
-    new_ids = []
     for k in sorted(children_by_k):
         if len(children_by_k[k]) >= cfg.generalize_threshold and _number_template_id(graph, k) is None:
-            new_ids.append(graph.add(Template((Hole(0),) * k)))
-    return new_ids
+            graph.add(Template((Hole(0),) * k))
 
 
 def abstract_common(graph: ConceptGraph) -> list[int]:
     """Abstract concats that agree everywhere but one position into a
     one-hole template, rewriting each as an application (same expansion)."""
     m = graph.config.generalize_threshold
-    new_ids: list[int] = []
+    before = len(graph)
     changed = True
     while changed:
         changed = False
@@ -499,15 +481,12 @@ def abstract_common(graph: ConceptGraph) -> list[int]:
                 continue
             length, pos, head, tail = key
             body = tuple(SlotRef(c) for c in head) + (Hole(0),) + tuple(SlotRef(c) for c in tail)
-            before = len(graph)
             tpl = graph.add(Template(body))
-            if tpl >= before:
-                new_ids.append(tpl)
             for cid, differ in live:
                 graph.replace_kind(cid, Apply(tpl, (differ,)))
             changed = True
             break
-    return new_ids
+    return list(range(before, len(graph)))
 
 
 def record_associations(graph: ConceptGraph, desc: Description) -> list[tuple[int, int]]:
@@ -593,8 +572,7 @@ def _resegment_blobs(graph: ConceptGraph, desc: Description,
             for seg in runs:
                 nodes = parsed.get(seg.payload)
                 if nodes is None:
-                    nodes = parsed[seg.payload] = parse(
-                        graph, seg.payload, context.budget, context=context).nodes
+                    nodes = parsed[seg.payload] = parse(graph, seg.payload, context=context).nodes
                 out.extend(nodes)
         else:
             out.append(node)
@@ -612,6 +590,8 @@ def ingest(graph: ConceptGraph, experience,
     stream = _normalize_stream(experience)
     if stream.kind != TOKEN:
         raise UnknownToken("ingest expects a token stream; quantize scalars first")
+    if len(stream.samples) > MAX_EXPANSION:
+        raise TooLarge(f"episode exceeds {MAX_EXPANSION} tokens")
     alphabet = set(graph.alphabet)
     for t in stream.samples:
         if t not in alphabet:
@@ -628,11 +608,10 @@ def ingest(graph: ConceptGraph, experience,
             pos = seg.end
         if pos != len(stream.samples):
             raise ValueError("segments must cover the stream exactly, in order")
-    budget = Budget.from_config(graph.config, 0)
-    context = _ParseContext(graph, budget)
+    context = _ParseContext(graph, Budget.from_config(graph.config, 0))
     nodes: list[Node] = []
     for seg in segments:
-        nodes.extend(parse(graph, seg.payload, budget, context=context).nodes)
+        nodes.extend(parse(graph, seg.payload, context=context).nodes)
     first_pass = Description(tuple(nodes))
 
     pre_count = len(graph)

@@ -168,12 +168,9 @@ def stored_description_dl(graph: "ConceptGraph") -> float:
     return total
 
 
-def two_part_total(graph: "ConceptGraph", extra_descs=()) -> float:
+def two_part_total(graph: "ConceptGraph") -> float:
     """model bits + stored description bits: the induction objective."""
-    total = model_dl(graph) + stored_description_dl(graph)
-    for desc in extra_descs:
-        total += description_dl(graph, desc)
-    return total
+    return model_dl(graph) + stored_description_dl(graph)
 
 
 def kraft_sum(graph: "ConceptGraph") -> float:

@@ -6,13 +6,15 @@ each concept with the rule that `add` uses (`ConceptGraph._validate`, through
 `rebuild_derived`): references point at older concepts of a fitting kind,
 so a loaded graph has no dangling reference and no cycle, and any violation
 is a `CorruptFile`.  Teach scripts are line-oriented s-expressions in strict
-topological order.
+topological order.  Every file is written atomically (`write_text`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 
 from . import sexpr
 from .core import (
@@ -149,12 +151,27 @@ def dumps(graph: ConceptGraph) -> str:
     return json.dumps(graph_to_json(graph), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def save(graph: ConceptGraph, path: str) -> None:
+def write_text(path: str, text: str) -> None:
+    """Replace `path` with `text` via a temp file beside it and `os.replace`,
+    so `path` keeps its old bytes or gets all the new ones.  On failure the
+    temp file is removed and the error is `IoFailure`.  No fsync: this
+    survives a failed or interrupted write, not a power cut."""
+    path = os.path.realpath(path)  # replace a symlink's target, not the link
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(dumps(graph))
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise IoFailure(str(exc)) from exc
+        raise
+
+
+def save(graph: ConceptGraph, path: str) -> None:
+    write_text(path, dumps(graph))
 
 
 def graph_from_json(data) -> ConceptGraph:
@@ -246,11 +263,7 @@ def dot_text(graph: ConceptGraph) -> str:
 
 
 def export_dot(graph: ConceptGraph, path: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(dot_text(graph))
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    write_text(path, dot_text(graph))
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,8 @@ import pytest
 
 import conceptgraph
 from conceptgraph.cli import main
-from conceptgraph.core import Apply, Concat, ConceptGraph, Hole, SlotRef, Template
+from conceptgraph.core import (
+    MAX_EXPANSION, Apply, Concat, ConceptGraph, Hole, Repeat, SlotRef, Template)
 from conceptgraph.storage import dumps, import_teach
 
 
@@ -116,6 +117,18 @@ def test_apply_naming_an_affect_primitive_is_data_error(tmp_path):
     g.add(Apply(tpl, (0,)))
     doc = json.loads(dumps(g))
     doc["concepts"][6]["template"] = 4
+    graph = tmp_path / "g.cg"
+    graph.write_text(json.dumps(doc))
+    data = tmp_path / "in.txt"
+    data.write_text("abab\n")
+    assert_data_error(["parse", "--graph", str(graph), "--input", str(data)])
+
+
+def test_repeat_past_the_expansion_cap_is_data_error(tmp_path):
+    g = ConceptGraph("ab")
+    g.add(Repeat(g.add(Concat((0, 1))), 2))
+    doc = json.loads(dumps(g))
+    doc["concepts"][5]["count"] = MAX_EXPANSION // 2 + 1  # one "ab" past the cap
     graph = tmp_path / "g.cg"
     graph.write_text(json.dumps(doc))
     data = tmp_path / "in.txt"

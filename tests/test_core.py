@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conceptgraph.core import (
+    MAX_EXPANSION,
     AffectPrimitive,
     Apply,
     Association,
@@ -26,6 +27,7 @@ from conceptgraph.errors import (
     InvalidCount,
     MalformedTemplate,
     NonExpandingConcept,
+    TooLarge,
     UnknownConcept,
 )
 from conceptgraph.inducer import Blob, Description, Ref
@@ -278,6 +280,30 @@ def test_replace_kind_rejects_a_template_with_a_newer_slot_ref():
     older = g.add(Template((SlotRef(0), Hole(0), SlotRef(2))))
     g.replace_kind(x, Apply(older, (1,)))  # a newer template with older slot refs
     assert g.expansion(x) == ("a", "b", "c")
+
+
+def test_expansion_is_capped():
+    """`add`, `replace_kind` and `rebuild_derived` refuse an expansion longer
+    than the cap before building it, and leave the graph as it was."""
+    g = fresh("ab")
+    with pytest.raises(TooLarge):
+        g.add(Repeat(0, MAX_EXPANSION + 1))
+    half = g.add(Repeat(0, MAX_EXPANSION // 2))
+    full = g.add(Concat((half, half)))  # exactly the cap
+    assert len(g.expansion(full)) == MAX_EXPANSION
+    tpl = g.add(Template((SlotRef(full), Hole(0))))
+    size = len(g)
+    for kind in (Concat((full, 1)), Apply(tpl, (1,))):
+        with pytest.raises(TooLarge):
+            g.add(kind)
+    assert len(g) == size
+    ab = g.add(Concat((0, 1)))
+    with pytest.raises(TooLarge):
+        g.replace_kind(ab, Repeat(0, MAX_EXPANSION + 1))
+    assert g.concept(ab).kind == Concat((0, 1)) and g.expansion(ab) == ("a", "b")
+    g.concepts[ab].kind = Repeat(0, MAX_EXPANSION + 1)
+    with pytest.raises(TooLarge):
+        g.rebuild_derived()
 
 
 def test_set_weight_rejects_negative_and_non_finite():

@@ -1,10 +1,13 @@
 import hashlib
+import json
 import random
+from functools import partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from conceptgraph.core import (
+    MAX_EXPANSION,
     Apply,
     Association,
     Concat,
@@ -17,15 +20,19 @@ from conceptgraph.core import (
     Template,
 )
 from conceptgraph.corpus import GRAMMAR_ALPHABET, gen_grammar_corpus
-from conceptgraph.errors import InvalidDescription, UnknownEpisode, UnknownToken
+from conceptgraph.errors import InvalidDescription, TooLarge, UnknownEpisode, UnknownToken
 from conceptgraph.inducer import (
     Blob,
     Budget,
     Description,
     Ref,
+    _ParseContext,
     _State,
     _apply_forgetting,
     _cheapest,
+    _gated_add,
+    _rewrite_pair,
+    _rewrite_runs,
     _select_beam,
     abstract_common,
     induce_repeats,
@@ -35,8 +42,8 @@ from conceptgraph.inducer import (
     record_associations,
     refine,
 )
-from conceptgraph.mdl import description_dl
-from conceptgraph.storage import dumps
+from conceptgraph.mdl import description_dl, kraft_sum
+from conceptgraph.storage import dumps, graph_from_json
 
 
 def all_descriptions(graph, tokens):
@@ -256,12 +263,90 @@ def test_ingest_rejects_scalar_stream():
         ingest(g, RawStream.scalars([1, 2]))
 
 
-def test_monotone_gate_audited():
-    g = ConceptGraph("abcdefgh")
-    g.check_objective = True
-    rng = random.Random(0)
-    for _ in range(30):
-        ingest(g, [rng.choice("abcdefgh") for _ in range(rng.randint(0, 48))])
+def drawn_graph(data, config=None):
+    """A graph over 1-4 symbols plus a few concats and repeats, at drawn weights."""
+    g = ConceptGraph("abcd"[:data.draw(st.integers(1, 4))], config)
+    for _ in range(data.draw(st.integers(0, 3))):
+        a, b = (data.draw(st.sampled_from(g.parseable_ids())) for _ in range(2))
+        g.add(Concat((a, b)) if a != b else Repeat(a, 2))
+    for cid in g.parseable_ids():
+        g.set_weight(cid, data.draw(st.sampled_from([0.0, 0.5, 1.0, 3.0, 9.0])))
+    return g
+
+
+def drawn_nodes(data, g, favoured=()):
+    """Ref and Blob nodes in runs of 1-4, drawing the `favoured` refs more often."""
+    refs = [Ref(c) for c in g.parseable_ids()] + [Ref(c) for c in favoured] * 3
+    blobs = st.text(g.alphabet, min_size=1, max_size=3).map(lambda s: Blob(tuple(s)))
+    runs = data.draw(st.lists(st.tuples(st.one_of(st.sampled_from(refs), blobs),
+                                        st.integers(1, 4)), max_size=8))
+    return [node for node, n in runs for _ in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_gated_add_takes_only_a_strict_drop(data):
+    """Accepted: the episode bits drop, also at the post-add code state (the
+    old nodes cost more there than the new ones).  Rejected: the graph and
+    its saved bytes are unchanged."""
+    g = drawn_graph(data)
+    a, b = (data.draw(st.sampled_from(g.parseable_ids())) for _ in range(2))
+    nodes = drawn_nodes(data, g, favoured=(a, b))
+    if data.draw(st.booleans()):
+        kind, rewrite = Concat((a, b)), partial(_rewrite_pair, nodes, (a, b))
+    else:
+        k = data.draw(st.integers(2, 4))
+        kind, rewrite = Repeat(a, k), partial(_rewrite_runs, nodes, a, k)
+    size, text = len(g), dumps(g)
+    bits_before = description_dl(g, Description(tuple(nodes)))
+    accepted, out = _gated_add(g, kind, nodes, rewrite)
+    event(f"accepted={accepted}")
+    if accepted:
+        bits_after = description_dl(g, Description(tuple(out)))
+        assert bits_after < bits_before
+        assert bits_after < description_dl(g, Description(tuple(nodes)))
+        assert reconstruct(g, Description(tuple(out))) == reconstruct(g, Description(tuple(nodes)))
+    else:
+        assert out == nodes
+        assert len(g) == size and dumps(g) == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_induce_repeats_returns_the_ids_it_added(data):
+    g = drawn_graph(data, Config(generalize_threshold=2,
+                                 repeat_threshold=data.draw(st.integers(1, 2))))
+    if data.draw(st.booleans()):  # runs of two become ungated applications
+        g.add(Template((Hole(0), Hole(0))))
+    nodes = drawn_nodes(data, g)
+    before = len(g)
+    out, new_ids = induce_repeats(g, Description(tuple(nodes)))
+    event(f"added={len(new_ids) > 0}")
+    assert new_ids == list(range(before, len(g)))
+    assert reconstruct(g, out) == reconstruct(g, Description(tuple(nodes)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ingest_keeps_the_kraft_sum_and_the_saved_bytes(data):
+    """After every ingest: Kraft sum <= 1, and save -> load -> save is byte-identical."""
+    sigma = "abcd"[:data.draw(st.integers(1, 4))]
+    motifs = st.tuples(st.text(sigma, min_size=1, max_size=4), st.integers(1, 8))
+    episodes = st.one_of(st.text(sigma, max_size=24), motifs.map(lambda m: m[0] * m[1]))
+    g = ConceptGraph(sigma)
+    for episode in data.draw(st.lists(episodes, min_size=1, max_size=6)):
+        ingest(g, episode)
+        assert kraft_sum(g) <= 1 + 1e-9
+        text = dumps(g)
+        assert dumps(graph_from_json(json.loads(text))) == text
+
+
+def test_ingest_rejects_an_episode_past_the_cap():
+    g = ConceptGraph("ab")
+    text = dumps(g)
+    with pytest.raises(TooLarge):
+        ingest(g, ["a"] * (MAX_EXPANSION + 1))
+    assert dumps(g) == text
 
 
 def test_refine_appends_non_increasing_level():
@@ -425,3 +510,17 @@ def test_budget_doubles_per_level():
     assert (b2.beam, b2.pool) == (config.beam_base * 4, config.pool_base * 4)
     with pytest.raises(ValueError):
         Budget.from_config(config, -1)
+
+
+def test_parse_takes_the_budget_from_the_context():
+    sigma = "abcdefgh"
+    rng = random.Random(0)
+    g = ConceptGraph(sigma)
+    for _ in range(30):
+        ingest(g, "".join(rng.choice(sigma) for _ in range(rng.randint(0, 40))))
+    wide = Budget.from_config(g.config, 6)
+    tokens = "chafgbdheegghacf"  # the level-0 beam over the wide pool parses it worse
+    narrow_beam = parse(g, tokens, Budget(beam=g.config.beam_base, pool=wide.pool))
+    via_context = parse(g, tokens, Budget.from_config(g.config, 0),
+                        context=_ParseContext(g, wide))
+    assert via_context == parse(g, tokens, wide) != narrow_beam

@@ -1,11 +1,14 @@
+import errno
 import functools
 import json
+import os
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conceptgraph import sexpr
+from conceptgraph import sexpr, storage
+from conceptgraph.cli import main
 from conceptgraph.core import (
     Apply,
     Association,
@@ -19,6 +22,7 @@ from conceptgraph.core import (
 from conceptgraph.errors import (
     CorruptFile,
     IoFailure,
+    TooLarge,
     UnknownConcept,
     UnresolvedReference,
     VersionMismatch,
@@ -28,6 +32,7 @@ from conceptgraph.inducer import ingest, parse, reconstruct
 from conceptgraph.storage import (
     dot_text,
     dumps,
+    export_dot,
     export_teach,
     graph_from_json,
     import_teach,
@@ -183,6 +188,15 @@ def test_load_rejects_invalid_concepts(cid, field, value):
         graph_from_json(data)
 
 
+def test_load_rejects_an_expansion_past_the_cap():
+    g = ConceptGraph("ab")
+    g.add(Repeat(g.add(Concat((0, 1))), 2))
+    doc = json.loads(dumps(g))
+    doc["concepts"][5]["count"] = 10**9  # 2 * 10**9 tokens, refused unbuilt
+    with pytest.raises(CorruptFile):
+        graph_from_json(doc)
+
+
 def test_load_rejects_a_refinement_ref_that_does_not_expand():
     g = trained_graph()
     data = json.loads(dumps(g))
@@ -253,6 +267,66 @@ def test_load_rejects_malformed_library(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(CorruptFile):
         load(str(path))
+
+
+class HalfWriter:
+    """A file handle that writes half of the text, then fails like a full disk."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, text):
+        self.handle.write(text[:len(text) // 2])
+        self.handle.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def fail_writes_in_storage(monkeypatch):
+    def fake_open(file, mode="r", *args, **kwargs):
+        handle = open(file, mode, *args, **kwargs)
+        return HalfWriter(handle) if "w" in mode else handle
+    monkeypatch.setattr(storage, "open", fake_open, raising=False)
+
+
+@pytest.mark.parametrize("write", [save, export_dot])
+def test_a_failed_write_keeps_the_old_file(tmp_path, monkeypatch, write):
+    target = tmp_path / "out"
+    target.write_text("old bytes\n")
+    fail_writes_in_storage(monkeypatch)
+    with pytest.raises(IoFailure):
+        write(ConceptGraph("ab"), str(target))
+    assert target.read_text() == "old bytes\n"
+    assert os.listdir(tmp_path) == ["out"]
+    monkeypatch.undo()
+    write(ConceptGraph("ab"), str(target))
+    assert target.read_text() != "old bytes\n"
+    assert os.listdir(tmp_path) == ["out"]
+
+
+def test_save_through_a_symlink_keeps_the_link(tmp_path):
+    real, link = tmp_path / "real.cg", tmp_path / "link.cg"
+    save(ConceptGraph("a"), str(real))
+    link.symlink_to(real)
+    save(ConceptGraph("ab"), str(link))
+    assert link.is_symlink() and load(str(real)).alphabet == ("a", "b")
+    assert sorted(os.listdir(tmp_path)) == ["link.cg", "real.cg"]
+
+
+def test_a_failed_teach_write_keeps_the_old_file(tmp_path, monkeypatch):
+    graph, target = tmp_path / "g.cg", tmp_path / "out.teach"
+    save(ConceptGraph("ab"), str(graph))
+    target.write_text("old bytes\n")
+    fail_writes_in_storage(monkeypatch)
+    argv = ["teach", "--graph", str(graph), "--concept", "0", "--out", str(target)]
+    assert main(argv) == 2
+    assert target.read_text() == "old bytes\n"
+    assert sorted(os.listdir(tmp_path)) == ["g.cg", "out.teach"]
 
 
 def test_dot_fresh_graph():
@@ -341,6 +415,13 @@ def test_deeply_nested_library_line_is_corrupt_file():
     data["library"].append("(def f 1 " + "(call succ " * 2000 + "(var 0)" + ")" * 2001)
     with pytest.raises(CorruptFile):
         graph_from_json(data)
+
+
+def test_teach_repeat_past_the_cap_raises():
+    g = ConceptGraph("ab")
+    with pytest.raises(TooLarge):
+        import_teach(g, '(prim "a")\n(repeat 0 1000000000)\n')
+    assert len(g) == 4
 
 
 def test_teach_forward_reference_rejected():
