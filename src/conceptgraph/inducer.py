@@ -6,7 +6,13 @@ digram concats then runs, takes the first that pays (one gate: the
 episode's description bits strictly drop) and scans again.  The gate does
 not charge the new definition's model bits (`mdl.model_dl`): creation is
 paid for by the data side, which lets structure bootstrap from short
-experiences.  Number templates, their applications to runs and the
+experiences.  The gate decides from counts: a step's bit change follows in
+closed form from the occurrences it replaces, the node count and the code
+denominator, and only a change within float rounding of the margin is
+recomputed from whole descriptions.  The episode lives in a pair index
+(Re-Pair, Larsson & Moffat 1999; digram counts kept as in Sequitur,
+Nevill-Manning & Witten 1997), so the scan after a step re-reads only the
+pairs the step changed.  Number templates, their applications to runs and the
 common-component abstractions are forced by generalization thresholds
 instead: their payoff is expressive, not an immediate bit gain.
 """
@@ -18,7 +24,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
-from typing import Optional, Sequence, Union
+from typing import Collection, Optional, Sequence, Union
 
 from . import mdl
 from .core import (
@@ -292,26 +298,61 @@ def reconstruct(graph: ConceptGraph, desc: Description) -> tuple[Token, ...]:
 # ----------------------------------------------------------------------
 # induction rules
 
-def _desc_dl(graph: ConceptGraph, nodes: list[Node]) -> float:
-    return description_dl(graph, Description(tuple(nodes)))
+GATE_MARGIN = 1e-9   # an accepted step must save more than this many bits
+FALLBACK_BAND = 1e-6  # closed-form deltas this close to the margin are recomputed
 
 
-def _gated_add(graph: ConceptGraph, kind, nodes: list[Node], rewrite) -> tuple[bool, list[Node]]:
+def _gate_delta(graph: ConceptGraph, kind, n: int, k: int, twin: Optional[int]) -> float:
+    """Change in an episode's description bits when `k` occurrences of
+    `kind`'s children (out of `n` nodes) become refs to `kind`, or to its
+    existing `twin`, charged at the post-add code state.
+
+    Only the header, the code denominator D = W + C + 1 (which a new
+    concept of weight 1 moves by 2) and the rewritten refs change; blobs
+    and the other refs keep their per-node costs.
+    """
+    children = kind.children if isinstance(kind, Concat) else (kind.child,) * kind.count
+    n_after = n - k * (len(children) - 1)
+    weight, count = graph.codeable_weight(), graph.codeable_count()
+    log_d = math.log2(weight + count + 1.0)
+    if twin is None:
+        log_d_after, w_new = math.log2((weight + 1.0) + (count + 1) + 1.0), 1.0
+    else:
+        log_d_after, w_new = log_d, graph.concept(twin).weight
+    removed = sum(math.log2(graph.concept(c).weight + 1.0) for c in children)
+    return (gamma_len(n_after + 1) - gamma_len(n + 1) + n_after * log_d_after - n * log_d
+            + k * (removed - math.log2(w_new + 1.0)))
+
+
+def _gated_add(graph: ConceptGraph, kind, nodes: Collection[Node], k: int,
+               rewrite) -> tuple[bool, Collection[Node]]:
     """Rewrite the episode with `kind` (or its existing twin) iff its
     description bits strictly drop, charged at the post-add code state.
 
-    Returns (accepted, nodes_after).  On rejection a concept this call
-    added is popped, so the graph is left as it was.
+    `k` is the number of occurrences `rewrite(cid)` replaces, and
+    `rewrite` returns the nodes after.  The decision is `_gate_delta`'s
+    closed form against the margin, unless the delta lies within
+    `FALLBACK_BAND` of it: then two full `description_dl` calls decide, on
+    a list rewrite of the same occurrences around a speculative add, so
+    float rounding cannot flip a decision.  Returns (accepted,
+    nodes_after); the graph changes only on acceptance.
     """
-    ep_before = _desc_dl(graph, nodes)
-    cid = graph.find(kind)
-    added = cid is None
-    if added:
-        cid = graph.add(kind)
-    new_nodes = rewrite(cid)
-    if _desc_dl(graph, new_nodes) < ep_before - 1e-9:
-        return True, new_nodes
-    if added:
+    twin = graph.find(kind)
+    delta = _gate_delta(graph, kind, len(nodes), k, twin)
+    if abs(delta + GATE_MARGIN) > FALLBACK_BAND:
+        if delta < -GATE_MARGIN:
+            return True, rewrite(graph.add(kind) if twin is None else twin)
+        return False, nodes
+    old = list(nodes)
+    before = description_dl(graph, Description(tuple(old)))
+    cid = graph.add(kind) if twin is None else twin
+    if isinstance(kind, Concat):
+        new = _rewrite_pair(old, kind.children, cid)
+    else:
+        new = _rewrite_runs(old, kind.child, kind.count, cid)
+    if description_dl(graph, Description(tuple(new))) < before - GATE_MARGIN:
+        return True, rewrite(cid)
+    if twin is None:
         graph.pop_last()
     return False, nodes
 
@@ -335,16 +376,6 @@ def _episode_digrams(nodes: list[Node]) -> tuple[dict[tuple[int, int], int], dic
     return counts, first
 
 
-def _digram_candidates(graph: ConceptGraph, nodes: list[Node]) -> list[tuple[int, int]]:
-    """Pairs present in this episode whose count, accumulated over stored
-    descriptions, reaches the repeat threshold; hottest and earliest first."""
-    counts, first = _episode_digrams(nodes)
-    combined = {pair: n + graph.digram_counts.get(pair, 0) for pair, n in counts.items()}
-    threshold = graph.config.repeat_threshold
-    return sorted((p for p in combined if combined[p] >= threshold),
-                  key=lambda p: (-combined[p], first[p], p))
-
-
 def _rewrite_pair(nodes: list[Node], pair: tuple[int, int], cid: int) -> list[Node]:
     out: list[Node] = []
     i = 0
@@ -358,24 +389,6 @@ def _rewrite_pair(nodes: list[Node], pair: tuple[int, int], cid: int) -> list[No
             out.append(nodes[i])
             i += 1
     return out
-
-
-def _maximal_runs(nodes: list[Node]) -> list[tuple[int, int]]:
-    """Maximal runs of identical Refs: (concept, length), length >= 2."""
-    runs = []
-    i = 0
-    while i < len(nodes):
-        node = nodes[i]
-        if isinstance(node, Ref):
-            j = i
-            while j < len(nodes) and nodes[j] == node:
-                j += 1
-            if j - i >= 2:
-                runs.append((node.concept, j - i))
-            i = j
-        else:
-            i += 1
-    return runs
 
 
 def _rewrite_runs(nodes: list[Node], concept: int, length: int, cid: int) -> list[Node]:
@@ -398,27 +411,170 @@ def _rewrite_runs(nodes: list[Node], concept: int, length: int, cid: int) -> lis
     return out
 
 
+class _PairIndex:
+    """An episode's nodes as a linked list with a pair index (Re-Pair).
+
+    Nodes keep their original positions as order keys: a rewrite replaces
+    an occurrence by a ref at its first position and unlinks the rest, so
+    the relative order never changes.  `at` maps every adjacent Ref pair to
+    the positions where it starts; a rewrite updates only the pairs around
+    each replaced occurrence.  Pairs of distinct concepts never overlap, so
+    their position count is the greedy left-to-right count; equal pairs
+    mark the runs.  A heap orders the candidate digrams (distinct pairs
+    whose episode count plus stored count reaches the threshold) by
+    (-combined count, first position, pair), with stale entries skipped.
+    Iterating yields the current nodes.
+    """
+
+    __slots__ = ("node", "ref", "nxt", "prv", "size", "at",
+                 "stored", "threshold", "heap", "live", "aside")
+
+    def __init__(self, nodes: Sequence[Node], stored: dict, threshold: int):
+        n = len(nodes)
+        self.node = list(nodes)
+        self.ref = ref = [x.concept if isinstance(x, Ref) else None for x in nodes]
+        self.nxt = list(range(1, n + 1))
+        self.prv = list(range(-1, n - 1))
+        if n:
+            self.nxt[-1] = -1
+        self.size = n
+        self.at: dict[tuple[int, int], set[int]] = {}
+        for i in range(n - 1):
+            a, b = ref[i], ref[i + 1]
+            if a is not None and b is not None:
+                self.at.setdefault((a, b), set()).add(i)
+        self.stored, self.threshold = stored, threshold
+        self.live: dict[tuple[int, int], Optional[tuple]] = {}  # pair -> its heap entry
+        self.heap: list[tuple] = []
+        self.aside: list[tuple] = []
+        for pair in self.at:
+            self._rekey(pair)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        node, nxt, i = self.node, self.nxt, 0 if self.size else -1  # the head stays linked
+        while i >= 0:
+            yield node[i]
+            i = nxt[i]
+
+    def _rekey(self, pair: tuple[int, int]) -> None:
+        """Push the pair's current heap entry if it changed (None: not a candidate)."""
+        if pair[0] == pair[1]:
+            return
+        where = self.at.get(pair)
+        key = None
+        if where:
+            combined = len(where) + self.stored.get(pair, 0)
+            if combined >= self.threshold:
+                key = (-combined, min(where), pair)
+        if key is None:
+            self.live[pair] = None
+        elif key != self.live.get(pair):
+            self.live[pair] = key
+            heapq.heappush(self.heap, key)
+
+    def digram_pass(self):
+        """Candidate digrams in order; resuming the generator means the last
+        one was rejected.  Those rejected are tried again in the next pass,
+        since an accepted step moves the code."""
+        heap, live = self.heap, self.live
+        for key in self.aside:
+            if key[2] not in live:  # unchanged since it was tried
+                live[key[2]] = key
+                heapq.heappush(heap, key)
+        self.aside = aside = []
+        while heap:
+            key = heapq.heappop(heap)
+            pair = key[2]
+            if live.get(pair) is key:
+                del live[pair]
+                aside.append(key)
+                yield pair
+
+    def runs(self) -> list[tuple[int, int, int]]:
+        """Maximal runs of identical refs as (concept, length, start), in order."""
+        starts = sorted(p for (a, b), where in self.at.items() if a == b for p in where)
+        found = []
+        ref, nxt, prv = self.ref, self.nxt, self.prv
+        for p in starts:
+            c = ref[p]
+            if prv[p] >= 0 and ref[prv[p]] == c:
+                continue  # inside a run
+            length, q = 2, nxt[nxt[p]]
+            while q >= 0 and ref[q] == c:
+                length, q = length + 1, nxt[q]
+            found.append((c, length, p))
+        return found
+
+    def _replace(self, first: int, span: int, cid: int, touched: set) -> None:
+        """Replace the `span` nodes from position `first` by Ref(cid)."""
+        ref, nxt, prv, at = self.ref, self.nxt, self.prv, self.at
+        left = prv[first]
+        ends = [first] if left < 0 else [left, first]
+        last = first
+        for _ in range(span - 1):
+            last = nxt[last]
+            ends.append(last)
+        right = nxt[last]
+        for p in ends:  # drop every pair touching the occurrence
+            q = nxt[p]
+            if q >= 0 and ref[p] is not None and ref[q] is not None:
+                pair = (ref[p], ref[q])
+                at[pair].discard(p)
+                touched.add(pair)
+        ref[first] = cid
+        self.node[first] = Ref(cid)
+        nxt[first] = right
+        if right >= 0:
+            prv[right] = first
+        self.size -= span - 1
+        for p in (left, first):
+            q = nxt[p] if p >= 0 else -1
+            if q >= 0 and ref[p] is not None and ref[q] is not None:
+                pair = (ref[p], ref[q])
+                at.setdefault(pair, set()).add(p)
+                touched.add(pair)
+
+    def rewrite(self, firsts: list[int], span: int, cid: int) -> "_PairIndex":
+        """Replace the occurrences starting at `firsts` (in order) by Ref(cid)."""
+        touched: set = set()
+        for first in firsts:
+            self._replace(first, span, cid, touched)
+        for pair in touched:
+            self._rekey(pair)
+        return self
+
+    def rewrite_pair(self, pair: tuple[int, int], cid: int) -> "_PairIndex":
+        return self.rewrite(sorted(self.at[pair]), 2, cid)
+
+
 def _number_template_id(graph: ConceptGraph, k: int) -> Optional[int]:
     return graph.find(Template((Hole(0),) * k))
 
 
-def _steps(graph: ConceptGraph, nodes: list[Node]):
-    """One scan's candidate steps, as (kind, rewrite, gated): digram concats,
-    then runs, as a Repeat or, once the k-fold number template exists, an
-    ungated application.  The caller stops at the first step taken, so runs
-    are observed only in a scan where no digram was accepted."""
-    for pair in _digram_candidates(graph, nodes):
-        yield Concat(pair), partial(_rewrite_pair, nodes, pair), True
-    runs = _maximal_runs(nodes)
-    for concept, length in runs:
+def _steps(graph: ConceptGraph, index: _PairIndex):
+    """One scan's candidate steps, as (kind, occurrences, rewrite, gated):
+    digram concats, then runs, as a Repeat or, once the k-fold number
+    template exists, an ungated application.  The caller stops at the first
+    step taken, so runs are observed only in a scan where no digram was
+    accepted."""
+    for pair in index.digram_pass():
+        yield Concat(pair), len(index.at[pair]), partial(index.rewrite_pair, pair), True
+    runs = index.runs()
+    starts: dict[tuple[int, int], list[int]] = {}
+    for concept, length, start in runs:
         graph.run_observations.setdefault(length, set()).add(concept)
-    for concept, length in runs:
-        rewrite = partial(_rewrite_runs, nodes, concept, length)
+        starts.setdefault((concept, length), []).append(start)
+    for concept, length, _ in runs:
+        same = starts[concept, length]
+        rewrite = partial(index.rewrite, same, length)
         num_tpl = _number_template_id(graph, length)
         if num_tpl is None:
-            yield Repeat(concept, length), rewrite, True
+            yield Repeat(concept, length), len(same), rewrite, True
         else:
-            yield Apply(num_tpl, (concept,)), rewrite, False
+            yield Apply(num_tpl, (concept,)), len(same), rewrite, False
 
 
 def induce_repeats(graph: ConceptGraph, desc: Description) -> tuple[Description, list[int]]:
@@ -427,14 +583,16 @@ def induce_repeats(graph: ConceptGraph, desc: Description) -> tuple[Description,
     Take the first of `_steps` that pays (`_gated_add`; ungated steps
     always do) and scan again, until a scan takes none; then create the
     number templates whose runs span enough children.  A rejected step
-    adds nothing, so the new ids are those from the old length on.
+    adds nothing, so the new ids are those from the old length on.  The
+    episode lives in a `_PairIndex`, so a scan after a step reads the
+    pairs it changed instead of the whole episode.
     """
     before = len(graph)
-    nodes = list(desc.nodes)
+    nodes = _PairIndex(desc.nodes, graph.digram_counts, graph.config.repeat_threshold)
     while True:
-        for kind, rewrite, gated in _steps(graph, nodes):
+        for kind, k, rewrite, gated in _steps(graph, nodes):
             if gated:
-                accepted, nodes = _gated_add(graph, kind, nodes, rewrite)
+                accepted, nodes = _gated_add(graph, kind, nodes, k, rewrite)
             else:
                 accepted, nodes = True, rewrite(graph.add(kind))
             if accepted:

@@ -217,7 +217,7 @@ def graph_from_json(data) -> ConceptGraph:
         return graph
     except (VersionMismatch, CorruptFile):
         raise
-    except (GraphError, KeyError, ValueError, TypeError, IndexError) as exc:
+    except (GraphError, KeyError, ValueError, TypeError, IndexError, OverflowError) as exc:
         raise CorruptFile(f"malformed graph file: {exc}") from exc
 
 
@@ -344,8 +344,13 @@ def _teach_kind(node, resolve) -> Kind:
 
 
 def import_teach(graph: ConceptGraph, script: str) -> int:
-    """Rebuild a taught concept in `graph`; returns the final concept id."""
+    """Rebuild a taught concept in `graph`; returns the final concept id.
+
+    All or nothing: if any line fails, the concepts the earlier lines
+    added are popped again before the error propagates.
+    """
     local: list[int] = []
+    size = len(graph)
 
     def resolve(atom) -> int:
         idx = int(atom)
@@ -353,14 +358,19 @@ def import_teach(graph: ConceptGraph, script: str) -> int:
             raise UnresolvedReference(f"line references entry {idx} before it exists")
         return local[idx]
 
-    for raw in script.splitlines():
-        raw = raw.strip()
-        if not raw:
-            continue
-        try:
-            local.append(graph.add(_teach_kind(sexpr.parse_one(raw), resolve)))
-        except (IndexError, ValueError, TypeError) as exc:  # malformed line
-            raise CorruptFile(f"bad teach line {raw!r}: {exc}") from exc
-    if not local:
-        raise CorruptFile("empty teach script")
+    try:
+        for raw in script.splitlines():
+            raw = raw.strip()
+            if not raw:
+                continue
+            try:
+                local.append(graph.add(_teach_kind(sexpr.parse_one(raw), resolve)))
+            except (IndexError, ValueError, TypeError) as exc:  # malformed line
+                raise CorruptFile(f"bad teach line {raw!r}: {exc}") from exc
+        if not local:
+            raise CorruptFile("empty teach script")
+    except BaseException:
+        while len(graph) > size:
+            graph.pop_last()
+        raise
     return local[-1]

@@ -21,7 +21,10 @@ from conceptgraph.core import (
 )
 from conceptgraph.corpus import GRAMMAR_ALPHABET, gen_grammar_corpus
 from conceptgraph.errors import InvalidDescription, TooLarge, UnknownEpisode, UnknownToken
+from conceptgraph import inducer
 from conceptgraph.inducer import (
+    FALLBACK_BAND,
+    GATE_MARGIN,
     Blob,
     Budget,
     Description,
@@ -30,7 +33,10 @@ from conceptgraph.inducer import (
     _State,
     _apply_forgetting,
     _cheapest,
+    _episode_digrams,
+    _gate_delta,
     _gated_add,
+    _generalize_numbers,
     _rewrite_pair,
     _rewrite_runs,
     _select_beam,
@@ -299,7 +305,9 @@ def test_gated_add_takes_only_a_strict_drop(data):
         kind, rewrite = Repeat(a, k), partial(_rewrite_runs, nodes, a, k)
     size, text = len(g), dumps(g)
     bits_before = description_dl(g, Description(tuple(nodes)))
-    accepted, out = _gated_add(g, kind, nodes, rewrite)
+    span = 2 if isinstance(kind, Concat) else kind.count
+    occurrences = (len(nodes) - len(rewrite(-1))) // (span - 1)
+    accepted, out = _gated_add(g, kind, nodes, occurrences, rewrite)
     event(f"accepted={accepted}")
     if accepted:
         bits_after = description_dl(g, Description(tuple(out)))
@@ -326,6 +334,129 @@ def test_induce_repeats_returns_the_ids_it_added(data):
     assert reconstruct(g, out) == reconstruct(g, Description(tuple(nodes)))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_gate_delta_matches_the_full_recompute(data):
+    """The closed form equals description_dl(after) - description_dl(before),
+    with the concept added (or its twin used) in between.  Steps are a
+    concat of two drawn refs (possibly equal) or a repeat of a drawn length
+    over runs of drawn lengths, sometimes an existing concept's kind."""
+    g = drawn_graph(data)
+    twins = [c.kind for c in g.concepts if isinstance(c.kind, (Concat, Repeat))]
+    if twins and data.draw(st.booleans()):
+        kind = data.draw(st.sampled_from(twins))
+    elif data.draw(st.booleans()):
+        kind = Concat(tuple(data.draw(st.sampled_from(g.parseable_ids())) for _ in range(2)))
+    else:
+        kind = Repeat(data.draw(st.sampled_from(g.parseable_ids())), data.draw(st.integers(2, 5)))
+    children = kind.children if isinstance(kind, Concat) else (kind.child,) * kind.count
+    nodes = drawn_nodes(data, g, favoured=children)
+    for _ in range(data.draw(st.integers(0, 3))):  # occurrences, which may join runs
+        at = data.draw(st.integers(0, len(nodes)))
+        nodes[at:at] = [Ref(c) for c in children]
+    if isinstance(kind, Concat):
+        rewrite, span = partial(_rewrite_pair, nodes, kind.children), len(kind.children)
+    else:
+        rewrite, span = partial(_rewrite_runs, nodes, kind.child, kind.count), kind.count
+    k = (len(nodes) - len(rewrite(-1))) // (span - 1)
+    twin = g.find(kind)
+    event(f"twin={twin is not None} k={min(k, 2)}")
+    delta = _gate_delta(g, kind, len(nodes), k, twin)
+    before = description_dl(g, Description(tuple(nodes)))
+    after = description_dl(g, Description(tuple(rewrite(g.add(kind)))))
+    assert delta == pytest.approx(after - before, rel=0, abs=1e-9)
+
+
+def test_gate_inside_the_fallback_band_is_decided_by_the_full_recompute(monkeypatch):
+    """Weights chosen so the twin's saving cancels exactly: the closed form
+    reads 0, inside the band, and the two description_dl calls decide."""
+    g = ConceptGraph("ab")
+    ab = g.add(Concat((0, 1)))
+    for cid, weight in ((0, 1.0), (1, 3.0), (ab, 0.0)):
+        g.set_weight(cid, weight)  # (1+1)(3+1)/(0+1) = 8 = D = W + C + 1
+    nodes = [Ref(0), Ref(1), Blob(("a",)), Blob(("b",)), Blob(("a",))]
+    delta = _gate_delta(g, Concat((0, 1)), len(nodes), 1, ab)
+    assert abs(delta + GATE_MARGIN) <= FALLBACK_BAND
+    calls = []
+
+    def spy(graph, desc):
+        calls.append(description_dl(graph, desc))
+        return calls[-1]
+
+    monkeypatch.setattr(inducer, "description_dl", spy)
+    accepted, out = _gated_add(g, Concat((0, 1)), nodes, 1, partial(_rewrite_pair, nodes, (0, 1)))
+    assert len(calls) == 2
+    assert accepted == (calls[1] < calls[0] - GATE_MARGIN)
+    assert out == (_rewrite_pair(nodes, (0, 1), ab) if accepted else nodes)
+
+
+def rescanning_induce(graph, nodes):
+    """The induction loop as it was before the pair index: every scan
+    recounts the digrams and runs of the whole node list, and the gate
+    costs the episode twice around a speculative add."""
+    def steps():
+        counts, first = _episode_digrams(nodes)
+        combined = {p: n + graph.digram_counts.get(p, 0) for p, n in counts.items()}
+        for pair in sorted((p for p in combined if combined[p] >= graph.config.repeat_threshold),
+                           key=lambda p: (-combined[p], first[p], p)):
+            yield Concat(pair), partial(_rewrite_pair, nodes, pair), True
+        runs, i = [], 0
+        while i < len(nodes):
+            j = i + 1
+            while isinstance(nodes[i], Ref) and j < len(nodes) and nodes[j] == nodes[i]:
+                j += 1
+            if j - i >= 2:
+                runs.append((nodes[i].concept, j - i))
+            i = j
+        for concept, length in runs:
+            graph.run_observations.setdefault(length, set()).add(concept)
+        for concept, length in runs:
+            rewrite = partial(_rewrite_runs, nodes, concept, length)
+            tpl = graph.find(Template((Hole(0),) * length))
+            if tpl is None:
+                yield Repeat(concept, length), rewrite, True
+            else:
+                yield Apply(tpl, (concept,)), rewrite, False
+
+    while True:
+        for kind, rewrite, gated in steps():
+            before = description_dl(graph, Description(tuple(nodes)))
+            twin = graph.find(kind)
+            new = rewrite(graph.add(kind) if twin is None else twin)
+            if not gated or description_dl(graph, Description(tuple(new))) < before - 1e-9:
+                nodes = new
+                break
+            if twin is None:
+                graph.pop_last()
+        else:
+            break
+    _generalize_numbers(graph)
+    return nodes
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_induce_repeats_matches_the_rescanning_loop(data):
+    """The pair index takes the same steps in the same order: the same
+    nodes, concepts, run observations and saved bytes."""
+    config = Config(generalize_threshold=data.draw(st.integers(2, 3)),
+                    repeat_threshold=data.draw(st.integers(1, 3)))
+    g = drawn_graph(data, config)
+    if data.draw(st.booleans()):  # runs of two become ungated applications
+        g.add(Template((Hole(0), Hole(0))))
+    ids = g.parseable_ids()
+    for a, b in data.draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+                                   max_size=6)):
+        g.digram_counts[a, b] = g.digram_counts.get((a, b), 0) + 1
+    nodes = drawn_nodes(data, g) * data.draw(st.integers(1, 3))
+    reference, size = graph_from_json(json.loads(dumps(g))), len(g)
+    out, _ = induce_repeats(g, Description(tuple(nodes)))
+    want = rescanning_induce(reference, nodes)
+    event(f"added={min(len(g) - size, 3)}")
+    assert out.nodes == tuple(want)
+    assert dumps(g) == dumps(reference)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_ingest_keeps_the_kraft_sum_and_the_saved_bytes(data):
@@ -339,6 +470,29 @@ def test_ingest_keeps_the_kraft_sum_and_the_saved_bytes(data):
         assert kraft_sum(g) <= 1 + 1e-9
         text = dumps(g)
         assert dumps(graph_from_json(json.loads(text))) == text
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_refinement_chains_are_monotone_and_lossless(data):
+    """After streams over 1-4 symbols, repeated `refine` of drawn episodes
+    never raises description bits along a chain, and every level
+    reconstructs level 0."""
+    sigma = "abcd"[:data.draw(st.integers(1, 4))]
+    motifs = st.tuples(st.text(sigma, min_size=1, max_size=4), st.integers(1, 8))
+    episodes = st.one_of(st.text(sigma, max_size=24), motifs.map(lambda m: m[0] * m[1]))
+    g = ConceptGraph(sigma)
+    stream = data.draw(st.lists(episodes, min_size=1, max_size=6))
+    for episode in stream:
+        ingest(g, episode)
+    for ep in data.draw(st.lists(st.integers(0, len(stream) - 1), max_size=6)):
+        for _ in range(data.draw(st.integers(1, 3))):
+            refine(g, ep)
+    for chain in g.refinement_store.values():
+        bits = [description_dl(g, desc) for desc in chain]
+        assert all(later <= earlier for earlier, later in zip(bits, bits[1:]))
+        assert all(reconstruct(g, desc) == reconstruct(g, chain[0]) for desc in chain)
+    event(f"deepest chain={max(map(len, g.refinement_store.values()))}")
 
 
 def test_ingest_rejects_an_episode_past_the_cap():

@@ -1,11 +1,12 @@
 import errno
 import functools
 import json
+import math
 import os
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from conceptgraph import sexpr, storage
 from conceptgraph.cli import main
@@ -21,6 +22,7 @@ from conceptgraph.core import (
 )
 from conceptgraph.errors import (
     CorruptFile,
+    GraphError,
     IoFailure,
     TooLarge,
     UnknownConcept,
@@ -250,6 +252,47 @@ def test_load_of_a_graph_with_one_edited_integer(data):
     assert reconstruct(g, parse(g, tokens)) == tokens
 
 
+def numeric_paths(doc) -> list[tuple]:
+    """Paths of every numeric field of a saved graph: concept ids, weights,
+    creation episodes, references and counts, the episode, the integer config fields and the
+    entries of the digram, association and run counts."""
+    paths = [("episode",)]
+    paths += [("config", name) for name, value in doc["config"].items() if isinstance(value, int)]
+    for i, entry in enumerate(doc["concepts"]):
+        paths += [("concepts", i, name) for name in ("id", "weight", "created_at")]
+        paths += [("concepts", i) + field for field in int_fields(entry)]
+    for section in ("digram_counts", "assoc_counts"):
+        paths += [(section, i, j) for i in range(len(doc[section])) for j in range(3)]
+    for k, members in doc["run_observations"].items():
+        paths += [("run_observations", k, i) for i in range(len(members))]
+    return paths
+
+
+NOT_AN_INTEGER = st.one_of(
+    st.sampled_from(["3", "x", "", "1.5", "-1", True, False, None, [], [1], {},
+                     2.0, 2.5, -0.5, 1e300, math.inf, -math.inf, math.nan]),
+    st.text(max_size=3), st.floats(), st.lists(st.integers(0, 3), max_size=2))
+
+
+@settings(max_examples=300, deadline=1000)
+@given(st.data())
+def test_load_of_a_graph_with_one_non_integer_field(data):
+    """A string, float, bool, list or null in place of a number either is a
+    `CorruptFile` or loads a graph whose save -> load -> save is byte-stable."""
+    doc = json.loads(trained_graph_text())
+    *path, last = data.draw(st.sampled_from(numeric_paths(doc)))
+    field = doc
+    for key in path:
+        field = field[key]
+    field[last] = data.draw(NOT_AN_INTEGER)
+    try:
+        g = graph_from_json(doc)
+    except CorruptFile:
+        return
+    text = dumps(g)
+    assert dumps(graph_from_json(json.loads(text))) == text
+
+
 def test_library_persists(tmp_path):
     g = ConceptGraph("ab")
     red = [FunctionExample("red", i, o) for i, o in [((1, 3), 4), ((2, 3), 5), ((5, 2), 7)]]
@@ -435,6 +478,60 @@ def test_teach_unknown_concept_and_bad_script():
         export_teach(g, 99)
     with pytest.raises(CorruptFile):
         import_teach(g, "(wobble 1)\n")
+
+
+def test_a_failed_teach_import_leaves_the_graph_as_it_was():
+    g = ConceptGraph("ab")
+    text = dumps(g)
+    with pytest.raises(TooLarge):
+        import_teach(g, '(prim "a")\n(prim "b")\n(concat 0 1)\n(repeat 2 1000000000)\n')
+    assert dumps(g) == text
+
+
+@functools.cache
+def teach_lines(lines: int):
+    """Teach lines from the s-expression grammar, with bad heads, arities,
+    references, counts and atoms mixed in."""
+    ref = st.one_of(st.integers(-1, lines + 1).map(str), st.sampled_from(["x", "1.5", "()"]))
+    count = st.sampled_from(["-1", "0", "1", "2", "3", "1000000000", "x"])
+    slot = st.one_of(st.builds("(hole {})".format, st.sampled_from(["0", "1", "2", "-1", "x"])),
+                     st.builds("(ref {})".format, ref), st.sampled_from(["(wobble 0)", "()", "0"]))
+    token = st.sampled_from(['"a"', '"b"', '"z"', "a", "()", '""'])
+
+    def line(head, *args):
+        return st.tuples(*args).map(lambda parts: "(" + " ".join((head,) + parts) + ")")
+
+    return st.one_of(
+        line("prim", token),
+        line("affect", st.sampled_from(["1", "-1", "0", "2", "x"])),
+        line("marker", token),
+        st.lists(ref, max_size=4).map(lambda refs: "(concat " + " ".join(refs) + ")"),
+        line("repeat", ref, count),
+        st.lists(slot, max_size=3).map(lambda slots: "(template " + " ".join(slots) + ")"),
+        st.lists(ref, min_size=1, max_size=3).map(lambda refs: "(apply " + " ".join(refs) + ")"),
+        line("assoc", ref, ref),
+        st.sampled_from(["(wobble 1)", "()", "(prim)", "(repeat 0)", "prim", "(concat", ")",
+                         "(assoc 0)", '(prim "a" "b")', "((prim) 0)"]),
+    )
+
+
+@settings(max_examples=300, deadline=1000)
+@given(st.data())
+def test_teach_script_fuzz_imports_or_leaves_the_graph_unchanged(data):
+    """Each script either imports, or raises a `GraphError` and leaves the
+    saved bytes of the graph as they were."""
+    g = ConceptGraph("ab")
+    text = dumps(g)
+    size = data.draw(st.integers(1, 6))
+    script = "\n".join(data.draw(st.lists(teach_lines(size), min_size=1, max_size=size)))
+    try:
+        top = import_teach(g, script)
+    except GraphError as exc:
+        event(type(exc).__name__)
+        assert dumps(g) == text
+        return
+    event("imported")
+    assert 0 <= top < len(g)
 
 
 @pytest.mark.parametrize("script", [
