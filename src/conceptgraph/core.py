@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from typing import Iterable, Optional, Sequence, Union
 
@@ -132,14 +132,13 @@ class Config:
             raise ValueError("decay must be in (0, 1]")
         if not (0.0 < self.valence_decay < 1.0):
             raise ValueError("valence_decay must be in (0, 1)")
-        for name in ("repeat_threshold", "assoc_threshold", "generalize_threshold",
-                     "beam_base", "pool_base", "synth_size_cap", "iter_cap",
-                     "value_cap", "valence_hop_cap"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("contrast_threshold", "fast_path_threshold", "smoothness_threshold"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and non-negative")
+        for f in fields(self):  # the annotations are strings (PEP 563)
+            value = getattr(self, f.name)
+            if f.type == "int":
+                if value <= 0:
+                    raise ValueError(f"{f.name} must be positive")
+            elif not 0.0 <= value < math.inf:
+                raise ValueError(f"{f.name} must be finite and non-negative")
 
 
 @dataclass
@@ -163,8 +162,8 @@ class ConceptGraph:
     per alphabet symbol) and the two affect primitives are created at
     initialization.  Besides the concepts, the graph keeps the expansions
     and the codeable count and weight (the code denominator), and holds the
-    refinement store and the digram, run and association counts;
-    description lengths are computed on demand in `mdl`.
+    refinement store, the run counts and the adjacent-pair counts that
+    associations and digrams share; description lengths come from `mdl`.
     """
 
     def __init__(self, alphabet: Sequence[Token], config: Optional[Config] = None):
@@ -176,9 +175,8 @@ class ConceptGraph:
         self.config = config or Config()
         self.concepts: list[Concept] = []
         self.episode: int = 0
-        self.assoc_counts: dict[tuple[int, int], int] = {}
         # adjacent Ref pair counts accumulated over stored descriptions
-        self.digram_counts: dict[tuple[int, int], int] = {}
+        self.assoc_counts: dict[tuple[int, int], int] = {}
         # episode id -> refinement chain (level 0 first)
         self.refinement_store: dict[int, list] = {}
         self.raw_bits_total: float = 0.0

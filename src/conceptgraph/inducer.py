@@ -12,7 +12,8 @@ denominator, and only a change within float rounding of the margin is
 recomputed from whole descriptions.  The episode lives in a pair index
 (Re-Pair, Larsson & Moffat 1999; digram counts kept as in Sequitur,
 Nevill-Manning & Witten 1997), so the scan after a step re-reads only the
-pairs the step changed.  Number templates, their applications to runs and the
+pairs the step changed; it reads the graph's association counts as its
+one pair table.  Number templates, their applications to runs and the
 common-component abstractions are forced by generalization thresholds
 instead: their payoff is expressive, not an immediate bit gain.
 """
@@ -251,7 +252,8 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token],
         bucket = _select_beam(bucket, beam, tokens)
         cands = ctx.candidates_at(tokens, pos)
         for state in bucket:
-            header_next = gamma_len(state.count + 2) - gamma_len(state.count + 1)
+            # gamma_len(x) - gamma_len(x - 1) is 2 at a power of two x, else 0
+            header_next = 2 if ((state.count + 2) & (state.count + 1)) == 0 else 0
             ref_base = state.cost + header_next
             for cid, length, bits in cands:
                 succ = _State(ref_base + bits, state.count + 1, pos + length,
@@ -260,7 +262,7 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token],
             if state.blob_len:
                 # extend the trailing blob by one token
                 old_len = state.blob_len
-                delta = (gamma_len(old_len + 1) - gamma_len(old_len)) + sigma_bits
+                delta = (2 if ((old_len + 1) & old_len) == 0 else 0) + sigma_bits
                 prev = state.node
                 succ = _State(state.cost + delta, state.count, pos + 1,
                               ("b", prev[1], pos + 1), state.parent, old_len + 1)
@@ -357,25 +359,6 @@ def _gated_add(graph: ConceptGraph, kind, nodes: Collection[Node], k: int,
     return False, nodes
 
 
-def _episode_digrams(nodes: list[Node]) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
-    """Non-overlapping counts and first positions of adjacent Ref pairs
-    (equal-element pairs belong to the run rule)."""
-    counts: dict[tuple[int, int], int] = {}
-    first: dict[tuple[int, int], int] = {}
-    last_end: dict[tuple[int, int], int] = {}
-    for i in range(len(nodes) - 1):
-        a, b = nodes[i], nodes[i + 1]
-        if not (isinstance(a, Ref) and isinstance(b, Ref)) or a.concept == b.concept:
-            continue
-        pair = (a.concept, b.concept)
-        if last_end.get(pair, -1) > i:
-            continue
-        counts[pair] = counts.get(pair, 0) + 1
-        last_end[pair] = i + 2
-        first.setdefault(pair, i)
-    return counts, first
-
-
 def _rewrite_pair(nodes: list[Node], pair: tuple[int, int], cid: int) -> list[Node]:
     out: list[Node] = []
     i = 0
@@ -420,10 +403,10 @@ class _PairIndex:
     the positions where it starts; a rewrite updates only the pairs around
     each replaced occurrence.  Pairs of distinct concepts never overlap, so
     their position count is the greedy left-to-right count; equal pairs
-    mark the runs.  A heap orders the candidate digrams (distinct pairs
-    whose episode count plus stored count reaches the threshold) by
-    (-combined count, first position, pair), with stale entries skipped.
-    Iterating yields the current nodes.
+    mark the runs.  A heap orders the candidate digrams (distinct pairs whose
+    episode count plus stored count, `graph.assoc_counts`, reaches the
+    threshold) by (-combined count, first position, pair), with stale
+    entries skipped.  Iterating yields the current nodes.
     """
 
     __slots__ = ("node", "ref", "nxt", "prv", "size", "at",
@@ -588,7 +571,7 @@ def induce_repeats(graph: ConceptGraph, desc: Description) -> tuple[Description,
     pairs it changed instead of the whole episode.
     """
     before = len(graph)
-    nodes = _PairIndex(desc.nodes, graph.digram_counts, graph.config.repeat_threshold)
+    nodes = _PairIndex(desc.nodes, graph.assoc_counts, graph.config.repeat_threshold)
     while True:
         for kind, k, rewrite, gated in _steps(graph, nodes):
             if gated:
@@ -783,8 +766,6 @@ def ingest(graph: ConceptGraph, experience,
     graph.tick_weights(_transitive_refs(graph, desc.refs()))
     episode_id = graph.episode
     graph.refinement_store.setdefault(episode_id, []).append(desc)
-    for pair, count in _episode_digrams(list(desc.nodes))[0].items():
-        graph.digram_counts[pair] = graph.digram_counts.get(pair, 0) + count
     raw_bits = raw_dl(len(stream.samples), len(graph.alphabet))
     graph.raw_bits_total += raw_bits
     _apply_forgetting(graph)

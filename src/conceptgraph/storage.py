@@ -5,8 +5,12 @@ so saving the same graph always produces the same bytes.  Loading checks
 each concept with the rule that `add` uses (`ConceptGraph._validate`, through
 `rebuild_derived`): references point at older concepts of a fitting kind,
 so a loaded graph has no dangling reference and no cycle, and any violation
-is a `CorruptFile`.  Teach scripts are line-oriented s-expressions in strict
-topological order.  Every file is written atomically (`write_text`).
+is a `CorruptFile`, as is an integer field holding anything but a JSON
+integer, or a `digram_counts` section other than the one derived from the
+association counts (`_digram_section`).  Teach scripts are line-oriented
+s-expressions in strict topological order.  One kind table (`_KINDS`) gives
+each concept kind's names and typed fields to every reader and writer.
+Every file is written atomically (`write_text`).
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import contextlib
 import json
 import math
 import os
+from dataclasses import fields
 
 from . import sexpr
 from .core import (
@@ -46,60 +51,67 @@ from .inducer import Blob, Description, Ref
 
 FORMAT_VERSION = "cg1"
 
-_CONFIG_FLOATS = ("contrast_threshold", "decay", "fast_path_threshold",
-                  "valence_decay", "smoothness_threshold")
-_CONFIG_INTS = ("repeat_threshold", "assoc_threshold", "generalize_threshold",
-                "valence_hop_cap", "beam_base", "pool_base", "synth_size_cap",
-                "iter_cap", "value_cap")
+_CONFIG_INTS = tuple(f.name for f in fields(Config) if f.type == "int")
+_CONFIG_FLOATS = tuple(f.name for f in fields(Config) if f.type == "float")
+
+REF, REFS, BODY, INT, STR = "ref", "refs", "body", "int", "str"  # field tags
+
+# The one kind table: a concept kind's name in graph files and DOT labels,
+# its teach head, and a tag per dataclass field, in field order.
+_KINDS = {
+    Primitive: ("primitive", "prim", STR),
+    Concat: ("concat", "concat", REFS),
+    Repeat: ("repeat", "repeat", REF, INT),
+    Template: ("template", "template", BODY),
+    Apply: ("apply", "apply", REF, REFS),
+    Association: ("association", "assoc", REF, REF),
+    AffectPrimitive: ("affect", "affect", INT),
+    Marker: ("marker", "marker", STR),
+}
+_FIELDS = {cls: tuple(zip([f.name for f in fields(cls)], tags, strict=True))
+           for cls, (_, _, *tags) in _KINDS.items()}  # class -> ((field, tag), ...)
+_BY_NAME = {row[0]: cls for cls, row in _KINDS.items()}
+_BY_HEAD = {row[1]: cls for cls, row in _KINDS.items()}
 
 
 def _fmt(x: float) -> str:
     return f"{x:.9f}"
 
 
-def _kind_to_json(kind: Kind):
-    if isinstance(kind, Primitive):
-        return {"kind": "primitive", "token": kind.token}
-    if isinstance(kind, Concat):
-        return {"kind": "concat", "children": list(kind.children)}
-    if isinstance(kind, Repeat):
-        return {"kind": "repeat", "child": kind.child, "count": kind.count}
-    if isinstance(kind, Template):
-        body = [["hole", s.index] if isinstance(s, Hole) else ["ref", s.concept]
-                for s in kind.body]
-        return {"kind": "template", "body": body}
-    if isinstance(kind, Apply):
-        return {"kind": "apply", "template": kind.template, "fillers": list(kind.fillers)}
-    if isinstance(kind, Association):
-        return {"kind": "association", "a": kind.a, "b": kind.b}
-    if isinstance(kind, AffectPrimitive):
-        return {"kind": "affect", "sign": kind.sign}
-    if isinstance(kind, Marker):
-        return {"kind": "marker", "label": kind.label}
-    raise TypeError(f"unknown kind {kind!r}")
+def _exact(cls):
+    """Reader of a value of type `cls` exactly: `_int` takes no float, bool or string."""
+    def read(value):
+        if type(value) is not cls:
+            raise CorruptFile(f"expected {cls.__name__}, got {type(value).__name__}")
+        return value
+    return read
 
 
-def _kind_from_json(data) -> Kind:
-    name = data["kind"]
-    if name == "primitive":
-        return Primitive(data["token"])
-    if name == "concat":
-        return Concat(tuple(int(c) for c in data["children"]))
-    if name == "repeat":
-        return Repeat(int(data["child"]), int(data["count"]))
-    if name == "template":
-        body = tuple(Hole(int(v)) if tag == "hole" else SlotRef(int(v))
-                     for tag, v in data["body"])
-        return Template(body)
-    if name == "apply":
-        return Apply(int(data["template"]), tuple(int(f) for f in data["fillers"]))
-    if name == "association":
-        return Association(int(data["a"]), int(data["b"]))
-    if name == "affect":
-        return AffectPrimitive(int(data["sign"]))
-    if name == "marker":
-        return Marker(data["label"])
-    raise CorruptFile(f"unknown concept kind {name!r}")
+_int, _str = _exact(int), _exact(str)
+
+
+def _key(text: str) -> int:
+    """A section key: the canonical decimal that `str` writes."""
+    if str(value := int(text)) != text:
+        raise CorruptFile(f"key {text!r} is not a canonical integer")
+    return value
+
+
+def _readers(ref, number) -> dict:
+    """Field readers by tag: `ref` reads a reference, `number` another integer."""
+    slot = {"hole": lambda v: Hole(number(v)), "ref": lambda v: SlotRef(ref(v))}
+    return {REF: ref, REFS: lambda v: tuple(map(ref, v)), INT: number, STR: _str,
+            BODY: lambda v: tuple(slot[tag](x) for tag, x in v)}
+
+
+def _writers(ref) -> dict:
+    """Field writers by tag, the inverse of `_readers`: `ref` maps a reference."""
+    return {REF: ref, REFS: lambda v: [ref(c) for c in v], INT: int, STR: str,
+            BODY: lambda v: [["hole", s.index] if isinstance(s, Hole) else ["ref", ref(s.concept)]
+                             for s in v]}
+
+
+_FROM_JSON, _TO_JSON = _readers(_int, _int), _writers(int)
 
 
 def _desc_to_json(desc: Description):
@@ -111,7 +123,7 @@ def _desc_from_json(data, parseable: set[int]) -> Description:
     nodes = []
     for tag, payload in data:
         if tag == "ref":
-            cid = int(payload)
+            cid = _int(payload)
             if cid not in parseable:
                 raise CorruptFile(f"description references {cid}, which does not expand")
             nodes.append(Ref(cid))
@@ -120,6 +132,11 @@ def _desc_from_json(data, parseable: set[int]) -> Description:
         else:
             raise CorruptFile(f"unknown description node {tag!r}")
     return Description(tuple(nodes))
+
+
+def _digram_section(graph: ConceptGraph) -> list[list[int]]:
+    """The file's `digram_counts`: the association counts of distinct pairs."""
+    return [[a, b, n] for (a, b), n in sorted(graph.assoc_counts.items()) if a != b]
 
 
 def graph_to_json(graph: ConceptGraph) -> dict:
@@ -133,11 +150,12 @@ def graph_to_json(graph: ConceptGraph) -> dict:
         "raw_bits_total": _fmt(graph.raw_bits_total),
         "concepts": [
             {"id": c.id, "created_at": c.created_at, "weight": _fmt(c.weight),
-             **_kind_to_json(c.kind)}
+             "kind": _KINDS[type(c.kind)][0],
+             **{name: _TO_JSON[tag](getattr(c.kind, name)) for name, tag in _FIELDS[type(c.kind)]}}
             for c in graph.concepts
         ],
         "assoc_counts": [[a, b, n] for (a, b), n in sorted(graph.assoc_counts.items())],
-        "digram_counts": [[a, b, n] for (a, b), n in sorted(graph.digram_counts.items())],
+        "digram_counts": _digram_section(graph),
         "run_observations": {str(k): sorted(v) for k, v in sorted(graph.run_observations.items())},
         "follows_marker": graph.follows_marker_id,
         "refinements": {str(ep): [_desc_to_json(d) for d in chain]
@@ -181,13 +199,16 @@ def graph_from_json(data) -> ConceptGraph:
     try:
         config_data = dict(data["config"])
         kwargs = {name: float(config_data[name]) for name in _CONFIG_FLOATS}
-        kwargs.update({name: int(config_data[name]) for name in _CONFIG_INTS})
+        kwargs.update({name: _int(config_data[name]) for name in _CONFIG_INTS})
         graph = ConceptGraph(tuple(data["alphabet"]), Config(**kwargs))
 
         base = len(graph.concepts)
         for i, entry in enumerate(data["concepts"]):
-            kind = _kind_from_json(entry)
-            if int(entry["id"]) != i:
+            cls = _BY_NAME.get(entry["kind"])
+            if cls is None:
+                raise CorruptFile(f"unknown concept kind {entry['kind']!r}")
+            kind = cls(*[_FROM_JSON[tag](entry[name]) for name, tag in _FIELDS[cls]])
+            if _int(entry["id"]) != i:
                 raise CorruptFile("concept ids must be dense and ascending")
             if i < base:
                 if graph.concepts[i].kind != kind:
@@ -195,24 +216,25 @@ def graph_from_json(data) -> ConceptGraph:
             else:
                 graph.concepts.append(Concept(id=i, kind=kind, weight=0.0, created_at=0))
             graph.set_weight(i, float(entry["weight"]))  # rejects NaN, inf and < 0
-            graph.concepts[i].created_at = int(entry["created_at"])
+            graph.concepts[i].created_at = _int(entry["created_at"])
         graph.rebuild_derived()  # the growth rule of `ConceptGraph._validate`
 
-        graph.episode = int(data["episode"])
+        graph.episode = _int(data["episode"])
         if graph.episode < 0:
             raise CorruptFile("episode must be non-negative")
         graph.raw_bits_total = float(data["raw_bits_total"])
         if not 0.0 <= graph.raw_bits_total < math.inf:
             raise CorruptFile("raw_bits_total must be finite and non-negative")
-        graph.assoc_counts = {(int(a), int(b)): int(n) for a, b, n in data["assoc_counts"]}
-        graph.digram_counts = {(int(a), int(b)): int(n) for a, b, n in data["digram_counts"]}
-        graph.run_observations = {int(k): set(int(c) for c in v)
+        graph.assoc_counts = {(_int(a), _int(b)): _int(n) for a, b, n in data["assoc_counts"]}
+        if [list(map(_int, entry)) for entry in data["digram_counts"]] != _digram_section(graph):
+            raise CorruptFile("digram_counts differs from the association counts")
+        graph.run_observations = {_key(k): set(map(_int, v))
                                   for k, v in data["run_observations"].items()}
         marker = data.get("follows_marker")
-        graph.follows_marker_id = int(marker) if marker is not None else None
+        graph.follows_marker_id = _int(marker) if marker is not None else None
         parseable = set(graph.parseable_ids())
         for ep, chain in data["refinements"].items():
-            graph.refinement_store[int(ep)] = [_desc_from_json(d, parseable) for d in chain]
+            graph.refinement_store[_key(ep)] = [_desc_from_json(d, parseable) for d in chain]
         graph.library = library_from_lines(data["library"])
         return graph
     except (VersionMismatch, CorruptFile):
@@ -229,7 +251,7 @@ def load(path: str) -> ConceptGraph:
         raise IoFailure(str(exc)) from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise CorruptFile(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise CorruptFile("graph file must hold a JSON object")
@@ -239,17 +261,10 @@ def load(path: str) -> ConceptGraph:
 # ----------------------------------------------------------------------
 # DOT export
 
-_KIND_NAMES = {
-    Primitive: "primitive", Concat: "concat", Repeat: "repeat",
-    Template: "template", Apply: "apply", Association: "association",
-    AffectPrimitive: "affect", Marker: "marker",
-}
-
-
 def dot_text(graph: ConceptGraph) -> str:
     lines = ["digraph concepts {"]
     for concept in graph.concepts:
-        kind_name = _KIND_NAMES[type(concept.kind)]
+        kind_name = _KINDS[type(concept.kind)][0]
         lines.append(f'  c{concept.id} [label="{concept.id}:{kind_name}:{concept.weight:.2f}"];')
     for concept in graph.concepts:
         dashed = isinstance(concept.kind, Association)
@@ -286,61 +301,33 @@ def export_teach(graph: ConceptGraph, cid: int) -> str:
             order.append(node)
             stack.pop()
     index = {node: i for i, node in enumerate(order)}
-    lines = []
+    lines, write = [], _writers(index.__getitem__)
     for node in order:
         kind = graph.concept(node).kind
-        if isinstance(kind, Primitive):
-            lines.append(f"(prim {sexpr.quote(kind.token)})")
-        elif isinstance(kind, AffectPrimitive):
-            lines.append(f"(affect {kind.sign})")
-        elif isinstance(kind, Marker):
-            lines.append(f"(marker {sexpr.quote(kind.label)})")
-        elif isinstance(kind, Concat):
-            refs = " ".join(str(index[c]) for c in kind.children)
-            lines.append(f"(concat {refs})")
-        elif isinstance(kind, Repeat):
-            lines.append(f"(repeat {index[kind.child]} {kind.count})")
-        elif isinstance(kind, Template):
-            slots = " ".join(
-                f"(hole {s.index})" if isinstance(s, Hole) else f"(ref {index[s.concept]})"
-                for s in kind.body)
-            lines.append(f"(template {slots})")
-        elif isinstance(kind, Apply):
-            refs = " ".join(str(index[c]) for c in (kind.template, *kind.fillers))
-            lines.append(f"(apply {refs})")
-        elif isinstance(kind, Association):
-            lines.append(f"(assoc {index[kind.a]} {index[kind.b]})")
-        else:
-            raise TypeError(f"unknown kind {kind!r}")
+        parts = [_KINDS[type(kind)][1]]
+        for name, tag in _FIELDS[type(kind)]:
+            value = write[tag](getattr(kind, name))
+            if tag == REFS:
+                parts += map(str, value)
+            elif tag == BODY:
+                parts += (f"({t} {v})" for t, v in value)
+            else:
+                parts.append(sexpr.quote(value) if tag == STR else str(value))
+        lines.append("(" + " ".join(parts) + ")")
     return "\n".join(lines) + "\n"
 
 
-def _teach_kind(node, resolve) -> Kind:
+def _teach_kind(node, read: dict) -> Kind:
     """The concept kind one parsed teach line describes."""
-    head = node[0]
-    if head == "prim":
-        return Primitive(node[1])
-    if head == "affect":
-        return AffectPrimitive(int(node[1]))
-    if head == "marker":
-        return Marker(node[1])
-    if head == "concat":
-        return Concat(tuple(resolve(a) for a in node[1:]))
-    if head == "repeat":
-        return Repeat(resolve(node[1]), int(node[2]))
-    if head == "template":
-        slots = []
-        for item in node[1:]:
-            if item[0] == "hole":
-                slots.append(Hole(int(item[1])))
-            else:
-                slots.append(SlotRef(resolve(item[1])))
-        return Template(tuple(slots))
-    if head == "apply":
-        return Apply(resolve(node[1]), tuple(resolve(a) for a in node[2:]))
-    if head == "assoc":
-        return Association(resolve(node[1]), resolve(node[2]))
-    raise CorruptFile(f"unknown teach head {head!r}")
+    cls = _BY_HEAD.get(node[0])
+    if cls is None:
+        raise CorruptFile(f"unknown teach head {node[0]!r}")
+    tags, values = [tag for _, tag in _FIELDS[cls]], node[1:]
+    if tags[-1] in (REFS, BODY):  # the last field takes the rest of the line
+        values = [*values[:len(tags) - 1], values[len(tags) - 1:]]
+    if len(values) != len(tags):
+        raise CorruptFile(f"{node[0]} takes {len(tags)} field(s), got {len(values)}")
+    return cls(*[read[tag](v) for tag, v in zip(tags, values)])
 
 
 def import_teach(graph: ConceptGraph, script: str) -> int:
@@ -358,14 +345,15 @@ def import_teach(graph: ConceptGraph, script: str) -> int:
             raise UnresolvedReference(f"line references entry {idx} before it exists")
         return local[idx]
 
+    read = _readers(resolve, int)
     try:
         for raw in script.splitlines():
             raw = raw.strip()
             if not raw:
                 continue
             try:
-                local.append(graph.add(_teach_kind(sexpr.parse_one(raw), resolve)))
-            except (IndexError, ValueError, TypeError) as exc:  # malformed line
+                local.append(graph.add(_teach_kind(sexpr.parse_one(raw), read)))
+            except (IndexError, KeyError, ValueError, TypeError) as exc:  # malformed line
                 raise CorruptFile(f"bad teach line {raw!r}: {exc}") from exc
         if not local:
             raise CorruptFile("empty teach script")

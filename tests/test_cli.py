@@ -166,6 +166,12 @@ def test_deeply_nested_library_line_is_data_error(tmp_path):
     assert_data_error(["stats", "--graph", str(graph)])
 
 
+def test_deeply_nested_graph_file_is_data_error(tmp_path):
+    graph = tmp_path / "g.cg"
+    graph.write_text("[" * 1000 + "]" * 1000)
+    assert_data_error(["stats", "--graph", str(graph)])
+
+
 def test_bad_episode_token_is_data_error(tmp_path, capsys):
     graph = tmp_path / "g.cg"
     data = tmp_path / "in.txt"

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -332,7 +333,7 @@ def test_config_validation():
         Config(valence_decay=1.0)
     with pytest.raises(ValueError):
         Config(pool_base=0)
-    for name in ("contrast_threshold", "fast_path_threshold", "smoothness_threshold"):
-        for bad in (float("nan"), float("inf"), -1.0):
+    for f in fields(Config):  # every int must be positive, every float finite and >= 0
+        for bad in (0,) if f.type == "int" else (float("nan"), float("inf"), -1.0):
             with pytest.raises(ValueError):
-                Config(**{name: bad})
+                Config(**{f.name: bad})

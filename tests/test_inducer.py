@@ -33,7 +33,6 @@ from conceptgraph.inducer import (
     _State,
     _apply_forgetting,
     _cheapest,
-    _episode_digrams,
     _gate_delta,
     _gated_add,
     _generalize_numbers,
@@ -390,13 +389,30 @@ def test_gate_inside_the_fallback_band_is_decided_by_the_full_recompute(monkeypa
     assert out == (_rewrite_pair(nodes, (0, 1), ab) if accepted else nodes)
 
 
+def episode_digrams(nodes):
+    """Non-overlapping counts and first positions of adjacent Ref pairs
+    (equal-element pairs belong to the run rule)."""
+    counts, first, last_end = {}, {}, {}
+    for i in range(len(nodes) - 1):
+        a, b = nodes[i], nodes[i + 1]
+        if not (isinstance(a, Ref) and isinstance(b, Ref)) or a.concept == b.concept:
+            continue
+        pair = (a.concept, b.concept)
+        if last_end.get(pair, -1) > i:
+            continue
+        counts[pair] = counts.get(pair, 0) + 1
+        last_end[pair] = i + 2
+        first.setdefault(pair, i)
+    return counts, first
+
+
 def rescanning_induce(graph, nodes):
     """The induction loop as it was before the pair index: every scan
     recounts the digrams and runs of the whole node list, and the gate
     costs the episode twice around a speculative add."""
     def steps():
-        counts, first = _episode_digrams(nodes)
-        combined = {p: n + graph.digram_counts.get(p, 0) for p, n in counts.items()}
+        counts, first = episode_digrams(nodes)
+        combined = {p: n + graph.assoc_counts.get(p, 0) for p, n in counts.items()}
         for pair in sorted((p for p in combined if combined[p] >= graph.config.repeat_threshold),
                            key=lambda p: (-combined[p], first[p], p)):
             yield Concat(pair), partial(_rewrite_pair, nodes, pair), True
@@ -447,7 +463,7 @@ def test_induce_repeats_matches_the_rescanning_loop(data):
     ids = g.parseable_ids()
     for a, b in data.draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
                                    max_size=6)):
-        g.digram_counts[a, b] = g.digram_counts.get((a, b), 0) + 1
+        g.assoc_counts[a, b] = g.assoc_counts.get((a, b), 0) + 1
     nodes = drawn_nodes(data, g) * data.draw(st.integers(1, 3))
     reference, size = graph_from_json(json.loads(dumps(g))), len(g)
     out, _ = induce_repeats(g, Description(tuple(nodes)))

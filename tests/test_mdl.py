@@ -33,6 +33,13 @@ def test_gamma_len_values():
         gamma_len(0)
 
 
+def test_gamma_len_step_is_two_at_powers_of_two():
+    """The closed form `parse` uses for gamma_len(k + 1) - gamma_len(k)."""
+    for k in range(1, 2**17 + 1):
+        x = k + 1
+        assert gamma_len(x) - gamma_len(k) == (2 if (x & (x - 1)) == 0 else 0)
+
+
 def test_raw_dl_values():
     assert raw_dl(4, 2) == pytest.approx(9.0)
     assert raw_dl(0, 7) == pytest.approx(1.0)

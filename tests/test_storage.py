@@ -1,9 +1,12 @@
 import errno
 import functools
+import hashlib
 import json
 import math
 import os
 import random
+import typing
+from dataclasses import fields
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -15,7 +18,10 @@ from conceptgraph.core import (
     Association,
     Concat,
     ConceptGraph,
+    Config,
     Hole,
+    Kind,
+    Marker,
     Repeat,
     SlotRef,
     Template,
@@ -68,7 +74,6 @@ def test_load_restores_structure_and_behavior(tmp_path):
     assert len(restored) == len(g)
     assert restored.episode == g.episode
     assert restored.assoc_counts == g.assoc_counts
-    assert restored.digram_counts == g.digram_counts
     assert restored.run_observations == g.run_observations
     for a, b in zip(g.concepts, restored.concepts):
         assert a.kind == b.kind and a.created_at == b.created_at
@@ -174,6 +179,33 @@ def reference_kinds_data():
     return json.loads(dumps(g))
 
 
+def test_dot_and_teach_bytes_are_pinned():
+    """Every kind's DOT label and teach line, affect primitives and a
+    quoted marker label included."""
+    g = graph_from_json(reference_kinds_data())
+    g.follows_marker_id = g.add(Marker('follows "x" \\'))
+    g.set_weight(8, 2.5)
+    teach = "".join(export_teach(g, c.id) for c in g.concepts)
+    assert hashlib.sha256(dot_text(g).encode()).hexdigest() == (
+        "32a72fb15a7d8cbc11587840d15a69c59d8114ce9ef9b8e449e9122be8986475")
+    assert hashlib.sha256(teach.encode()).hexdigest() == (
+        "3d96fedec0cdfa26de2342c0669f453bf033c20250975512b813137ac9061667")
+
+
+def test_every_kind_has_one_row_in_the_kind_table():
+    rows = storage._KINDS
+    assert set(rows) == set(typing.get_args(Kind))
+    for column in (0, 1):  # file and DOT name, teach head
+        assert len({row[column] for row in rows.values()}) == len(rows)
+    for cls, named_tags in storage._FIELDS.items():
+        assert [name for name, _ in named_tags] == [f.name for f in fields(cls)]
+
+
+def test_config_fields_are_the_dataclass_fields():
+    names = [f.name for f in fields(Config)]
+    assert sorted(storage._CONFIG_INTS + storage._CONFIG_FLOATS) == sorted(names)
+
+
 @pytest.mark.parametrize("cid, field, value", [
     pytest.param(7, "template", 3, id="apply-names-an-affect-primitive"),
     pytest.param(7, "fillers", [], id="two-hole-apply-without-fillers"),
@@ -254,8 +286,9 @@ def test_load_of_a_graph_with_one_edited_integer(data):
 
 def numeric_paths(doc) -> list[tuple]:
     """Paths of every numeric field of a saved graph: concept ids, weights,
-    creation episodes, references and counts, the episode, the integer config fields and the
-    entries of the digram, association and run counts."""
+    creation episodes, references and counts, the episode, the integer config fields, the
+    entries of the digram, association and run counts, the follows marker
+    and the refinement refs."""
     paths = [("episode",)]
     paths += [("config", name) for name, value in doc["config"].items() if isinstance(value, int)]
     for i, entry in enumerate(doc["concepts"]):
@@ -265,6 +298,11 @@ def numeric_paths(doc) -> list[tuple]:
         paths += [(section, i, j) for i in range(len(doc[section])) for j in range(3)]
     for k, members in doc["run_observations"].items():
         paths += [("run_observations", k, i) for i in range(len(members))]
+    if doc["follows_marker"] is not None:
+        paths.append(("follows_marker",))
+    for ep, chain in doc["refinements"].items():
+        paths += [("refinements", ep, level, i, 1) for level, desc in enumerate(chain)
+                  for i, (tag, _) in enumerate(desc) if tag == "ref"]
     return paths
 
 
@@ -277,20 +315,73 @@ NOT_AN_INTEGER = st.one_of(
 @settings(max_examples=300, deadline=1000)
 @given(st.data())
 def test_load_of_a_graph_with_one_non_integer_field(data):
-    """A string, float, bool, list or null in place of a number either is a
-    `CorruptFile` or loads a graph whose save -> load -> save is byte-stable."""
+    """A string, float, bool, list or null in place of an integer is a
+    `CorruptFile`.  A weight is a formatted float, so in its place the value
+    either is a `CorruptFile` or loads a graph whose save -> load -> save is
+    byte-stable."""
     doc = json.loads(trained_graph_text())
     *path, last = data.draw(st.sampled_from(numeric_paths(doc)))
     field = doc
     for key in path:
         field = field[key]
     field[last] = data.draw(NOT_AN_INTEGER)
+    if last != "weight":
+        with pytest.raises(CorruptFile):
+            graph_from_json(doc)
+        return
     try:
         g = graph_from_json(doc)
     except CorruptFile:
         return
     text = dumps(g)
     assert dumps(graph_from_json(json.loads(text))) == text
+
+
+@pytest.mark.parametrize("key", ["01", "+1", " 1", "1.0", "-0", "x", ""])
+@pytest.mark.parametrize("section", ["refinements", "run_observations"])
+def test_load_rejects_a_non_canonical_key(section, key):
+    doc = json.loads(trained_graph_text())
+    value = doc[section].pop("1" if section == "refinements" else "2")
+    doc[section][key] = value
+    with pytest.raises(CorruptFile):
+        graph_from_json(doc)
+
+
+def test_the_digram_section_is_the_distinct_pair_counts():
+    """The file's digram section is derived from the association counts; a
+    section that differs from it is a `CorruptFile`, not rewritten."""
+    g = trained_graph()
+    doc = json.loads(dumps(g))
+    assert doc["digram_counts"] == [[a, b, n] for (a, b), n in sorted(g.assoc_counts.items())
+                                    if a != b]
+    assert len(doc["digram_counts"]) > 1
+
+    def add_an_equal_pair(d):  # a valid association count, but no digram
+        d["assoc_counts"].insert(0, [0, 0, 5])
+        d["digram_counts"].insert(0, [0, 0, 5])
+
+    edits = [
+        lambda d: d["digram_counts"].pop(),
+        lambda d: d["digram_counts"][0].__setitem__(2, d["digram_counts"][0][2] + 1),
+        lambda d: d["digram_counts"][0].__setitem__(2, float(d["digram_counts"][0][2])),
+        lambda d: d["digram_counts"].reverse(),
+        lambda d: d["assoc_counts"].pop(),
+        add_an_equal_pair,
+    ]
+    for edit in edits:
+        bad = json.loads(dumps(g))
+        edit(bad)
+        with pytest.raises(CorruptFile):
+            graph_from_json(bad)
+    doc["assoc_counts"].insert(0, [0, 0, 5])
+    assert graph_from_json(doc).assoc_counts[0, 0] == 5
+
+
+def test_a_deeply_nested_graph_file_is_corrupt_file(tmp_path):
+    path = tmp_path / "nested.cg"
+    path.write_text("[" * 1000 + "]" * 1000)
+    with pytest.raises(CorruptFile):
+        load(str(path))
 
 
 def test_library_persists(tmp_path):
@@ -543,6 +634,11 @@ def test_teach_script_fuzz_imports_or_leaves_the_graph_unchanged(data):
     "(prim a)\n(concat 0 x)",
     "(affect 2)",
     "(prim (a))",
+    '(prim "a" "b")',
+    "(affect 1 1)",
+    "(prim a)\n(repeat 0 2 2)",
+    "(prim a)\n(prim b)\n(assoc 0 1 1)",
+    "(prim a)\n(template (hole 0) (wobble 0))",
     pytest.param('(prim "a")\n(concat ' + "(" * 2000 + ")" * 2000 + " 0)", id="deep-nesting"),
 ])
 def test_teach_malformed_line_is_corrupt_file(script):
