@@ -27,12 +27,10 @@ from .core import (
     match_emotion,
 )
 from .inducer import (
-    Blob,
     Budget,
     Description,
     IngestReport,
     Node,
-    Ref,
     abstract_common,
     induce_repeats,
     ingest,

@@ -14,7 +14,7 @@ from . import mdl, storage
 from .core import ConceptGraph, Config
 from .errors import GraphError
 from .fnsynth import learn_all, library_to_lines, parse_examples_text
-from .inducer import Blob, Description, ingest, parse, refine
+from .inducer import Description, ingest, parse, refine
 from .mdl import DLReport, description_dl, model_dl, raw_dl
 from .segmenter import RawStream, Segment, segment_scalar
 
@@ -81,13 +81,8 @@ def _read_text(path: str) -> str:
 
 
 def _desc_text(desc: Description) -> str:
-    parts = []
-    for node in desc.nodes:
-        if isinstance(node, Blob):
-            parts.append("'" + "".join(node.tokens) + "'")
-        else:
-            parts.append(f"[{node.concept}]")
-    return " ".join(parts)
+    return " ".join(f"[{node}]" if type(node) is int else "'" + "".join(node) + "'"
+                    for node in desc.nodes)
 
 
 def _quantize(graph: ConceptGraph, levels: list[int]) -> tuple[str, ...]:

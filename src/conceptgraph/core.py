@@ -175,7 +175,7 @@ class ConceptGraph:
         self.config = config or Config()
         self.concepts: list[Concept] = []
         self.episode: int = 0
-        # adjacent Ref pair counts accumulated over stored descriptions
+        # adjacent ref pair counts accumulated over stored descriptions
         self.assoc_counts: dict[tuple[int, int], int] = {}
         # episode id -> refinement chain (level 0 first)
         self.refinement_store: dict[int, list] = {}
@@ -537,15 +537,14 @@ def _constraint_matches(constraint: SlotConstraint, node, valences,
                         labels: dict[int, str]) -> bool:
     if constraint.kind == "any":
         return True
-    concept = getattr(node, "concept", None)
-    if concept is None:  # blob: only wildcards match
+    if type(node) is not int:  # blob: only wildcards match
         return False
     if constraint.kind == "exact":
-        return concept == constraint.concept
+        return node == constraint.concept
     if constraint.kind == "label":
-        return labels.get(concept) == constraint.label
+        return labels.get(node) == constraint.label
     if constraint.kind == "valence":
-        v = valences.get(concept, 0.0)
+        v = valences.get(node, 0.0)
         return v > 0 if constraint.sign > 0 else v < 0
     raise MalformedTemplate(f"unknown constraint kind {constraint.kind!r}")
 

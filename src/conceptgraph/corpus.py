@@ -17,7 +17,7 @@ from . import mdl
 from .core import Concat, ConceptGraph, Token
 from .errors import TooLarge
 from .fnsynth import FunctionExample
-from .inducer import Description, Ref
+from .inducer import Description
 from .mdl import description_dl, gamma_len, model_dl
 
 GRAMMAR_ALPHABET = tuple("abcdefgh")
@@ -45,11 +45,11 @@ def gen_grammar_corpus(seed: int, depth: int, target_len: int,
                 next_level.append(cid)
         level_ids = next_level
 
-    refs: list[Ref] = []
+    refs: list[int] = []
     tokens: list[Token] = []
     while len(tokens) < target_len:
         cid = rng.choice(level_ids)
-        refs.append(Ref(cid))
+        refs.append(cid)
         tokens.extend(graph.expansion(cid))
     desc = Description(tuple(refs))
     generator_dl = model_dl(graph) + description_dl(graph, desc)

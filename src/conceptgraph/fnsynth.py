@@ -258,13 +258,18 @@ class FunctionExample:
 Vector = tuple[int, ...]  # a term's values on the example inputs, in order
 
 
-def _sections(library: Library, leaves: list[tuple[Term, Vector]]
+def _sections(library: Library, leaves: list[tuple[Term, Vector]], size: int
               ) -> list[tuple[Section, LibraryFn, list[tuple[int, ...]]]]:
-    """All one-open-slot sections over `leaves`, in (fn index, slot, filler
-    order), each with its library entry and its filler values per input."""
+    """The one-open-slot sections over `leaves` that fit an iteration of
+    `size`, in (fn index, slot, filler order), each with its library entry
+    and its filler values per input.  A section of an arity-k entry has
+    size k, which leaves room for a count and a seed only when k <= size - 3,
+    so a wide entry never builds its (leaves^(k-1) * k) sections."""
     rows = range(len(leaves[0][1]))
     out = []
     for fn in library.entries:
+        if fn.arity > size - 3:
+            continue
         for slot in range(fn.arity):
             for fillers in itertools.product(leaves, repeat=fn.arity - 1):
                 section = Section(fn.name, slot, tuple(term for term, _ in fillers))
@@ -313,7 +318,6 @@ class _Enumerator:
         leaves += [(Const(c), (c,) * len(inputs)) for c in (0, 1)]
         self.levels: dict[int, list[tuple[Term, Vector]]] = {
             1: [leaf for leaf in leaves if self._keep(leaf[1])]}
-        self.sections = _sections(evaluator.library, self.levels[1])
 
     def _keep(self, vector: Optional[Vector]) -> bool:
         if vector is None or vector in self.seen:
@@ -340,7 +344,7 @@ class _Enumerator:
                         level.append((Call(fn.name, tuple(t for t, _ in args)), vector))
                         yield level[-1]
         iter_cap = self.evaluator.iter_cap
-        for section, fn, fillers in self.sections:
+        for section, fn, fillers in _sections(self.evaluator.library, self.levels[1], size):
             budget = size - 1 - section_size(section)
             for count_size in range(1, budget):
                 seeds = self.levels[budget - count_size]
@@ -443,7 +447,10 @@ def learn_all(example_sets: Sequence[tuple[str, Sequence[FunctionExample]]],
 # external text formats
 
 def parse_examples_text(text: str) -> list[tuple[str, list[FunctionExample]]]:
-    """`label arity in1 .. inN out` per line; returns sets in input order."""
+    """`label arity in1 .. inN out` per line; returns sets in input order.
+
+    A label must read back as itself in a library line (`sexpr.parse_one`)
+    and must not name a builtin; any other label is a ValueError."""
     sets: dict[str, list[FunctionExample]] = {}
     order: list[str] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -454,6 +461,12 @@ def parse_examples_text(text: str) -> list[tuple[str, list[FunctionExample]]]:
         if len(parts) < 3:
             raise ValueError(f"line {lineno}: expected 'label arity in... out'")
         label = parts[0]
+        try:
+            readable = sexpr.parse_one(label) == label
+        except ValueError:
+            readable = False
+        if not readable or label in _BUILTINS:
+            raise ValueError(f"line {lineno}: label {label!r} cannot name a library entry")
         try:
             arity = int(parts[1])
             numbers = [int(p) for p in parts[2:]]

@@ -16,6 +16,9 @@ pairs the step changed; it reads the graph's association counts as its
 one pair table.  Number templates, their applications to runs and the
 common-component abstractions are forced by generalization thresholds
 instead: their payoff is expressive, not an immediate bit gain.
+
+Description nodes are plain values: a reference is the concept id it
+names and a blob the tuple of raw tokens it spells.
 """
 
 from __future__ import annotations
@@ -47,25 +50,20 @@ from .mdl import description_dl, gamma_len, raw_dl
 from .segmenter import RawStream, Segment, TOKEN, identity_token_class, segment_tokens
 
 
-@dataclass(frozen=True, slots=True)
-class Ref:
-    concept: int
-
-
-@dataclass(frozen=True, slots=True)
-class Blob:
-    tokens: tuple[Token, ...]
-
-
-Node = Union[Ref, Blob]
+Node = Union[int, tuple[Token, ...]]
+"""A reference is its concept id, a blob its non-empty token tuple; a tuple
+never equals an int, so nodes match by plain equality."""
 
 
 @dataclass(frozen=True)
 class Description:
+    """One experience as a sequence of nodes: the unit that refinement
+    chains, ingest reports and graph files hold."""
+
     nodes: tuple[Node, ...]
 
     def refs(self) -> set[int]:
-        return {n.concept for n in self.nodes if isinstance(n, Ref)}
+        return {n for n in self.nodes if type(n) is int}
 
 
 EMPTY_DESCRIPTION = Description(())
@@ -128,10 +126,7 @@ class _State:
         return self._sig
 
     def nodes(self, tokens) -> tuple[Node, ...]:
-        out = []
-        for tag, payload in self.signature(tokens):
-            out.append(Ref(payload) if tag == 0 else Blob(payload))
-        return tuple(out)
+        return tuple(payload for _, payload in self.signature(tokens))
 
 
 _cost = attrgetter("cost")
@@ -166,46 +161,38 @@ def _cheapest(finals: list[_State], tokens) -> _State:
 
 
 class _ParseContext:
-    """Per-episode parse machinery: candidate expansions, their trie, ref costs.
+    """Per-episode parse machinery: candidate entries, their trie, ref costs.
 
     The candidates are the top-pool concepts by weight plus the fast-path
-    set, each with its (id, length, reference bits) entry.  With the fast
-    index on, the expansions are merged into a token trie whose nodes list
-    the entries ending there, so a lookup walks only as far as the longest
-    match; off, every candidate is compared by slicing (the linear-scan
-    reference).  Weights are constant between ticks, so one context serves
-    every parse call an ingest makes (segments plus blob residue).
+    set, each with its (id, length, reference bits) entry.  Their expansions
+    are merged into a token trie whose nodes list the entries ending there,
+    so a lookup walks only as far as the longest match.  Weights are
+    constant between ticks, so one context serves every parse call an
+    ingest makes (segments plus blob residue).
     """
 
-    __slots__ = ("budget", "log_d", "sigma_bits", "expansions", "entries", "trie")
+    __slots__ = ("budget", "log_d", "sigma_bits", "entries", "trie")
 
-    def __init__(self, graph: ConceptGraph, budget: Budget, use_fast_index: bool = True):
+    def __init__(self, graph: ConceptGraph, budget: Budget):
         self.budget = budget
         self.log_d = mdl.escape_cost(graph)
         self.sigma_bits = math.log2(len(graph.alphabet))
         pool = sorted(
             graph.parseable_ids(),
             key=lambda cid: (-graph.concepts[cid].weight, cid))[:budget.pool]
-        self.expansions = {cid: graph.expansion(cid)
-                           for cid in graph.fast_path_set().union(pool)}
+        expansions = {cid: graph.expansion(cid) for cid in graph.fast_path_set().union(pool)}
         self.entries = [
-            (cid, len(self.expansions[cid]),
-             self.log_d - math.log2(graph.concepts[cid].weight + 1.0))
-            for cid in sorted(self.expansions)]
-        self.trie = None
-        if use_fast_index:
-            self.trie = ({}, [])
-            for entry in self.entries:
-                node = self.trie
-                for token in self.expansions[entry[0]]:
-                    node = node[0].setdefault(token, ({}, []))
-                node[1].append(entry)
+            (cid, len(expansions[cid]), self.log_d - math.log2(graph.concepts[cid].weight + 1.0))
+            for cid in sorted(expansions)]
+        self.trie = ({}, [])
+        for entry in self.entries:
+            node = self.trie
+            for token in expansions[entry[0]]:
+                node = node[0].setdefault(token, ({}, []))
+            node[1].append(entry)
 
     def candidates_at(self, tokens: tuple, pos: int) -> list[tuple[int, int, float]]:
         """Entries of the candidates whose expansion prefixes tokens[pos:]."""
-        if self.trie is None:
-            return [entry for entry in self.entries
-                    if tokens[pos:pos + entry[1]] == self.expansions[entry[0]]]
         found = []
         node = self.trie
         for i in range(pos, len(tokens)):
@@ -217,15 +204,16 @@ class _ParseContext:
 
 
 def parse(graph: ConceptGraph, tokens: Sequence[Token],
-          budget: Optional[Budget] = None, *, use_fast_index: bool = True,
+          budget: Optional[Budget] = None, *,
           context: Optional[_ParseContext] = None) -> Description:
     """Minimum-description-length parse of `tokens` against the graph.
 
     Candidates at each position are the fast-path and top-pool concepts
     (by weight) whose expansion prefixes the remainder, and a single-token
     blob.  The all-blob description is always considered.  The budget is
-    the context's if one is passed.  The fast index (the context's trie)
-    only accelerates the candidate lookup; results are identical without.
+    the context's if one is passed.  Refs come out as concept ids, blobs
+    as token tuples; exact cost ties go to the smallest (0, id) / (1,
+    tokens) signature.
     """
     tokens = tuple(tokens)
     alphabet = set(graph.alphabet)
@@ -235,8 +223,7 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token],
     n = len(tokens)
     if n == 0:
         return EMPTY_DESCRIPTION
-    ctx = context or _ParseContext(
-        graph, budget or Budget.from_config(graph.config, 0), use_fast_index)
+    ctx = context or _ParseContext(graph, budget or Budget.from_config(graph.config, 0))
     beam = ctx.budget.beam
     log_d = ctx.log_d
     sigma_bits = ctx.sigma_bits
@@ -284,14 +271,14 @@ def reconstruct(graph: ConceptGraph, desc: Description) -> tuple[Token, ...]:
     """Exact inverse of parse: concatenated expansions and blob payloads."""
     out: list[Token] = []
     for node in desc.nodes:
-        if isinstance(node, Ref):
-            if not (0 <= node.concept < len(graph)) or not graph.is_parseable(node.concept):
-                raise InvalidDescription(f"ref to non-expanding concept {node.concept}")
-            out.extend(graph.expansion(node.concept))
-        elif isinstance(node, Blob):
-            if not node.tokens:
+        if type(node) is int:
+            if not (0 <= node < len(graph)) or not graph.is_parseable(node):
+                raise InvalidDescription(f"ref to non-expanding concept {node}")
+            out.extend(graph.expansion(node))
+        elif type(node) is tuple:
+            if not node:
                 raise InvalidDescription("empty blob")
-            out.extend(node.tokens)
+            out.extend(node)
         else:
             raise InvalidDescription(f"unknown node {node!r}")
     return tuple(out)
@@ -363,10 +350,8 @@ def _rewrite_pair(nodes: list[Node], pair: tuple[int, int], cid: int) -> list[No
     out: list[Node] = []
     i = 0
     while i < len(nodes):
-        if (i + 1 < len(nodes)
-                and isinstance(nodes[i], Ref) and nodes[i].concept == pair[0]
-                and isinstance(nodes[i + 1], Ref) and nodes[i + 1].concept == pair[1]):
-            out.append(Ref(cid))
+        if i + 1 < len(nodes) and nodes[i] == pair[0] and nodes[i + 1] == pair[1]:
+            out.append(cid)
             i += 2
         else:
             out.append(nodes[i])
@@ -379,12 +364,12 @@ def _rewrite_runs(nodes: list[Node], concept: int, length: int, cid: int) -> lis
     i = 0
     while i < len(nodes):
         node = nodes[i]
-        if isinstance(node, Ref) and node.concept == concept:
+        if node == concept:
             j = i
             while j < len(nodes) and nodes[j] == node:
                 j += 1
             if j - i == length:
-                out.append(Ref(cid))
+                out.append(cid)
             else:
                 out.extend(nodes[i:j])
             i = j
@@ -399,7 +384,7 @@ class _PairIndex:
 
     Nodes keep their original positions as order keys: a rewrite replaces
     an occurrence by a ref at its first position and unlinks the rest, so
-    the relative order never changes.  `at` maps every adjacent Ref pair to
+    the relative order never changes.  `at` maps every adjacent ref pair to
     the positions where it starts; a rewrite updates only the pairs around
     each replaced occurrence.  Pairs of distinct concepts never overlap, so
     their position count is the greedy left-to-right count; equal pairs
@@ -409,13 +394,12 @@ class _PairIndex:
     entries skipped.  Iterating yields the current nodes.
     """
 
-    __slots__ = ("node", "ref", "nxt", "prv", "size", "at",
+    __slots__ = ("node", "nxt", "prv", "size", "at",
                  "stored", "threshold", "heap", "live", "aside")
 
     def __init__(self, nodes: Sequence[Node], stored: dict, threshold: int):
         n = len(nodes)
-        self.node = list(nodes)
-        self.ref = ref = [x.concept if isinstance(x, Ref) else None for x in nodes]
+        self.node = node = list(nodes)
         self.nxt = list(range(1, n + 1))
         self.prv = list(range(-1, n - 1))
         if n:
@@ -423,8 +407,8 @@ class _PairIndex:
         self.size = n
         self.at: dict[tuple[int, int], set[int]] = {}
         for i in range(n - 1):
-            a, b = ref[i], ref[i + 1]
-            if a is not None and b is not None:
+            a, b = node[i], node[i + 1]
+            if type(a) is int and type(b) is int:
                 self.at.setdefault((a, b), set()).add(i)
         self.stored, self.threshold = stored, threshold
         self.live: dict[tuple[int, int], Optional[tuple]] = {}  # pair -> its heap entry
@@ -480,20 +464,20 @@ class _PairIndex:
         """Maximal runs of identical refs as (concept, length, start), in order."""
         starts = sorted(p for (a, b), where in self.at.items() if a == b for p in where)
         found = []
-        ref, nxt, prv = self.ref, self.nxt, self.prv
+        node, nxt, prv = self.node, self.nxt, self.prv
         for p in starts:
-            c = ref[p]
-            if prv[p] >= 0 and ref[prv[p]] == c:
+            c = node[p]
+            if prv[p] >= 0 and node[prv[p]] == c:
                 continue  # inside a run
             length, q = 2, nxt[nxt[p]]
-            while q >= 0 and ref[q] == c:
+            while q >= 0 and node[q] == c:
                 length, q = length + 1, nxt[q]
             found.append((c, length, p))
         return found
 
     def _replace(self, first: int, span: int, cid: int, touched: set) -> None:
-        """Replace the `span` nodes from position `first` by Ref(cid)."""
-        ref, nxt, prv, at = self.ref, self.nxt, self.prv, self.at
+        """Replace the `span` nodes from position `first` by a ref to `cid`."""
+        node, nxt, prv, at = self.node, self.nxt, self.prv, self.at
         left = prv[first]
         ends = [first] if left < 0 else [left, first]
         last = first
@@ -503,25 +487,24 @@ class _PairIndex:
         right = nxt[last]
         for p in ends:  # drop every pair touching the occurrence
             q = nxt[p]
-            if q >= 0 and ref[p] is not None and ref[q] is not None:
-                pair = (ref[p], ref[q])
+            if q >= 0 and type(node[p]) is int and type(node[q]) is int:
+                pair = (node[p], node[q])
                 at[pair].discard(p)
                 touched.add(pair)
-        ref[first] = cid
-        self.node[first] = Ref(cid)
+        node[first] = cid
         nxt[first] = right
         if right >= 0:
             prv[right] = first
         self.size -= span - 1
         for p in (left, first):
             q = nxt[p] if p >= 0 else -1
-            if q >= 0 and ref[p] is not None and ref[q] is not None:
-                pair = (ref[p], ref[q])
+            if q >= 0 and type(node[p]) is int and type(node[q]) is int:
+                pair = (node[p], node[q])
                 at.setdefault(pair, set()).add(p)
                 touched.add(pair)
 
     def rewrite(self, firsts: list[int], span: int, cid: int) -> "_PairIndex":
-        """Replace the occurrences starting at `firsts` (in order) by Ref(cid)."""
+        """Replace the occurrences starting at `firsts` (in order) by refs to `cid`."""
         touched: set = set()
         for first in firsts:
             self._replace(first, span, cid, touched)
@@ -631,16 +614,13 @@ def abstract_common(graph: ConceptGraph) -> list[int]:
 
 
 def record_associations(graph: ConceptGraph, desc: Description) -> list[tuple[int, int]]:
-    """Count adjacent Ref pairs; reify an Association at the threshold, and
+    """Count adjacent ref pairs; reify an Association at the threshold, and
     add the generic follows marker once enough distinct associations exist."""
     cfg = graph.config
     reified: list[tuple[int, int]] = []
-    nodes = desc.nodes
-    for i in range(len(nodes) - 1):
-        a, b = nodes[i], nodes[i + 1]
-        if not (isinstance(a, Ref) and isinstance(b, Ref)):
+    for pair in zip(desc.nodes, desc.nodes[1:]):
+        if type(pair[0]) is not int or type(pair[1]) is not int:
             continue
-        pair = (a.concept, b.concept)
         count = graph.assoc_counts.get(pair, 0) + 1
         graph.assoc_counts[pair] = count
         if count == cfg.assoc_threshold:
@@ -708,8 +688,8 @@ def _resegment_blobs(graph: ConceptGraph, desc: Description,
     out: list[Node] = []
     parsed: dict[tuple, tuple[Node, ...]] = {}
     for node in desc.nodes:
-        if isinstance(node, Blob) and len(node.tokens) > 1:
-            runs = segment_tokens(RawStream.tokens(node.tokens), identity_token_class)
+        if type(node) is tuple and len(node) > 1:
+            runs = segment_tokens(RawStream.tokens(node), identity_token_class)
             for seg in runs:
                 nodes = parsed.get(seg.payload)
                 if nodes is None:

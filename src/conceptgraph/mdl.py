@@ -95,16 +95,14 @@ def description_dl(graph: "ConceptGraph", desc: "Description") -> float:
     sigma_bits = math.log2(len(graph.alphabet))
     log_d = math.log2(_denominator(graph))
     for node in desc.nodes:
-        concept = getattr(node, "concept", None)
-        if concept is not None:
-            if not (0 <= concept < len(graph)) or not graph.is_parseable(concept):
-                raise InvalidDescription(f"ref to non-expanding concept {concept}")
-            total += log_d - math.log2(graph.concept(concept).weight + 1.0)
+        if type(node) is int:
+            if not (0 <= node < len(graph)) or not graph.is_parseable(node):
+                raise InvalidDescription(f"ref to non-expanding concept {node}")
+            total += log_d - math.log2(graph.concept(node).weight + 1.0)
+        elif type(node) is not tuple or not node:
+            raise InvalidDescription(f"node {node!r} is neither a ref nor a non-empty blob")
         else:
-            tokens = node.tokens
-            if not tokens:
-                raise InvalidDescription("empty blob")
-            total += log_d + gamma_len(len(tokens)) + len(tokens) * sigma_bits
+            total += log_d + gamma_len(len(node)) + len(node) * sigma_bits
     return total
 
 

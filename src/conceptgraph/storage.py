@@ -6,8 +6,9 @@ each concept with the rule that `add` uses (`ConceptGraph._validate`, through
 `rebuild_derived`): references point at older concepts of a fitting kind,
 so a loaded graph has no dangling reference and no cycle, and any violation
 is a `CorruptFile`, as is an integer field holding anything but a JSON
-integer, or a `digram_counts` section other than the one derived from the
-association counts (`_digram_section`).  Teach scripts are line-oriented
+integer, a blob other than a list of one or more alphabet tokens, or a
+`digram_counts` section other than the one derived from the association
+counts (`_digram_section`).  Teach scripts are line-oriented
 s-expressions in strict topological order.  One kind table (`_KINDS`) gives
 each concept kind's names and typed fields to every reader and writer.
 Every file is written atomically (`write_text`).
@@ -47,7 +48,7 @@ from .errors import (
     VersionMismatch,
 )
 from .fnsynth import Library, library_from_lines, library_to_lines
-from .inducer import Blob, Description, Ref
+from .inducer import Description
 
 FORMAT_VERSION = "cg1"
 
@@ -87,7 +88,7 @@ def _exact(cls):
     return read
 
 
-_int, _str = _exact(int), _exact(str)
+_int, _str, _list = _exact(int), _exact(str), _exact(list)
 
 
 def _key(text: str) -> int:
@@ -115,22 +116,25 @@ _FROM_JSON, _TO_JSON = _readers(_int, _int), _writers(int)
 
 
 def _desc_to_json(desc: Description):
-    return [["ref", n.concept] if isinstance(n, Ref) else ["blob", list(n.tokens)]
-            for n in desc.nodes]
+    return [["ref", n] if type(n) is int else ["blob", list(n)] for n in desc.nodes]
 
 
-def _desc_from_json(data, parseable: set[int]) -> Description:
+def _desc_from_json(data, parseable: set[int], alphabet: set[str]) -> Description:
+    """A stored level: a ref names a parseable concept, and a blob is a JSON
+    list of one or more alphabet tokens."""
     nodes = []
     for tag, payload in data:
         if tag == "ref":
-            cid = _int(payload)
-            if cid not in parseable:
-                raise CorruptFile(f"description references {cid}, which does not expand")
-            nodes.append(Ref(cid))
+            node = _int(payload)
+            if node not in parseable:
+                raise CorruptFile(f"description references {node}, which does not expand")
         elif tag == "blob":
-            nodes.append(Blob(tuple(payload)))
+            node = tuple(map(_str, _list(payload)))
+            if not node or not alphabet.issuperset(node):
+                raise CorruptFile(f"blob {payload!r} is not one or more alphabet tokens")
         else:
             raise CorruptFile(f"unknown description node {tag!r}")
+        nodes.append(node)
     return Description(tuple(nodes))
 
 
@@ -232,9 +236,10 @@ def graph_from_json(data) -> ConceptGraph:
                                   for k, v in data["run_observations"].items()}
         marker = data.get("follows_marker")
         graph.follows_marker_id = _int(marker) if marker is not None else None
-        parseable = set(graph.parseable_ids())
+        parseable, alphabet = set(graph.parseable_ids()), set(graph.alphabet)
         for ep, chain in data["refinements"].items():
-            graph.refinement_store[_key(ep)] = [_desc_from_json(d, parseable) for d in chain]
+            graph.refinement_store[_key(ep)] = [_desc_from_json(d, parseable, alphabet)
+                                                for d in chain]
         graph.library = library_from_lines(data["library"])
         return graph
     except (VersionMismatch, CorruptFile):

@@ -44,6 +44,7 @@ from conceptgraph.mdl import (
     two_part_total,
 )
 from conceptgraph.storage import export_teach, import_teach
+from test_inducer import linear_parse
 
 
 def report(n, name, started, budget):
@@ -175,7 +176,7 @@ def test_07_number_concept():
     assert sum(1 for c in graph.concepts if isinstance(c.kind, Template)) == 1
     out = ingest(graph, "qq")
     assert len(out.description.nodes) == 1
-    kind = graph.concepts[out.description.nodes[0].concept].kind
+    kind = graph.concepts[out.description.nodes[0]].kind
     assert isinstance(kind, Apply) and kind.template == num2
     report(7, "number concept", started, 60)
 
@@ -220,8 +221,8 @@ def test_10_fast_path_equivalence():
     assert graph.fast_path_set(), "need a populated fast path for the check to bite"
     for _ in range(200):
         tokens = tuple(rng.choice(sigma) for _ in range(rng.randint(0, 64)))
-        with_index = parse(graph, tokens, use_fast_index=True)
-        without = parse(graph, tokens, use_fast_index=False)
+        with_index = parse(graph, tokens)
+        without = linear_parse(graph, tokens)
         assert repr(with_index) == repr(without)
     report(10, "fast-path equivalence", started, 60)
 

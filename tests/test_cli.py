@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -136,6 +137,19 @@ def test_repeat_past_the_expansion_cap_is_data_error(tmp_path):
     assert_data_error(["parse", "--graph", str(graph), "--input", str(data)])
 
 
+@pytest.mark.parametrize("payload", [[["a"]], ["z"], "ab"])
+def test_malformed_blob_in_a_graph_file_is_data_error(tmp_path, payload):
+    graph, data = tmp_path / "g.cg", tmp_path / "in.txt"
+    data.write_text("abab\n")
+    assert run_cli("init", "--alphabet", "ab", "--out", str(graph)).returncode == 0
+    assert run_cli("ingest", "--graph", str(graph), "--input", str(data)).returncode == 0
+    doc = json.loads(graph.read_text())
+    doc["refinements"]["0"] = [[["blob", payload]]]
+    graph.write_text(json.dumps(doc))
+    assert_data_error(["refine", "--graph", str(graph), "--episode", "0"],
+                      ["stats", "--graph", str(graph)])
+
+
 def test_deep_chain_graph_file_works(tmp_path):
     """A concat chain 3000 deep, (... ((a b) b) ... b), top concept at weight 50."""
     g = ConceptGraph("ab")
@@ -241,6 +255,27 @@ def test_learn_fn_reports_library(tmp_path, capsys):
     assert "unsolved: (none)" in out
 
 
+def test_learn_fn_with_an_entry_too_wide_to_iterate_finishes(tmp_path):
+    """`a` (arity 12) can never fill an iteration under the size cap, so
+    learning `b` must not build its 6^11 * 12 sections."""
+    examples = tmp_path / "fns.txt"
+    examples.write_text("a 12 0 1 2 3 4 5 6 7 8 9 10 11 0\n"
+                        "a 12 1 1 2 3 4 5 6 7 8 9 10 11 1\n"
+                        "b 4 0 5 7 9 1\nb 4 1 2 3 4 2\nb 4 2 8 1 3 3\n")
+    proc = run_cli("learn-fn", "--examples", str(examples), "--report")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "(builtin succ 1)", "(def a 12 (var 0))", "(def b 4 (call succ (var 0)))",
+        "unsolved: (none)"]
+
+
+@pytest.mark.parametrize("label", ["f)", "succ"])
+def test_learn_fn_label_no_library_line_holds_is_data_error(tmp_path, label):
+    examples = tmp_path / "fns.txt"
+    examples.write_text(f"{label} 1 0 1\n{label} 1 1 2\n")
+    assert_data_error(["learn-fn", "--examples", str(examples), "--report"])
+
+
 def test_segment_scalar_output(tmp_path, capsys):
     data = tmp_path / "s.txt"
     data.write_text("0 0 5 5 5 0\n")
@@ -272,3 +307,37 @@ def test_cli_runs_are_byte_deterministic(tmp_path, capsys):
         run(capsys, "refine", "--graph", str(graph), "--episode", "1")
         files.append(graph.read_bytes())
     assert files[0] == files[1]
+
+
+PIN_TRAIN = ["abababab", "abcabcabc", "cdcdabab", "abcabdabab", "hgfehgfe", "efghefgh",
+             "abefabef", "cdghcdgh", "aabbccdd", "hhggffee", "abcdabcd", "efefgh",
+             "abcdjlnpkmoiabcd"]
+
+
+def pinned_session(tmp_path, capsys) -> tuple[str, bytes]:
+    """Train on PIN_TRAIN, parse a line and refine three times; the parse
+    and episode 12's levels mix refs with a blob."""
+    graph, train, query = tmp_path / "g.cg", tmp_path / "train.txt", tmp_path / "q.txt"
+    train.write_text("\n".join(PIN_TRAIN) + "\n")
+    query.write_text("abcabmkoilnpjefgh\n")
+    run(capsys, "init", "--alphabet", "abcdefghijklmnop", "--out", str(graph))
+    out = []
+    for argv in (["ingest", "--graph", str(graph), "--input", str(train)],
+                 ["parse", "--graph", str(graph), "--input", str(query), "--report"],
+                 ["refine", "--graph", str(graph), "--episode", "12"],
+                 ["refine", "--graph", str(graph), "--episode", "12"],
+                 ["refine", "--graph", str(graph), "--episode", "3"],
+                 ["stats", "--graph", str(graph)]):
+        code, text, _ = run(capsys, *argv)
+        assert code == 0
+        out.append(text)
+    return "".join(out), graph.read_bytes()
+
+
+def test_cli_text_and_bytes_are_pinned(tmp_path, capsys):
+    text, data = pinned_session(tmp_path, capsys)
+    assert "desc: [20] [18] 'mkoilnpj' [32]\n" in text
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "591001afbfecb03ea90abb48e2e99c240ba4c4cf625601c09ec7898c8bd85f48")
+    assert hashlib.sha256(data).hexdigest() == (
+        "7e5fea2e8309689ef424857e3630caf3ff81e1225c8ddca33880ec13b0c90303")

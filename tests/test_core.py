@@ -31,7 +31,7 @@ from conceptgraph.errors import (
     TooLarge,
     UnknownConcept,
 )
-from conceptgraph.inducer import Blob, Description, Ref
+from conceptgraph.inducer import Description
 
 
 def fresh(alphabet="ab", **overrides):
@@ -190,7 +190,7 @@ def test_match_emotion_anger_example():
     g = fresh("ab")
     action = g.add(Concat((0, 1)))
     hurt = g.add(Concat((1, 0)))
-    desc = Description((Ref(action), Ref(hurt)))
+    desc = Description((action, hurt))
     valences = {hurt: -0.5}
     labels = {action: "other_action"}
     out = match_emotion(desc, default_emotion_templates(), valences, labels)
@@ -200,7 +200,7 @@ def test_match_emotion_anger_example():
 def test_match_emotion_requires_negative_valence():
     g = fresh("ab")
     action = g.add(Concat((0, 1)))
-    desc = Description((Ref(action), Ref(0)))
+    desc = Description((action, 0))
     out = match_emotion(desc, default_emotion_templates(), {0: 0.3},
                         {action: "other_action"})
     assert out == []
@@ -210,12 +210,12 @@ def test_match_emotion_frustration_repetition():
     g = fresh("ab")
     try_ = g.add(Concat((0, 1)))
     fail = g.add(Concat((1, 0)))
-    desc = Description((Ref(try_), Ref(fail)) * 3)
+    desc = Description((try_, fail) * 3)
     out = match_emotion(desc, default_emotion_templates(), {fail: -1.0},
                         {try_: "attempt"})
     assert ("frustration", (0, 6)) in out
     # two repetitions are below the k=3 threshold
-    short = Description((Ref(try_), Ref(fail)) * 2)
+    short = Description((try_, fail) * 2)
     out = match_emotion(short, default_emotion_templates(), {fail: -1.0},
                         {try_: "attempt"})
     assert all(emotion != "frustration" for emotion, _ in out)
@@ -225,7 +225,7 @@ def test_match_emotion_spans_ascending_and_maximal():
     g = fresh("ab")
     x = g.add(Concat((0, 1)))
     template = EmotionTemplate("neg", (SlotConstraint(kind="valence", sign=-1),))
-    desc = Description((Ref(0), Ref(x), Ref(x), Ref(0), Ref(x)))
+    desc = Description((0, x, x, 0, x))
     out = match_emotion(desc, [template], {x: -1.0, 0: 1.0})
     assert out == [("neg", (1, 3)), ("neg", (4, 5))]
 
@@ -236,7 +236,7 @@ def test_match_emotion_wildcard_and_exact():
         SlotConstraint(kind="exact", concept=0),
         SlotConstraint(kind="any"),
     ))
-    desc = Description((Ref(0), Blob(("b",))))
+    desc = Description((0, ("b",)))
     assert match_emotion(desc, [template], {}) == [("pair", (0, 2))]
 
 

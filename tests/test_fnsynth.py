@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conceptgraph.errors import (
     ArityMismatch,
+    GraphError,
     IterCountExceeded,
     MalformedTerm,
     Overflow,
@@ -266,6 +267,39 @@ def test_examples_text_roundtrip_and_errors():
         parse_examples_text("red 2 1 3\n")  # wrong number count
     with pytest.raises(ArityMismatch):
         parse_examples_text("red 2 1 3 4\nred 1 1 2\n")
+
+
+@pytest.mark.parametrize("label", ["f)", "(f", '"f"', '"f', "succ"])
+def test_examples_text_rejects_a_label_no_library_line_holds(label):
+    with pytest.raises(ValueError, match="line 2"):
+        parse_examples_text(f"red 2 1 3 4\n{label} 1 0 1\n")
+
+
+LABEL = st.one_of(st.text("ab", min_size=1, max_size=2),
+                  st.text('ab()"\\#;', min_size=1, max_size=4),
+                  st.sampled_from(["succ", "f)", '"f"', "def", "var", "0"]))
+EXAMPLE_LINE = st.one_of(
+    st.tuples(LABEL, st.integers(-1, 3)).flatmap(lambda head: st.lists(
+        st.integers(-3, 9), min_size=head[1] + 1, max_size=head[1] + 1).map(
+        lambda numbers: " ".join([head[0], str(head[1]), *map(str, numbers)]))),
+    st.text(max_size=16))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(EXAMPLE_LINE, max_size=6))
+def test_examples_text_fuzz_yields_labels_the_library_format_holds(lines):
+    """Parsing example lines either fails cleanly or yields labels that
+    survive a library's text round trip."""
+    try:
+        sets = parse_examples_text("\n".join(lines))
+    except (ValueError, GraphError):
+        return
+    lib = Library.initial()
+    for label, examples in sets:
+        arity = len(examples[0].inputs)
+        lib.define(label, arity, Var(0) if arity else Const(0))
+    restored = library_from_lines(library_to_lines(lib))
+    assert [fn.name for fn in restored.entries] == [fn.name for fn in lib.entries]
 
 
 def test_library_sexpr_roundtrip():

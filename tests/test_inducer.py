@@ -25,10 +25,8 @@ from conceptgraph import inducer
 from conceptgraph.inducer import (
     FALLBACK_BAND,
     GATE_MARGIN,
-    Blob,
     Budget,
     Description,
-    Ref,
     _ParseContext,
     _State,
     _apply_forgetting,
@@ -63,9 +61,9 @@ def all_descriptions(graph, tokens):
         for cid, exp in options:
             if tokens[pos:pos + len(exp)] == exp:
                 for rest in rec(pos + len(exp)):
-                    yield (Ref(cid),) + rest
+                    yield (cid,) + rest
         for end in range(pos + 1, len(tokens) + 1):
-            blob = Blob(tokens[pos:end])
+            blob = tokens[pos:end]
             for rest in rec(end):
                 yield (blob,) + rest
 
@@ -78,7 +76,7 @@ def brute_best(graph, tokens):
 
 def test_parse_fresh_graph_prefers_primitive_refs():
     g = ConceptGraph("ab")
-    assert parse(g, "ab") == Description((Ref(0), Ref(1)))
+    assert parse(g, "ab") == Description((0, 1))
 
 
 def test_parse_matches_brute_force_minimum():
@@ -97,7 +95,7 @@ def test_parse_uses_dominant_weight_concept():
     for _ in range(12):
         g.tick_weights({p})
     got = parse(g, "abab")
-    assert got == Description((Ref(p), Ref(p)))
+    assert got == Description((p, p))
     assert description_dl(g, got) == pytest.approx(brute_best(g, "abab"))
 
 
@@ -115,7 +113,7 @@ def test_parse_deterministic_tie_break_prefers_lower_id():
     c3 = g.add(Concat((c1, c1)))  # same expansion as c2, same weight
     assert g.expansion(c2) == g.expansion(c3)
     got = parse(g, "abab")
-    assert Ref(c2) in got.nodes or got == Description((Ref(c1), Ref(c1)))
+    assert c2 in got.nodes or got == Description((c1, c1))
     # run twice: identical output
     assert parse(g, "abab") == got
 
@@ -123,12 +121,13 @@ def test_parse_deterministic_tie_break_prefers_lower_id():
 def test_reconstruct_examples_and_errors():
     g = ConceptGraph("abc")
     p = g.add(Concat((0, 1)))
-    assert reconstruct(g, Description((Ref(p), Blob(("c",))))) == ("a", "b", "c")
+    assert reconstruct(g, Description((p, ("c",)))) == ("a", "b", "c")
     assert reconstruct(g, Description(())) == ()
     with pytest.raises(InvalidDescription):
-        reconstruct(g, Description((Ref(g.pleasure_id),)))
-    with pytest.raises(InvalidDescription):
-        reconstruct(g, Description((Blob(()),)))
+        reconstruct(g, Description((g.pleasure_id,)))
+    for node in ((), ["a"], "ab", None):
+        with pytest.raises(InvalidDescription):
+            reconstruct(g, Description((node,)))
 
 
 def test_roundtrip_fuzz():
@@ -142,7 +141,7 @@ def test_roundtrip_fuzz():
 
 def test_digram_rule_creates_concat_when_bits_drop():
     g = ConceptGraph("ab")
-    desc = Description((Ref(0), Ref(1), Ref(0), Ref(1)))
+    desc = Description((0, 1, 0, 1))
     before = description_dl(g, desc)
     out, new_ids = induce_repeats(g, desc)
     assert new_ids, "digram candidate should have been accepted"
@@ -153,8 +152,8 @@ def test_digram_rule_creates_concat_when_bits_drop():
 
 def test_run_rule_creates_repeat():
     g = ConceptGraph("abc")
-    out, new_ids = induce_repeats(g, Description((Ref(2), Ref(2), Ref(2))))
-    assert out == Description((Ref(new_ids[0]),))
+    out, new_ids = induce_repeats(g, Description((2, 2, 2)))
+    assert out == Description((new_ids[0],))
     assert g.concepts[new_ids[0]].kind == Repeat(2, 3)
 
 
@@ -177,7 +176,7 @@ def test_number_flow_via_episodes():
     report = ingest(g, "qq")
     assert len(report.description.nodes) == 1
     node = report.description.nodes[0]
-    kind = g.concepts[node.concept].kind
+    kind = g.concepts[node].kind
     assert isinstance(kind, Apply) and kind.template == num2
     assert kind.fillers == (g.primitive_id("q"),)
 
@@ -213,7 +212,7 @@ def test_abstract_common_below_threshold_or_two_positions():
 def test_record_associations_reifies_at_threshold():
     g = ConceptGraph("ab", Config(assoc_threshold=3))
     icecream = g.add(Concat((0, 1)))
-    desc = Description((Ref(icecream), Ref(g.pleasure_id)))
+    desc = Description((icecream, g.pleasure_id))
     assert record_associations(g, desc) == []
     assert record_associations(g, desc) == []
     assert record_associations(g, desc) == [(icecream, g.pleasure_id)]
@@ -225,16 +224,16 @@ def test_record_associations_reifies_at_threshold():
 
 def test_follows_marker_after_three_distinct_associations():
     g = ConceptGraph("abcdef", Config(assoc_threshold=1, generalize_threshold=3))
-    record_associations(g, Description((Ref(0), Ref(1))))
+    record_associations(g, Description((0, 1)))
     assert g.follows_marker_id is None
-    record_associations(g, Description((Ref(2), Ref(3))))
+    record_associations(g, Description((2, 3)))
     assert g.follows_marker_id is None
-    record_associations(g, Description((Ref(4), Ref(5))))
+    record_associations(g, Description((4, 5)))
     assert g.follows_marker_id is not None
     markers = [c for c in g.concepts if isinstance(c.kind, Marker)]
     assert len(markers) == 1
     # more associations do not add another marker
-    record_associations(g, Description((Ref(0), Ref(2))))
+    record_associations(g, Description((0, 2)))
     assert len([c for c in g.concepts if isinstance(c.kind, Marker)]) == 1
 
 
@@ -280,9 +279,9 @@ def drawn_graph(data, config=None):
 
 
 def drawn_nodes(data, g, favoured=()):
-    """Ref and Blob nodes in runs of 1-4, drawing the `favoured` refs more often."""
-    refs = [Ref(c) for c in g.parseable_ids()] + [Ref(c) for c in favoured] * 3
-    blobs = st.text(g.alphabet, min_size=1, max_size=3).map(lambda s: Blob(tuple(s)))
+    """Ref and blob nodes in runs of 1-4, drawing the `favoured` refs more often."""
+    refs = list(g.parseable_ids()) + list(favoured) * 3
+    blobs = st.text(g.alphabet, min_size=1, max_size=3).map(tuple)
     runs = data.draw(st.lists(st.tuples(st.one_of(st.sampled_from(refs), blobs),
                                         st.integers(1, 4)), max_size=8))
     return [node for node, n in runs for _ in range(n)]
@@ -352,7 +351,7 @@ def test_gate_delta_matches_the_full_recompute(data):
     nodes = drawn_nodes(data, g, favoured=children)
     for _ in range(data.draw(st.integers(0, 3))):  # occurrences, which may join runs
         at = data.draw(st.integers(0, len(nodes)))
-        nodes[at:at] = [Ref(c) for c in children]
+        nodes[at:at] = children
     if isinstance(kind, Concat):
         rewrite, span = partial(_rewrite_pair, nodes, kind.children), len(kind.children)
     else:
@@ -373,7 +372,7 @@ def test_gate_inside_the_fallback_band_is_decided_by_the_full_recompute(monkeypa
     ab = g.add(Concat((0, 1)))
     for cid, weight in ((0, 1.0), (1, 3.0), (ab, 0.0)):
         g.set_weight(cid, weight)  # (1+1)(3+1)/(0+1) = 8 = D = W + C + 1
-    nodes = [Ref(0), Ref(1), Blob(("a",)), Blob(("b",)), Blob(("a",))]
+    nodes = [0, 1, ("a",), ("b",), ("a",)]
     delta = _gate_delta(g, Concat((0, 1)), len(nodes), 1, ab)
     assert abs(delta + GATE_MARGIN) <= FALLBACK_BAND
     calls = []
@@ -390,14 +389,13 @@ def test_gate_inside_the_fallback_band_is_decided_by_the_full_recompute(monkeypa
 
 
 def episode_digrams(nodes):
-    """Non-overlapping counts and first positions of adjacent Ref pairs
+    """Non-overlapping counts and first positions of adjacent ref pairs
     (equal-element pairs belong to the run rule)."""
     counts, first, last_end = {}, {}, {}
     for i in range(len(nodes) - 1):
-        a, b = nodes[i], nodes[i + 1]
-        if not (isinstance(a, Ref) and isinstance(b, Ref)) or a.concept == b.concept:
+        pair = a, b = nodes[i], nodes[i + 1]
+        if not (type(a) is int and type(b) is int) or a == b:
             continue
-        pair = (a.concept, b.concept)
         if last_end.get(pair, -1) > i:
             continue
         counts[pair] = counts.get(pair, 0) + 1
@@ -419,10 +417,10 @@ def rescanning_induce(graph, nodes):
         runs, i = [], 0
         while i < len(nodes):
             j = i + 1
-            while isinstance(nodes[i], Ref) and j < len(nodes) and nodes[j] == nodes[i]:
+            while type(nodes[i]) is int and j < len(nodes) and nodes[j] == nodes[i]:
                 j += 1
             if j - i >= 2:
-                runs.append((nodes[i].concept, j - i))
+                runs.append((nodes[i], j - i))
             i = j
         for concept, length in runs:
             graph.run_observations.setdefault(length, set()).add(concept)
@@ -493,7 +491,8 @@ def test_ingest_keeps_the_kraft_sum_and_the_saved_bytes(data):
 def test_refinement_chains_are_monotone_and_lossless(data):
     """After streams over 1-4 symbols, repeated `refine` of drawn episodes
     never raises description bits along a chain, and every level
-    reconstructs level 0."""
+    reconstructs level 0.  Saved and loaded, every node of every level is
+    an int naming a parseable concept or a non-empty tuple of tokens."""
     sigma = "abcd"[:data.draw(st.integers(1, 4))]
     motifs = st.tuples(st.text(sigma, min_size=1, max_size=4), st.integers(1, 8))
     episodes = st.one_of(st.text(sigma, max_size=24), motifs.map(lambda m: m[0] * m[1]))
@@ -508,6 +507,12 @@ def test_refinement_chains_are_monotone_and_lossless(data):
         bits = [description_dl(g, desc) for desc in chain]
         assert all(later <= earlier for earlier, later in zip(bits, bits[1:]))
         assert all(reconstruct(g, desc) == reconstruct(g, chain[0]) for desc in chain)
+    loaded = graph_from_json(json.loads(dumps(g)))
+    assert loaded.refinement_store == g.refinement_store
+    parseable = set(loaded.parseable_ids())
+    for node in (n for chain in loaded.refinement_store.values() for d in chain for n in d.nodes):
+        assert (type(node) is int and node in parseable
+                or type(node) is tuple and node != () and set(node) <= set(sigma)), node
     event(f"deepest chain={max(map(len, g.refinement_store.values()))}")
 
 
@@ -548,7 +553,7 @@ def test_forgetting_drops_deepest_level():
     ingest(g, "abab")
     deep = g.add(Repeat(0, 5))
     chain = g.refinement_store[0]
-    chain.append(Description((Ref(deep),)))
+    chain.append(Description((deep,)))
     _apply_forgetting(g)
     assert len(chain) == 2  # still above the forgetting threshold
     g.set_weight(deep, 2.0**-21)
@@ -559,6 +564,25 @@ def test_forgetting_drops_deepest_level():
     assert len(chain) == 1
 
 
+class LinearScan(_ParseContext):
+    """The reference candidate lookup: every candidate compared by slicing."""
+
+    __slots__ = ("expansions",)
+
+    def __init__(self, graph, budget):
+        super().__init__(graph, budget)
+        self.expansions = {cid: graph.expansion(cid) for cid, _, _ in self.entries}
+
+    def candidates_at(self, tokens, pos):
+        return [entry for entry in self.entries
+                if tokens[pos:pos + entry[1]] == self.expansions[entry[0]]]
+
+
+def linear_parse(graph, tokens):
+    """`parse` with the trie lookup replaced by the linear scan."""
+    return parse(graph, tokens, context=LinearScan(graph, Budget.from_config(graph.config)))
+
+
 def test_fast_path_equivalence_small():
     g = ConceptGraph("ab")
     for _ in range(3):
@@ -566,7 +590,7 @@ def test_fast_path_equivalence_small():
     rng = random.Random(2)
     for _ in range(50):
         tokens = tuple(rng.choice("ab") for _ in range(rng.randint(0, 30)))
-        assert parse(g, tokens, use_fast_index=True) == parse(g, tokens, use_fast_index=False)
+        assert parse(g, tokens) == linear_parse(g, tokens)
 
 
 def test_fast_path_equivalence_sigma16_beyond_the_pool():
@@ -599,7 +623,7 @@ def test_fast_path_equivalence_sigma16_beyond_the_pool():
         tokens, size = [], rng.randint(0, 96)
         while len(tokens) < size:
             tokens.extend(rng.choice(pieces) if rng.random() < 0.7 else rng.choice(sigma))
-        assert parse(g, tokens, use_fast_index=True) == parse(g, tokens, use_fast_index=False)
+        assert parse(g, tokens) == linear_parse(g, tokens)
 
 
 def _beam_states(draw):

@@ -242,6 +242,23 @@ def test_load_rejects_a_refinement_ref_that_does_not_expand():
             graph_from_json(data)
 
 
+@pytest.mark.parametrize("payload", [[["a"]], [], ["z"], [5], [None], "ab", None, 7])
+def test_load_rejects_a_malformed_blob(payload):
+    """A blob is a JSON list of one or more alphabet tokens; a string is
+    not split into its characters."""
+    data = json.loads(dumps(trained_graph()))
+    next(iter(data["refinements"].values()))[0].append(["blob", payload])
+    with pytest.raises(CorruptFile):
+        graph_from_json(data)
+
+
+def test_load_reads_a_blob_as_a_token_tuple():
+    data = json.loads(dumps(trained_graph()))
+    chain = next(iter(data["refinements"].values()))
+    chain[0].append(["blob", ["d", "a"]])
+    assert graph_from_json(data).refinement_store[0][0].nodes[-1] == ("d", "a")
+
+
 def int_fields(entry) -> list[tuple]:
     """Paths of the integer reference and count fields of one saved concept."""
     kind = entry["kind"]
