@@ -7,6 +7,7 @@ deterministic text.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional
 
@@ -28,40 +29,37 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # built on the first `main` call, then reused: parsing leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="conceptgraph")
     sub = parser.add_subparsers(dest="command", required=True)
+    graph = _Parser(add_help=False)  # the one definition of --graph, first in each command
+    graph.add_argument("--graph", required=True)
 
     p = sub.add_parser("init", help="create a fresh graph file")
     p.add_argument("--alphabet", required=True, help="alphabet symbols, one character each")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("ingest", help="ingest episodes (one per input line)")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("ingest", parents=[graph], help="ingest episodes (one per input line)")
     p.add_argument("--input", required=True)
     p.add_argument("--scalar", action="store_true",
                    help="input lines are whitespace-separated integer levels")
     p.add_argument("--theta-c", type=float, default=None,
                    help="contrast threshold for scalar segmentation")
 
-    p = sub.add_parser("parse", help="parse the first input line without mutating")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("parse", parents=[graph], help="parse the first input line without mutating")
     p.add_argument("--input", required=True)
     p.add_argument("--report", action="store_true")
 
-    p = sub.add_parser("refine", help="append one refinement level to an episode")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("refine", parents=[graph], help="append one refinement level to an episode")
     p.add_argument("--episode", type=int, required=True)
 
-    p = sub.add_parser("stats", help="graph summary and cumulative DL report")
-    p.add_argument("--graph", required=True)
+    sub.add_parser("stats", parents=[graph], help="graph summary and cumulative DL report")
 
-    p = sub.add_parser("export", help="export the concept graph as DOT")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("export", parents=[graph], help="export the concept graph as DOT")
     p.add_argument("--dot", required=True)
 
-    p = sub.add_parser("teach", help="emit a teach script for one concept")
-    p.add_argument("--graph", required=True)
+    p = sub.add_parser("teach", parents=[graph], help="emit a teach script for one concept")
     p.add_argument("--concept", type=int, required=True)
     p.add_argument("--out", required=True)
 
@@ -85,6 +83,13 @@ def _desc_text(desc: Description) -> str:
                     for node in desc.nodes)
 
 
+def _scalar_segments(levels: list[int], theta: float) -> list[Segment]:
+    """Contrast segments of `levels`, with `theta` held to `Config`'s rule for
+    `contrast_threshold` (finite and non-negative, else `ValueError`)."""
+    theta = Config(contrast_threshold=theta).contrast_threshold
+    return segment_scalar(RawStream.scalars(levels), theta)
+
+
 def _quantize(graph: ConceptGraph, levels: list[int]) -> tuple[str, ...]:
     top = len(graph.alphabet) - 1
     return tuple(graph.alphabet[min(max(level, 0), top)] for level in levels)
@@ -100,17 +105,13 @@ def _cmd_init(args) -> int:
 
 def _cmd_ingest(args) -> int:
     graph = storage.load(args.graph)
-    text = _read_text(args.input)
-    lines = text.splitlines()
-    for line in lines:
+    theta = graph.config.contrast_threshold if args.theta_c is None else args.theta_c
+    for line in _read_text(args.input).splitlines():
         if args.scalar:
             levels = [int(v) for v in line.split()]
-            stream = RawStream.scalars(levels)
-            theta = args.theta_c if args.theta_c is not None else graph.config.contrast_threshold
-            scalar_segments = segment_scalar(stream, theta)
             tokens = _quantize(graph, levels)
             segments = [Segment(s.start, s.end, tokens[s.start:s.end])
-                        for s in scalar_segments]
+                        for s in _scalar_segments(levels, theta)]
             report = ingest(graph, RawStream.tokens(tokens), segments=segments)
         else:
             report = ingest(graph, line)
@@ -187,8 +188,7 @@ def _cmd_learn_fn(args) -> int:
 
 def _cmd_segment(args) -> int:
     levels = [int(v) for v in _read_text(args.input).split()]
-    stream = RawStream.scalars(levels)
-    for seg in segment_scalar(stream, args.theta_c):
+    for seg in _scalar_segments(levels, args.theta_c):
         payload = " ".join(str(v) for v in seg.payload)
         print(f"{seg.start} {seg.end}: {payload}")
     return 0
@@ -202,18 +202,14 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (GraphError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

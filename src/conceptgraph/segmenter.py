@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -56,9 +57,11 @@ def _segments_from_boundaries(samples: tuple, cuts: list[int]) -> list[Segment]:
 
 
 def segment_scalar(stream: RawStream, contrast_threshold: float) -> list[Segment]:
-    """Cut wherever the jump between adjacent samples exceeds the threshold."""
+    """Cut wherever the jump between adjacent samples exceeds the threshold (not NaN)."""
     if stream.kind != SCALAR:
         raise WrongKind("segment_scalar needs a scalar stream")
+    if math.isnan(contrast_threshold):
+        raise ValueError("contrast threshold is NaN")
     samples = stream.samples
     cuts = [i for i in range(len(samples) - 1)
             if abs(samples[i + 1] - samples[i]) > contrast_threshold]

@@ -5,13 +5,13 @@ so saving the same graph always produces the same bytes.  Loading checks
 each concept with the rule that `add` uses (`ConceptGraph._validate`, through
 `rebuild_derived`): references point at older concepts of a fitting kind,
 so a loaded graph has no dangling reference and no cycle, and any violation
-is a `CorruptFile`, as is an integer field holding anything but a JSON
-integer, a blob other than a list of one or more alphabet tokens, or a
-`digram_counts` section other than the one derived from the association
-counts (`_digram_section`).  Teach scripts are line-oriented
-s-expressions in strict topological order.  One kind table (`_KINDS`) gives
-each concept kind's names and typed fields to every reader and writer.
-Every file is written atomically (`write_text`).
+is a `CorruptFile`, as is a file that is not UTF-8 JSON, a section of the
+wrong JSON type, an integer field holding anything but a JSON integer, a
+blob other than a list of one or more alphabet tokens, or a `digram_counts`
+section other than the association counts of distinct pairs.  Teach
+scripts are line-oriented s-expressions in strict topological order.  One
+kind table (`_KINDS`) gives each concept kind's names and typed fields to
+every reader and writer.  Every file is written atomically (`write_text`).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import json
 import math
 import os
 from dataclasses import fields
+from itertools import chain
 
 from . import sexpr
 from .core import (
@@ -88,7 +89,14 @@ def _exact(cls):
     return read
 
 
-_int, _str, _list = _exact(int), _exact(str), _exact(list)
+_int, _str, _list, _dict = _exact(int), _exact(str), _exact(list), _exact(dict)
+
+
+def _ints(values):
+    """`values` if each is a JSON integer (no bool or float), in one bulk check."""
+    if not set(map(type, values)) <= {int}:
+        raise CorruptFile("expected integers")
+    return values
 
 
 def _key(text: str) -> int:
@@ -123,15 +131,14 @@ def _desc_from_json(data, parseable: set[int], alphabet: set[str]) -> Descriptio
     """A stored level: a ref names a parseable concept, and a blob is a JSON
     list of one or more alphabet tokens."""
     nodes = []
-    for tag, payload in data:
+    for tag, node in data:
         if tag == "ref":
-            node = _int(payload)
-            if node not in parseable:
-                raise CorruptFile(f"description references {node}, which does not expand")
+            if type(node) is not int or node not in parseable:
+                raise CorruptFile(f"description references {node!r}, which does not expand")
         elif tag == "blob":
-            node = tuple(map(_str, _list(payload)))
+            node = tuple(_list(node))  # a non-string is no alphabet token
             if not node or not alphabet.issuperset(node):
-                raise CorruptFile(f"blob {payload!r} is not one or more alphabet tokens")
+                raise CorruptFile(f"blob {node!r} is not one or more alphabet tokens")
         else:
             raise CorruptFile(f"unknown description node {tag!r}")
         nodes.append(node)
@@ -170,7 +177,8 @@ def graph_to_json(graph: ConceptGraph) -> dict:
 
 
 def dumps(graph: ConceptGraph) -> str:
-    return json.dumps(graph_to_json(graph), sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(graph_to_json(graph), sort_keys=True, separators=(",", ":"),
+                      check_circular=False) + "\n"  # a fresh tree: no cycle to look for
 
 
 def write_text(path: str, text: str) -> None:
@@ -197,31 +205,28 @@ def save(graph: ConceptGraph, path: str) -> None:
 
 
 def graph_from_json(data) -> ConceptGraph:
-    version = data.get("version")
+    version = _dict(data).get("version")
     if version != FORMAT_VERSION:
         raise VersionMismatch(f"expected {FORMAT_VERSION!r}, got {version!r}")
     try:
-        config_data = dict(data["config"])
+        config_data = _dict(data["config"])
         kwargs = {name: float(config_data[name]) for name in _CONFIG_FLOATS}
         kwargs.update({name: _int(config_data[name]) for name in _CONFIG_INTS})
-        graph = ConceptGraph(tuple(data["alphabet"]), Config(**kwargs))
+        graph = ConceptGraph(tuple(_list(data["alphabet"])), Config(**kwargs))
 
-        base = len(graph.concepts)
+        concepts = graph.concepts  # the initial ones, which the file repeats; then appended
         for i, entry in enumerate(data["concepts"]):
             cls = _BY_NAME.get(entry["kind"])
             if cls is None:
                 raise CorruptFile(f"unknown concept kind {entry['kind']!r}")
             kind = cls(*[_FROM_JSON[tag](entry[name]) for name, tag in _FIELDS[cls]])
-            if _int(entry["id"]) != i:
-                raise CorruptFile("concept ids must be dense and ascending")
-            if i < base:
-                if graph.concepts[i].kind != kind:
-                    raise CorruptFile("initial concepts do not match the alphabet")
-            else:
-                graph.concepts.append(Concept(id=i, kind=kind, weight=0.0, created_at=0))
-            graph.set_weight(i, float(entry["weight"]))  # rejects NaN, inf and < 0
-            graph.concepts[i].created_at = _int(entry["created_at"])
-        graph.rebuild_derived()  # the growth rule of `ConceptGraph._validate`
+            weight = float(entry["weight"])
+            if _int(entry["id"]) != i or not 0.0 <= weight < math.inf:
+                raise CorruptFile(f"concept {i}: id out of order or weight not finite and >= 0")
+            if i < len(concepts) and concepts[i].kind != kind:
+                raise CorruptFile("initial concepts do not match the alphabet")
+            concepts[i:i + 1] = [Concept(i, kind, weight, _int(entry["created_at"]))]
+        graph.rebuild_derived()  # the growth rule of `ConceptGraph._validate`; the code mass
 
         graph.episode = _int(data["episode"])
         if graph.episode < 0:
@@ -229,37 +234,33 @@ def graph_from_json(data) -> ConceptGraph:
         graph.raw_bits_total = float(data["raw_bits_total"])
         if not 0.0 <= graph.raw_bits_total < math.inf:
             raise CorruptFile("raw_bits_total must be finite and non-negative")
-        graph.assoc_counts = {(_int(a), _int(b)): _int(n) for a, b, n in data["assoc_counts"]}
-        if [list(map(_int, entry)) for entry in data["digram_counts"]] != _digram_section(graph):
+        for name in ("assoc_counts", "digram_counts"):  # row lengths: unpacking, comparison
+            _ints(chain.from_iterable(_list(data[name])))
+        graph.assoc_counts = {(a, b): n for a, b, n in data["assoc_counts"]}
+        if data["digram_counts"] != _digram_section(graph):
             raise CorruptFile("digram_counts differs from the association counts")
-        graph.run_observations = {_key(k): set(map(_int, v))
-                                  for k, v in data["run_observations"].items()}
+        graph.run_observations = {_key(k): set(_ints(_list(v)))
+                                  for k, v in _dict(data["run_observations"]).items()}
         marker = data.get("follows_marker")
         graph.follows_marker_id = _int(marker) if marker is not None else None
         parseable, alphabet = set(graph.parseable_ids()), set(graph.alphabet)
-        for ep, chain in data["refinements"].items():
+        for ep, levels in _dict(data["refinements"]).items():
             graph.refinement_store[_key(ep)] = [_desc_from_json(d, parseable, alphabet)
-                                                for d in chain]
-        graph.library = library_from_lines(data["library"])
+                                                for d in levels]
+        graph.library = library_from_lines(_list(data["library"]))
         return graph
-    except (VersionMismatch, CorruptFile):
-        raise
     except (GraphError, KeyError, ValueError, TypeError, IndexError, OverflowError) as exc:
         raise CorruptFile(f"malformed graph file: {exc}") from exc
 
 
 def load(path: str) -> ConceptGraph:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = json.loads(handle.read().decode("utf-8"))
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
-    try:
-        data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
-        raise CorruptFile(f"not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise CorruptFile("graph file must hold a JSON object")
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
+        raise CorruptFile(f"not UTF-8 JSON: {exc}") from exc
     return graph_from_json(data)
 
 

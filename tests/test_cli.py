@@ -296,6 +296,51 @@ def test_scalar_ingest_quantizes_and_segments(tmp_path, capsys):
     assert "episode: 1" in out
 
 
+@pytest.mark.parametrize("theta", ["nan", "inf", "-1"])
+def test_bad_theta_c_is_data_error_for_segment_and_scalar_ingest(tmp_path, theta):
+    """`--theta-c` follows `Config`'s rule for `contrast_threshold`: finite
+    and non-negative; a NaN threshold would never cut, -1 would cut everywhere."""
+    graph, data = tmp_path / "g.cg", tmp_path / "s.txt"
+    data.write_text("0 0 5 5\n")
+    assert run_cli("init", "--alphabet", "abcdef", "--out", str(graph)).returncode == 0
+    before = graph.read_bytes()
+    assert_data_error(["segment", "--input", str(data), "--theta-c", theta],
+                      ["ingest", "--graph", str(graph), "--input", str(data),
+                       "--scalar", "--theta-c", theta])
+    assert graph.read_bytes() == before
+
+
+def test_non_utf8_graph_file_is_data_error(tmp_path):
+    graph = tmp_path / "g.cg"
+    graph.write_bytes(b"\xff\xfe{}")
+    assert_data_error(["stats", "--graph", str(graph)])
+
+
+def test_one_process_reuses_the_parser_without_leaking_state(tmp_path, capsys):
+    """Usage errors, `--help` and an unknown subcommand leave the parser as
+    it was: each call gives the exit code and text it gives alone, in a
+    process that has made none before (checked in a subprocess), and the
+    same argv gives the same stdout twice in a row."""
+    graph = tmp_path / "g.cg"
+    calls = [("stats", "--graph", str(graph), "--bogus"), ("--help",), ("frobnicate",),
+             ("init", "--alphabet", "ab", "--out", str(graph)), ("stats", "--graph", str(graph))]
+
+    def call(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    in_process = [call(argv) for argv in calls]
+    assert [code for code, _, _ in in_process] == [1, 0, 1, 0, 0]
+    for argv, (code, out, err) in zip(calls, in_process):
+        alone = run_cli(*argv)
+        assert (alone.returncode, alone.stdout, alone.stderr) == (code, out, err), argv
+        assert call(argv)[1] == out, argv
+
+
 def test_cli_runs_are_byte_deterministic(tmp_path, capsys):
     corpora = tmp_path / "c.txt"
     corpora.write_text("abab\nbaba\nabab\n")

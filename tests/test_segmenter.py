@@ -34,6 +34,11 @@ def test_segment_scalar_extreme_thresholds():
     assert spans(segment_scalar(stream, -1)) == [(0, 1), (1, 2), (2, 3), (3, 4)]
 
 
+def test_segment_scalar_nan_threshold_is_value_error():
+    with pytest.raises(ValueError):
+        segment_scalar(RawStream.scalars([0, 0, 5, 5]), float("nan"))
+
+
 def test_segment_scalar_wrong_kind():
     with pytest.raises(WrongKind):
         segment_scalar(RawStream.from_text("ab"), 1)

@@ -98,6 +98,10 @@ def test_load_errors(tmp_path):
     truncated.write_text(dumps(ConceptGraph("ab"))[:40])
     with pytest.raises(CorruptFile):
         load(str(truncated))
+    not_utf8 = tmp_path / "utf16.cg"
+    not_utf8.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(CorruptFile):
+        load(str(not_utf8))
     wrong = tmp_path / "wrong.cg"
     data = json.loads(dumps(ConceptGraph("ab")))
     data["version"] = "cg0"
@@ -352,6 +356,39 @@ def test_load_of_a_graph_with_one_non_integer_field(data):
         return
     text = dumps(g)
     assert dumps(graph_from_json(json.loads(text))) == text
+
+
+NOT_A_ROW = st.one_of(
+    st.lists(st.integers(0, 9), max_size=5).filter(lambda row: len(row) != 3),
+    st.tuples(st.integers(0, 9), st.integers(0, 9), NOT_AN_INTEGER)
+    .flatmap(lambda row: st.permutations(row)).map(list),
+    st.sampled_from(["abc", "", {}, {"a": 1, "b": 2, "c": 3}, None, 7, 2.5, True]))
+NOT_A_LIST = st.sampled_from(["", "12", "abcd", {}, {"1": 2}, None, 7, 2.5, True, False])
+NOT_A_DICT = st.sampled_from([[], [["2", [0]]], "", "ab", None, 7, 2.5, True])
+SECTION_TYPES = {"alphabet": NOT_A_LIST, "concepts": NOT_A_LIST, "assoc_counts": NOT_A_LIST,
+                 "digram_counts": NOT_A_LIST, "library": NOT_A_LIST, "config": NOT_A_DICT,
+                 "run_observations": NOT_A_DICT, "refinements": NOT_A_DICT}
+
+
+@settings(max_examples=300, deadline=1000)
+@given(st.data())
+def test_load_of_a_graph_with_one_misshapen_row_or_section(data):
+    """A count row that is not a list of exactly three JSON integers, a run
+    member list that is not a list, and a section of the wrong JSON type
+    are each a `CorruptFile`."""
+    doc = json.loads(trained_graph_text())
+    where = data.draw(st.sampled_from(["row", "members", "section"]))
+    if where == "row":
+        rows = doc[data.draw(st.sampled_from(["assoc_counts", "digram_counts"]))]
+        rows[data.draw(st.integers(0, len(rows) - 1))] = data.draw(NOT_A_ROW)
+    elif where == "members":
+        doc["run_observations"][data.draw(st.sampled_from(sorted(doc["run_observations"])))] = \
+            data.draw(NOT_A_LIST)
+    else:
+        section = data.draw(st.sampled_from(sorted(SECTION_TYPES)))
+        doc[section] = data.draw(SECTION_TYPES[section])
+    with pytest.raises(CorruptFile):
+        graph_from_json(doc)
 
 
 @pytest.mark.parametrize("key", ["01", "+1", " 1", "1.0", "-0", "x", ""])
