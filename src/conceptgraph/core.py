@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, fields
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Optional, Sequence, Union
 
@@ -66,13 +67,23 @@ class Repeat:
     count: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Template:
+    """A body of slots.  Not slotted, so `holes` is computed once per template."""
+
     body: tuple[Slot, ...]
 
-    @property
+    @cached_property
     def holes(self) -> int:
+        """The number of distinct holes; raises unless the body is non-empty
+        and its hole indices run from 0 without a gap."""
+        if not self.body:
+            raise MalformedTemplate("template body is empty")
         indices = {s.index for s in self.body if isinstance(s, Hole)}
+        if not indices:
+            raise ArityMismatch("template needs at least 1 hole")
+        if indices != set(range(len(indices))):
+            raise ArityMismatch("hole indices must be contiguous from 0")
         return len(indices)
 
 
@@ -169,6 +180,8 @@ class ConceptGraph:
     def __init__(self, alphabet: Sequence[Token], config: Optional[Config] = None):
         if len(alphabet) < 1:
             raise ValueError("alphabet must contain at least one symbol")
+        if not all(isinstance(sym, str) for sym in alphabet):
+            raise ValueError("alphabet symbols must be strings")
         if len(set(alphabet)) != len(alphabet):
             raise ValueError("alphabet symbols must be unique")
         self.alphabet: tuple[Token, ...] = tuple(alphabet)
@@ -246,9 +259,9 @@ class ConceptGraph:
         must expand names a parseable concept.  The one exception is an
         Apply's template, which may be any existing template (an older
         concat is rewritten as an application of a new template), as long
-        as the template would itself be valid at `cid`, i.e. its slot refs
-        are older than `cid`.  So no concept reaches itself, and expansions
-        can be built in id order.
+        as the template's slot refs are older than `cid`; the template's
+        other checks run at its own id.  So no concept reaches itself, and
+        expansions can be built in id order.
         """
         expands = True  # whether the references below must expand
         if isinstance(kind, Apply):
@@ -258,24 +271,18 @@ class ConceptGraph:
             tpl = self.concepts[tid].kind
             if not isinstance(tpl, Template):
                 raise ArityMismatch(f"concept {tid} is not a template")
-            if tid > cid:  # an older template was validated at its own, older id
-                self._validate(tpl, cid)
             if len(kind.fillers) != tpl.holes:
                 raise ArityMismatch(
                     f"template {tid} has {tpl.holes} holes, got {len(kind.fillers)} fillers")
             refs = kind.fillers
+            if tid > cid:  # the template's own checks run at its id; its slot refs must be older
+                refs = chain(refs, (s.concept for s in tpl.body if isinstance(s, SlotRef)))
         elif isinstance(kind, Concat):
             if len(kind.children) < 2:
                 raise ArityMismatch("concat needs at least 2 children")
             refs = kind.children
         elif isinstance(kind, Template):
-            if not kind.body:
-                raise MalformedTemplate("template body is empty")
-            holes = {s.index for s in kind.body if isinstance(s, Hole)}
-            if not holes:
-                raise ArityMismatch("template needs at least 1 hole")
-            if holes != set(range(len(holes))):
-                raise ArityMismatch("hole indices must be contiguous from 0")
+            kind.holes  # raises for a malformed body
             refs = [s.concept for s in kind.body if isinstance(s, SlotRef)]
         elif isinstance(kind, Repeat):
             if kind.count < 2:

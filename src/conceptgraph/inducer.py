@@ -1,7 +1,10 @@
 """The induction loop: parse experiences, grow concepts, keep refinements.
 
 Parsing is a left-to-right beam search over concept references and raw
-blobs, minimizing description bits.  Induction scans candidate steps,
+blobs, minimizing description bits.  A beam state is a plain tuple whose
+parent chain spells the partial description; a frontier bucket larger
+than the beam is cut by cost, and a node signature is built only to break
+an exact cost tie.  Induction scans candidate steps,
 digram concats then runs, takes the first that pays (one gate: the
 episode's description bits strictly drop) and scans again.  The gate does
 not charge the new definition's model bits (`mdl.model_dl`): creation is
@@ -27,7 +30,6 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import partial
-from operator import attrgetter
 from typing import Collection, Optional, Sequence, Union
 
 from . import mdl
@@ -96,43 +98,18 @@ class IngestReport:
 # ----------------------------------------------------------------------
 # parsing
 
-class _State:
-    """Beam state: a partial description reaching `pos`, as a parent chain."""
-
-    __slots__ = ("cost", "count", "pos", "node", "parent", "blob_len", "_sig")
-
-    def __init__(self, cost, count, pos, node, parent, blob_len):
-        self.cost = cost
-        self.count = count
-        self.pos = pos
-        self.node = node          # ("r", cid) | ("b", start, end) | None
-        self.parent = parent
-        self.blob_len = blob_len  # length of trailing blob, 0 otherwise
-        self._sig = None
-
-    def signature(self, tokens) -> tuple:
-        if self._sig is None:
-            parts = []
-            state = self
-            while state.node is not None:
-                entry = state.node
-                if entry[0] == "r":
-                    parts.append((0, entry[1]))
-                else:
-                    parts.append((1, tokens[entry[1]:entry[2]]))
-                state = state.parent
-            parts.reverse()
-            self._sig = tuple(parts)
-        return self._sig
-
-    def nodes(self, tokens) -> tuple[Node, ...]:
-        return tuple(payload for _, payload in self.signature(tokens))
+def _signature(state: tuple, tokens: tuple) -> tuple:
+    """A state's nodes in order as (0, id) / (1, tokens) pairs: the exact-tie key."""
+    parts = []
+    _, _, node, parent, blob_len = state
+    while parent is not None:
+        parts.append((1, tokens[node:node + blob_len]) if blob_len else (0, node))
+        _, _, node, parent, blob_len = parent
+    parts.reverse()
+    return tuple(parts)
 
 
-_cost = attrgetter("cost")
-
-
-def _select_beam(bucket: list[_State], k: int, tokens) -> list[_State]:
+def _select_beam(bucket: list[tuple], k: int, tokens: tuple) -> list[tuple]:
     """The `k` cheapest states; exact cost ties at the cut go by signature.
 
     Equals sorting the whole bucket by (cost, signature) and keeping the
@@ -142,22 +119,22 @@ def _select_beam(bucket: list[_State], k: int, tokens) -> list[_State]:
     """
     if len(bucket) <= k:
         return bucket
-    head = heapq.nsmallest(k + 1, bucket, key=_cost)
-    cut = head[k - 1].cost
-    if head[k].cost != cut:
-        return head[:k]
-    keep = [s for s in head if s.cost < cut]
-    tied = sorted((s for s in bucket if s.cost == cut), key=lambda s: s.signature(tokens))
+    costs = sorted([s[0] for s in bucket])
+    cut = costs[k - 1]
+    if costs[k] != cut:
+        return [s for s in bucket if s[0] <= cut]
+    keep = [s for s in bucket if s[0] < cut]
+    tied = sorted((s for s in bucket if s[0] == cut), key=lambda s: _signature(s, tokens))
     return keep + tied[:k - len(keep)]
 
 
-def _cheapest(finals: list[_State], tokens) -> _State:
+def _cheapest(finals: list[tuple], tokens: tuple) -> tuple:
     """Minimum cost; exact ties go to the smallest signature."""
-    best = min(finals, key=_cost)
-    tied = [s for s in finals if s.cost == best.cost]
+    best = min([s[0] for s in finals])
+    tied = [s for s in finals if s[0] == best]
     if len(tied) == 1:
-        return best
-    return min(tied, key=lambda s: s.signature(tokens))
+        return tied[0]
+    return min(tied, key=lambda s: _signature(s, tokens))
 
 
 class _ParseContext:
@@ -214,6 +191,15 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token],
     the context's if one is passed.  Refs come out as concept ids, blobs
     as token tuples; exact cost ties go to the smallest (0, id) / (1,
     tokens) signature.
+
+    The frontier maps a position to the states reaching it.  A state is a
+    tuple (cost, count, node, parent, blob_len): a node count and a parent
+    chain, whose `node` is a ref's concept id or, when blob_len > 0, the
+    start of a trailing blob.  Its position is its bucket's key, so it is
+    not stored.  A bucket is cut to the beam (`_select_beam`) only when it
+    holds more states than that, and successors go straight into the
+    buckets of their end positions.  `_signature` walks a parent chain
+    only for exact cost ties and for the winner.
     """
     tokens = tuple(tokens)
     alphabet = set(graph.alphabet)
@@ -228,43 +214,43 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token],
     log_d = ctx.log_d
     sigma_bits = ctx.sigma_bits
 
-    start = _State(float(gamma_len(1)), 0, 0, None, None, 0)
-    frontier: dict[int, list[_State]] = {0: [start]}
-    finals: list[_State] = []
+    start = (float(gamma_len(1)), 0, None, None, 0)
+    frontier: dict[int, list[tuple]] = {0: [start]}
+    finals: list[tuple] = []
+    # blob cost steps, summed as `header + log_d + gamma_len(1) + sigma_bits`
+    # left to right so that exact cost ties stay where they were
+    open_plain = 0 + log_d + gamma_len(1) + sigma_bits
+    open_pow2 = 2 + log_d + gamma_len(1) + sigma_bits
+    grow_pow2 = 2 + sigma_bits
 
     for pos in range(n):
         bucket = frontier.pop(pos, None)
         if not bucket:
             continue
-        bucket = _select_beam(bucket, beam, tokens)
-        cands = ctx.candidates_at(tokens, pos)
+        if len(bucket) > beam:
+            bucket = _select_beam(bucket, beam, tokens)
+        targets = [(cid, bits, finals if (end := pos + length) == n
+                    else frontier.setdefault(end, []))
+                   for cid, length, bits in ctx.candidates_at(tokens, pos)]
+        blob_target = finals if pos + 1 == n else frontier.setdefault(pos + 1, [])
         for state in bucket:
+            cost, count, node, parent, blob_len = state
             # gamma_len(x) - gamma_len(x - 1) is 2 at a power of two x, else 0
-            header_next = 2 if ((state.count + 2) & (state.count + 1)) == 0 else 0
-            ref_base = state.cost + header_next
-            for cid, length, bits in cands:
-                succ = _State(ref_base + bits, state.count + 1, pos + length,
-                              ("r", cid), state, 0)
-                (finals if succ.pos == n else frontier.setdefault(succ.pos, [])).append(succ)
-            if state.blob_len:
-                # extend the trailing blob by one token
-                old_len = state.blob_len
-                delta = (2 if ((old_len + 1) & old_len) == 0 else 0) + sigma_bits
-                prev = state.node
-                succ = _State(state.cost + delta, state.count, pos + 1,
-                              ("b", prev[1], pos + 1), state.parent, old_len + 1)
+            header_grows = ((count + 2) & (count + 1)) == 0
+            ref_base = cost + 2 if header_grows else cost
+            for cid, bits, target in targets:
+                target.append((ref_base + bits, count + 1, cid, state, 0))
+            if blob_len:  # extend the trailing blob by one token
+                grown = cost + (grow_pow2 if ((blob_len + 1) & blob_len) == 0 else sigma_bits)
+                blob_target.append((grown, count, node, parent, blob_len + 1))
             else:
-                delta = header_next + log_d + gamma_len(1) + sigma_bits
-                succ = _State(state.cost + delta, state.count + 1, pos + 1,
-                              ("b", pos, pos + 1), state, 1)
-            (finals if succ.pos == n else frontier.setdefault(succ.pos, [])).append(succ)
+                opened = cost + (open_pow2 if header_grows else open_plain)
+                blob_target.append((opened, count + 1, pos, state, 1))
 
     # the all-blob description is always a candidate
-    all_blob = _State(gamma_len(2) + log_d + gamma_len(n) + n * sigma_bits,
-                      1, n, ("b", 0, n), start, n)
-    finals.append(all_blob)
+    finals.append((gamma_len(2) + log_d + gamma_len(n) + n * sigma_bits, 1, 0, start, n))
     best = _cheapest(finals, tokens)
-    return Description(best.nodes(tokens))
+    return Description(tuple(payload for _, payload in _signature(best, tokens)))
 
 
 def reconstruct(graph: ConceptGraph, desc: Description) -> tuple[Token, ...]:

@@ -55,6 +55,14 @@ def test_alphabet_must_be_unique_and_nonempty():
         ConceptGraph("aa")
 
 
+def test_alphabet_symbols_must_be_strings():
+    """A token is a string: a graph over other symbols would save a file
+    its own loader refuses."""
+    for alphabet in ([1, 2], ["a", None], [b"a"], [["a"]]):
+        with pytest.raises(ValueError):
+            ConceptGraph(alphabet)
+
+
 def test_expansion_base_cases():
     g = fresh("abc")
     assert g.expansion(0) == ("a",)

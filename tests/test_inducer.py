@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from functools import partial
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+import conceptgraph
 from conceptgraph.core import (
     MAX_EXPANSION,
     Apply,
@@ -28,7 +32,6 @@ from conceptgraph.inducer import (
     Budget,
     Description,
     _ParseContext,
-    _State,
     _apply_forgetting,
     _cheapest,
     _gate_delta,
@@ -37,6 +40,7 @@ from conceptgraph.inducer import (
     _rewrite_pair,
     _rewrite_runs,
     _select_beam,
+    _signature,
     abstract_common,
     induce_repeats,
     ingest,
@@ -643,14 +647,13 @@ def _beam_states(draw):
     tokens: list = []
     bucket = []
     for sig, cost in zip(sigs, costs):
-        state = _State(cost, 0, 0, None, None, 0)
+        state = (cost, 0, None, None, 0)
         for tag, payload in sig:
             if tag == 0:
-                entry = ("r", payload)
+                state = (cost, 0, payload, state, 0)
             else:
-                entry = ("b", len(tokens), len(tokens) + len(payload))
+                state = (cost, 0, len(tokens), state, len(payload))
                 tokens.extend(payload)
-            state = _State(cost, 0, 0, entry, state, 0)
         bucket.append(state)
     return bucket, k, tuple(tokens)
 
@@ -660,7 +663,7 @@ def _beam_states(draw):
 def test_beam_cut_matches_full_sort(data):
     bucket, k, tokens = _beam_states(data.draw)
     # the rule the cut replaces: sort by cost, exact ties by signature
-    want = sorted(bucket, key=lambda s: (s.cost, s.signature(tokens)))
+    want = sorted(bucket, key=lambda s: (s[0], _signature(s, tokens)))
     got = _select_beam(list(bucket), k, tokens)
     assert sorted(map(id, got)) == sorted(map(id, want[:k]))
     assert _cheapest(list(bucket), tokens) is want[0]
@@ -685,6 +688,45 @@ def test_ingest_graph_bytes_are_pinned():
         ingest(g, tokens[i:i + 64])
     assert len(g) == 27
     assert _graph_sha256(g) == "ce3cf609c31051fe933998fba5f1271eea8971be433300a1da783e8c6f1bb45d"
+
+
+def test_ingest_graph_bytes_survive_python_O(tmp_path):
+    """The pinned ingest streams give the same bytes with asserts stripped:
+    no invariant of the engine may live in an `assert`."""
+    src = os.path.dirname(os.path.dirname(conceptgraph.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    test = f"{os.path.abspath(__file__)}::test_ingest_graph_bytes_are_pinned"
+    proc = subprocess.run([sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           test], capture_output=True, text=True, env=env, cwd=tmp_path,
+                          timeout=120)
+    assert proc.returncode == 0 and "1 passed" in proc.stdout, proc.stdout + proc.stderr
+
+
+def test_parse_bytes_are_pinned_at_wider_beams():
+    """Held-out grammar and random sigma-16 episodes parsed at budget levels
+    0-3 against graphs trained at beam bases 4 and 2.  Exact cost ties are
+    common at the beam cut and among the final states, so the hash pins
+    their order: reversing either tie-break changes it."""
+    tokens, _ = gen_grammar_corpus(11, 5, 64 * 50, rules_per_level=3)
+    sigma = "abcdefghijklmnop"
+    digest, sizes = hashlib.sha256(), []
+    for config in (Config(), Config(beam_base=2)):
+        grammar = ConceptGraph(GRAMMAR_ALPHABET, config)
+        for i in range(0, 64 * 40, 64):
+            ingest(grammar, tokens[i:i + 64])
+        rng = random.Random(11)
+        noise = ConceptGraph(sigma, config)
+        for _ in range(40):
+            ingest(noise, "".join(rng.choice(sigma) for _ in range(rng.randint(0, 160))))
+        sizes.append((len(grammar), len(noise)))
+        episodes = [(grammar, tokens[i:i + 64]) for i in range(64 * 40, 64 * 50, 64)]
+        episodes += [(noise, "".join(rng.choice(sigma) for _ in range(96))) for _ in range(10)]
+        for level in range(4):
+            for g, episode in episodes:
+                nodes = parse(g, episode, Budget.from_config(g.config, level)).nodes
+                digest.update(repr(nodes).encode())
+    assert sizes == [(23, 318), (23, 312)]
+    assert digest.hexdigest() == "eb20e468fec7ddbc0b81f77ff155c657eee9115e5d69750b5a3b9d8711ed2ee4"
 
 
 def test_ingest_determinism_byte_level():

@@ -90,6 +90,28 @@ def test_fresh_graph_file_has_sigma_plus_two_concepts(tmp_path):
     assert len(data["concepts"]) == 5
 
 
+_SYMBOLS = st.one_of(st.text(max_size=3), st.integers(), st.floats(), st.booleans(),
+                     st.none(), st.binary(max_size=2), st.lists(st.text(max_size=1), max_size=1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(max_size=6), st.lists(_SYMBOLS, max_size=5)))
+def test_every_accepted_alphabet_round_trips(alphabet):
+    """The constructor takes exactly the non-empty alphabets of distinct
+    strings (else `ValueError`), and each saves a file that loads back to
+    the same bytes."""
+    strings = all(isinstance(sym, str) for sym in alphabet)
+    try:
+        g = ConceptGraph(alphabet)
+    except ValueError:
+        assert not (alphabet and strings and len(set(alphabet)) == len(alphabet))
+        event("rejected")
+        return
+    assert strings
+    text = dumps(g)
+    assert dumps(graph_from_json(json.loads(text))) == text
+
+
 def test_load_errors(tmp_path):
     missing = tmp_path / "nope.cg"
     with pytest.raises(IoFailure):
