@@ -20,6 +20,14 @@ is strict and compositional, so a first consistent term with a pruned
 subterm would give an earlier consistent term by swapping in the earlier
 equivalent one.  Library definitions only call earlier entries, so
 evaluation terminates.
+
+The evaluator keeps two memos, both exact because evaluation is pure: a
+call's result per (function, arguments), and an iteration's orbit `[seed,
+f(seed), f(f(seed)), ...]` per (function, open slot, fillers, seed).  Many
+candidate iterations walk the same chains of library calls, and with the
+orbit memo they share one walk.  An iteration count over the cap raises
+first; a count of zero or less applies the section zero times and so
+returns the seed, whatever the orbit holds.
 """
 
 from __future__ import annotations
@@ -184,15 +192,16 @@ class Library:
 
 
 class _Evaluator:
-    """Term interpreter with value/iteration caps and a per-fn memo.  Terms
-    are checked before they get here (`Library`, `eval_term`), or built to
-    fit (`_Enumerator`)."""
+    """Term interpreter with value/iteration caps, a per-fn memo and an
+    iteration orbit memo.  Terms are checked before they get here
+    (`Library`, `eval_term`), or built to fit (`_Enumerator`)."""
 
     def __init__(self, library: Library, iter_cap: int, value_cap: int):
         self.library = library
         self.iter_cap = iter_cap
         self.value_cap = value_cap
         self.memo: dict[tuple[str, tuple[int, ...]], int] = {}
+        self.orbits: dict[tuple[str, int, tuple[int, ...], int], list[int]] = {}
 
     def eval(self, term: Term, inputs: tuple[int, ...]) -> int:
         if isinstance(term, Var):
@@ -216,12 +225,9 @@ class _Evaluator:
             result = _BUILTINS[fn.name][1](*values)
         else:
             key = (fn.name, values)
-            cached = self.memo.get(key)
-            if cached is not None:
-                result = cached
-            else:
-                result = self.eval(fn.definition, values)
-                self.memo[key] = result
+            result = self.memo.get(key)
+            if result is None:
+                result = self.memo[key] = self.eval(fn.definition, values)
         if result > self.value_cap:
             raise Overflow(f"value {result} exceeds cap {self.value_cap}")
         return result
@@ -229,12 +235,41 @@ class _Evaluator:
     def iterate(self, fn: LibraryFn, slot: int, fillers: tuple[int, ...],
                 count: int, value: int) -> int:
         """`value` after `count` applications of `fn` with `value` in `slot`
-        and `fillers` in the other slots: the one meaning of an Iter."""
+        and `fillers` in the other slots: the one meaning of an Iter.
+
+        A count over the cap raises first, and a count of zero or less
+        returns the seed (no steps, as in `range(count)`).  Otherwise the
+        answer is read from the orbit `[seed, f(seed), f(f(seed)), ...]`
+        kept per (fn, slot, fillers, seed), extended from its last value
+        when `count` reaches past it.  That is exact because evaluation is
+        pure.  A step that raises is not appended, so a later call raises
+        again at the same step.  Steps read the apply memo but do not write
+        it, since the orbit already holds them.
+        """
         if count > self.iter_cap:
             raise IterCountExceeded(f"iteration count {count} exceeds cap {self.iter_cap}")
+        if count <= 0:
+            return value
+        key = (fn.name, slot, fillers, value)
+        orbit = self.orbits.get(key)
+        if orbit is None:
+            orbit = self.orbits[key] = [value]
+        elif count < len(orbit):
+            return orbit[count]
         head, tail = fillers[:slot], fillers[slot:]
-        for _ in range(count):
-            value = self.apply(fn, head + (value,) + tail)
+        builtin = _BUILTINS[fn.name][1] if fn.definition is None else None
+        value = orbit[-1]
+        for _ in range(len(orbit), count + 1):
+            args = head + (value,) + tail
+            if builtin is not None:
+                value = builtin(*args)
+            else:
+                value = self.memo.get((fn.name, args))
+                if value is None:
+                    value = self.eval(fn.definition, args)
+            if value > self.value_cap:
+                raise Overflow(f"value {value} exceeds cap {self.value_cap}")
+            orbit.append(value)
         return value
 
 
@@ -391,12 +426,16 @@ def synthesize(examples: Sequence[FunctionExample], library: Library,
 
     Overflow and iteration-cap breaches count as inconsistency, not errors.
     The search stops at the first kept term whose vector equals the outputs.
+    An input or output that is not an `int` (a float, a bool, a string) is
+    a ValueError.
     """
     if not examples:
         raise ArityMismatch("need at least one example")
     arity = len(examples[0].inputs)
     if any(len(ex.inputs) != arity for ex in examples):
         raise ArityMismatch("inconsistent example arity")
+    if any(type(v) is not int for ex in examples for v in (*ex.inputs, ex.output)):
+        raise ValueError("example inputs and outputs must be integers")
     target = tuple(ex.output for ex in examples)
     enum = _Enumerator(_Evaluator(library, iter_cap, value_cap),
                        [ex.inputs for ex in examples])
@@ -417,10 +456,14 @@ def learn_all(example_sets: Sequence[tuple[str, Sequence[FunctionExample]]],
     Each success is appended to the library immediately, so later labels in
     the same pass can already build on it.  A label is only re-attempted
     after the library has grown (the search is deterministic, so an
-    unchanged library would repeat the same failure).
+    unchanged library would repeat the same failure).  A label given twice
+    is a ValueError, raised before any search.
     """
     library = library.copy() if library is not None else Library.initial()
     labels = [label for label, _ in example_sets]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ValueError(f"function {label!r} already defined")
     sets = dict(example_sets)
     unsolved = [label for label in labels if label not in library]
     attempted_at: dict[str, int] = {}

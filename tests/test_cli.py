@@ -269,6 +269,24 @@ def test_learn_fn_with_an_entry_too_wide_to_iterate_finishes(tmp_path):
         "unsolved: (none)"]
 
 
+def test_learn_fn_output_on_negative_examples_is_pinned(tmp_path, capsys):
+    """Negative inputs make negative iteration counts, which apply a section
+    zero times (`m` relies on it); `k` stays unsolved."""
+    examples = tmp_path / "fns.txt"
+    examples.write_text("f 2 -2 4 4\nf 2 3 1 7\ng 1 -3 -2\ng 1 4 5\n"
+                        "h 2 -1 3 3\nh 2 2 3 6\nh 2 4 1 8\n"
+                        "k 1 -2 -2\nk 1 3 9\nk 1 2 4\nm 2 -3 5 -3\nm 2 2 2 4\n")
+    code, out, _ = run(capsys, "learn-fn", "--examples", str(examples), "--report")
+    assert code == 0
+    assert out.splitlines() == [
+        "(builtin succ 1)",
+        "(def f 2 (call succ (call succ (call succ (iter (sec succ 0) (var 0) (const 1))))))",
+        "(def g 1 (call succ (var 0)))",
+        "(def h 2 (call succ (call succ (call succ (call succ (var 0))))))",
+        "(def m 2 (iter (sec succ 0) (var 0) (var 0)))",
+        "unsolved: k"]
+
+
 @pytest.mark.parametrize("label", ["f)", "succ"])
 def test_learn_fn_label_no_library_line_holds_is_data_error(tmp_path, label):
     examples = tmp_path / "fns.txt"

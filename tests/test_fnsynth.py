@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 
 import pytest
@@ -21,6 +22,7 @@ from conceptgraph.fnsynth import (
     Library,
     Section,
     Var,
+    _Evaluator,
     eval_term,
     learn_all,
     library_from_lines,
@@ -31,7 +33,8 @@ from conceptgraph.fnsynth import (
     term_size,
     term_to_sexpr,
 )
-from conceptgraph import sexpr
+from conceptgraph import fnsynth, sexpr
+from conceptgraph.corpus import gen_fn_ensemble
 
 SUCC = Section("succ", 0, ())
 
@@ -97,6 +100,25 @@ def test_synthesize_input_validation():
     mixed = [FunctionExample("f", (1,), 2), FunctionExample("f", (1, 2), 3)]
     with pytest.raises(ArityMismatch):
         synthesize(mixed, Library.initial())
+
+
+@pytest.mark.parametrize("inputs, output", [
+    (("a",), 2), ((1.5,), 2), ((True,), 2), ((1,), 2.0), ((1,), "2")])
+def test_synthesize_refuses_a_value_that_is_not_an_int(inputs, output):
+    examples = [FunctionExample("f", (1,), 2), FunctionExample("f", inputs, output)]
+    with pytest.raises(ValueError, match="integers"):
+        synthesize(examples, Library.initial())
+
+
+def test_learn_all_refuses_a_repeated_label_before_searching(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before refusing the repeated label")
+
+    monkeypatch.setattr(fnsynth, "synthesize", no_search)
+    sets = [("f", [FunctionExample("f", (1,), 2)]), ("g", RED),
+            ("f", [FunctionExample("f", (1,), 3)])]
+    with pytest.raises(ValueError, match="function 'f' already defined"):
+        learn_all(sets)
 
 
 def naive_enumerate(library, arity, max_size):
@@ -343,3 +365,158 @@ def test_define_checks_the_definition():
     with pytest.raises(MalformedTerm):
         lib.define("f", 1, Iter(Section("succ", 0, ()), Var(0), Call("succ", ())))
     assert [fn.name for fn in lib.entries] == ["succ"]
+
+
+INPUT = st.integers(-3, 6)
+
+
+def _reference_eval(term, inputs, lib, iter_cap, value_cap):
+    """Memo-free evaluation with the plain semantics: count, seed, then
+    fillers are evaluated; a count over `iter_cap` raises, and otherwise
+    `range(count)` steps run (none for a count of zero or less); a call
+    whose result exceeds `value_cap` overflows."""
+    def ev(t, env):
+        if isinstance(t, Var):
+            return env[t.index]
+        if isinstance(t, Const):
+            return t.value
+        if isinstance(t, Call):
+            return call(lib.fn(t.fn), [ev(a, env) for a in t.args])
+        section = t.section
+        count, value = ev(t.count, env), ev(t.seed, env)
+        fillers = [ev(f, env) for f in section.fillers]
+        if count > iter_cap:
+            raise IterCountExceeded(count)
+        for _ in range(count):
+            value = call(lib.fn(section.fn),
+                         fillers[:section.open_slot] + [value] + fillers[section.open_slot:])
+        return value
+
+    def call(fn, values):
+        result = values[0] + 1 if fn.definition is None else ev(fn.definition, values)
+        if result > value_cap:
+            raise Overflow(result)
+        return result
+
+    return ev(term, tuple(inputs))
+
+
+def _outcome(thunk):
+    try:
+        return thunk()
+    except (Overflow, IterCountExceeded) as exc:
+        return type(exc)
+
+
+def _shared_seed_pair(section, count_a, count_b, seed):
+    """Two iterations with one section and seed (one orbit) as the count and
+    seed of a third: the second reads what the first computed."""
+    return Iter(section, Iter(section, count_a, seed), Iter(section, count_b, seed))
+
+
+def _eval_terms(lib):
+    """Terms of arity 2 over `lib`, shared-seed pairs included."""
+    leaves = [Var(0), Var(1), Const(0), Const(1)]
+    sections = st.sampled_from([
+        Section(fn.name, slot, fillers) for fn in lib.entries for slot in range(fn.arity)
+        for fillers in itertools.product(leaves, repeat=fn.arity - 1)])
+
+    def extend(children):
+        calls = [st.tuples(*[children] * fn.arity).map(
+            lambda args, name=fn.name: Call(name, args)) for fn in lib.entries]
+        return st.one_of(*calls, st.builds(Iter, sections, children, children),
+                         st.builds(_shared_seed_pair, sections, children, children, children))
+
+    return st.recursive(st.sampled_from(leaves), extend, max_leaves=8)
+
+
+TERMS = {name: _eval_terms(lib) for name, lib in LIBRARIES.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), lib_name=st.sampled_from(sorted(LIBRARIES)),
+       iter_cap=st.integers(0, 6), value_cap=st.integers(1, 12))
+def test_eval_agrees_with_a_memo_free_reference(data, lib_name, iter_cap, value_cap):
+    # negative inputs give negative counts; one evaluator shared across
+    # terms and rows reuses its memos the way a search does
+    lib = LIBRARIES[lib_name]
+    terms = data.draw(st.lists(TERMS[lib_name], min_size=1, max_size=4))
+    rows = data.draw(st.lists(st.tuples(INPUT, INPUT), min_size=1, max_size=4))
+    shared = _Evaluator(lib, iter_cap, value_cap)
+    for term in terms:
+        for row in rows:
+            expected = _outcome(lambda: _reference_eval(term, row, lib, iter_cap, value_cap))
+            assert _outcome(lambda: eval_term(term, row, lib, iter_cap, value_cap)) == expected
+            assert _outcome(lambda: shared.eval(term, row)) == expected
+
+
+def test_iteration_with_a_negative_count_returns_the_seed():
+    lib = Library.initial()
+    inner = Iter(SUCC, Var(0), Var(1))
+    assert eval_term(Iter(SUCC, Var(0), inner), (-3, 5), lib) == 5
+    ev = _Evaluator(lib, DEFAULT_ITER_CAP, DEFAULT_VALUE_CAP)
+    assert ev.eval(inner, (4, 5)) == 9
+    assert ev.eval(inner, (-1, 5)) == 5
+    assert ev.eval(inner, (2, 5)) == 7
+    lib, unsolved = learn_all([("f", [FunctionExample("f", (-2, 4), 4),
+                                      FunctionExample("f", (3, 1), 7)])])
+    assert unsolved == [] and "f" in lib
+
+
+def test_failed_orbit_step_fails_again_the_same_way():
+    lib = Library.initial()
+    ev = _Evaluator(lib, iter_cap=5, value_cap=7)
+    assert ev.eval(Iter(SUCC, Var(0), Var(1)), (2, 4)) == 6
+    for _ in range(2):
+        with pytest.raises(Overflow):
+            ev.eval(Iter(SUCC, Var(0), Var(1)), (4, 4))
+        with pytest.raises(IterCountExceeded):
+            ev.eval(Iter(SUCC, Var(0), Var(1)), (6, 4))
+    assert ev.eval(Iter(SUCC, Var(0), Var(1)), (3, 4)) == 7
+
+
+_QUADP_SIZE_6 = "0ebeff2d6e9a2ce99e692077e8640630ffdad84341f99d6024357141000d5a88"
+_QUADP_SIZE_7 = "7cf05c8606f71cf82a2b6dc3281c8b0fdd64cf1f1ea59d1ba6d9287a6051923e"
+LIBRARY_PINS = (
+    [(s, 8, {}, _QUADP_SIZE_6 if s in (1, 2, 7) else _QUADP_SIZE_7) for s in range(1, 11)]
+    + [(s, 32, {}, _QUADP_SIZE_7) for s in (1, 2, 3)]
+    + [(1, 8, {"value_cap": 300},
+        "59e6219733e0c4779eb97415678eae41f011cb3f77bb4f61088895d7615aa26f"),
+       (3, 8, {"value_cap": 300},
+        "a6c10a2a422f46fd488bfa5ebe62c2dfe257c815f062b63b9804c34ae5971f2d"),
+       (5, 8, {"value_cap": 300},
+        "ad345ade6ee6cd3a779e169dfc9b575110774b7f88a497165c17b7776a95eaff"),
+       (1, 8, {"iter_cap": 30, "value_cap": 2000},
+        "f7a9def4f63f4e698c4b8161127375a4f4ad7b83bac0f744f61b14ef0955516e"),
+       (3, 8, {"iter_cap": 12},
+        "5f558548e0d2b183dc6fa68b40413c9d8e7b676e3548be344295c13def925a93"),
+       (3, 8, {"size_cap": 6},
+        "5a44b1a3eccbb41768568fbe69c70a0f7ef82328f0b9fabb178d24696165719e")])
+
+
+@pytest.mark.parametrize("seed, per_fn, caps, digest", LIBRARY_PINS)
+def test_learned_library_is_pinned(seed, per_fn, caps, digest):
+    """The library text and unsolved labels of `learn_all` on the ensemble.
+    With 8 examples about a quarter of the seeds admit a size-6 quadp; the
+    tight caps leave labels unsolved."""
+    lib, unsolved = learn_all(gen_fn_ensemble(seed * 1000, per_fn)[0], **caps)
+    text = "\n".join(library_to_lines(lib) + unsolved)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_ensemble_search_reuses_its_evaluations(monkeypatch):
+    """A work count, not a time: the search of one ensemble unit calls
+    `_Evaluator.apply` at most 300,000 times (1,128,853 without the orbit
+    memo)."""
+    calls = 0
+    apply = _Evaluator.apply
+
+    def counted(self, fn, values):
+        nonlocal calls
+        calls += 1
+        return apply(self, fn, values)
+
+    monkeypatch.setattr(_Evaluator, "apply", counted)
+    _, unsolved = learn_all(gen_fn_ensemble(1000, 32)[0])
+    assert unsolved == []
+    assert calls <= 300_000
