@@ -356,18 +356,23 @@ class ConceptGraph:
             self._codeable_weight -= concept.weight
 
     def rebuild_derived(self) -> None:
-        """Validate every concept and rebuild caches and counters in id
-        order after a bulk restore (load); raises like `add`."""
-        self._dedup = {}
-        self._expansions = {}
+        """Validate the concepts past the initial ones and rebuild caches and
+        counters in id order after a bulk restore (load); raises like `add`.
+        The initial primitives and affect primitives keep the caches that
+        `__init__` made: a restore keeps them (load checks that the file
+        repeats them), so each concept is validated once."""
+        start = len(self.alphabet) + 2
+        self._dedup = {kind: cid for kind, cid in self._dedup.items() if cid < start}
+        self._expansions = {cid: e for cid, e in self._expansions.items() if cid < start}
         self._codeable_count = 0
         self._codeable_weight = 0.0
         for concept in self.concepts:
             kind = concept.kind
-            self._validate(kind, concept.id)
-            if isinstance(kind, _PARSEABLE):
-                self._expansions[concept.id] = self._expand(kind)
-            self._dedup.setdefault(kind, concept.id)
+            if concept.id >= start:
+                self._validate(kind, concept.id)
+                if isinstance(kind, _PARSEABLE):
+                    self._expansions[concept.id] = self._expand(kind)
+                self._dedup.setdefault(kind, concept.id)
             if isinstance(kind, _CODEABLE):
                 self._codeable_count += 1
                 self._codeable_weight += concept.weight

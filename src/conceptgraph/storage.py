@@ -1,17 +1,32 @@
 """Persistence and export formats: graph files, DOT, teach scripts.
 
-Graph files are JSON with sorted keys and 9-decimal fixed float formatting,
-so saving the same graph always produces the same bytes.  Loading checks
-each concept with the rule that `add` uses (`ConceptGraph._validate`, through
-`rebuild_derived`): references point at older concepts of a fitting kind,
-so a loaded graph has no dangling reference and no cycle, and any violation
-is a `CorruptFile`, as is a file that is not UTF-8 JSON, a section of the
-wrong JSON type, an integer field holding anything but a JSON integer, a
-blob other than a list of one or more alphabet tokens, or a `digram_counts`
-section other than the association counts of distinct pairs.  Teach
-scripts are line-oriented s-expressions in strict topological order.  One
-kind table (`_KINDS`) gives each concept kind's names and typed fields to
-every reader and writer.  Every file is written atomically (`write_text`).
+Graph files (format cg2) are JSON with sorted keys and 9-decimal fixed float
+formatting, so saving the same graph always produces the same bytes.  Each
+fact is stated once.  A concept is the row `[kind, created_at, weight,
+*fields]` at the position that is its id, with its fields in dataclass
+order.  A description node is a JSON integer (a concept ref) or a JSON list
+of one or more alphabet tokens (a blob).  The digram counts are not stored:
+they are the association counts of distinct pairs.
+
+Loading checks each concept with the rule that `add` uses
+(`ConceptGraph._validate`, through `rebuild_derived`; the leading primitives
+and affect primitives must equal the ones `ConceptGraph` makes, which are
+validated once): references point at older concepts of a fitting kind, so
+a loaded graph has no dangling reference and no cycle.  Any violation is a
+`CorruptFile`, as is a file that is not UTF-8 JSON, a section of the wrong
+JSON type, a concept row of an unknown kind or the wrong length, an integer
+field holding anything but a JSON integer, or a description node that is
+neither a ref to a parseable concept nor a blob.
+
+A cg1 file (concept objects with an `id`, a `digram_counts` section, and
+description nodes tagged `["ref", n]` or `["blob", [...]]`) loads through
+one step, `_upgrade_cg1`, which checks the facts only cg1 states and hands a
+cg2 document to the one reader; the next save writes cg2.
+
+Teach scripts are line-oriented s-expressions in strict topological order.
+One kind table (`_KINDS`) gives each concept kind's names and typed fields
+to every reader and writer.  Every file is written atomically
+(`write_text`).
 """
 
 from __future__ import annotations
@@ -51,7 +66,7 @@ from .errors import (
 from .fnsynth import Library, library_from_lines, library_to_lines
 from .inducer import Description
 
-FORMAT_VERSION = "cg1"
+FORMAT_VERSION = "cg2"
 
 _CONFIG_INTS = tuple(f.name for f in fields(Config) if f.type == "int")
 _CONFIG_FLOATS = tuple(f.name for f in fields(Config) if f.type == "float")
@@ -120,34 +135,88 @@ def _writers(ref) -> dict:
                              for s in v]}
 
 
-_FROM_JSON, _TO_JSON = _readers(_int, _int), _writers(int)
+# The file writes every field but a template body as it is: JSON writes a
+# tuple as an array.
+_FROM_JSON = _readers(_int, _int)
+_TO_JSON = {**_writers(int), **dict.fromkeys((REF, REFS, INT, STR), lambda v: v)}
+# A concept row is [kind, created_at, weight, *fields]: by kind name, the
+# class and its field readers; by class, the kind name and its field writers.
+_ROW_READERS = {_KINDS[cls][0]: (cls, tuple(_FROM_JSON[tag] for _, tag in named))
+                for cls, named in _FIELDS.items()}
+_ROW_WRITERS = {cls: (_KINDS[cls][0], tuple((name, _TO_JSON[tag]) for name, tag in named))
+                for cls, named in _FIELDS.items()}
 
 
-def _desc_to_json(desc: Description):
-    return [["ref", n] if type(n) is int else ["blob", list(n)] for n in desc.nodes]
+def _concept_to_json(concept: Concept) -> list:
+    kind = concept.kind
+    name, writers = _ROW_WRITERS[type(kind)]
+    return [name, concept.created_at, _fmt(concept.weight),
+            *[write(getattr(kind, field)) for field, write in writers]]
 
 
-def _desc_from_json(data, parseable: set[int], alphabet: set[str]) -> Description:
-    """A stored level: a ref names a parseable concept, and a blob is a JSON
-    list of one or more alphabet tokens."""
+def _concept_from_json(cid: int, row) -> Concept:
+    name, created_at, weight, *values = _list(row)
+    if name not in _ROW_READERS:
+        raise CorruptFile(f"unknown concept kind {name!r}")
+    cls, readers = _ROW_READERS[name]
+    if len(values) != len(readers):
+        raise CorruptFile(f"concept {cid}: {name} takes {len(readers)} field(s)")
+    weight = float(weight)
+    if not 0.0 <= weight < math.inf:
+        raise CorruptFile(f"concept {cid}: weight not finite and >= 0")
+    kind = cls(*[read(value) for read, value in zip(readers, values)])
+    return Concept(cid, kind, weight, _int(created_at))
+
+
+def _desc_from_json(level, parseable: set[int], alphabet: set[str]) -> Description:
+    """A stored level: a JSON int is a ref to a parseable concept, and a JSON
+    list is a blob of one or more alphabet tokens."""
     nodes = []
-    for tag, node in data:
-        if tag == "ref":
-            if type(node) is not int or node not in parseable:
+    for node in _list(level):
+        if type(node) is int:
+            if node not in parseable:
                 raise CorruptFile(f"description references {node!r}, which does not expand")
-        elif tag == "blob":
-            node = tuple(_list(node))  # a non-string is no alphabet token
-            if not node or not alphabet.issuperset(node):
-                raise CorruptFile(f"blob {node!r} is not one or more alphabet tokens")
+        elif type(node) is list and node and alphabet.issuperset(node):
+            node = tuple(node)
         else:
-            raise CorruptFile(f"unknown description node {tag!r}")
+            raise CorruptFile(f"description node {node!r} is neither a ref nor a blob")
         nodes.append(node)
     return Description(tuple(nodes))
 
 
-def _digram_section(graph: ConceptGraph) -> list[list[int]]:
-    """The file's `digram_counts`: the association counts of distinct pairs."""
-    return [[a, b, n] for (a, b), n in sorted(graph.assoc_counts.items()) if a != b]
+_CG1_NODE_TYPES = {"ref": int, "blob": list}
+
+
+def _untag_cg1_node(tagged):
+    """The cg2 node of a cg1 `["ref", n]` or `["blob", [...]]`, whose tag must fit its value."""
+    tag, node = tagged
+    if type(node) is not _CG1_NODE_TYPES.get(tag):
+        raise CorruptFile(f"description node {tagged!r} does not fit its tag")
+    return node
+
+
+def _upgrade_cg1(data: dict) -> dict:
+    """The cg2 document of a cg1 one.  Checks the facts that only cg1 states:
+    each concept's `id` is its position, `digram_counts` is the association
+    counts of distinct pairs, and each node's tag fits its value's JSON type.
+    The cg2 reader checks everything else."""
+    concepts = []
+    for i, entry in enumerate(_list(data["concepts"])):
+        if _int(_dict(entry)["id"]) != i:
+            raise CorruptFile(f"concept {i}: id out of order")
+        named = _FIELDS[_BY_NAME[entry["kind"]]]
+        concepts.append([entry["kind"], entry["created_at"], entry["weight"],
+                         *[entry[name] for name, _ in named]])
+    assoc, digrams = _list(data["assoc_counts"]), _list(data["digram_counts"])
+    _ints(chain.from_iterable(chain(assoc, digrams)))  # no float or bool passes as equal
+    counts = {(a, b): n for a, b, n in assoc}
+    if digrams != [[a, b, n] for (a, b), n in sorted(counts.items()) if a != b]:
+        raise CorruptFile("digram_counts differs from the association counts")
+    refinements = {ep: [[_untag_cg1_node(node) for node in _list(level)] for level in _list(levels)]
+                   for ep, levels in _dict(data["refinements"]).items()}
+    upgraded = dict(data, version=FORMAT_VERSION, concepts=concepts, refinements=refinements)
+    del upgraded["digram_counts"]
+    return upgraded
 
 
 def graph_to_json(graph: ConceptGraph) -> dict:
@@ -159,17 +228,11 @@ def graph_to_json(graph: ConceptGraph) -> dict:
         "config": config,
         "episode": graph.episode,
         "raw_bits_total": _fmt(graph.raw_bits_total),
-        "concepts": [
-            {"id": c.id, "created_at": c.created_at, "weight": _fmt(c.weight),
-             "kind": _KINDS[type(c.kind)][0],
-             **{name: _TO_JSON[tag](getattr(c.kind, name)) for name, tag in _FIELDS[type(c.kind)]}}
-            for c in graph.concepts
-        ],
+        "concepts": [_concept_to_json(c) for c in graph.concepts],
         "assoc_counts": [[a, b, n] for (a, b), n in sorted(graph.assoc_counts.items())],
-        "digram_counts": _digram_section(graph),
         "run_observations": {str(k): sorted(v) for k, v in sorted(graph.run_observations.items())},
         "follows_marker": graph.follows_marker_id,
-        "refinements": {str(ep): [_desc_to_json(d) for d in chain]
+        "refinements": {str(ep): [d.nodes for d in chain]  # JSON writes a tuple as an array
                         for ep, chain in sorted(graph.refinement_store.items())},
         "library": library_to_lines(graph.library if graph.library is not None
                                     else Library.initial()),
@@ -206,26 +269,29 @@ def save(graph: ConceptGraph, path: str) -> None:
 
 def graph_from_json(data) -> ConceptGraph:
     version = _dict(data).get("version")
-    if version != FORMAT_VERSION:
+    if version not in (FORMAT_VERSION, "cg1"):
         raise VersionMismatch(f"expected {FORMAT_VERSION!r}, got {version!r}")
     try:
+        if version == "cg1":
+            data = _upgrade_cg1(data)
         config_data = _dict(data["config"])
         kwargs = {name: float(config_data[name]) for name in _CONFIG_FLOATS}
         kwargs.update({name: _int(config_data[name]) for name in _CONFIG_INTS})
         graph = ConceptGraph(tuple(_list(data["alphabet"])), Config(**kwargs))
 
-        concepts = graph.concepts  # the initial ones, which the file repeats; then appended
-        for i, entry in enumerate(data["concepts"]):
-            cls = _BY_NAME.get(entry["kind"])
-            if cls is None:
-                raise CorruptFile(f"unknown concept kind {entry['kind']!r}")
-            kind = cls(*[_FROM_JSON[tag](entry[name]) for name, tag in _FIELDS[cls]])
-            weight = float(entry["weight"])
-            if _int(entry["id"]) != i or not 0.0 <= weight < math.inf:
-                raise CorruptFile(f"concept {i}: id out of order or weight not finite and >= 0")
-            if i < len(concepts) and concepts[i].kind != kind:
+        # the file repeats the initial concepts, which `ConceptGraph` made and validated
+        concepts, rows = graph.concepts, _list(data["concepts"])
+        initial = len(concepts)
+        if len(rows) < initial:
+            raise CorruptFile("initial concepts do not match the alphabet")
+        for i, row in enumerate(rows):
+            concept = _concept_from_json(i, row)
+            if i >= initial:
+                concepts.append(concept)
+            elif concepts[i].kind == concept.kind:
+                concepts[i] = concept
+            else:
                 raise CorruptFile("initial concepts do not match the alphabet")
-            concepts[i:i + 1] = [Concept(i, kind, weight, _int(entry["created_at"]))]
         graph.rebuild_derived()  # the growth rule of `ConceptGraph._validate`; the code mass
 
         graph.episode = _int(data["episode"])
@@ -234,11 +300,9 @@ def graph_from_json(data) -> ConceptGraph:
         graph.raw_bits_total = float(data["raw_bits_total"])
         if not 0.0 <= graph.raw_bits_total < math.inf:
             raise CorruptFile("raw_bits_total must be finite and non-negative")
-        for name in ("assoc_counts", "digram_counts"):  # row lengths: unpacking, comparison
-            _ints(chain.from_iterable(_list(data[name])))
-        graph.assoc_counts = {(a, b): n for a, b, n in data["assoc_counts"]}
-        if data["digram_counts"] != _digram_section(graph):
-            raise CorruptFile("digram_counts differs from the association counts")
+        assoc = _list(data["assoc_counts"])
+        _ints(chain.from_iterable(assoc))  # row lengths: unpacking
+        graph.assoc_counts = {(a, b): n for a, b, n in assoc}
         graph.run_observations = {_key(k): set(_ints(_list(v)))
                                   for k, v in _dict(data["run_observations"]).items()}
         marker = data.get("follows_marker")
@@ -246,7 +310,7 @@ def graph_from_json(data) -> ConceptGraph:
         parseable, alphabet = set(graph.parseable_ids()), set(graph.alphabet)
         for ep, levels in _dict(data["refinements"]).items():
             graph.refinement_store[_key(ep)] = [_desc_from_json(d, parseable, alphabet)
-                                                for d in levels]
+                                                for d in _list(levels)]
         graph.library = library_from_lines(_list(data["library"]))
         return graph
     except (GraphError, KeyError, ValueError, TypeError, IndexError, OverflowError) as exc:

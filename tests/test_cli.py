@@ -10,7 +10,7 @@ import conceptgraph
 from conceptgraph.cli import main
 from conceptgraph.core import (
     MAX_EXPANSION, Apply, Concat, ConceptGraph, Hole, Repeat, SlotRef, Template)
-from conceptgraph.storage import dumps, import_teach
+from conceptgraph.storage import dumps, import_teach, load
 
 
 def run(capsys, *argv):
@@ -76,7 +76,7 @@ def test_bad_weight_is_data_error_for_parse_and_refine(tmp_path, capsys, weight)
     run(capsys, "init", "--alphabet", "ab", "--out", str(graph))
     run(capsys, "ingest", "--graph", str(graph), "--input", str(data))
     doc = json.loads(graph.read_text())
-    doc["concepts"][0]["weight"] = weight
+    doc["concepts"][0][2] = weight  # a row is [kind, created_at, weight, *fields]
     graph.write_text(json.dumps(doc))
     assert_data_error(["parse", "--graph", str(graph), "--input", str(data)],
                       ["refine", "--graph", str(graph), "--episode", "0"])
@@ -104,7 +104,7 @@ def test_cyclic_graph_file_is_data_error(tmp_path, children):
     g = ConceptGraph("ab")
     g.add(Concat((g.add(Concat((0, 1))), 0)))  # 4 = "ab", 5 = "aba"
     doc = json.loads(dumps(g))
-    doc["concepts"][4]["children"] = children  # 4 -> 4, or 4 -> 5 -> 4
+    doc["concepts"][4][3] = children  # the concat's children: 4 -> 4, or 4 -> 5 -> 4
     graph = tmp_path / "g.cg"
     graph.write_text(json.dumps(doc))
     data = tmp_path / "in.txt"
@@ -117,7 +117,7 @@ def test_apply_naming_an_affect_primitive_is_data_error(tmp_path):
     tpl = g.add(Template((Hole(0), SlotRef(1))))
     g.add(Apply(tpl, (0,)))
     doc = json.loads(dumps(g))
-    doc["concepts"][6]["template"] = 4
+    doc["concepts"][6][3] = 4  # the apply's template
     graph = tmp_path / "g.cg"
     graph.write_text(json.dumps(doc))
     data = tmp_path / "in.txt"
@@ -129,7 +129,7 @@ def test_repeat_past_the_expansion_cap_is_data_error(tmp_path):
     g = ConceptGraph("ab")
     g.add(Repeat(g.add(Concat((0, 1))), 2))
     doc = json.loads(dumps(g))
-    doc["concepts"][5]["count"] = MAX_EXPANSION // 2 + 1  # one "ab" past the cap
+    doc["concepts"][5][4] = MAX_EXPANSION // 2 + 1  # the repeat's count: one "ab" past the cap
     graph = tmp_path / "g.cg"
     graph.write_text(json.dumps(doc))
     data = tmp_path / "in.txt"
@@ -144,7 +144,7 @@ def test_malformed_blob_in_a_graph_file_is_data_error(tmp_path, payload):
     assert run_cli("init", "--alphabet", "ab", "--out", str(graph)).returncode == 0
     assert run_cli("ingest", "--graph", str(graph), "--input", str(data)).returncode == 0
     doc = json.loads(graph.read_text())
-    doc["refinements"]["0"] = [[["blob", payload]]]
+    doc["refinements"]["0"] = [[payload]]
     graph.write_text(json.dumps(doc))
     assert_data_error(["refine", "--graph", str(graph), "--episode", "0"],
                       ["stats", "--graph", str(graph)])
@@ -238,7 +238,7 @@ def test_teach_writes_script(tmp_path, capsys):
     run(capsys, "init", "--alphabet", "ab", "--out", str(graph))
     run(capsys, "ingest", "--graph", str(graph), "--input", str(data))
     payload = json.loads((graph).read_text())
-    last = payload["concepts"][-1]["id"]
+    last = len(payload["concepts"]) - 1
     code, _, _ = run(capsys, "teach", "--graph", str(graph),
                      "--concept", str(last), "--out", str(out_path))
     assert code == 0
@@ -403,4 +403,19 @@ def test_cli_text_and_bytes_are_pinned(tmp_path, capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "591001afbfecb03ea90abb48e2e99c240ba4c4cf625601c09ec7898c8bd85f48")
     assert hashlib.sha256(data).hexdigest() == (
-        "7e5fea2e8309689ef424857e3630caf3ff81e1225c8ddca33880ec13b0c90303")
+        "79f2c36269be6b875c29945f95faac5f8a81a2af517501efea66ffe1c249a1c8")
+
+
+# The pinned session's graph file in the cg1 format, written before cg2.
+CG1_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "pinned_session.cg1")
+
+
+def test_the_cg1_file_of_the_pinned_session_upgrades_to_its_cg2_bytes(tmp_path, capsys):
+    _, data = pinned_session(tmp_path, capsys)
+    assert dumps(load(CG1_FIXTURE)).encode() == data
+
+
+def test_the_cg2_file_of_the_pinned_session_is_at_most_55_percent_of_cg1(tmp_path, capsys):
+    """A size guard: a change that fattens the file format fails here."""
+    _, data = pinned_session(tmp_path, capsys)
+    assert len(data) <= 0.55 * os.path.getsize(CG1_FIXTURE)

@@ -680,14 +680,14 @@ def test_ingest_graph_bytes_are_pinned():
     for _ in range(60):
         ingest(g, "".join(rng.choice(sigma) for _ in range(rng.randint(0, 256))))
     assert len(g) == 564
-    assert _graph_sha256(g) == "6c9d0996818335909a5bd40e0277847b788c771749628fd7934c70a1afa63313"
+    assert _graph_sha256(g) == "80dacd77964260498af7197e0da591b2b38cf0b279545315657c535b1cd23456"
 
     tokens, _ = gen_grammar_corpus(7, 5, 64 * 60, rules_per_level=3)
     g = ConceptGraph(GRAMMAR_ALPHABET)
     for i in range(0, 64 * 60, 64):
         ingest(g, tokens[i:i + 64])
     assert len(g) == 27
-    assert _graph_sha256(g) == "ce3cf609c31051fe933998fba5f1271eea8971be433300a1da783e8c6f1bb45d"
+    assert _graph_sha256(g) == "de5942c7f9bd43dd70aa739e0816d6b689d5e915758de73f177efecc4dac1884"
 
 
 def test_ingest_graph_bytes_survive_python_O(tmp_path):

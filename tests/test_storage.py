@@ -14,6 +14,7 @@ from hypothesis import event, given, settings, strategies as st
 from conceptgraph import sexpr, storage
 from conceptgraph.cli import main
 from conceptgraph.core import (
+    AffectPrimitive,
     Apply,
     Association,
     Concat,
@@ -22,6 +23,7 @@ from conceptgraph.core import (
     Hole,
     Kind,
     Marker,
+    Primitive,
     Repeat,
     SlotRef,
     Template,
@@ -35,7 +37,7 @@ from conceptgraph.errors import (
     UnresolvedReference,
     VersionMismatch,
 )
-from conceptgraph.fnsynth import FunctionExample, learn_all
+from conceptgraph.fnsynth import FunctionExample, learn_all, library_to_lines
 from conceptgraph.inducer import ingest, parse, reconstruct
 from conceptgraph.storage import (
     dot_text,
@@ -47,6 +49,28 @@ from conceptgraph.storage import (
     load,
     save,
 )
+
+
+# A cg2 concept row is [kind, created_at, weight, *fields], fields in dataclass order.
+CREATED_AT, WEIGHT = 1, 2
+KIND_CLASSES = {"primitive": Primitive, "concat": Concat, "repeat": Repeat,
+                "template": Template, "apply": Apply, "association": Association,
+                "affect": AffectPrimitive, "marker": Marker}
+
+
+def set_field(row: list, name: str, value) -> None:
+    """Set the named kind field of a cg2 concept row."""
+    row[3 + [f.name for f in fields(KIND_CLASSES[row[0]])].index(name)] = value
+
+
+# The `pinned_session` graph of test_cli.py, saved in the cg1 format.
+CG1_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "pinned_session.cg1")
+
+
+@functools.cache
+def cg1_fixture_text() -> str:
+    with open(CG1_FIXTURE, encoding="utf-8") as handle:
+        return handle.read()
 
 
 def trained_graph():
@@ -135,7 +159,7 @@ def test_load_errors(tmp_path):
 @pytest.mark.parametrize("weight", ["nan", "1e400", "-inf", "-1"])
 def test_load_rejects_non_finite_or_negative_weight(tmp_path, weight):
     data = json.loads(dumps(ConceptGraph("ab")))
-    data["concepts"][0]["weight"] = weight
+    data["concepts"][0][WEIGHT] = weight
     path = tmp_path / "bad.cg"
     path.write_text(json.dumps(data))
     with pytest.raises(CorruptFile):
@@ -164,9 +188,9 @@ def cyclic_graph_data(cycle):
     g.add(Concat((g.add(Concat((0, 1))), 0)))
     data = json.loads(dumps(g))
     if cycle == "self":
-        data["concepts"][4]["children"] = [4, 1]
+        set_field(data["concepts"][4], "children", [4, 1])
     else:
-        data["concepts"][4]["children"] = [5, 1]
+        set_field(data["concepts"][4], "children", [5, 1])
     return data
 
 
@@ -178,8 +202,7 @@ def test_load_rejects_reference_cycles(cycle):
 
 def test_load_rejects_missing_reference_and_accepts_newer_template():
     data = json.loads(dumps(ConceptGraph("ab")))
-    data["concepts"].append({"id": 4, "created_at": 0, "weight": "1.000000000",
-                             "kind": "concat", "children": [0, 99]})
+    data["concepts"].append(["concat", 0, "1.000000000", [0, 99]])
     with pytest.raises(CorruptFile):
         graph_from_json(data)
     # an Apply rewritten to name a template added after it is not a cycle
@@ -243,7 +266,7 @@ def test_config_fields_are_the_dataclass_fields():
 def test_load_rejects_invalid_concepts(cid, field, value):
     data = reference_kinds_data()
     assert graph_from_json(data).expansion(10) == tuple("ababa")
-    data["concepts"][cid][field] = value
+    set_field(data["concepts"][cid], field, value)
     with pytest.raises(CorruptFile):
         graph_from_json(data)
 
@@ -252,7 +275,7 @@ def test_load_rejects_an_expansion_past_the_cap():
     g = ConceptGraph("ab")
     g.add(Repeat(g.add(Concat((0, 1))), 2))
     doc = json.loads(dumps(g))
-    doc["concepts"][5]["count"] = 10**9  # 2 * 10**9 tokens, refused unbuilt
+    set_field(doc["concepts"][5], "count", 10**9)  # 2 * 10**9 tokens, refused unbuilt
     with pytest.raises(CorruptFile):
         graph_from_json(doc)
 
@@ -260,20 +283,21 @@ def test_load_rejects_an_expansion_past_the_cap():
 def test_load_rejects_a_refinement_ref_that_does_not_expand():
     g = trained_graph()
     data = json.loads(dumps(g))
-    chain = next(iter(data["refinements"].values()))
-    node = next(n for n in chain[0] if n[0] == "ref")
+    level = next(iter(data["refinements"].values()))[0]
+    i = next(i for i, node in enumerate(level) if type(node) is int)
     for bad in (g.pleasure_id, len(g)):
-        node[1] = bad
+        level[i] = bad
         with pytest.raises(CorruptFile):
             graph_from_json(data)
 
 
-@pytest.mark.parametrize("payload", [[["a"]], [], ["z"], [5], [None], "ab", None, 7])
+@pytest.mark.parametrize("payload", [[["a"]], [], ["z"], [5], [None], "ab", None, True, 3.0, {}])
 def test_load_rejects_a_malformed_blob(payload):
-    """A blob is a JSON list of one or more alphabet tokens; a string is
-    not split into its characters."""
+    """A node is a JSON integer (a ref) or a blob, a JSON list of one or more
+    alphabet tokens; a string is not split into its characters, and a bool
+    is no ref."""
     data = json.loads(dumps(trained_graph()))
-    next(iter(data["refinements"].values()))[0].append(["blob", payload])
+    next(iter(data["refinements"].values()))[0].append(payload)
     with pytest.raises(CorruptFile):
         graph_from_json(data)
 
@@ -281,23 +305,79 @@ def test_load_rejects_a_malformed_blob(payload):
 def test_load_reads_a_blob_as_a_token_tuple():
     data = json.loads(dumps(trained_graph()))
     chain = next(iter(data["refinements"].values()))
-    chain[0].append(["blob", ["d", "a"]])
+    chain[0].append(["d", "a"])
     assert graph_from_json(data).refinement_store[0][0].nodes[-1] == ("d", "a")
 
 
-def int_fields(entry) -> list[tuple]:
-    """Paths of the integer reference and count fields of one saved concept."""
-    kind = entry["kind"]
+@pytest.mark.parametrize("cid, row", [
+    pytest.param(10, {"kind": "concat", "created_at": 0, "weight": "1.000000000",
+                      "children": [8, 0]}, id="a-cg1-object"),
+    pytest.param(10, "concat", id="a-string"),
+    pytest.param(10, None, id="null"),
+    pytest.param(10, [], id="empty"),
+    pytest.param(10, ["concat", 0], id="no-weight"),
+    pytest.param(10, ["concat", 0, "1.000000000"], id="no-fields"),
+    pytest.param(10, ["concat", 0, "1.000000000", [8, 0], [0]], id="an-extra-field"),
+    pytest.param(8, ["repeat", 0, "1.000000000", 5], id="repeat-without-count"),
+    pytest.param(10, ["wobble", 0, "1.000000000", [8, 0]], id="unknown-kind"),
+    pytest.param(10, [["concat"], 0, "1.000000000", [8, 0]], id="a-list-as-kind"),
+])
+def test_load_rejects_a_misshapen_concept_row(cid, row):
+    data = reference_kinds_data()
+    assert data["concepts"][10] == ["concat", 0, "1.000000000", [8, 0]]
+    data["concepts"][cid] = row
+    with pytest.raises(CorruptFile):
+        graph_from_json(data)
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda rows: rows.__setitem__(0, ["primitive", 0, "1.000000000", "b"]),
+                 id="tokens-out-of-order"),
+    pytest.param(lambda rows: rows.__setitem__(4, ["affect", 0, "1.000000000", 1]),
+                 id="two-pleasure-primitives"),
+    pytest.param(lambda rows: rows.__setitem__(3, ["marker", 0, "1.000000000", "x"]),
+                 id="a-marker-for-pleasure"),
+    pytest.param(lambda rows: rows.pop(4), id="no-pain-primitive"),
+    pytest.param(lambda rows: rows.clear(), id="no-concepts"),
+])
+def test_load_rejects_initial_rows_other_than_the_alphabet_and_affects(edit):
+    """The file repeats the primitives, in alphabet order, then pleasure and pain."""
+    data = json.loads(dumps(ConceptGraph("abc")))
+    edit(data["concepts"])
+    with pytest.raises(CorruptFile):
+        graph_from_json(data)
+
+
+def test_load_validates_each_concept_once(monkeypatch):
+    """`ConceptGraph` validates the initial concepts, and load the rest, in
+    both formats."""
+    calls = []
+    validate = ConceptGraph._validate
+
+    def counting(self, kind, cid):
+        calls.append(cid)
+        return validate(self, kind, cid)
+
+    monkeypatch.setattr(ConceptGraph, "_validate", counting)
+    g = load(CG1_FIXTURE)
+    assert len(g) == 45 and calls == list(range(len(g)))
+    calls.clear()
+    g = graph_from_json(json.loads(dumps(g)))
+    assert calls == list(range(len(g)))
+
+
+def int_fields(row) -> list[tuple]:
+    """Paths of the integer reference and count fields of one cg2 concept
+    row, whose fields start at column 3."""
+    kind = row[0]
     if kind == "concat":
-        return [("children", i) for i in range(len(entry["children"]))]
-    if kind == "repeat":
-        return [("child",), ("count",)]
+        return [(3, i) for i in range(len(row[3]))]
     if kind == "template":
-        return [("body", i, 1) for i in range(len(entry["body"]))]
+        return [(3, i, 1) for i in range(len(row[3]))]
     if kind == "apply":
-        return [("template",)] + [("fillers", i) for i in range(len(entry["fillers"]))]
-    if kind == "association":
-        return [("a",), ("b",)]
+        return [(3,)] + [(4, i) for i in range(len(row[4]))]
+    if kind in ("repeat", "association"):  # child and count, a and b
+        return [(3,), (4,)]
     return []
 
 
@@ -328,24 +408,23 @@ def test_load_of_a_graph_with_one_edited_integer(data):
 
 
 def numeric_paths(doc) -> list[tuple]:
-    """Paths of every numeric field of a saved graph: concept ids, weights,
-    creation episodes, references and counts, the episode, the integer config fields, the
-    entries of the digram, association and run counts, the follows marker
-    and the refinement refs."""
+    """Paths of every numeric field of a saved graph: weights, creation
+    episodes, references and counts, the episode, the integer config fields,
+    the entries of the association and run counts, the follows marker and
+    the refinement refs."""
     paths = [("episode",)]
     paths += [("config", name) for name, value in doc["config"].items() if isinstance(value, int)]
-    for i, entry in enumerate(doc["concepts"]):
-        paths += [("concepts", i, name) for name in ("id", "weight", "created_at")]
-        paths += [("concepts", i) + field for field in int_fields(entry)]
-    for section in ("digram_counts", "assoc_counts"):
-        paths += [(section, i, j) for i in range(len(doc[section])) for j in range(3)]
+    for i, row in enumerate(doc["concepts"]):
+        paths += [("concepts", i, WEIGHT), ("concepts", i, CREATED_AT)]
+        paths += [("concepts", i) + field for field in int_fields(row)]
+    paths += [("assoc_counts", i, j) for i in range(len(doc["assoc_counts"])) for j in range(3)]
     for k, members in doc["run_observations"].items():
         paths += [("run_observations", k, i) for i in range(len(members))]
     if doc["follows_marker"] is not None:
         paths.append(("follows_marker",))
     for ep, chain in doc["refinements"].items():
-        paths += [("refinements", ep, level, i, 1) for level, desc in enumerate(chain)
-                  for i, (tag, _) in enumerate(desc) if tag == "ref"]
+        paths += [("refinements", ep, level, i) for level, desc in enumerate(chain)
+                  for i, node in enumerate(desc) if type(node) is int]
     return paths
 
 
@@ -368,7 +447,7 @@ def test_load_of_a_graph_with_one_non_integer_field(data):
     for key in path:
         field = field[key]
     field[last] = data.draw(NOT_AN_INTEGER)
-    if last != "weight":
+    if not (len(path) == 2 and path[0] == "concepts" and last == WEIGHT):
         with pytest.raises(CorruptFile):
             graph_from_json(doc)
         return
@@ -388,7 +467,7 @@ NOT_A_ROW = st.one_of(
 NOT_A_LIST = st.sampled_from(["", "12", "abcd", {}, {"1": 2}, None, 7, 2.5, True, False])
 NOT_A_DICT = st.sampled_from([[], [["2", [0]]], "", "ab", None, 7, 2.5, True])
 SECTION_TYPES = {"alphabet": NOT_A_LIST, "concepts": NOT_A_LIST, "assoc_counts": NOT_A_LIST,
-                 "digram_counts": NOT_A_LIST, "library": NOT_A_LIST, "config": NOT_A_DICT,
+                 "library": NOT_A_LIST, "config": NOT_A_DICT,
                  "run_observations": NOT_A_DICT, "refinements": NOT_A_DICT}
 
 
@@ -401,7 +480,7 @@ def test_load_of_a_graph_with_one_misshapen_row_or_section(data):
     doc = json.loads(trained_graph_text())
     where = data.draw(st.sampled_from(["row", "members", "section"]))
     if where == "row":
-        rows = doc[data.draw(st.sampled_from(["assoc_counts", "digram_counts"]))]
+        rows = doc["assoc_counts"]
         rows[data.draw(st.integers(0, len(rows) - 1))] = data.draw(NOT_A_ROW)
     elif where == "members":
         doc["run_observations"][data.draw(st.sampled_from(sorted(doc["run_observations"])))] = \
@@ -423,13 +502,76 @@ def test_load_rejects_a_non_canonical_key(section, key):
         graph_from_json(doc)
 
 
+def test_the_cg1_fixture_is_pinned():
+    with open(CG1_FIXTURE, "rb") as handle:
+        data = handle.read()
+    assert len(data) == 5346
+    assert hashlib.sha256(data).hexdigest() == (
+        "7e5fea2e8309689ef424857e3630caf3ff81e1225c8ddca33880ec13b0c90303")
+
+
+def graph_state(g) -> dict:
+    """Every attribute of a graph, derived caches included; the library as text."""
+    return {**vars(g), "library": library_to_lines(g.library)}
+
+
+def test_a_cg1_file_loads_to_the_graph_its_cg2_file_holds(tmp_path):
+    """A cg1 file loads through the upgrade; its next save writes cg2,
+    which loads to the same graph, caches and counters included."""
+    old = load(CG1_FIXTURE)
+    path = tmp_path / "g.cg"
+    save(old, str(path))
+    doc = json.loads(path.read_text())
+    assert doc["version"] == "cg2" and "digram_counts" not in doc
+    assert set(doc) == set(json.loads(cg1_fixture_text())) - {"digram_counts"}
+    new = load(str(path))
+    assert graph_state(new) == graph_state(old)
+    assert graph_state(load(CG1_FIXTURE)) == graph_state(old)
+
+
+def _set_first_ref(doc, node) -> None:
+    """Replace the first `["ref", n]` node of a cg1 document."""
+    for chain in doc["refinements"].values():
+        for level in chain:
+            for i, tagged in enumerate(level):
+                if tagged[0] == "ref":
+                    level[i] = node
+                    return
+
+
+CG1_FAULTS = {
+    "id-out-of-order": lambda d: d["concepts"][20].__setitem__("id", 21),
+    "ids-swapped": lambda d: (d["concepts"][20].__setitem__("id", 21),
+                              d["concepts"][21].__setitem__("id", 20)),
+    "no-id": lambda d: d["concepts"][20].pop("id"),
+    "no-digram-section": lambda d: d.pop("digram_counts"),
+    "digram-edited": lambda d: d["digram_counts"][0].__setitem__(2, d["digram_counts"][0][2] + 1),
+    "ref-true": lambda d: _set_first_ref(d, ["ref", True]),
+    "ref-list": lambda d: _set_first_ref(d, ["ref", [1]]),
+    "ref-float": lambda d: _set_first_ref(d, ["ref", 20.0]),
+    "blob-7": lambda d: _set_first_ref(d, ["blob", 7]),
+    "blob-string": lambda d: _set_first_ref(d, ["blob", "ab"]),
+    "untagged-ref": lambda d: _set_first_ref(d, 20),
+    "unknown-tag": lambda d: _set_first_ref(d, ["wobble", 20]),
+}
+
+
+@pytest.mark.parametrize("fault", list(CG1_FAULTS))
+def test_a_cg1_only_fault_is_corrupt_file(fault):
+    """The facts only cg1 states: ids in order, the digram section, and a
+    node tag that fits its value's JSON type."""
+    doc = json.loads(cg1_fixture_text())
+    graph_from_json(doc)
+    CG1_FAULTS[fault](doc)
+    with pytest.raises(CorruptFile):
+        graph_from_json(doc)
+
+
 def test_the_digram_section_is_the_distinct_pair_counts():
-    """The file's digram section is derived from the association counts; a
-    section that differs from it is a `CorruptFile`, not rewritten."""
-    g = trained_graph()
-    doc = json.loads(dumps(g))
-    assert doc["digram_counts"] == [[a, b, n] for (a, b), n in sorted(g.assoc_counts.items())
-                                    if a != b]
+    """A cg1 file's digram section is the association counts of distinct
+    pairs; a section that differs from it is a `CorruptFile`, not rewritten."""
+    doc = json.loads(cg1_fixture_text())
+    assert doc["digram_counts"] == [row for row in doc["assoc_counts"] if row[0] != row[1]]
     assert len(doc["digram_counts"]) > 1
 
     def add_an_equal_pair(d):  # a valid association count, but no digram
@@ -445,12 +587,34 @@ def test_the_digram_section_is_the_distinct_pair_counts():
         add_an_equal_pair,
     ]
     for edit in edits:
-        bad = json.loads(dumps(g))
+        bad = json.loads(cg1_fixture_text())
         edit(bad)
         with pytest.raises(CorruptFile):
             graph_from_json(bad)
     doc["assoc_counts"].insert(0, [0, 0, 5])
     assert graph_from_json(doc).assoc_counts[0, 0] == 5
+
+
+@settings(max_examples=100, deadline=1000)
+@given(st.data())
+def test_load_of_a_cg1_file_with_one_bad_id_or_digram(data):
+    """In a cg1 file, a concept id or digram entry that is not a JSON
+    integer, a misshapen digram row and a digram section of the wrong JSON
+    type are each a `CorruptFile`."""
+    doc = json.loads(cg1_fixture_text())
+    concepts, digrams = doc["concepts"], doc["digram_counts"]
+    where = data.draw(st.sampled_from(["id", "entry", "row", "section"]))
+    if where == "id":
+        concepts[data.draw(st.integers(0, len(concepts) - 1))]["id"] = data.draw(NOT_AN_INTEGER)
+    elif where == "entry":
+        row = digrams[data.draw(st.integers(0, len(digrams) - 1))]
+        row[data.draw(st.integers(0, 2))] = data.draw(NOT_AN_INTEGER)
+    elif where == "row":
+        digrams[data.draw(st.integers(0, len(digrams) - 1))] = data.draw(NOT_A_ROW)
+    else:
+        doc["digram_counts"] = data.draw(NOT_A_LIST)
+    with pytest.raises(CorruptFile):
+        graph_from_json(doc)
 
 
 def test_a_deeply_nested_graph_file_is_corrupt_file(tmp_path):
