@@ -25,7 +25,6 @@ from .errors import (
     TooLarge,
     UnknownConcept,
 )
-from .fnsynth import DEFAULT_ITER_CAP, DEFAULT_SIZE_CAP, DEFAULT_VALUE_CAP
 
 Token = str
 
@@ -109,6 +108,9 @@ class Marker:
     label: str
 
 
+FOLLOWS = Marker("follows")  # the generic marker that association edges point at
+
+
 Kind = Union[Primitive, Concat, Repeat, Template, Apply, Association, AffectPrimitive, Marker]
 
 # Kinds that take part in the reference code (weights count toward the
@@ -133,10 +135,6 @@ class Config:
     valence_hop_cap: int = 6
     beam_base: int = 4
     pool_base: int = 64
-    synth_size_cap: int = DEFAULT_SIZE_CAP
-    iter_cap: int = DEFAULT_ITER_CAP
-    value_cap: int = DEFAULT_VALUE_CAP
-    smoothness_threshold: float = 1.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.decay <= 1.0):
@@ -175,6 +173,7 @@ class ConceptGraph:
     and the codeable count and weight (the code denominator), and holds the
     refinement store, the run counts and the adjacent-pair counts that
     associations and digrams share; description lengths come from `mdl`.
+    The follows marker is the concept that is `FOLLOWS`, found by structure.
     """
 
     def __init__(self, alphabet: Sequence[Token], config: Optional[Config] = None):
@@ -195,14 +194,11 @@ class ConceptGraph:
         self.raw_bits_total: float = 0.0
         # run-length observations feeding number generalization: k -> child ids
         self.run_observations: dict[int, set[int]] = {}
-        self.follows_marker_id: Optional[int] = None
         # derived caches / counters
         self._dedup: dict[Kind, int] = {}
         self._expansions: dict[int, tuple[Token, ...]] = {}
         self._codeable_count = 0
         self._codeable_weight = 0.0
-        # learned function library (shell attaches/persists it)
-        self.library = None
 
         for sym in self.alphabet:
             self.add(Primitive(sym))
@@ -247,6 +243,11 @@ class ConceptGraph:
     def find(self, kind: Kind) -> Optional[int]:
         """Id of a structurally identical concept, if one exists."""
         return self._dedup.get(kind)
+
+    @property
+    def follows_marker_id(self) -> Optional[int]:
+        """Id of the `FOLLOWS` marker, or None while the graph has none."""
+        return self._dedup.get(FOLLOWS)
 
     # ------------------------------------------------------------------
     # construction

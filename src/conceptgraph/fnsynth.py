@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import ArityMismatch, IterCountExceeded, MalformedTerm, Overflow
 from . import sexpr
@@ -492,8 +492,9 @@ def learn_all(example_sets: Sequence[tuple[str, Sequence[FunctionExample]]],
 def parse_examples_text(text: str) -> list[tuple[str, list[FunctionExample]]]:
     """`label arity in1 .. inN out` per line; returns sets in input order.
 
-    A label must read back as itself in a library line (`sexpr.parse_one`)
-    and must not name a builtin; any other label is a ValueError."""
+    A label must read back as itself (`sexpr.parse_one`), as it is written
+    unquoted in a library line, and must not name a builtin; any other label
+    is a ValueError."""
     sets: dict[str, list[FunctionExample]] = {}
     order: list[str] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -543,26 +544,6 @@ def term_to_sexpr(term: Term) -> str:
     raise MalformedTerm(f"unknown term {term!r}")
 
 
-def term_from_sexpr(node) -> Term:
-    if not isinstance(node, list) or not node:
-        raise MalformedTerm(f"bad term node {node!r}")
-    head = node[0]
-    if head == "var":
-        return Var(int(node[1]))
-    if head == "const":
-        return Const(int(node[1]))
-    if head == "call":
-        return Call(str(node[1]), tuple(term_from_sexpr(a) for a in node[2:]))
-    if head == "iter":
-        sec = node[1]
-        if not isinstance(sec, list) or sec[0] != "sec":
-            raise MalformedTerm("iter needs a (sec ...) section")
-        section = Section(str(sec[1]), int(sec[2]),
-                          tuple(term_from_sexpr(f) for f in sec[3:]))
-        return Iter(section, term_from_sexpr(node[2]), term_from_sexpr(node[3]))
-    raise MalformedTerm(f"unknown term head {head!r}")
-
-
 def library_to_lines(library: Library) -> list[str]:
     """One s-expression per entry, already in dependency order."""
     lines = []
@@ -573,24 +554,3 @@ def library_to_lines(library: Library) -> list[str]:
             lines.append(f"(def {fn.name} {fn.arity} {term_to_sexpr(fn.definition)})")
     return lines
 
-
-def library_from_lines(lines: Iterable[str]) -> Library:
-    """Inverse of library_to_lines; raises MalformedTerm for a malformed
-    entry and ValueError for a repeated name."""
-    entries: list[LibraryFn] = []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            node = sexpr.parse_one(line)
-            if node[0] == "builtin" and len(node) == 3:
-                entries.append(LibraryFn(str(node[1]), int(node[2]), None))
-            elif node[0] == "def" and len(node) == 4:
-                entries.append(LibraryFn(str(node[1]), int(node[2]),
-                                         term_from_sexpr(node[3])))
-            else:
-                raise MalformedTerm(f"unknown library line {line!r}")
-        except (IndexError, TypeError, ValueError) as exc:
-            raise MalformedTerm(f"bad library line {line!r}: {exc}") from None
-    return Library(entries)

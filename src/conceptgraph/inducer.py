@@ -34,6 +34,7 @@ from typing import Collection, Optional, Sequence, Union
 
 from . import mdl
 from .core import (
+    FOLLOWS,
     MAX_EXPANSION,
     Apply,
     Association,
@@ -41,7 +42,6 @@ from .core import (
     ConceptGraph,
     Config,
     Hole,
-    Marker,
     Repeat,
     SlotRef,
     Template,
@@ -614,9 +614,9 @@ def record_associations(graph: ConceptGraph, desc: Description) -> list[tuple[in
             graph.add(Association(*pair))
             if len(graph) > before:
                 reified.append(pair)
-    n_assoc = sum(1 for c in graph.concepts if isinstance(c.kind, Association))
-    if n_assoc >= cfg.generalize_threshold and graph.follows_marker_id is None:
-        graph.follows_marker_id = graph.add(Marker("follows"))
+    if graph.follows_marker_id is None and cfg.generalize_threshold <= sum(
+            1 for c in graph.concepts if isinstance(c.kind, Association)):
+        graph.add(FOLLOWS)
     return reified
 
 

@@ -25,8 +25,6 @@ if TYPE_CHECKING:
     from .core import ConceptGraph
     from .inducer import Description
 
-LOG2 = math.log(2.0)
-
 
 @dataclass(frozen=True)
 class DLReport:

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-# Deepest list nesting `parse_one` reads.  Teach lines nest 2 deep, and a
-# library line nests one level more than its term, which nests at most as
-# deep as its size (`fnsynth.DEFAULT_SIZE_CAP`); the bound keeps the readers
-# of parsed lines, all recursive, far from the interpreter's stack limit.
+# Deepest list nesting `parse_one` reads.  It reads teach lines, which nest
+# 2 deep, and example labels (`fnsynth.parse_examples_text`), which must be
+# atoms; the bound keeps the recursive reader far from the interpreter's
+# stack limit.
 MAX_DEPTH = 64
 
 

@@ -6,7 +6,9 @@ fact is stated once.  A concept is the row `[kind, created_at, weight,
 *fields]` at the position that is its id, with its fields in dataclass
 order.  A description node is a JSON integer (a concept ref) or a JSON list
 of one or more alphabet tokens (a blob).  The digram counts are not stored:
-they are the association counts of distinct pairs.
+they are the association counts of distinct pairs; nor is the follows
+marker's id.  The reader ignores what older files add: `library`,
+`follows_marker` and config fields that `Config` no longer has.
 
 Loading checks each concept with the rule that `add` uses
 (`ConceptGraph._validate`, through `rebuild_derived`; the leading primitives
@@ -15,8 +17,9 @@ validated once): references point at older concepts of a fitting kind, so
 a loaded graph has no dangling reference and no cycle.  Any violation is a
 `CorruptFile`, as is a file that is not UTF-8 JSON, a section of the wrong
 JSON type, a concept row of an unknown kind or the wrong length, an integer
-field holding anything but a JSON integer, or a description node that is
-neither a ref to a parseable concept nor a blob.
+field holding anything but a JSON integer, a description node that is
+neither a ref to a parseable concept nor a blob, a refinement key that is
+not an episode before the episode counter, or a run length below 2.
 
 A cg1 file (concept objects with an `id`, a `digram_counts` section, and
 description nodes tagged `["ref", n]` or `["blob", [...]]`) loads through
@@ -63,7 +66,6 @@ from .errors import (
     UnresolvedReference,
     VersionMismatch,
 )
-from .fnsynth import Library, library_from_lines, library_to_lines
 from .inducer import Description
 
 FORMAT_VERSION = "cg2"
@@ -231,11 +233,8 @@ def graph_to_json(graph: ConceptGraph) -> dict:
         "concepts": [_concept_to_json(c) for c in graph.concepts],
         "assoc_counts": [[a, b, n] for (a, b), n in sorted(graph.assoc_counts.items())],
         "run_observations": {str(k): sorted(v) for k, v in sorted(graph.run_observations.items())},
-        "follows_marker": graph.follows_marker_id,
         "refinements": {str(ep): [d.nodes for d in chain]  # JSON writes a tuple as an array
                         for ep, chain in sorted(graph.refinement_store.items())},
-        "library": library_to_lines(graph.library if graph.library is not None
-                                    else Library.initial()),
     }
 
 
@@ -305,13 +304,14 @@ def graph_from_json(data) -> ConceptGraph:
         graph.assoc_counts = {(a, b): n for a, b, n in assoc}
         graph.run_observations = {_key(k): set(_ints(_list(v)))
                                   for k, v in _dict(data["run_observations"]).items()}
-        marker = data.get("follows_marker")
-        graph.follows_marker_id = _int(marker) if marker is not None else None
+        if min(graph.run_observations, default=2) < 2:
+            raise CorruptFile("run_observations keys are run lengths, at least 2")
         parseable, alphabet = set(graph.parseable_ids()), set(graph.alphabet)
         for ep, levels in _dict(data["refinements"]).items():
             graph.refinement_store[_key(ep)] = [_desc_from_json(d, parseable, alphabet)
                                                 for d in _list(levels)]
-        graph.library = library_from_lines(_list(data["library"]))
+        if not all(0 <= ep < graph.episode for ep in graph.refinement_store):
+            raise CorruptFile("a refinement key is not an episode before the counter")
         return graph
     except (GraphError, KeyError, ValueError, TypeError, IndexError, OverflowError) as exc:
         raise CorruptFile(f"malformed graph file: {exc}") from exc

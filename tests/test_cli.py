@@ -57,17 +57,6 @@ def test_missing_graph_is_data_error(tmp_path, capsys):
     assert "error" in err
 
 
-def test_self_calling_library_is_data_error(tmp_path, capsys):
-    graph = tmp_path / "g.cg"
-    run(capsys, "init", "--alphabet", "ab", "--out", str(graph))
-    data = json.loads(graph.read_text())
-    data["library"].append("(def f 1 (call f (var 0)))")
-    graph.write_text(json.dumps(data))
-    code, _, err = run(capsys, "stats", "--graph", str(graph))
-    assert code == 2
-    assert err.startswith("error:") and "Traceback" not in err
-
-
 @pytest.mark.parametrize("weight", ["nan", "1e400", "-1"])
 def test_bad_weight_is_data_error_for_parse_and_refine(tmp_path, capsys, weight):
     graph = tmp_path / "g.cg"
@@ -172,12 +161,21 @@ def test_deep_chain_graph_file_works(tmp_path):
     assert fresh.expansion(import_teach(fresh, script.read_text())) == g.expansion(top)
 
 
-def test_deeply_nested_library_line_is_data_error(tmp_path):
-    doc = json.loads(dumps(ConceptGraph("ab")))
-    doc["library"].append("(def f 1 " + "(call succ " * 2000 + "(var 0)" + ")" * 2001)
-    graph = tmp_path / "g.cg"
+def test_an_episode_counter_at_a_stored_episode_is_data_error(tmp_path, capsys):
+    """Edited back to 0, the counter would make the next ingest append its
+    episode to episode 0's chain; the file is refused and left as it is."""
+    graph, data = tmp_path / "g.cg", tmp_path / "in.txt"
+    data.write_text("abab\nabba\nbaab\n")
+    run(capsys, "init", "--alphabet", "ab", "--out", str(graph))
+    assert run(capsys, "ingest", "--graph", str(graph), "--input", str(data))[0] == 0
+    doc = json.loads(graph.read_text())
+    doc["episode"] = 0
     graph.write_text(json.dumps(doc))
-    assert_data_error(["stats", "--graph", str(graph)])
+    before = graph.read_bytes()
+    data.write_text("bbbaaa\n")
+    assert_data_error(["ingest", "--graph", str(graph), "--input", str(data)],
+                      ["stats", "--graph", str(graph)])
+    assert graph.read_bytes() == before
 
 
 def test_deeply_nested_graph_file_is_data_error(tmp_path):
@@ -403,7 +401,7 @@ def test_cli_text_and_bytes_are_pinned(tmp_path, capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "591001afbfecb03ea90abb48e2e99c240ba4c4cf625601c09ec7898c8bd85f48")
     assert hashlib.sha256(data).hexdigest() == (
-        "79f2c36269be6b875c29945f95faac5f8a81a2af517501efea66ffe1c249a1c8")
+        "98c503e1db919e02920528a5d65b083005e7d10a8e18e4050e2e1ef08d269829")
 
 
 # The pinned session's graph file in the cg1 format, written before cg2.

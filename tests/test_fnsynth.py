@@ -20,18 +20,16 @@ from conceptgraph.fnsynth import (
     FunctionExample,
     Iter,
     Library,
+    LibraryFn,
     Section,
     Var,
     _Evaluator,
     eval_term,
     learn_all,
-    library_from_lines,
     library_to_lines,
     parse_examples_text,
     synthesize,
-    term_from_sexpr,
     term_size,
-    term_to_sexpr,
 )
 from conceptgraph import fnsynth, sexpr
 from conceptgraph.corpus import gen_fn_ensemble
@@ -311,7 +309,7 @@ EXAMPLE_LINE = st.one_of(
 @given(st.lists(EXAMPLE_LINE, max_size=6))
 def test_examples_text_fuzz_yields_labels_the_library_format_holds(lines):
     """Parsing example lines either fails cleanly or yields labels that
-    survive a library's text round trip."""
+    read back as themselves from the library lines that name them."""
     try:
         sets = parse_examples_text("\n".join(lines))
     except (ValueError, GraphError):
@@ -320,42 +318,36 @@ def test_examples_text_fuzz_yields_labels_the_library_format_holds(lines):
     for label, examples in sets:
         arity = len(examples[0].inputs)
         lib.define(label, arity, Var(0) if arity else Const(0))
-    restored = library_from_lines(library_to_lines(lib))
-    assert [fn.name for fn in restored.entries] == [fn.name for fn in lib.entries]
+    names = [sexpr.parse_one(line)[1] for line in library_to_lines(lib)]
+    assert names == [fn.name for fn in lib.entries]
 
 
-def test_library_sexpr_roundtrip():
-    lib, _ = learn_all([("red", RED), ("green", GREEN)])
-    lines = library_to_lines(lib)
-    assert lines[0] == "(builtin succ 1)"
-    restored = library_from_lines(lines)
-    assert [fn.name for fn in restored.entries] == [fn.name for fn in lib.entries]
-    assert restored.fn("green").definition == lib.fn("green").definition
+def _lib(*defs):
+    """Library entries after the builtin: (name, arity, definition)."""
+    return [LibraryFn("succ", 1, None), *(LibraryFn(*d) for d in defs)]
 
 
-def test_term_sexpr_roundtrip():
-    term = Iter(Section("red", 1, (Const(1),)), Call("succ", (Var(0),)), Const(0))
-    assert term_from_sexpr(sexpr.parse_one(term_to_sexpr(term))) == term
+def _iter(fn, slot, fillers=()):
+    return Iter(Section(fn, slot, fillers), Var(0), Var(0))
 
 
+# One case per rule of `_check_entry`: each case is a library, one entry per line.
 @pytest.mark.parametrize("lines", [
-    ["(builtin succ 1)", "(def f 1 (call f (var 0)))"],                # self call
-    ["(builtin succ 1)", "(def f 1 (call g (var 0)))", "(def g 1 (var 0))"],  # later
-    ["(builtin succ 1)", "(def f 1 (call nope (var 0)))"],             # unknown
-    ["(builtin succ 1)", "(def f 1 (call succ (var 0) (var 0)))"],     # arg count
-    ["(builtin succ 1)", "(def f 1 (iter (sec succ 1) (var 0) (var 0)))"],  # slot
-    ["(builtin succ 1)", "(def f 1 (iter (sec succ 0 (var 0)) (var 0) (var 0)))"],
-    ["(builtin succ 1)", "(def f 1 (iter (sec f 0) (var 0) (var 0)))"],  # self section
-    ["(builtin succ 1)", "(def f 1 (var 1))"],                         # var range
-    ["(builtin succ 1)", "(def f -1 (const 0))"],
-    ["(builtin pred 1)"],
-    ["(builtin succ 2)"],
-    ["(builtin succ 1)", "(def f 1)"],
-    ["(builtin succ 1)", "(def f 1 (var x))"],
+    _lib(("f", 1, Call("f", (Var(0),)))),                                 # self call
+    _lib(("f", 1, Call("g", (Var(0),))), ("g", 1, Var(0))),              # later
+    _lib(("f", 1, Call("nope", (Var(0),)))),                             # unknown
+    _lib(("f", 1, Call("succ", (Var(0), Var(0))))),                      # arg count
+    _lib(("f", 1, _iter("succ", 1))),                                    # slot
+    _lib(("f", 1, _iter("succ", 0, (Var(0),)))),                         # filler count
+    _lib(("f", 1, _iter("f", 0))),                                       # self section
+    _lib(("f", 1, Var(1))),                                              # var range
+    _lib(("f", -1, Const(0))),                                           # negative arity
+    [LibraryFn("pred", 1, None)],                                        # unknown builtin
+    [LibraryFn("succ", 2, None)],                                        # builtin arity
 ])
 def test_malformed_library_rejected(lines):
     with pytest.raises(MalformedTerm):
-        library_from_lines(lines)
+        Library(lines)
 
 
 def test_define_checks_the_definition():

@@ -14,6 +14,7 @@ from hypothesis import event, given, settings, strategies as st
 from conceptgraph import sexpr, storage
 from conceptgraph.cli import main
 from conceptgraph.core import (
+    FOLLOWS,
     AffectPrimitive,
     Apply,
     Association,
@@ -37,7 +38,6 @@ from conceptgraph.errors import (
     UnresolvedReference,
     VersionMismatch,
 )
-from conceptgraph.fnsynth import FunctionExample, learn_all, library_to_lines
 from conceptgraph.inducer import ingest, parse, reconstruct
 from conceptgraph.storage import (
     dot_text,
@@ -170,10 +170,13 @@ def test_load_rejects_non_finite_or_negative_weight(tmp_path, weight):
     ("config", "fast_path_threshold", "nan"),
     ("config", "contrast_threshold", "nan"),
     ("config", "contrast_threshold", "-1"),
-    ("config", "smoothness_threshold", "inf"),
     (None, "raw_bits_total", "nan"),
     (None, "raw_bits_total", "-3"),
     (None, "episode", -5),
+    # a run is at least 2 long: run length 0 would make every later ingest
+    # fail, and 1 would grow the one-hole identity template
+    ("run_observations", "0", [0]),
+    ("run_observations", "1", [0]),
 ])
 def test_load_rejects_bad_config_and_counters(section, field, value):
     data = json.loads(dumps(ConceptGraph("ab")))
@@ -229,16 +232,17 @@ def reference_kinds_data():
 
 
 def test_dot_and_teach_bytes_are_pinned():
-    """Every kind's DOT label and teach line, affect primitives and a
-    quoted marker label included."""
+    """Every kind's DOT label and teach line, affect primitives, a quoted
+    marker label and the follows marker's dashed edges included."""
     g = graph_from_json(reference_kinds_data())
-    g.follows_marker_id = g.add(Marker('follows "x" \\'))
+    g.add(Marker('follows "x" \\'))
+    g.add(FOLLOWS)
     g.set_weight(8, 2.5)
     teach = "".join(export_teach(g, c.id) for c in g.concepts)
     assert hashlib.sha256(dot_text(g).encode()).hexdigest() == (
-        "32a72fb15a7d8cbc11587840d15a69c59d8114ce9ef9b8e449e9122be8986475")
+        "75bc62002f731d9774cb5bf48d0ed2fc2a5046a4a42a2d970e98122401d7754b")
     assert hashlib.sha256(teach.encode()).hexdigest() == (
-        "3d96fedec0cdfa26de2342c0669f453bf033c20250975512b813137ac9061667")
+        "358bafdc02228db68a573d5a4de5c7ecf7f48eed06b6ef62a032ca1909a446a5")
 
 
 def test_every_kind_has_one_row_in_the_kind_table():
@@ -410,8 +414,7 @@ def test_load_of_a_graph_with_one_edited_integer(data):
 def numeric_paths(doc) -> list[tuple]:
     """Paths of every numeric field of a saved graph: weights, creation
     episodes, references and counts, the episode, the integer config fields,
-    the entries of the association and run counts, the follows marker and
-    the refinement refs."""
+    the entries of the association and run counts, and the refinement refs."""
     paths = [("episode",)]
     paths += [("config", name) for name, value in doc["config"].items() if isinstance(value, int)]
     for i, row in enumerate(doc["concepts"]):
@@ -420,8 +423,6 @@ def numeric_paths(doc) -> list[tuple]:
     paths += [("assoc_counts", i, j) for i in range(len(doc["assoc_counts"])) for j in range(3)]
     for k, members in doc["run_observations"].items():
         paths += [("run_observations", k, i) for i in range(len(members))]
-    if doc["follows_marker"] is not None:
-        paths.append(("follows_marker",))
     for ep, chain in doc["refinements"].items():
         paths += [("refinements", ep, level, i) for level, desc in enumerate(chain)
                   for i, node in enumerate(desc) if type(node) is int]
@@ -467,8 +468,8 @@ NOT_A_ROW = st.one_of(
 NOT_A_LIST = st.sampled_from(["", "12", "abcd", {}, {"1": 2}, None, 7, 2.5, True, False])
 NOT_A_DICT = st.sampled_from([[], [["2", [0]]], "", "ab", None, 7, 2.5, True])
 SECTION_TYPES = {"alphabet": NOT_A_LIST, "concepts": NOT_A_LIST, "assoc_counts": NOT_A_LIST,
-                 "library": NOT_A_LIST, "config": NOT_A_DICT,
-                 "run_observations": NOT_A_DICT, "refinements": NOT_A_DICT}
+                 "config": NOT_A_DICT, "run_observations": NOT_A_DICT,
+                 "refinements": NOT_A_DICT}
 
 
 @settings(max_examples=300, deadline=1000)
@@ -502,6 +503,22 @@ def test_load_rejects_a_non_canonical_key(section, key):
         graph_from_json(doc)
 
 
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda d: d.__setitem__("episode", 0), id="episode-0"),
+    pytest.param(lambda d: d.__setitem__("episode", d["episode"] - 1), id="episode-at-the-last-key"),
+    pytest.param(lambda d: d["refinements"].__setitem__("-1", [[0]]), id="a-negative-key"),
+])
+def test_load_rejects_a_refinement_key_not_below_the_episode(edit):
+    """A refinement key is an episode the graph has ingested.  A key at or
+    past the counter would make the next ingest append its episode to a
+    stored chain, as a level that need not reconstruct level 0."""
+    doc = json.loads(trained_graph_text())
+    assert sorted(map(int, doc["refinements"])) == list(range(doc["episode"]))
+    edit(doc)
+    with pytest.raises(CorruptFile):
+        graph_from_json(doc)
+
+
 def test_the_cg1_fixture_is_pinned():
     with open(CG1_FIXTURE, "rb") as handle:
         data = handle.read()
@@ -510,9 +527,11 @@ def test_the_cg1_fixture_is_pinned():
         "7e5fea2e8309689ef424857e3630caf3ff81e1225c8ddca33880ec13b0c90303")
 
 
-def graph_state(g) -> dict:
-    """Every attribute of a graph, derived caches included; the library as text."""
-    return {**vars(g), "library": library_to_lines(g.library)}
+# Keys that older files hold and the reader ignores: the function library,
+# the follows marker's id, and four config fields that no graph code read.
+DROPPED_KEYS = {"library", "follows_marker"}
+DROPPED_CONFIG = {"synth_size_cap": 7, "iter_cap": 100, "value_cap": 1000000,
+                  "smoothness_threshold": "1.000000000"}
 
 
 def test_a_cg1_file_loads_to_the_graph_its_cg2_file_holds(tmp_path):
@@ -522,11 +541,32 @@ def test_a_cg1_file_loads_to_the_graph_its_cg2_file_holds(tmp_path):
     path = tmp_path / "g.cg"
     save(old, str(path))
     doc = json.loads(path.read_text())
-    assert doc["version"] == "cg2" and "digram_counts" not in doc
-    assert set(doc) == set(json.loads(cg1_fixture_text())) - {"digram_counts"}
+    assert doc["version"] == "cg2"
+    assert set(doc) == set(json.loads(cg1_fixture_text())) - DROPPED_KEYS - {"digram_counts"}
     new = load(str(path))
-    assert graph_state(new) == graph_state(old)
-    assert graph_state(load(CG1_FIXTURE)) == graph_state(old)
+    assert vars(new) == vars(old)  # every attribute, derived caches included
+    assert vars(load(CG1_FIXTURE)) == vars(old)
+
+
+def test_a_file_with_the_dropped_keys_loads_to_the_graph_without_them():
+    """A cg2 document as older files hold it, with a library, a stored
+    follows marker and the four dropped config fields, loads to the graph of
+    the same document without them; the marker is the `FOLLOWS` concept,
+    whatever the file claims."""
+    g = ConceptGraph("abcd", Config(assoc_threshold=1))  # each adjacent pair is an association
+    for episode in ("abcd", "dcba", "abab"):
+        ingest(g, episode)
+    doc = json.loads(dumps(g))
+    assert not DROPPED_KEYS & set(doc) and not DROPPED_CONFIG.keys() & set(doc["config"])
+    old = dict(doc, config={**doc["config"], **DROPPED_CONFIG}, follows_marker=g.follows_marker_id,
+               library=["(builtin succ 1)", "(def f 1 (call f (var 0)))"])
+    new = graph_from_json(doc)
+    assert vars(graph_from_json(old)) == vars(new)
+    assert [c.id for c in new.concepts if c.kind == FOLLOWS] == [new.follows_marker_id]
+    assert new.follows_marker_id is not None
+    old["follows_marker"] = 1000000
+    assert dot_text(graph_from_json(old)) == dot_text(new)
+    assert "c1000000" not in dot_text(new)
 
 
 def _set_first_ref(doc, node) -> None:
@@ -620,25 +660,6 @@ def test_load_of_a_cg1_file_with_one_bad_id_or_digram(data):
 def test_a_deeply_nested_graph_file_is_corrupt_file(tmp_path):
     path = tmp_path / "nested.cg"
     path.write_text("[" * 1000 + "]" * 1000)
-    with pytest.raises(CorruptFile):
-        load(str(path))
-
-
-def test_library_persists(tmp_path):
-    g = ConceptGraph("ab")
-    red = [FunctionExample("red", i, o) for i, o in [((1, 3), 4), ((2, 3), 5), ((5, 2), 7)]]
-    g.library, _ = learn_all([("red", red)])
-    path = tmp_path / "g.cg"
-    save(g, str(path))
-    restored = load(str(path))
-    assert [fn.name for fn in restored.library.entries] == ["succ", "red"]
-
-
-def test_load_rejects_malformed_library(tmp_path):
-    data = json.loads(dumps(ConceptGraph("ab")))
-    data["library"].append("(def f 1 (call f (var 0)))")
-    path = tmp_path / "bad.cg"
-    path.write_text(json.dumps(data))
     with pytest.raises(CorruptFile):
         load(str(path))
 
@@ -782,13 +803,6 @@ def test_parse_one_bounds_nesting():
     assert sexpr.parse_one(ok) is not None
     with pytest.raises(ValueError):
         sexpr.parse_one("(" + ok + ")")
-
-
-def test_deeply_nested_library_line_is_corrupt_file():
-    data = json.loads(dumps(ConceptGraph("ab")))
-    data["library"].append("(def f 1 " + "(call succ " * 2000 + "(var 0)" + ")" * 2001)
-    with pytest.raises(CorruptFile):
-        graph_from_json(data)
 
 
 def test_teach_repeat_past_the_cap_raises():
