@@ -15,9 +15,11 @@ from .core import (
     Concept,
     ConceptGraph,
     Config,
+    Description,
     EmotionTemplate,
     Hole,
     Marker,
+    Node,
     Primitive,
     Repeat,
     SlotConstraint,
@@ -25,17 +27,15 @@ from .core import (
     Template,
     default_emotion_templates,
     match_emotion,
+    reconstruct,
 )
 from .inducer import (
     Budget,
-    Description,
     IngestReport,
-    Node,
     abstract_common,
     induce_repeats,
     ingest,
     parse,
-    reconstruct,
     record_associations,
     refine,
 )

@@ -12,10 +12,10 @@ import sys
 from typing import Optional
 
 from . import mdl, storage
-from .core import ConceptGraph, Config
+from .core import ConceptGraph, Config, Description
 from .errors import GraphError
 from .fnsynth import learn_all, library_to_lines, parse_examples_text
-from .inducer import Description, ingest, parse, refine
+from .inducer import ingest, parse, refine
 from .mdl import DLReport, description_dl, model_dl, raw_dl
 from .segmenter import RawStream, Segment, segment_scalar
 
@@ -80,7 +80,7 @@ def _read_text(path: str) -> str:
 
 def _desc_text(desc: Description) -> str:
     return " ".join(f"[{node}]" if type(node) is int else "'" + "".join(node) + "'"
-                    for node in desc.nodes)
+                    for node in desc)
 
 
 def _scalar_segments(levels: list[int], theta: float) -> list[Segment]:
@@ -115,7 +115,7 @@ def _cmd_ingest(args) -> int:
             report = ingest(graph, RawStream.tokens(tokens), segments=segments)
         else:
             report = ingest(graph, line)
-        print(f"episode {report.episode}: nodes={len(report.description.nodes)} "
+        print(f"episode {report.episode}: nodes={len(report.description)} "
               f"new_concepts={len(report.new_concepts)} "
               f"described_bits={report.described_bits:.9f}")
     storage.save(graph, args.graph)

@@ -4,6 +4,10 @@ A graph holds an append-only list of concepts over a fixed alphabet.  Most
 concepts denote a token sequence (their "expansion"); associations, affect
 primitives and markers are relational nodes that never expand.  Templates
 carry holes and only expand through an Apply that fills them.
+
+A description, the compressed form of one experience, is a plain tuple of
+nodes: a reference is the concept id it names and a blob the non-empty
+tuple of raw tokens it spells.  `reconstruct` spells a description out.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from .errors import (
     ArityMismatch,
     DanglingReference,
     InvalidCount,
+    InvalidDescription,
     MalformedTemplate,
     NonExpandingConcept,
     ReconstructionMismatch,
@@ -27,6 +32,14 @@ from .errors import (
 )
 
 Token = str
+
+Node = Union[int, tuple[Token, ...]]
+"""A reference is its concept id, a blob its non-empty token tuple; a tuple
+never equals an int, so nodes match by plain equality."""
+
+Description = tuple[Node, ...]
+"""One experience as a sequence of nodes: the unit that refinement chains,
+ingest reports and graph files hold."""
 
 PLEASURE = 1
 PAIN = -1
@@ -190,7 +203,7 @@ class ConceptGraph:
         # adjacent ref pair counts accumulated over stored descriptions
         self.assoc_counts: dict[tuple[int, int], int] = {}
         # episode id -> refinement chain (level 0 first)
-        self.refinement_store: dict[int, list] = {}
+        self.refinement_store: dict[int, list[Description]] = {}
         self.raw_bits_total: float = 0.0
         # run-length observations feeding number generalization: k -> child ids
         self.run_observations: dict[int, set[int]] = {}
@@ -506,6 +519,20 @@ class ConceptGraph:
         return valences
 
 
+def reconstruct(graph: ConceptGraph, desc: Description) -> tuple[Token, ...]:
+    """Exact inverse of parse: concatenated expansions and blob payloads."""
+    out: list[Token] = []
+    for node in desc:
+        if type(node) is int and node in graph._expansions:  # a parseable concept
+            out.extend(graph._expansions[node])
+        elif type(node) is tuple and node:
+            out.extend(node)
+        else:
+            raise InvalidDescription(f"node {node!r} is neither a ref to a parseable "
+                                     "concept nor a non-empty blob")
+    return tuple(out)
+
+
 # ----------------------------------------------------------------------
 # emotion templates
 
@@ -562,7 +589,7 @@ def _constraint_matches(constraint: SlotConstraint, node, valences,
     raise MalformedTemplate(f"unknown constraint kind {constraint.kind!r}")
 
 
-def match_emotion(desc, templates: Sequence[EmotionTemplate],
+def match_emotion(desc: Description, templates: Sequence[EmotionTemplate],
                   valences: dict[int, float],
                   labels: Optional[dict[int, str]] = None) -> list[tuple[str, tuple[int, int]]]:
     """Match emotion templates against top-level description spans.
@@ -572,7 +599,6 @@ def match_emotion(desc, templates: Sequence[EmotionTemplate],
     to right.  Spans are reported in ascending start order.
     """
     labels = labels or {}
-    nodes = desc.nodes
     results: list[tuple[str, tuple[int, int]]] = []
     for template in templates:
         pattern = template.pattern
@@ -582,11 +608,11 @@ def match_emotion(desc, templates: Sequence[EmotionTemplate],
             raise MalformedTemplate(f"emotion {template.emotion!r} has repeat count < 1")
         width = len(pattern)
         i = 0
-        while i + width <= len(nodes):
+        while i + width <= len(desc):
             repeats = 0
             j = i
-            while j + width <= len(nodes) and all(
-                    _constraint_matches(pattern[k], nodes[j + k], valences, labels)
+            while j + width <= len(desc) and all(
+                    _constraint_matches(pattern[k], desc[j + k], valences, labels)
                     for k in range(width)):
                 repeats += 1
                 j += width

@@ -17,7 +17,6 @@ from . import mdl
 from .core import Concat, ConceptGraph, Token
 from .errors import TooLarge
 from .fnsynth import FunctionExample
-from .inducer import Description
 from .mdl import description_dl, gamma_len, model_dl
 
 GRAMMAR_ALPHABET = tuple("abcdefgh")
@@ -51,8 +50,7 @@ def gen_grammar_corpus(seed: int, depth: int, target_len: int,
         cid = rng.choice(level_ids)
         refs.append(cid)
         tokens.extend(graph.expansion(cid))
-    desc = Description(tuple(refs))
-    generator_dl = model_dl(graph) + description_dl(graph, desc)
+    generator_dl = model_dl(graph) + description_dl(graph, tuple(refs))
     return tuple(tokens), generator_dl
 
 

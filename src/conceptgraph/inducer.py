@@ -20,8 +20,9 @@ one pair table.  Number templates, their applications to runs and the
 common-component abstractions are forced by generalization thresholds
 instead: their payoff is expressive, not an immediate bit gain.
 
-Description nodes are plain values: a reference is the concept id it
-names and a blob the tuple of raw tokens it spells.
+Descriptions are the plain tuples of nodes that `core` defines (a
+reference is the concept id it names, a blob the tuple of raw tokens it
+spells); `reconstruct`, their inverse of `parse`, lives there too.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Collection, Optional, Sequence, Union
+from itertools import groupby
+from typing import Collection, Optional, Sequence
 
 from . import mdl
 from .core import (
@@ -41,34 +43,18 @@ from .core import (
     Concat,
     ConceptGraph,
     Config,
+    Description,
     Hole,
+    Node,
     Repeat,
     SlotRef,
     Template,
     Token,
+    reconstruct,
 )
-from .errors import InvalidDescription, TooLarge, UnknownEpisode, UnknownToken
+from .errors import TooLarge, UnknownEpisode, UnknownToken
 from .mdl import description_dl, gamma_len, raw_dl
-from .segmenter import RawStream, Segment, TOKEN, identity_token_class, segment_tokens
-
-
-Node = Union[int, tuple[Token, ...]]
-"""A reference is its concept id, a blob its non-empty token tuple; a tuple
-never equals an int, so nodes match by plain equality."""
-
-
-@dataclass(frozen=True)
-class Description:
-    """One experience as a sequence of nodes: the unit that refinement
-    chains, ingest reports and graph files hold."""
-
-    nodes: tuple[Node, ...]
-
-    def refs(self) -> set[int]:
-        return {n for n in self.nodes if type(n) is int}
-
-
-EMPTY_DESCRIPTION = Description(())
+from .segmenter import RawStream, Segment, TOKEN
 
 
 @dataclass(frozen=True)
@@ -114,8 +100,8 @@ def _select_beam(bucket: list[tuple], k: int, tokens: tuple) -> list[tuple]:
 
     Equals sorting the whole bucket by (cost, signature) and keeping the
     first `k`, but signatures are built only for the tie group that
-    straddles the cut.  Callers re-select or take a minimum, so the order
-    of the returned states does not matter.
+    straddles the cut.  Callers re-select or take the one state of k = 1,
+    so the order of the returned states does not matter.
     """
     if len(bucket) <= k:
         return bucket
@@ -126,15 +112,6 @@ def _select_beam(bucket: list[tuple], k: int, tokens: tuple) -> list[tuple]:
     keep = [s for s in bucket if s[0] < cut]
     tied = sorted((s for s in bucket if s[0] == cut), key=lambda s: _signature(s, tokens))
     return keep + tied[:k - len(keep)]
-
-
-def _cheapest(finals: list[tuple], tokens: tuple) -> tuple:
-    """Minimum cost; exact ties go to the smallest signature."""
-    best = min([s[0] for s in finals])
-    tied = [s for s in finals if s[0] == best]
-    if len(tied) == 1:
-        return tied[0]
-    return min(tied, key=lambda s: _signature(s, tokens))
 
 
 class _ParseContext:
@@ -208,7 +185,7 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token],
             raise UnknownToken(f"token {t!r} not in alphabet")
     n = len(tokens)
     if n == 0:
-        return EMPTY_DESCRIPTION
+        return ()
     ctx = context or _ParseContext(graph, budget or Budget.from_config(graph.config, 0))
     beam = ctx.budget.beam
     log_d = ctx.log_d
@@ -249,25 +226,8 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token],
 
     # the all-blob description is always a candidate
     finals.append((gamma_len(2) + log_d + gamma_len(n) + n * sigma_bits, 1, 0, start, n))
-    best = _cheapest(finals, tokens)
-    return Description(tuple(payload for _, payload in _signature(best, tokens)))
-
-
-def reconstruct(graph: ConceptGraph, desc: Description) -> tuple[Token, ...]:
-    """Exact inverse of parse: concatenated expansions and blob payloads."""
-    out: list[Token] = []
-    for node in desc.nodes:
-        if type(node) is int:
-            if not (0 <= node < len(graph)) or not graph.is_parseable(node):
-                raise InvalidDescription(f"ref to non-expanding concept {node}")
-            out.extend(graph.expansion(node))
-        elif type(node) is tuple:
-            if not node:
-                raise InvalidDescription("empty blob")
-            out.extend(node)
-        else:
-            raise InvalidDescription(f"unknown node {node!r}")
-    return tuple(out)
+    best = _select_beam(finals, 1, tokens)[0]
+    return tuple(payload for _, payload in _signature(best, tokens))
 
 
 # ----------------------------------------------------------------------
@@ -318,21 +278,21 @@ def _gated_add(graph: ConceptGraph, kind, nodes: Collection[Node], k: int,
         if delta < -GATE_MARGIN:
             return True, rewrite(graph.add(kind) if twin is None else twin)
         return False, nodes
-    old = list(nodes)
-    before = description_dl(graph, Description(tuple(old)))
+    old = tuple(nodes)
+    before = description_dl(graph, old)
     cid = graph.add(kind) if twin is None else twin
     if isinstance(kind, Concat):
         new = _rewrite_pair(old, kind.children, cid)
     else:
         new = _rewrite_runs(old, kind.child, kind.count, cid)
-    if description_dl(graph, Description(tuple(new))) < before - GATE_MARGIN:
+    if description_dl(graph, tuple(new)) < before - GATE_MARGIN:
         return True, rewrite(cid)
     if twin is None:
         graph.pop_last()
     return False, nodes
 
 
-def _rewrite_pair(nodes: list[Node], pair: tuple[int, int], cid: int) -> list[Node]:
+def _rewrite_pair(nodes: Sequence[Node], pair: tuple[int, int], cid: int) -> list[Node]:
     out: list[Node] = []
     i = 0
     while i < len(nodes):
@@ -345,7 +305,7 @@ def _rewrite_pair(nodes: list[Node], pair: tuple[int, int], cid: int) -> list[No
     return out
 
 
-def _rewrite_runs(nodes: list[Node], concept: int, length: int, cid: int) -> list[Node]:
+def _rewrite_runs(nodes: Sequence[Node], concept: int, length: int, cid: int) -> list[Node]:
     out: list[Node] = []
     i = 0
     while i < len(nodes):
@@ -540,7 +500,7 @@ def induce_repeats(graph: ConceptGraph, desc: Description) -> tuple[Description,
     pairs it changed instead of the whole episode.
     """
     before = len(graph)
-    nodes = _PairIndex(desc.nodes, graph.assoc_counts, graph.config.repeat_threshold)
+    nodes = _PairIndex(desc, graph.assoc_counts, graph.config.repeat_threshold)
     while True:
         for kind, k, rewrite, gated in _steps(graph, nodes):
             if gated:
@@ -552,7 +512,7 @@ def induce_repeats(graph: ConceptGraph, desc: Description) -> tuple[Description,
         else:
             break  # no step paid
     _generalize_numbers(graph)
-    return Description(tuple(nodes)), list(range(before, len(graph)))
+    return tuple(nodes), list(range(before, len(graph)))
 
 
 def _generalize_numbers(graph: ConceptGraph) -> None:
@@ -604,7 +564,7 @@ def record_associations(graph: ConceptGraph, desc: Description) -> list[tuple[in
     add the generic follows marker once enough distinct associations exist."""
     cfg = graph.config
     reified: list[tuple[int, int]] = []
-    for pair in zip(desc.nodes, desc.nodes[1:]):
+    for pair in zip(desc, desc[1:]):
         if type(pair[0]) is not int or type(pair[1]) is not int:
             continue
         count = graph.assoc_counts.get(pair, 0) + 1
@@ -623,11 +583,11 @@ def record_associations(graph: ConceptGraph, desc: Description) -> list[tuple[in
 # ----------------------------------------------------------------------
 # episode pipeline
 
-def _transitive_refs(graph: ConceptGraph, roots: set[int]) -> set[int]:
+def _transitive_refs(graph: ConceptGraph, desc: Description) -> set[int]:
     """Everything exercised by expanding the description: a concept's use
     fires its whole subcircuit, so children share the usage reward."""
     seen: set[int] = set()
-    stack = list(roots)
+    stack = [n for n in desc if type(n) is int]
     while stack:
         cid = stack.pop()
         if cid in seen:
@@ -645,10 +605,8 @@ def _apply_forgetting(graph: ConceptGraph) -> None:
     for chain in graph.refinement_store.values():
         if len(chain) < 2:
             continue
-        shallow: set[int] = set()
-        for desc in chain[:-1]:
-            shallow |= desc.refs()
-        exclusive = chain[-1].refs() - shallow
+        shallow = set().union(*chain[:-1])  # its blobs never match a ref
+        exclusive = {n for n in chain[-1] if type(n) is int} - shallow
         if exclusive and all(graph.concept(c).weight < FORGET_WEIGHT for c in exclusive):
             chain.pop()
 
@@ -673,17 +631,17 @@ def _resegment_blobs(graph: ConceptGraph, desc: Description,
     """
     out: list[Node] = []
     parsed: dict[tuple, tuple[Node, ...]] = {}
-    for node in desc.nodes:
+    for node in desc:
         if type(node) is tuple and len(node) > 1:
-            runs = segment_tokens(RawStream.tokens(node), identity_token_class)
-            for seg in runs:
-                nodes = parsed.get(seg.payload)
+            for _, run in groupby(node):
+                run = tuple(run)
+                nodes = parsed.get(run)
                 if nodes is None:
-                    nodes = parsed[seg.payload] = parse(graph, seg.payload, context=context).nodes
+                    nodes = parsed[run] = parse(graph, run, context=context)
                 out.extend(nodes)
         else:
             out.append(node)
-    return Description(tuple(out))
+    return tuple(out)
 
 
 def ingest(graph: ConceptGraph, experience,
@@ -718,8 +676,8 @@ def ingest(graph: ConceptGraph, experience,
     context = _ParseContext(graph, Budget.from_config(graph.config, 0))
     nodes: list[Node] = []
     for seg in segments:
-        nodes.extend(parse(graph, seg.payload, context=context).nodes)
-    first_pass = Description(tuple(nodes))
+        nodes.extend(parse(graph, seg.payload, context=context))
+    first_pass = tuple(nodes)
 
     pre_count = len(graph)
     desc, _ = induce_repeats(graph, _resegment_blobs(graph, first_pass, context))
@@ -729,7 +687,7 @@ def ingest(graph: ConceptGraph, experience,
     new_pairs = record_associations(graph, desc)
     new_concepts = [c.id for c in graph.concepts[pre_count:]]
 
-    graph.tick_weights(_transitive_refs(graph, desc.refs()))
+    graph.tick_weights(_transitive_refs(graph, desc))
     episode_id = graph.episode
     graph.refinement_store.setdefault(episode_id, []).append(desc)
     raw_bits = raw_dl(len(stream.samples), len(graph.alphabet))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .errors import (
     InvalidDescription,
@@ -19,11 +19,8 @@ from .errors import (
     ReconstructionMismatch,
     UnknownConcept,
 )
-from .core import Apply, Concat, Hole, Primitive, Repeat, Template
-
-if TYPE_CHECKING:
-    from .core import ConceptGraph
-    from .inducer import Description
+from .core import (Apply, Concat, ConceptGraph, Description, Hole, Primitive, Repeat,
+                   Template, reconstruct)
 
 
 @dataclass(frozen=True)
@@ -59,23 +56,23 @@ def raw_dl(n: int, sigma_size: int) -> float:
     return gamma_len(n + 1) + n * math.log2(sigma_size)
 
 
-def _denominator(graph: "ConceptGraph") -> float:
+def _denominator(graph: ConceptGraph) -> float:
     return graph.codeable_weight() + graph.codeable_count() + 1.0
 
 
-def ref_cost(graph: "ConceptGraph", cid: int) -> float:
+def ref_cost(graph: ConceptGraph, cid: int) -> float:
     if not graph.is_codeable(cid):
         raise UnknownConcept(f"concept {cid} is not in the reference code")
     w = graph.concept(cid).weight
     return math.log2(_denominator(graph)) - math.log2(w + 1.0)
 
 
-def escape_cost(graph: "ConceptGraph") -> float:
+def escape_cost(graph: ConceptGraph) -> float:
     """Cost of the escape symbol that introduces a raw blob."""
     return math.log2(_denominator(graph))
 
 
-def blob_cost(graph: "ConceptGraph", length: int, sigma_size: Optional[int] = None) -> float:
+def blob_cost(graph: ConceptGraph, length: int, sigma_size: Optional[int] = None) -> float:
     if length < 1:
         raise ValueError("blob length must be >= 1")
     if sigma_size is None:
@@ -83,16 +80,16 @@ def blob_cost(graph: "ConceptGraph", length: int, sigma_size: Optional[int] = No
     return escape_cost(graph) + gamma_len(length) + length * math.log2(sigma_size)
 
 
-def description_dl(graph: "ConceptGraph", desc: "Description") -> float:
+def description_dl(graph: ConceptGraph, desc: Description) -> float:
     """Bits for one description: node-count header plus per-node costs.
 
     Referenced concept definitions are not recounted here; they live in
     model_dl (two-part code).
     """
-    total = float(gamma_len(len(desc.nodes) + 1))
+    total = float(gamma_len(len(desc) + 1))
     sigma_bits = math.log2(len(graph.alphabet))
     log_d = math.log2(_denominator(graph))
-    for node in desc.nodes:
+    for node in desc:
         if type(node) is int:
             if not (0 <= node < len(graph)) or not graph.is_parseable(node):
                 raise InvalidDescription(f"ref to non-expanding concept {node}")
@@ -104,7 +101,7 @@ def description_dl(graph: "ConceptGraph", desc: "Description") -> float:
     return total
 
 
-def concept_model_dl(graph: "ConceptGraph", cid: int,
+def concept_model_dl(graph: ConceptGraph, cid: int,
                      log_d: Optional[float] = None) -> float:
     """Model bits for one definition: 2-bit kind header, body-count gamma,
     children coded with ref_cost; Repeat adds gamma_len(count), holes are
@@ -134,7 +131,7 @@ def concept_model_dl(graph: "ConceptGraph", cid: int,
     return 0.0
 
 
-def model_dl(graph: "ConceptGraph") -> float:
+def model_dl(graph: ConceptGraph) -> float:
     """Total bits for all stored non-primitive definitions."""
     log_d = math.log2(_denominator(graph))
     total = 0.0
@@ -144,18 +141,16 @@ def model_dl(graph: "ConceptGraph") -> float:
     return total
 
 
-def attention(graph: "ConceptGraph", tokens, desc: "Description") -> float:
+def attention(graph: ConceptGraph, tokens, desc: Description) -> float:
     """raw bits minus described bits; large when a complex input maps to a
     simple description."""
-    from .inducer import reconstruct
-
     tokens = tuple(tokens)
     if reconstruct(graph, desc) != tokens:
         raise ReconstructionMismatch("description does not reconstruct the tokens")
     return raw_dl(len(tokens), len(graph.alphabet)) - description_dl(graph, desc)
 
 
-def stored_description_dl(graph: "ConceptGraph") -> float:
+def stored_description_dl(graph: ConceptGraph) -> float:
     """Sum of description bits over every stored refinement level."""
     total = 0.0
     for chain in graph.refinement_store.values():
@@ -164,12 +159,12 @@ def stored_description_dl(graph: "ConceptGraph") -> float:
     return total
 
 
-def two_part_total(graph: "ConceptGraph") -> float:
+def two_part_total(graph: ConceptGraph) -> float:
     """model bits + stored description bits: the induction objective."""
     return model_dl(graph) + stored_description_dl(graph)
 
 
-def kraft_sum(graph: "ConceptGraph") -> float:
+def kraft_sum(graph: ConceptGraph) -> float:
     """Sum of 2^-cost over the reference code plus the escape symbol."""
     total = 2.0 ** -escape_cost(graph)
     for cid in graph.codeable_ids():
@@ -177,7 +172,7 @@ def kraft_sum(graph: "ConceptGraph") -> float:
     return total
 
 
-def graph_report(graph: "ConceptGraph") -> DLReport:
+def graph_report(graph: ConceptGraph) -> DLReport:
     """Cumulative accounting: raw bits seen vs stored description bits."""
     return DLReport(
         raw_bits=graph.raw_bits_total,

@@ -91,9 +91,3 @@ def smoothness(stream: RawStream, threshold: float) -> str:
     worst = max(abs(samples[i + 2] - 2 * samples[i + 1] + samples[i])
                 for i in range(len(samples) - 2))
     return SMOOTH if worst <= threshold else ROUGH
-
-
-def identity_token_class(token: str) -> str:
-    """Finest contrast reading: every symbol change is a boundary, so
-    segments are maximal runs of one symbol."""
-    return token

@@ -19,7 +19,9 @@ a loaded graph has no dangling reference and no cycle.  Any violation is a
 JSON type, a concept row of an unknown kind or the wrong length, an integer
 field holding anything but a JSON integer, a description node that is
 neither a ref to a parseable concept nor a blob, a refinement key that is
-not an episode before the episode counter, or a run length below 2.
+not an episode before the episode counter, an empty refinement chain, a
+run length below 2, or a run member that is not a parseable concept (runs
+are counted over description refs).
 
 A cg1 file (concept objects with an `id`, a `digram_counts` section, and
 description nodes tagged `["ref", n]` or `["blob", [...]]`) loads through
@@ -50,6 +52,7 @@ from .core import (
     Concept,
     ConceptGraph,
     Config,
+    Description,
     Hole,
     Kind,
     Marker,
@@ -66,7 +69,6 @@ from .errors import (
     UnresolvedReference,
     VersionMismatch,
 )
-from .inducer import Description
 
 FORMAT_VERSION = "cg2"
 
@@ -183,7 +185,7 @@ def _desc_from_json(level, parseable: set[int], alphabet: set[str]) -> Descripti
         else:
             raise CorruptFile(f"description node {node!r} is neither a ref nor a blob")
         nodes.append(node)
-    return Description(tuple(nodes))
+    return tuple(nodes)
 
 
 _CG1_NODE_TYPES = {"ref": int, "blob": list}
@@ -233,7 +235,7 @@ def graph_to_json(graph: ConceptGraph) -> dict:
         "concepts": [_concept_to_json(c) for c in graph.concepts],
         "assoc_counts": [[a, b, n] for (a, b), n in sorted(graph.assoc_counts.items())],
         "run_observations": {str(k): sorted(v) for k, v in sorted(graph.run_observations.items())},
-        "refinements": {str(ep): [d.nodes for d in chain]  # JSON writes a tuple as an array
+        "refinements": {str(ep): list(chain)  # JSON writes a tuple as an array
                         for ep, chain in sorted(graph.refinement_store.items())},
     }
 
@@ -302,16 +304,20 @@ def graph_from_json(data) -> ConceptGraph:
         assoc = _list(data["assoc_counts"])
         _ints(chain.from_iterable(assoc))  # row lengths: unpacking
         graph.assoc_counts = {(a, b): n for a, b, n in assoc}
+        parseable, alphabet = set(graph.parseable_ids()), set(graph.alphabet)
         graph.run_observations = {_key(k): set(_ints(_list(v)))
                                   for k, v in _dict(data["run_observations"]).items()}
         if min(graph.run_observations, default=2) < 2:
             raise CorruptFile("run_observations keys are run lengths, at least 2")
-        parseable, alphabet = set(graph.parseable_ids()), set(graph.alphabet)
+        if not parseable.issuperset(chain.from_iterable(graph.run_observations.values())):
+            raise CorruptFile("a run_observations member is not a parseable concept")
         for ep, levels in _dict(data["refinements"]).items():
             graph.refinement_store[_key(ep)] = [_desc_from_json(d, parseable, alphabet)
                                                 for d in _list(levels)]
-        if not all(0 <= ep < graph.episode for ep in graph.refinement_store):
-            raise CorruptFile("a refinement key is not an episode before the counter")
+        if not all(0 <= ep < graph.episode and levels
+                   for ep, levels in graph.refinement_store.items()):
+            raise CorruptFile("a refinement chain is empty, or its key is not an episode "
+                              "before the counter")
         return graph
     except (GraphError, KeyError, ValueError, TypeError, IndexError, OverflowError) as exc:
         raise CorruptFile(f"malformed graph file: {exc}") from exc

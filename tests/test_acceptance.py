@@ -175,8 +175,8 @@ def test_07_number_concept():
     assert num2 is not None
     assert sum(1 for c in graph.concepts if isinstance(c.kind, Template)) == 1
     out = ingest(graph, "qq")
-    assert len(out.description.nodes) == 1
-    kind = graph.concepts[out.description.nodes[0]].kind
+    assert len(out.description) == 1
+    kind = graph.concepts[out.description[0]].kind
     assert isinstance(kind, Apply) and kind.template == num2
     report(7, "number concept", started, 60)
 

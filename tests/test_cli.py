@@ -178,6 +178,30 @@ def test_an_episode_counter_at_a_stored_episode_is_data_error(tmp_path, capsys):
     assert graph.read_bytes() == before
 
 
+def test_a_run_member_that_is_no_concept_is_data_error(tmp_path):
+    """Counted toward the number template, the made-up members would make
+    ingest add `Template((Hole(0), Hole(0)))` from children that do not exist."""
+    graph, data = tmp_path / "g.cg", tmp_path / "in.txt"
+    doc = json.loads(dumps(ConceptGraph("ab")))
+    doc["run_observations"] = {"2": [-7, 999, 1000000]}
+    graph.write_text(json.dumps(doc))
+    before = graph.read_bytes()
+    data.write_text("ab\n")
+    assert_data_error(["ingest", "--graph", str(graph), "--input", str(data)])
+    assert graph.read_bytes() == before
+
+
+def test_an_empty_refinement_chain_is_data_error(tmp_path, capsys):
+    graph, data = tmp_path / "g.cg", tmp_path / "in.txt"
+    data.write_text("abab\nabba\nbaab\n")
+    run(capsys, "init", "--alphabet", "ab", "--out", str(graph))
+    assert run(capsys, "ingest", "--graph", str(graph), "--input", str(data))[0] == 0
+    doc = json.loads(graph.read_text())
+    doc["refinements"]["1"] = []
+    graph.write_text(json.dumps(doc))
+    assert_data_error(["stats", "--graph", str(graph)])
+
+
 def test_deeply_nested_graph_file_is_data_error(tmp_path):
     graph = tmp_path / "g.cg"
     graph.write_text("[" * 1000 + "]" * 1000)

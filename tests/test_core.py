@@ -31,7 +31,6 @@ from conceptgraph.errors import (
     TooLarge,
     UnknownConcept,
 )
-from conceptgraph.inducer import Description
 
 
 def fresh(alphabet="ab", **overrides):
@@ -198,7 +197,7 @@ def test_match_emotion_anger_example():
     g = fresh("ab")
     action = g.add(Concat((0, 1)))
     hurt = g.add(Concat((1, 0)))
-    desc = Description((action, hurt))
+    desc = (action, hurt)
     valences = {hurt: -0.5}
     labels = {action: "other_action"}
     out = match_emotion(desc, default_emotion_templates(), valences, labels)
@@ -208,7 +207,7 @@ def test_match_emotion_anger_example():
 def test_match_emotion_requires_negative_valence():
     g = fresh("ab")
     action = g.add(Concat((0, 1)))
-    desc = Description((action, 0))
+    desc = (action, 0)
     out = match_emotion(desc, default_emotion_templates(), {0: 0.3},
                         {action: "other_action"})
     assert out == []
@@ -218,12 +217,12 @@ def test_match_emotion_frustration_repetition():
     g = fresh("ab")
     try_ = g.add(Concat((0, 1)))
     fail = g.add(Concat((1, 0)))
-    desc = Description((try_, fail) * 3)
+    desc = (try_, fail) * 3
     out = match_emotion(desc, default_emotion_templates(), {fail: -1.0},
                         {try_: "attempt"})
     assert ("frustration", (0, 6)) in out
     # two repetitions are below the k=3 threshold
-    short = Description((try_, fail) * 2)
+    short = (try_, fail) * 2
     out = match_emotion(short, default_emotion_templates(), {fail: -1.0},
                         {try_: "attempt"})
     assert all(emotion != "frustration" for emotion, _ in out)
@@ -233,7 +232,7 @@ def test_match_emotion_spans_ascending_and_maximal():
     g = fresh("ab")
     x = g.add(Concat((0, 1)))
     template = EmotionTemplate("neg", (SlotConstraint(kind="valence", sign=-1),))
-    desc = Description((0, x, x, 0, x))
+    desc = (0, x, x, 0, x)
     out = match_emotion(desc, [template], {x: -1.0, 0: 1.0})
     assert out == [("neg", (1, 3)), ("neg", (4, 5))]
 
@@ -244,13 +243,13 @@ def test_match_emotion_wildcard_and_exact():
         SlotConstraint(kind="exact", concept=0),
         SlotConstraint(kind="any"),
     ))
-    desc = Description((0, ("b",)))
+    desc = (0, ("b",))
     assert match_emotion(desc, [template], {}) == [("pair", (0, 2))]
 
 
 def test_match_emotion_rejects_empty_pattern():
     with pytest.raises(MalformedTemplate):
-        match_emotion(Description(()), [EmotionTemplate("bad", ())], {})
+        match_emotion((), [EmotionTemplate("bad", ())], {})
 
 
 def test_replace_kind_preserves_expansion_and_dedup():

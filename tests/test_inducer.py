@@ -30,10 +30,8 @@ from conceptgraph.inducer import (
     FALLBACK_BAND,
     GATE_MARGIN,
     Budget,
-    Description,
     _ParseContext,
     _apply_forgetting,
-    _cheapest,
     _gate_delta,
     _gated_add,
     _generalize_numbers,
@@ -71,7 +69,7 @@ def all_descriptions(graph, tokens):
             for rest in rec(end):
                 yield (blob,) + rest
 
-    return [Description(nodes) for nodes in rec(0)]
+    return list(rec(0))
 
 
 def brute_best(graph, tokens):
@@ -80,7 +78,7 @@ def brute_best(graph, tokens):
 
 def test_parse_fresh_graph_prefers_primitive_refs():
     g = ConceptGraph("ab")
-    assert parse(g, "ab") == Description((0, 1))
+    assert parse(g, "ab") == (0, 1)
 
 
 def test_parse_matches_brute_force_minimum():
@@ -99,13 +97,13 @@ def test_parse_uses_dominant_weight_concept():
     for _ in range(12):
         g.tick_weights({p})
     got = parse(g, "abab")
-    assert got == Description((p, p))
+    assert got == (p, p)
     assert description_dl(g, got) == pytest.approx(brute_best(g, "abab"))
 
 
 def test_parse_empty_and_unknown_token():
     g = ConceptGraph("ab")
-    assert parse(g, "") == Description(())
+    assert parse(g, "") == ()
     with pytest.raises(UnknownToken):
         parse(g, "abz")
 
@@ -117,7 +115,7 @@ def test_parse_deterministic_tie_break_prefers_lower_id():
     c3 = g.add(Concat((c1, c1)))  # same expansion as c2, same weight
     assert g.expansion(c2) == g.expansion(c3)
     got = parse(g, "abab")
-    assert c2 in got.nodes or got == Description((c1, c1))
+    assert c2 in got or got == (c1, c1)
     # run twice: identical output
     assert parse(g, "abab") == got
 
@@ -125,13 +123,13 @@ def test_parse_deterministic_tie_break_prefers_lower_id():
 def test_reconstruct_examples_and_errors():
     g = ConceptGraph("abc")
     p = g.add(Concat((0, 1)))
-    assert reconstruct(g, Description((p, ("c",)))) == ("a", "b", "c")
-    assert reconstruct(g, Description(())) == ()
+    assert reconstruct(g, (p, ("c",))) == ("a", "b", "c")
+    assert reconstruct(g, ()) == ()
     with pytest.raises(InvalidDescription):
-        reconstruct(g, Description((g.pleasure_id,)))
+        reconstruct(g, (g.pleasure_id,))
     for node in ((), ["a"], "ab", None):
         with pytest.raises(InvalidDescription):
-            reconstruct(g, Description((node,)))
+            reconstruct(g, (node,))
 
 
 def test_roundtrip_fuzz():
@@ -145,7 +143,7 @@ def test_roundtrip_fuzz():
 
 def test_digram_rule_creates_concat_when_bits_drop():
     g = ConceptGraph("ab")
-    desc = Description((0, 1, 0, 1))
+    desc = (0, 1, 0, 1)
     before = description_dl(g, desc)
     out, new_ids = induce_repeats(g, desc)
     assert new_ids, "digram candidate should have been accepted"
@@ -156,8 +154,8 @@ def test_digram_rule_creates_concat_when_bits_drop():
 
 def test_run_rule_creates_repeat():
     g = ConceptGraph("abc")
-    out, new_ids = induce_repeats(g, Description((2, 2, 2)))
-    assert out == Description((new_ids[0],))
+    out, new_ids = induce_repeats(g, (2, 2, 2))
+    assert out == (new_ids[0],)
     assert g.concepts[new_ids[0]].kind == Repeat(2, 3)
 
 
@@ -165,7 +163,7 @@ def test_number_template_from_three_distinct_repeats():
     g = ConceptGraph("abcd", Config(generalize_threshold=3))
     for child in (0, 1, 2):
         g.add(Repeat(child, 2))
-    induce_repeats(g, Description(()))
+    induce_repeats(g, ())
     assert g.find(Template((Hole(0), Hole(0)))) is not None
 
 
@@ -178,8 +176,8 @@ def test_number_flow_via_episodes():
     templates = [c for c in g.concepts if isinstance(c.kind, Template)]
     assert len(templates) == 1
     report = ingest(g, "qq")
-    assert len(report.description.nodes) == 1
-    node = report.description.nodes[0]
+    assert len(report.description) == 1
+    node = report.description[0]
     kind = g.concepts[node].kind
     assert isinstance(kind, Apply) and kind.template == num2
     assert kind.fillers == (g.primitive_id("q"),)
@@ -216,7 +214,7 @@ def test_abstract_common_below_threshold_or_two_positions():
 def test_record_associations_reifies_at_threshold():
     g = ConceptGraph("ab", Config(assoc_threshold=3))
     icecream = g.add(Concat((0, 1)))
-    desc = Description((icecream, g.pleasure_id))
+    desc = (icecream, g.pleasure_id)
     assert record_associations(g, desc) == []
     assert record_associations(g, desc) == []
     assert record_associations(g, desc) == [(icecream, g.pleasure_id)]
@@ -228,16 +226,16 @@ def test_record_associations_reifies_at_threshold():
 
 def test_follows_marker_after_three_distinct_associations():
     g = ConceptGraph("abcdef", Config(assoc_threshold=1, generalize_threshold=3))
-    record_associations(g, Description((0, 1)))
+    record_associations(g, (0, 1))
     assert g.follows_marker_id is None
-    record_associations(g, Description((2, 3)))
+    record_associations(g, (2, 3))
     assert g.follows_marker_id is None
-    record_associations(g, Description((4, 5)))
+    record_associations(g, (4, 5))
     assert g.follows_marker_id is not None
     markers = [c for c in g.concepts if isinstance(c.kind, Marker)]
     assert len(markers) == 1
     # more associations do not add another marker
-    record_associations(g, Description((0, 2)))
+    record_associations(g, (0, 2))
     assert len([c for c in g.concepts if isinstance(c.kind, Marker)]) == 1
 
 
@@ -252,7 +250,7 @@ def test_ingest_learns_triple_pattern():
 def test_ingest_empty_episode():
     g = ConceptGraph("ab")
     report = ingest(g, "")
-    assert report.description == Description(())
+    assert report.description == ()
     assert report.new_concepts == []
     assert g.episode == 1
 
@@ -306,16 +304,16 @@ def test_gated_add_takes_only_a_strict_drop(data):
         k = data.draw(st.integers(2, 4))
         kind, rewrite = Repeat(a, k), partial(_rewrite_runs, nodes, a, k)
     size, text = len(g), dumps(g)
-    bits_before = description_dl(g, Description(tuple(nodes)))
+    bits_before = description_dl(g, tuple(nodes))
     span = 2 if isinstance(kind, Concat) else kind.count
     occurrences = (len(nodes) - len(rewrite(-1))) // (span - 1)
     accepted, out = _gated_add(g, kind, nodes, occurrences, rewrite)
     event(f"accepted={accepted}")
     if accepted:
-        bits_after = description_dl(g, Description(tuple(out)))
+        bits_after = description_dl(g, tuple(out))
         assert bits_after < bits_before
-        assert bits_after < description_dl(g, Description(tuple(nodes)))
-        assert reconstruct(g, Description(tuple(out))) == reconstruct(g, Description(tuple(nodes)))
+        assert bits_after < description_dl(g, tuple(nodes))
+        assert reconstruct(g, tuple(out)) == reconstruct(g, tuple(nodes))
     else:
         assert out == nodes
         assert len(g) == size and dumps(g) == text
@@ -330,10 +328,10 @@ def test_induce_repeats_returns_the_ids_it_added(data):
         g.add(Template((Hole(0), Hole(0))))
     nodes = drawn_nodes(data, g)
     before = len(g)
-    out, new_ids = induce_repeats(g, Description(tuple(nodes)))
+    out, new_ids = induce_repeats(g, tuple(nodes))
     event(f"added={len(new_ids) > 0}")
     assert new_ids == list(range(before, len(g)))
-    assert reconstruct(g, out) == reconstruct(g, Description(tuple(nodes)))
+    assert reconstruct(g, out) == reconstruct(g, tuple(nodes))
 
 
 @settings(max_examples=200, deadline=None)
@@ -364,8 +362,8 @@ def test_gate_delta_matches_the_full_recompute(data):
     twin = g.find(kind)
     event(f"twin={twin is not None} k={min(k, 2)}")
     delta = _gate_delta(g, kind, len(nodes), k, twin)
-    before = description_dl(g, Description(tuple(nodes)))
-    after = description_dl(g, Description(tuple(rewrite(g.add(kind)))))
+    before = description_dl(g, tuple(nodes))
+    after = description_dl(g, tuple(rewrite(g.add(kind))))
     assert delta == pytest.approx(after - before, rel=0, abs=1e-9)
 
 
@@ -438,10 +436,10 @@ def rescanning_induce(graph, nodes):
 
     while True:
         for kind, rewrite, gated in steps():
-            before = description_dl(graph, Description(tuple(nodes)))
+            before = description_dl(graph, tuple(nodes))
             twin = graph.find(kind)
             new = rewrite(graph.add(kind) if twin is None else twin)
-            if not gated or description_dl(graph, Description(tuple(new))) < before - 1e-9:
+            if not gated or description_dl(graph, tuple(new)) < before - 1e-9:
                 nodes = new
                 break
             if twin is None:
@@ -468,10 +466,10 @@ def test_induce_repeats_matches_the_rescanning_loop(data):
         g.assoc_counts[a, b] = g.assoc_counts.get((a, b), 0) + 1
     nodes = drawn_nodes(data, g) * data.draw(st.integers(1, 3))
     reference, size = graph_from_json(json.loads(dumps(g))), len(g)
-    out, _ = induce_repeats(g, Description(tuple(nodes)))
+    out, _ = induce_repeats(g, tuple(nodes))
     want = rescanning_induce(reference, nodes)
     event(f"added={min(len(g) - size, 3)}")
-    assert out.nodes == tuple(want)
+    assert out == tuple(want)
     assert dumps(g) == dumps(reference)
 
 
@@ -514,7 +512,7 @@ def test_refinement_chains_are_monotone_and_lossless(data):
     loaded = graph_from_json(json.loads(dumps(g)))
     assert loaded.refinement_store == g.refinement_store
     parseable = set(loaded.parseable_ids())
-    for node in (n for chain in loaded.refinement_store.values() for d in chain for n in d.nodes):
+    for node in (n for chain in loaded.refinement_store.values() for d in chain for n in d):
         assert (type(node) is int and node in parseable
                 or type(node) is tuple and node != () and set(node) <= set(sigma)), node
     event(f"deepest chain={max(map(len, g.refinement_store.values()))}")
@@ -557,7 +555,7 @@ def test_forgetting_drops_deepest_level():
     ingest(g, "abab")
     deep = g.add(Repeat(0, 5))
     chain = g.refinement_store[0]
-    chain.append(Description((deep,)))
+    chain.append((deep,))
     _apply_forgetting(g)
     assert len(chain) == 2  # still above the forgetting threshold
     g.set_weight(deep, 2.0**-21)
@@ -666,7 +664,7 @@ def test_beam_cut_matches_full_sort(data):
     want = sorted(bucket, key=lambda s: (s[0], _signature(s, tokens)))
     got = _select_beam(list(bucket), k, tokens)
     assert sorted(map(id, got)) == sorted(map(id, want[:k]))
-    assert _cheapest(list(bucket), tokens) is want[0]
+    assert _select_beam(list(bucket), 1, tokens)[0] is want[0]
 
 
 def _graph_sha256(graph):
@@ -723,7 +721,7 @@ def test_parse_bytes_are_pinned_at_wider_beams():
         episodes += [(noise, "".join(rng.choice(sigma) for _ in range(96))) for _ in range(10)]
         for level in range(4):
             for g, episode in episodes:
-                nodes = parse(g, episode, Budget.from_config(g.config, level)).nodes
+                nodes = parse(g, episode, Budget.from_config(g.config, level))
                 digest.update(repr(nodes).encode())
     assert sizes == [(23, 318), (23, 312)]
     assert digest.hexdigest() == "eb20e468fec7ddbc0b81f77ff155c657eee9115e5d69750b5a3b9d8711ed2ee4"

@@ -10,7 +10,7 @@ from conceptgraph.errors import (
     ReconstructionMismatch,
     UnknownConcept,
 )
-from conceptgraph.inducer import Description, ingest, parse
+from conceptgraph.inducer import ingest, parse
 from conceptgraph.mdl import (
     DLReport,
     attention,
@@ -75,13 +75,13 @@ def test_blob_cost_formula_and_monotonicity():
 def test_description_dl_single_ref():
     g = ConceptGraph("a")
     expected = gamma_len(2) + ref_cost(g, 0)
-    assert description_dl(g, Description((0,))) == pytest.approx(expected)
+    assert description_dl(g, (0,)) == pytest.approx(expected)
 
 
 def test_description_dl_empty_and_blob():
     g = ConceptGraph("ab")
-    assert description_dl(g, Description(())) == pytest.approx(1.0)
-    d = Description((("a", "b"),))
+    assert description_dl(g, ()) == pytest.approx(1.0)
+    d = (("a", "b"),)
     expected = gamma_len(2) + blob_cost(g, 2)
     assert description_dl(g, d) == pytest.approx(expected)
 
@@ -89,10 +89,10 @@ def test_description_dl_empty_and_blob():
 def test_description_dl_rejects_bad_nodes():
     g = ConceptGraph("ab")
     with pytest.raises(InvalidDescription):
-        description_dl(g, Description((g.pleasure_id,)))
+        description_dl(g, (g.pleasure_id,))
     for node in ((), ["a"], "ab", None):
         with pytest.raises(InvalidDescription):
-            description_dl(g, Description((node,)))
+            description_dl(g, (node,))
 
 
 def test_model_dl_fresh_graph_is_zero():
@@ -128,13 +128,13 @@ def test_attention_is_raw_minus_described():
 def test_attention_checks_reconstruction():
     g = ConceptGraph("ab")
     with pytest.raises(ReconstructionMismatch):
-        attention(g, ("a", "b"), Description((0,)))
+        attention(g, ("a", "b"), (0,))
 
 
 def test_attention_negative_for_all_blob():
     g = ConceptGraph("ab")
     tokens = tuple("abba")
-    assert attention(g, tokens, Description((tokens,))) < 0
+    assert attention(g, tokens, (tokens,)) < 0
 
 
 def test_attention_invariant_under_symbol_renaming():

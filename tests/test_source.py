@@ -20,18 +20,39 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
-@pytest.mark.parametrize("module", ["core", "inducer", "mdl", "storage"])
-def test_the_graph_modules_import_nothing_from_the_synthesizer(module):
-    """The concept graph, its induction, description lengths and graph files
-    stand apart from `fnsynth`."""
-    path = os.path.join(os.path.dirname(conceptgraph.__file__), f"{module}.py")
+PACKAGE = os.path.dirname(conceptgraph.__file__)
+MODULES = {name[:-3] for name in os.listdir(PACKAGE) if name.endswith(".py")} - {"__init__"}
+
+# The layering, as the package modules each module must not import from, at
+# any level: the data model stands on `errors` alone; description lengths
+# and graph files know nothing of induction or the synthesizer; induction
+# stands apart from the synthesizer; and the synthetic worlds score their
+# yardstick with `mdl`, not with the inducer they are there to test.
+FORBIDDEN_IMPORTS = {
+    "core": MODULES - {"core", "errors"},
+    "inducer": {"fnsynth"},
+    "mdl": {"inducer", "fnsynth"},
+    "storage": {"inducer", "fnsynth"},
+    "corpus": {"inducer"},
+}
+
+
+def imported_names(module):
+    """Every dotted component of what `module` imports, anywhere in the file."""
+    path = os.path.join(PACKAGE, f"{module}.py")
     with open(path, encoding="utf-8") as handle:
         tree = ast.parse(handle.read(), filename=path)
-    imported = set()
+    names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            imported.add(node.module or "")
-            imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
-    assert not {name for name in imported if "fnsynth" in name.split(".")}
+            names.update(part for alias in node.names for part in alias.name.split("."))
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(FORBIDDEN_IMPORTS))
+def test_module_imports_keep_the_layering(module):
+    assert MODULES >= FORBIDDEN_IMPORTS[module] | {module}
+    assert not imported_names(module) & FORBIDDEN_IMPORTS[module]

@@ -177,6 +177,11 @@ def test_load_rejects_non_finite_or_negative_weight(tmp_path, weight):
     # fail, and 1 would grow the one-hole identity template
     ("run_observations", "0", [0]),
     ("run_observations", "1", [0]),
+    # a run member is a ref node, so a parseable concept: these would count
+    # toward the 2-fold number template as children that do not exist, and
+    # as the affect primitive 2
+    ("run_observations", "2", [-7, 999, 1000000]),
+    ("run_observations", "2", [2]),
 ])
 def test_load_rejects_bad_config_and_counters(section, field, value):
     data = json.loads(dumps(ConceptGraph("ab")))
@@ -310,7 +315,7 @@ def test_load_reads_a_blob_as_a_token_tuple():
     data = json.loads(dumps(trained_graph()))
     chain = next(iter(data["refinements"].values()))
     chain[0].append(["d", "a"])
-    assert graph_from_json(data).refinement_store[0][0].nodes[-1] == ("d", "a")
+    assert graph_from_json(data).refinement_store[0][0][-1] == ("d", "a")
 
 
 @pytest.mark.parametrize("cid, row", [
@@ -507,11 +512,14 @@ def test_load_rejects_a_non_canonical_key(section, key):
     pytest.param(lambda d: d.__setitem__("episode", 0), id="episode-0"),
     pytest.param(lambda d: d.__setitem__("episode", d["episode"] - 1), id="episode-at-the-last-key"),
     pytest.param(lambda d: d["refinements"].__setitem__("-1", [[0]]), id="a-negative-key"),
+    pytest.param(lambda d: d["refinements"].__setitem__("1", []), id="an-empty-chain"),
 ])
-def test_load_rejects_a_refinement_key_not_below_the_episode(edit):
-    """A refinement key is an episode the graph has ingested.  A key at or
-    past the counter would make the next ingest append its episode to a
-    stored chain, as a level that need not reconstruct level 0."""
+def test_load_rejects_a_refinement_chain_not_of_an_episode(edit):
+    """A refinement chain is that of an episode the graph has ingested: its
+    key is below the counter and it holds level 0.  A key at or past the
+    counter would make the next ingest append its episode to a stored
+    chain, as a level that need not reconstruct level 0; an empty chain
+    lists an episode that `refine` cannot find."""
     doc = json.loads(trained_graph_text())
     assert sorted(map(int, doc["refinements"])) == list(range(doc["episode"]))
     edit(doc)
