@@ -7,7 +7,8 @@ carry holes and only expand through an Apply that fills them.
 
 A description, the compressed form of one experience, is a plain tuple of
 nodes: a reference is the concept id it names and a blob the non-empty
-tuple of raw tokens it spells.  `reconstruct` spells a description out.
+tuple of alphabet tokens it spells.  `node_tokens` holds the one rule for
+a node, which `reconstruct`, `mdl`, `inducer` and the graph loader apply.
 """
 
 from __future__ import annotations
@@ -197,6 +198,7 @@ class ConceptGraph:
         if len(set(alphabet)) != len(alphabet):
             raise ValueError("alphabet symbols must be unique")
         self.alphabet: tuple[Token, ...] = tuple(alphabet)
+        self.alphabet_set: frozenset[Token] = frozenset(self.alphabet)
         self.config = config or Config()
         self.concepts: list[Concept] = []
         self.episode: int = 0
@@ -519,17 +521,25 @@ class ConceptGraph:
         return valences
 
 
+def node_tokens(graph: ConceptGraph, node) -> tuple[Token, ...]:
+    """The tokens a node spells, by the one node rule: a ref to a parseable
+    concept or a non-empty tuple of alphabet tokens, else `InvalidDescription`."""
+    if type(node) is int and node in graph._expansions:  # held for each parseable concept
+        return graph._expansions[node]
+    try:  # an unhashable token is no alphabet token
+        if type(node) is tuple and node and graph.alphabet_set.issuperset(node):
+            return node
+    except TypeError:
+        pass
+    raise InvalidDescription(f"node {node!r} is neither a ref to a parseable "
+                             "concept nor a non-empty blob of alphabet tokens")
+
+
 def reconstruct(graph: ConceptGraph, desc: Description) -> tuple[Token, ...]:
     """Exact inverse of parse: concatenated expansions and blob payloads."""
     out: list[Token] = []
     for node in desc:
-        if type(node) is int and node in graph._expansions:  # a parseable concept
-            out.extend(graph._expansions[node])
-        elif type(node) is tuple and node:
-            out.extend(node)
-        else:
-            raise InvalidDescription(f"node {node!r} is neither a ref to a parseable "
-                                     "concept nor a non-empty blob")
+        out.extend(node_tokens(graph, node))
     return tuple(out)
 
 

@@ -179,10 +179,9 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token],
     only for exact cost ties and for the winner.
     """
     tokens = tuple(tokens)
-    alphabet = set(graph.alphabet)
-    for t in tokens:
-        if t not in alphabet:
-            raise UnknownToken(f"token {t!r} not in alphabet")
+    if not graph.alphabet_set.issuperset(tokens):
+        bad = next(t for t in tokens if t not in graph.alphabet_set)
+        raise UnknownToken(f"token {bad!r} not in alphabet")
     n = len(tokens)
     if n == 0:
         return ()
@@ -561,7 +560,10 @@ def abstract_common(graph: ConceptGraph) -> list[int]:
 
 def record_associations(graph: ConceptGraph, desc: Description) -> list[tuple[int, int]]:
     """Count adjacent ref pairs; reify an Association at the threshold, and
-    add the generic follows marker once enough distinct associations exist."""
+    add the generic follows marker once enough distinct associations exist.
+    A description that breaks the node rule raises `InvalidDescription`
+    before anything is counted."""
+    reconstruct(graph, desc)  # holds every node to the rule
     cfg = graph.config
     reified: list[tuple[int, int]] = []
     for pair in zip(desc, desc[1:]):
@@ -657,10 +659,6 @@ def ingest(graph: ConceptGraph, experience,
         raise UnknownToken("ingest expects a token stream; quantize scalars first")
     if len(stream.samples) > MAX_EXPANSION:
         raise TooLarge(f"episode exceeds {MAX_EXPANSION} tokens")
-    alphabet = set(graph.alphabet)
-    for t in stream.samples:
-        if t not in alphabet:
-            raise UnknownToken(f"token {t!r} not in alphabet")
 
     if segments is None:
         n = len(stream.samples)

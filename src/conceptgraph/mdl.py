@@ -13,14 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (
-    InvalidDescription,
-    NonPositive,
-    ReconstructionMismatch,
-    UnknownConcept,
-)
+from .errors import NonPositive, ReconstructionMismatch, UnknownConcept
 from .core import (Apply, Concat, ConceptGraph, Description, Hole, Primitive, Repeat,
-                   Template, reconstruct)
+                   Template, node_tokens, reconstruct)
 
 
 @dataclass(frozen=True)
@@ -84,18 +79,15 @@ def description_dl(graph: ConceptGraph, desc: Description) -> float:
     """Bits for one description: node-count header plus per-node costs.
 
     Referenced concept definitions are not recounted here; they live in
-    model_dl (two-part code).
+    model_dl (two-part code).  Each node is held to `core.node_tokens`'s rule.
     """
     total = float(gamma_len(len(desc) + 1))
     sigma_bits = math.log2(len(graph.alphabet))
     log_d = math.log2(_denominator(graph))
     for node in desc:
+        node_tokens(graph, node)  # raises InvalidDescription
         if type(node) is int:
-            if not (0 <= node < len(graph)) or not graph.is_parseable(node):
-                raise InvalidDescription(f"ref to non-expanding concept {node}")
-            total += log_d - math.log2(graph.concept(node).weight + 1.0)
-        elif type(node) is not tuple or not node:
-            raise InvalidDescription(f"node {node!r} is neither a ref nor a non-empty blob")
+            total += log_d - math.log2(graph.concepts[node].weight + 1.0)
         else:
             total += log_d + gamma_len(len(node)) + len(node) * sigma_bits
     return total

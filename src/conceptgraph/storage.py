@@ -14,14 +14,15 @@ Loading checks each concept with the rule that `add` uses
 (`ConceptGraph._validate`, through `rebuild_derived`; the leading primitives
 and affect primitives must equal the ones `ConceptGraph` makes, which are
 validated once): references point at older concepts of a fitting kind, so
-a loaded graph has no dangling reference and no cycle.  Any violation is a
+a loaded graph has no dangling reference and no cycle.  Each stored level
+is reconstructed, so its nodes keep `core`'s node rule, and must spell what
+its chain's level 0 spells, as `refine` promises.  Any violation is a
 `CorruptFile`, as is a file that is not UTF-8 JSON, a section of the wrong
 JSON type, a concept row of an unknown kind or the wrong length, an integer
-field holding anything but a JSON integer, a description node that is
-neither a ref to a parseable concept nor a blob, a refinement key that is
-not an episode before the episode counter, an empty refinement chain, a
-run length below 2, or a run member that is not a parseable concept (runs
-are counted over description refs).
+field holding anything but a JSON integer, a refinement key that is not an
+episode before the episode counter, an empty refinement chain, a run length
+below 2, an association count below 1, or a run member or associated pair
+member that is not a parseable concept (both count description refs).
 
 A cg1 file (concept objects with an `id`, a `digram_counts` section, and
 description nodes tagged `["ref", n]` or `["blob", [...]]`) loads through
@@ -60,6 +61,7 @@ from .core import (
     Repeat,
     SlotRef,
     Template,
+    reconstruct,
 )
 from .errors import (
     CorruptFile,
@@ -172,20 +174,9 @@ def _concept_from_json(cid: int, row) -> Concept:
     return Concept(cid, kind, weight, _int(created_at))
 
 
-def _desc_from_json(level, parseable: set[int], alphabet: set[str]) -> Description:
-    """A stored level: a JSON int is a ref to a parseable concept, and a JSON
-    list is a blob of one or more alphabet tokens."""
-    nodes = []
-    for node in _list(level):
-        if type(node) is int:
-            if node not in parseable:
-                raise CorruptFile(f"description references {node!r}, which does not expand")
-        elif type(node) is list and node and alphabet.issuperset(node):
-            node = tuple(node)
-        else:
-            raise CorruptFile(f"description node {node!r} is neither a ref nor a blob")
-        nodes.append(node)
-    return tuple(nodes)
+def _desc_from_json(level) -> Description:
+    """A stored level, each JSON list (a blob) read as a tuple."""
+    return tuple([tuple(node) if type(node) is list else node for node in _list(level)])
 
 
 _CG1_NODE_TYPES = {"ref": int, "blob": list}
@@ -304,20 +295,26 @@ def graph_from_json(data) -> ConceptGraph:
         assoc = _list(data["assoc_counts"])
         _ints(chain.from_iterable(assoc))  # row lengths: unpacking
         graph.assoc_counts = {(a, b): n for a, b, n in assoc}
-        parseable, alphabet = set(graph.parseable_ids()), set(graph.alphabet)
+        if min(graph.assoc_counts.values(), default=1) < 1:
+            raise CorruptFile("an assoc_counts count is below 1")
         graph.run_observations = {_key(k): set(_ints(_list(v)))
                                   for k, v in _dict(data["run_observations"]).items()}
         if min(graph.run_observations, default=2) < 2:
             raise CorruptFile("run_observations keys are run lengths, at least 2")
-        if not parseable.issuperset(chain.from_iterable(graph.run_observations.values())):
-            raise CorruptFile("a run_observations member is not a parseable concept")
+        if not set(graph.parseable_ids()).issuperset(
+                chain(*graph.assoc_counts, *graph.run_observations.values())):
+            raise CorruptFile("an assoc_counts pair or run_observations member "
+                              "is not a parseable concept")
+        store = graph.refinement_store
         for ep, levels in _dict(data["refinements"]).items():
-            graph.refinement_store[_key(ep)] = [_desc_from_json(d, parseable, alphabet)
-                                                for d in _list(levels)]
-        if not all(0 <= ep < graph.episode and levels
-                   for ep, levels in graph.refinement_store.items()):
+            store[_key(ep)] = [_desc_from_json(level) for level in _list(levels)]
+        if not all(0 <= ep < graph.episode and levels for ep, levels in store.items()):
             raise CorruptFile("a refinement chain is empty, or its key is not an episode "
                               "before the counter")
+        for levels in store.values():  # `reconstruct` holds each node to the rule
+            spelled = reconstruct(graph, levels[0])
+            if any(reconstruct(graph, level) != spelled for level in levels[1:]):
+                raise CorruptFile("a refinement level does not spell its episode's level 0")
         return graph
     except (GraphError, KeyError, ValueError, TypeError, IndexError, OverflowError) as exc:
         raise CorruptFile(f"malformed graph file: {exc}") from exc

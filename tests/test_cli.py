@@ -10,6 +10,7 @@ import conceptgraph
 from conceptgraph.cli import main
 from conceptgraph.core import (
     MAX_EXPANSION, Apply, Concat, ConceptGraph, Hole, Repeat, SlotRef, Template)
+from conceptgraph.errors import CorruptFile
 from conceptgraph.storage import dumps, import_teach, load
 
 
@@ -137,6 +138,25 @@ def test_malformed_blob_in_a_graph_file_is_data_error(tmp_path, payload):
     graph.write_text(json.dumps(doc))
     assert_data_error(["refine", "--graph", str(graph), "--episode", "0"],
                       ["stats", "--graph", str(graph)])
+
+
+def test_a_level_that_does_not_spell_its_episode_is_data_error(tmp_path):
+    """Every level of a refinement chain spells what level 0 spells, as
+    `refine` promises; a file whose level 1 is a valid blob of other tokens
+    is refused."""
+    graph, data = tmp_path / "g.cg", tmp_path / "in.txt"
+    data.write_text("abab\nab\nbaba\nabab\n")
+    for argv in (["init", "--alphabet", "ab", "--out", str(graph)],
+                 ["ingest", "--graph", str(graph), "--input", str(data)],
+                 ["refine", "--graph", str(graph), "--episode", "0"]):
+        assert run_cli(*argv).returncode == 0
+    doc = json.loads(graph.read_text())
+    assert len(doc["refinements"]["0"]) == 2
+    doc["refinements"]["0"][1] = [["b", "b", "b"]]
+    graph.write_text(json.dumps(doc))
+    with pytest.raises(CorruptFile, match="does not spell"):
+        load(str(graph))
+    assert_data_error(["stats", "--graph", str(graph)])
 
 
 def test_deep_chain_graph_file_works(tmp_path):

@@ -48,7 +48,8 @@ from conceptgraph.inducer import (
     refine,
 )
 from conceptgraph.mdl import description_dl, kraft_sum
-from conceptgraph.storage import dumps, graph_from_json
+from conceptgraph.storage import _desc_from_json, dumps, graph_from_json
+from test_storage import BAD_NODES
 
 
 def all_descriptions(graph, tokens):
@@ -121,15 +122,14 @@ def test_parse_deterministic_tie_break_prefers_lower_id():
 
 
 def test_reconstruct_examples_and_errors():
-    g = ConceptGraph("abc")
+    g = ConceptGraph("abcd")
     p = g.add(Concat((0, 1)))
     assert reconstruct(g, (p, ("c",))) == ("a", "b", "c")
     assert reconstruct(g, ()) == ()
-    with pytest.raises(InvalidDescription):
-        reconstruct(g, (g.pleasure_id,))
-    for node in ((), ["a"], "ab", None):
+    # in memory a list is no blob: the loader reads a file's list as a tuple
+    for desc in [(["a"],), *(_desc_from_json([node]) for node in BAD_NODES)]:
         with pytest.raises(InvalidDescription):
-            reconstruct(g, (node,))
+            reconstruct(g, desc)
 
 
 def test_roundtrip_fuzz():
@@ -214,14 +214,24 @@ def test_abstract_common_below_threshold_or_two_positions():
 def test_record_associations_reifies_at_threshold():
     g = ConceptGraph("ab", Config(assoc_threshold=3))
     icecream = g.add(Concat((0, 1)))
-    desc = (icecream, g.pleasure_id)
+    desc = (icecream, ("a",), 1, icecream)  # a blob breaks the adjacency
     assert record_associations(g, desc) == []
     assert record_associations(g, desc) == []
-    assert record_associations(g, desc) == [(icecream, g.pleasure_id)]
-    assoc = g.find(Association(icecream, g.pleasure_id))
-    assert assoc is not None
-    v = g.propagate_valence()
-    assert v[icecream] == pytest.approx(0.25)  # icecream - assoc - pleasure
+    assert record_associations(g, desc) == [(1, icecream)]
+    assert g.assoc_counts == {(1, icecream): 3}
+    assert g.find(Association(1, icecream)) is not None
+
+
+@pytest.mark.parametrize("desc", [(999, 1000), (2, 3), (0, 1, 999), (0, ("z",), 1)])
+def test_record_associations_refuses_a_bad_description(desc):
+    """Missing concepts, the affect primitives, a bad node after a good pair
+    and an out-of-alphabet blob: nothing is counted or reified."""
+    g = ConceptGraph("ab", Config(assoc_threshold=1))
+    record_associations(g, (0, 1))
+    before = dumps(g)
+    with pytest.raises(InvalidDescription):
+        record_associations(g, desc)
+    assert dumps(g) == before
 
 
 def test_follows_marker_after_three_distinct_associations():
@@ -260,6 +270,16 @@ def test_ingest_new_concept_ids_are_fresh():
     before = len(g)
     report = ingest(g, "ab" * 30)
     assert all(cid >= before for cid in report.new_concepts)
+
+
+def test_ingest_refuses_an_unknown_token_unchanged():
+    """`parse` checks every token: the segments cover the stream."""
+    g = ConceptGraph("ab")
+    ingest(g, "abab")
+    before = dumps(g)
+    with pytest.raises(UnknownToken, match="'z'"):
+        ingest(g, "abzab")
+    assert dumps(g) == before
 
 
 def test_ingest_rejects_scalar_stream():

@@ -23,6 +23,8 @@ from conceptgraph.mdl import (
     raw_dl,
     ref_cost,
 )
+from conceptgraph.storage import _desc_from_json
+from test_storage import BAD_NODES
 
 
 def test_gamma_len_values():
@@ -87,12 +89,10 @@ def test_description_dl_empty_and_blob():
 
 
 def test_description_dl_rejects_bad_nodes():
-    g = ConceptGraph("ab")
-    with pytest.raises(InvalidDescription):
-        description_dl(g, (g.pleasure_id,))
-    for node in ((), ["a"], "ab", None):
+    g = ConceptGraph("abcd")
+    for node in BAD_NODES:
         with pytest.raises(InvalidDescription):
-            description_dl(g, (node,))
+            description_dl(g, _desc_from_json([node]))
 
 
 def test_model_dl_fresh_graph_is_zero():

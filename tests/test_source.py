@@ -56,3 +56,17 @@ def imported_names(module):
 def test_module_imports_keep_the_layering(module):
     assert MODULES >= FORBIDDEN_IMPORTS[module] | {module}
     assert not imported_names(module) & FORBIDDEN_IMPORTS[module]
+
+
+def test_invalid_description_is_raised_at_one_site():
+    """The node rule lives in `core.node_tokens`; every other reader calls it
+    instead of restating it with its own message."""
+    sites = []
+    for module in sorted(MODULES):
+        path = os.path.join(PACKAGE, f"{module}.py")
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename=path)
+        sites += [f"{module}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and "InvalidDescription" in (
+                      getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert len(sites) == 1 and sites[0].startswith("core:"), sites

@@ -182,6 +182,12 @@ def test_load_rejects_non_finite_or_negative_weight(tmp_path, weight):
     # as the affect primitive 2
     ("run_observations", "2", [-7, 999, 1000000]),
     ("run_observations", "2", [2]),
+    # pairs are counted over description refs too, and a stored count is at
+    # least 1: two missing concepts, counts below 1, the two affect primitives
+    (None, "assoc_counts", [[999, 1000, 5]]),
+    (None, "assoc_counts", [[0, 1, -7]]),
+    (None, "assoc_counts", [[0, 1, 0]]),
+    (None, "assoc_counts", [[2, 3, 100]]),
 ])
 def test_load_rejects_bad_config_and_counters(section, field, value):
     data = json.loads(dumps(ConceptGraph("ab")))
@@ -300,11 +306,17 @@ def test_load_rejects_a_refinement_ref_that_does_not_expand():
             graph_from_json(data)
 
 
-@pytest.mark.parametrize("payload", [[["a"]], [], ["z"], [5], [None], "ab", None, True, 3.0, {}])
+# The description nodes that break the node rule, as a graph file holds
+# them, for a graph over "abcd", whose pleasure primitive is 4.  A node is a
+# JSON integer (a ref to a parseable concept) or a blob (a JSON list of one
+# or more alphabet tokens, read as a tuple); a string is not split into its
+# characters, and a bool is no ref.  `reconstruct` and `description_dl`
+# refuse each one as the loader reads it (`storage._desc_from_json`).
+BAD_NODES = [[["a"]], [], ["z"], [5], [None], "ab", None, True, 3.0, {}, 4, -1, 10**6]
+
+
+@pytest.mark.parametrize("payload", BAD_NODES)
 def test_load_rejects_a_malformed_blob(payload):
-    """A node is a JSON integer (a ref) or a blob, a JSON list of one or more
-    alphabet tokens; a string is not split into its characters, and a bool
-    is no ref."""
     data = json.loads(dumps(trained_graph()))
     next(iter(data["refinements"].values()))[0].append(payload)
     with pytest.raises(CorruptFile):
