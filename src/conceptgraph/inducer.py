@@ -3,8 +3,12 @@
 Parsing is a left-to-right beam search over concept references and raw
 blobs, minimizing description bits.  A beam state is a plain tuple whose
 parent chain spells the partial description; a frontier bucket larger
-than the beam is cut by cost, and a node signature is built only to break
-an exact cost tie.  Induction scans candidate steps,
+than the beam is sorted in place by cost and cut, and a node signature is
+built only to break an exact cost tie at the cut.  Candidate lookups walk
+a token trie of the candidates' expansions; `ingest` keeps that trie
+across episodes while the candidates and their expansions are unchanged
+(the circuit changes only when a node is formed), refreshing only the
+reference bits.  Induction scans candidate steps,
 digram concats then runs, takes the first that pays (one gate: the
 episode's description bits strictly drop) and scans again.  The gate does
 not charge the new definition's model bits (`mdl.model_dl`): creation is
@@ -29,9 +33,12 @@ from __future__ import annotations
 
 import heapq
 import math
+import weakref
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
+from operator import itemgetter
 from typing import Collection, Optional, Sequence
 
 from . import mdl
@@ -95,57 +102,86 @@ def _signature(state: tuple, tokens: tuple) -> tuple:
     return tuple(parts)
 
 
+_COST = itemgetter(0)
+
+
 def _select_beam(bucket: list[tuple], k: int, tokens: tuple) -> list[tuple]:
     """The `k` cheapest states; exact cost ties at the cut go by signature.
 
     Equals sorting the whole bucket by (cost, signature) and keeping the
-    first `k`, but signatures are built only for the tie group that
-    straddles the cut.  Callers re-select or take the one state of k = 1,
-    so the order of the returned states does not matter.
+    first `k`: the bucket is sorted in place by cost alone, and signatures
+    are built only for the tie group that straddles the cut.  The kept set
+    does not depend on the bucket's order, since no two states in a bucket
+    share a signature (a blob successor extends a trailing blob instead of
+    opening a second one), so sorting the caller's list is safe.  Callers
+    re-select or take the one state of k = 1, so the order of the returned
+    states does not matter.
     """
     if len(bucket) <= k:
         return bucket
-    costs = sorted([s[0] for s in bucket])
-    cut = costs[k - 1]
-    if costs[k] != cut:
-        return [s for s in bucket if s[0] <= cut]
-    keep = [s for s in bucket if s[0] < cut]
-    tied = sorted((s for s in bucket if s[0] == cut), key=lambda s: _signature(s, tokens))
-    return keep + tied[:k - len(keep)]
+    bucket.sort(key=_COST)
+    cut = bucket[k - 1][0]
+    if bucket[k][0] != cut:
+        return bucket[:k]
+    lo = bisect_left(bucket, cut, 0, k - 1, key=_COST)
+    hi = bisect_right(bucket, cut, k, key=_COST)
+    tied = sorted(bucket[lo:hi], key=lambda s: _signature(s, tokens))
+    return bucket[:lo] + tied[:k - lo]
 
 
 class _ParseContext:
-    """Per-episode parse machinery: candidate entries, their trie, ref costs.
+    """Parse machinery for one code state: candidate entries, their trie, ref costs.
 
     The candidates are the top-pool concepts by weight plus the fast-path
-    set, each with its (id, length, reference bits) entry.  Their expansions
-    are merged into a token trie whose nodes list the entries ending there,
-    so a lookup walks only as far as the longest match.  Weights are
-    constant between ticks, so one context serves every parse call an
+    set, each with its mutable [id, length, reference bits] entry.  Their
+    expansions are merged into a token trie whose nodes list the entries
+    ending there (the same lists as `entries`), so a lookup walks only as
+    far as the longest match and builds nothing but its result.  Weights
+    are constant between ticks, so one context serves every parse call an
     ingest makes (segments plus blob residue).
+
+    `refresh` moves the context to the graph's current code state.  The
+    trie depends only on the member ids and their expansions, so it is kept
+    when both are unchanged and only each entry's bits are rewritten in
+    place; the check is a list comparison, which finds an unchanged
+    member's stored expansion by identity.  `ingest` keeps its level-0
+    context per graph (`_LEVEL0`) and refreshes it each episode: between
+    episodes the members change only when a node is formed or a weight
+    crosses into the pool or the fast path.  `refine` and direct `parse`
+    calls build a fresh context per call.
     """
 
-    __slots__ = ("budget", "log_d", "sigma_bits", "entries", "trie")
+    __slots__ = ("budget", "log_d", "sigma_bits", "entries", "trie",
+                 "members", "member_expansions")
 
     def __init__(self, graph: ConceptGraph, budget: Budget):
         self.budget = budget
-        self.log_d = mdl.escape_cost(graph)
         self.sigma_bits = math.log2(len(graph.alphabet))
-        pool = sorted(
-            graph.parseable_ids(),
-            key=lambda cid: (-graph.concepts[cid].weight, cid))[:budget.pool]
-        expansions = {cid: graph.expansion(cid) for cid in graph.fast_path_set().union(pool)}
-        self.entries = [
-            (cid, len(expansions[cid]), self.log_d - math.log2(graph.concepts[cid].weight + 1.0))
-            for cid in sorted(expansions)]
-        self.trie = ({}, [])
-        for entry in self.entries:
-            node = self.trie
-            for token in expansions[entry[0]]:
-                node = node[0].setdefault(token, ({}, []))
-            node[1].append(entry)
+        self.members = self.member_expansions = None  # no trie yet
+        self.refresh(graph)
 
-    def candidates_at(self, tokens: tuple, pos: int) -> list[tuple[int, int, float]]:
+    def refresh(self, graph: ConceptGraph) -> None:
+        """Take the graph's current candidates and reference bits, rebuilding
+        the trie only if a member or a member's expansion changed."""
+        concepts = graph.concepts
+        pool = sorted(graph.parseable_ids(),
+                      key=lambda cid: (-concepts[cid].weight, cid))[:self.budget.pool]
+        members = sorted(graph.fast_path_set().union(pool))
+        expansions = [graph.expansion(cid) for cid in members]
+        if members != self.members or expansions != self.member_expansions:
+            self.entries = [[cid, len(e), 0.0] for cid, e in zip(members, expansions)]
+            self.trie = ({}, [])
+            for entry, expansion in zip(self.entries, expansions):
+                node = self.trie
+                for token in expansion:
+                    node = node[0].setdefault(token, ({}, []))
+                node[1].append(entry)
+        self.members, self.member_expansions = members, expansions
+        self.log_d = log_d = mdl.escape_cost(graph)
+        for entry in self.entries:
+            entry[2] = log_d - math.log2(concepts[entry[0]].weight + 1.0)
+
+    def candidates_at(self, tokens: tuple, pos: int) -> list[list]:
         """Entries of the candidates whose expansion prefixes tokens[pos:]."""
         found = []
         node = self.trie
@@ -155,6 +191,12 @@ class _ParseContext:
                 break
             found.extend(node[1])
         return found
+
+
+# Each graph's level-0 context from its last `ingest`.  Weak keys keep the
+# graph's own state and saved bytes free of it, and let a dropped graph free
+# its trie; the context holds no reference to the graph.
+_LEVEL0: "weakref.WeakKeyDictionary[ConceptGraph, _ParseContext]" = weakref.WeakKeyDictionary()
 
 
 def parse(graph: ConceptGraph, tokens: Sequence[Token],
@@ -653,6 +695,7 @@ def ingest(graph: ConceptGraph, experience,
     Segment by contrast, parse each segment, grow concepts from repetition,
     abstract commonality, record associations, decay-and-reward weights,
     store the description as refinement level 0, bump the episode counter.
+    The parses share the graph's kept level-0 context, refreshed first.
     """
     stream = _normalize_stream(experience)
     if stream.kind != TOKEN:
@@ -671,7 +714,12 @@ def ingest(graph: ConceptGraph, experience,
             pos = seg.end
         if pos != len(stream.samples):
             raise ValueError("segments must cover the stream exactly, in order")
-    context = _ParseContext(graph, Budget.from_config(graph.config, 0))
+    budget = Budget.from_config(graph.config, 0)
+    context = _LEVEL0.get(graph)
+    if context is None or context.budget != budget:
+        context = _LEVEL0[graph] = _ParseContext(graph, budget)
+    else:
+        context.refresh(graph)
     nodes: list[Node] = []
     for seg in segments:
         nodes.extend(parse(graph, seg.payload, context=context))

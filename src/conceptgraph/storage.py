@@ -20,9 +20,11 @@ its chain's level 0 spells, as `refine` promises.  Any violation is a
 `CorruptFile`, as is a file that is not UTF-8 JSON, a section of the wrong
 JSON type, a concept row of an unknown kind or the wrong length, an integer
 field holding anything but a JSON integer, a refinement key that is not an
-episode before the episode counter, an empty refinement chain, a run length
-below 2, an association count below 1, or a run member or associated pair
-member that is not a parseable concept (both count description refs).
+episode before the episode counter, a `created_at` outside 0 up to the
+counter (`add` stamps the counter, which only grows), an empty refinement
+chain, a run length below 2, an association pair listed twice or counted
+below 1, or a run member or associated pair member that is not a parseable
+concept (both count description refs).
 
 A cg1 file (concept objects with an `id`, a `digram_counts` section, and
 description nodes tagged `["ref", n]` or `["blob", [...]]`) loads through
@@ -289,12 +291,16 @@ def graph_from_json(data) -> ConceptGraph:
         graph.episode = _int(data["episode"])
         if graph.episode < 0:
             raise CorruptFile("episode must be non-negative")
+        if not all(0 <= c.created_at <= graph.episode for c in concepts):
+            raise CorruptFile("a concept's created_at is not an episode up to the counter")
         graph.raw_bits_total = float(data["raw_bits_total"])
         if not 0.0 <= graph.raw_bits_total < math.inf:
             raise CorruptFile("raw_bits_total must be finite and non-negative")
         assoc = _list(data["assoc_counts"])
         _ints(chain.from_iterable(assoc))  # row lengths: unpacking
         graph.assoc_counts = {(a, b): n for a, b, n in assoc}
+        if len(graph.assoc_counts) != len(assoc):
+            raise CorruptFile("assoc_counts repeats a pair")
         if min(graph.assoc_counts.values(), default=1) < 1:
             raise CorruptFile("an assoc_counts count is below 1")
         graph.run_observations = {_key(k): set(_ints(_list(v)))

@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import json
 import os
 import random
 import subprocess
 import sys
+import weakref
 from functools import partial
 
 import pytest
@@ -648,6 +650,74 @@ def test_fast_path_equivalence_sigma16_beyond_the_pool():
         assert parse(g, tokens) == linear_parse(g, tokens)
 
 
+def test_kept_context_parses_like_a_fresh_one():
+    """`ingest`'s level-0 context, refreshed after each kind of graph change,
+    parses like a fresh context and like the linear scan."""
+    g = ConceptGraph("abc", Config(pool_base=8))
+    rng = random.Random(5)
+    for _ in range(8):
+        ingest(g, "".join(rng.choice(["ab", "cab", "bca", "cc"]) for _ in range(12)))
+    kept = inducer._LEVEL0[g]
+    kept.refresh(g)  # the last ingest grew the graph after its parses
+    budget = Budget.from_config(g.config)
+
+    def check():
+        kept.refresh(g)
+        pieces = [g.expansion(c) for c in g.parseable_ids()]
+        for _ in range(30):
+            tokens = [t for _ in range(rng.randint(0, 8)) for t in rng.choice(pieces)]
+            fresh = parse(g, tokens, context=_ParseContext(g, budget))
+            assert parse(g, tokens, context=kept) == fresh == linear_parse(g, tokens)
+
+    # a weight tick that keeps the members keeps the trie and rewrites the bits
+    trie, bits = kept.trie, [entry[2] for entry in kept.entries]
+    g.tick_weights(kept.members)
+    check()
+    assert kept.trie is trie and [entry[2] for entry in kept.entries] != bits
+    # an add whose weight puts it in the top pool
+    new = g.add(Concat((kept.members[-1], 0, 2)))
+    g.set_weight(new, 9.5)
+    check()
+    assert new in kept.members and kept.trie is not trie
+    # pop_last, then a different concept at the same id: the same member ids
+    members, trie = kept.members, kept.trie
+    g.pop_last()
+    assert g.add(Concat((kept.members[-2], 1, 1))) == new
+    g.set_weight(new, 9.5)
+    check()
+    assert kept.members == members and kept.trie is not trie
+    # a weight that crosses the fast-path threshold adds a member beyond the pool
+    members = kept.members
+    for cid in members:
+        g.set_weight(cid, 20.0)
+    outside = next(c for c in g.parseable_ids() if c not in members)
+    g.set_weight(outside, g.config.fast_path_threshold)
+    check()
+    assert kept.members == sorted(members + [outside])
+
+
+def test_ingest_with_the_kept_context_cleared_gives_the_same_bytes():
+    tokens, _ = gen_grammar_corpus(3, 3, 1600)
+    episodes = [tokens[i:i + 48] for i in range(0, len(tokens), 48)]
+    rng = random.Random(9)
+    episodes += [[rng.choice(GRAMMAR_ALPHABET) for _ in range(40)] for _ in range(6)]
+    kept, cleared = ConceptGraph(GRAMMAR_ALPHABET), ConceptGraph(GRAMMAR_ALPHABET)
+    reused = 0
+    for episode in episodes:
+        trie = getattr(inducer._LEVEL0.get(kept), "trie", None)
+        ingest(kept, episode)
+        reused += inducer._LEVEL0[kept].trie is trie
+        inducer._LEVEL0.pop(cleared, None)
+        ingest(cleared, episode)
+    assert 0 < reused < len(episodes) - 1
+    assert dumps(kept) == dumps(cleared)
+    # the kept context does not keep its graph alive
+    dropped = weakref.ref(kept)
+    del kept
+    gc.collect()
+    assert dropped() is None
+
+
 def _beam_states(draw):
     """Distinct-signature states over shared tokens, with exact cost ties."""
     node = st.one_of(st.tuples(st.just(0), st.integers(0, 4)),
@@ -685,6 +755,9 @@ def test_beam_cut_matches_full_sort(data):
     got = _select_beam(list(bucket), k, tokens)
     assert sorted(map(id, got)) == sorted(map(id, want[:k]))
     assert _select_beam(list(bucket), 1, tokens)[0] is want[0]
+    # the bucket is sorted in place, and its order does not move the kept set
+    shuffled = data.draw(st.permutations(bucket))
+    assert sorted(map(id, _select_beam(shuffled, k, tokens))) == sorted(map(id, want[:k]))
 
 
 def _graph_sha256(graph):

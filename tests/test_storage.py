@@ -188,6 +188,8 @@ def test_load_rejects_non_finite_or_negative_weight(tmp_path, weight):
     (None, "assoc_counts", [[0, 1, -7]]),
     (None, "assoc_counts", [[0, 1, 0]]),
     (None, "assoc_counts", [[2, 3, 100]]),
+    # the saver writes each pair once
+    (None, "assoc_counts", [[0, 1, 5], [0, 1, 6]]),
 ])
 def test_load_rejects_bad_config_and_counters(section, field, value):
     data = json.loads(dumps(ConceptGraph("ab")))
@@ -342,6 +344,10 @@ def test_load_reads_a_blob_as_a_token_tuple():
     pytest.param(8, ["repeat", 0, "1.000000000", 5], id="repeat-without-count"),
     pytest.param(10, ["wobble", 0, "1.000000000", [8, 0]], id="unknown-kind"),
     pytest.param(10, [["concat"], 0, "1.000000000", [8, 0]], id="a-list-as-kind"),
+    # `add` stamps the episode counter, which only grows (here it is 0)
+    pytest.param(10, ["concat", -5, "1.000000000", [8, 0]], id="created-before-episode-0"),
+    pytest.param(10, ["concat", 1, "1.000000000", [8, 0]], id="created-after-the-counter"),
+    pytest.param(0, ["primitive", 1, "1.000000000", "a"], id="initial-created-after-the-counter"),
 ])
 def test_load_rejects_a_misshapen_concept_row(cid, row):
     data = reference_kinds_data()
