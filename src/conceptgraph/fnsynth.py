@@ -28,6 +28,14 @@ candidate iterations walk the same chains of library calls, and with the
 orbit memo they share one walk.  An iteration count over the cap raises
 first; a count of zero or less applies the section zero times and so
 returns the seed, whatever the orbit holds.
+
+Nothing walks a term tree at evaluation time.  Each library definition is
+compiled once, when it joins the library, into a closure that calls its
+callees through the evaluator, so the caps and memos hold for it as for
+any call; a body runs only when the call memo misses.  The enumerator
+computes a whole value vector per candidate with the evaluator's row
+kernels, which read call-memo and orbit hits inline and hand every other
+row to the one-row `apply` or `iterate`.
 """
 
 from __future__ import annotations
@@ -77,6 +85,7 @@ class Iter:
 
 
 Term = Union[Var, Const, Call, Iter]
+Vector = tuple[int, ...]  # a term's values on the example inputs, in order
 
 
 def section_size(section: Section) -> int:
@@ -147,17 +156,51 @@ def _check_entry(fn: LibraryFn, known: dict[str, LibraryFn]) -> None:
         _check_term(fn.definition, fn.arity, known)
 
 
+def _compile(term: Term, library: "Library") -> Callable:
+    """The closure `(evaluator, inputs) -> int` that evaluates a checked
+    `term`: count, then seed, then fillers, and every call through the
+    evaluator's `apply` and `iterate`, so its caps and memos apply.  Callees
+    are resolved here, once.  The closure takes the evaluator as an argument
+    rather than holding it, so a library never keeps an evaluator's memos
+    alive."""
+    if isinstance(term, Var):
+        index = term.index
+        return lambda ev, inputs: inputs[index]
+    if isinstance(term, Const):
+        value = term.value
+        return lambda ev, inputs: value
+    if isinstance(term, Call):
+        fn = library.fn(term.fn)
+        args = [_compile(a, library) for a in term.args]
+        return lambda ev, inputs: ev.apply(fn, tuple([a(ev, inputs) for a in args]))
+    if isinstance(term, Iter):
+        section = term.section
+        fn, slot = library.fn(section.fn), section.open_slot
+        count, seed = _compile(term.count, library), _compile(term.seed, library)
+        fillers = [_compile(f, library) for f in section.fillers]
+        if not fillers:  # the common case, without a comprehension (costly before 3.12)
+            return lambda ev, inputs: ev.iterate(fn, slot, (), count(ev, inputs), seed(ev, inputs))
+
+        def iterate(ev, inputs):
+            n, value = count(ev, inputs), seed(ev, inputs)
+            return ev.iterate(fn, slot, tuple([f(ev, inputs) for f in fillers]), n, value)
+        return iterate
+    raise MalformedTerm(f"unknown term {term!r}")
+
+
 class Library:
     """Ordered function store; definitions only reference earlier entries.
 
     Every entry is checked when it is added, so evaluating a library term
     always terminates (iteration counts are capped) and never meets an
-    unknown function or a wrong argument count.
+    unknown function or a wrong argument count.  Each definition is then
+    compiled once (`_compile`) into `bodies`, by name.
     """
 
     def __init__(self, entries: Optional[list[LibraryFn]] = None):
         self.entries: list[LibraryFn] = []
         self._by_name: dict[str, LibraryFn] = {}
+        self.bodies: dict[str, Callable] = {}
         for fn in entries or []:
             self._append(fn)
 
@@ -184,17 +227,30 @@ class Library:
         if fn.name in self._by_name:
             raise ValueError(f"function {fn.name!r} already defined")
         _check_entry(fn, self._by_name)
+        if fn.definition is not None:
+            self.bodies[fn.name] = _compile(fn.definition, self)
         self._by_name[fn.name] = fn
         self.entries.append(fn)
 
     def copy(self) -> "Library":
-        return Library(list(self.entries))
+        """The same entries and compiled bodies, in a library of its own."""
+        other = Library()
+        other.entries, other._by_name = list(self.entries), dict(self._by_name)
+        other.bodies = dict(self.bodies)
+        return other
 
 
 class _Evaluator:
-    """Term interpreter with value/iteration caps, a per-fn memo and an
-    iteration orbit memo.  Terms are checked before they get here
-    (`Library`, `eval_term`), or built to fit (`_Enumerator`)."""
+    """Caps and memos for evaluating compiled terms: a value cap, an
+    iteration cap, a per-fn memo and an iteration orbit memo.  Terms are
+    checked before they get here (`Library`, `eval_term`), or built to fit
+    (`_Enumerator`).
+
+    `apply` and `iterate` evaluate one row; a library entry's body runs
+    only when the memo misses.  `apply_rows` and `iterate_rows` give a
+    whole value vector at once: they read memo and orbit hits inline and
+    fall back to the one-row calls otherwise, so they return what those
+    calls would, row by row, or raise what they would raise first."""
 
     def __init__(self, library: Library, iter_cap: int, value_cap: int):
         self.library = library
@@ -204,21 +260,7 @@ class _Evaluator:
         self.orbits: dict[tuple[str, int, tuple[int, ...], int], list[int]] = {}
 
     def eval(self, term: Term, inputs: tuple[int, ...]) -> int:
-        if isinstance(term, Var):
-            return inputs[term.index]
-        if isinstance(term, Const):
-            return term.value
-        if isinstance(term, Call):
-            values = tuple(self.eval(a, inputs) for a in term.args)
-            return self.apply(self.library.fn(term.fn), values)
-        if isinstance(term, Iter):
-            section = term.section
-            fn = self.library.fn(section.fn)
-            count = self.eval(term.count, inputs)
-            seed = self.eval(term.seed, inputs)
-            fillers = tuple(self.eval(f, inputs) for f in section.fillers)
-            return self.iterate(fn, section.open_slot, fillers, count, seed)
-        raise MalformedTerm(f"unknown term {term!r}")
+        return _compile(term, self.library)(self, inputs)
 
     def apply(self, fn: LibraryFn, values: tuple[int, ...]) -> int:
         if fn.definition is None:
@@ -227,10 +269,23 @@ class _Evaluator:
             key = (fn.name, values)
             result = self.memo.get(key)
             if result is None:
-                result = self.memo[key] = self.eval(fn.definition, values)
+                result = self.memo[key] = self.library.bodies[fn.name](self, values)
         if result > self.value_cap:
             raise Overflow(f"value {result} exceeds cap {self.value_cap}")
         return result
+
+    def apply_rows(self, fn: LibraryFn, arg_vectors: Sequence[Vector]) -> Vector:
+        """`apply(fn, row)` for each row of `zip(*arg_vectors)`, as a vector."""
+        cap = self.value_cap
+        if fn.definition is None:
+            out = tuple(map(_BUILTINS[fn.name][1], *arg_vectors))
+            if max(out) > cap:
+                raise Overflow(f"value {max(out)} exceeds cap {cap}")
+            return out
+        get, name, apply = self.memo.get, fn.name, self.apply
+        # a miss, or a hit above the cap (which must raise), goes through `apply`
+        return tuple([result if (result := get((name, values))) is not None and result <= cap
+                      else apply(fn, values) for values in zip(*arg_vectors)])
 
     def iterate(self, fn: LibraryFn, slot: int, fillers: tuple[int, ...],
                 count: int, value: int) -> int:
@@ -257,20 +312,31 @@ class _Evaluator:
         elif count < len(orbit):
             return orbit[count]
         head, tail = fillers[:slot], fillers[slot:]
-        builtin = _BUILTINS[fn.name][1] if fn.definition is None else None
+        name, get, cap = fn.name, self.memo.get, self.value_cap
+        body = None if fn.definition is None else self.library.bodies[name]
+        builtin = _BUILTINS[name][1] if body is None else None
         value = orbit[-1]
         for _ in range(len(orbit), count + 1):
             args = head + (value,) + tail
-            if builtin is not None:
+            if body is None:
                 value = builtin(*args)
-            else:
-                value = self.memo.get((fn.name, args))
-                if value is None:
-                    value = self.eval(fn.definition, args)
-            if value > self.value_cap:
-                raise Overflow(f"value {value} exceeds cap {self.value_cap}")
+            elif (value := get((name, args))) is None:
+                value = body(self, args)
+            if value > cap:
+                raise Overflow(f"value {value} exceeds cap {cap}")
             orbit.append(value)
         return value
+
+    def iterate_rows(self, fn: LibraryFn, slot: int, fillers: Sequence[tuple[int, ...]],
+                     counts: Vector, seeds: Vector) -> Vector:
+        """`iterate(fn, slot, f, c, s)` for each row of `zip(fillers, counts,
+        seeds)`, as a vector.  A count inside a kept orbit reads it; every
+        other row (a count of zero or less, past the orbit or over the cap)
+        goes through `iterate`."""
+        get, name, iterate = self.orbits.get, fn.name, self.iterate
+        return tuple([orbit[c] if (orbit := get((name, slot, f, s))) and 0 < c < len(orbit)
+                      else iterate(fn, slot, f, c, s)
+                      for f, c, s in zip(fillers, counts, seeds)])
 
 
 def eval_term(term: Term, inputs: Sequence[int], library: Library,
@@ -288,9 +354,6 @@ class FunctionExample:
     label: str
     inputs: tuple[int, ...]
     output: int
-
-
-Vector = tuple[int, ...]  # a term's values on the example inputs, in order
 
 
 def _sections(library: Library, leaves: list[tuple[Term, Vector]], size: int
@@ -344,6 +407,10 @@ class _Enumerator:
     earlier in the order.  So the first kept term with a vector is the first
     term with that vector in the full order, and a search that stops at the
     first kept match returns the canonical smallest term.
+
+    A candidate's vector comes from one row-kernel call on its subterms'
+    vectors (`apply_rows` for a call, `iterate_rows` for an iteration); a
+    candidate that fails on any row raises there and is dropped.
     """
 
     def __init__(self, evaluator: _Evaluator, inputs: Sequence[tuple[int, ...]]):
@@ -402,18 +469,15 @@ class _Enumerator:
         return [term for term, _ in self.levels[size]]
 
     def _call(self, fn: LibraryFn, arg_vectors: list[Vector]) -> Optional[Vector]:
-        apply = self.evaluator.apply
         try:
-            return tuple([apply(fn, values) for values in zip(*arg_vectors)])
+            return self.evaluator.apply_rows(fn, arg_vectors)
         except (Overflow, IterCountExceeded):
             return None
 
     def _iter(self, fn: LibraryFn, slot: int, fillers: list[tuple[int, ...]],
               counts: Vector, seeds: Vector) -> Optional[Vector]:
-        iterate = self.evaluator.iterate
         try:
-            return tuple([iterate(fn, slot, f, c, s)
-                          for f, c, s in zip(fillers, counts, seeds)])
+            return self.evaluator.iterate_rows(fn, slot, fillers, counts, seeds)
         except (Overflow, IterCountExceeded):
             return None
 

@@ -115,6 +115,12 @@ def _exact(cls):
 _int, _str, _list, _dict = _exact(int), _exact(str), _exact(list), _exact(dict)
 
 
+def _float(value) -> float:
+    """A float field, which the saver writes only as a string (`_fmt`): a
+    JSON number or bool is refused, since its resave would differ."""
+    return float(_str(value))
+
+
 def _ints(values):
     """`values` if each is a JSON integer (no bool or float), in one bulk check."""
     if not set(map(type, values)) <= {int}:
@@ -169,7 +175,7 @@ def _concept_from_json(cid: int, row) -> Concept:
     cls, readers = _ROW_READERS[name]
     if len(values) != len(readers):
         raise CorruptFile(f"concept {cid}: {name} takes {len(readers)} field(s)")
-    weight = float(weight)
+    weight = _float(weight)
     if not 0.0 <= weight < math.inf:
         raise CorruptFile(f"concept {cid}: weight not finite and >= 0")
     kind = cls(*[read(value) for read, value in zip(readers, values)])
@@ -269,7 +275,7 @@ def graph_from_json(data) -> ConceptGraph:
         if version == "cg1":
             data = _upgrade_cg1(data)
         config_data = _dict(data["config"])
-        kwargs = {name: float(config_data[name]) for name in _CONFIG_FLOATS}
+        kwargs = {name: _float(config_data[name]) for name in _CONFIG_FLOATS}
         kwargs.update({name: _int(config_data[name]) for name in _CONFIG_INTS})
         graph = ConceptGraph(tuple(_list(data["alphabet"])), Config(**kwargs))
 
@@ -293,7 +299,7 @@ def graph_from_json(data) -> ConceptGraph:
             raise CorruptFile("episode must be non-negative")
         if not all(0 <= c.created_at <= graph.episode for c in concepts):
             raise CorruptFile("a concept's created_at is not an episode up to the counter")
-        graph.raw_bits_total = float(data["raw_bits_total"])
+        graph.raw_bits_total = _float(data["raw_bits_total"])
         if not 0.0 <= graph.raw_bits_total < math.inf:
             raise CorruptFile("raw_bits_total must be finite and non-negative")
         assoc = _list(data["assoc_counts"])

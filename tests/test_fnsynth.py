@@ -3,7 +3,7 @@ import hashlib
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from conceptgraph.errors import (
     ArityMismatch,
@@ -442,6 +442,82 @@ def test_eval_agrees_with_a_memo_free_reference(data, lib_name, iter_cap, value_
             assert _outcome(lambda: shared.eval(term, row)) == expected
 
 
+def _row_library():
+    """A builtin, `add` and `mul`, and a projection whose result is its
+    argument, so its memo holds results above the cap."""
+    lib = _with_add()
+    lib.define("mul", 2, Iter(Section("add", 0, (Var(0),)), Var(1), Const(0)))
+    lib.define("snd", 2, Var(1))
+    return lib
+
+
+ROW_LIBRARY = _row_library()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), iter_cap=st.integers(0, 6), value_cap=st.integers(1, 8),
+       n_rows=st.integers(1, 4))
+def test_row_kernels_agree_with_a_per_row_reference(data, iter_cap, value_cap, n_rows):
+    """`apply_rows` and `iterate_rows` give the reference's value per row, or
+    raise the type of the first row that fails.  On one shared evaluator,
+    some rows first go through `apply`, or `iterate` with another count,
+    and each kernel call runs twice, so later calls meet memo results above
+    the cap, counts of zero or less or over the cap on a kept orbit, and
+    orbits whose next step failed before."""
+    lib = ROW_LIBRARY
+    shared = _Evaluator(lib, iter_cap, value_cap)
+    vector = st.lists(INPUT, min_size=n_rows, max_size=n_rows).map(tuple)
+
+    def reference(term, row):
+        return _outcome(lambda: _reference_eval(term, row, lib, iter_cap, value_cap))
+
+    for _ in range(data.draw(st.integers(1, 6))):
+        fn = data.draw(st.sampled_from(lib.entries))
+        leaves = tuple(Var(i) for i in range(fn.arity - 1))
+        if data.draw(st.booleans()):
+            arg_vectors = [data.draw(vector) for _ in range(fn.arity)]
+            call = Call(fn.name, (*leaves, Var(fn.arity - 1)))
+            rows = list(zip(*arg_vectors))
+            for row in rows:
+                if data.draw(st.booleans()):
+                    assert _outcome(lambda: shared.apply(fn, row)) == reference(call, row)
+            outcomes = [reference(call, row) for row in rows]
+
+            def kernel():
+                if any(shared.memo.get((fn.name, row), 0) > value_cap for row in rows):
+                    event("memo hit above the cap")
+                return shared.apply_rows(fn, arg_vectors)
+        else:
+            slot = data.draw(st.integers(0, fn.arity - 1))
+            fillers = list(zip(*[data.draw(vector) for _ in leaves])) or [()] * n_rows
+            counts, seeds = data.draw(vector), data.draw(vector)
+            iteration = Iter(Section(fn.name, slot, leaves), Var(len(leaves)),
+                             Var(len(leaves) + 1))
+            rows = [(*f, c, s) for f, c, s in zip(fillers, counts, seeds)]
+            for f, seed in zip(fillers, seeds):
+                warm = data.draw(st.one_of(st.none(), INPUT))
+                if warm is not None:
+                    assert (_outcome(lambda: shared.iterate(fn, slot, f, warm, seed))
+                            == reference(iteration, (*f, warm, seed)))
+            outcomes = [reference(iteration, row) for row in rows]
+            failing = {row[:-2] + row[-1:] for row, outcome in zip(rows, outcomes)
+                       if outcome is Overflow}
+
+            def kernel():
+                for f, c, seed in zip(fillers, counts, seeds):
+                    orbit = shared.orbits.get((fn.name, slot, f, seed))
+                    if orbit and c <= 0:
+                        event("count of zero or less on a kept orbit")
+                    elif orbit and c > iter_cap:
+                        event("count over the cap on a kept orbit")
+                    elif orbit and c >= len(orbit) and (*f, seed) in failing:
+                        event("an orbit step that failed before")
+                return shared.iterate_rows(fn, slot, fillers, counts, seeds)
+        failed = [outcome for outcome in outcomes if isinstance(outcome, type)]
+        for _ in range(2):
+            assert _outcome(kernel) == (failed[0] if failed else tuple(outcomes))
+
+
 def test_iteration_with_a_negative_count_returns_the_seed():
     lib = Library.initial()
     inner = Iter(SUCC, Var(0), Var(1))
@@ -498,17 +574,23 @@ def test_learned_library_is_pinned(seed, per_fn, caps, digest):
 
 def test_ensemble_search_reuses_its_evaluations(monkeypatch):
     """A work count, not a time: the search of one ensemble unit calls
-    `_Evaluator.apply` at most 300,000 times (1,128,853 without the orbit
-    memo)."""
-    calls = 0
-    apply = _Evaluator.apply
+    `_Evaluator.apply` at most 30,000 times and `iterate` at most 100,000
+    times (14,192 and 52,585 when the row kernels read memo and orbit hits
+    inline; 147,636 and 121,030 when every row went through the one-row
+    calls, and 1,128,853 applies without the orbit memo)."""
+    calls = {"apply": 0, "iterate": 0}
 
-    def counted(self, fn, values):
-        nonlocal calls
-        calls += 1
-        return apply(self, fn, values)
+    def counted(name):
+        method = getattr(_Evaluator, name)
 
-    monkeypatch.setattr(_Evaluator, "apply", counted)
+        def run(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return run
+
+    for name in calls:
+        monkeypatch.setattr(_Evaluator, name, counted(name))
     _, unsolved = learn_all(gen_fn_ensemble(1000, 32)[0])
     assert unsolved == []
-    assert calls <= 300_000
+    assert calls["apply"] <= 30_000
+    assert calls["iterate"] <= 100_000

@@ -156,7 +156,8 @@ def test_load_errors(tmp_path):
         load(str(wrong))
 
 
-@pytest.mark.parametrize("weight", ["nan", "1e400", "-inf", "-1"])
+# the saver writes a weight only as a string: a JSON bool or number is refused
+@pytest.mark.parametrize("weight", ["nan", "1e400", "-inf", "-1", True, 0.5, 1])
 def test_load_rejects_non_finite_or_negative_weight(tmp_path, weight):
     data = json.loads(dumps(ConceptGraph("ab")))
     data["concepts"][0][WEIGHT] = weight
@@ -190,6 +191,14 @@ def test_load_rejects_non_finite_or_negative_weight(tmp_path, weight):
     (None, "assoc_counts", [[2, 3, 100]]),
     # the saver writes each pair once
     (None, "assoc_counts", [[0, 1, 5], [0, 1, 6]]),
+    # the saver writes every float field as a string, so a JSON bool or
+    # number is an edit whose resave would differ
+    ("config", "decay", True),
+    ("config", "decay", 0.5),
+    ("config", "fast_path_threshold", 8),
+    (None, "raw_bits_total", 12),
+    (None, "raw_bits_total", 12.0),
+    (None, "raw_bits_total", False),
 ])
 def test_load_rejects_bad_config_and_counters(section, field, value):
     data = json.loads(dumps(ConceptGraph("ab")))
