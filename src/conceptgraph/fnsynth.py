@@ -32,10 +32,12 @@ returns the seed, whatever the orbit holds.
 Nothing walks a term tree at evaluation time.  Each library definition is
 compiled once, when it joins the library, into a closure that calls its
 callees through the evaluator, so the caps and memos hold for it as for
-any call; a body runs only when the call memo misses.  The enumerator
-computes a whole value vector per candidate with the evaluator's row
-kernels, which read call-memo and orbit hits inline and hand every other
-row to the one-row `apply` or `iterate`.
+any call; a body runs only when the call memo misses.  The compile is also
+the one check of a term: variables in range, and callees earlier in the
+library, each with its arity.  The enumerator computes a whole value
+vector per candidate with the evaluator's row kernels, which read
+call-memo and orbit hits inline and hand every other row to the one-row
+`apply` or `iterate`.
 """
 
 from __future__ import annotations
@@ -116,68 +118,42 @@ def _builtin_succ(x: int) -> int:
 _BUILTINS: dict[str, tuple[int, Callable]] = {"succ": (1, _builtin_succ)}
 
 
-def _check_term(term: Term, arity: int, known: dict[str, LibraryFn]) -> None:
-    """Raise MalformedTerm unless `term` reads only variables below `arity`
-    and calls only `known` functions, each with its arity."""
-    if isinstance(term, Var):
-        if not 0 <= term.index < arity:
-            raise MalformedTerm(f"var {term.index} out of range for arity {arity}")
-    elif isinstance(term, Const):
-        return
-    elif isinstance(term, Call):
-        callee = known.get(term.fn)
-        if callee is None or callee.arity != len(term.args):
-            raise MalformedTerm(f"call to {term.fn!r} with {len(term.args)} args "
-                                "does not match an earlier library entry")
-        for arg in term.args:
-            _check_term(arg, arity, known)
-    elif isinstance(term, Iter):
-        section = term.section
-        callee = known.get(section.fn)
-        if (callee is None or len(section.fillers) != callee.arity - 1
-                or not 0 <= section.open_slot < callee.arity):
-            raise MalformedTerm(f"section of {section.fn!r} does not fit an earlier "
-                                "library entry")
-        for sub in (*section.fillers, term.count, term.seed):
-            _check_term(sub, arity, known)
-    else:
-        raise MalformedTerm(f"unknown term {term!r}")
+def _compile(term: Term, arity: int, known: dict[str, LibraryFn]) -> Callable:
+    """The closure `(evaluator, inputs) -> int` that evaluates `term` on
+    `arity` inputs, built in the one walk that checks it: MalformedTerm
+    unless the term reads only variables below `arity` and calls only
+    `known` functions, each with its arity.  A node is checked before its
+    subterms, which are compiled in field order (an iteration's fillers,
+    then count, then seed).
 
-
-def _check_entry(fn: LibraryFn, known: dict[str, LibraryFn]) -> None:
-    """Raise MalformedTerm unless `fn` can follow the `known` entries."""
-    if fn.definition is None:
-        builtin = _BUILTINS.get(fn.name)
-        if builtin is None or builtin[0] != fn.arity:
-            raise MalformedTerm(f"no builtin {fn.name!r} of arity {fn.arity}")
-    elif fn.arity < 0:
-        raise MalformedTerm(f"{fn.name!r} has negative arity")
-    else:
-        _check_term(fn.definition, fn.arity, known)
-
-
-def _compile(term: Term, library: "Library") -> Callable:
-    """The closure `(evaluator, inputs) -> int` that evaluates a checked
-    `term`: count, then seed, then fillers, and every call through the
-    evaluator's `apply` and `iterate`, so its caps and memos apply.  Callees
-    are resolved here, once.  The closure takes the evaluator as an argument
-    rather than holding it, so a library never keeps an evaluator's memos
-    alive."""
+    The closure evaluates an iteration's count, then seed, then fillers,
+    and makes every call through the evaluator's `apply` and `iterate`, so
+    its caps and memos apply.  Callees are resolved here, once.  The closure
+    takes the evaluator as an argument rather than holding it, so a library
+    never keeps an evaluator's memos alive."""
     if isinstance(term, Var):
         index = term.index
+        if not 0 <= index < arity:
+            raise MalformedTerm(f"var {index} out of range for arity {arity}")
         return lambda ev, inputs: inputs[index]
     if isinstance(term, Const):
         value = term.value
         return lambda ev, inputs: value
     if isinstance(term, Call):
-        fn = library.fn(term.fn)
-        args = [_compile(a, library) for a in term.args]
+        fn = known.get(term.fn)
+        if fn is None or fn.arity != len(term.args):
+            raise MalformedTerm(f"call to {term.fn!r} with {len(term.args)} args "
+                                "does not match an earlier library entry")
+        args = [_compile(a, arity, known) for a in term.args]
         return lambda ev, inputs: ev.apply(fn, tuple([a(ev, inputs) for a in args]))
     if isinstance(term, Iter):
         section = term.section
-        fn, slot = library.fn(section.fn), section.open_slot
-        count, seed = _compile(term.count, library), _compile(term.seed, library)
-        fillers = [_compile(f, library) for f in section.fillers]
+        fn, slot = known.get(section.fn), section.open_slot
+        if fn is None or len(section.fillers) != fn.arity - 1 or not 0 <= slot < fn.arity:
+            raise MalformedTerm(f"section of {section.fn!r} does not fit an earlier "
+                                "library entry")
+        fillers = [_compile(f, arity, known) for f in section.fillers]
+        count, seed = _compile(term.count, arity, known), _compile(term.seed, arity, known)
         if not fillers:  # the common case, without a comprehension (costly before 3.12)
             return lambda ev, inputs: ev.iterate(fn, slot, (), count(ev, inputs), seed(ev, inputs))
 
@@ -191,10 +167,11 @@ def _compile(term: Term, library: "Library") -> Callable:
 class Library:
     """Ordered function store; definitions only reference earlier entries.
 
-    Every entry is checked when it is added, so evaluating a library term
-    always terminates (iteration counts are capped) and never meets an
-    unknown function or a wrong argument count.  Each definition is then
-    compiled once (`_compile`) into `bodies`, by name.
+    Each definition is compiled once, when it is added, into `bodies` by
+    name; `_compile` checks it in the same walk.  So evaluating a library
+    term always terminates (iteration counts are capped) and never meets an
+    unknown function or a wrong argument count.  A builtin entry must name
+    a builtin with its arity.
     """
 
     def __init__(self, entries: Optional[list[LibraryFn]] = None):
@@ -226,9 +203,14 @@ class Library:
     def _append(self, fn: LibraryFn) -> None:
         if fn.name in self._by_name:
             raise ValueError(f"function {fn.name!r} already defined")
-        _check_entry(fn, self._by_name)
-        if fn.definition is not None:
-            self.bodies[fn.name] = _compile(fn.definition, self)
+        if fn.definition is None:
+            builtin = _BUILTINS.get(fn.name)
+            if builtin is None or builtin[0] != fn.arity:
+                raise MalformedTerm(f"no builtin {fn.name!r} of arity {fn.arity}")
+        elif fn.arity < 0:
+            raise MalformedTerm(f"{fn.name!r} has negative arity")
+        else:
+            self.bodies[fn.name] = _compile(fn.definition, fn.arity, self._by_name)
         self._by_name[fn.name] = fn
         self.entries.append(fn)
 
@@ -242,9 +224,9 @@ class Library:
 
 class _Evaluator:
     """Caps and memos for evaluating compiled terms: a value cap, an
-    iteration cap, a per-fn memo and an iteration orbit memo.  Terms are
-    checked before they get here (`Library`, `eval_term`), or built to fit
-    (`_Enumerator`).
+    iteration cap, a per-fn memo and an iteration orbit memo.  Library
+    bodies and `eval` are compiled, and so checked, by `_compile`; the
+    enumerator's candidates are built to fit and never compiled.
 
     `apply` and `iterate` evaluate one row; a library entry's body runs
     only when the memo misses.  `apply_rows` and `iterate_rows` give a
@@ -260,7 +242,7 @@ class _Evaluator:
         self.orbits: dict[tuple[str, int, tuple[int, ...], int], list[int]] = {}
 
     def eval(self, term: Term, inputs: tuple[int, ...]) -> int:
-        return _compile(term, self.library)(self, inputs)
+        return _compile(term, len(inputs), self.library._by_name)(self, inputs)
 
     def apply(self, fn: LibraryFn, values: tuple[int, ...]) -> int:
         if fn.definition is None:
@@ -342,11 +324,9 @@ class _Evaluator:
 def eval_term(term: Term, inputs: Sequence[int], library: Library,
               iter_cap: int = DEFAULT_ITER_CAP,
               value_cap: int = DEFAULT_VALUE_CAP) -> int:
-    """Evaluate a term on concrete inputs; raises MalformedTerm (checked
-    first), Overflow or IterCountExceeded."""
-    inputs = tuple(inputs)
-    _check_term(term, len(inputs), library._by_name)
-    return _Evaluator(library, iter_cap, value_cap).eval(term, inputs)
+    """Evaluate a term on concrete inputs; raises MalformedTerm (before any
+    evaluation), Overflow or IterCountExceeded."""
+    return _Evaluator(library, iter_cap, value_cap).eval(term, tuple(inputs))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,9 @@ recomputed from whole descriptions.  The episode lives in a pair index
 (Re-Pair, Larsson & Moffat 1999; digram counts kept as in Sequitur,
 Nevill-Manning & Witten 1997), so the scan after a step re-reads only the
 pairs the step changed; it reads the graph's association counts as its
-one pair table.  Number templates, their applications to runs and the
+one pair table.  Every step is applied through the index, and the
+recompute reads the episode after a step from it without applying it.
+Number templates, their applications to runs and the
 common-component abstractions are forced by generalization thresholds
 instead: their payoff is expressive, not an immediate bit gain.
 
@@ -36,7 +38,6 @@ import math
 import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import partial
 from itertools import groupby
 from operator import itemgetter
 from typing import Collection, Optional, Sequence
@@ -64,9 +65,13 @@ from .mdl import description_dl, gamma_len, raw_dl
 from .segmenter import RawStream, Segment, TOKEN
 
 
+MAX_BUDGET_LEVEL = 8  # parse time about doubles per level: a long refine chain stops here
+
+
 @dataclass(frozen=True)
 class Budget:
-    """Search effort: beam width and candidate pool double per level."""
+    """Search effort: beam width and candidate pool double per level, up to
+    `MAX_BUDGET_LEVEL`; a higher level gets that level's budget."""
 
     beam: int
     pool: int
@@ -75,6 +80,7 @@ class Budget:
     def from_config(config: Config, level: int = 0) -> "Budget":
         if level < 0:
             raise ValueError("budget level must be >= 0")
+        level = min(level, MAX_BUDGET_LEVEL)
         return Budget(beam=config.beam_base << level, pool=config.pool_base << level)
 
 
@@ -300,70 +306,34 @@ def _gate_delta(graph: ConceptGraph, kind, n: int, k: int, twin: Optional[int]) 
             + k * (removed - math.log2(w_new + 1.0)))
 
 
-def _gated_add(graph: ConceptGraph, kind, nodes: Collection[Node], k: int,
-               rewrite) -> tuple[bool, Collection[Node]]:
-    """Rewrite the episode with `kind` (or its existing twin) iff its
-    description bits strictly drop, charged at the post-add code state.
+def _gated_add(graph: ConceptGraph, kind, index: "_PairIndex", firsts: Collection[int],
+               span: int) -> tuple[bool, Optional[int]]:
+    """Rewrite the `span` nodes from each of `firsts` in the episode `index`
+    into a ref to `kind` (or its existing twin) iff the episode's description
+    bits strictly drop, charged at the post-add code state.
 
-    `k` is the number of occurrences `rewrite(cid)` replaces, and
-    `rewrite` returns the nodes after.  The decision is `_gate_delta`'s
-    closed form against the margin, unless the delta lies within
-    `FALLBACK_BAND` of it: then two full `description_dl` calls decide, on
-    a list rewrite of the same occurrences around a speculative add, so
-    float rounding cannot flip a decision.  Returns (accepted,
-    nodes_after); the graph changes only on acceptance.
+    The decision is `_gate_delta`'s closed form against the margin, unless
+    the delta lies within `FALLBACK_BAND` of it: then two full
+    `description_dl` calls decide, on the episode as it is and as
+    `index.rewritten` reads it after a speculative add, so float rounding
+    cannot flip a decision.  Returns (accepted, the id the occurrences now
+    name, or None); the graph and the index change only on acceptance.
     """
     twin = graph.find(kind)
-    delta = _gate_delta(graph, kind, len(nodes), k, twin)
+    delta = _gate_delta(graph, kind, len(index), len(firsts), twin)
     if abs(delta + GATE_MARGIN) > FALLBACK_BAND:
-        if delta < -GATE_MARGIN:
-            return True, rewrite(graph.add(kind) if twin is None else twin)
-        return False, nodes
-    old = tuple(nodes)
-    before = description_dl(graph, old)
-    cid = graph.add(kind) if twin is None else twin
-    if isinstance(kind, Concat):
-        new = _rewrite_pair(old, kind.children, cid)
+        if not delta < -GATE_MARGIN:
+            return False, None
+        cid = graph.add(kind) if twin is None else twin
     else:
-        new = _rewrite_runs(old, kind.child, kind.count, cid)
-    if description_dl(graph, tuple(new)) < before - GATE_MARGIN:
-        return True, rewrite(cid)
-    if twin is None:
-        graph.pop_last()
-    return False, nodes
-
-
-def _rewrite_pair(nodes: Sequence[Node], pair: tuple[int, int], cid: int) -> list[Node]:
-    out: list[Node] = []
-    i = 0
-    while i < len(nodes):
-        if i + 1 < len(nodes) and nodes[i] == pair[0] and nodes[i + 1] == pair[1]:
-            out.append(cid)
-            i += 2
-        else:
-            out.append(nodes[i])
-            i += 1
-    return out
-
-
-def _rewrite_runs(nodes: Sequence[Node], concept: int, length: int, cid: int) -> list[Node]:
-    out: list[Node] = []
-    i = 0
-    while i < len(nodes):
-        node = nodes[i]
-        if node == concept:
-            j = i
-            while j < len(nodes) and nodes[j] == node:
-                j += 1
-            if j - i == length:
-                out.append(cid)
-            else:
-                out.extend(nodes[i:j])
-            i = j
-        else:
-            out.append(node)
-            i += 1
-    return out
+        before = description_dl(graph, tuple(index))
+        cid = graph.add(kind) if twin is None else twin
+        if not description_dl(graph, index.rewritten(firsts, span, cid)) < before - GATE_MARGIN:
+            if twin is None:
+                graph.pop_last()
+            return False, None
+    index.rewrite(firsts, span, cid)
+    return True, cid
 
 
 class _PairIndex:
@@ -490,17 +460,29 @@ class _PairIndex:
                 at.setdefault(pair, set()).add(p)
                 touched.add(pair)
 
-    def rewrite(self, firsts: list[int], span: int, cid: int) -> "_PairIndex":
-        """Replace the occurrences starting at `firsts` (in order) by refs to `cid`."""
+    def rewrite(self, firsts: Collection[int], span: int, cid: int) -> None:
+        """Replace the `span` nodes from each position of `firsts` by a ref
+        to `cid`, in position order (`firsts` may be a set of `at`, which
+        the rewrite changes)."""
         touched: set = set()
-        for first in firsts:
+        for first in sorted(firsts):
             self._replace(first, span, cid, touched)
         for pair in touched:
             self._rekey(pair)
-        return self
 
-    def rewrite_pair(self, pair: tuple[int, int], cid: int) -> "_PairIndex":
-        return self.rewrite(sorted(self.at[pair]), 2, cid)
+    def rewritten(self, firsts: Collection[int], span: int, cid: int) -> tuple[Node, ...]:
+        """The nodes `rewrite(firsts, span, cid)` would leave, without applying it."""
+        starts, out = set(firsts), []
+        node, nxt, i = self.node, self.nxt, 0 if self.size else -1
+        while i >= 0:
+            if i in starts:
+                out.append(cid)
+                for _ in range(span):
+                    i = nxt[i]
+            else:
+                out.append(node[i])
+                i = nxt[i]
+        return tuple(out)
 
 
 def _number_template_id(graph: ConceptGraph, k: int) -> Optional[int]:
@@ -508,26 +490,26 @@ def _number_template_id(graph: ConceptGraph, k: int) -> Optional[int]:
 
 
 def _steps(graph: ConceptGraph, index: _PairIndex):
-    """One scan's candidate steps, as (kind, occurrences, rewrite, gated):
+    """One scan's candidate steps, as (kind, first positions, span, gated):
     digram concats, then runs, as a Repeat or, once the k-fold number
-    template exists, an ungated application.  The caller stops at the first
-    step taken, so runs are observed only in a scan where no digram was
+    template exists, an ungated application.  A step rewrites the `span`
+    nodes from each first position.  The caller stops at the first step
+    taken, so runs are observed only in a scan where no digram was
     accepted."""
     for pair in index.digram_pass():
-        yield Concat(pair), len(index.at[pair]), partial(index.rewrite_pair, pair), True
+        yield Concat(pair), index.at[pair], 2, True
     runs = index.runs()
     starts: dict[tuple[int, int], list[int]] = {}
     for concept, length, start in runs:
         graph.run_observations.setdefault(length, set()).add(concept)
         starts.setdefault((concept, length), []).append(start)
     for concept, length, _ in runs:
-        same = starts[concept, length]
-        rewrite = partial(index.rewrite, same, length)
+        firsts = starts[concept, length]
         num_tpl = _number_template_id(graph, length)
         if num_tpl is None:
-            yield Repeat(concept, length), len(same), rewrite, True
+            yield Repeat(concept, length), firsts, length, True
         else:
-            yield Apply(num_tpl, (concept,)), len(same), rewrite, False
+            yield Apply(num_tpl, (concept,)), firsts, length, False
 
 
 def induce_repeats(graph: ConceptGraph, desc: Description) -> tuple[Description, list[int]]:
@@ -541,19 +523,18 @@ def induce_repeats(graph: ConceptGraph, desc: Description) -> tuple[Description,
     pairs it changed instead of the whole episode.
     """
     before = len(graph)
-    nodes = _PairIndex(desc, graph.assoc_counts, graph.config.repeat_threshold)
+    index = _PairIndex(desc, graph.assoc_counts, graph.config.repeat_threshold)
     while True:
-        for kind, k, rewrite, gated in _steps(graph, nodes):
-            if gated:
-                accepted, nodes = _gated_add(graph, kind, nodes, k, rewrite)
-            else:
-                accepted, nodes = True, rewrite(graph.add(kind))
-            if accepted:
+        for kind, firsts, span, gated in _steps(graph, index):
+            if not gated:
+                index.rewrite(firsts, span, graph.add(kind))
+                break
+            if _gated_add(graph, kind, index, firsts, span)[0]:
                 break
         else:
             break  # no step paid
     _generalize_numbers(graph)
-    return tuple(nodes), list(range(before, len(graph)))
+    return tuple(index), list(range(before, len(graph)))
 
 
 def _generalize_numbers(graph: ConceptGraph) -> None:
@@ -748,8 +729,10 @@ def ingest(graph: ConceptGraph, experience,
 def refine(graph: ConceptGraph, episode_id: int) -> Description:
     """Append one refinement level: re-parse at a larger budget, never worse.
 
-    The previous chain tail stays a candidate, so description bits are
-    non-increasing along the chain and every level reconstructs exactly.
+    Level n parses at budget level n, held at `MAX_BUDGET_LEVEL` for a
+    longer chain.  The previous chain tail stays a candidate, so description
+    bits are non-increasing along the chain and every level reconstructs
+    exactly.
     """
     chain = graph.refinement_store.get(episode_id)
     if not chain:

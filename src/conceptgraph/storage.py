@@ -116,9 +116,12 @@ _int, _str, _list, _dict = _exact(int), _exact(str), _exact(list), _exact(dict)
 
 
 def _float(value) -> float:
-    """A float field, which the saver writes only as a string (`_fmt`): a
-    JSON number or bool is refused, since its resave would differ."""
-    return float(_str(value))
+    """A float field, which the saver writes only as `_fmt`'s string: a JSON
+    number or bool, or any other spelling of the value ("1_0", " 2.5 ",
+    "1e0", "1.0"), is refused, since its resave would differ."""
+    if _fmt(number := float(_str(value))) != value:
+        raise CorruptFile(f"float {value!r} is not written as the saver writes it")
+    return number
 
 
 def _ints(values):

@@ -65,6 +65,20 @@ def test_eval_malformed():
         eval_term(Call("nope", ()), (), lib)
 
 
+def test_eval_checks_the_whole_term_first_in_field_order():
+    """A term is checked before any of it runs, and the fault reported is the
+    first in field order: an iteration's fillers, then count, then seed."""
+    lib = Library([LibraryFn("succ", 1, None), LibraryFn("add", 2, Iter(SUCC, Var(0), Var(1)))])
+    for (filler, count, seed), fault in [((Var(5), Call("nope", ()), Var(9)), "var 5"),
+                                         ((Var(0), Call("nope", ()), Var(9)), "'nope'"),
+                                         ((Var(0), Var(0), Var(9)), "var 9")]:
+        with pytest.raises(MalformedTerm, match=fault):
+            eval_term(Iter(Section("add", 0, (filler,)), count, seed), (1,), lib)
+    # run unchecked, the first argument would exceed the iteration cap
+    with pytest.raises(MalformedTerm):
+        eval_term(Call("add", (Iter(SUCC, Var(0), Const(0)), Call("nope", ()))), (101,), lib)
+
+
 def test_term_size_counts_section_fillers():
     assert term_size(Iter(SUCC, Var(0), Var(1))) == 4
     assert term_size(Call("succ", (Call("succ", (Call("succ", (Var(0),)),)),))) == 4
@@ -331,7 +345,8 @@ def _iter(fn, slot, fillers=()):
     return Iter(Section(fn, slot, fillers), Var(0), Var(0))
 
 
-# One case per rule of `_check_entry`: each case is a library, one entry per line.
+# One case per rule an entry is held to when it joins a library (`Library._append`
+# and `_compile`): each case is a library, one entry per line.
 @pytest.mark.parametrize("lines", [
     _lib(("f", 1, Call("f", (Var(0),)))),                                 # self call
     _lib(("f", 1, Call("g", (Var(0),))), ("g", 1, Var(0))),              # later

@@ -31,14 +31,14 @@ from conceptgraph import inducer
 from conceptgraph.inducer import (
     FALLBACK_BAND,
     GATE_MARGIN,
+    MAX_BUDGET_LEVEL,
     Budget,
+    _PairIndex,
     _ParseContext,
     _apply_forgetting,
     _gate_delta,
     _gated_add,
     _generalize_numbers,
-    _rewrite_pair,
-    _rewrite_runs,
     _select_beam,
     _signature,
     abstract_common,
@@ -311,34 +311,139 @@ def drawn_nodes(data, g, favoured=()):
     return [node for node, n in runs for _ in range(n)]
 
 
+def _rewrite_pair(nodes, pair, cid):
+    """List reference of a concat step: each occurrence of `pair`, left to
+    right and without overlap, becomes `cid`."""
+    out = []
+    i = 0
+    while i < len(nodes):
+        if i + 1 < len(nodes) and nodes[i] == pair[0] and nodes[i + 1] == pair[1]:
+            out.append(cid)
+            i += 2
+        else:
+            out.append(nodes[i])
+            i += 1
+    return out
+
+
+def _rewrite_runs(nodes, concept, length, cid):
+    """List reference of a run step: each maximal run of `concept` exactly
+    `length` long becomes `cid`."""
+    out = []
+    i = 0
+    while i < len(nodes):
+        node = nodes[i]
+        if node == concept:
+            j = i
+            while j < len(nodes) and nodes[j] == node:
+                j += 1
+            if j - i == length:
+                out.append(cid)
+            else:
+                out.extend(nodes[i:j])
+            i = j
+        else:
+            out.append(node)
+            i += 1
+    return out
+
+
+def list_rewrite(nodes, kind, cid):
+    """The list reference's rewrite of a Concat pair or Repeat step."""
+    if isinstance(kind, Concat):
+        return _rewrite_pair(nodes, kind.children, cid)
+    return _rewrite_runs(nodes, kind.child, kind.count, cid)
+
+
+def list_firsts(nodes, kind, positions=None):
+    """(first positions, span) of the occurrences the list reference
+    rewrites; `positions[i]` is the index position of `nodes[i]`."""
+    positions = range(len(nodes)) if positions is None else positions
+    span = len(kind.children) if isinstance(kind, Concat) else kind.count
+    firsts, i = [], 0
+    for node in list_rewrite(nodes, kind, -1):
+        if node == -1:
+            firsts.append(positions[i])
+            i += span
+        else:
+            i += 1
+    return firsts, span
+
+
+def drawn_step(data, refs):
+    """A concat of two drawn refs (possibly equal) or a repeat of a drawn length."""
+    a, b = (data.draw(st.sampled_from(refs)) for _ in range(2))
+    return Concat((a, b)) if data.draw(st.booleans()) else Repeat(a, data.draw(st.integers(2, 4)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_gated_add_takes_only_a_strict_drop(data):
     """Accepted: the episode bits drop, also at the post-add code state (the
-    old nodes cost more there than the new ones).  Rejected: the graph and
-    its saved bytes are unchanged."""
+    old nodes cost more there than the new ones).  Rejected: the graph, its
+    saved bytes and the episode are unchanged."""
     g = drawn_graph(data)
     a, b = (data.draw(st.sampled_from(g.parseable_ids())) for _ in range(2))
     nodes = drawn_nodes(data, g, favoured=(a, b))
     if data.draw(st.booleans()):
-        kind, rewrite = Concat((a, b)), partial(_rewrite_pair, nodes, (a, b))
+        kind = Concat((a, b))
     else:
-        k = data.draw(st.integers(2, 4))
-        kind, rewrite = Repeat(a, k), partial(_rewrite_runs, nodes, a, k)
+        kind = Repeat(a, data.draw(st.integers(2, 4)))
+    firsts, span = list_firsts(nodes, kind)
+    index = _PairIndex(nodes, {}, 1)
     size, text = len(g), dumps(g)
     bits_before = description_dl(g, tuple(nodes))
-    span = 2 if isinstance(kind, Concat) else kind.count
-    occurrences = (len(nodes) - len(rewrite(-1))) // (span - 1)
-    accepted, out = _gated_add(g, kind, nodes, occurrences, rewrite)
+    accepted, cid = _gated_add(g, kind, index, firsts, span)
     event(f"accepted={accepted}")
+    out = tuple(index)
     if accepted:
-        bits_after = description_dl(g, tuple(out))
+        bits_after = description_dl(g, out)
         assert bits_after < bits_before
         assert bits_after < description_dl(g, tuple(nodes))
-        assert reconstruct(g, tuple(out)) == reconstruct(g, tuple(nodes))
+        assert reconstruct(g, out) == reconstruct(g, tuple(nodes))
+        assert out == tuple(list_rewrite(nodes, kind, cid))
     else:
-        assert out == nodes
+        assert out == tuple(nodes)
         assert len(g) == size and dumps(g) == text
+
+
+def index_state(index):
+    """Everything a `_PairIndex` holds, copied."""
+    return (list(index.node), list(index.nxt), list(index.prv), index.size,
+            {pair: set(where) for pair, where in index.at.items()},
+            dict(index.live), list(index.heap), list(index.aside))
+
+
+def index_positions(index):
+    """The positions of the index's current nodes, in order."""
+    out, i = [], 0 if len(index) else -1
+    while i >= 0:
+        out.append(i)
+        i = index.nxt[i]
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rewritten_reads_what_rewrite_leaves(data):
+    """For 1-3 drawn steps in turn (each leaves gaps in the index positions
+    for the next), `rewritten` equals the list reference's rewrite and what
+    `rewrite` then leaves, and reading it changes nothing in the index."""
+    g = drawn_graph(data)
+    index = _PairIndex(drawn_nodes(data, g), {}, 1)
+    for step in range(data.draw(st.integers(1, 3))):
+        nodes = list(index)
+        refs = sorted(set(g.parseable_ids()).union(n for n in nodes if type(n) is int))
+        kind = drawn_step(data, refs)
+        firsts, span = list_firsts(nodes, kind, index_positions(index))
+        cid = 100 + step
+        state = index_state(index)
+        read = index.rewritten(firsts, span, cid)
+        event(f"occurrences={min(len(firsts), 2)}")
+        assert index_state(index) == state
+        assert read == tuple(list_rewrite(nodes, kind, cid))
+        index.rewrite(firsts, span, cid)
+        assert tuple(index) == read
 
 
 @settings(max_examples=100, deadline=None)
@@ -376,16 +481,14 @@ def test_gate_delta_matches_the_full_recompute(data):
     for _ in range(data.draw(st.integers(0, 3))):  # occurrences, which may join runs
         at = data.draw(st.integers(0, len(nodes)))
         nodes[at:at] = children
-    if isinstance(kind, Concat):
-        rewrite, span = partial(_rewrite_pair, nodes, kind.children), len(kind.children)
-    else:
-        rewrite, span = partial(_rewrite_runs, nodes, kind.child, kind.count), kind.count
-    k = (len(nodes) - len(rewrite(-1))) // (span - 1)
+    firsts, span = list_firsts(nodes, kind)
     twin = g.find(kind)
-    event(f"twin={twin is not None} k={min(k, 2)}")
-    delta = _gate_delta(g, kind, len(nodes), k, twin)
+    event(f"twin={twin is not None} k={min(len(firsts), 2)}")
+    delta = _gate_delta(g, kind, len(nodes), len(firsts), twin)
     before = description_dl(g, tuple(nodes))
-    after = description_dl(g, tuple(rewrite(g.add(kind))))
+    index = _PairIndex(nodes, {}, 1)
+    index.rewrite(firsts, span, g.add(kind))
+    after = description_dl(g, tuple(index))
     assert delta == pytest.approx(after - before, rel=0, abs=1e-9)
 
 
@@ -406,10 +509,11 @@ def test_gate_inside_the_fallback_band_is_decided_by_the_full_recompute(monkeypa
         return calls[-1]
 
     monkeypatch.setattr(inducer, "description_dl", spy)
-    accepted, out = _gated_add(g, Concat((0, 1)), nodes, 1, partial(_rewrite_pair, nodes, (0, 1)))
+    index = _PairIndex(nodes, {}, 1)
+    accepted, _ = _gated_add(g, Concat((0, 1)), index, index.at[0, 1], 2)
     assert len(calls) == 2
     assert accepted == (calls[1] < calls[0] - GATE_MARGIN)
-    assert out == (_rewrite_pair(nodes, (0, 1), ab) if accepted else nodes)
+    assert list(index) == (_rewrite_pair(nodes, (0, 1), ab) if accepted else nodes)
 
 
 def episode_digrams(nodes):
@@ -837,6 +941,28 @@ def test_budget_doubles_per_level():
     assert (b2.beam, b2.pool) == (config.beam_base * 4, config.pool_base * 4)
     with pytest.raises(ValueError):
         Budget.from_config(config, -1)
+
+
+def test_refine_past_the_budget_ceiling_parses_at_the_ceiling(monkeypatch):
+    """Past `MAX_BUDGET_LEVEL`, a refine parses with the ceiling's budget
+    instead of doubling again (parse time about doubles per level)."""
+    g = ConceptGraph("ab")
+    ingest(g, "ab" * 20)
+    chain = g.refinement_store[0]
+    chain.extend([chain[0]] * (MAX_BUDGET_LEVEL + 3))
+    budgets = []
+
+    def spy(graph, tokens, budget=None, **kwargs):
+        budgets.append(budget)
+        return parse(graph, tokens, budget, **kwargs)
+
+    monkeypatch.setattr(inducer, "parse", spy)
+    level = refine(g, 0)
+    ceiling = Budget(beam=g.config.beam_base << MAX_BUDGET_LEVEL,
+                     pool=g.config.pool_base << MAX_BUDGET_LEVEL)
+    assert budgets == [ceiling]
+    assert Budget.from_config(g.config, MAX_BUDGET_LEVEL + 40) == ceiling
+    assert reconstruct(g, level) == reconstruct(g, chain[0])
 
 
 def test_parse_takes_the_budget_from_the_context():

@@ -156,8 +156,10 @@ def test_load_errors(tmp_path):
         load(str(wrong))
 
 
-# the saver writes a weight only as a string: a JSON bool or number is refused
-@pytest.mark.parametrize("weight", ["nan", "1e400", "-inf", "-1", True, 0.5, 1])
+# the saver writes a weight only as a string: a JSON bool or number is refused,
+# and so is any spelling other than the saver's ("1_0" would load as 10.0)
+@pytest.mark.parametrize("weight", ["nan", "1e400", "-inf", "-1", True, 0.5, 1,
+                                    "1_0", " 2.5 ", "1e0", "1.0"])
 def test_load_rejects_non_finite_or_negative_weight(tmp_path, weight):
     data = json.loads(dumps(ConceptGraph("ab")))
     data["concepts"][0][WEIGHT] = weight
@@ -199,6 +201,11 @@ def test_load_rejects_non_finite_or_negative_weight(tmp_path, weight):
     (None, "raw_bits_total", 12),
     (None, "raw_bits_total", 12.0),
     (None, "raw_bits_total", False),
+    # nor is a string the saver would not write: `_fmt` gives "1.000000000"
+    ("config", "fast_path_threshold", "1_0"),
+    ("config", "contrast_threshold", " 2.5 "),
+    (None, "raw_bits_total", "1e0"),
+    (None, "raw_bits_total", "1.0"),
 ])
 def test_load_rejects_bad_config_and_counters(section, field, value):
     data = json.loads(dumps(ConceptGraph("ab")))
