@@ -365,7 +365,8 @@ class ConceptGraph:
     def pop_last(self) -> None:
         """Remove the most recently added concept (speculative-add rollback)."""
         concept = self.concepts.pop()
-        del self._dedup[concept.kind]
+        if self._dedup.get(concept.kind) == concept.id:  # a loaded file may repeat a kind
+            del self._dedup[concept.kind]
         self._expansions.pop(concept.id, None)
         if isinstance(concept.kind, _CODEABLE):
             self._codeable_count -= 1
@@ -410,7 +411,8 @@ class ConceptGraph:
         if not isinstance(kind, _PARSEABLE) or self._expand(kind) != before:
             raise ReconstructionMismatch(f"rewrite of concept {cid} changed its expansion")
         concept.kind = kind
-        del self._dedup[old]
+        if self._dedup.get(old) == cid:  # a loaded file may repeat a kind
+            del self._dedup[old]
         self._dedup.setdefault(kind, cid)
 
     # ------------------------------------------------------------------
@@ -583,8 +585,25 @@ def default_emotion_templates() -> list[EmotionTemplate]:
     return [anger, frustration]
 
 
+def _check_constraint(emotion: str, constraint: SlotConstraint) -> None:
+    """Raise `MalformedTemplate` unless the constraint's kind is known and
+    the field that kind reads is set: an id, a label or a sign of +1 or -1."""
+    kind = constraint.kind
+    if kind == "exact":
+        ok = isinstance(constraint.concept, int)
+    elif kind == "label":
+        ok = isinstance(constraint.label, str)
+    elif kind == "valence":
+        ok = constraint.sign in (PLEASURE, PAIN)
+    else:
+        ok = kind == "any"
+    if not ok:
+        raise MalformedTemplate(f"emotion {emotion!r} has a malformed {kind!r} constraint")
+
+
 def _constraint_matches(constraint: SlotConstraint, node, valences,
                         labels: dict[int, str]) -> bool:
+    """Whether a checked constraint matches a node."""
     if constraint.kind == "any":
         return True
     if type(node) is not int:  # blob: only wildcards match
@@ -593,10 +612,8 @@ def _constraint_matches(constraint: SlotConstraint, node, valences,
         return node == constraint.concept
     if constraint.kind == "label":
         return labels.get(node) == constraint.label
-    if constraint.kind == "valence":
-        v = valences.get(node, 0.0)
-        return v > 0 if constraint.sign > 0 else v < 0
-    raise MalformedTemplate(f"unknown constraint kind {constraint.kind!r}")
+    v = valences.get(node, 0.0)  # a valence constraint
+    return v > 0 if constraint.sign > 0 else v < 0
 
 
 def match_emotion(desc: Description, templates: Sequence[EmotionTemplate],
@@ -606,7 +623,8 @@ def match_emotion(desc: Description, templates: Sequence[EmotionTemplate],
 
     Returns (emotion, (start, end)) for every maximal contiguous span where
     the template pattern repeats at least `min_repeats` times, scanning left
-    to right.  Spans are reported in ascending start order.
+    to right.  Spans are reported in ascending start order.  Each template
+    is checked before it is matched (`MalformedTemplate`).
     """
     labels = labels or {}
     results: list[tuple[str, tuple[int, int]]] = []
@@ -616,6 +634,8 @@ def match_emotion(desc: Description, templates: Sequence[EmotionTemplate],
             raise MalformedTemplate(f"emotion {template.emotion!r} has an empty pattern")
         if template.min_repeats < 1:
             raise MalformedTemplate(f"emotion {template.emotion!r} has repeat count < 1")
+        for constraint in pattern:
+            _check_constraint(template.emotion, constraint)
         width = len(pattern)
         i = 0
         while i + width <= len(desc):

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from . import mdl
 from .core import Concat, ConceptGraph, Token
-from .errors import TooLarge
+from .errors import TooLarge, UnknownToken
 from .fnsynth import FunctionExample
 from .mdl import description_dl, gamma_len, model_dl
 
@@ -30,8 +30,8 @@ def gen_grammar_corpus(seed: int, depth: int, target_len: int,
     plus the description bits of the sampled top-rule sequence, both at
     initial weights.  Deterministic per seed.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    if depth < 1 or rules_per_level < 1:
+        raise ValueError("depth and rules_per_level must be >= 1")
     rng = random.Random(seed)
     graph = ConceptGraph(GRAMMAR_ALPHABET)
     level_ids = list(range(len(GRAMMAR_ALPHABET)))
@@ -87,7 +87,6 @@ ENSEMBLE_TRUTH = {
 }
 ENSEMBLE_LEVELS = {"add": 1, "dbl": 1, "mul": 2, "sq": 2, "cube": 3, "quadp": 3}
 _ENSEMBLE_RANGES = {"add": 10, "dbl": 10, "mul": 10, "sq": 10, "cube": 7, "quadp": 10}
-_ENSEMBLE_ORDER = ("add", "dbl", "mul", "sq", "cube", "quadp")
 
 
 def gen_fn_ensemble(seed: int, examples_per_fn: int = 8):
@@ -98,8 +97,7 @@ def gen_fn_ensemble(seed: int, examples_per_fn: int = 8):
     """
     rng = random.Random(seed)
     sets: list[tuple[str, list[FunctionExample]]] = []
-    for label in _ENSEMBLE_ORDER:
-        arity, fn = ENSEMBLE_TRUTH[label]
+    for label, (arity, fn) in ENSEMBLE_TRUTH.items():
         top = _ENSEMBLE_RANGES[label]
         domain = ([(x,) for x in range(top + 1)] if arity == 1
                   else [(x, y) for x in range(top + 1) for y in range(top + 1)])
@@ -152,11 +150,10 @@ def _best_parse_dl(graph: ConceptGraph, tokens: tuple[Token, ...]) -> float:
                for count in range(n + 1) if dp[n][count] < inf)
 
 
-def mdl_oracle(tokens: Sequence[Token], alphabet: Optional[Sequence[Token]] = None,
-               max_rules: int = ORACLE_MAX_RULES) -> float:
+def mdl_oracle(tokens: Sequence[Token], alphabet: Optional[Sequence[Token]] = None) -> float:
     """Optimal two-part DL over all small concatenation grammars.
 
-    Enumerates every grammar of up to `max_rules` rules whose bodies pair
+    Enumerates every grammar of up to `ORACLE_MAX_RULES` rules whose bodies pair
     primitives or earlier rules, scores model bits plus the exact best parse
     at initial weights, and prunes any grammar whose model bits alone already
     exceed the best total found.
@@ -168,6 +165,9 @@ def mdl_oracle(tokens: Sequence[Token], alphabet: Optional[Sequence[Token]] = No
         raise TooLarge(f"oracle capped at {ORACLE_MAX_LEN} tokens over "
                        f"{ORACLE_MAX_SIGMA} symbols")
     graph = ConceptGraph(tuple(alphabet))
+    if not graph.alphabet_set.issuperset(tokens):
+        bad = next(t for t in tokens if t not in graph.alphabet_set)
+        raise UnknownToken(f"token {bad!r} not in alphabet")
     best = [float("inf")]
 
     def explore(rules: int) -> None:
@@ -177,7 +177,7 @@ def mdl_oracle(tokens: Sequence[Token], alphabet: Optional[Sequence[Token]] = No
         total = model + _best_parse_dl(graph, tokens)
         if total < best[0]:
             best[0] = total
-        if rules >= max_rules:
+        if rules >= ORACLE_MAX_RULES:
             return
         symbols = graph.parseable_ids()
         for left in symbols:

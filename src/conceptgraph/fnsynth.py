@@ -214,13 +214,6 @@ class Library:
         self._by_name[fn.name] = fn
         self.entries.append(fn)
 
-    def copy(self) -> "Library":
-        """The same entries and compiled bodies, in a library of its own."""
-        other = Library()
-        other.entries, other._by_name = list(self.entries), dict(self._by_name)
-        other.bodies = dict(self.bodies)
-        return other
-
 
 class _Evaluator:
     """Caps and memos for evaluating compiled terms: a value cap, an
@@ -491,7 +484,6 @@ def synthesize(examples: Sequence[FunctionExample], library: Library,
 
 
 def learn_all(example_sets: Sequence[tuple[str, Sequence[FunctionExample]]],
-              library: Optional[Library] = None,
               size_cap: int = DEFAULT_SIZE_CAP,
               iter_cap: int = DEFAULT_ITER_CAP,
               value_cap: int = DEFAULT_VALUE_CAP) -> tuple[Library, list[str]]:
@@ -503,7 +495,7 @@ def learn_all(example_sets: Sequence[tuple[str, Sequence[FunctionExample]]],
     unchanged library would repeat the same failure).  A label given twice
     is a ValueError, raised before any search.
     """
-    library = library.copy() if library is not None else Library.initial()
+    library = Library.initial()
     labels = [label for label, _ in example_sets]
     for i, label in enumerate(labels):
         if label in labels[:i]:

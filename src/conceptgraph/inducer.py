@@ -76,6 +76,12 @@ class Budget:
     beam: int
     pool: int
 
+    def __post_init__(self) -> None:
+        # a beam of at least 1 keeps a state at every position `parse` reaches
+        if not (type(self.beam) is int and type(self.pool) is int
+                and self.beam >= 1 and self.pool >= 0):
+            raise ValueError("beam must be an integer >= 1 and pool an integer >= 0")
+
     @staticmethod
     def from_config(config: Config, level: int = 0) -> "Budget":
         if level < 0:
@@ -217,18 +223,24 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token],
     as token tuples; exact cost ties go to the smallest (0, id) / (1,
     tokens) signature.
 
-    The frontier maps a position to the states reaching it.  A state is a
-    tuple (cost, count, node, parent, blob_len): a node count and a parent
-    chain, whose `node` is a ref's concept id or, when blob_len > 0, the
-    start of a trailing blob.  Its position is its bucket's key, so it is
-    not stored.  A bucket is cut to the beam (`_select_beam`) only when it
-    holds more states than that, and successors go straight into the
-    buckets of their end positions.  `_signature` walks a parent chain
-    only for exact cost ties and for the winner.
+    The frontier holds one bucket per position 0..n of the states reaching
+    it; the last holds the finals.  A state is a tuple (cost, count, node,
+    parent, blob_len): a node count and a parent chain, whose `node` is a
+    ref's concept id or, when blob_len > 0, the start of a trailing blob.
+    Its position is its bucket's index, so it is not stored.  A bucket is
+    cut to the beam (`_select_beam`) only when it holds more states than
+    that, and successors go straight into the buckets of their end
+    positions.  Every state has a blob successor at the next position, so
+    no bucket before the last is empty when it is read.  `_signature`
+    walks a parent chain only for exact cost ties and for the winner.
     """
     tokens = tuple(tokens)
-    if not graph.alphabet_set.issuperset(tokens):
-        bad = next(t for t in tokens if t not in graph.alphabet_set)
+    try:
+        known = graph.alphabet_set.issuperset(tokens)
+    except TypeError:  # an unhashable token is no alphabet token
+        known = False
+    if not known:
+        bad = next(t for t in tokens if not isinstance(t, str) or t not in graph.alphabet_set)
         raise UnknownToken(f"token {bad!r} not in alphabet")
     n = len(tokens)
     if n == 0:
@@ -239,8 +251,7 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token],
     sigma_bits = ctx.sigma_bits
 
     start = (float(gamma_len(1)), 0, None, None, 0)
-    frontier: dict[int, list[tuple]] = {0: [start]}
-    finals: list[tuple] = []
+    frontier = [[start]] + [[] for _ in range(n)]
     # blob cost steps, summed as `header + log_d + gamma_len(1) + sigma_bits`
     # left to right so that exact cost ties stay where they were
     open_plain = 0 + log_d + gamma_len(1) + sigma_bits
@@ -248,15 +259,12 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token],
     grow_pow2 = 2 + sigma_bits
 
     for pos in range(n):
-        bucket = frontier.pop(pos, None)
-        if not bucket:
-            continue
+        bucket, frontier[pos] = frontier[pos], None  # so the states a cut drops are freed
         if len(bucket) > beam:
             bucket = _select_beam(bucket, beam, tokens)
-        targets = [(cid, bits, finals if (end := pos + length) == n
-                    else frontier.setdefault(end, []))
+        targets = [(cid, bits, frontier[pos + length])
                    for cid, length, bits in ctx.candidates_at(tokens, pos)]
-        blob_target = finals if pos + 1 == n else frontier.setdefault(pos + 1, [])
+        blob_target = frontier[pos + 1]
         for state in bucket:
             cost, count, node, parent, blob_len = state
             # gamma_len(x) - gamma_len(x - 1) is 2 at a power of two x, else 0
@@ -272,8 +280,8 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token],
                 blob_target.append((opened, count + 1, pos, state, 1))
 
     # the all-blob description is always a candidate
-    finals.append((gamma_len(2) + log_d + gamma_len(n) + n * sigma_bits, 1, 0, start, n))
-    best = _select_beam(finals, 1, tokens)[0]
+    frontier[n].append((gamma_len(2) + log_d + gamma_len(n) + n * sigma_bits, 1, 0, start, n))
+    best = _select_beam(frontier[n], 1, tokens)[0]
     return tuple(payload for _, payload in _signature(best, tokens))
 
 
@@ -567,14 +575,12 @@ def abstract_common(graph: ConceptGraph) -> list[int]:
                 key = (len(ch), i, ch[:i], ch[i + 1:])
                 buckets.setdefault(key, []).append((concept.id, ch[i]))
         for key, members in buckets.items():
-            live = [(cid, differ) for cid, differ in members
-                    if isinstance(graph.concept(cid).kind, Concat)]
-            if len({differ for _, differ in live}) < m:
+            if len({differ for _, differ in members}) < m:
                 continue
             length, pos, head, tail = key
             body = tuple(SlotRef(c) for c in head) + (Hole(0),) + tuple(SlotRef(c) for c in tail)
             tpl = graph.add(Template(body))
-            for cid, differ in live:
+            for cid, differ in members:
                 graph.replace_kind(cid, Apply(tpl, (differ,)))
             changed = True
             break
@@ -639,9 +645,7 @@ def _apply_forgetting(graph: ConceptGraph) -> None:
 def _normalize_stream(experience) -> RawStream:
     if isinstance(experience, RawStream):
         return experience
-    if isinstance(experience, str):
-        return RawStream.from_text(experience)
-    return RawStream.tokens(experience)
+    return RawStream.tokens(experience)  # a str is its characters
 
 
 def _resegment_blobs(graph: ConceptGraph, desc: Description,

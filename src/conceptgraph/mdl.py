@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NonPositive, ReconstructionMismatch, UnknownConcept
-from .core import (Apply, Concat, ConceptGraph, Description, Hole, Primitive, Repeat,
-                   Template, node_tokens, reconstruct)
+from .core import (Apply, Concat, ConceptGraph, Description, Hole, Repeat, Template,
+                   node_tokens, reconstruct)
 
 
 @dataclass(frozen=True)
@@ -93,13 +93,11 @@ def description_dl(graph: ConceptGraph, desc: Description) -> float:
     return total
 
 
-def concept_model_dl(graph: ConceptGraph, cid: int,
-                     log_d: Optional[float] = None) -> float:
+def concept_model_dl(graph: ConceptGraph, cid: int, log_d: float) -> float:
     """Model bits for one definition: 2-bit kind header, body-count gamma,
-    children coded with ref_cost; Repeat adds gamma_len(count), holes are
-    coded as escape plus their index."""
-    if log_d is None:
-        log_d = math.log2(_denominator(graph))
+    children coded with ref_cost at code denominator 2^log_d; Repeat adds
+    gamma_len(count), holes are coded as escape plus their index.  A kind
+    that defines nothing (primitive, association, affect, marker) costs 0."""
 
     def rc(child: int) -> float:
         return log_d - math.log2(graph.concept(child).weight + 1.0)
@@ -124,12 +122,11 @@ def concept_model_dl(graph: ConceptGraph, cid: int,
 
 
 def model_dl(graph: ConceptGraph) -> float:
-    """Total bits for all stored non-primitive definitions."""
+    """Total model bits over every concept (`concept_model_dl`)."""
     log_d = math.log2(_denominator(graph))
     total = 0.0
     for concept in graph.concepts:
-        if graph.is_codeable(concept.id) and not isinstance(concept.kind, Primitive):
-            total += concept_model_dl(graph, concept.id, log_d=log_d)
+        total += concept_model_dl(graph, concept.id, log_d)
     return total
 
 

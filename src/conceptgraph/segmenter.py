@@ -79,12 +79,14 @@ def segment_tokens(stream: RawStream, class_of: Callable[[str], object]) -> list
 
 
 def smoothness(stream: RawStream, threshold: float) -> str:
-    """SMOOTH iff every second difference is bounded by the threshold.
+    """SMOOTH iff every second difference is bounded by the threshold (not NaN).
 
     Streams shorter than 3 samples are vacuously smooth.
     """
     if stream.kind != SCALAR:
         raise WrongKind("smoothness needs a scalar stream")
+    if math.isnan(threshold):
+        raise ValueError("smoothness threshold is NaN")
     samples = stream.samples
     if len(samples) < 3:
         return SMOOTH

@@ -211,6 +211,23 @@ def test_a_run_member_that_is_no_concept_is_data_error(tmp_path):
     assert graph.read_bytes() == before
 
 
+def test_a_repeated_concept_row_ingests_and_saves(tmp_path, capsys):
+    """Ingest itself writes repeated kinds (an Apply at two ids), so the
+    loader keeps them; abstracting the twin concats rewrites both."""
+    g = ConceptGraph("abcd")
+    for c in (1, 2, 3):
+        g.add(Concat((0, c)))  # 6, 7, 8
+    doc = json.loads(dumps(g))
+    doc["concepts"].append(doc["concepts"][6])  # 9 repeats 6's Concat((0, 1))
+    graph, data = tmp_path / "g.cg", tmp_path / "in.txt"
+    graph.write_text(json.dumps(doc))
+    data.write_text("ab\n")
+    code, out, err = run(capsys, "ingest", "--graph", str(graph), "--input", str(data))
+    assert code == 0, err
+    kinds = [c.kind for c in load(str(graph)).concepts]
+    assert type(kinds[6]) is Apply and kinds[6] == kinds[9]
+
+
 def test_an_empty_refinement_chain_is_data_error(tmp_path, capsys):
     graph, data = tmp_path / "g.cg", tmp_path / "in.txt"
     data.write_text("abab\nabba\nbaab\n")

@@ -9,6 +9,7 @@ from conceptgraph.core import (
     Apply,
     Association,
     Concat,
+    Concept,
     ConceptGraph,
     Config,
     EmotionTemplate,
@@ -247,6 +248,35 @@ def test_match_emotion_wildcard_and_exact():
     assert match_emotion(desc, [template], {}) == [("pair", (0, 2))]
 
 
+def test_match_emotion_blob_meets_only_wildcards():
+    blob = ("a", "b")
+    for constraint in (SlotConstraint(kind="exact", concept=0),
+                       SlotConstraint(kind="label", label="x"),
+                       SlotConstraint(kind="valence", sign=-1)):
+        template = EmotionTemplate("one", (constraint,))
+        assert match_emotion((blob,), [template], {}, {}) == []
+    assert match_emotion((blob,), [EmotionTemplate("one", (SlotConstraint(kind="any"),))],
+                         {}) == [("one", (0, 1))]
+
+
+@pytest.mark.parametrize("constraint", [
+    SlotConstraint(kind="exactly", concept=0),
+    SlotConstraint(kind="valence"),
+    SlotConstraint(kind="valence", sign=0),
+    SlotConstraint(kind="valence", sign=2),
+    SlotConstraint(kind="label"),
+    SlotConstraint(kind="exact"),
+    SlotConstraint(kind="exact", concept="0"),
+])
+def test_match_emotion_rejects_a_malformed_constraint_before_matching(constraint):
+    """Checked before the first node: a label without a label would match
+    every unlabelled ref, and an unknown kind would pass over blobs."""
+    template = EmotionTemplate("x", (SlotConstraint(kind="any"), constraint))
+    for desc in ((), (("a",), ("b",)), (0, 1)):
+        with pytest.raises(MalformedTemplate, match="'x'"):
+            match_emotion(desc, [template], {})
+
+
 def test_match_emotion_rejects_empty_pattern():
     with pytest.raises(MalformedTemplate):
         match_emotion((), [EmotionTemplate("bad", ())], {})
@@ -261,6 +291,28 @@ def test_replace_kind_preserves_expansion_and_dedup():
     assert g.expansion(x) == before
     assert g.find(Apply(tpl, (1,))) == x
     assert g.find(Concat((0, 1, 2))) is None
+
+
+def test_a_repeated_kind_keeps_its_first_id_through_pop_and_rewrite():
+    """A loaded file may repeat a kind (ingest writes repeated Applies); the
+    dedup table names the first id, and changing the repeat leaves it."""
+    g = fresh("abc")
+    x = g.add(Concat((0, 1)))
+    tpl = g.add(Template((SlotRef(0), Hole(0))))
+
+    def restore_twin():  # as load restores rows
+        g.concepts.append(Concept(len(g), Concat((0, 1)), 1.0, 0))
+        g.rebuild_derived()
+        return len(g) - 1
+
+    restore_twin()
+    g.pop_last()
+    assert g.find(Concat((0, 1))) == x
+    twin = restore_twin()
+    g.replace_kind(twin, Apply(tpl, (1,)))
+    assert g.find(Concat((0, 1))) == x
+    g.replace_kind(x, Apply(tpl, (1,)))
+    assert g.find(Concat((0, 1))) is None and g.find(Apply(tpl, (1,))) == twin
 
 
 def test_replace_kind_rejects_an_expansion_change():

@@ -8,7 +8,7 @@ from conceptgraph.corpus import (
     gen_grammar_corpus,
     mdl_oracle,
 )
-from conceptgraph.errors import TooLarge
+from conceptgraph.errors import TooLarge, UnknownToken
 from conceptgraph.inducer import parse
 from conceptgraph.mdl import description_dl, gamma_len, model_dl
 
@@ -62,6 +62,19 @@ def test_oracle_trivial_and_bounds():
         mdl_oracle(tuple("a" * 13))
     with pytest.raises(TooLarge):
         mdl_oracle(tuple("abcd"), alphabet="abcd")
+
+
+@pytest.mark.parametrize("depth, rules_per_level", [(0, 2), (1, 0), (2, -1)])
+def test_grammar_corpus_refuses_an_empty_level(depth, rules_per_level):
+    with pytest.raises(ValueError):
+        gen_grammar_corpus(1, depth, 10, rules_per_level=rules_per_level)
+
+
+def test_oracle_refuses_tokens_outside_its_alphabet():
+    with pytest.raises(UnknownToken, match="'x'"):
+        mdl_oracle("xyz", alphabet="ab")
+    with pytest.raises(UnknownToken, match="'c'"):
+        mdl_oracle("abc", alphabet="ab")
 
 
 def test_oracle_deterministic():

@@ -111,6 +111,17 @@ def test_parse_empty_and_unknown_token():
         parse(g, "abz")
 
 
+def test_parse_and_ingest_refuse_an_unhashable_token_unchanged():
+    g = ConceptGraph("ab")
+    ingest(g, "abab")
+    before = dumps(g)
+    with pytest.raises(UnknownToken, match=r"\['a'\]"):
+        ingest(g, [["a"]])
+    with pytest.raises(UnknownToken, match=r"\['b'\]"):
+        parse(g, ["a", ["b"], "c"])
+    assert dumps(g) == before
+
+
 def test_parse_deterministic_tie_break_prefers_lower_id():
     g = ConceptGraph("ab")
     c1 = g.add(Concat((0, 1)))
@@ -941,6 +952,24 @@ def test_budget_doubles_per_level():
     assert (b2.beam, b2.pool) == (config.beam_base * 4, config.pool_base * 4)
     with pytest.raises(ValueError):
         Budget.from_config(config, -1)
+
+
+@pytest.mark.parametrize("beam, pool", [(-1, 5), (0, 0), (0, 5), (1, -1), (1.5, 3), (2, 2.0),
+                                        ("4", 64)])
+def test_budget_refuses_a_bad_beam_or_pool(beam, pool):
+    with pytest.raises(ValueError):
+        Budget(beam, pool)
+
+
+def test_parse_at_the_smallest_budget_reaches_the_end():
+    """A beam of 1 keeps one state per position and a pool of 0 leaves
+    only the fast path, so the parse is all blobs here, and lossless."""
+    g = ConceptGraph("ab")
+    for _ in range(3):
+        ingest(g, "ababab")
+    got = parse(g, "ababab", Budget(1, 0))
+    assert got == (("a", "b", "a", "b", "a", "b"),)
+    assert reconstruct(g, parse(g, "abbaab", Budget(1, 64))) == tuple("abbaab")
 
 
 def test_refine_past_the_budget_ceiling_parses_at_the_ceiling(monkeypatch):

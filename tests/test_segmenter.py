@@ -100,3 +100,10 @@ def test_smoothness_monotone_in_threshold():
 def test_smoothness_wrong_kind():
     with pytest.raises(WrongKind):
         smoothness(RawStream.from_text("abc"), 1)
+
+
+def test_smoothness_refuses_a_nan_threshold():
+    with pytest.raises(ValueError, match="NaN"):
+        smoothness(RawStream.scalars([1, 2, 3]), float("nan"))
+    with pytest.raises(ValueError, match="NaN"):
+        smoothness(RawStream.scalars([1]), float("nan"))

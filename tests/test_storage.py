@@ -814,6 +814,18 @@ def test_teach_roundtrip_random_concepts():
         assert fresh.expansion(new_id) == g.expansion(cid)
 
 
+def test_teach_roundtrip_of_quote_and_backslash():
+    """Primitive tokens `"` and `\\` and a marker label with both are
+    written escaped and read back by the string reader's escape branch."""
+    g = ConceptGraph(['"', "\\", "a"])
+    word = g.add(Concat((0, 1, 0, 2)))
+    label = g.add(Marker('x"\\y'))
+    fresh = ConceptGraph(['"', "\\", "a"])
+    assert fresh.expansion(import_teach(fresh, export_teach(g, word))) == ('"', "\\", '"', "a")
+    assert fresh.concept(import_teach(fresh, export_teach(g, label))).kind == Marker('x"\\y')
+    assert export_teach(g, label) == '(marker "x\\"\\\\y")\n'
+
+
 def chain_teach_script(depth: int) -> str:
     """Teach lines for a concat chain (... ((a b) b) ... b), `depth` concats deep."""
     lines = ['(prim "a")', '(prim "b")', "(concat 0 1)"]
