@@ -157,9 +157,9 @@ class Config:
             raise ValueError("valence_decay must be in (0, 1)")
         for f in fields(self):  # the annotations are strings (PEP 563)
             value = getattr(self, f.name)
-            if f.type == "int":
-                if value <= 0:
-                    raise ValueError(f"{f.name} must be positive")
+            if f.type == "int":  # a bool or a float would save a file its loader refuses
+                if type(value) is not int or value <= 0:
+                    raise ValueError(f"{f.name} must be a positive integer")
             elif not 0.0 <= value < math.inf:
                 raise ValueError(f"{f.name} must be finite and non-negative")
 
@@ -443,14 +443,15 @@ class ConceptGraph:
         """Decay every weight geometrically, then reward the used concepts.
 
         Affect primitives are exempt from decay (their weight is unused).
+        Every used id is checked before any weight changes.
         """
+        rewarded = [self.concept(cid) for cid in set(used)]  # raises UnknownConcept
         gamma = self.config.decay
         for concept in self.concepts:
             if isinstance(concept.kind, AffectPrimitive):
                 continue
             concept.weight *= gamma
-        for cid in set(used):
-            concept = self.concept(cid)
+        for concept in rewarded:
             if not isinstance(concept.kind, AffectPrimitive):
                 concept.weight += 1.0
         self._codeable_weight = sum(

@@ -26,6 +26,14 @@ Number templates, their applications to runs and the
 common-component abstractions are forced by generalization thresholds
 instead: their payoff is expressive, not an immediate bit gain.
 
+An episode adds a handful of concepts, so what depends only on the
+concepts' kinds is kept per graph instead of rescanned: the parseable ids,
+the buckets of concats that agree everywhere but one position, the Repeat
+children by count and the association count (`_KindIndex`).  Each reader
+first compares the graph's kind list with the last one the index saw, by
+equality: an equal prefix means only the new rows are taken in, and any
+other change (a rollback, a load, an outside rewrite) rebuilds the index.
+
 Descriptions are the plain tuples of nodes that `core` defines (a
 reference is the concept id it names, a blob the tuple of raw tokens it
 spells); `reconstruct`, their inverse of `parse`, lives there too.
@@ -39,11 +47,12 @@ import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import groupby
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Collection, Optional, Sequence
 
 from . import mdl
 from .core import (
+    _PARSEABLE,
     FOLLOWS,
     MAX_EXPANSION,
     Apply,
@@ -152,15 +161,19 @@ class _ParseContext:
     are constant between ticks, so one context serves every parse call an
     ingest makes (segments plus blob residue).
 
-    `refresh` moves the context to the graph's current code state.  The
-    trie depends only on the member ids and their expansions, so it is kept
+    `refresh` moves the context to the graph's current code state.  It
+    takes the parseable ids from the graph's kind index (`_KindIndex`, which
+    checks the graph's kind list against the one it last saw) and sorts
+    them once by weight; the fast-path concepts are a prefix of that order,
+    so the members are its first max(pool, fast-path count) ids.  The trie
+    depends only on the member ids and their expansions, so it is kept
     when both are unchanged and only each entry's bits are rewritten in
     place; the check is a list comparison, which finds an unchanged
     member's stored expansion by identity.  `ingest` keeps its level-0
-    context per graph (`_LEVEL0`) and refreshes it each episode: between
-    episodes the members change only when a node is formed or a weight
-    crosses into the pool or the fast path.  `refine` and direct `parse`
-    calls build a fresh context per call.
+    context per graph, beside the kind index in `_KEPT`, and refreshes it
+    each episode: between episodes the members change only when a node is
+    formed or a weight crosses into the pool or the fast path.  `refine`
+    and direct `parse` calls build a fresh context per call.
     """
 
     __slots__ = ("budget", "log_d", "sigma_bits", "entries", "trie",
@@ -176,9 +189,14 @@ class _ParseContext:
         """Take the graph's current candidates and reference bits, rebuilding
         the trie only if a member or a member's expansion changed."""
         concepts = graph.concepts
-        pool = sorted(graph.parseable_ids(),
-                      key=lambda cid: (-concepts[cid].weight, cid))[:self.budget.pool]
-        members = sorted(graph.fast_path_set().union(pool))
+
+        def heaviest_first(cid: int) -> float:
+            return -concepts[cid].weight
+
+        # a stable sort of the ids in id order: weight ties stay in id order
+        ranked = sorted(_kept(graph).parseable, key=heaviest_first)
+        hot = bisect_right(ranked, -graph.config.fast_path_threshold, key=heaviest_first)
+        members = sorted(ranked[:max(self.budget.pool, hot)])
         expansions = [graph.expansion(cid) for cid in members]
         if members != self.members or expansions != self.member_expansions:
             self.entries = [[cid, len(e), 0.0] for cid, e in zip(members, expansions)]
@@ -205,10 +223,99 @@ class _ParseContext:
         return found
 
 
-# Each graph's level-0 context from its last `ingest`.  Weak keys keep the
-# graph's own state and saved bytes free of it, and let a dropped graph free
-# its trie; the context holds no reference to the graph.
-_LEVEL0: "weakref.WeakKeyDictionary[ConceptGraph, _ParseContext]" = weakref.WeakKeyDictionary()
+_KIND = attrgetter("kind")
+
+
+class _KindIndex:
+    """Facts about one graph that depend only on its kinds by id, kept
+    across episodes instead of rescanning every concept:
+
+    - `parseable`: the parseable ids, in id order;
+    - `buckets`: `abstract_common`'s concat buckets, (length, position,
+      head, tail) -> {concat id: its child at the position}, members in id
+      order; `touched` holds the buckets a concat joined since
+      `abstract_common` last checked them at generalization threshold
+      `threshold`, and no other bucket can qualify;
+    - `repeats`: repeat count -> the children of the Repeats of that count;
+    - `associations`: the number of Association concepts.
+
+    `sync` compares the graph's kind list with `kinds`, the last list the
+    index saw, by equality, so the index holds no `Concept` and no weight.
+    If the old list is an equal prefix, only the new rows are taken in;
+    anything else (a `pop_last`, a load, a `replace_kind` from outside, an
+    edited row) rebuilds the index.  `abstract_common` keeps `kinds` in step
+    with its own rewrites.  `level0` is the graph's kept level-0 parse
+    context (`ingest`'s), kept here so that a graph has one entry in `_KEPT`.
+    """
+
+    __slots__ = ("kinds", "parseable", "buckets", "touched", "threshold",
+                 "repeats", "associations", "level0")
+
+    def __init__(self) -> None:
+        self.kinds: list = []
+        self.level0: Optional[_ParseContext] = None
+        self._clear()
+
+    def _clear(self) -> None:
+        self.parseable: list[int] = []
+        self.buckets: dict[tuple, dict[int, int]] = {}
+        self.touched: set[tuple] = set()
+        self.threshold = 0  # no bucket was checked yet
+        self.repeats: dict[int, set[int]] = {}
+        self.associations = 0
+
+    def sync(self, graph: ConceptGraph) -> None:
+        """Take in the graph's current kinds: the new rows, or all of them."""
+        kinds = list(map(_KIND, graph.concepts))
+        start = len(self.kinds)
+        if start > len(kinds) or kinds[:start] != self.kinds:
+            self._clear()
+            start = 0
+        for cid in range(start, len(kinds)):
+            kind = kinds[cid]
+            if isinstance(kind, _PARSEABLE):
+                self.parseable.append(cid)
+            if isinstance(kind, Concat):
+                for key, differ in _buckets_of(kind):
+                    self.buckets.setdefault(key, {})[cid] = differ
+                    self.touched.add(key)
+            elif isinstance(kind, Repeat):
+                self.repeats.setdefault(kind.count, set()).add(kind.child)
+            elif isinstance(kind, Association):
+                self.associations += 1
+        self.kinds = kinds
+
+    def rewrite(self, cid: int, kind: Apply) -> None:
+        """Record `abstract_common`'s rewrite of concat `cid` into `kind`."""
+        buckets = self.buckets
+        for key, _ in _buckets_of(self.kinds[cid]):
+            members = buckets[key]
+            del members[cid]
+            if not members:
+                del buckets[key]
+        self.kinds[cid] = kind
+
+
+def _buckets_of(kind: Concat):
+    """(bucket key, differing child) for each position of a concat."""
+    ch = kind.children
+    for i in range(len(ch)):
+        yield (len(ch), i, ch[:i], ch[i + 1:]), ch[i]
+
+
+# Each graph's kind index and level-0 parse context.  Weak keys keep the
+# graph's own state and saved bytes free of them, and let a dropped graph
+# free its index and trie; neither holds a reference to the graph.
+_KEPT: "weakref.WeakKeyDictionary[ConceptGraph, _KindIndex]" = weakref.WeakKeyDictionary()
+
+
+def _kept(graph: ConceptGraph) -> _KindIndex:
+    """The graph's entry in `_KEPT`, made on first use, synced to its kinds."""
+    kept = _KEPT.get(graph)
+    if kept is None:
+        kept = _KEPT[graph] = _KindIndex()
+    kept.sync(graph)
+    return kept
 
 
 def parse(graph: ConceptGraph, tokens: Sequence[Token],
@@ -547,44 +654,52 @@ def induce_repeats(graph: ConceptGraph, desc: Description) -> tuple[Description,
 
 def _generalize_numbers(graph: ConceptGraph) -> None:
     """Create the k-fold template once runs of length k span enough children."""
-    cfg = graph.config
-    children_by_k: dict[int, set[int]] = {k: set(v) for k, v in graph.run_observations.items()}
-    for concept in graph.concepts:
-        if isinstance(concept.kind, Repeat):
-            children_by_k.setdefault(concept.kind.count, set()).add(concept.kind.child)
-    for k in sorted(children_by_k):
-        if len(children_by_k[k]) >= cfg.generalize_threshold and _number_template_id(graph, k) is None:
+    m = graph.config.generalize_threshold
+    observed, repeats = graph.run_observations, _kept(graph).repeats
+    for k in sorted(observed.keys() | repeats.keys()):
+        children = observed.get(k, set()) | repeats.get(k, set())
+        if len(children) >= m and _number_template_id(graph, k) is None:
             graph.add(Template((Hole(0),) * k))
 
 
 def abstract_common(graph: ConceptGraph) -> list[int]:
     """Abstract concats that agree everywhere but one position into a
-    one-hole template, rewriting each as an application (same expansion)."""
+    one-hole template, rewriting each as an application (same expansion).
+
+    A bucket of concats that agree everywhere but one position qualifies
+    once its members differ there in at least `generalize_threshold`
+    children.  Each round templates the qualifying bucket with the smallest
+    (first member id, position) and rewrites its members.  The buckets live
+    in the graph's kind index: only a bucket that a concat joined since the
+    last call can qualify (a rewrite only takes members out), and a
+    rewritten concat leaves its buckets instead of all being rebuilt.
+    """
     m = graph.config.generalize_threshold
     before = len(graph)
-    changed = True
-    while changed:
-        changed = False
-        buckets: dict[tuple, list[tuple[int, int]]] = {}
-        for concept in graph.concepts:
-            kind = concept.kind
-            if not isinstance(kind, Concat):
-                continue
-            ch = kind.children
-            for i in range(len(ch)):
-                key = (len(ch), i, ch[:i], ch[i + 1:])
-                buckets.setdefault(key, []).append((concept.id, ch[i]))
-        for key, members in buckets.items():
-            if len({differ for _, differ in members}) < m:
-                continue
-            length, pos, head, tail = key
-            body = tuple(SlotRef(c) for c in head) + (Hole(0),) + tuple(SlotRef(c) for c in tail)
-            tpl = graph.add(Template(body))
-            for cid, differ in members:
-                graph.replace_kind(cid, Apply(tpl, (differ,)))
-            changed = True
-            break
-    return list(range(before, len(graph)))
+    index = _kept(graph)
+    buckets, touched = index.buckets, index.touched
+    if m < index.threshold:  # a lower threshold may pass a bucket checked before
+        touched.update(buckets)
+    index.threshold = m
+    while True:
+        best = rank = None
+        for key in list(touched):
+            members = buckets.get(key)
+            if members is None or len(set(members.values())) < m:
+                touched.discard(key)  # it only loses members until a concat joins it
+            else:
+                here = (next(iter(members)), key[1])  # first member id, position
+                if best is None or here < rank:
+                    best, rank = key, here
+        if best is None:
+            return list(range(before, len(graph)))
+        _, _, head, tail = best
+        body = tuple(SlotRef(c) for c in head) + (Hole(0),) + tuple(SlotRef(c) for c in tail)
+        tpl = graph.add(Template(body))
+        for cid, differ in list(buckets[best].items()):
+            kind = Apply(tpl, (differ,))
+            graph.replace_kind(cid, kind)
+            index.rewrite(cid, kind)
 
 
 def record_associations(graph: ConceptGraph, desc: Description) -> list[tuple[int, int]]:
@@ -605,8 +720,8 @@ def record_associations(graph: ConceptGraph, desc: Description) -> list[tuple[in
             graph.add(Association(*pair))
             if len(graph) > before:
                 reified.append(pair)
-    if graph.follows_marker_id is None and cfg.generalize_threshold <= sum(
-            1 for c in graph.concepts if isinstance(c.kind, Association)):
+    if (graph.follows_marker_id is None
+            and cfg.generalize_threshold <= _kept(graph).associations):
         graph.add(FOLLOWS)
     return reified
 
@@ -700,9 +815,10 @@ def ingest(graph: ConceptGraph, experience,
         if pos != len(stream.samples):
             raise ValueError("segments must cover the stream exactly, in order")
     budget = Budget.from_config(graph.config, 0)
-    context = _LEVEL0.get(graph)
+    kept = _kept(graph)
+    context = kept.level0
     if context is None or context.budget != budget:
-        context = _LEVEL0[graph] = _ParseContext(graph, budget)
+        context = kept.level0 = _ParseContext(graph, budget)
     else:
         context.refresh(graph)
     nodes: list[Node] = []

@@ -32,6 +32,7 @@ from conceptgraph.errors import (
     TooLarge,
     UnknownConcept,
 )
+from conceptgraph.inducer import ingest
 
 
 def fresh(alphabet="ab", **overrides):
@@ -133,6 +134,18 @@ def test_tick_weights_decay_then_reward():
     g.tick_weights({1})
     assert g.concepts[0].weight == pytest.approx(4.5)
     assert g.concepts[1].weight == pytest.approx(5.5)
+
+
+@pytest.mark.parametrize("used", [[0, 999], [999, 0], [-1], [0, 1, 10**6]])
+def test_tick_weights_with_an_unknown_id_changes_nothing(used):
+    g = ConceptGraph("ab")
+    ingest(g, "abab")
+    weights, codeable = [c.weight for c in g.concepts], g.codeable_weight()
+    with pytest.raises(UnknownConcept):
+        g.tick_weights(used)
+    assert [c.weight for c in g.concepts] == weights
+    assert g.codeable_weight() == codeable
+    assert codeable == sum(w for c, w in zip(g.concepts, weights) if g.is_codeable(c.id))
 
 
 def test_decay_closed_form():
@@ -383,6 +396,13 @@ def test_rebuild_derived_matches_incremental_counters():
     g.rebuild_derived()
     assert g.codeable_count() == count
     assert g.codeable_weight() == pytest.approx(weight)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(Config) if f.type == "int"])
+@pytest.mark.parametrize("bad", [2.5, 3.0, True])
+def test_config_refuses_a_non_integer_for_an_int_field(name, bad):
+    with pytest.raises(ValueError, match=name):
+        Config(**{name: bad})
 
 
 def test_config_validation():

@@ -1,6 +1,9 @@
+import math
+import random
+
 import pytest
 
-from conceptgraph.core import ConceptGraph
+from conceptgraph.core import Concat, ConceptGraph
 from conceptgraph.corpus import (
     ENSEMBLE_LEVELS,
     ENSEMBLE_TRUTH,
@@ -10,6 +13,7 @@ from conceptgraph.corpus import (
 )
 from conceptgraph.errors import TooLarge, UnknownToken
 from conceptgraph.inducer import parse
+from conceptgraph import mdl
 from conceptgraph.mdl import description_dl, gamma_len, model_dl
 
 
@@ -81,6 +85,75 @@ def test_oracle_deterministic():
     tokens = tuple("aabbab")
     assert mdl_oracle(tokens, alphabet="ab") == pytest.approx(
         mdl_oracle(tokens, alphabet="ab"))
+
+
+def walked_best_parse_dl(graph, tokens):
+    """The oracle's exact parse DP over the graph's parseable concepts."""
+    n = len(tokens)
+    sigma_bits = math.log2(len(graph.alphabet))
+    escape = mdl.escape_cost(graph)
+    options = [(graph.expansion(cid), mdl.ref_cost(graph, cid))
+               for cid in graph.parseable_ids()]
+    inf = float("inf")
+    dp = [[inf] * (n + 1) for _ in range(n + 1)]
+    dp[0][0] = 0.0
+    for pos in range(n):
+        row = dp[pos]
+        for count in range(pos + 1):
+            base = row[count]
+            if base == inf:
+                continue
+            for exp, cost in options:
+                end = pos + len(exp)
+                if end <= n and tokens[pos:end] == exp:
+                    if base + cost < dp[end][count + 1]:
+                        dp[end][count + 1] = base + cost
+            for length in range(1, n - pos + 1):
+                cost = base + escape + gamma_len(length) + length * sigma_bits
+                if cost < dp[pos + length][count + 1]:
+                    dp[pos + length][count + 1] = cost
+    return min(dp[n][count] + gamma_len(count + 1)
+               for count in range(n + 1) if dp[n][count] < inf)
+
+
+def walked_oracle(tokens, alphabet):
+    """The reference oracle: a walk of the grammar tree per input, adding
+    and popping rules, that cuts a subtree once its model bits reach the
+    best total found."""
+    tokens = tuple(tokens)
+    graph = ConceptGraph(tuple(alphabet))
+    best = [float("inf")]
+
+    def explore(rules):
+        model = model_dl(graph)
+        if model >= best[0]:
+            return
+        best[0] = min(best[0], model + walked_best_parse_dl(graph, tokens))
+        if rules >= 4:
+            return
+        symbols = graph.parseable_ids()
+        for left in symbols:
+            for right in symbols:
+                before = len(graph)
+                if graph.add(Concat((left, right))) < before:
+                    continue
+                explore(rules + 1)
+                graph.pop_last()
+
+    explore(0)
+    return best[0]
+
+
+@pytest.mark.parametrize("alphabet, seed", [("ab", 1), ("abc", 2)])
+def test_oracle_scan_matches_the_grammar_walk(alphabet, seed):
+    rng = random.Random(seed)
+    inputs = [(), tuple(alphabet * 4)[:12]]
+    inputs += [tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 12))) for _ in range(30)]
+    motifs = [m for m in ("ab", "ba", "aab", "cab", "cc") if set(m) <= set(alphabet)]
+    inputs += [tuple("".join(rng.choice(motifs) for _ in range(4)))[:12] for _ in range(10)]
+    for tokens in inputs:
+        assert abs(mdl_oracle(tokens, alphabet=alphabet) - walked_oracle(tokens, alphabet)) <= 1e-9
+    assert mdl_oracle("abab") == pytest.approx(walked_oracle("abab", "ab"), abs=1e-9)
 
 
 def test_fn_ensemble_shape():

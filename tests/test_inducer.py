@@ -50,7 +50,7 @@ from conceptgraph.inducer import (
     refine,
 )
 from conceptgraph.mdl import description_dl, kraft_sum
-from conceptgraph.storage import _desc_from_json, dumps, graph_from_json
+from conceptgraph.storage import _desc_from_json, _fmt, dumps, graph_from_json
 from test_storage import BAD_NODES
 
 
@@ -217,6 +217,8 @@ def test_abstract_common_below_threshold_or_two_positions():
     g.add(Concat((0, 1, 2)))
     g.add(Concat((0, 3, 2)))
     assert abstract_common(g) == []  # only two sharers with m = 3
+    g.config.generalize_threshold = 2  # a lower threshold passes the bucket checked above
+    assert len(abstract_common(g)) == 1
     g2 = ConceptGraph("abcde")
     g2.add(Concat((0, 1, 2)))
     g2.add(Concat((0, 3, 4)))
@@ -772,7 +774,7 @@ def test_kept_context_parses_like_a_fresh_one():
     rng = random.Random(5)
     for _ in range(8):
         ingest(g, "".join(rng.choice(["ab", "cab", "bca", "cc"]) for _ in range(12)))
-    kept = inducer._LEVEL0[g]
+    kept = inducer._KEPT[g].level0
     kept.refresh(g)  # the last ingest grew the graph after its parses
     budget = Budget.from_config(g.config)
 
@@ -819,10 +821,10 @@ def test_ingest_with_the_kept_context_cleared_gives_the_same_bytes():
     kept, cleared = ConceptGraph(GRAMMAR_ALPHABET), ConceptGraph(GRAMMAR_ALPHABET)
     reused = 0
     for episode in episodes:
-        trie = getattr(inducer._LEVEL0.get(kept), "trie", None)
+        trie = getattr(getattr(inducer._KEPT.get(kept), "level0", None), "trie", None)
         ingest(kept, episode)
-        reused += inducer._LEVEL0[kept].trie is trie
-        inducer._LEVEL0.pop(cleared, None)
+        reused += inducer._KEPT[kept].level0.trie is trie
+        inducer._KEPT.pop(cleared, None)
         ingest(cleared, episode)
     assert 0 < reused < len(episodes) - 1
     assert dumps(kept) == dumps(cleared)
@@ -831,6 +833,199 @@ def test_ingest_with_the_kept_context_cleared_gives_the_same_bytes():
     del kept
     gc.collect()
     assert dropped() is None
+
+
+def rebuilding_abstract_common(graph):
+    """`abstract_common` as it was before the kind index: the buckets are
+    rebuilt over every concept, and the first qualifying bucket in build
+    order is templated, until none qualifies."""
+    m = graph.config.generalize_threshold
+    before = len(graph)
+    changed = True
+    while changed:
+        changed = False
+        buckets = {}
+        for concept in graph.concepts:
+            kind = concept.kind
+            if not isinstance(kind, Concat):
+                continue
+            ch = kind.children
+            for i in range(len(ch)):
+                key = (len(ch), i, ch[:i], ch[i + 1:])
+                buckets.setdefault(key, []).append((concept.id, ch[i]))
+        for key, members in buckets.items():
+            if len({differ for _, differ in members}) < m:
+                continue
+            _, _, head, tail = key
+            body = tuple(SlotRef(c) for c in head) + (Hole(0),) + tuple(SlotRef(c) for c in tail)
+            tpl = graph.add(Template(body))
+            for cid, differ in members:
+                graph.replace_kind(cid, Apply(tpl, (differ,)))
+            changed = True
+            break
+    return list(range(before, len(graph)))
+
+
+def ranked_members(graph, pool):
+    """The parse members as the rule was before the kind index: the
+    fast-path set plus the top `pool` parseable ids by (-weight, id)."""
+    concepts = graph.concepts
+    top = sorted(graph.parseable_ids(), key=lambda cid: (-concepts[cid].weight, cid))[:pool]
+    return sorted(graph.fast_path_set().union(top))
+
+
+def rescanned_index(graph):
+    """The kind index's facts, recounted from every concept."""
+    buckets, repeats = {}, {}
+    for concept in graph.concepts:
+        kind = concept.kind
+        if isinstance(kind, Concat):
+            ch = kind.children
+            for i in range(len(ch)):
+                buckets.setdefault((len(ch), i, ch[:i], ch[i + 1:]), {})[concept.id] = ch[i]
+        elif isinstance(kind, Repeat):
+            repeats.setdefault(kind.count, set()).add(kind.child)
+    associations = sum(isinstance(c.kind, Association) for c in graph.concepts)
+    return graph.parseable_ids(), buckets, repeats, associations
+
+
+def kept_index(graph):
+    index = inducer._kept(graph)
+    assert index.kinds == [c.kind for c in graph.concepts]
+    return index.parseable, index.buckets, index.repeats, index.associations
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_kind_index_matches_the_rescans(data):
+    """Random sequences of ingest, add, pop_last, abstract_common, weight
+    edits and save/load round trips, mirrored on a reference graph whose
+    `abstract_common` rebuilds its buckets: the same returned ids and kinds
+    and the same saved bytes, the parse members of the rule before the
+    index, and index facts equal to a recount, on graphs of many tied
+    weights and a small pool."""
+    config = Config(generalize_threshold=data.draw(st.integers(2, 3)),
+                    assoc_threshold=data.draw(st.integers(1, 3)),
+                    pool_base=data.draw(st.integers(1, 4)))
+    sigma = "abc"[:data.draw(st.integers(1, 3))]
+    motifs = st.tuples(st.text(sigma, min_size=1, max_size=4), st.integers(1, 6))
+    episodes = st.one_of(st.text(sigma, max_size=20), motifs.map(lambda m: m[0] * m[1]))
+    g, ref = ConceptGraph(sigma, config), ConceptGraph(sigma, config)
+    budget = Budget.from_config(config)
+    poppable = set()  # added by the add step since the last ingest
+    ops = st.sampled_from(["ingest", "add", "add", "pop", "regroup", "abstract", "weights",
+                           "reload"])
+    for op in data.draw(st.lists(ops, min_size=1, max_size=14)):
+        event(op)
+        if op == "ingest":
+            episode = data.draw(episodes)
+            got = ingest(g, episode)
+            inducer._KEPT.pop(ref, None)
+            inducer.abstract_common = rebuilding_abstract_common
+            try:
+                want = ingest(ref, episode)
+            finally:
+                inducer.abstract_common = abstract_common
+            assert got == want
+            poppable.clear()
+        elif op == "add":
+            ids = g.parseable_ids()
+            children = tuple(data.draw(st.lists(st.sampled_from(ids), min_size=2, max_size=3)))
+            pairs = [c.kind.children for c in g.concepts
+                     if isinstance(c.kind, Concat) and len(c.kind.children) == 2]
+            kind = data.draw(st.sampled_from([Concat(children), Repeat(children[0], len(children)),
+                                              Association(*children[:2])]
+                                             + [Concat(p + children[-1:]) for p in pairs[-2:]]))
+            cid = g.add(kind)
+            assert ref.add(kind) == cid
+            poppable.add(cid)
+        elif op == "pop":  # and, as a rejected gate step does, maybe an add at the same id
+            last = len(g) - 1
+            if last in poppable and not any(last in g.reference_edges(c) for c in range(last)):
+                g.pop_last()
+                ref.pop_last()
+                poppable.discard(last)
+                kind = Concat((last - 1, data.draw(st.sampled_from(g.parseable_ids()))))
+                if data.draw(st.booleans()) and g.is_parseable(last - 1):
+                    assert g.add(kind) == ref.add(kind)
+        elif op == "regroup":  # an outside rewrite of a seen row: (x, y, z) becomes ((x, y), z)
+            x, y, z = (data.draw(st.sampled_from(g.parseable_ids())) for _ in range(3))
+            for graph in (g, ref):
+                pair, triple = graph.add(Concat((x, y))), graph.add(Concat((x, y, z)))
+            kept_index(g)
+            if pair < triple:
+                g.replace_kind(triple, Concat((pair, z)))
+                ref.replace_kind(triple, Concat((pair, z)))
+        elif op == "abstract":
+            assert abstract_common(g) == rebuilding_abstract_common(ref)
+        elif op == "weights":
+            for cid in data.draw(st.lists(st.sampled_from(g.parseable_ids()), max_size=6)):
+                weight = data.draw(st.sampled_from([0.5, 1.0, 8.0, 9.0]))
+                g.set_weight(cid, weight)
+                ref.set_weight(cid, weight)
+        else:
+            g = graph_from_json(json.loads(dumps(g)))
+            ref = graph_from_json(json.loads(dumps(ref)))
+        assert [c.kind for c in g.concepts] == [c.kind for c in ref.concepts]
+        assert dumps(g) == dumps(ref)
+        assert kept_index(g) == rescanned_index(g)
+        want = ranked_members(g, budget.pool)
+        assert _ParseContext(g, budget).members == want
+        kept = inducer._KEPT[g].level0
+        if kept is not None:
+            kept.refresh(g)
+            assert kept.members == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_abstract_common_matches_the_rebuilding_loop(data):
+    """Concats over four symbols, so that several buckets qualify at once,
+    with `abstract_common` called between batches: the same new ids and
+    kinds as the loop that rebuilds its buckets."""
+    g = ConceptGraph("abcd", Config(generalize_threshold=data.draw(st.integers(2, 3))))
+    ref = ConceptGraph("abcd", g.config)
+    for batch in data.draw(st.lists(st.lists(st.lists(st.integers(0, 3), min_size=2, max_size=3),
+                                             max_size=8), min_size=1, max_size=4)):
+        for children in batch:
+            assert g.add(Concat(tuple(children))) == ref.add(Concat(tuple(children)))
+        new = abstract_common(g)
+        assert new == rebuilding_abstract_common(ref)
+        event(f"templates={min(len(new), 3)}")
+        assert [c.kind for c in g.concepts] == [c.kind for c in ref.concepts]
+
+
+def settle_like_a_load(graph):
+    """What a save and load does to a graph besides its kind index and
+    parse context: the weights are rounded as the file writes them, and
+    the caches and counters are rebuilt in id order."""
+    for concept in graph.concepts:
+        concept.weight = float(_fmt(concept.weight))
+    graph.rebuild_derived()
+
+
+@pytest.mark.parametrize("every", [1, 4, 10])
+def test_ingest_through_save_and_load_gives_the_in_memory_bytes(every):
+    """A stream whose graph is saved and loaded every few episodes, so each
+    load starts a fresh kind index and parse context, ends in the bytes of
+    the stream kept in memory, which keeps its index and context and only
+    settles as a load would."""
+    tokens, _ = gen_grammar_corpus(every, 3, 900)
+    episodes = [tokens[i:i + 36] for i in range(0, len(tokens), 36)]
+    rng = random.Random(every)
+    episodes += [[rng.choice(GRAMMAR_ALPHABET) for _ in range(rng.randint(8, 40))]
+                 for _ in range(12)]
+    rng.shuffle(episodes)
+    kept, reloaded = ConceptGraph(GRAMMAR_ALPHABET), ConceptGraph(GRAMMAR_ALPHABET)
+    for n, episode in enumerate(episodes, 1):
+        ingest(kept, episode)
+        ingest(reloaded, episode)
+        if n % every == 0:
+            settle_like_a_load(kept)
+            reloaded = graph_from_json(json.loads(dumps(reloaded)))
+    assert any(isinstance(c.kind, Apply) for c in kept.concepts)
+    assert inducer._KEPT[kept].kinds == [c.kind for c in kept.concepts]
+    assert dumps(reloaded) == dumps(kept)
 
 
 def _beam_states(draw):
