@@ -22,15 +22,14 @@ class RawStream:
 
     @staticmethod
     def scalars(samples: Sequence[int]) -> "RawStream":
-        return RawStream(tuple(int(s) for s in samples), SCALAR)
+        samples = tuple(samples)
+        if not all(type(s) is int for s in samples):  # no bool, float or string
+            raise ValueError("scalar samples must be integers")
+        return RawStream(samples, SCALAR)
 
     @staticmethod
     def tokens(samples: Sequence[str]) -> "RawStream":
         return RawStream(tuple(samples), TOKEN)
-
-    @staticmethod
-    def from_text(text: str) -> "RawStream":
-        return RawStream(tuple(text), TOKEN)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,10 @@ fact is stated once.  A concept is the row `[kind, created_at, weight,
 order.  A description node is a JSON integer (a concept ref) or a JSON list
 of one or more alphabet tokens (a blob).  The digram counts are not stored:
 they are the association counts of distinct pairs; nor is the follows
-marker's id.  The reader ignores what older files add: `library`,
-`follows_marker` and config fields that `Config` no longer has.
+marker's id.  The file holds exactly the sections the saver writes, and its
+config exactly the fields of `Config`: anything else is a `CorruptFile`,
+since its resave would differ.  A file of any version but cg2 is a
+`VersionMismatch`.
 
 Loading checks each concept with the rule that `add` uses
 (`ConceptGraph._validate`, through `rebuild_derived`; the leading primitives
@@ -25,11 +27,6 @@ counter (`add` stamps the counter, which only grows), an empty refinement
 chain, a run length below 2, an association pair listed twice or counted
 below 1, or a run member or associated pair member that is not a parseable
 concept (both count description refs).
-
-A cg1 file (concept objects with an `id`, a `digram_counts` section, and
-description nodes tagged `["ref", n]` or `["blob", [...]]`) loads through
-one step, `_upgrade_cg1`, which checks the facts only cg1 states and hands a
-cg2 document to the one reader; the next save writes cg2.
 
 Teach scripts are line-oriented s-expressions in strict topological order.
 One kind table (`_KINDS`) gives each concept kind's names and typed fields
@@ -78,6 +75,10 @@ FORMAT_VERSION = "cg2"
 
 _CONFIG_INTS = tuple(f.name for f in fields(Config) if f.type == "int")
 _CONFIG_FLOATS = tuple(f.name for f in fields(Config) if f.type == "float")
+_CONFIG_FIELDS = {f.name for f in fields(Config)}
+# the top-level keys of a graph file, each written by `graph_to_json`
+_SECTIONS = {"version", "alphabet", "config", "episode", "raw_bits_total", "concepts",
+             "assoc_counts", "run_observations", "refinements"}
 
 REF, REFS, BODY, INT, STR = "ref", "refs", "body", "int", "str"  # field tags
 
@@ -95,7 +96,6 @@ _KINDS = {
 }
 _FIELDS = {cls: tuple(zip([f.name for f in fields(cls)], tags, strict=True))
            for cls, (_, _, *tags) in _KINDS.items()}  # class -> ((field, tag), ...)
-_BY_NAME = {row[0]: cls for cls, row in _KINDS.items()}
 _BY_HEAD = {row[1]: cls for cls, row in _KINDS.items()}
 
 
@@ -190,41 +190,6 @@ def _desc_from_json(level) -> Description:
     return tuple([tuple(node) if type(node) is list else node for node in _list(level)])
 
 
-_CG1_NODE_TYPES = {"ref": int, "blob": list}
-
-
-def _untag_cg1_node(tagged):
-    """The cg2 node of a cg1 `["ref", n]` or `["blob", [...]]`, whose tag must fit its value."""
-    tag, node = tagged
-    if type(node) is not _CG1_NODE_TYPES.get(tag):
-        raise CorruptFile(f"description node {tagged!r} does not fit its tag")
-    return node
-
-
-def _upgrade_cg1(data: dict) -> dict:
-    """The cg2 document of a cg1 one.  Checks the facts that only cg1 states:
-    each concept's `id` is its position, `digram_counts` is the association
-    counts of distinct pairs, and each node's tag fits its value's JSON type.
-    The cg2 reader checks everything else."""
-    concepts = []
-    for i, entry in enumerate(_list(data["concepts"])):
-        if _int(_dict(entry)["id"]) != i:
-            raise CorruptFile(f"concept {i}: id out of order")
-        named = _FIELDS[_BY_NAME[entry["kind"]]]
-        concepts.append([entry["kind"], entry["created_at"], entry["weight"],
-                         *[entry[name] for name, _ in named]])
-    assoc, digrams = _list(data["assoc_counts"]), _list(data["digram_counts"])
-    _ints(chain.from_iterable(chain(assoc, digrams)))  # no float or bool passes as equal
-    counts = {(a, b): n for a, b, n in assoc}
-    if digrams != [[a, b, n] for (a, b), n in sorted(counts.items()) if a != b]:
-        raise CorruptFile("digram_counts differs from the association counts")
-    refinements = {ep: [[_untag_cg1_node(node) for node in _list(level)] for level in _list(levels)]
-                   for ep, levels in _dict(data["refinements"]).items()}
-    upgraded = dict(data, version=FORMAT_VERSION, concepts=concepts, refinements=refinements)
-    del upgraded["digram_counts"]
-    return upgraded
-
-
 def graph_to_json(graph: ConceptGraph) -> dict:
     config = {name: _fmt(getattr(graph.config, name)) for name in _CONFIG_FLOATS}
     config.update({name: getattr(graph.config, name) for name in _CONFIG_INTS})
@@ -272,12 +237,14 @@ def save(graph: ConceptGraph, path: str) -> None:
 
 def graph_from_json(data) -> ConceptGraph:
     version = _dict(data).get("version")
-    if version not in (FORMAT_VERSION, "cg1"):
+    if version != FORMAT_VERSION:
         raise VersionMismatch(f"expected {FORMAT_VERSION!r}, got {version!r}")
+    if odd := sorted(map(str, data.keys() ^ _SECTIONS)):
+        raise CorruptFile(f"extra or missing sections: {odd}")
     try:
-        if version == "cg1":
-            data = _upgrade_cg1(data)
         config_data = _dict(data["config"])
+        if odd := sorted(map(str, config_data.keys() ^ _CONFIG_FIELDS)):
+            raise CorruptFile(f"extra or missing config fields: {odd}")
         kwargs = {name: _float(config_data[name]) for name in _CONFIG_FLOATS}
         kwargs.update({name: _int(config_data[name]) for name in _CONFIG_INTS})
         graph = ConceptGraph(tuple(_list(data["alphabet"])), Config(**kwargs))

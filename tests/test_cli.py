@@ -465,16 +465,17 @@ def test_cli_text_and_bytes_are_pinned(tmp_path, capsys):
         "98c503e1db919e02920528a5d65b083005e7d10a8e18e4050e2e1ef08d269829")
 
 
-# The pinned session's graph file in the cg1 format, written before cg2.
-CG1_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "pinned_session.cg1")
-
-
-def test_the_cg1_file_of_the_pinned_session_upgrades_to_its_cg2_bytes(tmp_path, capsys):
+def test_the_cg2_file_of_the_pinned_session_is_at_most_2940_bytes(tmp_path, capsys):
+    """A size guard: a change that fattens the file format fails here.  The
+    bound is 55% of the 5,346 bytes the same graph took in the cg1 format."""
     _, data = pinned_session(tmp_path, capsys)
-    assert dumps(load(CG1_FIXTURE)).encode() == data
+    assert len(data) <= 2940
 
 
-def test_the_cg2_file_of_the_pinned_session_is_at_most_55_percent_of_cg1(tmp_path, capsys):
-    """A size guard: a change that fattens the file format fails here."""
-    _, data = pinned_session(tmp_path, capsys)
-    assert len(data) <= 0.55 * os.path.getsize(CG1_FIXTURE)
+def test_a_cg1_file_is_a_version_mismatch(tmp_path):
+    """The reader reads cg2 alone; an older file is refused by its version."""
+    graph = tmp_path / "g.cg"
+    graph.write_text(json.dumps({"version": "cg1", "alphabet": ["a", "b"], "concepts": [],
+                                 "digram_counts": []}))
+    proc = run_cli("stats", "--graph", str(graph))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: expected 'cg2', got 'cg1'\n")

@@ -41,20 +41,31 @@ def test_segment_scalar_nan_threshold_is_value_error():
 
 def test_segment_scalar_wrong_kind():
     with pytest.raises(WrongKind):
-        segment_scalar(RawStream.from_text("ab"), 1)
+        segment_scalar(RawStream.tokens("ab"), 1)
 
 
 def test_segment_tokens_class_change():
-    stream = RawStream.from_text("aa bb")
+    stream = RawStream.tokens("aa bb")
     classes = lambda t: "space" if t == " " else "letter"
     assert spans(segment_tokens(stream, classes)) == [(0, 2), (2, 3), (3, 5)]
 
 
 def test_segment_tokens_single_and_uniform():
-    one = RawStream.from_text("x")
+    one = RawStream.tokens("x")
     assert spans(segment_tokens(one, lambda t: t)) == [(0, 1)]
-    same = RawStream.from_text("abcd")
+    same = RawStream.tokens("abcd")
     assert spans(segment_tokens(same, lambda t: "sym")) == [(0, 4)]
+
+
+@pytest.mark.parametrize("samples", [[1.5, 2], [2.0], ["3"], [True, 0], [1, None]])
+def test_scalar_stream_refuses_a_sample_that_is_not_an_int(samples):
+    """`int` would truncate 1.5 to 1 and read "3" as 3, silently."""
+    with pytest.raises(ValueError):
+        RawStream.scalars(samples)
+
+
+def test_scalar_stream_keeps_int_samples_as_given():
+    assert RawStream.scalars(iter([3, -1, 0])).samples == (3, -1, 0)
 
 
 def test_segment_tokens_wrong_kind():
@@ -99,7 +110,7 @@ def test_smoothness_monotone_in_threshold():
 
 def test_smoothness_wrong_kind():
     with pytest.raises(WrongKind):
-        smoothness(RawStream.from_text("abc"), 1)
+        smoothness(RawStream.tokens("abc"), 1)
 
 
 def test_smoothness_refuses_a_nan_threshold():

@@ -1,5 +1,7 @@
 import ast
 import os
+import re
+from collections import Counter
 
 import pytest
 
@@ -22,6 +24,14 @@ def test_no_assert_statements_in_the_package():
 
 PACKAGE = os.path.dirname(conceptgraph.__file__)
 MODULES = {name[:-3] for name in os.listdir(PACKAGE) if name.endswith(".py")} - {"__init__"}
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def module_tree(module):
+    path = os.path.join(PACKAGE, f"{module}.py")
+    with open(path, encoding="utf-8") as handle:
+        return ast.parse(handle.read(), filename=path)
+
 
 # The layering, as the package modules each module must not import from, at
 # any level: the data model stands on `errors` alone; description lengths
@@ -39,11 +49,8 @@ FORBIDDEN_IMPORTS = {
 
 def imported_names(module):
     """Every dotted component of what `module` imports, anywhere in the file."""
-    path = os.path.join(PACKAGE, f"{module}.py")
-    with open(path, encoding="utf-8") as handle:
-        tree = ast.parse(handle.read(), filename=path)
     names = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(module_tree(module)):
         if isinstance(node, ast.ImportFrom):
             names.update((node.module or "").split("."))
             names.update(alias.name for alias in node.names)
@@ -63,10 +70,26 @@ def test_invalid_description_is_raised_at_one_site():
     instead of restating it with its own message."""
     sites = []
     for module in sorted(MODULES):
-        path = os.path.join(PACKAGE, f"{module}.py")
-        with open(path, encoding="utf-8") as handle:
-            tree = ast.parse(handle.read(), filename=path)
-        sites += [f"{module}:{node.lineno}" for node in ast.walk(tree)
+        sites += [f"{module}:{node.lineno}" for node in ast.walk(module_tree(module))
                   if isinstance(node, ast.Call) and "InvalidDescription" in (
                       getattr(node.func, "id", None), getattr(node.func, "attr", None))]
     assert len(sites) == 1 and sites[0].startswith("core:"), sites
+
+
+def test_every_function_and_class_is_named_beside_its_definition():
+    """A helper whose last caller is deleted goes with it: each function and
+    class the package defines (dunder names aside) is named somewhere besides
+    its own `def` or `class` statement, in `src/`, `tests/` or `perfbench/`,
+    as a whole word."""
+    words = Counter()
+    for top in ("src", "tests", "perfbench"):
+        for folder, _, names in os.walk(os.path.join(ROOT, top)):
+            for name in names:
+                if name.endswith(".py"):
+                    with open(os.path.join(folder, name), encoding="utf-8") as handle:
+                        words.update(re.findall(r"\w+", handle.read()))
+    defined = Counter(node.name for module in sorted(MODULES | {"__init__"})
+                      for node in ast.walk(module_tree(module))
+                      if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                      and not re.fullmatch(r"__\w+__", node.name))
+    assert sorted(name for name, count in defined.items() if words[name] <= count) == []

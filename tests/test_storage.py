@@ -63,16 +63,6 @@ def set_field(row: list, name: str, value) -> None:
     row[3 + [f.name for f in fields(KIND_CLASSES[row[0]])].index(name)] = value
 
 
-# The `pinned_session` graph of test_cli.py, saved in the cg1 format.
-CG1_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "pinned_session.cg1")
-
-
-@functools.cache
-def cg1_fixture_text() -> str:
-    with open(CG1_FIXTURE, encoding="utf-8") as handle:
-        return handle.read()
-
-
 def trained_graph():
     g = ConceptGraph("abcd")
     rng = random.Random(8)
@@ -88,6 +78,17 @@ def test_save_load_save_byte_identical(tmp_path):
     save(g, str(p1))
     save(load(str(p1)), str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_a_loaded_graph_reloads_to_the_same_state():
+    """Load derives the caches and the follows marker's id, which the file
+    does not store: a reload equals the first load in every attribute."""
+    g = ConceptGraph("abcd", Config(assoc_threshold=1))  # each adjacent pair is an association
+    for episode in ("abcd", "dcba", "abab"):
+        ingest(g, episode)
+    first = graph_from_json(json.loads(dumps(g)))
+    assert vars(graph_from_json(json.loads(dumps(first)))) == vars(first)
+    assert [c.id for c in first.concepts if c.kind == FOLLOWS] == [first.follows_marker_id]
 
 
 def test_load_restores_structure_and_behavior(tmp_path):
@@ -392,8 +393,12 @@ def test_load_rejects_initial_rows_other_than_the_alphabet_and_affects(edit):
 
 
 def test_load_validates_each_concept_once(monkeypatch):
-    """`ConceptGraph` validates the initial concepts, and load the rest, in
-    both formats."""
+    """`ConceptGraph` validates the initial concepts, and load the rest, an
+    Apply that names a newer template included."""
+    doc = json.loads(trained_graph_text())
+    rows = doc["concepts"]
+    forward = [i for i, row in enumerate(rows) if row[0] == "apply" and row[3] > i]
+    assert len(rows) == 40 and len(forward) == 16
     calls = []
     validate = ConceptGraph._validate
 
@@ -402,8 +407,8 @@ def test_load_validates_each_concept_once(monkeypatch):
         return validate(self, kind, cid)
 
     monkeypatch.setattr(ConceptGraph, "_validate", counting)
-    g = load(CG1_FIXTURE)
-    assert len(g) == 45 and calls == list(range(len(g)))
+    g = graph_from_json(doc)
+    assert len(g) == 40 and calls == list(range(len(g)))
     calls.clear()
     g = graph_from_json(json.loads(dumps(g)))
     assert calls == list(range(len(g)))
@@ -561,142 +566,38 @@ def test_load_rejects_a_refinement_chain_not_of_an_episode(edit):
         graph_from_json(doc)
 
 
-def test_the_cg1_fixture_is_pinned():
-    with open(CG1_FIXTURE, "rb") as handle:
-        data = handle.read()
-    assert len(data) == 5346
-    assert hashlib.sha256(data).hexdigest() == (
-        "7e5fea2e8309689ef424857e3630caf3ff81e1225c8ddca33880ec13b0c90303")
+def test_a_cg1_document_is_a_version_mismatch():
+    """The reader reads cg2 alone: a cg1 file is refused by its version."""
+    with pytest.raises(VersionMismatch, match="expected 'cg2', got 'cg1'"):
+        graph_from_json({"version": "cg1", "alphabet": ["a", "b"], "concepts": [],
+                         "digram_counts": []})
 
 
-# Keys that older files hold and the reader ignores: the function library,
-# the follows marker's id, and four config fields that no graph code read.
-DROPPED_KEYS = {"library", "follows_marker"}
-DROPPED_CONFIG = {"synth_size_cap": 7, "iter_cap": 100, "value_cap": 1000000,
-                  "smoothness_threshold": "1.000000000"}
-
-
-def test_a_cg1_file_loads_to_the_graph_its_cg2_file_holds(tmp_path):
-    """A cg1 file loads through the upgrade; its next save writes cg2,
-    which loads to the same graph, caches and counters included."""
-    old = load(CG1_FIXTURE)
-    path = tmp_path / "g.cg"
-    save(old, str(path))
-    doc = json.loads(path.read_text())
-    assert doc["version"] == "cg2"
-    assert set(doc) == set(json.loads(cg1_fixture_text())) - DROPPED_KEYS - {"digram_counts"}
-    new = load(str(path))
-    assert vars(new) == vars(old)  # every attribute, derived caches included
-    assert vars(load(CG1_FIXTURE)) == vars(old)
-
-
-def test_a_file_with_the_dropped_keys_loads_to_the_graph_without_them():
-    """A cg2 document as older files hold it, with a library, a stored
-    follows marker and the four dropped config fields, loads to the graph of
-    the same document without them; the marker is the `FOLLOWS` concept,
-    whatever the file claims."""
-    g = ConceptGraph("abcd", Config(assoc_threshold=1))  # each adjacent pair is an association
-    for episode in ("abcd", "dcba", "abab"):
-        ingest(g, episode)
-    doc = json.loads(dumps(g))
-    assert not DROPPED_KEYS & set(doc) and not DROPPED_CONFIG.keys() & set(doc["config"])
-    old = dict(doc, config={**doc["config"], **DROPPED_CONFIG}, follows_marker=g.follows_marker_id,
-               library=["(builtin succ 1)", "(def f 1 (call f (var 0)))"])
-    new = graph_from_json(doc)
-    assert vars(graph_from_json(old)) == vars(new)
-    assert [c.id for c in new.concepts if c.kind == FOLLOWS] == [new.follows_marker_id]
-    assert new.follows_marker_id is not None
-    old["follows_marker"] = 1000000
-    assert dot_text(graph_from_json(old)) == dot_text(new)
-    assert "c1000000" not in dot_text(new)
-
-
-def _set_first_ref(doc, node) -> None:
-    """Replace the first `["ref", n]` node of a cg1 document."""
-    for chain in doc["refinements"].values():
-        for level in chain:
-            for i, tagged in enumerate(level):
-                if tagged[0] == "ref":
-                    level[i] = node
-                    return
-
-
-CG1_FAULTS = {
-    "id-out-of-order": lambda d: d["concepts"][20].__setitem__("id", 21),
-    "ids-swapped": lambda d: (d["concepts"][20].__setitem__("id", 21),
-                              d["concepts"][21].__setitem__("id", 20)),
-    "no-id": lambda d: d["concepts"][20].pop("id"),
-    "no-digram-section": lambda d: d.pop("digram_counts"),
-    "digram-edited": lambda d: d["digram_counts"][0].__setitem__(2, d["digram_counts"][0][2] + 1),
-    "ref-true": lambda d: _set_first_ref(d, ["ref", True]),
-    "ref-list": lambda d: _set_first_ref(d, ["ref", [1]]),
-    "ref-float": lambda d: _set_first_ref(d, ["ref", 20.0]),
-    "blob-7": lambda d: _set_first_ref(d, ["blob", 7]),
-    "blob-string": lambda d: _set_first_ref(d, ["blob", "ab"]),
-    "untagged-ref": lambda d: _set_first_ref(d, 20),
-    "unknown-tag": lambda d: _set_first_ref(d, ["wobble", 20]),
+# Edits that leave a file other than the saver writes, whose resave would
+# differ: older files held the `library` and `follows_marker` sections and
+# four more config fields.
+UNSAVED_EDITS = {
+    "an-extra-section": lambda d: d.__setitem__("junk", 1),
+    "a-library-section": lambda d: d.__setitem__("library", ["(builtin succ 1)"]),
+    "a-follows-marker-section": lambda d: d.__setitem__("follows_marker", 5),
+    "a-missing-section": lambda d: d.pop("run_observations"),
+    "an-extra-config-field": lambda d: d["config"].__setitem__("bogus", "1.0"),
+    "a-dropped-config-field": lambda d: d["config"].__setitem__("iter_cap", 100),
+    "a-missing-config-field": lambda d: d["config"].pop("decay"),
 }
 
 
-@pytest.mark.parametrize("fault", list(CG1_FAULTS))
-def test_a_cg1_only_fault_is_corrupt_file(fault):
-    """The facts only cg1 states: ids in order, the digram section, and a
-    node tag that fits its value's JSON type."""
-    doc = json.loads(cg1_fixture_text())
-    graph_from_json(doc)
-    CG1_FAULTS[fault](doc)
+@pytest.mark.parametrize("edit", list(UNSAVED_EDITS))
+def test_a_section_or_config_field_the_saver_does_not_write_is_corrupt_file(
+        tmp_path, capsys, edit):
+    doc = json.loads(trained_graph_text())
+    UNSAVED_EDITS[edit](doc)
     with pytest.raises(CorruptFile):
         graph_from_json(doc)
-
-
-def test_the_digram_section_is_the_distinct_pair_counts():
-    """A cg1 file's digram section is the association counts of distinct
-    pairs; a section that differs from it is a `CorruptFile`, not rewritten."""
-    doc = json.loads(cg1_fixture_text())
-    assert doc["digram_counts"] == [row for row in doc["assoc_counts"] if row[0] != row[1]]
-    assert len(doc["digram_counts"]) > 1
-
-    def add_an_equal_pair(d):  # a valid association count, but no digram
-        d["assoc_counts"].insert(0, [0, 0, 5])
-        d["digram_counts"].insert(0, [0, 0, 5])
-
-    edits = [
-        lambda d: d["digram_counts"].pop(),
-        lambda d: d["digram_counts"][0].__setitem__(2, d["digram_counts"][0][2] + 1),
-        lambda d: d["digram_counts"][0].__setitem__(2, float(d["digram_counts"][0][2])),
-        lambda d: d["digram_counts"].reverse(),
-        lambda d: d["assoc_counts"].pop(),
-        add_an_equal_pair,
-    ]
-    for edit in edits:
-        bad = json.loads(cg1_fixture_text())
-        edit(bad)
-        with pytest.raises(CorruptFile):
-            graph_from_json(bad)
-    doc["assoc_counts"].insert(0, [0, 0, 5])
-    assert graph_from_json(doc).assoc_counts[0, 0] == 5
-
-
-@settings(max_examples=100, deadline=1000)
-@given(st.data())
-def test_load_of_a_cg1_file_with_one_bad_id_or_digram(data):
-    """In a cg1 file, a concept id or digram entry that is not a JSON
-    integer, a misshapen digram row and a digram section of the wrong JSON
-    type are each a `CorruptFile`."""
-    doc = json.loads(cg1_fixture_text())
-    concepts, digrams = doc["concepts"], doc["digram_counts"]
-    where = data.draw(st.sampled_from(["id", "entry", "row", "section"]))
-    if where == "id":
-        concepts[data.draw(st.integers(0, len(concepts) - 1))]["id"] = data.draw(NOT_AN_INTEGER)
-    elif where == "entry":
-        row = digrams[data.draw(st.integers(0, len(digrams) - 1))]
-        row[data.draw(st.integers(0, 2))] = data.draw(NOT_AN_INTEGER)
-    elif where == "row":
-        digrams[data.draw(st.integers(0, len(digrams) - 1))] = data.draw(NOT_A_ROW)
-    else:
-        doc["digram_counts"] = data.draw(NOT_A_LIST)
-    with pytest.raises(CorruptFile):
-        graph_from_json(doc)
+    path = tmp_path / "g.cg"
+    path.write_text(json.dumps(doc))
+    assert main(["stats", "--graph", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_a_deeply_nested_graph_file_is_corrupt_file(tmp_path):
