@@ -30,6 +30,7 @@ from .errors import (
     ReconstructionMismatch,
     TooLarge,
     UnknownConcept,
+    UnknownToken,
 )
 
 Token = str
@@ -135,9 +136,9 @@ _CODEABLE = (Primitive, Concat, Repeat, Template, Apply)
 _PARSEABLE = (Primitive, Concat, Repeat, Apply)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Config:
-    """Engine thresholds.  Defaults follow the documented desk-scale values."""
+    """Engine thresholds, frozen for a graph's life; desk-scale defaults."""
 
     contrast_threshold: float = 1.0
     repeat_threshold: int = 2
@@ -187,7 +188,8 @@ class ConceptGraph:
     and the codeable count and weight (the code denominator), and holds the
     refinement store, the run counts and the adjacent-pair counts that
     associations and digrams share; description lengths come from `mdl`.
-    The follows marker is the concept that is `FOLLOWS`, found by structure.
+    The expansion table is the parseable set, in id order; the config is
+    fixed.  The follows marker is the concept that is `FOLLOWS`, by structure.
     """
 
     def __init__(self, alphabet: Sequence[Token], config: Optional[Config] = None):
@@ -199,7 +201,7 @@ class ConceptGraph:
             raise ValueError("alphabet symbols must be unique")
         self.alphabet: tuple[Token, ...] = tuple(alphabet)
         self.alphabet_set: frozenset[Token] = frozenset(self.alphabet)
-        self.config = config or Config()
+        self._config = config or Config()
         self.concepts: list[Concept] = []
         self.episode: int = 0
         # adjacent ref pair counts accumulated over stored descriptions
@@ -226,6 +228,11 @@ class ConceptGraph:
     def __len__(self) -> int:
         return len(self.concepts)
 
+    @property
+    def config(self) -> Config:
+        """The engine thresholds, fixed for the graph's life."""
+        return self._config
+
     def concept(self, cid: int) -> Concept:
         if not 0 <= cid < len(self.concepts):
             raise UnknownConcept(f"no concept {cid}")
@@ -235,7 +242,8 @@ class ConceptGraph:
         return isinstance(self.concept(cid).kind, _CODEABLE)
 
     def is_parseable(self, cid: int) -> bool:
-        return isinstance(self.concept(cid).kind, _PARSEABLE)
+        self.concept(cid)  # raises UnknownConcept
+        return cid in self._expansions
 
     def codeable_count(self) -> int:
         return self._codeable_count
@@ -247,7 +255,18 @@ class ConceptGraph:
         return [c.id for c in self.concepts if isinstance(c.kind, _CODEABLE)]
 
     def parseable_ids(self) -> list[int]:
-        return [c.id for c in self.concepts if isinstance(c.kind, _PARSEABLE)]
+        """The parseable ids in id order: the keys of the expansion table."""
+        return list(self._expansions)
+
+    def check_tokens(self, tokens: Sequence[Token]) -> None:
+        """Raise `UnknownToken` unless every token is an alphabet symbol."""
+        try:
+            if self.alphabet_set.issuperset(tokens):
+                return
+        except TypeError:  # an unhashable token is no alphabet token
+            pass
+        bad = next(t for t in tokens if not isinstance(t, str) or t not in self.alphabet_set)
+        raise UnknownToken(f"token {bad!r} not in alphabet")
 
     def primitive_id(self, token: Token) -> int:
         try:
@@ -460,10 +479,7 @@ class ConceptGraph:
     def fast_path_set(self) -> set[int]:
         """Concepts hot enough to bypass the ranked candidate pool."""
         theta = self.config.fast_path_threshold
-        return {
-            c.id for c in self.concepts
-            if isinstance(c.kind, _PARSEABLE) and c.weight >= theta
-        }
+        return {cid for cid in self._expansions if self.concepts[cid].weight >= theta}
 
     # ------------------------------------------------------------------
     # valence

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from . import mdl
 from .core import Concat, ConceptGraph, Token
-from .errors import TooLarge, UnknownToken
+from .errors import TooLarge
 from .fnsynth import FunctionExample
 from .mdl import description_dl, gamma_len, model_dl
 
@@ -195,17 +195,16 @@ def mdl_oracle(tokens: Sequence[Token], alphabet: Optional[Sequence[Token]] = No
     at a time (`_oracle_grammars`), and a rule count the scan never reaches
     is never enumerated.  Each grammar's parse needs only the options that
     occur in `tokens`, and grammars that agree on those share one parse.
+    A token that is not an alphabet symbol (or not a `str`) is `UnknownToken`.
     """
     tokens = tuple(tokens)
-    if alphabet is None:
-        alphabet = sorted(set(tokens)) or ("a",)
+    if alphabet is None:  # a token that is not a str is left out, for the check to name
+        alphabet = sorted({t for t in tokens if isinstance(t, str)}) or ("a",)
     if len(tokens) > ORACLE_MAX_LEN or len(alphabet) > ORACLE_MAX_SIGMA:
         raise TooLarge(f"oracle capped at {ORACLE_MAX_LEN} tokens over "
                        f"{ORACLE_MAX_SIGMA} symbols")
     graph = ConceptGraph(tuple(alphabet))
-    if not graph.alphabet_set.issuperset(tokens):
-        bad = next(t for t in tokens if t not in graph.alphabet_set)
-        raise UnknownToken(f"token {bad!r} not in alphabet")
+    graph.check_tokens(tokens)
     sigma_bits = math.log2(len(graph.alphabet))
     spans = {tokens[i:j] for i in range(len(tokens)) for j in range(i + 1, len(tokens) + 1)}
     parsed: dict[tuple, float] = {}

@@ -317,9 +317,12 @@ class _Evaluator:
 def eval_term(term: Term, inputs: Sequence[int], library: Library,
               iter_cap: int = DEFAULT_ITER_CAP,
               value_cap: int = DEFAULT_VALUE_CAP) -> int:
-    """Evaluate a term on concrete inputs; raises MalformedTerm (before any
-    evaluation), Overflow or IterCountExceeded."""
-    return _Evaluator(library, iter_cap, value_cap).eval(term, tuple(inputs))
+    """Evaluate a term on integer inputs (else ValueError); raises MalformedTerm
+    (before any evaluation), Overflow or IterCountExceeded."""
+    inputs = tuple(inputs)
+    if any(type(v) is not int for v in inputs):
+        raise ValueError("inputs must be integers")
+    return _Evaluator(library, iter_cap, value_cap).eval(term, inputs)
 
 
 @dataclass(frozen=True)

@@ -27,12 +27,12 @@ common-component abstractions are forced by generalization thresholds
 instead: their payoff is expressive, not an immediate bit gain.
 
 An episode adds a handful of concepts, so what depends only on the
-concepts' kinds is kept per graph instead of rescanned: the parseable ids,
-the buckets of concats that agree everywhere but one position, the Repeat
-children by count and the association count (`_KindIndex`).  Each reader
-first compares the graph's kind list with the last one the index saw, by
-equality: an equal prefix means only the new rows are taken in, and any
-other change (a rollback, a load, an outside rewrite) rebuilds the index.
+concepts' kinds, and the graph does not hold, is kept per graph instead of
+rescanned: the concat buckets that agree everywhere but one position, the
+Repeat children by count and the association count (`_KindIndex`).  Each
+reader first compares the graph's kind list with the last one the index
+saw, by equality: an equal prefix means only the new rows are taken in,
+and any other change (a rollback, a load, an outside rewrite) rebuilds it.
 
 Descriptions are the plain tuples of nodes that `core` defines (a
 reference is the concept id it names, a blob the tuple of raw tokens it
@@ -52,7 +52,6 @@ from typing import Collection, Optional, Sequence
 
 from . import mdl
 from .core import (
-    _PARSEABLE,
     FOLLOWS,
     MAX_EXPANSION,
     Apply,
@@ -162,18 +161,17 @@ class _ParseContext:
     ingest makes (segments plus blob residue).
 
     `refresh` moves the context to the graph's current code state.  It
-    takes the parseable ids from the graph's kind index (`_KindIndex`, which
-    checks the graph's kind list against the one it last saw) and sorts
-    them once by weight; the fast-path concepts are a prefix of that order,
-    so the members are its first max(pool, fast-path count) ids.  The trie
-    depends only on the member ids and their expansions, so it is kept
-    when both are unchanged and only each entry's bits are rewritten in
-    place; the check is a list comparison, which finds an unchanged
-    member's stored expansion by identity.  `ingest` keeps its level-0
-    context per graph, beside the kind index in `_KEPT`, and refreshes it
-    each episode: between episodes the members change only when a node is
-    formed or a weight crosses into the pool or the fast path.  `refine`
-    and direct `parse` calls build a fresh context per call.
+    sorts the graph's parseable ids once by weight; the fast-path concepts
+    are a prefix of that order, so the members are its first max(pool,
+    fast-path count) ids.  The trie depends only on the member ids and their
+    expansions, so it is kept when both are unchanged and only each entry's
+    bits are rewritten in place; the check is a list comparison, which finds
+    an unchanged member's stored expansion by identity.  `ingest` builds its
+    level-0 context once per graph (the config, so the budget, is fixed),
+    keeps it beside the kind index in `_KEPT` and refreshes it each episode:
+    between episodes the members change only when a node is formed or a
+    weight crosses into the pool or the fast path.  `refine` and direct
+    `parse` calls build a fresh context per call.
     """
 
     __slots__ = ("budget", "log_d", "sigma_bits", "entries", "trie",
@@ -194,7 +192,7 @@ class _ParseContext:
             return -concepts[cid].weight
 
         # a stable sort of the ids in id order: weight ties stay in id order
-        ranked = sorted(_kept(graph).parseable, key=heaviest_first)
+        ranked = sorted(graph.parseable_ids(), key=heaviest_first)
         hot = bisect_right(ranked, -graph.config.fast_path_threshold, key=heaviest_first)
         members = sorted(ranked[:max(self.budget.pool, hot)])
         expansions = [graph.expansion(cid) for cid in members]
@@ -227,15 +225,14 @@ _KIND = attrgetter("kind")
 
 
 class _KindIndex:
-    """Facts about one graph that depend only on its kinds by id, kept
-    across episodes instead of rescanning every concept:
+    """Facts about one graph's kinds by id that the graph does not hold,
+    kept across episodes instead of rescanning every concept:
 
-    - `parseable`: the parseable ids, in id order;
     - `buckets`: `abstract_common`'s concat buckets, (length, position,
       head, tail) -> {concat id: its child at the position}, members in id
       order; `touched` holds the buckets a concat joined since
-      `abstract_common` last checked them at generalization threshold
-      `threshold`, and no other bucket can qualify;
+      `abstract_common` last checked them against the graph's fixed
+      generalization threshold, and no other bucket can qualify;
     - `repeats`: repeat count -> the children of the Repeats of that count;
     - `associations`: the number of Association concepts.
 
@@ -243,38 +240,32 @@ class _KindIndex:
     index saw, by equality, so the index holds no `Concept` and no weight.
     If the old list is an equal prefix, only the new rows are taken in;
     anything else (a `pop_last`, a load, a `replace_kind` from outside, an
-    edited row) rebuilds the index.  `abstract_common` keeps `kinds` in step
-    with its own rewrites.  `level0` is the graph's kept level-0 parse
-    context (`ingest`'s), kept here so that a graph has one entry in `_KEPT`.
+    edited row) rebuilds the index.  Only the readers sync, and
+    `abstract_common` keeps `kinds` in step with its own rewrites.  `level0`
+    is the graph's kept level-0 parse context (`ingest`'s), kept here so
+    that a graph has one entry in `_KEPT`.
     """
 
-    __slots__ = ("kinds", "parseable", "buckets", "touched", "threshold",
-                 "repeats", "associations", "level0")
+    __slots__ = ("kinds", "buckets", "touched", "repeats", "associations", "level0")
 
     def __init__(self) -> None:
-        self.kinds: list = []
         self.level0: Optional[_ParseContext] = None
         self._clear()
 
     def _clear(self) -> None:
-        self.parseable: list[int] = []
+        self.kinds: list = []
         self.buckets: dict[tuple, dict[int, int]] = {}
         self.touched: set[tuple] = set()
-        self.threshold = 0  # no bucket was checked yet
         self.repeats: dict[int, set[int]] = {}
         self.associations = 0
 
-    def sync(self, graph: ConceptGraph) -> None:
-        """Take in the graph's current kinds: the new rows, or all of them."""
+    def sync(self, graph: ConceptGraph) -> "_KindIndex":
+        """Take in the graph's new kind rows, or all of them; return the index."""
         kinds = list(map(_KIND, graph.concepts))
-        start = len(self.kinds)
-        if start > len(kinds) or kinds[:start] != self.kinds:
+        if kinds[:len(self.kinds)] != self.kinds:  # not an equal prefix
             self._clear()
-            start = 0
-        for cid in range(start, len(kinds)):
+        for cid in range(len(self.kinds), len(kinds)):
             kind = kinds[cid]
-            if isinstance(kind, _PARSEABLE):
-                self.parseable.append(cid)
             if isinstance(kind, Concat):
                 for key, differ in _buckets_of(kind):
                     self.buckets.setdefault(key, {})[cid] = differ
@@ -284,6 +275,7 @@ class _KindIndex:
             elif isinstance(kind, Association):
                 self.associations += 1
         self.kinds = kinds
+        return self
 
     def rewrite(self, cid: int, kind: Apply) -> None:
         """Record `abstract_common`'s rewrite of concat `cid` into `kind`."""
@@ -310,11 +302,10 @@ _KEPT: "weakref.WeakKeyDictionary[ConceptGraph, _KindIndex]" = weakref.WeakKeyDi
 
 
 def _kept(graph: ConceptGraph) -> _KindIndex:
-    """The graph's entry in `_KEPT`, made on first use, synced to its kinds."""
+    """The graph's entry in `_KEPT`, made on first use; its readers sync it."""
     kept = _KEPT.get(graph)
     if kept is None:
         kept = _KEPT[graph] = _KindIndex()
-    kept.sync(graph)
     return kept
 
 
@@ -342,13 +333,7 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token],
     walks a parent chain only for exact cost ties and for the winner.
     """
     tokens = tuple(tokens)
-    try:
-        known = graph.alphabet_set.issuperset(tokens)
-    except TypeError:  # an unhashable token is no alphabet token
-        known = False
-    if not known:
-        bad = next(t for t in tokens if not isinstance(t, str) or t not in graph.alphabet_set)
-        raise UnknownToken(f"token {bad!r} not in alphabet")
+    graph.check_tokens(tokens)
     n = len(tokens)
     if n == 0:
         return ()
@@ -655,7 +640,7 @@ def induce_repeats(graph: ConceptGraph, desc: Description) -> tuple[Description,
 def _generalize_numbers(graph: ConceptGraph) -> None:
     """Create the k-fold template once runs of length k span enough children."""
     m = graph.config.generalize_threshold
-    observed, repeats = graph.run_observations, _kept(graph).repeats
+    observed, repeats = graph.run_observations, _kept(graph).sync(graph).repeats
     for k in sorted(observed.keys() | repeats.keys()):
         children = observed.get(k, set()) | repeats.get(k, set())
         if len(children) >= m and _number_template_id(graph, k) is None:
@@ -676,11 +661,8 @@ def abstract_common(graph: ConceptGraph) -> list[int]:
     """
     m = graph.config.generalize_threshold
     before = len(graph)
-    index = _kept(graph)
+    index = _kept(graph).sync(graph)
     buckets, touched = index.buckets, index.touched
-    if m < index.threshold:  # a lower threshold may pass a bucket checked before
-        touched.update(buckets)
-    index.threshold = m
     while True:
         best = rank = None
         for key in list(touched):
@@ -721,7 +703,7 @@ def record_associations(graph: ConceptGraph, desc: Description) -> list[tuple[in
             if len(graph) > before:
                 reified.append(pair)
     if (graph.follows_marker_id is None
-            and cfg.generalize_threshold <= _kept(graph).associations):
+            and cfg.generalize_threshold <= _kept(graph).sync(graph).associations):
         graph.add(FOLLOWS)
     return reified
 
@@ -814,11 +796,9 @@ def ingest(graph: ConceptGraph, experience,
             pos = seg.end
         if pos != len(stream.samples):
             raise ValueError("segments must cover the stream exactly, in order")
-    budget = Budget.from_config(graph.config, 0)
     kept = _kept(graph)
-    context = kept.level0
-    if context is None or context.budget != budget:
-        context = kept.level0 = _ParseContext(graph, budget)
+    if (context := kept.level0) is None:  # built once: the config, so the budget, is fixed
+        context = kept.level0 = _ParseContext(graph, Budget.from_config(graph.config, 0))
     else:
         context.refresh(graph)
     nodes: list[Node] = []
@@ -852,9 +832,9 @@ def refine(graph: ConceptGraph, episode_id: int) -> Description:
     Level n parses at budget level n, held at `MAX_BUDGET_LEVEL` for a
     longer chain.  The previous chain tail stays a candidate, so description
     bits are non-increasing along the chain and every level reconstructs
-    exactly.
+    exactly.  An id that is not an `int` has no chain, even if it equals one.
     """
-    chain = graph.refinement_store.get(episode_id)
+    chain = graph.refinement_store.get(episode_id) if type(episode_id) is int else None
     if not chain:
         raise UnknownEpisode(f"no refinement chain for episode {episode_id}")
     tokens = reconstruct(graph, chain[0])

@@ -66,7 +66,6 @@ from .errors import (
     CorruptFile,
     GraphError,
     IoFailure,
-    UnknownConcept,
     UnresolvedReference,
     VersionMismatch,
 )

@@ -1,5 +1,5 @@
 import random
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
@@ -14,6 +14,7 @@ from conceptgraph.core import (
     Config,
     EmotionTemplate,
     Hole,
+    Marker,
     Primitive,
     Repeat,
     SlotConstraint,
@@ -403,6 +404,55 @@ def test_rebuild_derived_matches_incremental_counters():
 def test_config_refuses_a_non_integer_for_an_int_field(name, bad):
     with pytest.raises(ValueError, match=name):
         Config(**{name: bad})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("decay", 5.0), ("assoc_threshold", 0), ("generalize_threshold", True),
+    ("fast_path_threshold", float("nan")), ("pool_base", 8)])
+def test_a_config_field_cannot_be_assigned(name, value):
+    """A graph's thresholds are fixed for its life: an edit in place would
+    skip `Config`'s checks, and a kept index would have to follow it."""
+    g = fresh("ab")
+    with pytest.raises(FrozenInstanceError):
+        setattr(g.config, name, value)
+    assert g.config == Config()
+
+
+def test_a_graphs_config_cannot_be_reassigned():
+    g = fresh("ab", decay=0.5)
+    with pytest.raises(AttributeError):
+        g.config = Config()
+    assert g.config == Config(decay=0.5)
+
+
+def test_the_expansion_table_is_the_parseable_set_in_id_order():
+    """`parseable_ids` and `is_parseable` read the expansion table; it keeps
+    id order through add, pop_last, replace_kind and rebuild_derived."""
+    g = fresh("abc")
+
+    def scanned():
+        return [c.id for c in g.concepts if isinstance(c.kind, (Primitive, Concat, Repeat, Apply))]
+
+    def check():
+        assert g.parseable_ids() == scanned()
+        assert [cid for cid in range(len(g)) if g.is_parseable(cid)] == scanned()
+
+    check()
+    x = g.add(Concat((0, 1, 2)))
+    g.add(Association(0, 1))
+    tpl = g.add(Template((SlotRef(0), Hole(0), SlotRef(2))))
+    g.add(Repeat(x, 2))
+    check()
+    g.replace_kind(x, Apply(tpl, (1,)))
+    check()
+    g.add(Concat((1, 2)))
+    g.pop_last()
+    g.add(Marker("m"))
+    check()
+    g.rebuild_derived()
+    check()
+    with pytest.raises(UnknownConcept):
+        g.is_parseable(len(g))
 
 
 def test_config_validation():

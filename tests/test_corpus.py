@@ -81,6 +81,17 @@ def test_oracle_refuses_tokens_outside_its_alphabet():
         mdl_oracle("abc", alphabet="ab")
 
 
+def test_oracle_refuses_an_unhashable_token_with_a_given_alphabet():
+    with pytest.raises(UnknownToken, match=r"\['b'\]"):
+        mdl_oracle(["a", ["b"]], "ab")
+
+
+@pytest.mark.parametrize("tokens", [[["a"]], ["a", ["b"]], ["a", 1], [None]])
+def test_oracle_refuses_a_token_that_is_not_a_str_when_it_builds_the_alphabet(tokens):
+    with pytest.raises(UnknownToken):
+        mdl_oracle(tokens)
+
+
 def test_oracle_deterministic():
     tokens = tuple("aabbab")
     assert mdl_oracle(tokens, alphabet="ab") == pytest.approx(

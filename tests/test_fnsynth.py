@@ -55,6 +55,12 @@ def test_eval_caps():
         eval_term(Iter(SUCC, Var(0), Const(0)), (50,), lib, value_cap=10)
 
 
+@pytest.mark.parametrize("inputs", [(1.5,), (True,), ("1",), (1, 2.0)])
+def test_eval_term_refuses_an_input_that_is_not_an_int(inputs):
+    with pytest.raises(ValueError, match="integers"):
+        eval_term(Call("succ", (Var(0),)), inputs, Library.initial())
+
+
 def test_eval_malformed():
     lib = Library.initial()
     with pytest.raises(MalformedTerm):

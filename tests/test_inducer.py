@@ -21,6 +21,7 @@ from conceptgraph.core import (
     Config,
     Hole,
     Marker,
+    Primitive,
     Repeat,
     SlotRef,
     Template,
@@ -217,8 +218,10 @@ def test_abstract_common_below_threshold_or_two_positions():
     g.add(Concat((0, 1, 2)))
     g.add(Concat((0, 3, 2)))
     assert abstract_common(g) == []  # only two sharers with m = 3
-    g.config.generalize_threshold = 2  # a lower threshold passes the bucket checked above
-    assert len(abstract_common(g)) == 1
+    low = ConceptGraph("abcde", Config(generalize_threshold=2))
+    low.add(Concat((0, 1, 2)))
+    low.add(Concat((0, 3, 2)))
+    assert len(abstract_common(low)) == 1  # the same two sharers pass with m = 2
     g2 = ConceptGraph("abcde")
     g2.add(Concat((0, 1, 2)))
     g2.add(Concat((0, 3, 4)))
@@ -689,6 +692,18 @@ def test_refine_unknown_episode():
         refine(g, 7)
 
 
+@pytest.mark.parametrize("episode", [True, False, 0.0, 1.0, "0", [0]])
+def test_refine_refuses_an_episode_id_that_is_not_an_int(episode):
+    """A bool or a float equals an int key, so it would extend that chain."""
+    g = ConceptGraph("ab")
+    ingest(g, "abab")
+    ingest(g, "abba")
+    before = dumps(g)
+    with pytest.raises(UnknownEpisode):
+        refine(g, episode)
+    assert dumps(g) == before
+
+
 def test_forgetting_drops_deepest_level():
     g = ConceptGraph("ab")
     ingest(g, "abab")
@@ -835,6 +850,29 @@ def test_ingest_with_the_kept_context_cleared_gives_the_same_bytes():
     assert dropped() is None
 
 
+def test_ingest_syncs_the_kind_index_three_times_per_episode(monkeypatch):
+    """Only the readers of the kind index sync it (`_generalize_numbers`,
+    `abstract_common`, `record_associations` until the follows marker
+    exists), and the level-0 context is built once per graph."""
+    syncs = []
+    real_sync = inducer._KindIndex.sync
+
+    def counting_sync(index, graph):
+        syncs.append(graph)
+        return real_sync(index, graph)
+
+    monkeypatch.setattr(inducer._KindIndex, "sync", counting_sync)
+    g = ConceptGraph("abcdefghijklmnop")
+    rng = random.Random(1)
+    contexts = set()
+    for episode in range(20):
+        syncs.clear()
+        ingest(g, [rng.choice(g.alphabet) for _ in range(16)])
+        assert len(syncs) == (3 if g.follows_marker_id is None else 2)
+        contexts.add(id(inducer._KEPT[g].level0))
+    assert len(contexts) == 1
+
+
 def rebuilding_abstract_common(graph):
     """`abstract_common` as it was before the kind index: the buckets are
     rebuilt over every concept, and the first qualifying bucket in build
@@ -875,10 +913,12 @@ def ranked_members(graph, pool):
 
 
 def rescanned_index(graph):
-    """The kind index's facts, recounted from every concept."""
-    buckets, repeats = {}, {}
+    """The parseable ids and the kind index's facts, recounted from every concept."""
+    parseable, buckets, repeats = [], {}, {}
     for concept in graph.concepts:
         kind = concept.kind
+        if isinstance(kind, (Primitive, Concat, Repeat, Apply)):
+            parseable.append(concept.id)
         if isinstance(kind, Concat):
             ch = kind.children
             for i in range(len(ch)):
@@ -886,13 +926,14 @@ def rescanned_index(graph):
         elif isinstance(kind, Repeat):
             repeats.setdefault(kind.count, set()).add(kind.child)
     associations = sum(isinstance(c.kind, Association) for c in graph.concepts)
-    return graph.parseable_ids(), buckets, repeats, associations
+    return parseable, buckets, repeats, associations
 
 
 def kept_index(graph):
-    index = inducer._kept(graph)
+    """The graph's parseable ids and its kind index's facts, synced first."""
+    index = inducer._kept(graph).sync(graph)
     assert index.kinds == [c.kind for c in graph.concepts]
-    return index.parseable, index.buckets, index.repeats, index.associations
+    return graph.parseable_ids(), index.buckets, index.repeats, index.associations
 
 
 @settings(max_examples=300, deadline=None)

@@ -93,3 +93,23 @@ def test_every_function_and_class_is_named_beside_its_definition():
                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                       and not re.fullmatch(r"__\w+__", node.name))
     assert sorted(name for name, count in defined.items() if words[name] <= count) == []
+
+
+def unused_imports(module):
+    """The names `module` imports but never reads as an AST `Name`
+    (`from __future__` aside); `import a.b` binds `a`."""
+    tree = module_tree(module)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_every_imported_name_is_used(module):
+    """A dead import can hide a real dependency change from the layering
+    table above, so each module reads every name it imports."""
+    assert sorted(unused_imports(module)) == []
