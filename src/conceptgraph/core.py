@@ -31,6 +31,7 @@ from .errors import (
     TooLarge,
     UnknownConcept,
     UnknownToken,
+    WrongKind,
 )
 
 Token = str
@@ -89,10 +90,11 @@ class Template:
 
     @cached_property
     def holes(self) -> int:
-        """The number of distinct holes; raises unless the body is non-empty
-        and its hole indices run from 0 without a gap."""
-        if not self.body:
-            raise MalformedTemplate("template body is empty")
+        """The number of distinct holes; raises unless the body is a non-empty
+        tuple of slot refs and holes whose int indices run from 0 without a gap."""
+        if type(self.body) is not tuple or not self.body or not all(
+                type(s) is SlotRef or type(s) is Hole and type(s.index) is int for s in self.body):
+            raise MalformedTemplate("template body is not a non-empty tuple of slots")
         indices = {s.index for s in self.body if isinstance(s, Hole)}
         if not indices:
             raise ArityMismatch("template needs at least 1 hole")
@@ -182,17 +184,20 @@ class ConceptGraph:
     slot refs are older than the Apply (`_validate` holds the rule, for
     `add`, `replace_kind` and load alike).  So references never form a
     cycle, and each parseable concept's expansion is stored when it is
-    added, built from its references' stored expansions.  Primitives (one
-    per alphabet symbol) and the two affect primitives are created at
-    initialization.  Besides the concepts, the graph keeps the expansions
-    and the codeable count and weight (the code denominator), and holds the
+    added, built from its references' stored expansions.  The birth rows (a
+    primitive per alphabet symbol, then pleasure and pain) lead every graph:
+    a fresh one makes them, and rows given to the constructor (a load) must
+    start with them; either way `rebuild_derived` builds the graph from its
+    rows.  Besides the concepts, the graph keeps the expansions and the
+    codeable count and weight (the code denominator), and holds the
     refinement store, the run counts and the adjacent-pair counts that
     associations and digrams share; description lengths come from `mdl`.
     The expansion table is the parseable set, in id order; the config is
     fixed.  The follows marker is the concept that is `FOLLOWS`, by structure.
     """
 
-    def __init__(self, alphabet: Sequence[Token], config: Optional[Config] = None):
+    def __init__(self, alphabet: Sequence[Token], config: Optional[Config] = None,
+                 concepts: Optional[Sequence[Concept]] = None):
         if len(alphabet) < 1:
             raise ValueError("alphabet must contain at least one symbol")
         if not all(isinstance(sym, str) for sym in alphabet):
@@ -202,7 +207,14 @@ class ConceptGraph:
         self.alphabet: tuple[Token, ...] = tuple(alphabet)
         self.alphabet_set: frozenset[Token] = frozenset(self.alphabet)
         self._config = config or Config()
-        self.concepts: list[Concept] = []
+        # the birth rows: a primitive per symbol, then pleasure and pain
+        self.pleasure_id, self.pain_id = len(self.alphabet), len(self.alphabet) + 1
+        birth = [*map(Primitive, self.alphabet), AffectPrimitive(PLEASURE), AffectPrimitive(PAIN)]
+        if concepts is None:
+            concepts = [Concept(cid, kind, 1.0, 0) for cid, kind in enumerate(birth)]
+        elif [c.kind for c in concepts[:len(birth)]] != birth:
+            raise ValueError("initial concepts do not match the alphabet")
+        self.concepts: list[Concept] = list(concepts)
         self.episode: int = 0
         # adjacent ref pair counts accumulated over stored descriptions
         self.assoc_counts: dict[tuple[int, int], int] = {}
@@ -211,16 +223,7 @@ class ConceptGraph:
         self.raw_bits_total: float = 0.0
         # run-length observations feeding number generalization: k -> child ids
         self.run_observations: dict[int, set[int]] = {}
-        # derived caches / counters
-        self._dedup: dict[Kind, int] = {}
-        self._expansions: dict[int, tuple[Token, ...]] = {}
-        self._codeable_count = 0
-        self._codeable_weight = 0.0
-
-        for sym in self.alphabet:
-            self.add(Primitive(sym))
-        self.pleasure_id = self.add(AffectPrimitive(PLEASURE))
-        self.pain_id = self.add(AffectPrimitive(PAIN))
+        self.rebuild_derived()
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -234,8 +237,8 @@ class ConceptGraph:
         return self._config
 
     def concept(self, cid: int) -> Concept:
-        if not 0 <= cid < len(self.concepts):
-            raise UnknownConcept(f"no concept {cid}")
+        if type(cid) is not int or not 0 <= cid < len(self.concepts):  # True is no id
+            raise UnknownConcept(f"no concept {cid!r}")
         return self.concepts[cid]
 
     def is_codeable(self, cid: int) -> bool:
@@ -287,7 +290,7 @@ class ConceptGraph:
     # construction
 
     def _validate(self, kind: Kind, cid: int) -> None:
-        """Raise unless `kind` may be concept `cid` (a `GraphError` for a bad reference).
+        """Raise a `GraphError` unless `kind` may be concept `cid`.
 
         The one growth rule, used by `add`, `replace_kind` and load: every
         reference names a concept older than `cid`, and a reference that
@@ -296,32 +299,38 @@ class ConceptGraph:
         concat is rewritten as an application of a new template), as long
         as the template's slot refs are older than `cid`; the template's
         other checks run at its own id.  So no concept reaches itself, and
-        expansions can be built in id order.
+        expansions can be built in id order.  Each field has the type a graph
+        file writes (an exact int, a string or a tuple), so what passes saves
+        a file that loads; a non-kind or an unhashable field is `WrongKind`.
         """
+        try:
+            hash(kind)
+        except TypeError:
+            raise WrongKind(f"{kind!r} has an unhashable field") from None
         expands = True  # whether the references below must expand
         if isinstance(kind, Apply):
             tid = kind.template
-            if not isinstance(tid, int) or not 0 <= tid < len(self.concepts):
+            if type(tid) is not int or not 0 <= tid < len(self.concepts):
                 raise DanglingReference(f"reference to missing concept {tid}")
             tpl = self.concepts[tid].kind
             if not isinstance(tpl, Template):
                 raise ArityMismatch(f"concept {tid} is not a template")
-            if len(kind.fillers) != tpl.holes:
+            if type(kind.fillers) is not tuple or len(kind.fillers) != tpl.holes:
                 raise ArityMismatch(
-                    f"template {tid} has {tpl.holes} holes, got {len(kind.fillers)} fillers")
+                    f"template {tid} has {tpl.holes} holes, got fillers {kind.fillers!r}")
             refs = kind.fillers
             if tid > cid:  # the template's own checks run at its id; its slot refs must be older
                 refs = chain(refs, (s.concept for s in tpl.body if isinstance(s, SlotRef)))
         elif isinstance(kind, Concat):
-            if len(kind.children) < 2:
-                raise ArityMismatch("concat needs at least 2 children")
+            if type(kind.children) is not tuple or len(kind.children) < 2:
+                raise ArityMismatch("concat needs a tuple of at least 2 children")
             refs = kind.children
         elif isinstance(kind, Template):
             kind.holes  # raises for a malformed body
             refs = [s.concept for s in kind.body if isinstance(s, SlotRef)]
         elif isinstance(kind, Repeat):
-            if kind.count < 2:
-                raise InvalidCount("repeat count must be >= 2")
+            if type(kind.count) is not int or kind.count < 2:
+                raise InvalidCount("repeat count must be an int >= 2")
             refs = (kind.child,)
         elif isinstance(kind, Association):
             refs, expands = (kind.a, kind.b), False
@@ -330,16 +339,18 @@ class ConceptGraph:
                 raise DanglingReference(f"token {kind.token!r} not in alphabet")
             return
         elif isinstance(kind, AffectPrimitive):
-            if kind.sign not in (PLEASURE, PAIN):
-                raise ValueError("affect sign must be +1 or -1")
+            if type(kind.sign) is not int or kind.sign not in (PLEASURE, PAIN):
+                raise WrongKind("affect sign must be +1 or -1")
             return
         elif isinstance(kind, Marker):
+            if type(kind.label) is not str:
+                raise WrongKind("marker label must be a string")
             return
         else:
-            raise TypeError(f"unknown kind {kind!r}")
+            raise WrongKind(f"unknown kind {kind!r}")
         stored = self._expansions  # held for every parseable concept older than `cid`
         for ref in refs:
-            if not isinstance(ref, int) or not 0 <= ref < cid:
+            if type(ref) is not int or not 0 <= ref < cid:
                 raise DanglingReference(f"concept {cid} references {ref}, which is not older")
             if expands and ref not in stored:
                 raise NonExpandingConcept(f"concept {cid} references {ref}, which does not expand")
@@ -367,7 +378,10 @@ class ConceptGraph:
 
     def add(self, kind: Kind) -> int:
         """Append a concept, or return the existing id of a structural twin."""
-        existing = self._dedup.get(kind)
+        try:
+            existing = self._dedup.get(kind)
+        except TypeError:  # an unhashable field, which `_validate` refuses
+            existing = None
         if existing is not None:
             return existing
         cid = len(self.concepts)
@@ -392,23 +406,22 @@ class ConceptGraph:
             self._codeable_weight -= concept.weight
 
     def rebuild_derived(self) -> None:
-        """Validate the concepts past the initial ones and rebuild caches and
-        counters in id order after a bulk restore (load); raises like `add`.
-        The initial primitives and affect primitives keep the caches that
-        `__init__` made: a restore keeps them (load checks that the file
-        repeats them), so each concept is validated once."""
-        start = len(self.alphabet) + 2
-        self._dedup = {kind: cid for kind, cid in self._dedup.items() if cid < start}
-        self._expansions = {cid: e for cid, e in self._expansions.items() if cid < start}
+        """Validate every concept once and rebuild the dedup table (a repeated
+        kind keeps its first id), the expansion table and the code mass in id
+        order; raises like `add`, and `ValueError` for a row whose id is not
+        its position.  `__init__` calls it on the rows it is given."""
+        self._dedup: dict[Kind, int] = {}
+        self._expansions: dict[int, tuple[Token, ...]] = {}
         self._codeable_count = 0
         self._codeable_weight = 0.0
-        for concept in self.concepts:
+        for cid, concept in enumerate(self.concepts):
+            if type(concept.id) is not int or concept.id != cid:
+                raise ValueError(f"concept at position {cid} has id {concept.id!r}")
             kind = concept.kind
-            if concept.id >= start:
-                self._validate(kind, concept.id)
-                if isinstance(kind, _PARSEABLE):
-                    self._expansions[concept.id] = self._expand(kind)
-                self._dedup.setdefault(kind, concept.id)
+            self._validate(kind, cid)
+            if isinstance(kind, _PARSEABLE):
+                self._expansions[cid] = self._expand(kind)
+            self._dedup.setdefault(kind, cid)
             if isinstance(kind, _CODEABLE):
                 self._codeable_count += 1
                 self._codeable_weight += concept.weight
@@ -439,12 +452,11 @@ class ConceptGraph:
 
     def expansion(self, cid: int) -> tuple[Token, ...]:
         """Token sequence denoted by `cid`; raises for relational concepts."""
-        try:
-            return self._expansions[cid]
-        except KeyError:
+        tokens = self._expansions.get(cid) if type(cid) is int else None  # 1.0 finds 1
+        if tokens is None:
             kind = self.concept(cid).kind  # raises UnknownConcept
-            raise NonExpandingConcept(
-                f"concept {cid} ({type(kind).__name__}) does not expand") from None
+            raise NonExpandingConcept(f"concept {cid} ({type(kind).__name__}) does not expand")
+        return tokens
 
     # ------------------------------------------------------------------
     # weight dynamics
@@ -464,13 +476,13 @@ class ConceptGraph:
         Affect primitives are exempt from decay (their weight is unused).
         Every used id is checked before any weight changes.
         """
-        rewarded = [self.concept(cid) for cid in set(used)]  # raises UnknownConcept
+        rewarded = {self.concept(cid).id for cid in used}  # raises UnknownConcept
         gamma = self.config.decay
         for concept in self.concepts:
             if isinstance(concept.kind, AffectPrimitive):
                 continue
             concept.weight *= gamma
-        for concept in rewarded:
+        for concept in map(self.concepts.__getitem__, rewarded):
             if not isinstance(concept.kind, AffectPrimitive):
                 concept.weight += 1.0
         self._codeable_weight = sum(
@@ -607,7 +619,7 @@ def _check_constraint(emotion: str, constraint: SlotConstraint) -> None:
     the field that kind reads is set: an id, a label or a sign of +1 or -1."""
     kind = constraint.kind
     if kind == "exact":
-        ok = isinstance(constraint.concept, int)
+        ok = type(constraint.concept) is int
     elif kind == "label":
         ok = isinstance(constraint.label, str)
     elif kind == "valence":

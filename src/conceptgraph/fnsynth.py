@@ -33,11 +33,11 @@ Nothing walks a term tree at evaluation time.  Each library definition is
 compiled once, when it joins the library, into a closure that calls its
 callees through the evaluator, so the caps and memos hold for it as for
 any call; a body runs only when the call memo misses.  The compile is also
-the one check of a term: variables in range, and callees earlier in the
-library, each with its arity.  The enumerator computes a whole value
-vector per candidate with the evaluator's row kernels, which read
-call-memo and orbit hits inline and hand every other row to the one-row
-`apply` or `iterate`.
+the one check of a term: int variable indices in range, constants the int
+0 or 1, and callees earlier in the library, each with its int arity.  The
+enumerator computes a whole value vector per candidate with the evaluator's
+row kernels, which read call-memo and orbit hits inline and hand every
+other row to the one-row `apply` or `iterate`.
 """
 
 from __future__ import annotations
@@ -121,8 +121,9 @@ _BUILTINS: dict[str, tuple[int, Callable]] = {"succ": (1, _builtin_succ)}
 def _compile(term: Term, arity: int, known: dict[str, LibraryFn]) -> Callable:
     """The closure `(evaluator, inputs) -> int` that evaluates `term` on
     `arity` inputs, built in the one walk that checks it: MalformedTerm
-    unless the term reads only variables below `arity` and calls only
-    `known` functions, each with its arity.  A node is checked before its
+    unless the term reads only int variables below `arity` and the int
+    constants 0 and 1, and calls only `known` functions, each with its
+    arity and an int open slot in range.  A node is checked before its
     subterms, which are compiled in field order (an iteration's fillers,
     then count, then seed).
 
@@ -133,11 +134,13 @@ def _compile(term: Term, arity: int, known: dict[str, LibraryFn]) -> Callable:
     never keeps an evaluator's memos alive."""
     if isinstance(term, Var):
         index = term.index
-        if not 0 <= index < arity:
-            raise MalformedTerm(f"var {index} out of range for arity {arity}")
+        if type(index) is not int or not 0 <= index < arity:
+            raise MalformedTerm(f"var {index!r} out of range for arity {arity}")
         return lambda ev, inputs: inputs[index]
     if isinstance(term, Const):
         value = term.value
+        if type(value) is not int or value not in (0, 1):
+            raise MalformedTerm(f"constant {value!r} is not 0 or 1")
         return lambda ev, inputs: value
     if isinstance(term, Call):
         fn = known.get(term.fn)
@@ -149,7 +152,8 @@ def _compile(term: Term, arity: int, known: dict[str, LibraryFn]) -> Callable:
     if isinstance(term, Iter):
         section = term.section
         fn, slot = known.get(section.fn), section.open_slot
-        if fn is None or len(section.fillers) != fn.arity - 1 or not 0 <= slot < fn.arity:
+        if (fn is None or len(section.fillers) != fn.arity - 1 or type(slot) is not int
+                or not 0 <= slot < fn.arity):
             raise MalformedTerm(f"section of {section.fn!r} does not fit an earlier "
                                 "library entry")
         fillers = [_compile(f, arity, known) for f in section.fillers]
@@ -203,12 +207,12 @@ class Library:
     def _append(self, fn: LibraryFn) -> None:
         if fn.name in self._by_name:
             raise ValueError(f"function {fn.name!r} already defined")
+        if type(fn.arity) is not int or fn.arity < 0:
+            raise MalformedTerm(f"{fn.name!r} has arity {fn.arity!r}, not an int >= 0")
         if fn.definition is None:
             builtin = _BUILTINS.get(fn.name)
             if builtin is None or builtin[0] != fn.arity:
                 raise MalformedTerm(f"no builtin {fn.name!r} of arity {fn.arity}")
-        elif fn.arity < 0:
-            raise MalformedTerm(f"{fn.name!r} has negative arity")
         else:
             self.bodies[fn.name] = _compile(fn.definition, fn.arity, self._by_name)
         self._by_name[fn.name] = fn
@@ -397,8 +401,8 @@ class _Enumerator:
         self.levels: dict[int, list[tuple[Term, Vector]]] = {
             1: [leaf for leaf in leaves if self._keep(leaf[1])]}
 
-    def _keep(self, vector: Optional[Vector]) -> bool:
-        if vector is None or vector in self.seen:
+    def _keep(self, vector: Vector) -> bool:
+        if vector in self.seen:
             return False
         self.seen.add(vector)
         return True
@@ -414,10 +418,14 @@ class _Enumerator:
             yield from self.levels[size]
             return
         level: list[tuple[Term, Vector]] = []
+        apply_rows, iterate_rows = self.evaluator.apply_rows, self.evaluator.iterate_rows
         for fn in self.evaluator.library.entries:
             for shape in _compositions(size - 1, fn.arity):
                 for args in itertools.product(*(self.levels[s] for s in shape)):
-                    vector = self._call(fn, [v for _, v in args])
+                    try:
+                        vector = apply_rows(fn, [v for _, v in args])
+                    except (Overflow, IterCountExceeded):
+                        continue
                     if self._keep(vector):
                         level.append((Call(fn.name, tuple(t for t, _ in args)), vector))
                         yield level[-1]
@@ -430,8 +438,11 @@ class _Enumerator:
                     if max(counts) > iter_cap:
                         continue  # over the cap on some input, whatever the seed
                     for seed, seed_values in seeds:
-                        vector = self._iter(fn, section.open_slot, fillers, counts,
-                                            seed_values)
+                        try:
+                            vector = iterate_rows(fn, section.open_slot, fillers, counts,
+                                                  seed_values)
+                        except (Overflow, IterCountExceeded):
+                            continue
                         if self._keep(vector):
                             level.append((Iter(section, count, seed), vector))
                             yield level[-1]
@@ -443,19 +454,6 @@ class _Enumerator:
             for _ in self.grow(s):
                 pass
         return [term for term, _ in self.levels[size]]
-
-    def _call(self, fn: LibraryFn, arg_vectors: list[Vector]) -> Optional[Vector]:
-        try:
-            return self.evaluator.apply_rows(fn, arg_vectors)
-        except (Overflow, IterCountExceeded):
-            return None
-
-    def _iter(self, fn: LibraryFn, slot: int, fillers: list[tuple[int, ...]],
-              counts: Vector, seeds: Vector) -> Optional[Vector]:
-        try:
-            return self.evaluator.iterate_rows(fn, slot, fillers, counts, seeds)
-        except (Overflow, IterCountExceeded):
-            return None
 
 
 def synthesize(examples: Sequence[FunctionExample], library: Library,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import NonPositive, ReconstructionMismatch, UnknownConcept
 from .core import (Apply, Concat, ConceptGraph, Description, Hole, Repeat, Template,
@@ -67,12 +66,10 @@ def escape_cost(graph: ConceptGraph) -> float:
     return math.log2(_denominator(graph))
 
 
-def blob_cost(graph: ConceptGraph, length: int, sigma_size: Optional[int] = None) -> float:
+def blob_cost(graph: ConceptGraph, length: int) -> float:
     if length < 1:
         raise ValueError("blob length must be >= 1")
-    if sigma_size is None:
-        sigma_size = len(graph.alphabet)
-    return escape_cost(graph) + gamma_len(length) + length * math.log2(sigma_size)
+    return escape_cost(graph) + gamma_len(length) + length * math.log2(len(graph.alphabet))
 
 
 def description_dl(graph: ConceptGraph, desc: Description) -> float:

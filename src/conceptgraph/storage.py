@@ -12,21 +12,22 @@ config exactly the fields of `Config`: anything else is a `CorruptFile`,
 since its resave would differ.  A file of any version but cg2 is a
 `VersionMismatch`.
 
-Loading checks each concept with the rule that `add` uses
-(`ConceptGraph._validate`, through `rebuild_derived`; the leading primitives
-and affect primitives must equal the ones `ConceptGraph` makes, which are
-validated once): references point at older concepts of a fitting kind, so
-a loaded graph has no dangling reference and no cycle.  Each stored level
-is reconstructed, so its nodes keep `core`'s node rule, and must spell what
-its chain's level 0 spells, as `refine` promises.  Any violation is a
-`CorruptFile`, as is a file that is not UTF-8 JSON, a section of the wrong
-JSON type, a concept row of an unknown kind or the wrong length, an integer
-field holding anything but a JSON integer, a refinement key that is not an
-episode before the episode counter, a `created_at` outside 0 up to the
-counter (`add` stamps the counter, which only grows), an empty refinement
-chain, a run length below 2, an association pair listed twice or counted
-below 1, or a run member or associated pair member that is not a parseable
-concept (both count description refs).
+Loading reads every concept row and hands the rows to `ConceptGraph`, the
+one path from rows to a graph: they must start with the birth rows (a
+primitive per alphabet symbol, then pleasure and pain), and each is checked
+once with the rule that `add` uses (`ConceptGraph._validate`, through
+`rebuild_derived`): references point at older concepts of a fitting kind,
+so a loaded graph has no dangling reference and no cycle.  Each stored
+level is reconstructed, so its nodes keep `core`'s node rule, and must
+spell what its chain's level 0 spells, as `refine` promises.  Any violation
+is a `CorruptFile`, as is a file that is not UTF-8 JSON, a section of the
+wrong JSON type, a concept row of an unknown kind or the wrong length, an
+integer field holding anything but a JSON integer, a refinement key that is
+not an episode before the episode counter, a `created_at` outside 0 up to
+the counter (`add` stamps the counter, which only grows), an empty
+refinement chain, a run length below 2, an association pair listed twice or
+counted below 1, or a run member or associated pair member that is not a
+parseable concept (both count description refs).
 
 Teach scripts are line-oriented s-expressions in strict topological order.
 One kind table (`_KINDS`) gives each concept kind's names and typed fields
@@ -68,6 +69,7 @@ from .errors import (
     IoFailure,
     UnresolvedReference,
     VersionMismatch,
+    WrongKind,
 )
 
 FORMAT_VERSION = "cg2"
@@ -246,22 +248,8 @@ def graph_from_json(data) -> ConceptGraph:
             raise CorruptFile(f"extra or missing config fields: {odd}")
         kwargs = {name: _float(config_data[name]) for name in _CONFIG_FLOATS}
         kwargs.update({name: _int(config_data[name]) for name in _CONFIG_INTS})
-        graph = ConceptGraph(tuple(_list(data["alphabet"])), Config(**kwargs))
-
-        # the file repeats the initial concepts, which `ConceptGraph` made and validated
-        concepts, rows = graph.concepts, _list(data["concepts"])
-        initial = len(concepts)
-        if len(rows) < initial:
-            raise CorruptFile("initial concepts do not match the alphabet")
-        for i, row in enumerate(rows):
-            concept = _concept_from_json(i, row)
-            if i >= initial:
-                concepts.append(concept)
-            elif concepts[i].kind == concept.kind:
-                concepts[i] = concept
-            else:
-                raise CorruptFile("initial concepts do not match the alphabet")
-        graph.rebuild_derived()  # the growth rule of `ConceptGraph._validate`; the code mass
+        concepts = [_concept_from_json(i, row) for i, row in enumerate(_list(data["concepts"]))]
+        graph = ConceptGraph(tuple(_list(data["alphabet"])), Config(**kwargs), concepts)
 
         graph.episode = _int(data["episode"])
         if graph.episode < 0:
@@ -407,7 +395,7 @@ def import_teach(graph: ConceptGraph, script: str) -> int:
                 continue
             try:
                 local.append(graph.add(_teach_kind(sexpr.parse_one(raw), read)))
-            except (IndexError, KeyError, ValueError, TypeError) as exc:  # malformed line
+            except (IndexError, KeyError, ValueError, TypeError, WrongKind) as exc:  # malformed line
                 raise CorruptFile(f"bad teach line {raw!r}: {exc}") from exc
         if not local:
             raise CorruptFile("empty teach script")

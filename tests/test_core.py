@@ -50,6 +50,53 @@ def test_initial_graph_contents():
     assert g.concepts[3].kind == AffectPrimitive(-1)
 
 
+def rows_of(g):
+    """Copies of a graph's concept rows, as a load hands them over."""
+    return [Concept(c.id, c.kind, c.weight, c.created_at) for c in g.concepts]
+
+
+def test_a_graph_given_its_own_rows_is_the_same_graph():
+    """One path from rows to a graph: a fresh graph makes the birth rows,
+    a load passes its rows, and both build the same tables."""
+    g = fresh("abc", decay=0.5)
+    x = g.add(Concat((0, 1)))
+    tpl = g.add(Template((SlotRef(2), Hole(0))))
+    g.add(Repeat(x, 3))
+    g.add(Apply(tpl, (x,)))
+    g.add(Association(0, x))
+    g.tick_weights({x})
+    assert vars(ConceptGraph("abc", g.config, rows_of(g))) == vars(g)
+    assert vars(ConceptGraph("abc", None, rows_of(fresh("abc")))) == vars(fresh("abc"))
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda rows: rows.clear(), id="no-rows"),
+    pytest.param(lambda rows: rows.pop(), id="no-pain"),
+    pytest.param(lambda rows: rows.reverse(), id="reversed"),
+    pytest.param(lambda rows: rows.__setitem__(0, Concept(0, Primitive("b"), 1.0, 0)),
+                 id="b-for-a"),
+    pytest.param(lambda rows: rows.__setitem__(2, Concept(2, AffectPrimitive(-1), 1.0, 0)),
+                 id="pain-for-pleasure"),
+    pytest.param(lambda rows: rows.insert(0, Concept(0, Primitive("c"), 1.0, 0)),
+                 id="a-primitive-outside-the-alphabet"),
+])
+def test_rows_that_do_not_start_with_the_birth_rows_are_refused(edit):
+    rows = rows_of(fresh("ab"))
+    edit(rows)
+    with pytest.raises(ValueError, match="initial concepts do not match the alphabet"):
+        ConceptGraph("ab", None, rows)
+
+
+@pytest.mark.parametrize("position, bad_id", [(0, 1), (1, True), (4, 5), (4, 4.0)])
+def test_a_row_whose_id_is_not_its_position_is_refused(position, bad_id):
+    """Rows come from the caller, so a row's id must be its position: else a
+    concept and the row that tables name it by would differ."""
+    rows = rows_of(fresh("ab")) + [Concept(4, Concat((0, 1)), 1.0, 0)]
+    rows[position].id = bad_id
+    with pytest.raises(ValueError, match=f"position {position} "):
+        ConceptGraph("ab", None, rows)
+
+
 def test_alphabet_must_be_unique_and_nonempty():
     with pytest.raises(ValueError):
         ConceptGraph("")
@@ -260,6 +307,13 @@ def test_match_emotion_wildcard_and_exact():
     ))
     desc = (0, ("b",))
     assert match_emotion(desc, [template], {}) == [("pair", (0, 2))]
+
+
+def test_an_exact_constraint_names_an_int_id_not_a_bool():
+    """`True == 1`, so a bool id would match concept 1."""
+    template = EmotionTemplate("x", (SlotConstraint(kind="exact", concept=True),))
+    with pytest.raises(MalformedTemplate, match="'x'"):
+        match_emotion((1,), [template], {})
 
 
 def test_match_emotion_blob_meets_only_wildcards():

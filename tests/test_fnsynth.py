@@ -85,6 +85,31 @@ def test_eval_checks_the_whole_term_first_in_field_order():
         eval_term(Call("add", (Iter(SUCC, Var(0), Const(0)), Call("nope", ()))), (101,), lib)
 
 
+@pytest.mark.parametrize("term", [Const("x"), Const(7), Const(True), Const(1.0), Var(True),
+                                  Var(0.0), Iter(Section("succ", False, ()), Var(0), Var(0))],
+                         ids=repr)
+def test_the_term_check_takes_int_leaves_only(term):
+    """A constant is the int 0 or 1, a variable index or open slot an int:
+    unchecked, `Const("x")` evaluated to 'x' and `Var(True)` read input 1."""
+    lib = Library.initial()
+    with pytest.raises(MalformedTerm):
+        eval_term(term, (3, 4), lib)
+    with pytest.raises(MalformedTerm):
+        lib.define("f", 2, term)
+    assert library_to_lines(lib) == ["(builtin succ 1)"]
+
+
+@pytest.mark.parametrize("arity", [1.5, True, 1.0, "1"], ids=repr)
+def test_a_library_entry_has_an_int_arity(arity):
+    """Unchecked, `define("f", 1.5, ...)` printed `(def f 1.5 (var 0))`."""
+    lib = Library.initial()
+    with pytest.raises(MalformedTerm):
+        lib.define("f", arity, Var(0))
+    with pytest.raises(MalformedTerm):
+        Library([LibraryFn("succ", arity, None)])
+    assert library_to_lines(lib) == ["(builtin succ 1)"]
+
+
 def test_term_size_counts_section_fillers():
     assert term_size(Iter(SUCC, Var(0), Var(1))) == 4
     assert term_size(Call("succ", (Call("succ", (Call("succ", (Var(0),)),)),))) == 4

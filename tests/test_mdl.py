@@ -67,9 +67,9 @@ def test_ref_cost_decreases_with_weight():
 
 
 def test_blob_cost_formula_and_monotonicity():
+    assert blob_cost(ConceptGraph("ab"), 2) == pytest.approx(math.log2(5) + 3 + 2)  # W = N = 2
     g = ConceptGraph("a")  # W = 1, N = 1
-    assert blob_cost(g, 2, sigma_size=2) == pytest.approx(math.log2(3) + 3 + 2)
-    assert blob_cost(g, 1, sigma_size=1) == pytest.approx(escape_cost(g) + 1)
+    assert blob_cost(g, 1) == pytest.approx(escape_cost(g) + 1)
     for length in range(1, 8):
         assert blob_cost(g, 2 * length) > blob_cost(g, length)
 

@@ -113,3 +113,14 @@ def test_every_imported_name_is_used(module):
     """A dead import can hide a real dependency change from the layering
     table above, so each module reads every name it imports."""
     assert sorted(unused_imports(module)) == []
+
+
+def test_integer_checks_use_type_is_int():
+    """A bool is an int, so `isinstance(x, int)` takes True for 1: the
+    package checks an integer with `type(x) is int`."""
+    sites = [f"{module}:{node.lineno}" for module in sorted(MODULES | {"__init__"})
+             for node in ast.walk(module_tree(module))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+             and len(node.args) == 2
+             and any(getattr(name, "id", None) == "int" for name in ast.walk(node.args[1]))]
+    assert sites == []

@@ -39,6 +39,7 @@ from conceptgraph.errors import (
     VersionMismatch,
 )
 from conceptgraph.inducer import ingest, parse, reconstruct
+from conceptgraph.mdl import ref_cost
 from conceptgraph.storage import (
     dot_text,
     dumps,
@@ -853,3 +854,72 @@ def test_teach_script_fuzz_imports_or_leaves_the_graph_unchanged(data):
 def test_teach_malformed_line_is_corrupt_file(script):
     with pytest.raises(CorruptFile):
         import_teach(ConceptGraph("ab"), script)
+
+
+def small_graph():
+    """A graph of every kind over "ab": ids 0-3 the birth rows, then a concat,
+    a template, an apply, a marker and an association."""
+    g = ConceptGraph("ab")
+    ab = g.add(Concat((0, 1)))
+    tpl = g.add(Template((SlotRef(0), Hole(0))))
+    g.add(Apply(tpl, (ab,)))
+    g.add(Marker("m"))
+    g.add(Association(0, ab))
+    return g
+
+
+ID_CALLS = {
+    "concept": lambda g, cid: g.concept(cid),
+    "is_parseable": lambda g, cid: g.is_parseable(cid),
+    "is_codeable": lambda g, cid: g.is_codeable(cid),
+    "expansion": lambda g, cid: g.expansion(cid),
+    "reference_edges": lambda g, cid: g.reference_edges(cid),
+    "set_weight": lambda g, cid: g.set_weight(cid, 2.0),
+    "tick_weights": lambda g, cid: g.tick_weights([cid]),
+    "export_teach": export_teach,
+    "ref_cost": ref_cost,
+}
+
+
+@pytest.mark.parametrize("cid", [True, 1.0, [1], "1"], ids=repr)
+@pytest.mark.parametrize("call", sorted(ID_CALLS))
+def test_a_non_int_concept_id_is_unknown(call, cid):
+    """`True == 1.0 == 1`, so without a type check these would name concept
+    1; a list or a string is no id either."""
+    g = small_graph()
+    text = dumps(g)
+    with pytest.raises(UnknownConcept):
+        ID_CALLS[call](g, cid)
+    assert dumps(g) == text
+
+
+_IDS = st.integers(-1, 10)
+_ATOMS = st.one_of(_IDS, st.booleans(), st.floats(-1, 10), st.text("abm", max_size=2))
+_SLOTS = st.one_of(st.builds(Hole, _IDS), st.builds(SlotRef, _IDS), st.builds(Hole, _ATOMS),
+                   st.builds(SlotRef, _ATOMS), _ATOMS)
+_FIELDS = st.one_of(_ATOMS, st.lists(_IDS, max_size=3).map(tuple),
+                    st.lists(_SLOTS, max_size=3).map(tuple), st.lists(_SLOTS, max_size=3))
+# a kind with fields of every shape, or now and then a bare field (no kind)
+_DRAWN_KINDS = st.sampled_from([*KIND_CLASSES.values(), None]).flatmap(
+    lambda cls: _FIELDS if cls is None else st.builds(cls, *[_FIELDS] * len(fields(cls))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_DRAWN_KINDS, min_size=1, max_size=4))
+def test_add_takes_only_kinds_that_save_and_load(kinds):
+    """`add` refuses, with a `GraphError` and no change, every kind whose
+    file its loader would refuse: a bool or float reference, count, sign or
+    hole index, a non-string label, a list field or a non-kind.  Whatever
+    it takes saves a file that loads back to the same bytes."""
+    g = small_graph()
+    for kind in kinds:
+        before = dumps(g)
+        try:
+            g.add(kind)
+        except GraphError as exc:
+            event(type(exc).__name__)
+            assert dumps(g) == before
+            continue
+        event("taken")
+        text = dumps(g)
+        assert dumps(graph_from_json(json.loads(text))) == text
