@@ -14,7 +14,10 @@ equivalence).  A call's vector is computed from its argument vectors and an
 iteration's from its count, seed and filler vectors, so no subterm is
 evaluated twice.  Terms that overflow or exceed the iteration cap on any
 example are dropped as well, and the search stops at the first kept term
-whose vector equals the example outputs.  Pruning keeps the canonical
+whose vector equals the example outputs.  The last size is searched
+rather than built: no later size reads its terms, so it needs neither the
+record of seen vectors nor full vectors, and a candidate there is dropped
+at its first row that misses the outputs.  Pruning keeps the canonical
 answer: the pruned order is a subsequence of the full order, and evaluation
 is strict and compositional, so a first consistent term with a pruned
 subterm would give an earlier consistent term by swapping in the earlier
@@ -34,10 +37,12 @@ compiled once, when it joins the library, into a closure that calls its
 callees through the evaluator, so the caps and memos hold for it as for
 any call; a body runs only when the call memo misses.  The compile is also
 the one check of a term: int variable indices in range, constants the int
-0 or 1, and callees earlier in the library, each with its int arity.  The
-enumerator computes a whole value vector per candidate with the evaluator's
-row kernels, which read call-memo and orbit hits inline and hand every
-other row to the one-row `apply` or `iterate`.
+0 or 1, and callees named by `str` and earlier in the library, each with
+a tuple of its int arity in arguments.  The enumerator computes a value
+vector per candidate with the evaluator's row kernels, which read
+call-memo and orbit hits inline and hand every other row to the one-row
+`apply` or `iterate`; given a target vector, they stop at the first row
+that differs from it.
 """
 
 from __future__ import annotations
@@ -122,10 +127,11 @@ def _compile(term: Term, arity: int, known: dict[str, LibraryFn]) -> Callable:
     """The closure `(evaluator, inputs) -> int` that evaluates `term` on
     `arity` inputs, built in the one walk that checks it: MalformedTerm
     unless the term reads only int variables below `arity` and the int
-    constants 0 and 1, and calls only `known` functions, each with its
-    arity and an int open slot in range.  A node is checked before its
-    subterms, which are compiled in field order (an iteration's fillers,
-    then count, then seed).
+    constants 0 and 1, and calls only `known` functions by their `str`
+    names, each with a tuple of its arity in arguments or fillers and an
+    int open slot in range.  A node is checked before its subterms, which
+    are compiled in field order (an iteration's fillers, then count, then
+    seed).
 
     The closure evaluates an iteration's count, then seed, then fillers,
     and makes every call through the evaluator's `apply` and `iterate`, so
@@ -143,16 +149,18 @@ def _compile(term: Term, arity: int, known: dict[str, LibraryFn]) -> Callable:
             raise MalformedTerm(f"constant {value!r} is not 0 or 1")
         return lambda ev, inputs: value
     if isinstance(term, Call):
-        fn = known.get(term.fn)
-        if fn is None or fn.arity != len(term.args):
-            raise MalformedTerm(f"call to {term.fn!r} with {len(term.args)} args "
-                                "does not match an earlier library entry")
+        fn = known.get(term.fn) if type(term.fn) is str else None
+        if fn is None or type(term.args) is not tuple or fn.arity != len(term.args):
+            raise MalformedTerm(f"call to {term.fn!r} with args {term.args!r} does not "
+                                "match an earlier library entry")
         args = [_compile(a, arity, known) for a in term.args]
         return lambda ev, inputs: ev.apply(fn, tuple([a(ev, inputs) for a in args]))
     if isinstance(term, Iter):
         section = term.section
-        fn, slot = known.get(section.fn), section.open_slot
-        if (fn is None or len(section.fillers) != fn.arity - 1 or type(slot) is not int
+        fn = known.get(section.fn) if type(section.fn) is str else None
+        slot = section.open_slot
+        if (fn is None or type(section.fillers) is not tuple
+                or len(section.fillers) != fn.arity - 1 or type(slot) is not int
                 or not 0 <= slot < fn.arity):
             raise MalformedTerm(f"section of {section.fn!r} does not fit an earlier "
                                 "library entry")
@@ -229,7 +237,9 @@ class _Evaluator:
     only when the memo misses.  `apply_rows` and `iterate_rows` give a
     whole value vector at once: they read memo and orbit hits inline and
     fall back to the one-row calls otherwise, so they return what those
-    calls would, row by row, or raise what they would raise first."""
+    calls would, row by row, or raise what they would raise first.  Given
+    a target vector, they run the rows in order only up to the first whose
+    value differs from the target's, and return None there."""
 
     def __init__(self, library: Library, iter_cap: int, value_cap: int):
         self.library = library
@@ -253,16 +263,26 @@ class _Evaluator:
             raise Overflow(f"value {result} exceeds cap {self.value_cap}")
         return result
 
-    def apply_rows(self, fn: LibraryFn, arg_vectors: Sequence[Vector]) -> Vector:
-        """`apply(fn, row)` for each row of `zip(*arg_vectors)`, as a vector."""
-        cap = self.value_cap
+    def apply_rows(self, fn: LibraryFn, arg_vectors: Sequence[Vector],
+                   target: Optional[Vector]) -> Optional[Vector]:
+        """`apply(fn, row)` for each row of `zip(*arg_vectors)`, as a vector;
+        with a `target`, the target when every row's value equals it, else
+        None, running the rows only up to the first that differs."""
+        get, name, apply, cap = self.memo.get, fn.name, self.apply, self.value_cap
+        # a miss (every builtin row), or a hit above the cap (which must
+        # raise), goes through `apply`
+        if target is not None:
+            for values, want in zip(zip(*arg_vectors), target):
+                if (result := get((name, values))) is None or result > cap:
+                    result = apply(fn, values)
+                if result != want:
+                    return None
+            return target
         if fn.definition is None:
-            out = tuple(map(_BUILTINS[fn.name][1], *arg_vectors))
+            out = tuple(map(_BUILTINS[name][1], *arg_vectors))
             if max(out) > cap:
                 raise Overflow(f"value {max(out)} exceeds cap {cap}")
             return out
-        get, name, apply = self.memo.get, fn.name, self.apply
-        # a miss, or a hit above the cap (which must raise), goes through `apply`
         return tuple([result if (result := get((name, values))) is not None and result <= cap
                       else apply(fn, values) for values in zip(*arg_vectors)])
 
@@ -307,12 +327,22 @@ class _Evaluator:
         return value
 
     def iterate_rows(self, fn: LibraryFn, slot: int, fillers: Sequence[tuple[int, ...]],
-                     counts: Vector, seeds: Vector) -> Vector:
+                     counts: Vector, seeds: Vector, target: Optional[Vector]
+                     ) -> Optional[Vector]:
         """`iterate(fn, slot, f, c, s)` for each row of `zip(fillers, counts,
-        seeds)`, as a vector.  A count inside a kept orbit reads it; every
-        other row (a count of zero or less, past the orbit or over the cap)
-        goes through `iterate`."""
+        seeds)`, as a vector, or with a `target` as `apply_rows` has it.  A
+        count inside a kept orbit reads it; every other row (a count of zero
+        or less, past the orbit or over the cap) goes through `iterate`."""
         get, name, iterate = self.orbits.get, fn.name, self.iterate
+        if target is not None:
+            for f, c, s, want in zip(fillers, counts, seeds, target):
+                if (orbit := get((name, slot, f, s))) and 0 < c < len(orbit):
+                    value = orbit[c]
+                else:
+                    value = iterate(fn, slot, f, c, s)
+                if value != want:
+                    return None
+            return target
         return tuple([orbit[c] if (orbit := get((name, slot, f, s))) and 0 < c < len(orbit)
                       else iterate(fn, slot, f, c, s)
                       for f, c, s in zip(fillers, counts, seeds)])
@@ -391,6 +421,17 @@ class _Enumerator:
     A candidate's vector comes from one row-kernel call on its subterms'
     vectors (`apply_rows` for a call, `iterate_rows` for an iteration); a
     candidate that fails on any row raises there and is dropped.
+
+    A level is kept only so that larger sizes can draw subterms from it,
+    and no size follows the last one the search reaches.  So the last size
+    is searched for the target instead of built: a candidate's rows run in
+    order and stop at the first that differs from the target or raises,
+    and nothing is recorded in `seen` or `levels`.  That yields the same
+    first match in the same candidate order: the target is in no smaller
+    level (the search would have stopped there), so the first candidate of
+    the last size whose vector is the target is also the first kept one,
+    and skipping rows changes only which memo entries are filled, since
+    evaluation is pure.
     """
 
     def __init__(self, evaluator: _Evaluator, inputs: Sequence[tuple[int, ...]]):
@@ -399,23 +440,32 @@ class _Enumerator:
         leaves = [(Var(i), tuple(row[i] for row in inputs)) for i in range(len(inputs[0]))]
         leaves += [(Const(c), (c,) * len(inputs)) for c in (0, 1)]
         self.levels: dict[int, list[tuple[Term, Vector]]] = {
-            1: [leaf for leaf in leaves if self._keep(leaf[1])]}
+            1: [leaf for leaf in leaves if self._keep(leaf[1], None)]}
 
-    def _keep(self, vector: Vector) -> bool:
+    def _keep(self, vector: Optional[Vector], target: Optional[Vector]) -> bool:
+        """Whether a candidate with this kernel result is yielded.  Without a
+        target it is when its vector is new, which is then recorded; with
+        one it is when the kernel matched (its result is not None)."""
+        if target is not None:
+            return vector is not None
         if vector in self.seen:
             return False
         self.seen.add(vector)
         return True
 
-    def grow(self, size: int) -> Iterator[tuple[Term, Vector]]:
-        """Yield the kept (term, vector) pairs of `size`, in order.
+    def grow(self, size: int, target: Optional[Vector]) -> Iterator[tuple[Term, Vector]]:
+        """Yield the kept (term, vector) pairs of `size`, in order, or with a
+        `target` only the candidates whose vector is the target.
 
         The level is built on first use from the complete smaller levels.
-        A caller that stops early must drop the enumerator, since the
-        vectors seen so far are already recorded.
+        A target search stores and records nothing, and its first yield is
+        the first kept term with that vector when the caller has searched
+        every smaller size for it.  A caller that stops a build early must
+        drop the enumerator, since the vectors seen so far are already
+        recorded.
         """
         if size in self.levels:
-            yield from self.levels[size]
+            yield from (pair for pair in self.levels[size] if target is None or pair[1] == target)
             return
         level: list[tuple[Term, Vector]] = []
         apply_rows, iterate_rows = self.evaluator.apply_rows, self.evaluator.iterate_rows
@@ -423,10 +473,10 @@ class _Enumerator:
             for shape in _compositions(size - 1, fn.arity):
                 for args in itertools.product(*(self.levels[s] for s in shape)):
                     try:
-                        vector = apply_rows(fn, [v for _, v in args])
+                        vector = apply_rows(fn, [v for _, v in args], target)
                     except (Overflow, IterCountExceeded):
                         continue
-                    if self._keep(vector):
+                    if self._keep(vector, target):
                         level.append((Call(fn.name, tuple(t for t, _ in args)), vector))
                         yield level[-1]
         iter_cap = self.evaluator.iter_cap
@@ -440,20 +490,29 @@ class _Enumerator:
                     for seed, seed_values in seeds:
                         try:
                             vector = iterate_rows(fn, section.open_slot, fillers, counts,
-                                                  seed_values)
+                                                  seed_values, target)
                         except (Overflow, IterCountExceeded):
                             continue
-                        if self._keep(vector):
+                        if self._keep(vector, target):
                             level.append((Iter(section, count, seed), vector))
                             yield level[-1]
-        self.levels[size] = level
+        if target is None:
+            self.levels[size] = level
 
     def terms_of(self, size: int) -> list[Term]:
         """The kept terms of `size`, building every level below it first."""
         for s in range(2, size + 1):
-            for _ in self.grow(s):
+            for _ in self.grow(s, None):
                 pass
         return [term for term, _ in self.levels[size]]
+
+
+def _check_caps(size_cap: int, iter_cap: int, value_cap: int) -> None:
+    """ValueError unless every cap is an `int` (a bool is not)."""
+    for name, cap in (("size_cap", size_cap), ("iter_cap", iter_cap),
+                      ("value_cap", value_cap)):
+        if type(cap) is not int:
+            raise ValueError(f"{name} must be an int, not {cap!r}")
 
 
 def synthesize(examples: Sequence[FunctionExample], library: Library,
@@ -464,9 +523,10 @@ def synthesize(examples: Sequence[FunctionExample], library: Library,
 
     Overflow and iteration-cap breaches count as inconsistency, not errors.
     The search stops at the first kept term whose vector equals the outputs.
-    An input or output that is not an `int` (a float, a bool, a string) is
-    a ValueError.
+    An input, output or cap that is not an `int` (a float, a bool, a
+    string) is a ValueError; a `size_cap` below 1 finds nothing.
     """
+    _check_caps(size_cap, iter_cap, value_cap)
     if not examples:
         raise ArityMismatch("need at least one example")
     arity = len(examples[0].inputs)
@@ -478,7 +538,7 @@ def synthesize(examples: Sequence[FunctionExample], library: Library,
     enum = _Enumerator(_Evaluator(library, iter_cap, value_cap),
                        [ex.inputs for ex in examples])
     for size in range(1, size_cap + 1):
-        for term, vector in enum.grow(size):
+        for term, vector in enum.grow(size, target if size == size_cap else None):
             if vector == target:
                 return term
     return None
@@ -494,8 +554,9 @@ def learn_all(example_sets: Sequence[tuple[str, Sequence[FunctionExample]]],
     the same pass can already build on it.  A label is only re-attempted
     after the library has grown (the search is deterministic, so an
     unchanged library would repeat the same failure).  A label given twice
-    is a ValueError, raised before any search.
+    or a cap that is not an `int` is a ValueError, raised before any search.
     """
+    _check_caps(size_cap, iter_cap, value_cap)
     library = Library.initial()
     labels = [label for label, _ in example_sets]
     for i, label in enumerate(labels):

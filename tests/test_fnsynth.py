@@ -86,11 +86,16 @@ def test_eval_checks_the_whole_term_first_in_field_order():
 
 
 @pytest.mark.parametrize("term", [Const("x"), Const(7), Const(True), Const(1.0), Var(True),
-                                  Var(0.0), Iter(Section("succ", False, ()), Var(0), Var(0))],
+                                  Var(0.0), Iter(Section("succ", False, ()), Var(0), Var(0)),
+                                  Call(["succ"], (Var(0),)), Call("succ", [Var(0)]),
+                                  Iter(Section(["succ"], 0, ()), Var(0), Var(0)),
+                                  Iter(Section("succ", 0, []), Var(0), Var(1))],
                          ids=repr)
 def test_the_term_check_takes_int_leaves_only(term):
-    """A constant is the int 0 or 1, a variable index or open slot an int:
-    unchecked, `Const("x")` evaluated to 'x' and `Var(True)` read input 1."""
+    """A constant is the int 0 or 1, a variable index or open slot an int,
+    a callee's name a str and its arguments or fillers a tuple: unchecked,
+    `Const("x")` evaluated to 'x', `Var(True)` read input 1, `Call("succ",
+    [Var(0)])` gave 4 and a name in a list raised a bare TypeError."""
     lib = Library.initial()
     with pytest.raises(MalformedTerm):
         eval_term(term, (3, 4), lib)
@@ -138,11 +143,26 @@ def test_synthesize_green_unlearnable_without_red():
 
 
 def test_synthesize_input_validation():
+    """Bad examples and caps that are not ints (a bool is not) are refused;
+    unchecked, `size_cap=7.5` and `value_cap=None` raised a bare TypeError,
+    `iter_cap="x"` was taken and `value_cap=2.5` ran.  `learn_all` refuses a
+    cap before any search, so even with nothing to learn.  An int cap keeps
+    its meaning: a `size_cap` below 1 finds nothing."""
     with pytest.raises(ArityMismatch):
         synthesize([], Library.initial())
     mixed = [FunctionExample("f", (1,), 2), FunctionExample("f", (1, 2), 3)]
     with pytest.raises(ArityMismatch):
         synthesize(mixed, Library.initial())
+    for caps in [{"size_cap": 7.5}, {"size_cap": True}, {"size_cap": None}, {"iter_cap": "x"},
+                 {"iter_cap": 100.0}, {"value_cap": None}, {"value_cap": 2.5},
+                 {"value_cap": False}]:
+        for search in (lambda: synthesize(RED, Library.initial(), **caps),
+                       lambda: learn_all([("red", RED)], **caps), lambda: learn_all([], **caps)):
+            with pytest.raises(ValueError, match="must be an int"):
+                search()
+    for size_cap in (0, -3):
+        assert synthesize(RED, Library.initial(), size_cap=size_cap) is None
+        assert learn_all([("red", RED)], size_cap=size_cap)[1] == ["red"]
 
 
 @pytest.mark.parametrize("inputs, output", [
@@ -232,10 +252,12 @@ def _naive_terms(lib_name, arity):
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), lib_name=st.sampled_from(sorted(LIBRARIES)),
-       arity=st.integers(1, 2), iter_cap=st.integers(0, 6),
+       arity=st.integers(1, 2), size_cap=st.integers(1, 5), iter_cap=st.integers(0, 6),
        value_cap=st.integers(1, 12))
-def test_synthesize_returns_first_naive_term(data, lib_name, arity, iter_cap, value_cap):
-    # tight caps make overflow and the iteration cap prune terms
+def test_synthesize_returns_first_naive_term(data, lib_name, arity, size_cap, iter_cap,
+                                             value_cap):
+    # tight caps make overflow and the iteration cap prune terms; every size
+    # cap puts the searched (not built) last level at another size
     lib = LIBRARIES[lib_name]
     rows = data.draw(st.lists(st.tuples(st.tuples(*[st.integers(0, 4)] * arity),
                                         st.integers(0, 6)), min_size=1, max_size=3))
@@ -248,9 +270,37 @@ def test_synthesize_returns_first_naive_term(data, lib_name, arity, iter_cap, va
         except (Overflow, IterCountExceeded):
             return False
 
-    naive_first = next((t for t in _naive_terms(lib_name, arity) if consistent(t)), None)
-    assert synthesize(examples, lib, size_cap=5, iter_cap=iter_cap,
+    naive = itertools.takewhile(lambda t: term_size(t) <= size_cap, _naive_terms(lib_name, arity))
+    naive_first = next((t for t in naive if consistent(t)), None)
+    assert synthesize(examples, lib, size_cap=size_cap, iter_cap=iter_cap,
                       value_cap=value_cap) == naive_first
+
+
+@pytest.mark.parametrize("lib_name, rows, caps, skipped, found", [
+    # the seed y passes a count of zero on the second row unchecked, as
+    # nothing else can give 6 under the value cap
+    ("initial", [((0, 0, 1), 1), ((5, 6, 0), 6)], {"value_cap": 5},
+     Iter(SUCC, Var(0), Const(1)), Iter(SUCC, Var(2), Var(1))),
+    ("add", [((1, 0), 1), ((7, 2), 9)], {"iter_cap": 5},
+     Call("add", (Var(0), Var(1))), Call("add", (Var(1), Var(0))))],
+    ids=["overflow", "iteration cap"])
+@pytest.mark.parametrize("last", [True, False], ids=["searched", "built"])
+def test_a_candidate_that_fails_after_matching_rows_is_skipped(lib_name, rows, caps, skipped,
+                                                               found, last):
+    """`skipped` comes before `found` in the order, with its size, and
+    matches the target on the first row but overflows or exceeds the
+    iteration cap on the second, so the search passes over it, both when
+    that size is the last (searched row by row) and when it is built."""
+    lib = LIBRARIES[lib_name]
+    (first_inputs, first_output), (second_inputs, _) = rows
+    assert eval_term(skipped, first_inputs, lib, **caps) == first_output
+    with pytest.raises((Overflow, IterCountExceeded)):
+        eval_term(skipped, second_inputs, lib, **caps)
+    size = term_size(found)
+    order = list(naive_enumerate(lib, len(first_inputs), size))
+    assert term_size(skipped) == size and order.index(skipped) < order.index(found)
+    examples = [FunctionExample("f", inputs, output) for inputs, output in rows]
+    assert synthesize(examples, lib, size_cap=size if last else size + 1, **caps) == found
 
 
 def test_succ_only_terms_are_affine_sums():
@@ -505,11 +555,14 @@ ROW_LIBRARY = _row_library()
        n_rows=st.integers(1, 4))
 def test_row_kernels_agree_with_a_per_row_reference(data, iter_cap, value_cap, n_rows):
     """`apply_rows` and `iterate_rows` give the reference's value per row, or
-    raise the type of the first row that fails.  On one shared evaluator,
-    some rows first go through `apply`, or `iterate` with another count,
-    and each kernel call runs twice, so later calls meet memo results above
-    the cap, counts of zero or less or over the cap on a kept orbit, and
-    orbits whose next step failed before."""
+    raise the type of the first row that fails.  Given a target, they run
+    the rows in order up to the first that fails, and raise there, or that
+    differs from the target, and give None there; else the target.  The
+    targets drawn differ from the values from some row on, or nowhere.  On
+    one shared evaluator, some rows first go through `apply`, or `iterate`
+    with another count, and each kernel call runs twice, so later calls meet
+    memo results above the cap, counts of zero or less or over the cap on a
+    kept orbit, and orbits whose next step failed before."""
     lib = ROW_LIBRARY
     shared = _Evaluator(lib, iter_cap, value_cap)
     vector = st.lists(INPUT, min_size=n_rows, max_size=n_rows).map(tuple)
@@ -529,10 +582,10 @@ def test_row_kernels_agree_with_a_per_row_reference(data, iter_cap, value_cap, n
                     assert _outcome(lambda: shared.apply(fn, row)) == reference(call, row)
             outcomes = [reference(call, row) for row in rows]
 
-            def kernel():
+            def kernel(target):
                 if any(shared.memo.get((fn.name, row), 0) > value_cap for row in rows):
                     event("memo hit above the cap")
-                return shared.apply_rows(fn, arg_vectors)
+                return shared.apply_rows(fn, arg_vectors, target)
         else:
             slot = data.draw(st.integers(0, fn.arity - 1))
             fillers = list(zip(*[data.draw(vector) for _ in leaves])) or [()] * n_rows
@@ -549,7 +602,7 @@ def test_row_kernels_agree_with_a_per_row_reference(data, iter_cap, value_cap, n
             failing = {row[:-2] + row[-1:] for row, outcome in zip(rows, outcomes)
                        if outcome is Overflow}
 
-            def kernel():
+            def kernel(target):
                 for f, c, seed in zip(fillers, counts, seeds):
                     orbit = shared.orbits.get((fn.name, slot, f, seed))
                     if orbit and c <= 0:
@@ -558,10 +611,22 @@ def test_row_kernels_agree_with_a_per_row_reference(data, iter_cap, value_cap, n
                         event("count over the cap on a kept orbit")
                     elif orbit and c >= len(orbit) and (*f, seed) in failing:
                         event("an orbit step that failed before")
-                return shared.iterate_rows(fn, slot, fillers, counts, seeds)
+                return shared.iterate_rows(fn, slot, fillers, counts, seeds, target)
         failed = [outcome for outcome in outcomes if isinstance(outcome, type)]
         for _ in range(2):
-            assert _outcome(kernel) == (failed[0] if failed else tuple(outcomes))
+            assert _outcome(lambda: kernel(None)) == (failed[0] if failed else tuple(outcomes))
+            values = [0 if isinstance(outcome, type) else outcome for outcome in outcomes]
+            cut = data.draw(st.integers(0, n_rows))
+            target = tuple(values[:cut] + [value + 1 for value in values[cut:]])
+            expected = target
+            for outcome, want in zip(outcomes, target):
+                if isinstance(outcome, type):
+                    expected = outcome
+                    break
+                if outcome != want:
+                    expected = None
+                    break
+            assert _outcome(lambda: kernel(target)) == expected
 
 
 def test_iteration_with_a_negative_count_returns_the_seed():
@@ -620,10 +685,11 @@ def test_learned_library_is_pinned(seed, per_fn, caps, digest):
 
 def test_ensemble_search_reuses_its_evaluations(monkeypatch):
     """A work count, not a time: the search of one ensemble unit calls
-    `_Evaluator.apply` at most 30,000 times and `iterate` at most 100,000
-    times (14,192 and 52,585 when the row kernels read memo and orbit hits
-    inline; 147,636 and 121,030 when every row went through the one-row
-    calls, and 1,128,853 applies without the orbit memo)."""
+    `_Evaluator.apply` at most 12,800 times and `iterate` at most 41,500
+    times (11,662 and 37,700 when the last size is searched row by row for
+    the target; 14,192 and 52,585 when it was built in full, as every
+    smaller size is; 147,636 and 121,030 when every row went through the
+    one-row calls, and 1,128,853 applies without the orbit memo)."""
     calls = {"apply": 0, "iterate": 0}
 
     def counted(name):
@@ -638,5 +704,5 @@ def test_ensemble_search_reuses_its_evaluations(monkeypatch):
         monkeypatch.setattr(_Evaluator, name, counted(name))
     _, unsolved = learn_all(gen_fn_ensemble(1000, 32)[0])
     assert unsolved == []
-    assert calls["apply"] <= 30_000
-    assert calls["iterate"] <= 100_000
+    assert calls["apply"] <= 12_800
+    assert calls["iterate"] <= 41_500
