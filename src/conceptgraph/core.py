@@ -172,7 +172,6 @@ class Concept:
     id: int
     kind: Kind
     weight: float
-    created_at: int
 
 
 class ConceptGraph:
@@ -211,7 +210,7 @@ class ConceptGraph:
         self.pleasure_id, self.pain_id = len(self.alphabet), len(self.alphabet) + 1
         birth = [*map(Primitive, self.alphabet), AffectPrimitive(PLEASURE), AffectPrimitive(PAIN)]
         if concepts is None:
-            concepts = [Concept(cid, kind, 1.0, 0) for cid, kind in enumerate(birth)]
+            concepts = [Concept(cid, kind, 1.0) for cid, kind in enumerate(birth)]
         elif [c.kind for c in concepts[:len(birth)]] != birth:
             raise ValueError("initial concepts do not match the alphabet")
         self.concepts: list[Concept] = list(concepts)
@@ -388,7 +387,7 @@ class ConceptGraph:
         self._validate(kind, cid)
         if isinstance(kind, _PARSEABLE):
             self._expansions[cid] = self._expand(kind)
-        self.concepts.append(Concept(id=cid, kind=kind, weight=1.0, created_at=self.episode))
+        self.concepts.append(Concept(id=cid, kind=kind, weight=1.0))
         self._dedup[kind] = cid
         if isinstance(kind, _CODEABLE):
             self._codeable_count += 1

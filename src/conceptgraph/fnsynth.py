@@ -128,10 +128,10 @@ def _compile(term: Term, arity: int, known: dict[str, LibraryFn]) -> Callable:
     `arity` inputs, built in the one walk that checks it: MalformedTerm
     unless the term reads only int variables below `arity` and the int
     constants 0 and 1, and calls only `known` functions by their `str`
-    names, each with a tuple of its arity in arguments or fillers and an
-    int open slot in range.  A node is checked before its subterms, which
-    are compiled in field order (an iteration's fillers, then count, then
-    seed).
+    names, each with a tuple of its arity in arguments or fillers, and an
+    iteration through a `Section` with an int open slot in range.  A node is
+    checked before its subterms, which are compiled in field order (an
+    iteration's fillers, then count, then seed).
 
     The closure evaluates an iteration's count, then seed, then fillers,
     and makes every call through the evaluator's `apply` and `iterate`, so
@@ -155,7 +155,7 @@ def _compile(term: Term, arity: int, known: dict[str, LibraryFn]) -> Callable:
                                 "match an earlier library entry")
         args = [_compile(a, arity, known) for a in term.args]
         return lambda ev, inputs: ev.apply(fn, tuple([a(ev, inputs) for a in args]))
-    if isinstance(term, Iter):
+    if isinstance(term, Iter) and isinstance(term.section, Section):
         section = term.section
         fn = known.get(section.fn) if type(section.fn) is str else None
         slot = section.open_slot
@@ -351,11 +351,12 @@ class _Evaluator:
 def eval_term(term: Term, inputs: Sequence[int], library: Library,
               iter_cap: int = DEFAULT_ITER_CAP,
               value_cap: int = DEFAULT_VALUE_CAP) -> int:
-    """Evaluate a term on integer inputs (else ValueError); raises MalformedTerm
-    (before any evaluation), Overflow or IterCountExceeded."""
+    """Evaluate a term on integer inputs with int caps (else ValueError);
+    raises MalformedTerm (before any evaluation), Overflow or IterCountExceeded."""
     inputs = tuple(inputs)
     if any(type(v) is not int for v in inputs):
         raise ValueError("inputs must be integers")
+    _check_caps(iter_cap=iter_cap, value_cap=value_cap)
     return _Evaluator(library, iter_cap, value_cap).eval(term, inputs)
 
 
@@ -507,10 +508,9 @@ class _Enumerator:
         return [term for term, _ in self.levels[size]]
 
 
-def _check_caps(size_cap: int, iter_cap: int, value_cap: int) -> None:
+def _check_caps(**caps: int) -> None:
     """ValueError unless every cap is an `int` (a bool is not)."""
-    for name, cap in (("size_cap", size_cap), ("iter_cap", iter_cap),
-                      ("value_cap", value_cap)):
+    for name, cap in caps.items():
         if type(cap) is not int:
             raise ValueError(f"{name} must be an int, not {cap!r}")
 
@@ -526,7 +526,7 @@ def synthesize(examples: Sequence[FunctionExample], library: Library,
     An input, output or cap that is not an `int` (a float, a bool, a
     string) is a ValueError; a `size_cap` below 1 finds nothing.
     """
-    _check_caps(size_cap, iter_cap, value_cap)
+    _check_caps(size_cap=size_cap, iter_cap=iter_cap, value_cap=value_cap)
     if not examples:
         raise ArityMismatch("need at least one example")
     arity = len(examples[0].inputs)
@@ -556,7 +556,7 @@ def learn_all(example_sets: Sequence[tuple[str, Sequence[FunctionExample]]],
     unchanged library would repeat the same failure).  A label given twice
     or a cap that is not an `int` is a ValueError, raised before any search.
     """
-    _check_caps(size_cap, iter_cap, value_cap)
+    _check_caps(size_cap=size_cap, iter_cap=iter_cap, value_cap=value_cap)
     library = Library.initial()
     labels = [label for label, _ in example_sets]
     for i, label in enumerate(labels):

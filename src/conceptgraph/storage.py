@@ -1,16 +1,21 @@
 """Persistence and export formats: graph files, DOT, teach scripts.
 
-Graph files (format cg2) are JSON with sorted keys and 9-decimal fixed float
-formatting, so saving the same graph always produces the same bytes.  Each
-fact is stated once.  A concept is the row `[kind, created_at, weight,
+Graph files (format cg3) are JSON with sorted keys, so saving the same graph
+always produces the same bytes, and loading them gives back that graph
+exactly.  Each fact is stated once.  A concept is the row `[kind, weight,
 *fields]` at the position that is its id, with its fields in dataclass
-order.  A description node is a JSON integer (a concept ref) or a JSON list
-of one or more alphabet tokens (a blob).  The digram counts are not stored:
-they are the association counts of distinct pairs; nor is the follows
-marker's id.  The file holds exactly the sections the saver writes, and its
-config exactly the fields of `Config`: anything else is a `CorruptFile`,
-since its resave would differ.  A file of any version but cg2 is a
-`VersionMismatch`.
+order.  A float (a weight, a float `Config` field, `raw_bits_total`) is a
+JSON float as `json` writes it, in the shortest spelling that `repr` reads
+back to the same float; NaN and infinity make `save` raise before it
+writes.  A description node is a JSON integer (a concept ref) or a JSON
+list of one or more alphabet tokens (a blob).  The digram counts are not
+stored: they are the association counts of distinct pairs; nor is the
+follows marker's id.  The file holds exactly the sections the saver
+writes, its config exactly the fields of `Config`, and each float in
+`repr`'s spelling: anything else ("1.00", "1e0", an int for a float) is a
+`CorruptFile`, since its resave would differ.  Any version but cg3 is a
+`VersionMismatch`; a cg2 file held floats rounded to 9 decimals, so it
+cannot give back the graph that wrote it.
 
 Loading reads every concept row and hands the rows to `ConceptGraph`, the
 one path from rows to a graph: they must start with the birth rows (a
@@ -23,11 +28,10 @@ spell what its chain's level 0 spells, as `refine` promises.  Any violation
 is a `CorruptFile`, as is a file that is not UTF-8 JSON, a section of the
 wrong JSON type, a concept row of an unknown kind or the wrong length, an
 integer field holding anything but a JSON integer, a refinement key that is
-not an episode before the episode counter, a `created_at` outside 0 up to
-the counter (`add` stamps the counter, which only grows), an empty
-refinement chain, a run length below 2, an association pair listed twice or
-counted below 1, or a run member or associated pair member that is not a
-parseable concept (both count description refs).
+not an episode before the episode counter, an empty refinement chain, a run
+length below 2, an association pair listed twice or counted below 1, or a
+run member or associated pair member that is not a parseable concept (both
+count description refs).
 
 Teach scripts are line-oriented s-expressions in strict topological order.
 One kind table (`_KINDS`) gives each concept kind's names and typed fields
@@ -69,10 +73,9 @@ from .errors import (
     IoFailure,
     UnresolvedReference,
     VersionMismatch,
-    WrongKind,
 )
 
-FORMAT_VERSION = "cg2"
+FORMAT_VERSION = "cg3"
 
 _CONFIG_INTS = tuple(f.name for f in fields(Config) if f.type == "int")
 _CONFIG_FLOATS = tuple(f.name for f in fields(Config) if f.type == "float")
@@ -100,12 +103,9 @@ _FIELDS = {cls: tuple(zip([f.name for f in fields(cls)], tags, strict=True))
 _BY_HEAD = {row[1]: cls for cls, row in _KINDS.items()}
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.9f}"
-
-
 def _exact(cls):
-    """Reader of a value of type `cls` exactly: `_int` takes no float, bool or string."""
+    """Reader of a value of type `cls` exactly: `_int` takes no float, bool
+    or string, and `_float` no int, bool or string."""
     def read(value):
         if type(value) is not cls:
             raise CorruptFile(f"expected {cls.__name__}, got {type(value).__name__}")
@@ -113,15 +113,15 @@ def _exact(cls):
     return read
 
 
-_int, _str, _list, _dict = _exact(int), _exact(str), _exact(list), _exact(dict)
+_int, _float, _str, _list, _dict = map(_exact, (int, float, str, list, dict))
 
 
-def _float(value) -> float:
-    """A float field, which the saver writes only as `_fmt`'s string: a JSON
-    number or bool, or any other spelling of the value ("1_0", " 2.5 ",
-    "1e0", "1.0"), is refused, since its resave would differ."""
-    if _fmt(number := float(_str(value))) != value:
-        raise CorruptFile(f"float {value!r} is not written as the saver writes it")
+def _parse_float(text: str) -> float:
+    """`load`'s reader of a JSON float: only the spelling `repr` gives, which
+    is what `json.dumps` writes, since another ("1.00", "1e0") resaves
+    differently."""
+    if repr(number := float(text)) != text:
+        raise CorruptFile(f"float {text} is not written as the saver writes it")
     return number
 
 
@@ -157,7 +157,7 @@ def _writers(ref) -> dict:
 # tuple as an array.
 _FROM_JSON = _readers(_int, _int)
 _TO_JSON = {**_writers(int), **dict.fromkeys((REF, REFS, INT, STR), lambda v: v)}
-# A concept row is [kind, created_at, weight, *fields]: by kind name, the
+# A concept row is [kind, weight, *fields]: by kind name, the
 # class and its field readers; by class, the kind name and its field writers.
 _ROW_READERS = {_KINDS[cls][0]: (cls, tuple(_FROM_JSON[tag] for _, tag in named))
                 for cls, named in _FIELDS.items()}
@@ -168,12 +168,11 @@ _ROW_WRITERS = {cls: (_KINDS[cls][0], tuple((name, _TO_JSON[tag]) for name, tag 
 def _concept_to_json(concept: Concept) -> list:
     kind = concept.kind
     name, writers = _ROW_WRITERS[type(kind)]
-    return [name, concept.created_at, _fmt(concept.weight),
-            *[write(getattr(kind, field)) for field, write in writers]]
+    return [name, float(concept.weight), *[write(getattr(kind, field)) for field, write in writers]]
 
 
 def _concept_from_json(cid: int, row) -> Concept:
-    name, created_at, weight, *values = _list(row)
+    name, weight, *values = _list(row)
     if name not in _ROW_READERS:
         raise CorruptFile(f"unknown concept kind {name!r}")
     cls, readers = _ROW_READERS[name]
@@ -183,7 +182,7 @@ def _concept_from_json(cid: int, row) -> Concept:
     if not 0.0 <= weight < math.inf:
         raise CorruptFile(f"concept {cid}: weight not finite and >= 0")
     kind = cls(*[read(value) for read, value in zip(readers, values)])
-    return Concept(cid, kind, weight, _int(created_at))
+    return Concept(cid, kind, weight)
 
 
 def _desc_from_json(level) -> Description:
@@ -192,14 +191,14 @@ def _desc_from_json(level) -> Description:
 
 
 def graph_to_json(graph: ConceptGraph) -> dict:
-    config = {name: _fmt(getattr(graph.config, name)) for name in _CONFIG_FLOATS}
+    config = {name: float(getattr(graph.config, name)) for name in _CONFIG_FLOATS}
     config.update({name: getattr(graph.config, name) for name in _CONFIG_INTS})
     return {
         "version": FORMAT_VERSION,
         "alphabet": list(graph.alphabet),
         "config": config,
         "episode": graph.episode,
-        "raw_bits_total": _fmt(graph.raw_bits_total),
+        "raw_bits_total": float(graph.raw_bits_total),
         "concepts": [_concept_to_json(c) for c in graph.concepts],
         "assoc_counts": [[a, b, n] for (a, b), n in sorted(graph.assoc_counts.items())],
         "run_observations": {str(k): sorted(v) for k, v in sorted(graph.run_observations.items())},
@@ -210,6 +209,7 @@ def graph_to_json(graph: ConceptGraph) -> dict:
 
 def dumps(graph: ConceptGraph) -> str:
     return json.dumps(graph_to_json(graph), sort_keys=True, separators=(",", ":"),
+                      allow_nan=False,  # a NaN or infinity is a ValueError, as load refuses it
                       check_circular=False) + "\n"  # a fresh tree: no cycle to look for
 
 
@@ -254,8 +254,6 @@ def graph_from_json(data) -> ConceptGraph:
         graph.episode = _int(data["episode"])
         if graph.episode < 0:
             raise CorruptFile("episode must be non-negative")
-        if not all(0 <= c.created_at <= graph.episode for c in concepts):
-            raise CorruptFile("a concept's created_at is not an episode up to the counter")
         graph.raw_bits_total = _float(data["raw_bits_total"])
         if not 0.0 <= graph.raw_bits_total < math.inf:
             raise CorruptFile("raw_bits_total must be finite and non-negative")
@@ -292,7 +290,7 @@ def graph_from_json(data) -> ConceptGraph:
 def load(path: str) -> ConceptGraph:
     try:
         with open(path, "rb") as handle:
-            data = json.loads(handle.read().decode("utf-8"))
+            data = json.loads(handle.read().decode("utf-8"), parse_float=_parse_float)
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
@@ -375,8 +373,10 @@ def _teach_kind(node, read: dict) -> Kind:
 def import_teach(graph: ConceptGraph, script: str) -> int:
     """Rebuild a taught concept in `graph`; returns the final concept id.
 
-    All or nothing: if any line fails, the concepts the earlier lines
-    added are popped again before the error propagates.
+    A line that cannot be read as a kind is a `CorruptFile`; a kind that
+    `add` refuses raises `add`'s own error.  All or nothing: if any line
+    fails, the concepts the earlier lines added are popped again before the
+    error propagates.
     """
     local: list[int] = []
     size = len(graph)
@@ -395,7 +395,7 @@ def import_teach(graph: ConceptGraph, script: str) -> int:
                 continue
             try:
                 local.append(graph.add(_teach_kind(sexpr.parse_one(raw), read)))
-            except (IndexError, KeyError, ValueError, TypeError, WrongKind) as exc:  # malformed line
+            except (IndexError, KeyError, ValueError, TypeError) as exc:  # malformed line
                 raise CorruptFile(f"bad teach line {raw!r}: {exc}") from exc
         if not local:
             raise CorruptFile("empty teach script")

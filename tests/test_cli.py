@@ -66,7 +66,7 @@ def test_bad_weight_is_data_error_for_parse_and_refine(tmp_path, capsys, weight)
     run(capsys, "init", "--alphabet", "ab", "--out", str(graph))
     run(capsys, "ingest", "--graph", str(graph), "--input", str(data))
     doc = json.loads(graph.read_text())
-    doc["concepts"][0][2] = weight  # a row is [kind, created_at, weight, *fields]
+    doc["concepts"][0][1] = float(weight)  # a row is [kind, weight, *fields]
     graph.write_text(json.dumps(doc))
     assert_data_error(["parse", "--graph", str(graph), "--input", str(data)],
                       ["refine", "--graph", str(graph), "--episode", "0"])
@@ -94,7 +94,7 @@ def test_cyclic_graph_file_is_data_error(tmp_path, children):
     g = ConceptGraph("ab")
     g.add(Concat((g.add(Concat((0, 1))), 0)))  # 4 = "ab", 5 = "aba"
     doc = json.loads(dumps(g))
-    doc["concepts"][4][3] = children  # the concat's children: 4 -> 4, or 4 -> 5 -> 4
+    doc["concepts"][4][2] = children  # the concat's children: 4 -> 4, or 4 -> 5 -> 4
     graph = tmp_path / "g.cg"
     graph.write_text(json.dumps(doc))
     data = tmp_path / "in.txt"
@@ -107,7 +107,7 @@ def test_apply_naming_an_affect_primitive_is_data_error(tmp_path):
     tpl = g.add(Template((Hole(0), SlotRef(1))))
     g.add(Apply(tpl, (0,)))
     doc = json.loads(dumps(g))
-    doc["concepts"][6][3] = 4  # the apply's template
+    doc["concepts"][6][2] = 4  # the apply's template
     graph = tmp_path / "g.cg"
     graph.write_text(json.dumps(doc))
     data = tmp_path / "in.txt"
@@ -119,7 +119,7 @@ def test_repeat_past_the_expansion_cap_is_data_error(tmp_path):
     g = ConceptGraph("ab")
     g.add(Repeat(g.add(Concat((0, 1))), 2))
     doc = json.loads(dumps(g))
-    doc["concepts"][5][4] = MAX_EXPANSION // 2 + 1  # the repeat's count: one "ab" past the cap
+    doc["concepts"][5][3] = MAX_EXPANSION // 2 + 1  # the repeat's count: one "ab" past the cap
     graph = tmp_path / "g.cg"
     graph.write_text(json.dumps(doc))
     data = tmp_path / "in.txt"
@@ -460,9 +460,9 @@ def test_cli_text_and_bytes_are_pinned(tmp_path, capsys):
     text, data = pinned_session(tmp_path, capsys)
     assert "desc: [20] [18] 'mkoilnpj' [32]\n" in text
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "591001afbfecb03ea90abb48e2e99c240ba4c4cf625601c09ec7898c8bd85f48")
+        "4f0876f7f4079eac65a7e95c3b01a785e59ee8f04a200a7ffbd1fcd8e57aeef3")
     assert hashlib.sha256(data).hexdigest() == (
-        "98c503e1db919e02920528a5d65b083005e7d10a8e18e4050e2e1ef08d269829")
+        "74c64d37ac326d35528588ee6e6c221127516a53c6578b31275921ea9f69fdb9")
 
 
 def test_the_cg2_file_of_the_pinned_session_is_at_most_2940_bytes(tmp_path, capsys):
@@ -473,9 +473,31 @@ def test_the_cg2_file_of_the_pinned_session_is_at_most_2940_bytes(tmp_path, caps
 
 
 def test_a_cg1_file_is_a_version_mismatch(tmp_path):
-    """The reader reads cg2 alone; an older file is refused by its version."""
+    """The reader reads cg3 alone; an older file is refused by its version."""
     graph = tmp_path / "g.cg"
     graph.write_text(json.dumps({"version": "cg1", "alphabet": ["a", "b"], "concepts": [],
                                  "digram_counts": []}))
     proc = run_cli("stats", "--graph", str(graph))
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: expected 'cg2', got 'cg1'\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: expected 'cg3', got 'cg1'\n")
+
+
+# A fresh graph over "ab" as the cg2 saver wrote it: a creation episode in
+# each concept row, and every float a string with 9 decimals.
+CG2_FRESH_AB = (
+    '{"alphabet":["a","b"],"assoc_counts":[],"concepts":[["primitive",0,"1.000000000","a"],'
+    '["primitive",0,"1.000000000","b"],["affect",0,"1.000000000",1],'
+    '["affect",0,"1.000000000",-1]],"config":{"assoc_threshold":3,"beam_base":4,'
+    '"contrast_threshold":"1.000000000","decay":"0.900000000",'
+    '"fast_path_threshold":"8.000000000","generalize_threshold":3,"pool_base":64,'
+    '"repeat_threshold":2,"valence_decay":"0.500000000","valence_hop_cap":6},"episode":0,'
+    '"raw_bits_total":"0.000000000","refinements":{},"run_observations":{},"version":"cg2"}\n')
+
+
+def test_a_cg2_file_is_a_version_mismatch(tmp_path):
+    """A cg2 file holds its floats rounded, so it cannot give back the graph
+    that wrote it: it is refused by its version, and its bytes are kept."""
+    graph = tmp_path / "g.cg"
+    graph.write_text(CG2_FRESH_AB)
+    proc = run_cli("stats", "--graph", str(graph))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: expected 'cg3', got 'cg2'\n")
+    assert graph.read_text() == CG2_FRESH_AB

@@ -52,7 +52,7 @@ def test_initial_graph_contents():
 
 def rows_of(g):
     """Copies of a graph's concept rows, as a load hands them over."""
-    return [Concept(c.id, c.kind, c.weight, c.created_at) for c in g.concepts]
+    return [Concept(c.id, c.kind, c.weight) for c in g.concepts]
 
 
 def test_a_graph_given_its_own_rows_is_the_same_graph():
@@ -73,11 +73,11 @@ def test_a_graph_given_its_own_rows_is_the_same_graph():
     pytest.param(lambda rows: rows.clear(), id="no-rows"),
     pytest.param(lambda rows: rows.pop(), id="no-pain"),
     pytest.param(lambda rows: rows.reverse(), id="reversed"),
-    pytest.param(lambda rows: rows.__setitem__(0, Concept(0, Primitive("b"), 1.0, 0)),
+    pytest.param(lambda rows: rows.__setitem__(0, Concept(0, Primitive("b"), 1.0)),
                  id="b-for-a"),
-    pytest.param(lambda rows: rows.__setitem__(2, Concept(2, AffectPrimitive(-1), 1.0, 0)),
+    pytest.param(lambda rows: rows.__setitem__(2, Concept(2, AffectPrimitive(-1), 1.0)),
                  id="pain-for-pleasure"),
-    pytest.param(lambda rows: rows.insert(0, Concept(0, Primitive("c"), 1.0, 0)),
+    pytest.param(lambda rows: rows.insert(0, Concept(0, Primitive("c"), 1.0)),
                  id="a-primitive-outside-the-alphabet"),
 ])
 def test_rows_that_do_not_start_with_the_birth_rows_are_refused(edit):
@@ -91,7 +91,7 @@ def test_rows_that_do_not_start_with_the_birth_rows_are_refused(edit):
 def test_a_row_whose_id_is_not_its_position_is_refused(position, bad_id):
     """Rows come from the caller, so a row's id must be its position: else a
     concept and the row that tables name it by would differ."""
-    rows = rows_of(fresh("ab")) + [Concept(4, Concat((0, 1)), 1.0, 0)]
+    rows = rows_of(fresh("ab")) + [Concept(4, Concat((0, 1)), 1.0)]
     rows[position].id = bad_id
     with pytest.raises(ValueError, match=f"position {position} "):
         ConceptGraph("ab", None, rows)
@@ -369,7 +369,7 @@ def test_a_repeated_kind_keeps_its_first_id_through_pop_and_rewrite():
     tpl = g.add(Template((SlotRef(0), Hole(0))))
 
     def restore_twin():  # as load restores rows
-        g.concepts.append(Concept(len(g), Concat((0, 1)), 1.0, 0))
+        g.concepts.append(Concept(len(g), Concat((0, 1)), 1.0))
         g.rebuild_derived()
         return len(g) - 1
 

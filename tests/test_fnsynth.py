@@ -53,6 +53,13 @@ def test_eval_caps():
         eval_term(Iter(SUCC, Var(0), Const(0)), (101,), lib, iter_cap=100)
     with pytest.raises(Overflow):
         eval_term(Iter(SUCC, Var(0), Const(0)), (50,), lib, value_cap=10)
+    # a cap that is not an int is refused, as `synthesize` refuses it:
+    # unchecked, "x" and None raised a bare TypeError, 2.5 ran against a
+    # float and True counted as 1
+    for caps in ({"iter_cap": "x"}, {"value_cap": None}, {"value_cap": 2.5},
+                 {"iter_cap": True}):
+        with pytest.raises(ValueError, match="must be an int"):
+            eval_term(Iter(SUCC, Var(0), Const(0)), (1,), lib, **caps)
 
 
 @pytest.mark.parametrize("inputs", [(1.5,), (True,), ("1",), (1, 2.0)])
@@ -89,13 +96,15 @@ def test_eval_checks_the_whole_term_first_in_field_order():
                                   Var(0.0), Iter(Section("succ", False, ()), Var(0), Var(0)),
                                   Call(["succ"], (Var(0),)), Call("succ", [Var(0)]),
                                   Iter(Section(["succ"], 0, ()), Var(0), Var(0)),
-                                  Iter(Section("succ", 0, []), Var(0), Var(1))],
+                                  Iter(Section("succ", 0, []), Var(0), Var(1)),
+                                  Iter(None, Var(0), Var(0))],
                          ids=repr)
 def test_the_term_check_takes_int_leaves_only(term):
     """A constant is the int 0 or 1, a variable index or open slot an int,
     a callee's name a str and its arguments or fillers a tuple: unchecked,
     `Const("x")` evaluated to 'x', `Var(True)` read input 1, `Call("succ",
-    [Var(0)])` gave 4 and a name in a list raised a bare TypeError."""
+    [Var(0)])` gave 4, a name in a list raised a bare TypeError and an
+    iteration without a `Section` a bare AttributeError."""
     lib = Library.initial()
     with pytest.raises(MalformedTerm):
         eval_term(term, (3, 4), lib)

@@ -7,6 +7,7 @@ import os
 import random
 import typing
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -31,14 +32,17 @@ from conceptgraph.core import (
 )
 from conceptgraph.errors import (
     CorruptFile,
+    DanglingReference,
     GraphError,
+    InvalidCount,
     IoFailure,
     TooLarge,
     UnknownConcept,
     UnresolvedReference,
     VersionMismatch,
+    WrongKind,
 )
-from conceptgraph.inducer import ingest, parse, reconstruct
+from conceptgraph.inducer import FORGET_WEIGHT, ingest, parse, reconstruct
 from conceptgraph.mdl import ref_cost
 from conceptgraph.storage import (
     dot_text,
@@ -52,16 +56,16 @@ from conceptgraph.storage import (
 )
 
 
-# A cg2 concept row is [kind, created_at, weight, *fields], fields in dataclass order.
-CREATED_AT, WEIGHT = 1, 2
+# A cg3 concept row is [kind, weight, *fields], fields in dataclass order.
+WEIGHT = 1
 KIND_CLASSES = {"primitive": Primitive, "concat": Concat, "repeat": Repeat,
                 "template": Template, "apply": Apply, "association": Association,
                 "affect": AffectPrimitive, "marker": Marker}
 
 
 def set_field(row: list, name: str, value) -> None:
-    """Set the named kind field of a cg2 concept row."""
-    row[3 + [f.name for f in fields(KIND_CLASSES[row[0]])].index(name)] = value
+    """Set the named kind field of a cg3 concept row."""
+    row[2 + [f.name for f in fields(KIND_CLASSES[row[0]])].index(name)] = value
 
 
 def trained_graph():
@@ -102,8 +106,7 @@ def test_load_restores_structure_and_behavior(tmp_path):
     assert restored.assoc_counts == g.assoc_counts
     assert restored.run_observations == g.run_observations
     for a, b in zip(g.concepts, restored.concepts):
-        assert a.kind == b.kind and a.created_at == b.created_at
-        assert b.weight == pytest.approx(a.weight, abs=1e-9)
+        assert a.kind == b.kind and a.weight == b.weight
     r1 = ingest(g, "abab")
     r2 = ingest(restored, "abab")
     assert r1.description == r2.description
@@ -158,10 +161,14 @@ def test_load_errors(tmp_path):
         load(str(wrong))
 
 
-# the saver writes a weight only as a string: a JSON bool or number is refused,
-# and so is any spelling other than the saver's ("1_0" would load as 10.0)
-@pytest.mark.parametrize("weight", ["nan", "1e400", "-inf", "-1", True, 0.5, 1,
-                                    "1_0", " 2.5 ", "1e0", "1.0"])
+# the saver writes a weight only as a finite, non-negative JSON float: a string,
+# a bool or an integer is refused ("1_0" would load as 10.0), as is a negative
+# float, NaN or an infinity
+@pytest.mark.parametrize("weight", ["nan", "1e400", "-inf", "-1", True, "0.5", 1,
+                                    "1_0", " 2.5 ", "1e0", "1.0", -1.0, -5e-324,
+                                    pytest.param(math.nan, id="float-nan"),
+                                    pytest.param(math.inf, id="float-inf"),
+                                    pytest.param(-math.inf, id="float--inf")])
 def test_load_rejects_non_finite_or_negative_weight(tmp_path, weight):
     data = json.loads(dumps(ConceptGraph("ab")))
     data["concepts"][0][WEIGHT] = weight
@@ -195,25 +202,115 @@ def test_load_rejects_non_finite_or_negative_weight(tmp_path, weight):
     (None, "assoc_counts", [[2, 3, 100]]),
     # the saver writes each pair once
     (None, "assoc_counts", [[0, 1, 5], [0, 1, 6]]),
-    # the saver writes every float field as a string, so a JSON bool or
-    # number is an edit whose resave would differ
+    # the saver writes every float field as a JSON float, so a bool, an
+    # integer or a string is an edit whose resave would differ
     ("config", "decay", True),
-    ("config", "decay", 0.5),
+    ("config", "decay", "0.5"),
     ("config", "fast_path_threshold", 8),
     (None, "raw_bits_total", 12),
-    (None, "raw_bits_total", 12.0),
+    (None, "raw_bits_total", "12.0"),
     (None, "raw_bits_total", False),
-    # nor is a string the saver would not write: `_fmt` gives "1.000000000"
     ("config", "fast_path_threshold", "1_0"),
     ("config", "contrast_threshold", " 2.5 "),
     (None, "raw_bits_total", "1e0"),
     (None, "raw_bits_total", "1.0"),
+    # a float out of its field's range
+    ("config", "contrast_threshold", -1.0),
+    ("config", "decay", 1.5),
+    pytest.param("config", "fast_path_threshold", math.inf, id="config-fast_path_threshold-inf"),
+    pytest.param("config", "valence_decay", math.nan, id="config-valence_decay-float-nan"),
+    (None, "raw_bits_total", -3.0),
+    pytest.param(None, "raw_bits_total", math.nan, id="None-raw_bits_total-float-nan"),
+    pytest.param(None, "raw_bits_total", math.inf, id="None-raw_bits_total-inf"),
 ])
 def test_load_rejects_bad_config_and_counters(section, field, value):
     data = json.loads(dumps(ConceptGraph("ab")))
     (data[section] if section else data)[field] = value
     with pytest.raises(CorruptFile):
         graph_from_json(data)
+
+
+# a float field of a fresh graph's file, by the path to it
+FLOAT_FIELDS = {"weight": ("concepts", 0, WEIGHT), "config": ("config", "decay"),
+                "raw_bits_total": ("raw_bits_total",)}
+
+
+def file_with(tmp_path, where: str, spelling: str) -> str:
+    """A fresh graph's file over "ab", laid out as the saver lays it out, with
+    one float field spelled `spelling`."""
+    data = json.loads(dumps(ConceptGraph("ab")))
+    *path, last = FLOAT_FIELDS[where]
+    field = data
+    for key in path:
+        field = field[key]
+    field[last] = "@float@"
+    file = tmp_path / f"{where}.cg"
+    text = json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+    file.write_text(text.replace('"@float@"', spelling))
+    return str(file)
+
+
+@pytest.mark.parametrize("spelling", ["1.00", "1e0", "1", '"0.9"', "1e400", "0.90"])
+@pytest.mark.parametrize("where", list(FLOAT_FIELDS))
+def test_load_refuses_a_float_not_spelled_as_the_saver_writes_it(tmp_path, where, spelling):
+    """The saver writes a float as `repr` spells it, and `load` refuses any
+    other spelling of a float, a JSON integer and a string, whose resave
+    would differ; the saver's spelling of the same value loads."""
+    with pytest.raises(CorruptFile):
+        load(file_with(tmp_path, where, spelling))
+    value = float(json.loads(spelling))
+    if value < math.inf:
+        file = file_with(tmp_path, where, repr(value))
+        assert dumps(load(file)) == Path(file).read_text()
+
+
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([5e-324, FORGET_WEIGHT, 0.1 + 0.2, 1 / 3, 1e16, 0.0, 2]),
+    st.integers(0, 400).map(lambda k: 0.9 ** k),
+    st.floats(0, 1e300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_every_float_survives_a_save_and_load(tmp_path_factory, data):
+    """Weights, `raw_bits_total` and the float config fields load back `==`
+    to what was saved, at edge values and as an int given for a float, and
+    saving the loaded graph gives the same bytes."""
+    unit = st.sampled_from([1 / 3, 0.1 + 0.2, 5e-324, FORGET_WEIGHT, 0.9 ** 40])
+    config = Config(contrast_threshold=data.draw(EDGE_FLOATS),
+                    decay=data.draw(st.one_of(st.just(1), unit)),
+                    fast_path_threshold=data.draw(EDGE_FLOATS), valence_decay=data.draw(unit))
+    g = ConceptGraph("ab", config)
+    g.add(Repeat(g.add(Concat((0, 1))), 2))
+    for concept in g.concepts:
+        g.set_weight(concept.id, data.draw(EDGE_FLOATS))
+    g.raw_bits_total = data.draw(EDGE_FLOATS)
+    path = str(tmp_path_factory.mktemp("floats") / "g.cg")
+    save(g, path)
+    text = Path(path).read_text()
+    loaded = load(path)
+    assert [c.weight for c in loaded.concepts] == [c.weight for c in g.concepts]
+    assert (loaded.raw_bits_total, loaded.config) == (g.raw_bits_total, g.config)
+    assert {type(getattr(loaded.config, name)) for name in storage._CONFIG_FLOATS} == {float}
+    save(loaded, path)
+    assert Path(path).read_text() == text
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda g: setattr(g, "raw_bits_total", math.inf), id="raw-bits-inf"),
+    pytest.param(lambda g: setattr(g.concepts[4], "weight", math.nan), id="weight-nan"),
+])
+def test_save_refuses_a_float_that_load_refuses(tmp_path, edit):
+    """A graph holding a float that `load` would refuse saves no file:
+    `save` raises before writing, and the old file keeps its bytes."""
+    path = tmp_path / "g.cg"
+    save(trained_graph(), str(path))
+    old = path.read_bytes()
+    g = trained_graph()
+    edit(g)
+    with pytest.raises(ValueError):
+        save(g, str(path))
+    assert path.read_bytes() == old
 
 
 def cyclic_graph_data(cycle):
@@ -236,7 +333,7 @@ def test_load_rejects_reference_cycles(cycle):
 
 def test_load_rejects_missing_reference_and_accepts_newer_template():
     data = json.loads(dumps(ConceptGraph("ab")))
-    data["concepts"].append(["concat", 0, "1.000000000", [0, 99]])
+    data["concepts"].append(["concat", 1.0, [0, 99]])
     with pytest.raises(CorruptFile):
         graph_from_json(data)
     # an Apply rewritten to name a template added after it is not a cycle
@@ -356,31 +453,27 @@ def test_load_reads_a_blob_as_a_token_tuple():
     pytest.param(10, "concat", id="a-string"),
     pytest.param(10, None, id="null"),
     pytest.param(10, [], id="empty"),
-    pytest.param(10, ["concat", 0], id="no-weight"),
-    pytest.param(10, ["concat", 0, "1.000000000"], id="no-fields"),
-    pytest.param(10, ["concat", 0, "1.000000000", [8, 0], [0]], id="an-extra-field"),
-    pytest.param(8, ["repeat", 0, "1.000000000", 5], id="repeat-without-count"),
-    pytest.param(10, ["wobble", 0, "1.000000000", [8, 0]], id="unknown-kind"),
-    pytest.param(10, [["concat"], 0, "1.000000000", [8, 0]], id="a-list-as-kind"),
-    # `add` stamps the episode counter, which only grows (here it is 0)
-    pytest.param(10, ["concat", -5, "1.000000000", [8, 0]], id="created-before-episode-0"),
-    pytest.param(10, ["concat", 1, "1.000000000", [8, 0]], id="created-after-the-counter"),
-    pytest.param(0, ["primitive", 1, "1.000000000", "a"], id="initial-created-after-the-counter"),
+    pytest.param(10, ["concat", [8, 0]], id="no-weight"),
+    pytest.param(10, ["concat", 1.0], id="no-fields"),
+    pytest.param(10, ["concat", 1.0, [8, 0], [0]], id="an-extra-field"),
+    pytest.param(8, ["repeat", 1.0, 5], id="repeat-without-count"),
+    pytest.param(10, ["wobble", 1.0, [8, 0]], id="unknown-kind"),
+    pytest.param(10, [["concat"], 1.0, [8, 0]], id="a-list-as-kind"),
 ])
 def test_load_rejects_a_misshapen_concept_row(cid, row):
     data = reference_kinds_data()
-    assert data["concepts"][10] == ["concat", 0, "1.000000000", [8, 0]]
+    assert data["concepts"][10] == ["concat", 1.0, [8, 0]]
     data["concepts"][cid] = row
     with pytest.raises(CorruptFile):
         graph_from_json(data)
 
 
 @pytest.mark.parametrize("edit", [
-    pytest.param(lambda rows: rows.__setitem__(0, ["primitive", 0, "1.000000000", "b"]),
+    pytest.param(lambda rows: rows.__setitem__(0, ["primitive", 1.0, "b"]),
                  id="tokens-out-of-order"),
-    pytest.param(lambda rows: rows.__setitem__(4, ["affect", 0, "1.000000000", 1]),
+    pytest.param(lambda rows: rows.__setitem__(4, ["affect", 1.0, 1]),
                  id="two-pleasure-primitives"),
-    pytest.param(lambda rows: rows.__setitem__(3, ["marker", 0, "1.000000000", "x"]),
+    pytest.param(lambda rows: rows.__setitem__(3, ["marker", 1.0, "x"]),
                  id="a-marker-for-pleasure"),
     pytest.param(lambda rows: rows.pop(4), id="no-pain-primitive"),
     pytest.param(lambda rows: rows.clear(), id="no-concepts"),
@@ -398,7 +491,7 @@ def test_load_validates_each_concept_once(monkeypatch):
     Apply that names a newer template included."""
     doc = json.loads(trained_graph_text())
     rows = doc["concepts"]
-    forward = [i for i, row in enumerate(rows) if row[0] == "apply" and row[3] > i]
+    forward = [i for i, row in enumerate(rows) if row[0] == "apply" and row[2] > i]
     assert len(rows) == 40 and len(forward) == 16
     calls = []
     validate = ConceptGraph._validate
@@ -416,17 +509,17 @@ def test_load_validates_each_concept_once(monkeypatch):
 
 
 def int_fields(row) -> list[tuple]:
-    """Paths of the integer reference and count fields of one cg2 concept
-    row, whose fields start at column 3."""
+    """Paths of the integer reference and count fields of one cg3 concept
+    row, whose fields start at column 2."""
     kind = row[0]
     if kind == "concat":
-        return [(3, i) for i in range(len(row[3]))]
+        return [(2, i) for i in range(len(row[2]))]
     if kind == "template":
-        return [(3, i, 1) for i in range(len(row[3]))]
+        return [(2, i, 1) for i in range(len(row[2]))]
     if kind == "apply":
-        return [(3,)] + [(4, i) for i in range(len(row[4]))]
+        return [(2,)] + [(3, i) for i in range(len(row[3]))]
     if kind in ("repeat", "association"):  # child and count, a and b
-        return [(3,), (4,)]
+        return [(2,), (3,)]
     return []
 
 
@@ -457,13 +550,13 @@ def test_load_of_a_graph_with_one_edited_integer(data):
 
 
 def numeric_paths(doc) -> list[tuple]:
-    """Paths of every numeric field of a saved graph: weights, creation
-    episodes, references and counts, the episode, the integer config fields,
-    the entries of the association and run counts, and the refinement refs."""
+    """Paths of every numeric field of a saved graph: weights, references and
+    counts, the episode, the integer config fields, the entries of the
+    association and run counts, and the refinement refs."""
     paths = [("episode",)]
     paths += [("config", name) for name, value in doc["config"].items() if isinstance(value, int)]
     for i, row in enumerate(doc["concepts"]):
-        paths += [("concepts", i, WEIGHT), ("concepts", i, CREATED_AT)]
+        paths.append(("concepts", i, WEIGHT))
         paths += [("concepts", i) + field for field in int_fields(row)]
     paths += [("assoc_counts", i, j) for i in range(len(doc["assoc_counts"])) for j in range(3)]
     for k, members in doc["run_observations"].items():
@@ -484,8 +577,8 @@ NOT_AN_INTEGER = st.one_of(
 @given(st.data())
 def test_load_of_a_graph_with_one_non_integer_field(data):
     """A string, float, bool, list or null in place of an integer is a
-    `CorruptFile`.  A weight is a formatted float, so in its place the value
-    either is a `CorruptFile` or loads a graph whose save -> load -> save is
+    `CorruptFile`.  A weight is a float, so in its place the value either is
+    a `CorruptFile` or loads a graph whose save -> load -> save is
     byte-stable."""
     doc = json.loads(trained_graph_text())
     *path, last = data.draw(st.sampled_from(numeric_paths(doc)))
@@ -568,8 +661,8 @@ def test_load_rejects_a_refinement_chain_not_of_an_episode(edit):
 
 
 def test_a_cg1_document_is_a_version_mismatch():
-    """The reader reads cg2 alone: a cg1 file is refused by its version."""
-    with pytest.raises(VersionMismatch, match="expected 'cg2', got 'cg1'"):
+    """The reader reads cg3 alone: a cg1 file is refused by its version."""
+    with pytest.raises(VersionMismatch, match="expected 'cg3', got 'cg1'"):
         graph_from_json({"version": "cg1", "alphabet": ["a", "b"], "concepts": [],
                          "digram_counts": []})
 
@@ -842,7 +935,6 @@ def test_teach_script_fuzz_imports_or_leaves_the_graph_unchanged(data):
     "(prim a)\n(template (hole))",
     "(prim a)\n(template (ref))",
     "(prim a)\n(concat 0 x)",
-    "(affect 2)",
     "(prim (a))",
     '(prim "a" "b")',
     "(affect 1 1)",
@@ -854,6 +946,22 @@ def test_teach_script_fuzz_imports_or_leaves_the_graph_unchanged(data):
 def test_teach_malformed_line_is_corrupt_file(script):
     with pytest.raises(CorruptFile):
         import_teach(ConceptGraph("ab"), script)
+
+
+@pytest.mark.parametrize("script, error", [
+    pytest.param("(affect 2)", WrongKind, id="affect-sign-2"),
+    pytest.param('(prim "a")\n(repeat 0 1)', InvalidCount, id="repeat-count-1"),
+    pytest.param('(prim "z")', DanglingReference, id="token-not-in-alphabet"),
+])
+def test_a_teach_line_that_add_refuses_raises_adds_error(script, error):
+    """A line that reads as a kind is refused with `add`'s own error, and
+    only a line that cannot be read is a `CorruptFile`; either way the
+    graph keeps its bytes."""
+    g = ConceptGraph("ab")
+    text = dumps(g)
+    with pytest.raises(error):
+        import_teach(g, script)
+    assert dumps(g) == text
 
 
 def small_graph():
