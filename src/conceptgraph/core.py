@@ -13,9 +13,8 @@ a node, which `reconstruct`, `mdl`, `inducer` and the graph loader apply.
 
 from __future__ import annotations
 
-import math
+import sys
 from collections import deque
-from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Optional, Sequence, Union
@@ -33,6 +32,7 @@ from .errors import (
     UnknownToken,
     WrongKind,
 )
+from .records import record
 
 Token = str
 
@@ -52,13 +52,18 @@ PAIN = -1
 # episodes, never meets the cap.
 MAX_EXPANSION = 1 << 20
 
+# The largest finite float: a weight or a float `Config` field is a number
+# from 0 to it, so NaN, infinity and an int too large for a float (which the
+# saver's `float()` would raise on) are all refused.
+_MAX_FLOAT = sys.float_info.max
 
-@dataclass(frozen=True, slots=True)
+
+@record
 class Hole:
     index: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SlotRef:
     concept: int
 
@@ -66,25 +71,26 @@ class SlotRef:
 Slot = Union[Hole, SlotRef]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Primitive:
     token: Token
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Concat:
     children: tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Repeat:
     child: int
     count: int
 
 
-@dataclass(frozen=True)
+@record
 class Template:
-    """A body of slots.  Not slotted, so `holes` is computed once per template."""
+    """A body of slots.  `holes` is computed on first read and cached in the
+    record's `__dict__`, so a malformed body constructs and raises there."""
 
     body: tuple[Slot, ...]
 
@@ -103,24 +109,24 @@ class Template:
         return len(indices)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Apply:
     template: int
     fillers: tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Association:
     a: int
     b: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AffectPrimitive:
     sign: int  # PLEASURE or PAIN
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Marker:
     label: str
 
@@ -138,7 +144,7 @@ _CODEABLE = (Primitive, Concat, Repeat, Template, Apply)
 _PARSEABLE = (Primitive, Concat, Repeat, Apply)
 
 
-@dataclass(frozen=True)
+@record
 class Config:
     """Engine thresholds, frozen for a graph's life; desk-scale defaults."""
 
@@ -158,20 +164,34 @@ class Config:
             raise ValueError("decay must be in (0, 1]")
         if not (0.0 < self.valence_decay < 1.0):
             raise ValueError("valence_decay must be in (0, 1)")
-        for f in fields(self):  # the annotations are strings (PEP 563)
-            value = getattr(self, f.name)
-            if f.type == "int":  # a bool or a float would save a file its loader refuses
+        for name, value in zip(self._fields, self):
+            if self.__annotations__[name] == "int":  # the annotations are strings (PEP 563)
+                # a bool or a float would save a file its loader refuses
                 if type(value) is not int or value <= 0:
-                    raise ValueError(f"{f.name} must be a positive integer")
-            elif not 0.0 <= value < math.inf:
-                raise ValueError(f"{f.name} must be finite and non-negative")
+                    raise ValueError(f"{name} must be a positive integer")
+            elif not 0.0 <= value <= _MAX_FLOAT:
+                raise ValueError(f"{name} must be finite and non-negative")
 
 
-@dataclass
 class Concept:
-    id: int
-    kind: Kind
-    weight: float
+    """One row of a graph: its id, and a kind and weight that change in place."""
+
+    __slots__ = ("id", "kind", "weight")
+
+    def __init__(self, id: int, kind: Kind, weight: float):
+        self.id = id
+        self.kind = kind
+        self.weight = weight
+
+    def __eq__(self, other):
+        if type(other) is not Concept:
+            return NotImplemented
+        return (self.id, self.kind, self.weight) == (other.id, other.kind, other.weight)
+
+    __hash__ = None  # mutable
+
+    def __repr__(self) -> str:
+        return f"Concept(id={self.id!r}, kind={self.kind!r}, weight={self.weight!r})"
 
 
 class ConceptGraph:
@@ -462,7 +482,7 @@ class ConceptGraph:
 
     def set_weight(self, cid: int, weight: float) -> None:
         """Set one weight directly, keeping the code-mass counter in sync."""
-        if not 0 <= weight < math.inf:
+        if not 0 <= weight <= _MAX_FLOAT:
             raise ValueError("weight must be finite and non-negative")
         concept = self.concept(cid)
         if isinstance(concept.kind, _CODEABLE):
@@ -576,7 +596,7 @@ def reconstruct(graph: ConceptGraph, desc: Description) -> tuple[Token, ...]:
 # ----------------------------------------------------------------------
 # emotion templates
 
-@dataclass(frozen=True)
+@record
 class SlotConstraint:
     """One pattern slot: exact id, label, valence sign, or wildcard."""
 
@@ -586,7 +606,7 @@ class SlotConstraint:
     sign: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@record
 class EmotionTemplate:
     emotion: str
     pattern: tuple[SlotConstraint, ...]

@@ -48,34 +48,34 @@ that differs from it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import ArityMismatch, IterCountExceeded, MalformedTerm, Overflow
 from . import sexpr
+from .records import record
 
 DEFAULT_ITER_CAP = 100
 DEFAULT_VALUE_CAP = 10**6
 DEFAULT_SIZE_CAP = 7
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Var:
     index: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Const:
     value: int  # 0 or 1
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Call:
     fn: str
     args: tuple
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Section:
     """A library function with exactly one open slot; other slots hold leaves."""
 
@@ -84,7 +84,7 @@ class Section:
     fillers: tuple  # Var/Const leaves for the remaining slots, in order
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Iter:
     section: Section
     count: "Term"
@@ -109,7 +109,7 @@ def term_size(term: Term) -> int:
     raise MalformedTerm(f"unknown term {term!r}")
 
 
-@dataclass
+@record
 class LibraryFn:
     name: str
     arity: int
@@ -360,7 +360,7 @@ def eval_term(term: Term, inputs: Sequence[int], library: Library,
     return _Evaluator(library, iter_cap, value_cap).eval(term, inputs)
 
 
-@dataclass(frozen=True)
+@record
 class FunctionExample:
     label: str
     inputs: tuple[int, ...]

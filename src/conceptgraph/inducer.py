@@ -45,7 +45,6 @@ import heapq
 import math
 import weakref
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter, itemgetter
 from typing import Collection, Optional, Sequence
@@ -70,13 +69,14 @@ from .core import (
 )
 from .errors import TooLarge, UnknownEpisode, UnknownToken
 from .mdl import description_dl, gamma_len, raw_dl
+from .records import record
 from .segmenter import RawStream, Segment, TOKEN
 
 
 MAX_BUDGET_LEVEL = 8  # parse time about doubles per level: a long refine chain stops here
 
 
-@dataclass(frozen=True)
+@record
 class Budget:
     """Search effort: beam width and candidate pool double per level, up to
     `MAX_BUDGET_LEVEL`; a higher level gets that level's budget."""
@@ -98,7 +98,7 @@ class Budget:
         return Budget(beam=config.beam_base << level, pool=config.pool_base << level)
 
 
-@dataclass(frozen=True)
+@record
 class IngestReport:
     episode: int
     description: Description

@@ -10,14 +10,14 @@ symbol.  The Kraft sum of this code is exactly 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import NonPositive, ReconstructionMismatch, UnknownConcept
 from .core import (Apply, Concat, ConceptGraph, Description, Hole, Repeat, Template,
                    node_tokens, reconstruct)
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class DLReport:
     raw_bits: float
     described_bits: float

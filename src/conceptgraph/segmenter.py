@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import WrongKind
+from .records import record
 
 SCALAR = "scalar"
 TOKEN = "token"
@@ -15,7 +15,7 @@ SMOOTH = "smooth"
 ROUGH = "rough"
 
 
-@dataclass(frozen=True)
+@record
 class RawStream:
     samples: tuple
     kind: str
@@ -32,7 +32,7 @@ class RawStream:
         return RawStream(tuple(samples), TOKEN)
 
 
-@dataclass(frozen=True)
+@record
 class Segment:
     start: int
     end: int  # exclusive

@@ -3,19 +3,19 @@
 Graph files (format cg3) are JSON with sorted keys, so saving the same graph
 always produces the same bytes, and loading them gives back that graph
 exactly.  Each fact is stated once.  A concept is the row `[kind, weight,
-*fields]` at the position that is its id, with its fields in dataclass
-order.  A float (a weight, a float `Config` field, `raw_bits_total`) is a
-JSON float as `json` writes it, in the shortest spelling that `repr` reads
-back to the same float; NaN and infinity make `save` raise before it
-writes.  A description node is a JSON integer (a concept ref) or a JSON
-list of one or more alphabet tokens (a blob).  The digram counts are not
-stored: they are the association counts of distinct pairs; nor is the
-follows marker's id.  The file holds exactly the sections the saver
-writes, its config exactly the fields of `Config`, and each float in
-`repr`'s spelling: anything else ("1.00", "1e0", an int for a float) is a
-`CorruptFile`, since its resave would differ.  Any version but cg3 is a
-`VersionMismatch`; a cg2 file held floats rounded to 9 decimals, so it
-cannot give back the graph that wrote it.
+*fields]` at the position that is its id, with its fields in the order of
+its kind record's `_fields`.  A float (a weight, a float `Config` field,
+`raw_bits_total`) is a JSON float as `json` writes it, in the shortest
+spelling that `repr` reads back to the same float; NaN and infinity make
+`save` raise before it writes.  A description node is a JSON integer (a
+concept ref) or a JSON list of one or more alphabet tokens (a blob).  The
+digram counts are not stored: they are the association counts of distinct
+pairs; nor is the follows marker's id.  The file holds exactly the
+sections the saver writes, its config exactly the fields of `Config`, and
+each float in `repr`'s spelling: anything else ("1.00", "1e0", an int for
+a float) is a `CorruptFile`, since its resave would differ.  Any version
+but cg3 is a `VersionMismatch`; a cg2 file held floats rounded to 9
+decimals, so it cannot give back the graph that wrote it.
 
 Loading reads every concept row and hands the rows to `ConceptGraph`, the
 one path from rows to a graph: they must start with the birth rows (a
@@ -45,7 +45,6 @@ import contextlib
 import json
 import math
 import os
-from dataclasses import fields
 from itertools import chain
 
 from . import sexpr
@@ -77,9 +76,9 @@ from .errors import (
 
 FORMAT_VERSION = "cg3"
 
-_CONFIG_INTS = tuple(f.name for f in fields(Config) if f.type == "int")
-_CONFIG_FLOATS = tuple(f.name for f in fields(Config) if f.type == "float")
-_CONFIG_FIELDS = {f.name for f in fields(Config)}
+_CONFIG_INTS = tuple(f for f in Config._fields if Config.__annotations__[f] == "int")
+_CONFIG_FLOATS = tuple(f for f in Config._fields if Config.__annotations__[f] == "float")
+_CONFIG_FIELDS = set(Config._fields)
 # the top-level keys of a graph file, each written by `graph_to_json`
 _SECTIONS = {"version", "alphabet", "config", "episode", "raw_bits_total", "concepts",
              "assoc_counts", "run_observations", "refinements"}
@@ -87,7 +86,7 @@ _SECTIONS = {"version", "alphabet", "config", "episode", "raw_bits_total", "conc
 REF, REFS, BODY, INT, STR = "ref", "refs", "body", "int", "str"  # field tags
 
 # The one kind table: a concept kind's name in graph files and DOT labels,
-# its teach head, and a tag per dataclass field, in field order.
+# its teach head, and a tag per record field, in field order.
 _KINDS = {
     Primitive: ("primitive", "prim", STR),
     Concat: ("concat", "concat", REFS),
@@ -98,7 +97,7 @@ _KINDS = {
     AffectPrimitive: ("affect", "affect", INT),
     Marker: ("marker", "marker", STR),
 }
-_FIELDS = {cls: tuple(zip([f.name for f in fields(cls)], tags, strict=True))
+_FIELDS = {cls: tuple(zip(cls._fields, tags, strict=True))
            for cls, (_, _, *tags) in _KINDS.items()}  # class -> ((field, tag), ...)
 _BY_HEAD = {row[1]: cls for cls, row in _KINDS.items()}
 

@@ -1,6 +1,8 @@
 import ast
 import os
 import re
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -34,12 +36,14 @@ def module_tree(module):
 
 
 # The layering, as the package modules each module must not import from, at
-# any level: the data model stands on `errors` alone; description lengths
+# any level: the record helper imports nothing from the package; the data
+# model stands on `errors` and `records` alone; description lengths
 # and graph files know nothing of induction or the synthesizer; induction
 # stands apart from the synthesizer; and the synthetic worlds score their
 # yardstick with `mdl`, not with the inducer they are there to test.
 FORBIDDEN_IMPORTS = {
-    "core": MODULES - {"core", "errors"},
+    "records": MODULES - {"records"},
+    "core": MODULES - {"core", "errors", "records"},
     "inducer": {"fnsynth"},
     "mdl": {"inducer", "fnsynth"},
     "storage": {"inducer", "fnsynth"},
@@ -124,3 +128,20 @@ def test_integer_checks_use_type_is_int():
              and len(node.args) == 2
              and any(getattr(name, "id", None) == "int" for name in ast.walk(node.args[1]))]
     assert sites == []
+
+
+def test_no_package_module_imports_dataclasses():
+    """A frozen dataclass runs generated code at import, about 1 ms a class:
+    the value types are `records.record` classes instead."""
+    assert sorted(m for m in MODULES | {"__init__"} if "dataclasses" in imported_names(m)) == []
+
+
+def test_importing_the_cli_leaves_out_dataclasses():
+    """Every CLI command is a new process: no stdlib module the package does
+    not use (`dataclasses` pulls in `inspect`) may ride along."""
+    code = ("import sys, conceptgraph.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(PACKAGE)}
+    out = subprocess.run([sys.executable, "-S", "-c", code],  # -S: no site hooks' imports
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

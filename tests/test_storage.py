@@ -6,7 +6,6 @@ import math
 import os
 import random
 import typing
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -56,7 +55,7 @@ from conceptgraph.storage import (
 )
 
 
-# A cg3 concept row is [kind, weight, *fields], fields in dataclass order.
+# A cg3 concept row is [kind, weight, *fields], fields in record order.
 WEIGHT = 1
 KIND_CLASSES = {"primitive": Primitive, "concat": Concat, "repeat": Repeat,
                 "template": Template, "apply": Apply, "association": Association,
@@ -65,7 +64,7 @@ KIND_CLASSES = {"primitive": Primitive, "concat": Concat, "repeat": Repeat,
 
 def set_field(row: list, name: str, value) -> None:
     """Set the named kind field of a cg3 concept row."""
-    row[2 + [f.name for f in fields(KIND_CLASSES[row[0]])].index(name)] = value
+    row[2 + KIND_CLASSES[row[0]]._fields.index(name)] = value
 
 
 def trained_graph():
@@ -379,11 +378,11 @@ def test_every_kind_has_one_row_in_the_kind_table():
     for column in (0, 1):  # file and DOT name, teach head
         assert len({row[column] for row in rows.values()}) == len(rows)
     for cls, named_tags in storage._FIELDS.items():
-        assert [name for name, _ in named_tags] == [f.name for f in fields(cls)]
+        assert [name for name, _ in named_tags] == list(cls._fields)
 
 
 def test_config_fields_are_the_dataclass_fields():
-    names = [f.name for f in fields(Config)]
+    names = list(Config._fields)
     assert sorted(storage._CONFIG_INTS + storage._CONFIG_FLOATS) == sorted(names)
 
 
@@ -1009,7 +1008,7 @@ _FIELDS = st.one_of(_ATOMS, st.lists(_IDS, max_size=3).map(tuple),
                     st.lists(_SLOTS, max_size=3).map(tuple), st.lists(_SLOTS, max_size=3))
 # a kind with fields of every shape, or now and then a bare field (no kind)
 _DRAWN_KINDS = st.sampled_from([*KIND_CLASSES.values(), None]).flatmap(
-    lambda cls: _FIELDS if cls is None else st.builds(cls, *[_FIELDS] * len(fields(cls))))
+    lambda cls: _FIELDS if cls is None else st.builds(cls, *[_FIELDS] * len(cls._fields)))
 
 
 @settings(max_examples=400, deadline=None)
