@@ -1,9 +1,10 @@
 """Concept-graph data model: concepts, expansion, weights, valence, emotions.
 
-A graph holds an append-only list of concepts over a fixed alphabet.  Most
-concepts denote a token sequence (their "expansion"); associations, affect
-primitives and markers are relational nodes that never expand.  Templates
-carry holes and only expand through an Apply that fills them.
+A graph holds an append-only list of concepts over a fixed alphabet, and a
+concept's id is its position in that list.  Most concepts denote a token
+sequence (their "expansion"); associations, affect primitives and markers
+are relational nodes that never expand.  Templates carry holes and only
+expand through an Apply that fills them.
 
 A description, the compressed form of one experience, is a plain tuple of
 nodes: a reference is the concept id it names and a blob the non-empty
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import sys
 from collections import deque
-from functools import cached_property
 from itertools import chain
 from typing import Iterable, Optional, Sequence, Union
 
@@ -89,12 +89,11 @@ class Repeat:
 
 @record
 class Template:
-    """A body of slots.  `holes` is computed on first read and cached in the
-    record's `__dict__`, so a malformed body constructs and raises there."""
+    """A body of slots.  A malformed body constructs, and `holes` raises."""
 
     body: tuple[Slot, ...]
 
-    @cached_property
+    @property
     def holes(self) -> int:
         """The number of distinct holes; raises unless the body is a non-empty
         tuple of slot refs and holes whose int indices run from 0 without a gap."""
@@ -174,45 +173,50 @@ class Config:
 
 
 class Concept:
-    """One row of a graph: its id, and a kind and weight that change in place."""
+    """One row of a graph, whose id is its position: a kind and a weight."""
 
-    __slots__ = ("id", "kind", "weight")
+    __slots__ = ("kind", "weight")
 
-    def __init__(self, id: int, kind: Kind, weight: float):
-        self.id = id
+    def __init__(self, kind: Kind, weight: float):
         self.kind = kind
         self.weight = weight
 
     def __eq__(self, other):
         if type(other) is not Concept:
             return NotImplemented
-        return (self.id, self.kind, self.weight) == (other.id, other.kind, other.weight)
+        return (self.kind, self.weight) == (other.kind, other.weight)
 
     __hash__ = None  # mutable
 
     def __repr__(self) -> str:
-        return f"Concept(id={self.id!r}, kind={self.kind!r}, weight={self.weight!r})"
+        return f"Concept(kind={self.kind!r}, weight={self.weight!r})"
+
+
+def _check_weight(weight) -> None:
+    """The one weight rule: an int or a float from 0 to the largest float."""
+    if type(weight) not in (int, float) or not 0 <= weight <= _MAX_FLOAT:
+        raise ValueError("weight must be finite and non-negative")
 
 
 class ConceptGraph:
     """Single-writer graph of concepts plus the state the inducer keeps.
 
-    Concepts are appended with strictly increasing ids and deduplicated
+    Concepts are appended, so an id is a row's position, and deduplicated
     structurally.  The circuit grows bottom-up: a concept may only reference
     older concepts, except that an Apply may name a newer template whose
-    slot refs are older than the Apply (`_validate` holds the rule, for
-    `add`, `replace_kind` and load alike).  So references never form a
-    cycle, and each parseable concept's expansion is stored when it is
-    added, built from its references' stored expansions.  The birth rows (a
-    primitive per alphabet symbol, then pleasure and pain) lead every graph:
-    a fresh one makes them, and rows given to the constructor (a load) must
-    start with them; either way `rebuild_derived` builds the graph from its
-    rows.  Besides the concepts, the graph keeps the expansions and the
-    codeable count and weight (the code denominator), and holds the
-    refinement store, the run counts and the adjacent-pair counts that
-    associations and digrams share; description lengths come from `mdl`.
-    The expansion table is the parseable set, in id order; the config is
-    fixed.  The follows marker is the concept that is `FOLLOWS`, by structure.
+    slot refs are older than the Apply (`_validate` holds the rule).  So
+    references never form a cycle, and each parseable concept's expansion
+    is built from its references' stored ones.  The birth rows (a primitive
+    per alphabet symbol, then pleasure and pain) lead every graph: a fresh
+    one makes them, and rows given to the constructor (a load) must start
+    with them.  One row derivation (`_enter`) keeps the dedup table, the
+    expansions (the parseable set, in id order) and the codeable count and
+    weight (the code denominator), for each row the constructor is given and
+    each row `add` appends; `pop_last` undoes it.  The graph also holds the
+    refinement store, whose chain count is the episode count, the run counts
+    and the adjacent-pair counts that associations and digrams share;
+    description lengths come from `mdl`.  The config is fixed.  The follows
+    marker is the concept that is `FOLLOWS`, by structure.
     """
 
     def __init__(self, alphabet: Sequence[Token], config: Optional[Config] = None,
@@ -230,19 +234,21 @@ class ConceptGraph:
         self.pleasure_id, self.pain_id = len(self.alphabet), len(self.alphabet) + 1
         birth = [*map(Primitive, self.alphabet), AffectPrimitive(PLEASURE), AffectPrimitive(PAIN)]
         if concepts is None:
-            concepts = [Concept(cid, kind, 1.0) for cid, kind in enumerate(birth)]
-        elif [c.kind for c in concepts[:len(birth)]] != birth:
+            concepts = [Concept(kind, 1.0) for kind in birth]
+        elif [getattr(c, "kind", None) for c in concepts[:len(birth)]] != birth:
             raise ValueError("initial concepts do not match the alphabet")
         self.concepts: list[Concept] = list(concepts)
-        self.episode: int = 0
         # adjacent ref pair counts accumulated over stored descriptions
         self.assoc_counts: dict[tuple[int, int], int] = {}
-        # episode id -> refinement chain (level 0 first)
+        # episode id -> refinement chain (level 0 first); the ids run from 0
         self.refinement_store: dict[int, list[Description]] = {}
         self.raw_bits_total: float = 0.0
         # run-length observations feeding number generalization: k -> child ids
         self.run_observations: dict[int, set[int]] = {}
-        self.rebuild_derived()
+        # the derived tables: kind -> first id, parseable id -> expansion, code mass
+        self._dedup, self._expansions, self._codeable_count, self._codeable_weight = {}, {}, 0, 0.0
+        for cid, concept in enumerate(self.concepts):
+            self._enter(cid, concept)
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -254,6 +260,11 @@ class ConceptGraph:
     def config(self) -> Config:
         """The engine thresholds, fixed for the graph's life."""
         return self._config
+
+    @property
+    def episode(self) -> int:
+        """The number of episodes ingested: one refinement chain each."""
+        return len(self.refinement_store)
 
     def concept(self, cid: int) -> Concept:
         if type(cid) is not int or not 0 <= cid < len(self.concepts):  # True is no id
@@ -274,7 +285,7 @@ class ConceptGraph:
         return self._codeable_weight
 
     def codeable_ids(self) -> list[int]:
-        return [c.id for c in self.concepts if isinstance(c.kind, _CODEABLE)]
+        return [cid for cid, c in enumerate(self.concepts) if isinstance(c.kind, _CODEABLE)]
 
     def parseable_ids(self) -> list[int]:
         """The parseable ids in id order: the keys of the expansion table."""
@@ -311,7 +322,7 @@ class ConceptGraph:
     def _validate(self, kind: Kind, cid: int) -> None:
         """Raise a `GraphError` unless `kind` may be concept `cid`.
 
-        The one growth rule, used by `add`, `replace_kind` and load: every
+        The one growth rule, for `add`, `replace_kind` and the constructor: every
         reference names a concept older than `cid`, and a reference that
         must expand names a parseable concept.  The one exception is an
         Apply's template, which may be any existing template (an older
@@ -395,6 +406,22 @@ class ConceptGraph:
             raise TooLarge(f"expansion exceeds {MAX_EXPANSION} tokens")
         return tuple(chain.from_iterable(parts))
 
+    def _enter(self, cid: int, concept: Concept) -> None:
+        """The one row derivation: check the row at `cid` (else raise before any
+        table changes) and enter it in the dedup table, where a repeated kind
+        keeps its first id, the expansion table and the code mass."""
+        if type(concept) is not Concept:
+            raise ValueError(f"row {cid} is not a Concept: {concept!r}")
+        _check_weight(concept.weight)
+        kind = concept.kind
+        self._validate(kind, cid)
+        if isinstance(kind, _PARSEABLE):
+            self._expansions[cid] = self._expand(kind)
+        self._dedup.setdefault(kind, cid)
+        if isinstance(kind, _CODEABLE):
+            self._codeable_count += 1
+            self._codeable_weight += concept.weight
+
     def add(self, kind: Kind) -> int:
         """Append a concept, or return the existing id of a structural twin."""
         try:
@@ -404,46 +431,20 @@ class ConceptGraph:
         if existing is not None:
             return existing
         cid = len(self.concepts)
-        self._validate(kind, cid)
-        if isinstance(kind, _PARSEABLE):
-            self._expansions[cid] = self._expand(kind)
-        self.concepts.append(Concept(id=cid, kind=kind, weight=1.0))
-        self._dedup[kind] = cid
-        if isinstance(kind, _CODEABLE):
-            self._codeable_count += 1
-            self._codeable_weight += 1.0
+        self._enter(cid, concept := Concept(kind, 1.0))
+        self.concepts.append(concept)
         return cid
 
     def pop_last(self) -> None:
-        """Remove the most recently added concept (speculative-add rollback)."""
+        """Remove the last row, the exact inverse of `_enter` (speculative-add rollback)."""
         concept = self.concepts.pop()
-        if self._dedup.get(concept.kind) == concept.id:  # a loaded file may repeat a kind
+        cid = len(self.concepts)
+        if self._dedup.get(concept.kind) == cid:  # a loaded file may repeat a kind
             del self._dedup[concept.kind]
-        self._expansions.pop(concept.id, None)
+        self._expansions.pop(cid, None)
         if isinstance(concept.kind, _CODEABLE):
             self._codeable_count -= 1
             self._codeable_weight -= concept.weight
-
-    def rebuild_derived(self) -> None:
-        """Validate every concept once and rebuild the dedup table (a repeated
-        kind keeps its first id), the expansion table and the code mass in id
-        order; raises like `add`, and `ValueError` for a row whose id is not
-        its position.  `__init__` calls it on the rows it is given."""
-        self._dedup: dict[Kind, int] = {}
-        self._expansions: dict[int, tuple[Token, ...]] = {}
-        self._codeable_count = 0
-        self._codeable_weight = 0.0
-        for cid, concept in enumerate(self.concepts):
-            if type(concept.id) is not int or concept.id != cid:
-                raise ValueError(f"concept at position {cid} has id {concept.id!r}")
-            kind = concept.kind
-            self._validate(kind, cid)
-            if isinstance(kind, _PARSEABLE):
-                self._expansions[cid] = self._expand(kind)
-            self._dedup.setdefault(kind, cid)
-            if isinstance(kind, _CODEABLE):
-                self._codeable_count += 1
-                self._codeable_weight += concept.weight
 
     def replace_kind(self, cid: int, kind: Kind) -> None:
         """Structural rewrite (Concat -> Apply abstraction).
@@ -452,6 +453,7 @@ class ConceptGraph:
         name a newer template whose slot refs are older than `cid`, and its
         expansion must equal the stored one (else `ReconstructionMismatch`).
         On any error the graph is left as it was; id and weight are kept.
+        The dedup table stays the one `_enter` derives, where kinds repeat too.
         """
         concept = self.concept(cid)
         old = concept.kind
@@ -462,9 +464,15 @@ class ConceptGraph:
         if not isinstance(kind, _PARSEABLE) or self._expand(kind) != before:
             raise ReconstructionMismatch(f"rewrite of concept {cid} changed its expansion")
         concept.kind = kind
-        if self._dedup.get(old) == cid:  # a loaded file may repeat a kind
-            del self._dedup[old]
-        self._dedup.setdefault(kind, cid)
+        dedup, rows = self._dedup, self.concepts
+        if dedup.get(old) == cid:
+            del dedup[old]
+            if len(dedup) + 1 < len(rows):  # some kind repeats: a newer twin takes `old` over
+                twin = next((i for i in range(cid + 1, len(rows)) if rows[i].kind == old), None)
+                if twin is not None:
+                    dedup[old] = twin
+        if dedup.setdefault(kind, cid) > cid:  # `kind` has a newer twin: `cid` comes first
+            dedup[kind] = cid
 
     # ------------------------------------------------------------------
     # expansion
@@ -482,8 +490,7 @@ class ConceptGraph:
 
     def set_weight(self, cid: int, weight: float) -> None:
         """Set one weight directly, keeping the code-mass counter in sync."""
-        if not 0 <= weight <= _MAX_FLOAT:
-            raise ValueError("weight must be finite and non-negative")
+        _check_weight(weight)
         concept = self.concept(cid)
         if isinstance(concept.kind, _CODEABLE):
             self._codeable_weight += weight - concept.weight
@@ -495,13 +502,12 @@ class ConceptGraph:
         Affect primitives are exempt from decay (their weight is unused).
         Every used id is checked before any weight changes.
         """
-        rewarded = {self.concept(cid).id for cid in used}  # raises UnknownConcept
+        rewarded = {cid: self.concept(cid) for cid in used}  # raises UnknownConcept
         gamma = self.config.decay
         for concept in self.concepts:
-            if isinstance(concept.kind, AffectPrimitive):
-                continue
-            concept.weight *= gamma
-        for concept in map(self.concepts.__getitem__, rewarded):
+            if not isinstance(concept.kind, AffectPrimitive):
+                concept.weight *= gamma
+        for concept in rewarded.values():
             if not isinstance(concept.kind, AffectPrimitive):
                 concept.weight += 1.0
         self._codeable_weight = sum(
@@ -538,11 +544,10 @@ class ConceptGraph:
         """
         alpha = self.config.valence_decay
         cap = self.config.valence_hop_cap
-        adjacency: dict[int, set[int]] = {c.id: set() for c in self.concepts}
-        for concept in self.concepts:
-            for ref in self.reference_edges(concept.id):
-                adjacency[concept.id].add(ref)
-                adjacency[ref].add(concept.id)
+        adjacency = {cid: set(self.reference_edges(cid)) for cid in range(len(self.concepts))}
+        for cid in range(len(self.concepts)):
+            for ref in self.reference_edges(cid):
+                adjacency[ref].add(cid)
 
         def distances(source: int) -> dict[int, int]:
             dist = {source: 0}
@@ -561,8 +566,7 @@ class ConceptGraph:
         d_plus = distances(self.pleasure_id)
         d_minus = distances(self.pain_id)
         valences: dict[int, float] = {}
-        for concept in self.concepts:
-            cid = concept.id
+        for cid in adjacency:
             pos = alpha ** d_plus[cid] if cid in d_plus else 0.0
             neg = alpha ** d_minus[cid] if cid in d_minus else 0.0
             valences[cid] = max(-1.0, min(1.0, pos - neg))
@@ -633,20 +637,27 @@ def default_emotion_templates() -> list[EmotionTemplate]:
     return [anger, frustration]
 
 
-def _check_constraint(emotion: str, constraint: SlotConstraint) -> None:
-    """Raise `MalformedTemplate` unless the constraint's kind is known and
-    the field that kind reads is set: an id, a label or a sign of +1 or -1."""
-    kind = constraint.kind
-    if kind == "exact":
-        ok = type(constraint.concept) is int
-    elif kind == "label":
-        ok = isinstance(constraint.label, str)
-    elif kind == "valence":
-        ok = constraint.sign in (PLEASURE, PAIN)
-    else:
-        ok = kind == "any"
-    if not ok:
-        raise MalformedTemplate(f"emotion {emotion!r} has a malformed {kind!r} constraint")
+def _check_template(template: EmotionTemplate) -> None:
+    """Raise `MalformedTemplate` unless the pattern is a non-empty tuple of
+    constraints of known kinds, each with the field its kind reads (an int id,
+    a label, or a sign of exactly +1 or -1), and the repeat count an int >= 1."""
+    if type(template) is not EmotionTemplate:
+        raise MalformedTemplate(f"{template!r} is not an emotion template")
+    emotion, pattern, repeats = template
+    if type(pattern) is not tuple or not pattern or type(repeats) is not int or repeats < 1:
+        raise MalformedTemplate(f"emotion {emotion!r}: malformed pattern or repeat count")
+    for constraint in pattern:
+        kind = constraint.kind if type(constraint) is SlotConstraint else None
+        if kind == "exact":
+            ok = type(constraint.concept) is int
+        elif kind == "label":
+            ok = isinstance(constraint.label, str)
+        elif kind == "valence":
+            ok = type(constraint.sign) is int and constraint.sign in (PLEASURE, PAIN)
+        else:
+            ok = kind == "any"
+        if not ok:
+            raise MalformedTemplate(f"emotion {emotion!r}: malformed constraint {constraint!r}")
 
 
 def _constraint_matches(constraint: SlotConstraint, node, valences,
@@ -677,13 +688,8 @@ def match_emotion(desc: Description, templates: Sequence[EmotionTemplate],
     labels = labels or {}
     results: list[tuple[str, tuple[int, int]]] = []
     for template in templates:
+        _check_template(template)
         pattern = template.pattern
-        if not pattern:
-            raise MalformedTemplate(f"emotion {template.emotion!r} has an empty pattern")
-        if template.min_repeats < 1:
-            raise MalformedTemplate(f"emotion {template.emotion!r} has repeat count < 1")
-        for constraint in pattern:
-            _check_constraint(template.emotion, constraint)
         width = len(pattern)
         i = 0
         while i + width <= len(desc):

@@ -776,8 +776,9 @@ def ingest(graph: ConceptGraph, experience,
 
     Segment by contrast, parse each segment, grow concepts from repetition,
     abstract commonality, record associations, decay-and-reward weights,
-    store the description as refinement level 0, bump the episode counter.
-    The parses share the graph's kept level-0 context, refreshed first.
+    store the description as level 0 of a new refinement chain (which
+    counts the episode).  The parses share the graph's kept level-0
+    context, refreshed first.
     """
     stream = _normalize_stream(experience)
     if stream.kind != TOKEN:
@@ -791,7 +792,8 @@ def ingest(graph: ConceptGraph, experience,
     else:
         pos = 0
         for seg in segments:
-            if seg.start != pos or stream.samples[seg.start:seg.end] != tuple(seg.payload):
+            if type(seg) is not Segment or seg.start != pos or (
+                    stream.samples[seg.start:seg.end] != tuple(seg.payload)):
                 raise ValueError("segments must cover the stream exactly, in order")
             pos = seg.end
         if pos != len(stream.samples):
@@ -812,15 +814,14 @@ def ingest(graph: ConceptGraph, experience,
         desc = first_pass
     abstract_common(graph)
     new_pairs = record_associations(graph, desc)
-    new_concepts = [c.id for c in graph.concepts[pre_count:]]
+    new_concepts = list(range(pre_count, len(graph)))
 
     graph.tick_weights(_transitive_refs(graph, desc))
     episode_id = graph.episode
-    graph.refinement_store.setdefault(episode_id, []).append(desc)
+    graph.refinement_store[episode_id] = [desc]  # which counts the episode
     raw_bits = raw_dl(len(stream.samples), len(graph.alphabet))
     graph.raw_bits_total += raw_bits
     _apply_forgetting(graph)
-    graph.episode += 1
     return IngestReport(episode=episode_id, description=desc,
                         new_concepts=new_concepts, new_associations=new_pairs,
                         raw_bits=raw_bits, described_bits=description_dl(graph, desc))

@@ -122,8 +122,8 @@ def model_dl(graph: ConceptGraph) -> float:
     """Total model bits over every concept (`concept_model_dl`)."""
     log_d = math.log2(_denominator(graph))
     total = 0.0
-    for concept in graph.concepts:
-        total += concept_model_dl(graph, concept.id, log_d)
+    for cid in range(len(graph.concepts)):
+        total += concept_model_dl(graph, cid, log_d)
     return total
 
 

@@ -22,8 +22,7 @@ A record keeps the value semantics of a frozen dataclass:
   `<=`, `>` and `>=` raise `TypeError`;
 - a `__post_init__` method, if the body defines one, checks each new
   record, however it is built, and raises to refuse it;
-- a class with a `cached_property` keeps a `__dict__` to cache in; every
-  other record has no `__dict__`.
+- a record has no `__dict__`.
 
 Field defaults are class attributes, as in a dataclass, and the field
 list is the namedtuple's `_fields`, with each field's annotation text in
@@ -31,7 +30,6 @@ list is the namedtuple's `_fields`, with each field's annotation text in
 """
 
 from collections import namedtuple
-from functools import cached_property
 
 _tuple_eq = tuple.__eq__
 _tuple_ne = tuple.__ne__
@@ -67,7 +65,7 @@ def _delattr(self, name):
     raise AttributeError(f"cannot delete field {name!r}")
 
 
-_METHODS = {"__eq__": _eq, "__ne__": _ne, "__hash__": tuple.__hash__,
+_METHODS = {"__slots__": (), "__eq__": _eq, "__ne__": _ne, "__hash__": tuple.__hash__,
             "__lt__": _unordered("<"), "__le__": _unordered("<="),
             "__gt__": _unordered(">"), "__ge__": _unordered(">="),
             "__setattr__": _setattr, "__delattr__": _delattr}
@@ -93,8 +91,6 @@ def record(cls):
     base = namedtuple(cls.__name__, names, defaults=defaults, module=cls.__module__)
     for name in ("__dict__", "__weakref__") + (() if body.get("__doc__") else ("__doc__",)):
         body.pop(name, None)  # without a docstring, the namedtuple's "Name(fields)" stays
-    if not any(isinstance(value, cached_property) for value in body.values()):
-        body["__slots__"] = ()
     body.update(_METHODS)
     if "__post_init__" in body:  # checked on every path, `_replace` included
         body["__new__"] = _checked(base.__new__)

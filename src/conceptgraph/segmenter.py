@@ -39,8 +39,8 @@ class Segment:
     payload: tuple
 
     def __post_init__(self) -> None:
-        if not 0 <= self.start < self.end:
-            raise ValueError("segment bounds must satisfy 0 <= start < end")
+        if not (type(self.start) is type(self.end) is int and 0 <= self.start < self.end):
+            raise ValueError("segment bounds must be ints with 0 <= start < end")
 
 
 def _segments_from_boundaries(samples: tuple, cuts: list[int]) -> list[Segment]:
@@ -56,11 +56,11 @@ def _segments_from_boundaries(samples: tuple, cuts: list[int]) -> list[Segment]:
 
 
 def segment_scalar(stream: RawStream, contrast_threshold: float) -> list[Segment]:
-    """Cut wherever the jump between adjacent samples exceeds the threshold (not NaN)."""
+    """Cut wherever the jump between adjacent samples exceeds the threshold."""
     if stream.kind != SCALAR:
         raise WrongKind("segment_scalar needs a scalar stream")
-    if math.isnan(contrast_threshold):
-        raise ValueError("contrast threshold is NaN")
+    if type(contrast_threshold) not in (int, float) or math.isnan(contrast_threshold):
+        raise ValueError("contrast threshold must be an int or a float, not NaN")
     samples = stream.samples
     cuts = [i for i in range(len(samples) - 1)
             if abs(samples[i + 1] - samples[i]) > contrast_threshold]
@@ -78,14 +78,14 @@ def segment_tokens(stream: RawStream, class_of: Callable[[str], object]) -> list
 
 
 def smoothness(stream: RawStream, threshold: float) -> str:
-    """SMOOTH iff every second difference is bounded by the threshold (not NaN).
+    """SMOOTH iff every second difference is bounded by the threshold.
 
     Streams shorter than 3 samples are vacuously smooth.
     """
     if stream.kind != SCALAR:
         raise WrongKind("smoothness needs a scalar stream")
-    if math.isnan(threshold):
-        raise ValueError("smoothness threshold is NaN")
+    if type(threshold) not in (int, float) or math.isnan(threshold):
+        raise ValueError("smoothness threshold must be an int or a float, not NaN")
     samples = stream.samples
     if len(samples) < 3:
         return SMOOTH

@@ -20,18 +20,19 @@ decimals, so it cannot give back the graph that wrote it.
 Loading reads every concept row and hands the rows to `ConceptGraph`, the
 one path from rows to a graph: they must start with the birth rows (a
 primitive per alphabet symbol, then pleasure and pain), and each is checked
-once with the rule that `add` uses (`ConceptGraph._validate`, through
-`rebuild_derived`): references point at older concepts of a fitting kind,
-so a loaded graph has no dangling reference and no cycle.  Each stored
-level is reconstructed, so its nodes keep `core`'s node rule, and must
-spell what its chain's level 0 spells, as `refine` promises.  Any violation
-is a `CorruptFile`, as is a file that is not UTF-8 JSON, a section of the
-wrong JSON type, a concept row of an unknown kind or the wrong length, an
-integer field holding anything but a JSON integer, a refinement key that is
-not an episode before the episode counter, an empty refinement chain, a run
-length below 2, an association pair listed twice or counted below 1, or a
-run member or associated pair member that is not a parseable concept (both
-count description refs).
+once by the row derivation that `add` uses (`ConceptGraph._enter`): its
+weight is one `set_weight` takes, and its references point at older
+concepts of a fitting kind, so a loaded graph has no dangling reference and
+no cycle.  The episode counter is the number of refinement chains, keyed
+exactly 0 to one below it, so the next ingest stores a new chain.  Each
+stored level is reconstructed, so its nodes keep `core`'s node rule, and
+must spell what its chain's level 0 spells, as `refine` promises.  Any
+violation is a `CorruptFile`, as is a file that is not UTF-8 JSON, a
+section of the wrong JSON type, a concept row of an unknown kind or the
+wrong length, an integer field holding anything but a JSON integer, an
+empty refinement chain, a run length below 2, an association pair listed
+twice or counted below 1, or a run member or associated pair member that
+is not a parseable concept (both count description refs).
 
 Teach scripts are line-oriented s-expressions in strict topological order.
 One kind table (`_KINDS`) gives each concept kind's names and typed fields
@@ -170,18 +171,14 @@ def _concept_to_json(concept: Concept) -> list:
     return [name, float(concept.weight), *[write(getattr(kind, field)) for field, write in writers]]
 
 
-def _concept_from_json(cid: int, row) -> Concept:
+def _concept_from_json(row) -> Concept:
     name, weight, *values = _list(row)
     if name not in _ROW_READERS:
         raise CorruptFile(f"unknown concept kind {name!r}")
     cls, readers = _ROW_READERS[name]
     if len(values) != len(readers):
-        raise CorruptFile(f"concept {cid}: {name} takes {len(readers)} field(s)")
-    weight = _float(weight)
-    if not 0.0 <= weight < math.inf:
-        raise CorruptFile(f"concept {cid}: weight not finite and >= 0")
-    kind = cls(*[read(value) for read, value in zip(readers, values)])
-    return Concept(cid, kind, weight)
+        raise CorruptFile(f"{name} takes {len(readers)} field(s)")
+    return Concept(cls(*[read(value) for read, value in zip(readers, values)]), _float(weight))
 
 
 def _desc_from_json(level) -> Description:
@@ -247,12 +244,8 @@ def graph_from_json(data) -> ConceptGraph:
             raise CorruptFile(f"extra or missing config fields: {odd}")
         kwargs = {name: _float(config_data[name]) for name in _CONFIG_FLOATS}
         kwargs.update({name: _int(config_data[name]) for name in _CONFIG_INTS})
-        concepts = [_concept_from_json(i, row) for i, row in enumerate(_list(data["concepts"]))]
+        concepts = [_concept_from_json(row) for row in _list(data["concepts"])]
         graph = ConceptGraph(tuple(_list(data["alphabet"])), Config(**kwargs), concepts)
-
-        graph.episode = _int(data["episode"])
-        if graph.episode < 0:
-            raise CorruptFile("episode must be non-negative")
         graph.raw_bits_total = _float(data["raw_bits_total"])
         if not 0.0 <= graph.raw_bits_total < math.inf:
             raise CorruptFile("raw_bits_total must be finite and non-negative")
@@ -274,8 +267,9 @@ def graph_from_json(data) -> ConceptGraph:
         store = graph.refinement_store
         for ep, levels in _dict(data["refinements"]).items():
             store[_key(ep)] = [_desc_from_json(level) for level in _list(levels)]
-        if not all(0 <= ep < graph.episode and levels for ep, levels in store.items()):
-            raise CorruptFile("a refinement chain is empty, or its key is not an episode "
+        if (_int(data["episode"]) != len(store) or store.keys() != set(range(len(store)))
+                or not all(store.values())):
+            raise CorruptFile("the refinements are not one non-empty chain per episode "
                               "before the counter")
         for levels in store.values():  # `reconstruct` holds each node to the rule
             spelled = reconstruct(graph, levels[0])
@@ -302,16 +296,16 @@ def load(path: str) -> ConceptGraph:
 
 def dot_text(graph: ConceptGraph) -> str:
     lines = ["digraph concepts {"]
-    for concept in graph.concepts:
+    for cid, concept in enumerate(graph.concepts):
         kind_name = _KINDS[type(concept.kind)][0]
-        lines.append(f'  c{concept.id} [label="{concept.id}:{kind_name}:{concept.weight:.2f}"];')
-    for concept in graph.concepts:
+        lines.append(f'  c{cid} [label="{cid}:{kind_name}:{concept.weight:.2f}"];')
+    for cid, concept in enumerate(graph.concepts):
         dashed = isinstance(concept.kind, Association)
         style = " [style=dashed]" if dashed else ""
-        for ref in graph.reference_edges(concept.id):
-            lines.append(f"  c{concept.id} -> c{ref}{style};")
+        for ref in graph.reference_edges(cid):
+            lines.append(f"  c{cid} -> c{ref}{style};")
         if dashed and graph.follows_marker_id is not None:
-            lines.append(f"  c{concept.id} -> c{graph.follows_marker_id} [style=dashed];")
+            lines.append(f"  c{cid} -> c{graph.follows_marker_id} [style=dashed];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -375,8 +369,10 @@ def import_teach(graph: ConceptGraph, script: str) -> int:
     A line that cannot be read as a kind is a `CorruptFile`; a kind that
     `add` refuses raises `add`'s own error.  All or nothing: if any line
     fails, the concepts the earlier lines added are popped again before the
-    error propagates.
+    error propagates.  A script that is not a `str` is a `CorruptFile`.
     """
+    if not isinstance(script, str):
+        raise CorruptFile(f"a teach script is a str, not {type(script).__name__}")
     local: list[int] = []
     size = len(graph)
 

@@ -160,8 +160,8 @@ def test_06_closed_forms():
         for _ in range(rng.randint(0, 8)):
             ids = g3.parseable_ids()
             g3.add(Concat((rng.choice(ids), rng.choice(ids))))
-        for concept in g3.concepts:
-            g3.set_weight(concept.id, rng.random() * 12)
+        for cid in range(len(g3)):
+            g3.set_weight(cid, rng.random() * 12)
         assert kraft_sum(g3) <= 1 + 1e-9
     report(6, "closed forms", started, 60)
 
@@ -202,7 +202,7 @@ def test_09_teach_roundtrip():
     for _ in range(40):
         tokens = [rng.choice(sigma) for _ in range(rng.randint(0, 40))]
         ingest(graph, tokens)
-    candidates = [c.id for c in graph.concepts if graph.is_parseable(c.id)]
+    candidates = [cid for cid in range(len(graph)) if graph.is_parseable(cid)]
     picks = [rng.choice(candidates) for _ in range(100)]
     for cid in picks:
         script = export_teach(graph, cid)

@@ -1,6 +1,8 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conceptgraph.core import (
     MAX_EXPANSION,
@@ -52,7 +54,7 @@ def test_initial_graph_contents():
 
 def rows_of(g):
     """Copies of a graph's concept rows, as a load hands them over."""
-    return [Concept(c.id, c.kind, c.weight) for c in g.concepts]
+    return [Concept(c.kind, c.weight) for c in g.concepts]
 
 
 def test_a_graph_given_its_own_rows_is_the_same_graph():
@@ -73,11 +75,11 @@ def test_a_graph_given_its_own_rows_is_the_same_graph():
     pytest.param(lambda rows: rows.clear(), id="no-rows"),
     pytest.param(lambda rows: rows.pop(), id="no-pain"),
     pytest.param(lambda rows: rows.reverse(), id="reversed"),
-    pytest.param(lambda rows: rows.__setitem__(0, Concept(0, Primitive("b"), 1.0)),
+    pytest.param(lambda rows: rows.__setitem__(0, Concept(Primitive("b"), 1.0)),
                  id="b-for-a"),
-    pytest.param(lambda rows: rows.__setitem__(2, Concept(2, AffectPrimitive(-1), 1.0)),
+    pytest.param(lambda rows: rows.__setitem__(2, Concept(AffectPrimitive(-1), 1.0)),
                  id="pain-for-pleasure"),
-    pytest.param(lambda rows: rows.insert(0, Concept(0, Primitive("c"), 1.0)),
+    pytest.param(lambda rows: rows.insert(0, Concept(Primitive("c"), 1.0)),
                  id="a-primitive-outside-the-alphabet"),
 ])
 def test_rows_that_do_not_start_with_the_birth_rows_are_refused(edit):
@@ -87,13 +89,23 @@ def test_rows_that_do_not_start_with_the_birth_rows_are_refused(edit):
         ConceptGraph("ab", None, rows)
 
 
-@pytest.mark.parametrize("position, bad_id", [(0, 1), (1, True), (4, 5), (4, 4.0)])
-def test_a_row_whose_id_is_not_its_position_is_refused(position, bad_id):
-    """Rows come from the caller, so a row's id must be its position: else a
-    concept and the row that tables name it by would differ."""
-    rows = rows_of(fresh("ab")) + [Concept(4, Concat((0, 1)), 1.0)]
-    rows[position].id = bad_id
-    with pytest.raises(ValueError, match=f"position {position} "):
+@pytest.mark.parametrize("row", [
+    Concept(Concat((0, 1)), -1.0), Concept(Concat((0, 1)), math.nan),
+    Concept(Concat((0, 1)), math.inf), Concept(Concat((0, 1)), 10**400),
+    Concept(Concat((0, 1)), "x"), Concept(Concat((0, 1)), True), Concept(Concat((0, 1)), None),
+    (Concat((0, 1)), 1.0), None])
+def test_a_row_that_is_not_a_concept_or_has_a_bad_weight_is_refused(row):
+    """One weight rule for every row: the constructor takes a weight that
+    `set_weight` takes, so every graph it builds saves a file that loads."""
+    with pytest.raises(ValueError, match="weight|not a Concept"):
+        ConceptGraph("ab", None, rows_of(fresh("ab")) + [row])
+
+
+def test_a_birth_row_with_a_bad_weight_is_refused():
+    """Affect primitives are outside the code, but their weights are saved."""
+    rows = rows_of(fresh("ab"))
+    rows[2].weight = -1.0
+    with pytest.raises(ValueError, match="weight"):
         ConceptGraph("ab", None, rows)
 
 
@@ -193,7 +205,7 @@ def test_tick_weights_with_an_unknown_id_changes_nothing(used):
         g.tick_weights(used)
     assert [c.weight for c in g.concepts] == weights
     assert g.codeable_weight() == codeable
-    assert codeable == sum(w for c, w in zip(g.concepts, weights) if g.is_codeable(c.id))
+    assert codeable == sum(w for cid, w in enumerate(weights) if g.is_codeable(cid))
 
 
 def test_decay_closed_form():
@@ -335,6 +347,9 @@ def test_match_emotion_blob_meets_only_wildcards():
     SlotConstraint(kind="label"),
     SlotConstraint(kind="exact"),
     SlotConstraint(kind="exact", concept="0"),
+    SlotConstraint(kind="valence", sign=True),
+    SlotConstraint(kind="valence", sign=-1.0),
+    "any",
 ])
 def test_match_emotion_rejects_a_malformed_constraint_before_matching(constraint):
     """Checked before the first node: a label without a label would match
@@ -348,6 +363,30 @@ def test_match_emotion_rejects_a_malformed_constraint_before_matching(constraint
 def test_match_emotion_rejects_empty_pattern():
     with pytest.raises(MalformedTemplate):
         match_emotion((), [EmotionTemplate("bad", ())], {})
+
+
+ANY = SlotConstraint(kind="any")
+
+
+@pytest.mark.parametrize("template", [
+    pytest.param(EmotionTemplate("x", (ANY,), min_repeats="2"), id="repeats-str"),
+    pytest.param(EmotionTemplate("x", (ANY,), min_repeats=1.5), id="repeats-float"),
+    pytest.param(EmotionTemplate("x", (ANY,), min_repeats=True), id="repeats-bool"),
+    pytest.param(EmotionTemplate("x", 5), id="pattern-int"),
+    pytest.param(EmotionTemplate("x", [ANY]), id="pattern-list"),
+])
+def test_match_emotion_rejects_a_malformed_pattern_or_repeat_count(template):
+    """A template is data from the caller: a repeat count that is not an int
+    >= 1 or a pattern that is not a tuple is a `MalformedTemplate`, checked
+    before the first node is matched."""
+    for desc in ((), (0, 1)):
+        with pytest.raises(MalformedTemplate, match="'x'"):
+            match_emotion(desc, [template], {0: -1.0, 1: -1.0})
+
+
+def test_match_emotion_rejects_a_template_that_is_not_one():
+    with pytest.raises(MalformedTemplate, match="not an emotion template"):
+        match_emotion((0,), [None], {})
 
 
 def test_replace_kind_preserves_expansion_and_dedup():
@@ -369,8 +408,9 @@ def test_a_repeated_kind_keeps_its_first_id_through_pop_and_rewrite():
     tpl = g.add(Template((SlotRef(0), Hole(0))))
 
     def restore_twin():  # as load restores rows
-        g.concepts.append(Concept(len(g), Concat((0, 1)), 1.0))
-        g.rebuild_derived()
+        nonlocal g
+        g.concepts.append(Concept(Concat((0, 1)), 1.0))
+        g = ConceptGraph(g.alphabet, g.config, g.concepts)
         return len(g) - 1
 
     restore_twin()
@@ -379,8 +419,8 @@ def test_a_repeated_kind_keeps_its_first_id_through_pop_and_rewrite():
     twin = restore_twin()
     g.replace_kind(twin, Apply(tpl, (1,)))
     assert g.find(Concat((0, 1))) == x
-    g.replace_kind(x, Apply(tpl, (1,)))
-    assert g.find(Concat((0, 1))) is None and g.find(Apply(tpl, (1,))) == twin
+    g.replace_kind(x, Apply(tpl, (1,)))  # the older of the two now holds the Apply
+    assert g.find(Concat((0, 1))) is None and g.find(Apply(tpl, (1,))) == x != twin
 
 
 def test_replace_kind_rejects_an_expansion_change():
@@ -411,7 +451,7 @@ def test_replace_kind_rejects_a_template_with_a_newer_slot_ref():
 
 
 def test_expansion_is_capped():
-    """`add`, `replace_kind` and `rebuild_derived` refuse an expansion longer
+    """`add`, `replace_kind` and the constructor refuse an expansion longer
     than the cap before building it, and leave the graph as it was."""
     g = fresh("ab")
     with pytest.raises(TooLarge):
@@ -431,12 +471,12 @@ def test_expansion_is_capped():
     assert g.concept(ab).kind == Concat((0, 1)) and g.expansion(ab) == ("a", "b")
     g.concepts[ab].kind = Repeat(0, MAX_EXPANSION + 1)
     with pytest.raises(TooLarge):
-        g.rebuild_derived()
+        ConceptGraph(g.alphabet, g.config, g.concepts)
 
 
 def test_set_weight_rejects_negative_and_non_finite():
     g = fresh("ab")
-    for bad in (-1.0, float("inf"), float("nan")):
+    for bad in (-1.0, float("inf"), float("nan"), "x", None, True, [1.0]):
         with pytest.raises(ValueError):
             g.set_weight(0, bad)
     assert g.concepts[0].weight == 1.0
@@ -465,7 +505,7 @@ def test_rebuild_derived_matches_incremental_counters():
     g.add(Repeat(0, 4))
     g.tick_weights({0, 1})
     count, weight = g.codeable_count(), g.codeable_weight()
-    g.rebuild_derived()
+    g = ConceptGraph(g.alphabet, g.config, g.concepts)
     assert g.codeable_count() == count
     assert g.codeable_weight() == pytest.approx(weight)
 
@@ -498,11 +538,12 @@ def test_a_graphs_config_cannot_be_reassigned():
 
 def test_the_expansion_table_is_the_parseable_set_in_id_order():
     """`parseable_ids` and `is_parseable` read the expansion table; it keeps
-    id order through add, pop_last, replace_kind and rebuild_derived."""
+    id order through add, pop_last, replace_kind and the constructor."""
     g = fresh("abc")
 
     def scanned():
-        return [c.id for c in g.concepts if isinstance(c.kind, (Primitive, Concat, Repeat, Apply))]
+        return [cid for cid, c in enumerate(g.concepts)
+                if isinstance(c.kind, (Primitive, Concat, Repeat, Apply))]
 
     def check():
         assert g.parseable_ids() == scanned()
@@ -520,10 +561,107 @@ def test_the_expansion_table_is_the_parseable_set_in_id_order():
     g.pop_last()
     g.add(Marker("m"))
     check()
-    g.rebuild_derived()
+    g = ConceptGraph(g.alphabet, g.config, g.concepts)
     check()
     with pytest.raises(UnknownConcept):
         g.is_parseable(len(g))
+
+
+def derived_tables(g):
+    """The dedup table, the expansion table (in order), the codeable count
+    and the code mass that the constructor derives from copies of the rows."""
+    built = ConceptGraph(g.alphabet, g.config, rows_of(g))
+    return (built._dedup, list(built._expansions.items()), built.codeable_count(),
+            built.codeable_weight())
+
+
+def kinds(ref):
+    """Kinds over ids drawn by `ref`: ones `add` takes and ones it refuses."""
+    return st.one_of(
+        st.builds(Concat, st.tuples(ref, ref)), st.builds(Concat, st.tuples(ref)),
+        st.builds(Repeat, ref, st.integers(1, 3)),
+        st.builds(Template, st.tuples(st.builds(SlotRef, ref), st.builds(Hole, st.integers(0, 1)))),
+        st.builds(Apply, ref, st.tuples(ref)), st.builds(Association, ref, ref),
+        st.builds(Marker, st.sampled_from(["m", "follows", 7])),
+        st.builds(AffectPrimitive, st.sampled_from([1, -1, 0])),
+        st.builds(Primitive, st.sampled_from(["a", "z"])))
+
+
+def rewrites(g, cid):
+    """Kinds with the expansion of `cid`: those of the other concepts that
+    spell the same tokens, a concat abstracted into an application of a
+    (new) one-hole template, and an application flattened into a concat."""
+    tokens = g._expansions.get(cid)
+    yield from (c.kind for i, c in enumerate(g.concepts)
+                if i != cid and tokens is not None and g._expansions.get(i) == tokens)
+    kind = g.concepts[cid].kind
+    if isinstance(kind, Concat):
+        for i, differ in enumerate(kind.children):
+            body = tuple(Hole(0) if j == i else SlotRef(c) for j, c in enumerate(kind.children))
+            yield Apply(g.add(Template(body)), (differ,))
+    elif isinstance(kind, Apply):
+        body = g.concepts[kind.template].kind.body
+        yield Concat(tuple(kind.fillers[s.index] if isinstance(s, Hole) else s.concept
+                           for s in body))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_every_step_keeps_the_tables_the_constructor_derives(data):
+    """The row derivation contract: after each `add` (of a kind it takes or
+    refuses), `pop_last` (of a row nothing references), `replace_kind` (a
+    rewrite it takes or one it refuses) or `tick_weights` on an ingested
+    graph, the dedup table, the expansion table and the codeable count
+    equal those the constructor derives from copies of the rows.  The code
+    mass matches to float rounding: a `pop_last` after a tick subtracts a
+    weight from a sum, so it can differ from the constructor's sum in the
+    last bit."""
+    g = ConceptGraph("abc", Config(generalize_threshold=2))
+    for episode in data.draw(st.lists(st.text("abc", max_size=40), max_size=6)):
+        ingest(g, episode)
+    cid = 0
+    for _ in range(data.draw(st.integers(1, 20))):
+        step = data.draw(st.sampled_from(["add", "pop", "replace", "tick"]))
+        if cid >= len(g) or data.draw(st.booleans()):  # else the last step's concept again
+            cid = data.draw(st.integers(0, len(g) - 1))
+        twins = [*rewrites(g, cid)]  # which may add templates
+        n = len(g)
+        # mostly a twin by expansion of `cid`, which makes kinds repeat, else a
+        # kind over ids up to n, which is no concept yet
+        kind = data.draw(st.sampled_from(twins) if twins and data.draw(st.integers(0, 3))
+                         else kinds(st.integers(0, n)))
+        if step == "pop":
+            if n > 5 and not any(n - 1 in g.reference_edges(c) for c in range(n - 1)):
+                g.pop_last()
+        elif step == "tick":
+            g.tick_weights(data.draw(st.sets(st.integers(0, n - 1), max_size=4)))
+        else:
+            try:
+                g.add(kind) if step == "add" else g.replace_kind(cid, kind)
+            except GraphError:
+                pass
+        dedup, expansions, count, weight = derived_tables(g)
+        assert g._dedup == dedup
+        assert list(g._expansions.items()) == expansions
+        assert g.codeable_count() == count
+        assert g.codeable_weight() == pytest.approx(weight, rel=1e-12)
+
+
+def test_a_rewrite_keeps_the_first_id_of_a_repeated_kind():
+    """Where kinds repeat, `replace_kind` keeps the dedup table that the
+    constructor derives: a rewrite to a kind that a newer concept holds
+    names the rewritten id, and a rewrite away from a kind that a newer
+    twin holds passes the kind to the twin."""
+    g = fresh("abc")
+    x = g.add(Concat((0, 1)))
+    tpl = g.add(Template((SlotRef(0), Hole(0))))
+    y = g.add(Apply(tpl, (1,)))  # a newer concept that also spells "ab"
+    g.replace_kind(x, Apply(tpl, (1,)))
+    assert g.find(Apply(tpl, (1,))) == x and g.find(Concat((0, 1))) is None
+    assert g._dedup == derived_tables(g)[0]
+    g.replace_kind(x, Concat((0, 1)))
+    assert g.find(Apply(tpl, (1,))) == y and g.find(Concat((0, 1))) == x
+    assert g._dedup == derived_tables(g)[0]
 
 
 def test_config_validation():

@@ -270,8 +270,8 @@ def test_follows_marker_after_three_distinct_associations():
 def test_ingest_learns_triple_pattern():
     g = ConceptGraph("abc")
     report = ingest(g, "abcabcabc")
-    assert any(g.is_parseable(c.id) and "".join(g.expansion(c.id)) == "abc"
-               for c in g.concepts)
+    assert any(g.is_parseable(cid) and "".join(g.expansion(cid)) == "abc"
+               for cid in range(len(g)))
     assert report.described_bits < report.raw_bits
 
 
@@ -281,6 +281,19 @@ def test_ingest_empty_episode():
     assert report.description == ()
     assert report.new_concepts == []
     assert g.episode == 1
+
+
+def test_the_episode_count_is_the_number_of_stored_chains():
+    """Each ingest stores one new chain, keyed by the count before it; the
+    count cannot be set apart from the chains."""
+    g = ConceptGraph("ab")
+    for n, text in enumerate(["abab", "", "ba", "abab"], 1):
+        assert ingest(g, text).episode == n - 1
+        assert g.episode == len(g.refinement_store) == n
+        assert list(g.refinement_store) == list(range(n))
+    with pytest.raises(AttributeError):
+        g.episode = 0
+    assert g.episode == 4
 
 
 def test_ingest_new_concept_ids_are_fresh():
@@ -755,7 +768,7 @@ def test_fast_path_equivalence_sigma16_beyond_the_pool():
     rng = random.Random(16)
     for _ in range(12):
         ingest(g, "".join(rng.choice(sigma) for _ in range(rng.randint(32, 160))))
-    concats = [c.id for c in g.concepts if isinstance(c.kind, Concat)]
+    concats = [cid for cid, c in enumerate(g.concepts) if isinstance(c.kind, Concat)]
     # a flat twin of each nested concat: several ids share one expansion
     for cid in concats[:20]:
         flat = []
@@ -883,14 +896,14 @@ def rebuilding_abstract_common(graph):
     while changed:
         changed = False
         buckets = {}
-        for concept in graph.concepts:
+        for cid, concept in enumerate(graph.concepts):
             kind = concept.kind
             if not isinstance(kind, Concat):
                 continue
             ch = kind.children
             for i in range(len(ch)):
                 key = (len(ch), i, ch[:i], ch[i + 1:])
-                buckets.setdefault(key, []).append((concept.id, ch[i]))
+                buckets.setdefault(key, []).append((cid, ch[i]))
         for key, members in buckets.items():
             if len({differ for _, differ in members}) < m:
                 continue
@@ -915,14 +928,14 @@ def ranked_members(graph, pool):
 def rescanned_index(graph):
     """The parseable ids and the kind index's facts, recounted from every concept."""
     parseable, buckets, repeats = [], {}, {}
-    for concept in graph.concepts:
+    for cid, concept in enumerate(graph.concepts):
         kind = concept.kind
         if isinstance(kind, (Primitive, Concat, Repeat, Apply)):
-            parseable.append(concept.id)
+            parseable.append(cid)
         if isinstance(kind, Concat):
             ch = kind.children
             for i in range(len(ch)):
-                buckets.setdefault((len(ch), i, ch[:i], ch[i + 1:]), {})[concept.id] = ch[i]
+                buckets.setdefault((len(ch), i, ch[:i], ch[i + 1:]), {})[cid] = ch[i]
         elif isinstance(kind, Repeat):
             repeats.setdefault(kind.count, set()).add(kind.child)
     associations = sum(isinstance(c.kind, Association) for c in graph.concepts)

@@ -71,7 +71,7 @@ OTHER = [
     (IngestReport(0, (0, ("a",)), [5], [(0, 1)], 1.5, 0.25),
      "IngestReport(episode=0, description=(0, ('a',)), new_concepts=[5], "
      "new_associations=[(0, 1)], raw_bits=1.5, described_bits=0.25)"),
-    (Concept(0, Primitive("a"), 1.0), "Concept(id=0, kind=Primitive(token='a'), weight=1.0)"),
+    (Concept(Primitive("a"), 1.0), "Concept(kind=Primitive(token='a'), weight=1.0)"),
     (LibraryFn("succ", 1, None), "LibraryFn(name='succ', arity=1, definition=None)"),
 ]
 TWINS = [  # equal field values, different classes
@@ -135,10 +135,10 @@ def test_records_have_no_order(a, b):
 
 
 def test_a_concept_compares_by_value_and_has_no_hash():
-    assert Concept(0, Primitive("a"), 1.0) == Concept(id=0, kind=Primitive("a"), weight=1.0)
-    assert Concept(0, Primitive("a"), 1.0) != Concept(0, Primitive("a"), 0.5)
+    assert Concept(Primitive("a"), 1.0) == Concept(kind=Primitive("a"), weight=1.0)
+    assert Concept(Primitive("a"), 1.0) != Concept(Primitive("a"), 0.5)
     with pytest.raises(TypeError):
-        hash(Concept(0, Primitive("a"), 1.0))
+        hash(Concept(Primitive("a"), 1.0))
 
 
 @pytest.mark.parametrize("body, error", [
@@ -152,12 +152,6 @@ def test_a_malformed_template_raises_only_when_add_reads_its_holes(body, error):
     assert len(g) == 4
     with pytest.raises(error):
         template.holes
-
-
-def test_a_templates_holes_are_computed_once():
-    template = Template((Hole(0), SlotRef(0), Hole(1)))
-    assert "holes" not in vars(template)
-    assert template.holes == 2 and vars(template)["holes"] == 2
 
 
 @pytest.mark.parametrize("build", [

@@ -2,11 +2,14 @@ import random
 
 import pytest
 
+from conceptgraph.core import ConceptGraph
 from conceptgraph.errors import WrongKind
+from conceptgraph.inducer import ingest
 from conceptgraph.segmenter import (
     RawStream,
     ROUGH,
     SMOOTH,
+    Segment,
     segment_scalar,
     segment_tokens,
     smoothness,
@@ -118,3 +121,24 @@ def test_smoothness_refuses_a_nan_threshold():
         smoothness(RawStream.scalars([1, 2, 3]), float("nan"))
     with pytest.raises(ValueError, match="NaN"):
         smoothness(RawStream.scalars([1]), float("nan"))
+
+
+@pytest.mark.parametrize("start, end", [(0, 2.0), (0.0, 2), (False, 2), (0, True), (0, "2"),
+                                        (None, 2), (1, 1), (-1, 2)])
+def test_a_segment_takes_exact_int_bounds(start, end):
+    with pytest.raises(ValueError, match="bounds"):
+        Segment(start, end, ("a", "b"))
+
+
+def test_ingest_refuses_segments_that_are_not_segments():
+    g = ConceptGraph("ab")
+    with pytest.raises(ValueError, match="segments"):
+        ingest(g, "ab", segments=[(0, 2, ("a", "b"))])
+    assert len(g) == 4 and g.episode == 0
+
+
+@pytest.mark.parametrize("threshold", ["x", None, True, [1], 1j, float("nan")])
+@pytest.mark.parametrize("detector", [segment_scalar, smoothness])
+def test_a_threshold_that_is_not_an_int_or_a_float_is_refused(detector, threshold):
+    with pytest.raises(ValueError, match="threshold"):
+        detector(RawStream.scalars([1, 2, 4]), threshold)

@@ -92,7 +92,8 @@ def test_a_loaded_graph_reloads_to_the_same_state():
         ingest(g, episode)
     first = graph_from_json(json.loads(dumps(g)))
     assert vars(graph_from_json(json.loads(dumps(first)))) == vars(first)
-    assert [c.id for c in first.concepts if c.kind == FOLLOWS] == [first.follows_marker_id]
+    assert [cid for cid, c in enumerate(first.concepts) if c.kind == FOLLOWS] == [
+        first.follows_marker_id]
 
 
 def test_load_restores_structure_and_behavior(tmp_path):
@@ -281,8 +282,8 @@ def test_every_float_survives_a_save_and_load(tmp_path_factory, data):
                     fast_path_threshold=data.draw(EDGE_FLOATS), valence_decay=data.draw(unit))
     g = ConceptGraph("ab", config)
     g.add(Repeat(g.add(Concat((0, 1))), 2))
-    for concept in g.concepts:
-        g.set_weight(concept.id, data.draw(EDGE_FLOATS))
+    for cid in range(len(g)):
+        g.set_weight(cid, data.draw(EDGE_FLOATS))
     g.raw_bits_total = data.draw(EDGE_FLOATS)
     path = str(tmp_path_factory.mktemp("floats") / "g.cg")
     save(g, path)
@@ -365,7 +366,7 @@ def test_dot_and_teach_bytes_are_pinned():
     g.add(Marker('follows "x" \\'))
     g.add(FOLLOWS)
     g.set_weight(8, 2.5)
-    teach = "".join(export_teach(g, c.id) for c in g.concepts)
+    teach = "".join(export_teach(g, cid) for cid in range(len(g)))
     assert hashlib.sha256(dot_text(g).encode()).hexdigest() == (
         "75bc62002f731d9774cb5bf48d0ed2fc2a5046a4a42a2d970e98122401d7754b")
     assert hashlib.sha256(teach.encode()).hexdigest() == (
@@ -645,13 +646,19 @@ def test_load_rejects_a_non_canonical_key(section, key):
     pytest.param(lambda d: d.__setitem__("episode", d["episode"] - 1), id="episode-at-the-last-key"),
     pytest.param(lambda d: d["refinements"].__setitem__("-1", [[0]]), id="a-negative-key"),
     pytest.param(lambda d: d["refinements"].__setitem__("1", []), id="an-empty-chain"),
+    pytest.param(lambda d: d.__setitem__("episode", d["episode"] + 1),
+                 id="episode-past-the-last-key"),
+    pytest.param(lambda d: d["refinements"].pop("1"), id="a-skipped-key"),
+    pytest.param(lambda d: (d.__setitem__("episode", -1), d["refinements"].clear()),
+                 id="episode--1-and-no-chains"),
 ])
 def test_load_rejects_a_refinement_chain_not_of_an_episode(edit):
-    """A refinement chain is that of an episode the graph has ingested: its
-    key is below the counter and it holds level 0.  A key at or past the
-    counter would make the next ingest append its episode to a stored
-    chain, as a level that need not reconstruct level 0; an empty chain
-    lists an episode that `refine` cannot find."""
+    """The counter is the number of chains, keyed exactly 0 to one below it,
+    and each chain holds level 0.  A key at or past the counter would make
+    the next ingest append its episode to a stored chain, as a level that
+    need not reconstruct level 0; a counter past the keys, or a skipped
+    key, leaves an episode that `refine` cannot find, as does an empty
+    chain."""
     doc = json.loads(trained_graph_text())
     assert sorted(map(int, doc["refinements"])) == list(range(doc["episode"]))
     edit(doc)
@@ -800,7 +807,7 @@ def test_teach_import_preserves_expansion():
 def test_teach_roundtrip_random_concepts():
     g = trained_graph()
     rng = random.Random(15)
-    candidates = [c.id for c in g.concepts if g.is_parseable(c.id)]
+    candidates = [cid for cid in range(len(g)) if g.is_parseable(cid)]
     for cid in rng.sample(candidates, min(25, len(candidates))):
         script = export_teach(g, cid)
         fresh = ConceptGraph("abcd")
@@ -818,6 +825,14 @@ def test_teach_roundtrip_of_quote_and_backslash():
     assert fresh.expansion(import_teach(fresh, export_teach(g, word))) == ('"', "\\", '"', "a")
     assert fresh.concept(import_teach(fresh, export_teach(g, label))).kind == Marker('x"\\y')
     assert export_teach(g, label) == '(marker "x\\"\\\\y")\n'
+
+
+@pytest.mark.parametrize("script", [None, b"(prim \"a\")", ['(prim "a")'], 7])
+def test_a_teach_script_that_is_not_a_str_is_corrupt(script):
+    g = ConceptGraph("ab")
+    with pytest.raises(CorruptFile, match="teach script"):
+        import_teach(g, script)
+    assert len(g) == 4
 
 
 def chain_teach_script(depth: int) -> str:
