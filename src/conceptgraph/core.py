@@ -159,17 +159,17 @@ class Config:
     pool_base: int = 64
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.decay <= 1.0):
-            raise ValueError("decay must be in (0, 1]")
-        if not (0.0 < self.valence_decay < 1.0):
-            raise ValueError("valence_decay must be in (0, 1)")
         for name, value in zip(self._fields, self):
             if self.__annotations__[name] == "int":  # the annotations are strings (PEP 563)
                 # a bool or a float would save a file its loader refuses
                 if type(value) is not int or value <= 0:
                     raise ValueError(f"{name} must be a positive integer")
-            elif not 0.0 <= value <= _MAX_FLOAT:
-                raise ValueError(f"{name} must be finite and non-negative")
+            else:
+                _check_number(value, name)
+        if not (0.0 < self.decay <= 1.0):
+            raise ValueError("decay must be in (0, 1]")
+        if not (0.0 < self.valence_decay < 1.0):
+            raise ValueError("valence_decay must be in (0, 1)")
 
 
 class Concept:
@@ -192,10 +192,11 @@ class Concept:
         return f"Concept(kind={self.kind!r}, weight={self.weight!r})"
 
 
-def _check_weight(weight) -> None:
-    """The one weight rule: an int or a float from 0 to the largest float."""
-    if type(weight) not in (int, float) or not 0 <= weight <= _MAX_FLOAT:
-        raise ValueError("weight must be finite and non-negative")
+def _check_number(value, name: str = "weight") -> None:
+    """The one number rule, for weights and the float `Config` fields: an int
+    or a float (no bool) from 0 to the largest float."""
+    if type(value) not in (int, float) or not 0 <= value <= _MAX_FLOAT:
+        raise ValueError(f"{name} must be finite and non-negative")
 
 
 class ConceptGraph:
@@ -210,25 +211,37 @@ class ConceptGraph:
     per alphabet symbol, then pleasure and pain) lead every graph: a fresh
     one makes them, and rows given to the constructor (a load) must start
     with them.  One row derivation (`_enter`) keeps the dedup table, the
-    expansions (the parseable set, in id order) and the codeable count and
-    weight (the code denominator), for each row the constructor is given and
-    each row `add` appends; `pop_last` undoes it.  The graph also holds the
-    refinement store, whose chain count is the episode count, the run counts
-    and the adjacent-pair counts that associations and digrams share;
-    description lengths come from `mdl`.  The config is fixed.  The follows
-    marker is the concept that is `FOLLOWS`, by structure.
+    expansions (the parseable set, in id order), the codeable count and
+    weight (the code denominator) and the kind facts that induction reads,
+    for each row the constructor is given and each row `add` appends;
+    `pop_last` undoes it and `replace_kind` moves a row between kinds.  The
+    kind facts are the concat buckets, (length, position, head, tail) ->
+    {concat id: its child at the position}, with the buckets a concat joined
+    since `abstract_common` last took them (every bucket, in a graph just
+    built), the Repeat children by count and the Association count.  The
+    graph also holds the refinement store, whose chain count is the episode
+    count, the run counts and the adjacent-pair counts that associations and
+    digrams share; description lengths come from `mdl`.  The config is
+    fixed.  The follows marker is the concept that is `FOLLOWS`, by
+    structure.
     """
 
     def __init__(self, alphabet: Sequence[Token], config: Optional[Config] = None,
                  concepts: Optional[Sequence[Concept]] = None):
+        try:
+            alphabet = tuple(alphabet)
+        except TypeError:
+            raise ValueError("alphabet must be a sequence of symbols") from None
         if len(alphabet) < 1:
             raise ValueError("alphabet must contain at least one symbol")
         if not all(isinstance(sym, str) for sym in alphabet):
             raise ValueError("alphabet symbols must be strings")
         if len(set(alphabet)) != len(alphabet):
             raise ValueError("alphabet symbols must be unique")
-        self.alphabet: tuple[Token, ...] = tuple(alphabet)
-        self.alphabet_set: frozenset[Token] = frozenset(self.alphabet)
+        if config is not None and type(config) is not Config:
+            raise ValueError(f"config must be a Config, not {config!r}")
+        self.alphabet: tuple[Token, ...] = alphabet
+        self.alphabet_set: frozenset[Token] = frozenset(alphabet)
         self._config = config or Config()
         # the birth rows: a primitive per symbol, then pleasure and pain
         self.pleasure_id, self.pain_id = len(self.alphabet), len(self.alphabet) + 1
@@ -247,6 +260,12 @@ class ConceptGraph:
         self.run_observations: dict[int, set[int]] = {}
         # the derived tables: kind -> first id, parseable id -> expansion, code mass
         self._dedup, self._expansions, self._codeable_count, self._codeable_weight = {}, {}, 0, 0.0
+        # the kind facts: concat buckets, the buckets joined since `abstract_common`
+        # took them, count -> Repeat children, and the number of Associations
+        self.concat_buckets: dict[tuple, dict[int, int]] = {}
+        self.touched_buckets: set[tuple] = set()
+        self.repeat_children: dict[int, set[int]] = {}
+        self.association_count = 0
         for cid, concept in enumerate(self.concepts):
             self._enter(cid, concept)
 
@@ -409,18 +428,50 @@ class ConceptGraph:
     def _enter(self, cid: int, concept: Concept) -> None:
         """The one row derivation: check the row at `cid` (else raise before any
         table changes) and enter it in the dedup table, where a repeated kind
-        keeps its first id, the expansion table and the code mass."""
+        keeps its first id, the expansion table, the kind facts and the code
+        mass."""
         if type(concept) is not Concept:
             raise ValueError(f"row {cid} is not a Concept: {concept!r}")
-        _check_weight(concept.weight)
+        _check_number(concept.weight)
         kind = concept.kind
         self._validate(kind, cid)
         if isinstance(kind, _PARSEABLE):
             self._expansions[cid] = self._expand(kind)
         self._dedup.setdefault(kind, cid)
+        self._enter_kind(cid, kind)
         if isinstance(kind, _CODEABLE):
             self._codeable_count += 1
             self._codeable_weight += concept.weight
+
+    def _enter_kind(self, cid: int, kind: Kind) -> None:
+        """Enter row `cid`'s kind in the kind facts."""
+        if isinstance(kind, Concat):
+            for key, differ in _buckets_of(kind):
+                self.concat_buckets.setdefault(key, {})[cid] = differ
+                self.touched_buckets.add(key)
+        elif isinstance(kind, Repeat):
+            self.repeat_children.setdefault(kind.count, set()).add(kind.child)
+        elif isinstance(kind, Association):
+            self.association_count += 1
+
+    def _leave_kind(self, cid: int, kind: Kind) -> None:
+        """Take `kind`, which row `cid` no longer holds, out of the kind facts;
+        the dedup table is already without the row."""
+        if isinstance(kind, Concat):
+            buckets = self.concat_buckets
+            for key, _ in _buckets_of(kind):
+                members = buckets[key]
+                del members[cid]
+                if not members:
+                    del buckets[key]
+        elif isinstance(kind, Repeat):
+            if kind not in self._dedup:  # no twin row still holds the kind
+                children = self.repeat_children[kind.count]
+                children.remove(kind.child)
+                if not children:
+                    del self.repeat_children[kind.count]
+        elif isinstance(kind, Association):
+            self.association_count -= 1
 
     def add(self, kind: Kind) -> int:
         """Append a concept, or return the existing id of a structural twin."""
@@ -441,6 +492,7 @@ class ConceptGraph:
         cid = len(self.concepts)
         if self._dedup.get(concept.kind) == cid:  # a loaded file may repeat a kind
             del self._dedup[concept.kind]
+        self._leave_kind(cid, concept.kind)
         self._expansions.pop(cid, None)
         if isinstance(concept.kind, _CODEABLE):
             self._codeable_count -= 1
@@ -453,7 +505,8 @@ class ConceptGraph:
         name a newer template whose slot refs are older than `cid`, and its
         expansion must equal the stored one (else `ReconstructionMismatch`).
         On any error the graph is left as it was; id and weight are kept.
-        The dedup table stays the one `_enter` derives, where kinds repeat too.
+        The dedup table and the kind facts stay the ones `_enter` derives,
+        where kinds repeat too.
         """
         concept = self.concept(cid)
         old = concept.kind
@@ -473,6 +526,8 @@ class ConceptGraph:
                     dedup[old] = twin
         if dedup.setdefault(kind, cid) > cid:  # `kind` has a newer twin: `cid` comes first
             dedup[kind] = cid
+        self._leave_kind(cid, old)
+        self._enter_kind(cid, kind)
 
     # ------------------------------------------------------------------
     # expansion
@@ -490,7 +545,7 @@ class ConceptGraph:
 
     def set_weight(self, cid: int, weight: float) -> None:
         """Set one weight directly, keeping the code-mass counter in sync."""
-        _check_weight(weight)
+        _check_number(weight)
         concept = self.concept(cid)
         if isinstance(concept.kind, _CODEABLE):
             self._codeable_weight += weight - concept.weight
@@ -573,6 +628,13 @@ class ConceptGraph:
         valences[self.pleasure_id] = 1.0
         valences[self.pain_id] = -1.0
         return valences
+
+
+def _buckets_of(kind: Concat):
+    """(bucket key, differing child) for each position of a concat."""
+    ch = kind.children
+    for i in range(len(ch)):
+        yield (len(ch), i, ch[:i], ch[i + 1:]), ch[i]
 
 
 def node_tokens(graph: ConceptGraph, node) -> tuple[Token, ...]:

@@ -523,12 +523,15 @@ def synthesize(examples: Sequence[FunctionExample], library: Library,
 
     Overflow and iteration-cap breaches count as inconsistency, not errors.
     The search stops at the first kept term whose vector equals the outputs.
-    An input, output or cap that is not an `int` (a float, a bool, a
-    string) is a ValueError; a `size_cap` below 1 finds nothing.
+    An example that is not a `FunctionExample`, or an input, output or cap
+    that is not an `int` (a float, a bool, a string) is a ValueError; a
+    `size_cap` below 1 finds nothing.
     """
     _check_caps(size_cap=size_cap, iter_cap=iter_cap, value_cap=value_cap)
     if not examples:
         raise ArityMismatch("need at least one example")
+    if any(type(ex) is not FunctionExample for ex in examples):
+        raise ValueError("examples must be FunctionExamples")
     arity = len(examples[0].inputs)
     if any(len(ex.inputs) != arity for ex in examples):
         raise ArityMismatch("inconsistent example arity")

@@ -26,13 +26,12 @@ Number templates, their applications to runs and the
 common-component abstractions are forced by generalization thresholds
 instead: their payoff is expressive, not an immediate bit gain.
 
-An episode adds a handful of concepts, so what depends only on the
-concepts' kinds, and the graph does not hold, is kept per graph instead of
-rescanned: the concat buckets that agree everywhere but one position, the
-Repeat children by count and the association count (`_KindIndex`).  Each
-reader first compares the graph's kind list with the last one the index
-saw, by equality: an equal prefix means only the new rows are taken in,
-and any other change (a rollback, a load, an outside rewrite) rebuilds it.
+An episode adds a handful of concepts, so what induction reads of the
+concepts' kinds is not rescanned: the concat buckets that agree everywhere
+but one position, the Repeat children by count and the association count
+are kind facts that the graph derives with each row it takes in
+(`ConceptGraph`).  The one thing kept beside a graph is `ingest`'s level-0
+parse context (`_KEPT`).
 
 Descriptions are the plain tuples of nodes that `core` defines (a
 reference is the concept id it names, a blob the tuple of raw tokens it
@@ -46,7 +45,7 @@ import math
 import weakref
 from bisect import bisect_left, bisect_right
 from itertools import groupby
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Collection, Optional, Sequence
 
 from . import mdl
@@ -92,8 +91,8 @@ class Budget:
 
     @staticmethod
     def from_config(config: Config, level: int = 0) -> "Budget":
-        if level < 0:
-            raise ValueError("budget level must be >= 0")
+        if type(level) is not int or level < 0:
+            raise ValueError("budget level must be an int >= 0")
         level = min(level, MAX_BUDGET_LEVEL)
         return Budget(beam=config.beam_base << level, pool=config.pool_base << level)
 
@@ -168,7 +167,7 @@ class _ParseContext:
     bits are rewritten in place; the check is a list comparison, which finds
     an unchanged member's stored expansion by identity.  `ingest` builds its
     level-0 context once per graph (the config, so the budget, is fixed),
-    keeps it beside the kind index in `_KEPT` and refreshes it each episode:
+    keeps it in `_KEPT` and refreshes it each episode:
     between episodes the members change only when a node is formed or a
     weight crosses into the pool or the fast path.  `refine` and direct
     `parse` calls build a fresh context per call.
@@ -221,92 +220,10 @@ class _ParseContext:
         return found
 
 
-_KIND = attrgetter("kind")
-
-
-class _KindIndex:
-    """Facts about one graph's kinds by id that the graph does not hold,
-    kept across episodes instead of rescanning every concept:
-
-    - `buckets`: `abstract_common`'s concat buckets, (length, position,
-      head, tail) -> {concat id: its child at the position}, members in id
-      order; `touched` holds the buckets a concat joined since
-      `abstract_common` last checked them against the graph's fixed
-      generalization threshold, and no other bucket can qualify;
-    - `repeats`: repeat count -> the children of the Repeats of that count;
-    - `associations`: the number of Association concepts.
-
-    `sync` compares the graph's kind list with `kinds`, the last list the
-    index saw, by equality, so the index holds no `Concept` and no weight.
-    If the old list is an equal prefix, only the new rows are taken in;
-    anything else (a `pop_last`, a load, a `replace_kind` from outside, an
-    edited row) rebuilds the index.  Only the readers sync, and
-    `abstract_common` keeps `kinds` in step with its own rewrites.  `level0`
-    is the graph's kept level-0 parse context (`ingest`'s), kept here so
-    that a graph has one entry in `_KEPT`.
-    """
-
-    __slots__ = ("kinds", "buckets", "touched", "repeats", "associations", "level0")
-
-    def __init__(self) -> None:
-        self.level0: Optional[_ParseContext] = None
-        self._clear()
-
-    def _clear(self) -> None:
-        self.kinds: list = []
-        self.buckets: dict[tuple, dict[int, int]] = {}
-        self.touched: set[tuple] = set()
-        self.repeats: dict[int, set[int]] = {}
-        self.associations = 0
-
-    def sync(self, graph: ConceptGraph) -> "_KindIndex":
-        """Take in the graph's new kind rows, or all of them; return the index."""
-        kinds = list(map(_KIND, graph.concepts))
-        if kinds[:len(self.kinds)] != self.kinds:  # not an equal prefix
-            self._clear()
-        for cid in range(len(self.kinds), len(kinds)):
-            kind = kinds[cid]
-            if isinstance(kind, Concat):
-                for key, differ in _buckets_of(kind):
-                    self.buckets.setdefault(key, {})[cid] = differ
-                    self.touched.add(key)
-            elif isinstance(kind, Repeat):
-                self.repeats.setdefault(kind.count, set()).add(kind.child)
-            elif isinstance(kind, Association):
-                self.associations += 1
-        self.kinds = kinds
-        return self
-
-    def rewrite(self, cid: int, kind: Apply) -> None:
-        """Record `abstract_common`'s rewrite of concat `cid` into `kind`."""
-        buckets = self.buckets
-        for key, _ in _buckets_of(self.kinds[cid]):
-            members = buckets[key]
-            del members[cid]
-            if not members:
-                del buckets[key]
-        self.kinds[cid] = kind
-
-
-def _buckets_of(kind: Concat):
-    """(bucket key, differing child) for each position of a concat."""
-    ch = kind.children
-    for i in range(len(ch)):
-        yield (len(ch), i, ch[:i], ch[i + 1:]), ch[i]
-
-
-# Each graph's kind index and level-0 parse context.  Weak keys keep the
-# graph's own state and saved bytes free of them, and let a dropped graph
-# free its index and trie; neither holds a reference to the graph.
-_KEPT: "weakref.WeakKeyDictionary[ConceptGraph, _KindIndex]" = weakref.WeakKeyDictionary()
-
-
-def _kept(graph: ConceptGraph) -> _KindIndex:
-    """The graph's entry in `_KEPT`, made on first use; its readers sync it."""
-    kept = _KEPT.get(graph)
-    if kept is None:
-        kept = _KEPT[graph] = _KindIndex()
-    return kept
+# Each graph's level-0 parse context.  Weak keys keep the graph's own state
+# and saved bytes free of it, and let a dropped graph free its trie; the
+# context holds no reference to the graph.
+_KEPT: "weakref.WeakKeyDictionary[ConceptGraph, _ParseContext]" = weakref.WeakKeyDictionary()
 
 
 def parse(graph: ConceptGraph, tokens: Sequence[Token],
@@ -640,7 +557,7 @@ def induce_repeats(graph: ConceptGraph, desc: Description) -> tuple[Description,
 def _generalize_numbers(graph: ConceptGraph) -> None:
     """Create the k-fold template once runs of length k span enough children."""
     m = graph.config.generalize_threshold
-    observed, repeats = graph.run_observations, _kept(graph).sync(graph).repeats
+    observed, repeats = graph.run_observations, graph.repeat_children
     for k in sorted(observed.keys() | repeats.keys()):
         children = observed.get(k, set()) | repeats.get(k, set())
         if len(children) >= m and _number_template_id(graph, k) is None:
@@ -654,15 +571,17 @@ def abstract_common(graph: ConceptGraph) -> list[int]:
     A bucket of concats that agree everywhere but one position qualifies
     once its members differ there in at least `generalize_threshold`
     children.  Each round templates the qualifying bucket with the smallest
-    (first member id, position) and rewrites its members.  The buckets live
-    in the graph's kind index: only a bucket that a concat joined since the
-    last call can qualify (a rewrite only takes members out), and a
-    rewritten concat leaves its buckets instead of all being rebuilt.
+    (first member id, position) and rewrites its members.  The buckets are
+    the graph's kind facts: only a bucket that a concat joined since the
+    last call can qualify (a rewrite or a `pop_last` only takes members
+    out), and a rewritten concat leaves its buckets as `replace_kind` moves
+    it.  A rewrite from one concat to another can join a bucket after newer
+    members, so a bucket ranks by its smallest member id, as one rebuilt in
+    id order would.
     """
     m = graph.config.generalize_threshold
     before = len(graph)
-    index = _kept(graph).sync(graph)
-    buckets, touched = index.buckets, index.touched
+    buckets, touched = graph.concat_buckets, graph.touched_buckets
     while True:
         best = rank = None
         for key in list(touched):
@@ -670,7 +589,7 @@ def abstract_common(graph: ConceptGraph) -> list[int]:
             if members is None or len(set(members.values())) < m:
                 touched.discard(key)  # it only loses members until a concat joins it
             else:
-                here = (next(iter(members)), key[1])  # first member id, position
+                here = (min(members), key[1])  # smallest member id, position
                 if best is None or here < rank:
                     best, rank = key, here
         if best is None:
@@ -679,9 +598,7 @@ def abstract_common(graph: ConceptGraph) -> list[int]:
         body = tuple(SlotRef(c) for c in head) + (Hole(0),) + tuple(SlotRef(c) for c in tail)
         tpl = graph.add(Template(body))
         for cid, differ in list(buckets[best].items()):
-            kind = Apply(tpl, (differ,))
-            graph.replace_kind(cid, kind)
-            index.rewrite(cid, kind)
+            graph.replace_kind(cid, Apply(tpl, (differ,)))
 
 
 def record_associations(graph: ConceptGraph, desc: Description) -> list[tuple[int, int]]:
@@ -703,7 +620,7 @@ def record_associations(graph: ConceptGraph, desc: Description) -> list[tuple[in
             if len(graph) > before:
                 reified.append(pair)
     if (graph.follows_marker_id is None
-            and cfg.generalize_threshold <= _kept(graph).sync(graph).associations):
+            and cfg.generalize_threshold <= graph.association_count):
         graph.add(FOLLOWS)
     return reified
 
@@ -791,16 +708,15 @@ def ingest(graph: ConceptGraph, experience,
         segments = [Segment(0, n, stream.samples)] if n else []
     else:
         pos = 0
-        for seg in segments:
+        for seg in segments if type(segments) in (list, tuple) else [None]:  # None: no Segment
             if type(seg) is not Segment or seg.start != pos or (
-                    stream.samples[seg.start:seg.end] != tuple(seg.payload)):
+                    stream.samples[seg.start:seg.end] != seg.payload):
                 raise ValueError("segments must cover the stream exactly, in order")
             pos = seg.end
         if pos != len(stream.samples):
             raise ValueError("segments must cover the stream exactly, in order")
-    kept = _kept(graph)
-    if (context := kept.level0) is None:  # built once: the config, so the budget, is fixed
-        context = kept.level0 = _ParseContext(graph, Budget.from_config(graph.config, 0))
+    if (context := _KEPT.get(graph)) is None:  # built once: the config, so the budget, is fixed
+        context = _KEPT[graph] = _ParseContext(graph, Budget.from_config(graph.config, 0))
     else:
         context.refresh(graph)
     nodes: list[Node] = []

@@ -41,6 +41,8 @@ class Segment:
     def __post_init__(self) -> None:
         if not (type(self.start) is type(self.end) is int and 0 <= self.start < self.end):
             raise ValueError("segment bounds must be ints with 0 <= start < end")
+        if type(self.payload) is not tuple or len(self.payload) != self.end - self.start:
+            raise ValueError("a segment payload must be a tuple of end - start items")
 
 
 def _segments_from_boundaries(samples: tuple, cuts: list[int]) -> list[Segment]:

@@ -24,9 +24,10 @@ once by the row derivation that `add` uses (`ConceptGraph._enter`): its
 weight is one `set_weight` takes, and its references point at older
 concepts of a fitting kind, so a loaded graph has no dangling reference and
 no cycle.  The episode counter is the number of refinement chains, keyed
-exactly 0 to one below it, so the next ingest stores a new chain.  Each
-stored level is reconstructed, so its nodes keep `core`'s node rule, and
-must spell what its chain's level 0 spells, as `refine` promises.  Any
+exactly 0 to one below it and read in that order, as a live graph holds
+them, so the next ingest stores a new chain.  Each stored level is
+reconstructed, so its nodes keep `core`'s node rule, and must spell what
+its chain's level 0 spells, as `refine` promises.  Any
 violation is a `CorruptFile`, as is a file that is not UTF-8 JSON, a
 section of the wrong JSON type, a concept row of an unknown kind or the
 wrong length, an integer field holding anything but a JSON integer, an
@@ -264,14 +265,14 @@ def graph_from_json(data) -> ConceptGraph:
                 chain(*graph.assoc_counts, *graph.run_observations.values())):
             raise CorruptFile("an assoc_counts pair or run_observations member "
                               "is not a parseable concept")
-        store = graph.refinement_store
-        for ep, levels in _dict(data["refinements"]).items():
-            store[_key(ep)] = [_desc_from_json(level) for level in _list(levels)]
-        if (_int(data["episode"]) != len(store) or store.keys() != set(range(len(store)))
-                or not all(store.values())):
+        chains = _dict(data["refinements"])
+        keys = [str(ep) for ep in range(len(chains))]
+        if (_int(data["episode"]) != len(chains) or chains.keys() != set(keys)
+                or not all(chains.values())):
             raise CorruptFile("the refinements are not one non-empty chain per episode "
                               "before the counter")
-        for levels in store.values():  # `reconstruct` holds each node to the rule
+        for ep, key in enumerate(keys):  # `reconstruct` holds each node to the rule
+            levels = graph.refinement_store[ep] = [_desc_from_json(v) for v in _list(chains[key])]
             spelled = reconstruct(graph, levels[0])
             if any(reconstruct(graph, level) != spelled for level in levels[1:]):
                 raise CorruptFile("a refinement level does not spell its episode's level 0")

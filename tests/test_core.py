@@ -124,6 +124,16 @@ def test_alphabet_symbols_must_be_strings():
             ConceptGraph(alphabet)
 
 
+@pytest.mark.parametrize("alphabet, config", [
+    (None, None), (5, None), ("ab", "cfg"), ("ab", {"decay": 0.5}), ("ab", (1.0, 2))])
+def test_graph_arguments_of_the_wrong_type_are_refused(alphabet, config):
+    """An alphabet that is not a sequence, or a config that is not a
+    `Config`, is refused at construction: unchecked, the first raised a bare
+    `TypeError` and the second built a graph that failed in `ingest`."""
+    with pytest.raises(ValueError, match="alphabet|config"):
+        ConceptGraph(alphabet, config)
+
+
 def test_expansion_base_cases():
     g = fresh("abc")
     assert g.expansion(0) == ("a",)
@@ -568,11 +578,17 @@ def test_the_expansion_table_is_the_parseable_set_in_id_order():
 
 
 def derived_tables(g):
-    """The dedup table, the expansion table (in order), the codeable count
-    and the code mass that the constructor derives from copies of the rows."""
+    """The dedup table, the expansion table (in order), the codeable count,
+    the code mass and the kind facts that the constructor derives from
+    copies of the rows."""
     built = ConceptGraph(g.alphabet, g.config, rows_of(g))
     return (built._dedup, list(built._expansions.items()), built.codeable_count(),
-            built.codeable_weight())
+            built.codeable_weight(), kind_facts(built))
+
+
+def kind_facts(g):
+    """The concat buckets, the Repeat children by count and the Association count."""
+    return g.concat_buckets, g.repeat_children, g.association_count
 
 
 def kinds(ref):
@@ -611,11 +627,11 @@ def test_every_step_keeps_the_tables_the_constructor_derives(data):
     """The row derivation contract: after each `add` (of a kind it takes or
     refuses), `pop_last` (of a row nothing references), `replace_kind` (a
     rewrite it takes or one it refuses) or `tick_weights` on an ingested
-    graph, the dedup table, the expansion table and the codeable count
-    equal those the constructor derives from copies of the rows.  The code
-    mass matches to float rounding: a `pop_last` after a tick subtracts a
-    weight from a sum, so it can differ from the constructor's sum in the
-    last bit."""
+    graph, the dedup table, the expansion table, the codeable count and the
+    kind facts equal those the constructor derives from copies of the rows
+    (a bucket's members in any order).  The code mass matches to float
+    rounding: a `pop_last` after a tick subtracts a weight from a sum, so it
+    can differ from the constructor's sum in the last bit."""
     g = ConceptGraph("abc", Config(generalize_threshold=2))
     for episode in data.draw(st.lists(st.text("abc", max_size=40), max_size=6)):
         ingest(g, episode)
@@ -640,8 +656,9 @@ def test_every_step_keeps_the_tables_the_constructor_derives(data):
                 g.add(kind) if step == "add" else g.replace_kind(cid, kind)
             except GraphError:
                 pass
-        dedup, expansions, count, weight = derived_tables(g)
+        dedup, expansions, count, weight, facts = derived_tables(g)
         assert g._dedup == dedup
+        assert kind_facts(g) == facts
         assert list(g._expansions.items()) == expansions
         assert g.codeable_count() == count
         assert g.codeable_weight() == pytest.approx(weight, rel=1e-12)
@@ -673,6 +690,7 @@ def test_config_validation():
         Config(pool_base=0)
     for f in Config._fields:  # every int must be positive, every float finite and >= 0
         ints = Config.__annotations__[f] == "int"
-        for bad in (0,) if ints else (float("nan"), float("inf"), -1.0):
+        # a float field takes a number by the weight rule: no string, list or bool
+        for bad in (0,) if ints else (float("nan"), float("inf"), -1.0, "x", [1], True, None):
             with pytest.raises(ValueError):
                 Config(**{f: bad})

@@ -182,6 +182,16 @@ def test_synthesize_refuses_a_value_that_is_not_an_int(inputs, output):
         synthesize(examples, Library.initial())
 
 
+@pytest.mark.parametrize("search", [
+    lambda: synthesize([5], Library.initial()),
+    lambda: synthesize([FunctionExample("f", (1,), 2), ("f", (2,), 3)], Library.initial()),
+    lambda: learn_all([("f", [5])])])
+def test_an_example_that_is_not_a_function_example_is_refused(search):
+    """Unchecked, each of these raised a bare `AttributeError`."""
+    with pytest.raises(ValueError, match="FunctionExample"):
+        search()
+
+
 def test_learn_all_refuses_a_repeated_label_before_searching(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("searched before refusing the repeated label")

@@ -802,7 +802,7 @@ def test_kept_context_parses_like_a_fresh_one():
     rng = random.Random(5)
     for _ in range(8):
         ingest(g, "".join(rng.choice(["ab", "cab", "bca", "cc"]) for _ in range(12)))
-    kept = inducer._KEPT[g].level0
+    kept = inducer._KEPT[g]
     kept.refresh(g)  # the last ingest grew the graph after its parses
     budget = Budget.from_config(g.config)
 
@@ -849,9 +849,9 @@ def test_ingest_with_the_kept_context_cleared_gives_the_same_bytes():
     kept, cleared = ConceptGraph(GRAMMAR_ALPHABET), ConceptGraph(GRAMMAR_ALPHABET)
     reused = 0
     for episode in episodes:
-        trie = getattr(getattr(inducer._KEPT.get(kept), "level0", None), "trie", None)
+        trie = getattr(inducer._KEPT.get(kept), "trie", None)
         ingest(kept, episode)
-        reused += inducer._KEPT[kept].level0.trie is trie
+        reused += inducer._KEPT[kept].trie is trie
         inducer._KEPT.pop(cleared, None)
         ingest(cleared, episode)
     assert 0 < reused < len(episodes) - 1
@@ -863,33 +863,33 @@ def test_ingest_with_the_kept_context_cleared_gives_the_same_bytes():
     assert dropped() is None
 
 
-def test_ingest_syncs_the_kind_index_three_times_per_episode(monkeypatch):
-    """Only the readers of the kind index sync it (`_generalize_numbers`,
-    `abstract_common`, `record_associations` until the follows marker
-    exists), and the level-0 context is built once per graph."""
-    syncs = []
-    real_sync = inducer._KindIndex.sync
+def test_ingest_builds_the_level0_context_once_per_graph(monkeypatch):
+    """`ingest` builds a graph's level-0 parse context at its first episode,
+    keeps it as the graph's one entry in `_KEPT` and refreshes it after."""
+    built = []
 
-    def counting_sync(index, graph):
-        syncs.append(graph)
-        return real_sync(index, graph)
+    class CountingContext(inducer._ParseContext):
+        __slots__ = ()
 
-    monkeypatch.setattr(inducer._KindIndex, "sync", counting_sync)
-    g = ConceptGraph("abcdefghijklmnop")
+        def __init__(self, graph, budget):
+            built.append(graph)
+            super().__init__(graph, budget)
+
+    monkeypatch.setattr(inducer, "_ParseContext", CountingContext)
+    g, h = ConceptGraph("abcdefghijklmnop"), ConceptGraph("abcd")
     rng = random.Random(1)
     contexts = set()
-    for episode in range(20):
-        syncs.clear()
-        ingest(g, [rng.choice(g.alphabet) for _ in range(16)])
-        assert len(syncs) == (3 if g.follows_marker_id is None else 2)
-        contexts.add(id(inducer._KEPT[g].level0))
-    assert len(contexts) == 1
+    for _ in range(20):
+        for graph in (g, h):
+            ingest(graph, [rng.choice(graph.alphabet) for _ in range(16)])
+        contexts.add((id(inducer._KEPT[g]), id(inducer._KEPT[h])))
+    assert built == [g, h] and len(contexts) == 1
 
 
 def rebuilding_abstract_common(graph):
-    """`abstract_common` as it was before the kind index: the buckets are
-    rebuilt over every concept, and the first qualifying bucket in build
-    order is templated, until none qualifies."""
+    """`abstract_common` without kept buckets: the buckets are rebuilt over
+    every concept, and the first qualifying bucket in build order is
+    templated, until none qualifies."""
     m = graph.config.generalize_threshold
     before = len(graph)
     changed = True
@@ -918,15 +918,15 @@ def rebuilding_abstract_common(graph):
 
 
 def ranked_members(graph, pool):
-    """The parse members as the rule was before the kind index: the
-    fast-path set plus the top `pool` parseable ids by (-weight, id)."""
+    """The parse members by their definition: the fast-path set plus the
+    top `pool` parseable ids by (-weight, id)."""
     concepts = graph.concepts
     top = sorted(graph.parseable_ids(), key=lambda cid: (-concepts[cid].weight, cid))[:pool]
     return sorted(graph.fast_path_set().union(top))
 
 
 def rescanned_index(graph):
-    """The parseable ids and the kind index's facts, recounted from every concept."""
+    """The parseable ids and the kind facts, recounted from every concept."""
     parseable, buckets, repeats = [], {}, {}
     for cid, concept in enumerate(graph.concepts):
         kind = concept.kind
@@ -943,21 +943,20 @@ def rescanned_index(graph):
 
 
 def kept_index(graph):
-    """The graph's parseable ids and its kind index's facts, synced first."""
-    index = inducer._kept(graph).sync(graph)
-    assert index.kinds == [c.kind for c in graph.concepts]
-    return graph.parseable_ids(), index.buckets, index.repeats, index.associations
+    """The graph's parseable ids and the kind facts it keeps."""
+    return (graph.parseable_ids(), graph.concat_buckets, graph.repeat_children,
+            graph.association_count)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_kind_index_matches_the_rescans(data):
-    """Random sequences of ingest, add, pop_last, abstract_common, weight
-    edits and save/load round trips, mirrored on a reference graph whose
-    `abstract_common` rebuilds its buckets: the same returned ids and kinds
-    and the same saved bytes, the parse members of the rule before the
-    index, and index facts equal to a recount, on graphs of many tied
-    weights and a small pool."""
+    """Random sequences of ingest, add, pop_last, outside rewrites,
+    abstract_common, weight edits and save/load round trips, mirrored on a
+    reference graph whose `abstract_common` rebuilds its buckets: the same
+    returned ids and kinds and the same saved bytes, the parse members by
+    their definition, and the graph's kind facts equal to a recount, on
+    graphs of many tied weights and a small pool."""
     config = Config(generalize_threshold=data.draw(st.integers(2, 3)),
                     assoc_threshold=data.draw(st.integers(1, 3)),
                     pool_base=data.draw(st.integers(1, 4)))
@@ -1006,7 +1005,6 @@ def test_kind_index_matches_the_rescans(data):
             x, y, z = (data.draw(st.sampled_from(g.parseable_ids())) for _ in range(3))
             for graph in (g, ref):
                 pair, triple = graph.add(Concat((x, y))), graph.add(Concat((x, y, z)))
-            kept_index(g)
             if pair < triple:
                 g.replace_kind(triple, Concat((pair, z)))
                 ref.replace_kind(triple, Concat((pair, z)))
@@ -1025,7 +1023,7 @@ def test_kind_index_matches_the_rescans(data):
         assert kept_index(g) == rescanned_index(g)
         want = ranked_members(g, budget.pool)
         assert _ParseContext(g, budget).members == want
-        kept = inducer._KEPT[g].level0
+        kept = inducer._KEPT.get(g)
         if kept is not None:
             kept.refresh(g)
             assert kept.members == want
@@ -1052,8 +1050,9 @@ def test_abstract_common_matches_the_rebuilding_loop(data):
 @pytest.mark.parametrize("every", [1, 4, 10])
 def test_ingest_through_save_and_load_gives_the_in_memory_bytes(every):
     """A stream whose graph is saved and loaded every few episodes, so each
-    load starts a fresh kind index and parse context, ends in the bytes of
-    the stream kept in memory, which keeps its index and context."""
+    load derives its kind facts afresh and starts a fresh parse context,
+    ends in the bytes of the stream kept in memory, which keeps its facts
+    and context up to date episode by episode."""
     tokens, _ = gen_grammar_corpus(every, 3, 900)
     episodes = [tokens[i:i + 36] for i in range(0, len(tokens), 36)]
     rng = random.Random(every)
@@ -1067,7 +1066,7 @@ def test_ingest_through_save_and_load_gives_the_in_memory_bytes(every):
         if n % every == 0:
             reloaded = graph_from_json(json.loads(dumps(reloaded)))
     assert any(isinstance(c.kind, Apply) for c in kept.concepts)
-    assert inducer._KEPT[kept].kinds == [c.kind for c in kept.concepts]
+    assert kept_index(kept) == rescanned_index(kept) == kept_index(reloaded)
     assert dumps(reloaded) == dumps(kept)
 
 
@@ -1219,8 +1218,9 @@ def test_budget_doubles_per_level():
     b2 = Budget.from_config(config, 2)
     assert (b0.beam, b0.pool) == (config.beam_base, config.pool_base)
     assert (b2.beam, b2.pool) == (config.beam_base * 4, config.pool_base * 4)
-    with pytest.raises(ValueError):
-        Budget.from_config(config, -1)
+    for level in (-1, "1", 1.5, True, None):  # an exact int >= 0
+        with pytest.raises(ValueError, match="budget level"):
+            Budget.from_config(config, level)
 
 
 @pytest.mark.parametrize("beam, pool", [(-1, 5), (0, 0), (0, 5), (1, -1), (1.5, 3), (2, 2.0),

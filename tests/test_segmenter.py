@@ -130,10 +130,22 @@ def test_a_segment_takes_exact_int_bounds(start, end):
         Segment(start, end, ("a", "b"))
 
 
+@pytest.mark.parametrize("payload", [5, None, ["a", "b"], "ab", ("a",), ("a", "b", "c")])
+def test_a_segment_takes_a_tuple_payload_of_its_length(payload):
+    """Unchecked, a payload that is not iterable made `ingest` raise a bare
+    `TypeError`."""
+    with pytest.raises(ValueError, match="payload"):
+        Segment(0, 2, payload)
+
+
 def test_ingest_refuses_segments_that_are_not_segments():
+    """A non-`Segment` item, or segments that are not a list or a tuple
+    (unchecked, `segments=5` raised a bare `TypeError`)."""
     g = ConceptGraph("ab")
-    with pytest.raises(ValueError, match="segments"):
-        ingest(g, "ab", segments=[(0, 2, ("a", "b"))])
+    for segments in ([(0, 2, ("a", "b"))], 5, "ab", {Segment(0, 2, ("a", "b"))},
+                     iter([Segment(0, 2, ("a", "b"))])):
+        with pytest.raises(ValueError, match="segments"):
+            ingest(g, "ab", segments=segments)
     assert len(g) == 4 and g.episode == 0
 
 

@@ -42,7 +42,7 @@ from conceptgraph.errors import (
     WrongKind,
 )
 from conceptgraph.inducer import FORGET_WEIGHT, ingest, parse, reconstruct
-from conceptgraph.mdl import ref_cost
+from conceptgraph.mdl import ref_cost, stored_description_dl
 from conceptgraph.storage import (
     dot_text,
     dumps,
@@ -94,6 +94,21 @@ def test_a_loaded_graph_reloads_to_the_same_state():
     assert vars(graph_from_json(json.loads(dumps(first)))) == vars(first)
     assert [cid for cid, c in enumerate(first.concepts) if c.kind == FOLLOWS] == [
         first.follows_marker_id]
+
+
+def test_a_reload_keeps_the_episode_order():
+    """The file writes the chains under string keys ("0", "1", "10", ...);
+    a load takes them in episode order, as the live graph holds them, so the
+    stored description bits, a float sum in chain order, are the live
+    graph's to the last bit."""
+    rng = random.Random(4)
+    for _ in range(20):
+        g = ConceptGraph("abcd")
+        for _ in range(25):
+            ingest(g, [rng.choice("abcd") for _ in range(rng.randint(0, 24))])
+        back = graph_from_json(json.loads(dumps(g)))
+        assert list(back.refinement_store) == list(g.refinement_store) == list(range(25))
+        assert stored_description_dl(back) == stored_description_dl(g)
 
 
 def test_load_restores_structure_and_behavior(tmp_path):
