@@ -51,15 +51,7 @@ from .mdl import (
     ref_cost,
     two_part_total,
 )
-from .segmenter import (
-    RawStream,
-    ROUGH,
-    SMOOTH,
-    Segment,
-    segment_scalar,
-    segment_tokens,
-    smoothness,
-)
+from .segmenter import Segment, segment_scalar
 from .fnsynth import (
     Call,
     Const,
@@ -73,7 +65,7 @@ from .fnsynth import (
     learn_all,
     synthesize,
 )
-from .corpus import gen_fn_ensemble, gen_grammar_corpus, mdl_oracle
+from .corpus import gen_fn_ensemble, gen_grammar_corpus
 from .storage import export_dot, export_teach, import_teach, load, save
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from .errors import GraphError
 from .fnsynth import learn_all, library_to_lines, parse_examples_text
 from .inducer import ingest, parse, refine
 from .mdl import DLReport, description_dl, model_dl, raw_dl
-from .segmenter import RawStream, Segment, segment_scalar
+from .segmenter import Segment, segment_scalar
 
 
 class UsageError(Exception):
@@ -87,7 +87,7 @@ def _scalar_segments(levels: list[int], theta: float) -> list[Segment]:
     """Contrast segments of `levels`, with `theta` held to `Config`'s rule for
     `contrast_threshold` (finite and non-negative, else `ValueError`)."""
     theta = Config(contrast_threshold=theta).contrast_threshold
-    return segment_scalar(RawStream.scalars(levels), theta)
+    return segment_scalar(levels, theta)
 
 
 def _quantize(graph: ConceptGraph, levels: list[int]) -> tuple[str, ...]:
@@ -112,7 +112,7 @@ def _cmd_ingest(args) -> int:
             tokens = _quantize(graph, levels)
             segments = [Segment(s.start, s.end, tokens[s.start:s.end])
                         for s in _scalar_segments(levels, theta)]
-            report = ingest(graph, RawStream.tokens(tokens), segments=segments)
+            report = ingest(graph, tokens, segments=segments)
         else:
             report = ingest(graph, line)
         print(f"episode {report.episode}: nodes={len(report.description)} "

@@ -228,10 +228,9 @@ class ConceptGraph:
 
     def __init__(self, alphabet: Sequence[Token], config: Optional[Config] = None,
                  concepts: Optional[Sequence[Concept]] = None):
-        try:
-            alphabet = tuple(alphabet)
-        except TypeError:
-            raise ValueError("alphabet must be a sequence of symbols") from None
+        if type(alphabet) not in (str, list, tuple):  # a set's order follows the hash seed
+            raise ValueError("alphabet must be a str, list or tuple of symbols")
+        alphabet = tuple(alphabet)
         if len(alphabet) < 1:
             raise ValueError("alphabet must contain at least one symbol")
         if not all(isinstance(sym, str) for sym in alphabet):
@@ -319,12 +318,6 @@ class ConceptGraph:
             pass
         bad = next(t for t in tokens if not isinstance(t, str) or t not in self.alphabet_set)
         raise UnknownToken(f"token {bad!r} not in alphabet")
-
-    def primitive_id(self, token: Token) -> int:
-        try:
-            return self.alphabet.index(token)
-        except ValueError:
-            raise UnknownConcept(f"no primitive for token {token!r}") from None
 
     def find(self, kind: Kind) -> Optional[int]:
         """Id of a structurally identical concept, if one exists."""
@@ -567,11 +560,6 @@ class ConceptGraph:
                 concept.weight += 1.0
         self._codeable_weight = sum(
             c.weight for c in self.concepts if isinstance(c.kind, _CODEABLE))
-
-    def fast_path_set(self) -> set[int]:
-        """Concepts hot enough to bypass the ranked candidate pool."""
-        theta = self.config.fast_path_threshold
-        return {cid for cid in self._expansions if self.concepts[cid].weight >= theta}
 
     # ------------------------------------------------------------------
     # valence

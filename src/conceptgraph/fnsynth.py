@@ -557,16 +557,20 @@ def learn_all(example_sets: Sequence[tuple[str, Sequence[FunctionExample]]],
     the same pass can already build on it.  A label is only re-attempted
     after the library has grown (the search is deterministic, so an
     unchanged library would repeat the same failure).  A label given twice
+    or already known, a set that is not a list or tuple of `FunctionExample`s
     or a cap that is not an `int` is a ValueError, raised before any search.
     """
     _check_caps(size_cap=size_cap, iter_cap=iter_cap, value_cap=value_cap)
     library = Library.initial()
     labels = [label for label, _ in example_sets]
-    for i, label in enumerate(labels):
-        if label in labels[:i]:
+    for i, (label, examples) in enumerate(example_sets):
+        if label in labels[:i] or label in library:
             raise ValueError(f"function {label!r} already defined")
+        if type(examples) not in (list, tuple) or not all(
+                type(ex) is FunctionExample for ex in examples):
+            raise ValueError(f"{label!r} needs a list or tuple of FunctionExamples")
     sets = dict(example_sets)
-    unsolved = [label for label in labels if label not in library]
+    unsolved = list(labels)
     attempted_at: dict[str, int] = {}
     progress = True
     while progress and unsolved:

@@ -1,4 +1,4 @@
-"""The induction loop: parse experiences, grow concepts, keep refinements.
+"""The induction loop: parse token episodes, grow concepts, keep refinements.
 
 Parsing is a left-to-right beam search over concept references and raw
 blobs, minimizing description bits.  A beam state is a plain tuple whose
@@ -66,10 +66,10 @@ from .core import (
     Token,
     reconstruct,
 )
-from .errors import TooLarge, UnknownEpisode, UnknownToken
+from .errors import TooLarge, UnknownEpisode
 from .mdl import description_dl, gamma_len, raw_dl
 from .records import record
-from .segmenter import RawStream, Segment, TOKEN
+from .segmenter import Segment
 
 
 MAX_BUDGET_LEVEL = 8  # parse time about doubles per level: a long refine chain stops here
@@ -656,12 +656,6 @@ def _apply_forgetting(graph: ConceptGraph) -> None:
             chain.pop()
 
 
-def _normalize_stream(experience) -> RawStream:
-    if isinstance(experience, RawStream):
-        return experience
-    return RawStream.tokens(experience)  # a str is its characters
-
-
 def _resegment_blobs(graph: ConceptGraph, desc: Description,
                      context: _ParseContext) -> Description:
     """One round of recursive contrast on blob residue.
@@ -687,7 +681,7 @@ def _resegment_blobs(graph: ConceptGraph, desc: Description,
     return tuple(out)
 
 
-def ingest(graph: ConceptGraph, experience,
+def ingest(graph: ConceptGraph, tokens: Sequence[Token],
            segments: Optional[list[Segment]] = None) -> IngestReport:
     """Run the full episode pipeline and return what changed.
 
@@ -695,26 +689,25 @@ def ingest(graph: ConceptGraph, experience,
     abstract commonality, record associations, decay-and-reward weights,
     store the description as level 0 of a new refinement chain (which
     counts the episode).  The parses share the graph's kept level-0
-    context, refreshed first.
+    context, refreshed first.  The tokens (a str is its characters) are
+    parsed whole or in the contrast segments given.  Tokens that are not
+    iterable are a ValueError and one that is no alphabet symbol (an int
+    level too) `UnknownToken`, with the graph unchanged.
     """
-    stream = _normalize_stream(experience)
-    if stream.kind != TOKEN:
-        raise UnknownToken("ingest expects a token stream; quantize scalars first")
-    if len(stream.samples) > MAX_EXPANSION:
+    try:
+        tokens = tuple(tokens)
+    except TypeError:
+        raise ValueError("ingest takes an iterable of tokens") from None
+    if len(tokens) > MAX_EXPANSION:
         raise TooLarge(f"episode exceeds {MAX_EXPANSION} tokens")
 
     if segments is None:
-        n = len(stream.samples)
-        segments = [Segment(0, n, stream.samples)] if n else []
-    else:
-        pos = 0
-        for seg in segments if type(segments) in (list, tuple) else [None]:  # None: no Segment
-            if type(seg) is not Segment or seg.start != pos or (
-                    stream.samples[seg.start:seg.end] != seg.payload):
-                raise ValueError("segments must cover the stream exactly, in order")
-            pos = seg.end
-        if pos != len(stream.samples):
-            raise ValueError("segments must cover the stream exactly, in order")
+        segments = [Segment(0, len(tokens), tokens)] if tokens else []
+    elif (type(segments) not in (list, tuple) or any(type(s) is not Segment for s in segments)
+          # each starts where the one before ends, and a payload is end - start long
+          or [s.start for s in segments] != [0, *(s.end for s in segments)][:len(segments)]
+          or tuple(t for s in segments for t in s.payload) != tokens):
+        raise ValueError("segments must cover the stream exactly, in order")
     if (context := _KEPT.get(graph)) is None:  # built once: the config, so the budget, is fixed
         context = _KEPT[graph] = _ParseContext(graph, Budget.from_config(graph.config, 0))
     else:
@@ -735,7 +728,7 @@ def ingest(graph: ConceptGraph, experience,
     graph.tick_weights(_transitive_refs(graph, desc))
     episode_id = graph.episode
     graph.refinement_store[episode_id] = [desc]  # which counts the episode
-    raw_bits = raw_dl(len(stream.samples), len(graph.alphabet))
+    raw_bits = raw_dl(len(tokens), len(graph.alphabet))
     graph.raw_bits_total += raw_bits
     _apply_forgetting(graph)
     return IngestReport(episode=episode_id, description=desc,

@@ -24,7 +24,6 @@ from conceptgraph.corpus import (
     ENSEMBLE_TRUTH,
     gen_fn_ensemble,
     gen_grammar_corpus,
-    mdl_oracle,
 )
 from conceptgraph.cli import main as cli_main
 from conceptgraph.fnsynth import (
@@ -44,7 +43,8 @@ from conceptgraph.mdl import (
     two_part_total,
 )
 from conceptgraph.storage import export_teach, import_teach
-from test_inducer import linear_parse
+from oracle import mdl_oracle
+from test_inducer import hot, linear_parse
 
 
 def report(n, name, started, budget):
@@ -218,7 +218,7 @@ def test_10_fast_path_equivalence():
     graph = ConceptGraph(sigma)
     for _ in range(30):
         ingest(graph, "".join(rng.choice("ab") for _ in range(rng.randint(2, 6))) * 8)
-    assert graph.fast_path_set(), "need a populated fast path for the check to bite"
+    assert hot(graph), "need a populated fast path for the check to bite"
     for _ in range(200):
         tokens = tuple(rng.choice(sigma) for _ in range(rng.randint(0, 64)))
         with_index = parse(graph, tokens)

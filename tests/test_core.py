@@ -34,7 +34,7 @@ from conceptgraph.errors import (
     TooLarge,
     UnknownConcept,
 )
-from conceptgraph.inducer import ingest
+from conceptgraph.inducer import Budget, _ParseContext, ingest
 from conceptgraph.storage import dumps
 
 
@@ -122,6 +122,15 @@ def test_alphabet_symbols_must_be_strings():
     for alphabet in ([1, 2], ["a", None], [b"a"], [["a"]]):
         with pytest.raises(ValueError):
             ConceptGraph(alphabet)
+
+
+@pytest.mark.parametrize("alphabet", [{"a", "b", "c"}, frozenset("abc"), dict.fromkeys("abc"),
+                                      iter("abc")])
+def test_an_unordered_or_one_shot_alphabet_is_refused(alphabet):
+    """The primitive ids follow the alphabet's order, and a set's follows the
+    hash seed: `{'a', 'b', 'c'}` gave `('c', 'b', 'a')` under PYTHONHASHSEED=2."""
+    with pytest.raises(ValueError, match="alphabet"):
+        ConceptGraph(alphabet)
 
 
 @pytest.mark.parametrize("alphabet, config", [
@@ -238,13 +247,13 @@ def test_fast_path_threshold():
     c2 = g.add(Concat((1, 0)))
     g.set_weight(c1, 9.0)
     g.set_weight(c2, 7.9)
-    assert g.fast_path_set() == {c1}
+    assert _ParseContext(g, Budget(1, 0)).members == [c1]
 
 
 def test_fast_path_zero_threshold_admits_all_expanding():
     g = fresh("ab", fast_path_threshold=1e-12)
     c1 = g.add(Concat((0, 1)))
-    assert g.fast_path_set() == {0, 1, c1}
+    assert _ParseContext(g, Budget(1, 0)).members == [0, 1, c1]
 
 
 def test_valence_decay_along_path():

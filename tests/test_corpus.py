@@ -9,12 +9,12 @@ from conceptgraph.corpus import (
     ENSEMBLE_TRUTH,
     gen_fn_ensemble,
     gen_grammar_corpus,
-    mdl_oracle,
 )
 from conceptgraph.errors import TooLarge, UnknownToken
 from conceptgraph.inducer import parse
 from conceptgraph import mdl
 from conceptgraph.mdl import description_dl, gamma_len, model_dl
+from oracle import mdl_oracle
 
 
 def test_grammar_corpus_deterministic_per_seed():

@@ -203,6 +203,20 @@ def test_learn_all_refuses_a_repeated_label_before_searching(monkeypatch):
         learn_all(sets)
 
 
+@pytest.mark.parametrize("sets", [
+    [("succ", [FunctionExample("succ", (5,), 6)])], [("f", 5)], [("f", None)],
+    [("g", RED), ("f", iter(RED))], [("g", RED), ("f", [RED])]])
+def test_learn_all_refuses_a_known_label_or_a_malformed_set_before_searching(monkeypatch, sets):
+    """Unchecked, a known label was skipped without a word and a set that is
+    not a list raised a bare `TypeError`, after searching the labels before."""
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before refusing the set")
+
+    monkeypatch.setattr(fnsynth, "synthesize", no_search)
+    with pytest.raises(ValueError, match="already defined|FunctionExamples"):
+        learn_all(sets)
+
+
 def naive_enumerate(library, arity, max_size):
     """Independent size-ordered enumeration used to cross-check minimality."""
     leaves = [Var(i) for i in range(arity)] + [Const(0), Const(1)]

@@ -194,7 +194,7 @@ def test_number_flow_via_episodes():
     node = report.description[0]
     kind = g.concepts[node].kind
     assert isinstance(kind, Apply) and kind.template == num2
-    assert kind.fillers == (g.primitive_id("q"),)
+    assert kind.fillers == (g.alphabet.index("q"),)
 
 
 def test_abstract_common_one_hole_template():
@@ -313,11 +313,23 @@ def test_ingest_refuses_an_unknown_token_unchanged():
     assert dumps(g) == before
 
 
+@pytest.mark.parametrize("call", [
+    lambda g: ingest(g, None), lambda g: ingest(g, 5),
+    lambda g: gen_grammar_corpus(1, "x", 5), lambda g: gen_grammar_corpus(1, 2, None)],
+    ids=["ingest-None", "ingest-5", "corpus-depth", "corpus-length"])
+def test_an_argument_of_the_wrong_type_is_a_value_error(call):
+    """Unchecked, each raised a bare `TypeError`; a refused `ingest` keeps the graph."""
+    g = ConceptGraph("ab")
+    before = dumps(g)
+    with pytest.raises(ValueError):
+        call(g)
+    assert dumps(g) == before
+
+
 def test_ingest_rejects_scalar_stream():
-    from conceptgraph.segmenter import RawStream
     g = ConceptGraph("ab")
     with pytest.raises(UnknownToken):
-        ingest(g, RawStream.scalars([1, 2]))
+        ingest(g, [1, 2])
 
 
 def drawn_graph(data, config=None):
@@ -783,8 +795,8 @@ def test_fast_path_equivalence_sigma16_beyond_the_pool():
     pool_size = g.config.pool_base
     pool = set(sorted(parseable, key=lambda c: (-g.concepts[c].weight, c))[:pool_size])
     assert len(parseable) > pool_size
-    assert g.fast_path_set() - pool, "the fast path must add candidates beyond the pool"
-    candidates = g.fast_path_set() | pool
+    assert hot(g) - pool, "the fast path must add candidates beyond the pool"
+    candidates = hot(g) | pool
     expansions = [g.expansion(c) for c in candidates]
     assert len(set(expansions)) < len(expansions), "candidates must share expansions"
     pieces = [g.expansion(c) for c in parseable]
@@ -917,12 +929,18 @@ def rebuilding_abstract_common(graph):
     return list(range(before, len(graph)))
 
 
+def hot(graph):
+    """The fast-path set by its definition: parseable ids of weight >= the threshold."""
+    theta = graph.config.fast_path_threshold
+    return {cid for cid in graph.parseable_ids() if graph.concepts[cid].weight >= theta}
+
+
 def ranked_members(graph, pool):
     """The parse members by their definition: the fast-path set plus the
     top `pool` parseable ids by (-weight, id)."""
     concepts = graph.concepts
     top = sorted(graph.parseable_ids(), key=lambda cid: (-concepts[cid].weight, cid))[:pool]
-    return sorted(graph.fast_path_set().union(top))
+    return sorted(hot(graph).union(top))
 
 
 def rescanned_index(graph):

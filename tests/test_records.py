@@ -26,7 +26,7 @@ from conceptgraph.fnsynth import Call, Const, FunctionExample, Iter, LibraryFn, 
 from conceptgraph.inducer import Budget, IngestReport
 from conceptgraph.mdl import DLReport
 from conceptgraph.records import record
-from conceptgraph.segmenter import RawStream, Segment
+from conceptgraph.segmenter import Segment
 
 # one instance of each immutable value type: (instance, repr, field values)
 FROZEN = [
@@ -63,7 +63,7 @@ FROZEN = [
     (Budget(4, 64), "Budget(beam=4, pool=64)", (4, 64)),
     (DLReport(1.0, 0.5, 2.0), "DLReport(raw_bits=1.0, described_bits=0.5, model_bits=2.0)",
      (1.0, 0.5, 2.0)),
-    (RawStream((1, 2), "scalar"), "RawStream(samples=(1, 2), kind='scalar')", ((1, 2), "scalar")),
+    (Segment(1, 3, ("a", "b")), "Segment(start=1, end=3, payload=('a', 'b'))", (1, 3, ("a", "b"))),
     (Segment(0, 2, (1, 2)), "Segment(start=0, end=2, payload=(1, 2))", (0, 2, (1, 2))),
 ]
 # the types whose values hold a list or that change in place: (instance, repr)

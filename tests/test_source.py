@@ -37,13 +37,15 @@ def module_tree(module):
 
 # The layering, as the package modules each module must not import from, at
 # any level: the record helper imports nothing from the package; the data
-# model stands on `errors` and `records` alone; description lengths
-# and graph files know nothing of induction or the synthesizer; induction
-# stands apart from the synthesizer; and the synthetic worlds score their
-# yardstick with `mdl`, not with the inducer they are there to test.
+# model stands on `errors` and `records` alone, and the segmenter on
+# `records` alone; description lengths and graph files know nothing of
+# induction or the synthesizer; induction stands apart from the synthesizer;
+# and the synthetic worlds score their yardstick with `mdl`, not with the
+# inducer they are there to test.
 FORBIDDEN_IMPORTS = {
     "records": MODULES - {"records"},
     "core": MODULES - {"core", "errors", "records"},
+    "segmenter": MODULES - {"segmenter", "records"},
     "inducer": {"fnsynth"},
     "mdl": {"inducer", "fnsynth"},
     "storage": {"inducer", "fnsynth"},
