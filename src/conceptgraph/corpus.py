@@ -91,7 +91,10 @@ def gen_fn_ensemble(seed: int, examples_per_fn: int = 8):
 
     Returns (example_sets, interleaved_lines): the sets in label order and
     the same examples as interleaved `label arity in... out` text lines.
+    `examples_per_fn` must be an `int` of at least 1.
     """
+    if type(examples_per_fn) is not int or examples_per_fn < 1:
+        raise ValueError("examples_per_fn must be an int >= 1")
     rng = random.Random(seed)
     sets: list[tuple[str, list[FunctionExample]]] = []
     for label, (arity, fn) in ENSEMBLE_TRUTH.items():

@@ -51,7 +51,6 @@ import itertools
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .errors import ArityMismatch, IterCountExceeded, MalformedTerm, Overflow
-from . import sexpr
 from .records import record
 
 DEFAULT_ITER_CAP = 100
@@ -547,6 +546,13 @@ def synthesize(examples: Sequence[FunctionExample], library: Library,
     return None
 
 
+def _label_fits(label) -> bool:
+    """The label rule: a `str` that a library line holds unquoted and reads
+    back as itself, so no whitespace, no `(` or `)` and no leading `"`."""
+    return (type(label) is str and label.split() == [label] and "(" not in label
+            and ")" not in label and not label.startswith('"'))
+
+
 def learn_all(example_sets: Sequence[tuple[str, Sequence[FunctionExample]]],
               size_cap: int = DEFAULT_SIZE_CAP,
               iter_cap: int = DEFAULT_ITER_CAP,
@@ -556,14 +562,21 @@ def learn_all(example_sets: Sequence[tuple[str, Sequence[FunctionExample]]],
     Each success is appended to the library immediately, so later labels in
     the same pass can already build on it.  A label is only re-attempted
     after the library has grown (the search is deterministic, so an
-    unchanged library would repeat the same failure).  A label given twice
-    or already known, a set that is not a list or tuple of `FunctionExample`s
-    or a cap that is not an `int` is a ValueError, raised before any search.
+    unchanged library would repeat the same failure).  Input that is not a
+    list or tuple of (label, examples) pairs, a label that breaks the label
+    rule (`_label_fits`), is given twice or is already known, a set that is
+    not a list or tuple of `FunctionExample`s or a cap that is not an `int`
+    is a ValueError, raised before any search.
     """
     _check_caps(size_cap=size_cap, iter_cap=iter_cap, value_cap=value_cap)
+    if type(example_sets) not in (list, tuple) or not all(
+            type(item) in (list, tuple) and len(item) == 2 for item in example_sets):
+        raise ValueError("example sets must be a list or tuple of (label, examples) pairs")
     library = Library.initial()
     labels = [label for label, _ in example_sets]
     for i, (label, examples) in enumerate(example_sets):
+        if not _label_fits(label):
+            raise ValueError(f"label {label!r} cannot name a library entry")
         if label in labels[:i] or label in library:
             raise ValueError(f"function {label!r} already defined")
         if type(examples) not in (list, tuple) or not all(
@@ -597,9 +610,9 @@ def learn_all(example_sets: Sequence[tuple[str, Sequence[FunctionExample]]],
 def parse_examples_text(text: str) -> list[tuple[str, list[FunctionExample]]]:
     """`label arity in1 .. inN out` per line; returns sets in input order.
 
-    A label must read back as itself (`sexpr.parse_one`), as it is written
-    unquoted in a library line, and must not name a builtin; any other label
-    is a ValueError."""
+    A library line writes a label unquoted, so a label holds no `(` or `)`,
+    does not start with `"` (`_label_fits`) and names no builtin; any other
+    label is a ValueError."""
     sets: dict[str, list[FunctionExample]] = {}
     order: list[str] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -610,11 +623,7 @@ def parse_examples_text(text: str) -> list[tuple[str, list[FunctionExample]]]:
         if len(parts) < 3:
             raise ValueError(f"line {lineno}: expected 'label arity in... out'")
         label = parts[0]
-        try:
-            readable = sexpr.parse_one(label) == label
-        except ValueError:
-            readable = False
-        if not readable or label in _BUILTINS:
+        if not _label_fits(label) or label in _BUILTINS:
             raise ValueError(f"line {lineno}: label {label!r} cannot name a library entry")
         try:
             arity = int(parts[1])

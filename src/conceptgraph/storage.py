@@ -35,10 +35,12 @@ empty refinement chain, a run length below 2, an association pair listed
 twice or counted below 1, or a run member or associated pair member that
 is not a parseable concept (both count description refs).
 
-Teach scripts are line-oriented s-expressions in strict topological order.
-One kind table (`_KINDS`) gives each concept kind's names and typed fields
-to every reader and writer.  Every file is written atomically
-(`write_text`).
+A teach script is one concept's subcircuit bottom-up, a line per concept:
+its row without the weight, `[kind, *fields]`, as one compact JSON array,
+each reference renumbered to the line that defines it; `import_teach`
+reads a line with `load`'s row reader (`_kind_from_json`).  One kind table
+(`_KINDS`) gives each concept kind's name and typed fields to every reader
+and writer.  Every file is written atomically (`write_text`).
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ import math
 import os
 from itertools import chain
 
-from . import sexpr
 from .core import (
     AffectPrimitive,
     Apply,
@@ -87,21 +88,20 @@ _SECTIONS = {"version", "alphabet", "config", "episode", "raw_bits_total", "conc
 
 REF, REFS, BODY, INT, STR = "ref", "refs", "body", "int", "str"  # field tags
 
-# The one kind table: a concept kind's name in graph files and DOT labels,
-# its teach head, and a tag per record field, in field order.
+# The one kind table: a concept kind's name in graph files, teach scripts
+# and DOT labels, and a tag per record field, in field order.
 _KINDS = {
-    Primitive: ("primitive", "prim", STR),
-    Concat: ("concat", "concat", REFS),
-    Repeat: ("repeat", "repeat", REF, INT),
-    Template: ("template", "template", BODY),
-    Apply: ("apply", "apply", REF, REFS),
-    Association: ("association", "assoc", REF, REF),
-    AffectPrimitive: ("affect", "affect", INT),
-    Marker: ("marker", "marker", STR),
+    Primitive: ("primitive", STR),
+    Concat: ("concat", REFS),
+    Repeat: ("repeat", REF, INT),
+    Template: ("template", BODY),
+    Apply: ("apply", REF, REFS),
+    Association: ("association", REF, REF),
+    AffectPrimitive: ("affect", INT),
+    Marker: ("marker", STR),
 }
 _FIELDS = {cls: tuple(zip(cls._fields, tags, strict=True))
-           for cls, (_, _, *tags) in _KINDS.items()}  # class -> ((field, tag), ...)
-_BY_HEAD = {row[1]: cls for cls, row in _KINDS.items()}
+           for cls, (_, *tags) in _KINDS.items()}  # class -> ((field, tag), ...)
 
 
 def _exact(cls):
@@ -140,30 +140,29 @@ def _key(text: str) -> int:
     return value
 
 
-def _readers(ref, number) -> dict:
-    """Field readers by tag: `ref` reads a reference, `number` another integer."""
-    slot = {"hole": lambda v: Hole(number(v)), "ref": lambda v: SlotRef(ref(v))}
-    return {REF: ref, REFS: lambda v: tuple(map(ref, v)), INT: number, STR: _str,
-            BODY: lambda v: tuple(slot[tag](x) for tag, x in v)}
+def _readers(ref) -> dict:
+    """Row readers by kind name: the class and a reader per field, where
+    `ref` reads a reference."""
+    slot = {"hole": lambda v: Hole(_int(v)), "ref": lambda v: SlotRef(ref(v))}
+    by_tag = {REF: ref, REFS: lambda v: tuple(map(ref, v)), INT: _int, STR: _str,
+              BODY: lambda v: tuple(slot[tag](x) for tag, x in v)}
+    return {name: (cls, tuple(map(by_tag.get, tags))) for cls, (name, *tags) in _KINDS.items()}
 
 
 def _writers(ref) -> dict:
-    """Field writers by tag, the inverse of `_readers`: `ref` maps a reference."""
+    """Field writers by tag, each the inverse of its `_readers` field reader:
+    `ref` maps a reference."""
     return {REF: ref, REFS: lambda v: [ref(c) for c in v], INT: int, STR: str,
             BODY: lambda v: [["hole", s.index] if isinstance(s, Hole) else ["ref", ref(s.concept)]
                              for s in v]}
 
 
-# The file writes every field but a template body as it is: JSON writes a
-# tuple as an array.
-_FROM_JSON = _readers(_int, _int)
+# A concept row is [kind, weight, *fields].  The file writes every field
+# but a template body as it is: JSON writes a tuple as an array.
+_ROW_READERS = _readers(_int)
 _TO_JSON = {**_writers(int), **dict.fromkeys((REF, REFS, INT, STR), lambda v: v)}
-# A concept row is [kind, weight, *fields]: by kind name, the
-# class and its field readers; by class, the kind name and its field writers.
-_ROW_READERS = {_KINDS[cls][0]: (cls, tuple(_FROM_JSON[tag] for _, tag in named))
-                for cls, named in _FIELDS.items()}
 _ROW_WRITERS = {cls: (_KINDS[cls][0], tuple((name, _TO_JSON[tag]) for name, tag in named))
-                for cls, named in _FIELDS.items()}
+                for cls, named in _FIELDS.items()}  # by class: kind name, field writers
 
 
 def _concept_to_json(concept: Concept) -> list:
@@ -172,14 +171,20 @@ def _concept_to_json(concept: Concept) -> list:
     return [name, float(concept.weight), *[write(getattr(kind, field)) for field, write in writers]]
 
 
+def _kind_from_json(name, values: list, readers: dict) -> Kind:
+    """The kind of the row `[name, *values]`, its fields read by the row
+    readers `readers` (`_readers`)."""
+    if name not in readers:
+        raise CorruptFile(f"unknown concept kind {name!r}")
+    cls, fields = readers[name]
+    if len(values) != len(fields):
+        raise CorruptFile(f"{name} takes {len(fields)} field(s)")
+    return cls(*[read(value) for read, value in zip(fields, values)])
+
+
 def _concept_from_json(row) -> Concept:
     name, weight, *values = _list(row)
-    if name not in _ROW_READERS:
-        raise CorruptFile(f"unknown concept kind {name!r}")
-    cls, readers = _ROW_READERS[name]
-    if len(values) != len(readers):
-        raise CorruptFile(f"{name} takes {len(readers)} field(s)")
-    return Concept(cls(*[read(value) for read, value in zip(readers, values)]), _float(weight))
+    return Concept(_kind_from_json(name, values, _ROW_READERS), _float(weight))
 
 
 def _desc_from_json(level) -> Description:
@@ -319,7 +324,9 @@ def export_dot(graph: ConceptGraph, path: str) -> None:
 # teach scripts
 
 def export_teach(graph: ConceptGraph, cid: int) -> str:
-    """Script rebuilding `cid` bottom-up: every line references earlier lines."""
+    """Script rebuilding `cid` bottom-up: one line per concept of its
+    subcircuit, each its graph-file row without the weight, `[kind,
+    *fields]`, and each reference the index of an earlier line."""
     graph.concept(cid)  # raises UnknownConcept
     order: list[int] = []  # post-order: each concept after its references
     seen = {cid}
@@ -338,36 +345,17 @@ def export_teach(graph: ConceptGraph, cid: int) -> str:
     lines, write = [], _writers(index.__getitem__)
     for node in order:
         kind = graph.concept(node).kind
-        parts = [_KINDS[type(kind)][1]]
-        for name, tag in _FIELDS[type(kind)]:
-            value = write[tag](getattr(kind, name))
-            if tag == REFS:
-                parts += map(str, value)
-            elif tag == BODY:
-                parts += (f"({t} {v})" for t, v in value)
-            else:
-                parts.append(sexpr.quote(value) if tag == STR else str(value))
-        lines.append("(" + " ".join(parts) + ")")
+        row = [_KINDS[type(kind)][0],
+               *[write[tag](getattr(kind, name)) for name, tag in _FIELDS[type(kind)]]]
+        lines.append(json.dumps(row, separators=(",", ":")))
     return "\n".join(lines) + "\n"
-
-
-def _teach_kind(node, read: dict) -> Kind:
-    """The concept kind one parsed teach line describes."""
-    cls = _BY_HEAD.get(node[0])
-    if cls is None:
-        raise CorruptFile(f"unknown teach head {node[0]!r}")
-    tags, values = [tag for _, tag in _FIELDS[cls]], node[1:]
-    if tags[-1] in (REFS, BODY):  # the last field takes the rest of the line
-        values = [*values[:len(tags) - 1], values[len(tags) - 1:]]
-    if len(values) != len(tags):
-        raise CorruptFile(f"{node[0]} takes {len(tags)} field(s), got {len(values)}")
-    return cls(*[read[tag](v) for tag, v in zip(tags, values)])
 
 
 def import_teach(graph: ConceptGraph, script: str) -> int:
     """Rebuild a taught concept in `graph`; returns the final concept id.
 
-    A line that cannot be read as a kind is a `CorruptFile`; a kind that
+    A line that is not a JSON row `load` reads is a `CorruptFile`, a
+    reference to no earlier line an `UnresolvedReference`, and a kind that
     `add` refuses raises `add`'s own error.  All or nothing: if any line
     fails, the concepts the earlier lines added are popped again before the
     error propagates.  A script that is not a `str` is a `CorruptFile`.
@@ -377,21 +365,21 @@ def import_teach(graph: ConceptGraph, script: str) -> int:
     local: list[int] = []
     size = len(graph)
 
-    def resolve(atom) -> int:
-        idx = int(atom)
-        if not 0 <= idx < len(local):
-            raise UnresolvedReference(f"line references entry {idx} before it exists")
-        return local[idx]
+    def resolve(value) -> int:
+        if not 0 <= _int(value) < len(local):
+            raise UnresolvedReference(f"line references entry {value} before it exists")
+        return local[value]
 
-    read = _readers(resolve, int)
+    readers = _readers(resolve)
     try:
         for raw in script.splitlines():
             raw = raw.strip()
             if not raw:
                 continue
             try:
-                local.append(graph.add(_teach_kind(sexpr.parse_one(raw), read)))
-            except (IndexError, KeyError, ValueError, TypeError) as exc:  # malformed line
+                name, *values = _list(json.loads(raw))
+                local.append(graph.add(_kind_from_json(name, values, readers)))
+            except (IndexError, KeyError, ValueError, TypeError, RecursionError) as exc:
                 raise CorruptFile(f"bad teach line {raw!r}: {exc}") from exc
         if not local:
             raise CorruptFile("empty teach script")

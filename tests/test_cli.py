@@ -301,7 +301,7 @@ def test_teach_writes_script(tmp_path, capsys):
     code, _, _ = run(capsys, "teach", "--graph", str(graph),
                      "--concept", str(last), "--out", str(out_path))
     assert code == 0
-    assert out_path.read_text().splitlines()[0].startswith("(")
+    assert out_path.read_text().splitlines()[0].startswith("[")
 
 
 def test_learn_fn_reports_library(tmp_path, capsys):

@@ -180,6 +180,13 @@ def test_fn_ensemble_shape():
     assert set(ENSEMBLE_LEVELS.values()) == {1, 2, 3}
 
 
+@pytest.mark.parametrize("per_fn", ["x", -1, 0, 2.0, True, None])
+def test_fn_ensemble_refuses_a_count_that_is_not_an_int_of_at_least_1(per_fn):
+    """Unchecked, "x" raised a bare `TypeError` and -1 `random`'s own error."""
+    with pytest.raises(ValueError, match="examples_per_fn"):
+        gen_fn_ensemble(1, per_fn)
+
+
 def test_fn_ensemble_deterministic_and_interleaved():
     _, lines_a = gen_fn_ensemble(11)
     _, lines_b = gen_fn_ensemble(11)

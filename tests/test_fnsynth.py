@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import re
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -31,7 +32,7 @@ from conceptgraph.fnsynth import (
     synthesize,
     term_size,
 )
-from conceptgraph import fnsynth, sexpr
+from conceptgraph import fnsynth
 from conceptgraph.corpus import gen_fn_ensemble
 
 SUCC = Section("succ", 0, ())
@@ -214,6 +215,21 @@ def test_learn_all_refuses_a_known_label_or_a_malformed_set_before_searching(mon
 
     monkeypatch.setattr(fnsynth, "synthesize", no_search)
     with pytest.raises(ValueError, match="already defined|FunctionExamples"):
+        learn_all(sets)
+
+
+@pytest.mark.parametrize("sets", [
+    [(5, [FunctionExample("f", (1,), 2)])], [(["f"], RED)], [5], 5, [("g", RED, RED)],
+    [("a b", RED)], [("(f", RED)]], ids=repr)
+def test_learn_all_refuses_a_label_or_pair_the_example_text_would_not_give(monkeypatch, sets):
+    """The items are (label, examples) pairs, and each label keeps the rule
+    `parse_examples_text` holds it to.  Unchecked, a label of 5 defined a
+    function named 5, and `["f"]`, `[5]` and `5` raised a bare `TypeError`."""
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before refusing the input")
+
+    monkeypatch.setattr(fnsynth, "synthesize", no_search)
+    with pytest.raises(ValueError, match="pairs|cannot name a library entry"):
         learn_all(sets)
 
 
@@ -423,6 +439,16 @@ def test_examples_text_rejects_a_label_no_library_line_holds(label):
         parse_examples_text(f"red 2 1 3 4\n{label} 1 0 1\n")
 
 
+def read_atom(text: str):
+    """The atom that `text` starts with, as an s-expression reader takes it:
+    a quoted string without its quotes and escapes, else the characters
+    before the first whitespace or parenthesis; None for an unclosed string."""
+    if text.startswith('"'):
+        quoted = re.match(r'"((?:[^"\\]|\\.)*)"', text)
+        return quoted and re.sub(r"\\(.)", r"\1", quoted[1])
+    return re.match(r"[^\s()]*", text)[0]
+
+
 LABEL = st.one_of(st.text("ab", min_size=1, max_size=2),
                   st.text('ab()"\\#;', min_size=1, max_size=4),
                   st.sampled_from(["succ", "f)", '"f"', "def", "var", "0"]))
@@ -446,7 +472,7 @@ def test_examples_text_fuzz_yields_labels_the_library_format_holds(lines):
     for label, examples in sets:
         arity = len(examples[0].inputs)
         lib.define(label, arity, Var(0) if arity else Const(0))
-    names = [sexpr.parse_one(line)[1] for line in library_to_lines(lib)]
+    names = [read_atom(line[line.index(" ") + 1:]) for line in library_to_lines(lib)]
     assert names == [fn.name for fn in lib.entries]
 
 

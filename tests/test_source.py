@@ -101,6 +101,17 @@ def test_every_function_and_class_is_named_beside_its_definition():
     assert sorted(name for name, count in defined.items() if words[name] <= count) == []
 
 
+def test_every_module_is_imported_by_the_package():
+    """A module whose last importer goes goes with it: each package module
+    is imported by `__init__` or by another package module, or is the
+    console-script module that `pyproject.toml` names."""
+    with open(os.path.join(ROOT, "pyproject.toml"), encoding="utf-8") as handle:
+        scripts = set(re.findall(r'"conceptgraph\.(\w+):\w+"', handle.read()))
+    imported = set().union(*[imported_names(module) - {module}
+                             for module in MODULES | {"__init__"}])
+    assert scripts and sorted(MODULES - imported - scripts) == []
+
+
 def unused_imports(module):
     """The names `module` imports but never reads as an AST `Name`
     (`from __future__` aside); `import a.b` binds `a`."""

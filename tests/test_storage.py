@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from conceptgraph import sexpr, storage
+from conceptgraph import storage
 from conceptgraph.cli import main
+from conceptgraph.corpus import GRAMMAR_ALPHABET, gen_grammar_corpus
 from conceptgraph.core import (
     FOLLOWS,
     AffectPrimitive,
@@ -49,6 +50,7 @@ from conceptgraph.storage import (
     export_dot,
     export_teach,
     graph_from_json,
+    graph_to_json,
     import_teach,
     load,
     save,
@@ -385,14 +387,13 @@ def test_dot_and_teach_bytes_are_pinned():
     assert hashlib.sha256(dot_text(g).encode()).hexdigest() == (
         "75bc62002f731d9774cb5bf48d0ed2fc2a5046a4a42a2d970e98122401d7754b")
     assert hashlib.sha256(teach.encode()).hexdigest() == (
-        "358bafdc02228db68a573d5a4de5c7ecf7f48eed06b6ef62a032ca1909a446a5")
+        "1105fbd02b2418fcfd4e4629bb6fa25b7bf93feeb2f33769fe335aa749d22cef")
 
 
 def test_every_kind_has_one_row_in_the_kind_table():
     rows = storage._KINDS
     assert set(rows) == set(typing.get_args(Kind))
-    for column in (0, 1):  # file and DOT name, teach head
-        assert len({row[column] for row in rows.values()}) == len(rows)
+    assert len({row[0] for row in rows.values()}) == len(rows)  # file, teach and DOT name
     for cls, named_tags in storage._FIELDS.items():
         assert [name for name, _ in named_tags] == list(cls._fields)
 
@@ -805,7 +806,7 @@ def test_teach_export_is_topological_and_deterministic():
     app = g.add(Apply(tpl, (p,)))
     script = export_teach(g, app)
     lines = script.strip().splitlines()
-    assert lines[-1].startswith("(apply")
+    assert lines[-1].startswith('["apply",')
     assert script == export_teach(g, app)
 
 
@@ -832,17 +833,18 @@ def test_teach_roundtrip_random_concepts():
 
 def test_teach_roundtrip_of_quote_and_backslash():
     """Primitive tokens `"` and `\\` and a marker label with both are
-    written escaped and read back by the string reader's escape branch."""
+    written with JSON's escapes and read back through them."""
     g = ConceptGraph(['"', "\\", "a"])
     word = g.add(Concat((0, 1, 0, 2)))
     label = g.add(Marker('x"\\y'))
     fresh = ConceptGraph(['"', "\\", "a"])
     assert fresh.expansion(import_teach(fresh, export_teach(g, word))) == ('"', "\\", '"', "a")
     assert fresh.concept(import_teach(fresh, export_teach(g, label))).kind == Marker('x"\\y')
-    assert export_teach(g, label) == '(marker "x\\"\\\\y")\n'
+    assert export_teach(g, label) == '["marker","x\\"\\\\y"]\n'
 
 
-@pytest.mark.parametrize("script", [None, b"(prim \"a\")", ['(prim "a")'], 7])
+@pytest.mark.parametrize("script", [None, pytest.param(b'["primitive","a"]', id='(prim "a")'),
+                                    ['["primitive","a"]'], 7])
 def test_a_teach_script_that_is_not_a_str_is_corrupt(script):
     g = ConceptGraph("ab")
     with pytest.raises(CorruptFile, match="teach script"):
@@ -852,8 +854,8 @@ def test_a_teach_script_that_is_not_a_str_is_corrupt(script):
 
 def chain_teach_script(depth: int) -> str:
     """Teach lines for a concat chain (... ((a b) b) ... b), `depth` concats deep."""
-    lines = ['(prim "a")', '(prim "b")', "(concat 0 1)"]
-    lines += [f"(concat {i} 1)" for i in range(2, depth + 1)]
+    lines = ['["primitive","a"]', '["primitive","b"]', '["concat",[0,1]]']
+    lines += [f'["concat",[{i},1]]' for i in range(2, depth + 1)]
     return "\n".join(lines) + "\n"
 
 
@@ -876,23 +878,16 @@ def test_deep_chain_exports_and_reimports():
     assert fresh.expansion(import_teach(fresh, script)) == g.expansion(top)
 
 
-def test_parse_one_bounds_nesting():
-    ok = "(" * sexpr.MAX_DEPTH + ")" * sexpr.MAX_DEPTH
-    assert sexpr.parse_one(ok) is not None
-    with pytest.raises(ValueError):
-        sexpr.parse_one("(" + ok + ")")
-
-
 def test_teach_repeat_past_the_cap_raises():
     g = ConceptGraph("ab")
     with pytest.raises(TooLarge):
-        import_teach(g, '(prim "a")\n(repeat 0 1000000000)\n')
+        import_teach(g, '["primitive","a"]\n["repeat",0,1000000000]\n')
     assert len(g) == 4
 
 
 def test_teach_forward_reference_rejected():
     with pytest.raises(UnresolvedReference):
-        import_teach(ConceptGraph("ab"), "(concat 0 1)\n(prim \"a\")\n")
+        import_teach(ConceptGraph("ab"), '["concat",[0,1]]\n["primitive","a"]\n')
 
 
 def test_teach_unknown_concept_and_bad_script():
@@ -900,41 +895,44 @@ def test_teach_unknown_concept_and_bad_script():
     with pytest.raises(UnknownConcept):
         export_teach(g, 99)
     with pytest.raises(CorruptFile):
-        import_teach(g, "(wobble 1)\n")
+        import_teach(g, '["wobble",1]\n')
 
 
 def test_a_failed_teach_import_leaves_the_graph_as_it_was():
     g = ConceptGraph("ab")
     text = dumps(g)
     with pytest.raises(TooLarge):
-        import_teach(g, '(prim "a")\n(prim "b")\n(concat 0 1)\n(repeat 2 1000000000)\n')
+        import_teach(g, '["primitive","a"]\n["primitive","b"]\n["concat",[0,1]]\n'
+                        '["repeat",2,1000000000]\n')
     assert dumps(g) == text
 
 
 @functools.cache
 def teach_lines(lines: int):
-    """Teach lines from the s-expression grammar, with bad heads, arities,
-    references, counts and atoms mixed in."""
-    ref = st.one_of(st.integers(-1, lines + 1).map(str), st.sampled_from(["x", "1.5", "()"]))
-    count = st.sampled_from(["-1", "0", "1", "2", "3", "1000000000", "x"])
-    slot = st.one_of(st.builds("(hole {})".format, st.sampled_from(["0", "1", "2", "-1", "x"])),
-                     st.builds("(ref {})".format, ref), st.sampled_from(["(wobble 0)", "()", "0"]))
-    token = st.sampled_from(['"a"', '"b"', '"z"', "a", "()", '""'])
+    """Teach rows, with bad kinds, field counts, references, counts and
+    values mixed in, and lines that are no row at all."""
+    ref = st.one_of(st.integers(-1, lines + 1), st.sampled_from(["0", 1.5, True, None, []]))
+    count = st.sampled_from([-1, 0, 1, 2, 3, 1000000000, "2", 2.0, False])
+    slot = st.one_of(st.tuples(st.just("hole"), st.sampled_from([0, 1, 2, -1, "0", True])),
+                     st.tuples(st.just("ref"), ref),
+                     st.sampled_from([["wobble", 0], [], ["hole"], ["hole", 0, 1], 0]))
+    token = st.sampled_from(["a", "b", "z", "", 0, None, ["a"]])
 
-    def line(head, *args):
-        return st.tuples(*args).map(lambda parts: "(" + " ".join((head,) + parts) + ")")
+    def row(name, *fields):
+        return st.tuples(*fields).map(lambda values: json.dumps([name, *values]))
 
     return st.one_of(
-        line("prim", token),
-        line("affect", st.sampled_from(["1", "-1", "0", "2", "x"])),
-        line("marker", token),
-        st.lists(ref, max_size=4).map(lambda refs: "(concat " + " ".join(refs) + ")"),
-        line("repeat", ref, count),
-        st.lists(slot, max_size=3).map(lambda slots: "(template " + " ".join(slots) + ")"),
-        st.lists(ref, min_size=1, max_size=3).map(lambda refs: "(apply " + " ".join(refs) + ")"),
-        line("assoc", ref, ref),
-        st.sampled_from(["(wobble 1)", "()", "(prim)", "(repeat 0)", "prim", "(concat", ")",
-                         "(assoc 0)", '(prim "a" "b")', "((prim) 0)"]),
+        row("primitive", token),
+        row("affect", st.sampled_from([1, -1, 0, 2, "1", True])),
+        row("marker", token),
+        row("concat", st.one_of(st.lists(ref, max_size=4), ref)),
+        row("repeat", ref, count),
+        row("template", st.lists(slot, max_size=3)),
+        row("apply", ref, st.lists(ref, max_size=3)),
+        row("association", ref, ref),
+        st.sampled_from(['["wobble",1]', "[]", '["primitive"]', '["repeat",0]', '"primitive"',
+                         "[", "]", '["association",0]', '["primitive","a","b"]',
+                         '[["primitive"],0]', '["prim","a"]', '(prim "a")', '{"marker":"a"}']),
     )
 
 
@@ -957,20 +955,34 @@ def test_teach_script_fuzz_imports_or_leaves_the_graph_unchanged(data):
     assert 0 <= top < len(g)
 
 
+# A case ported from the s-expression teach syntax keeps that line as its id.
 @pytest.mark.parametrize("script", [
-    "()",
-    "(prim)",
-    "(prim a)\n(repeat 0)",
-    "(prim a)\n(template (hole))",
-    "(prim a)\n(template (ref))",
-    "(prim a)\n(concat 0 x)",
-    "(prim (a))",
-    '(prim "a" "b")',
-    "(affect 1 1)",
-    "(prim a)\n(repeat 0 2 2)",
-    "(prim a)\n(prim b)\n(assoc 0 1 1)",
-    "(prim a)\n(template (hole 0) (wobble 0))",
-    pytest.param('(prim "a")\n(concat ' + "(" * 2000 + ")" * 2000 + " 0)", id="deep-nesting"),
+    pytest.param("[]", id="()"),
+    pytest.param('["primitive"]', id="(prim)"),
+    pytest.param('["primitive","a"]\n["repeat",0]', id="(prim a)\n(repeat 0)"),
+    pytest.param('["primitive","a"]\n["template",[["hole"]]]', id="(prim a)\n(template (hole))"),
+    pytest.param('["primitive","a"]\n["template",[["ref"]]]', id="(prim a)\n(template (ref))"),
+    pytest.param('["primitive","a"]\n["concat",[0,"x"]]', id="(prim a)\n(concat 0 x)"),
+    pytest.param('["primitive",["a"]]', id="(prim (a))"),
+    pytest.param('["primitive","a","b"]', id='(prim "a" "b")'),
+    pytest.param('["affect",1,1]', id="(affect 1 1)"),
+    pytest.param('["primitive","a"]\n["repeat",0,2,2]', id="(prim a)\n(repeat 0 2 2)"),
+    pytest.param('["primitive","a"]\n["primitive","b"]\n["association",0,1,1]',
+                 id="(prim a)\n(prim b)\n(assoc 0 1 1)"),
+    pytest.param('["primitive","a"]\n["template",[["hole",0],["wobble",0]]]',
+                 id="(prim a)\n(template (hole 0) (wobble 0))"),
+    pytest.param('["primitive","a"]\n["concat",' + "[" * 2000 + "]" * 2000 + "]", id="deep-list"),
+    pytest.param("[" * 100000, id="deep-nesting"),
+    pytest.param('["primitive","a"]\n["concat",0]', id="refs-not-a-list"),
+    pytest.param('["primitive","a"]\n["repeat",0,2.0]', id="count-a-float"),
+    pytest.param('["primitive","a"]\n["repeat",true,2]', id="ref-a-bool"),
+    pytest.param('["wobble",1]', id="unknown-kind"),
+    pytest.param('["prim","a"]', id="unknown-kind-prim"),
+    pytest.param('["primitive","a"]\n["assoc",0,0]', id="unknown-kind-assoc"),
+    pytest.param('"primitive"', id="a-string"),
+    pytest.param('{"primitive":"a"}', id="an-object"),
+    pytest.param('(prim "a")', id="an-s-expression"),
+    pytest.param('["primitive","a"', id="unclosed"),
 ])
 def test_teach_malformed_line_is_corrupt_file(script):
     with pytest.raises(CorruptFile):
@@ -978,9 +990,9 @@ def test_teach_malformed_line_is_corrupt_file(script):
 
 
 @pytest.mark.parametrize("script, error", [
-    pytest.param("(affect 2)", WrongKind, id="affect-sign-2"),
-    pytest.param('(prim "a")\n(repeat 0 1)', InvalidCount, id="repeat-count-1"),
-    pytest.param('(prim "z")', DanglingReference, id="token-not-in-alphabet"),
+    pytest.param('["affect",2]', WrongKind, id="affect-sign-2"),
+    pytest.param('["primitive","a"]\n["repeat",0,1]', InvalidCount, id="repeat-count-1"),
+    pytest.param('["primitive","z"]', DanglingReference, id="token-not-in-alphabet"),
 ])
 def test_a_teach_line_that_add_refuses_raises_adds_error(script, error):
     """A line that reads as a kind is refused with `add`'s own error, and
@@ -990,6 +1002,71 @@ def test_a_teach_line_that_add_refuses_raises_adds_error(script, error):
     text = dumps(g)
     with pytest.raises(error):
         import_teach(g, script)
+    assert dumps(g) == text
+
+
+
+# By kind, the tag of each field that holds references: one, a list of them,
+# or a template body, whose ["ref", id] slots hold them.
+REF_FIELDS = {"concat": ("refs",), "repeat": ("ref", None), "apply": ("ref", "refs"),
+              "association": ("ref", "ref"), "template": ("body",)}
+
+
+def renumbered(row: list, new) -> list:
+    """The weightless row `[kind, *fields]` with each reference `r` as `new(r)`."""
+    name, *fields = row
+    for i, tag in enumerate(REF_FIELDS.get(name, ())):
+        if tag == "ref":
+            fields[i] = new(fields[i])
+        elif tag == "refs":
+            fields[i] = [new(r) for r in fields[i]]
+        elif tag == "body":
+            fields[i] = [[t, new(x) if t == "ref" else x] for t, x in fields[i]]
+    return [name, *fields]
+
+
+def subcircuit(graph: ConceptGraph, cid: int, order: list) -> list:
+    """`order` extended by `cid` and the concepts it is built from that it
+    lacks, each after its references, depth first."""
+    for ref in graph.reference_edges(cid):
+        if ref not in order:
+            subcircuit(graph, ref, order)
+    order.append(cid)
+    return order
+
+
+def grammar_episodes(seed: int, depth: int, episodes: int) -> list:
+    """A hidden-grammar stream cut into 64-token episodes."""
+    tokens = gen_grammar_corpus(seed, depth, 64 * episodes)[0]
+    return [tokens[i:i + 64] for i in range(0, len(tokens), 64)]
+
+
+_STREAMS = st.one_of(
+    st.tuples(st.just("abcd"), st.lists(st.text("abcd", max_size=24), min_size=1, max_size=6)),
+    st.tuples(st.just(GRAMMAR_ALPHABET), st.builds(
+        grammar_episodes, st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 4))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_STREAMS)
+def test_a_teach_line_is_its_concepts_file_row(stream):
+    """Each `export_teach` line is its concept's `graph_to_json` row without
+    the weight, references renumbered to line indices; a script of another
+    syntax is a `CorruptFile` that leaves the graph as it was."""
+    alphabet, episodes = stream
+    g = ConceptGraph(alphabet)
+    for episode in episodes:
+        ingest(g, list(episode))
+    rows = graph_to_json(g)["concepts"]
+    for cid in range(len(g)):
+        order = subcircuit(g, cid, [])
+        line_of = {c: i for i, c in enumerate(order)}
+        assert export_teach(g, cid).splitlines() == [
+            json.dumps(renumbered([rows[c][0], *rows[c][2:]], line_of.__getitem__),
+                       separators=(",", ":")) for c in order]
+    text = dumps(g)
+    with pytest.raises(CorruptFile):
+        import_teach(g, '(prim "a")')
     assert dumps(g) == text
 
 
