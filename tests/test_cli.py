@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -371,6 +372,41 @@ def test_scalar_ingest_quantizes_and_segments(tmp_path, capsys):
     assert code == 0 and "episode 0" in out
     code, out, _ = run(capsys, "stats", "--graph", str(graph))
     assert "episode: 1" in out
+
+
+def scalar_lines(seed: int, count: int) -> list[str]:
+    """`count` lines of step-shaped levels 0-7, several runs a line, with an
+    empty line in the middle."""
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(count):
+        levels = []
+        for _ in range(rng.randint(3, 6)):
+            levels += [rng.randint(0, 7)] * rng.randint(1, 4)
+        lines.append(" ".join(map(str, levels)))
+    lines[count // 2] = ""
+    return lines
+
+
+def test_scalar_ingest_and_segment_bytes_are_pinned(tmp_path, capsys):
+    """`ingest --scalar` on lines with several contrast cuts each, then
+    `segment` on the same file: stdout and the graph file are pinned."""
+    graph, data = tmp_path / "g.cg", tmp_path / "s.txt"
+    data.write_text("\n".join(scalar_lines(11, 12)) + "\n")
+    out = []
+    for argv in (["init", "--alphabet", "abcdef", "--out", str(graph)],
+                 ["ingest", "--graph", str(graph), "--input", str(data),
+                  "--scalar", "--theta-c", "1"],
+                 ["segment", "--input", str(data), "--theta-c", "1"]):
+        code, text, _ = run(capsys, *argv)
+        assert code == 0
+        out.append(text.replace(str(graph), "GRAPH"))
+    text = "".join(out)
+    assert "episode 11:" in text and "0 4: 7 7 7 7\n" in text
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3c7ade114102ef829e1ef513d8f2e24518a20478de70c2b2239dd0885369d680")
+    assert hashlib.sha256(graph.read_bytes()).hexdigest() == (
+        "0206b235376f0b6e60a9effdcc272f10fa6569b37f0ca4f15322b242f0efb595")
 
 
 @pytest.mark.parametrize("theta", ["nan", "inf", "-1"])
