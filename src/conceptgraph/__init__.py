@@ -33,6 +33,7 @@ from .inducer import (
     Budget,
     IngestReport,
     abstract_common,
+    contrast_cuts,
     induce_repeats,
     ingest,
     parse,
@@ -51,7 +52,6 @@ from .mdl import (
     ref_cost,
     two_part_total,
 )
-from .segmenter import Segment, segment_scalar
 from .fnsynth import (
     Call,
     Const,

@@ -15,9 +15,8 @@ from . import mdl, storage
 from .core import ConceptGraph, Config, Description
 from .errors import GraphError
 from .fnsynth import learn_all, library_to_lines, parse_examples_text
-from .inducer import ingest, parse, refine
+from .inducer import contrast_cuts, ingest, parse, refine
 from .mdl import DLReport, description_dl, model_dl, raw_dl
-from .segmenter import Segment, segment_scalar
 
 
 class UsageError(Exception):
@@ -83,13 +82,6 @@ def _desc_text(desc: Description) -> str:
                     for node in desc)
 
 
-def _scalar_segments(levels: list[int], theta: float) -> list[Segment]:
-    """Contrast segments of `levels`, with `theta` held to `Config`'s rule for
-    `contrast_threshold` (finite and non-negative, else `ValueError`)."""
-    theta = Config(contrast_threshold=theta).contrast_threshold
-    return segment_scalar(levels, theta)
-
-
 def _quantize(graph: ConceptGraph, levels: list[int]) -> tuple[str, ...]:
     top = len(graph.alphabet) - 1
     return tuple(graph.alphabet[min(max(level, 0), top)] for level in levels)
@@ -109,10 +101,7 @@ def _cmd_ingest(args) -> int:
     for line in _read_text(args.input).splitlines():
         if args.scalar:
             levels = [int(v) for v in line.split()]
-            tokens = _quantize(graph, levels)
-            segments = [Segment(s.start, s.end, tokens[s.start:s.end])
-                        for s in _scalar_segments(levels, theta)]
-            report = ingest(graph, tokens, segments=segments)
+            report = ingest(graph, _quantize(graph, levels), contrast_cuts(levels, theta))
         else:
             report = ingest(graph, line)
         print(f"episode {report.episode}: nodes={len(report.description)} "
@@ -188,9 +177,9 @@ def _cmd_learn_fn(args) -> int:
 
 def _cmd_segment(args) -> int:
     levels = [int(v) for v in _read_text(args.input).split()]
-    for seg in _scalar_segments(levels, args.theta_c):
-        payload = " ".join(str(v) for v in seg.payload)
-        print(f"{seg.start} {seg.end}: {payload}")
+    bounds = [0, *contrast_cuts(levels, args.theta_c), len(levels)]
+    for a, b in zip(bounds, bounds[1:] if levels else ()):  # an empty stream has no segment
+        print(f"{a} {b}: {' '.join(map(str, levels[a:b]))}")
     return 0
 
 

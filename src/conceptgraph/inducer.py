@@ -1,5 +1,9 @@
 """The induction loop: parse token episodes, grow concepts, keep refinements.
 
+Both contrast rules live here: `contrast_cuts` cuts a level stream where
+a level jumps by more than the contrast threshold, for `ingest` to parse
+between, and `_resegment_blobs` re-divides blob residue at symbol runs.
+
 Parsing is a left-to-right beam search over concept references and raw
 blobs, minimizing description bits.  A beam state is a plain tuple whose
 parent chain spells the partial description; a frontier bucket larger
@@ -46,7 +50,7 @@ import weakref
 from bisect import bisect_left, bisect_right
 from itertools import groupby
 from operator import itemgetter
-from typing import Collection, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from . import mdl
 from .core import (
@@ -64,12 +68,12 @@ from .core import (
     SlotRef,
     Template,
     Token,
+    _check_number,
     reconstruct,
 )
 from .errors import TooLarge, UnknownEpisode
 from .mdl import description_dl, gamma_len, raw_dl
 from .records import record
-from .segmenter import Segment
 
 
 MAX_BUDGET_LEVEL = 8  # parse time about doubles per level: a long refine chain stops here
@@ -681,18 +685,33 @@ def _resegment_blobs(graph: ConceptGraph, desc: Description,
     return tuple(out)
 
 
-def ingest(graph: ConceptGraph, tokens: Sequence[Token],
-           segments: Optional[list[Segment]] = None) -> IngestReport:
+def contrast_cuts(levels: Iterable[int], threshold: float) -> list[int]:
+    """The positions where an `int` level jumps from the one before by more
+    than `threshold`, which keeps core's number rule as
+    `Config.contrast_threshold` does: the cuts `ingest` takes."""
+    _check_number(threshold, "contrast threshold")
+    try:
+        levels = tuple(levels)
+    except TypeError:
+        raise ValueError("scalar levels must be a sequence of integers") from None
+    if not set(map(type, levels)) <= {int}:
+        raise ValueError("scalar levels must be integers")
+    return [i for i in range(1, len(levels)) if abs(levels[i] - levels[i - 1]) > threshold]
+
+
+def ingest(graph: ConceptGraph, tokens: Sequence[Token], cuts: Sequence[int] = ()) -> IngestReport:
     """Run the full episode pipeline and return what changed.
 
-    Segment by contrast, parse each segment, grow concepts from repetition,
-    abstract commonality, record associations, decay-and-reward weights,
-    store the description as level 0 of a new refinement chain (which
-    counts the episode).  The parses share the graph's kept level-0
-    context, refreshed first.  The tokens (a str is its characters) are
-    parsed whole or in the contrast segments given.  Tokens that are not
-    iterable are a ValueError and one that is no alphabet symbol (an int
-    level too) `UnknownToken`, with the graph unchanged.
+    Parse each segment `tokens[a:b]` between consecutive bounds `[0, *cuts,
+    len(tokens)]` (`contrast_cuts` gives a level stream's cuts), grow
+    concepts from repetition, abstract commonality, record associations,
+    decay-and-reward weights, store the description as level 0 of a new
+    refinement chain (which counts the episode).  The parses share the
+    graph's kept level-0 context, refreshed first; a str is its characters.
+    Cuts that are not a list or tuple of ints strictly increasing inside
+    (0, len(tokens)), or tokens that are not iterable, are a ValueError and
+    a token that is no alphabet symbol (an int level too) `UnknownToken`,
+    with the graph unchanged.
     """
     try:
         tokens = tuple(tokens)
@@ -700,21 +719,18 @@ def ingest(graph: ConceptGraph, tokens: Sequence[Token],
         raise ValueError("ingest takes an iterable of tokens") from None
     if len(tokens) > MAX_EXPANSION:
         raise TooLarge(f"episode exceeds {MAX_EXPANSION} tokens")
-
-    if segments is None:
-        segments = [Segment(0, len(tokens), tokens)] if tokens else []
-    elif (type(segments) not in (list, tuple) or any(type(s) is not Segment for s in segments)
-          # each starts where the one before ends, and a payload is end - start long
-          or [s.start for s in segments] != [0, *(s.end for s in segments)][:len(segments)]
-          or tuple(t for s in segments for t in s.payload) != tokens):
-        raise ValueError("segments must cover the stream exactly, in order")
+    if type(cuts) not in (list, tuple) or not set(map(type, cuts)) <= {int}:
+        raise ValueError("cuts must be a list or tuple of int positions")
+    bounds = [0, *cuts, len(tokens)]
+    if cuts and not all(a < b for a, b in zip(bounds, bounds[1:])):
+        raise ValueError("cuts must increase strictly inside the tokens")
     if (context := _KEPT.get(graph)) is None:  # built once: the config, so the budget, is fixed
         context = _KEPT[graph] = _ParseContext(graph, Budget.from_config(graph.config, 0))
     else:
         context.refresh(graph)
     nodes: list[Node] = []
-    for seg in segments:
-        nodes.extend(parse(graph, seg.payload, context=context))
+    for a, b in zip(bounds, bounds[1:] if tokens else ()):  # an empty stream has no segment
+        nodes.extend(parse(graph, tokens[a:b], context=context))
     first_pass = tuple(nodes)
 
     pre_count = len(graph)

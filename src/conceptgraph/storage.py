@@ -33,7 +33,8 @@ section of the wrong JSON type, a concept row of an unknown kind or the
 wrong length, an integer field holding anything but a JSON integer, an
 empty refinement chain, a run length below 2, an association pair listed
 twice or counted below 1, or a run member or associated pair member that
-is not a parseable concept (both count description refs).
+is not a parseable concept (both count description refs).  A message
+quotes outside input through `_quote`, bounded to `QUOTE_CHARS`.
 
 A teach script is one concept's subcircuit bottom-up, a line per concept:
 its row without the weight, `[kind, *fields]`, as one compact JSON array,
@@ -47,7 +48,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
 import os
 from itertools import chain
 
@@ -67,6 +67,7 @@ from .core import (
     Repeat,
     SlotRef,
     Template,
+    _check_number,
     reconstruct,
 )
 from .errors import (
@@ -78,6 +79,7 @@ from .errors import (
 )
 
 FORMAT_VERSION = "cg3"
+QUOTE_CHARS = 60  # the longest quote of outside input an error message holds
 
 _CONFIG_INTS = tuple(f for f in Config._fields if Config.__annotations__[f] == "int")
 _CONFIG_FLOATS = tuple(f for f in Config._fields if Config.__annotations__[f] == "float")
@@ -104,6 +106,12 @@ _FIELDS = {cls: tuple(zip(cls._fields, tags, strict=True))
            for cls, (_, *tags) in _KINDS.items()}  # class -> ((field, tag), ...)
 
 
+def _quote(value) -> str:
+    """`repr(value)` for an error message, if long its prefix and length."""
+    text = repr(value)
+    return text if len(text) <= QUOTE_CHARS else f"{text[:QUOTE_CHARS]}... ({len(text)} chars)"
+
+
 def _exact(cls):
     """Reader of a value of type `cls` exactly: `_int` takes no float, bool
     or string, and `_float` no int, bool or string."""
@@ -122,7 +130,7 @@ def _parse_float(text: str) -> float:
     is what `json.dumps` writes, since another ("1.00", "1e0") resaves
     differently."""
     if repr(number := float(text)) != text:
-        raise CorruptFile(f"float {text} is not written as the saver writes it")
+        raise CorruptFile(f"float {_quote(text)} is not written as the saver writes it")
     return number
 
 
@@ -136,7 +144,7 @@ def _ints(values):
 def _key(text: str) -> int:
     """A section key: the canonical decimal that `str` writes."""
     if str(value := int(text)) != text:
-        raise CorruptFile(f"key {text!r} is not a canonical integer")
+        raise CorruptFile(f"key {_quote(text)} is not a canonical integer")
     return value
 
 
@@ -175,7 +183,7 @@ def _kind_from_json(name, values: list, readers: dict) -> Kind:
     """The kind of the row `[name, *values]`, its fields read by the row
     readers `readers` (`_readers`)."""
     if name not in readers:
-        raise CorruptFile(f"unknown concept kind {name!r}")
+        raise CorruptFile(f"unknown concept kind {_quote(name)}")
     cls, fields = readers[name]
     if len(values) != len(fields):
         raise CorruptFile(f"{name} takes {len(fields)} field(s)")
@@ -241,20 +249,19 @@ def save(graph: ConceptGraph, path: str) -> None:
 def graph_from_json(data) -> ConceptGraph:
     version = _dict(data).get("version")
     if version != FORMAT_VERSION:
-        raise VersionMismatch(f"expected {FORMAT_VERSION!r}, got {version!r}")
+        raise VersionMismatch(f"expected {FORMAT_VERSION!r}, got {_quote(version)}")
     if odd := sorted(map(str, data.keys() ^ _SECTIONS)):
-        raise CorruptFile(f"extra or missing sections: {odd}")
+        raise CorruptFile(f"extra or missing sections: {_quote(odd)}")
     try:
         config_data = _dict(data["config"])
         if odd := sorted(map(str, config_data.keys() ^ _CONFIG_FIELDS)):
-            raise CorruptFile(f"extra or missing config fields: {odd}")
+            raise CorruptFile(f"extra or missing config fields: {_quote(odd)}")
         kwargs = {name: _float(config_data[name]) for name in _CONFIG_FLOATS}
         kwargs.update({name: _int(config_data[name]) for name in _CONFIG_INTS})
         concepts = [_concept_from_json(row) for row in _list(data["concepts"])]
         graph = ConceptGraph(tuple(_list(data["alphabet"])), Config(**kwargs), concepts)
         graph.raw_bits_total = _float(data["raw_bits_total"])
-        if not 0.0 <= graph.raw_bits_total < math.inf:
-            raise CorruptFile("raw_bits_total must be finite and non-negative")
+        _check_number(graph.raw_bits_total, "raw_bits_total")
         assoc = _list(data["assoc_counts"])
         _ints(chain.from_iterable(assoc))  # row lengths: unpacking
         graph.assoc_counts = {(a, b): n for a, b, n in assoc}
@@ -380,7 +387,7 @@ def import_teach(graph: ConceptGraph, script: str) -> int:
                 name, *values = _list(json.loads(raw))
                 local.append(graph.add(_kind_from_json(name, values, readers)))
             except (IndexError, KeyError, ValueError, TypeError, RecursionError) as exc:
-                raise CorruptFile(f"bad teach line {raw!r}: {exc}") from exc
+                raise CorruptFile(f"bad teach line {_quote(raw)}: {exc}") from exc
         if not local:
             raise CorruptFile("empty teach script")
     except BaseException:

@@ -423,6 +423,25 @@ def test_bad_theta_c_is_data_error_for_segment_and_scalar_ingest(tmp_path, theta
     assert graph.read_bytes() == before
 
 
+@pytest.mark.parametrize("old, new", [
+    pytest.param('"primitive"', '"' + "k" * 100000 + '"', id="kind-name"),
+    pytest.param('"raw_bits_total":0.0', '"raw_bits_total":' + "1" * 100000 + ".0",
+                 id="float-literal"),
+    pytest.param('"run_observations":{}', '"run_observations":{"' + "0" * 4000 + '2":[]}',
+                 id="key"),
+])
+def test_a_long_value_in_a_graph_file_is_quoted_to_a_prefix(tmp_path, old, new):
+    """A data error quotes outside input by a prefix and its length: a
+    100,000-character kind name gave a 100,053-character stderr line."""
+    graph = tmp_path / "g.cg"
+    text = dumps(ConceptGraph("ab"))
+    assert old in text
+    graph.write_text(text.replace(old, new, 1))
+    proc = run_cli("stats", "--graph", str(graph))
+    assert proc.returncode == 2 and proc.stderr.startswith("error:")
+    assert len(proc.stderr) < 300 and " chars)" in proc.stderr
+
+
 def test_non_utf8_graph_file_is_data_error(tmp_path):
     graph = tmp_path / "g.cg"
     graph.write_bytes(b"\xff\xfe{}")

@@ -26,7 +26,6 @@ from conceptgraph.fnsynth import Call, Const, FunctionExample, Iter, LibraryFn, 
 from conceptgraph.inducer import Budget, IngestReport
 from conceptgraph.mdl import DLReport
 from conceptgraph.records import record
-from conceptgraph.segmenter import Segment
 
 # one instance of each immutable value type: (instance, repr, field values)
 FROZEN = [
@@ -63,8 +62,10 @@ FROZEN = [
     (Budget(4, 64), "Budget(beam=4, pool=64)", (4, 64)),
     (DLReport(1.0, 0.5, 2.0), "DLReport(raw_bits=1.0, described_bits=0.5, model_bits=2.0)",
      (1.0, 0.5, 2.0)),
-    (Segment(1, 3, ("a", "b")), "Segment(start=1, end=3, payload=('a', 'b'))", (1, 3, ("a", "b"))),
-    (Segment(0, 2, (1, 2)), "Segment(start=0, end=2, payload=(1, 2))", (0, 2, (1, 2))),
+    (SlotConstraint("label", label="x"),
+     "SlotConstraint(kind='label', concept=None, label='x', sign=None)", ("label", None, "x", None)),
+    (Template((Hole(0), Hole(1))), "Template(body=(Hole(index=0), Hole(index=1)))",
+     ((Hole(0), Hole(1)),)),
 ]
 # the types whose values hold a list or that change in place: (instance, repr)
 OTHER = [
@@ -156,7 +157,7 @@ def test_a_malformed_template_raises_only_when_add_reads_its_holes(body, error):
 
 @pytest.mark.parametrize("build", [
     lambda: Config()._replace(decay=5.0), lambda: Config._make([0.0] * 10),
-    lambda: Budget(4, 64)._replace(beam=0), lambda: Segment(0, 2, (1, 2))._replace(end=0)])
+    lambda: Budget(4, 64)._replace(beam=0), lambda: Config()._replace(contrast_threshold=-1.0)])
 def test_a_checked_record_is_checked_however_it_is_built(build):
     with pytest.raises(ValueError):
         build()

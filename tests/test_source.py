@@ -37,15 +37,13 @@ def module_tree(module):
 
 # The layering, as the package modules each module must not import from, at
 # any level: the record helper imports nothing from the package; the data
-# model stands on `errors` and `records` alone, and the segmenter on
-# `records` alone; description lengths and graph files know nothing of
+# model stands on `errors` and `records` alone; description lengths and graph files know nothing of
 # induction or the synthesizer; induction stands apart from the synthesizer;
 # and the synthetic worlds score their yardstick with `mdl`, not with the
 # inducer they are there to test.
 FORBIDDEN_IMPORTS = {
     "records": MODULES - {"records"},
     "core": MODULES - {"core", "errors", "records"},
-    "segmenter": MODULES - {"segmenter", "records"},
     "inducer": {"fnsynth"},
     "mdl": {"inducer", "fnsynth"},
     "storage": {"inducer", "fnsynth"},
@@ -80,6 +78,21 @@ def test_invalid_description_is_raised_at_one_site():
                   if isinstance(node, ast.Call) and "InvalidDescription" in (
                       getattr(node.func, "id", None), getattr(node.func, "attr", None))]
     assert len(sites) == 1 and sites[0].startswith("core:"), sites
+
+
+def test_the_finite_number_rule_has_one_home():
+    """Finite and non-negative is `core._check_number`'s rule: no other
+    module restates it with `math.isnan`, `isinf`, `isfinite` or `inf`."""
+    names = {"isnan", "isinf", "isfinite", "inf"}
+    sites = []
+    for module in sorted(MODULES - {"core"}):
+        for node in ast.walk(module_tree(module)):
+            if (isinstance(node, ast.Attribute) and node.attr in names
+                    and getattr(node.value, "id", None) == "math"
+                    or isinstance(node, ast.ImportFrom) and node.module == "math"
+                    and names & {alias.name for alias in node.names}):
+                sites.append(f"{module}:{node.lineno}")
+    assert sites == []
 
 
 def test_every_function_and_class_is_named_beside_its_definition():

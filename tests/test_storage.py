@@ -989,6 +989,18 @@ def test_teach_malformed_line_is_corrupt_file(script):
         import_teach(ConceptGraph("ab"), script)
 
 
+@pytest.mark.parametrize("script", [
+    pytest.param("[" * 100000, id="nested-too-deep"),
+    pytest.param('["' + "k" * 100000 + '"]', id="long-kind-name"),
+])
+def test_a_corrupt_teach_line_is_quoted_to_a_prefix_and_its_length(script):
+    """The message keeps a prefix of the line and its length, not the line:
+    a 100,000-character line gave a 100,101-character message."""
+    with pytest.raises(CorruptFile, match="100002 chars") as info:
+        import_teach(ConceptGraph("ab"), script)
+    assert len(str(info.value)) < 300
+
+
 @pytest.mark.parametrize("script, error", [
     pytest.param('["affect",2]', WrongKind, id="affect-sign-2"),
     pytest.param('["primitive","a"]\n["repeat",0,1]', InvalidCount, id="repeat-count-1"),
