@@ -42,8 +42,8 @@ from conceptgraph.errors import (
     VersionMismatch,
     WrongKind,
 )
-from conceptgraph.inducer import FORGET_WEIGHT, ingest, parse, reconstruct
-from conceptgraph.mdl import ref_cost, stored_description_dl
+from conceptgraph.inducer import FORGET_WEIGHT, ingest, parse, reconstruct, refine
+from conceptgraph.mdl import graph_report, ref_cost, stored_description_dl
 from conceptgraph.storage import (
     dot_text,
     dumps,
@@ -111,6 +111,31 @@ def test_a_reload_keeps_the_episode_order():
         back = graph_from_json(json.loads(dumps(g)))
         assert list(back.refinement_store) == list(g.refinement_store) == list(range(25))
         assert stored_description_dl(back) == stored_description_dl(g)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_a_reload_holds_the_pair_counts_and_report_of_the_live_graph(data):
+    """After every ingest and every `refine` of a random or hidden-grammar
+    stream, the graph read back from its file holds the live graph's
+    adjacent-pair counts and its `graph_report`, float for float."""
+    if data.draw(st.booleans(), label="grammar"):
+        corpus, _ = gen_grammar_corpus(data.draw(st.integers(1, 10**6)), 3, 600)
+        start = st.integers(0, len(corpus))
+        episodes = st.tuples(start, st.integers(0, 40)).map(lambda s: corpus[s[0]:s[0] + s[1]])
+        alphabet = GRAMMAR_ALPHABET
+    else:
+        alphabet = "abcdefghijklmnop"
+        episodes = st.text(alphabet[:data.draw(st.integers(2, 16))], max_size=40)
+    g = ConceptGraph(alphabet, Config(assoc_threshold=data.draw(st.integers(1, 3))))
+    for _ in range(data.draw(st.integers(1, 12))):
+        if g.episode and data.draw(st.integers(0, 2)) == 0:
+            refine(g, data.draw(st.integers(0, g.episode - 1)))
+        else:
+            ingest(g, data.draw(episodes))
+        back = graph_from_json(json.loads(dumps(g)))
+        assert back.assoc_counts == g.assoc_counts
+        assert graph_report(back) == graph_report(g)
 
 
 def test_load_restores_structure_and_behavior(tmp_path):
