@@ -220,10 +220,10 @@ class ConceptGraph:
     since `abstract_common` last took them (every bucket, in a graph just
     built), the Repeat children by count and the Association count.  The
     graph also holds the refinement store, whose chain count is the episode
-    count, the run counts and the adjacent-pair counts that associations and
-    digrams share; description lengths come from `mdl`.  The config is
-    fixed.  The follows marker is the concept that is `FOLLOWS`, by
-    structure.
+    count, the run counts and the adjacent-pair counts over the chains' level
+    0 (`count_pairs`) that associations and digrams share; description
+    lengths come from `mdl`.  The config is fixed.  The follows marker is
+    the concept that is `FOLLOWS`, by structure.
     """
 
     def __init__(self, alphabet: Sequence[Token], config: Optional[Config] = None,
@@ -250,11 +250,10 @@ class ConceptGraph:
         elif [getattr(c, "kind", None) for c in concepts[:len(birth)]] != birth:
             raise ValueError("initial concepts do not match the alphabet")
         self.concepts: list[Concept] = list(concepts)
-        # adjacent ref pair counts accumulated over stored descriptions
+        # adjacent ref pair counts over the stored level-0 descriptions
         self.assoc_counts: dict[tuple[int, int], int] = {}
         # episode id -> refinement chain (level 0 first); the ids run from 0
         self.refinement_store: dict[int, list[Description]] = {}
-        self.raw_bits_total: float = 0.0
         # run-length observations feeding number generalization: k -> child ids
         self.run_observations: dict[int, set[int]] = {}
         # the derived tables: kind -> first id, parseable id -> expansion, code mass
@@ -283,6 +282,15 @@ class ConceptGraph:
     def episode(self) -> int:
         """The number of episodes ingested: one refinement chain each."""
         return len(self.refinement_store)
+
+    def count_pairs(self, desc: Description) -> list[tuple[tuple[int, int], int]]:
+        """Count `desc`'s adjacent ref pairs into `assoc_counts`: each, with its new count."""
+        counts, counted = self.assoc_counts, []
+        for pair in zip(desc, desc[1:]):
+            if type(pair[0]) is int and type(pair[1]) is int:
+                counts[pair] = counts.get(pair, 0) + 1
+                counted.append((pair, counts[pair]))
+        return counted
 
     def concept(self, cid: int) -> Concept:
         if type(cid) is not int or not 0 <= cid < len(self.concepts):  # True is no id

@@ -606,18 +606,14 @@ def abstract_common(graph: ConceptGraph) -> list[int]:
 
 
 def record_associations(graph: ConceptGraph, desc: Description) -> list[tuple[int, int]]:
-    """Count adjacent ref pairs; reify an Association at the threshold, and
-    add the generic follows marker once enough distinct associations exist.
-    A description that breaks the node rule raises `InvalidDescription`
-    before anything is counted."""
+    """Count adjacent ref pairs, as a load recounts a stored level 0; reify an
+    Association at the threshold, and add the generic follows marker once
+    enough distinct associations exist.  A description that breaks the node
+    rule raises `InvalidDescription` before anything is counted."""
     reconstruct(graph, desc)  # holds every node to the rule
     cfg = graph.config
     reified: list[tuple[int, int]] = []
-    for pair in zip(desc, desc[1:]):
-        if type(pair[0]) is not int or type(pair[1]) is not int:
-            continue
-        count = graph.assoc_counts.get(pair, 0) + 1
-        graph.assoc_counts[pair] = count
+    for pair, count in graph.count_pairs(desc):
         if count == cfg.assoc_threshold:
             before = len(graph)
             graph.add(Association(*pair))
@@ -744,12 +740,11 @@ def ingest(graph: ConceptGraph, tokens: Sequence[Token], cuts: Sequence[int] = (
     graph.tick_weights(_transitive_refs(graph, desc))
     episode_id = graph.episode
     graph.refinement_store[episode_id] = [desc]  # which counts the episode
-    raw_bits = raw_dl(len(tokens), len(graph.alphabet))
-    graph.raw_bits_total += raw_bits
     _apply_forgetting(graph)
     return IngestReport(episode=episode_id, description=desc,
                         new_concepts=new_concepts, new_associations=new_pairs,
-                        raw_bits=raw_bits, described_bits=description_dl(graph, desc))
+                        raw_bits=raw_dl(len(tokens), len(graph.alphabet)),
+                        described_bits=description_dl(graph, desc))
 
 
 def refine(graph: ConceptGraph, episode_id: int) -> Description:

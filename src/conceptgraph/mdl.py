@@ -159,9 +159,10 @@ def kraft_sum(graph: ConceptGraph) -> float:
 
 
 def graph_report(graph: ConceptGraph) -> DLReport:
-    """Cumulative accounting: raw bits seen vs stored description bits."""
-    return DLReport(
-        raw_bits=graph.raw_bits_total,
-        described_bits=stored_description_dl(graph),
-        model_bits=model_dl(graph),
-    )
+    """Cumulative accounting: raw bits seen vs stored description bits.  The
+    raw bits are each chain's `raw_dl` of its level-0 length, in episode order."""
+    raw_bits, sigma = 0.0, len(graph.alphabet)
+    for chain in graph.refinement_store.values():
+        raw_bits += raw_dl(len(reconstruct(graph, chain[0])), sigma)
+    return DLReport(raw_bits=raw_bits, described_bits=stored_description_dl(graph),
+                    model_bits=model_dl(graph))

@@ -1,40 +1,41 @@
 """Persistence and export formats: graph files, DOT, teach scripts.
 
-Graph files (format cg3) are JSON with sorted keys, so saving the same graph
+Graph files (format cg4) are JSON with sorted keys, so saving the same graph
 always produces the same bytes, and loading them gives back that graph
-exactly.  Each fact is stated once.  A concept is the row `[kind, weight,
-*fields]` at the position that is its id, with its fields in the order of
-its kind record's `_fields`.  A float (a weight, a float `Config` field,
-`raw_bits_total`) is a JSON float as `json` writes it, in the shortest
-spelling that `repr` reads back to the same float; NaN and infinity make
-`save` raise before it writes.  A description node is a JSON integer (a
-concept ref) or a JSON list of one or more alphabet tokens (a blob).  The
-digram counts are not stored: they are the association counts of distinct
-pairs; nor is the follows marker's id.  The file holds exactly the
-sections the saver writes, its config exactly the fields of `Config`, and
-each float in `repr`'s spelling: anything else ("1.00", "1e0", an int for
-a float) is a `CorruptFile`, since its resave would differ.  Any version
-but cg3 is a `VersionMismatch`; a cg2 file held floats rounded to 9
-decimals, so it cannot give back the graph that wrote it.
+exactly.  Each fact is stated once, in the sections `version`, `alphabet`,
+`config`, `concepts`, `run_observations` and `refinements`.  A concept is
+the row `[kind, weight, *fields]` at the position that is its id, its fields
+in its kind record's `_fields` order, and a refinement chain is the entry at
+the position that is its episode id.  A float (a weight, a float `Config`
+field) is a JSON float as `json` writes it, in the shortest spelling that
+`repr` reads back to the same float; NaN and infinity make `save` raise
+before it writes.  A description node is a JSON integer (a concept ref) or
+a JSON list of one or more alphabet tokens (a blob).  Load derives what the
+chains hold: the episode count is their number, and the adjacent-pair
+counts (the digram counts too) are recounted over each level 0 as `ingest`
+counted them (`ConceptGraph.count_pairs`); `mdl.graph_report` sums the raw
+bits over the level-0 lengths.  The follows marker's id is not stored
+either.  The file holds exactly the sections the saver writes, its config
+exactly the fields of `Config`, and each float in `repr`'s spelling:
+anything else ("1.00", "1e0", an int for a float) is a `CorruptFile`, since
+its resave would differ.  Any version but cg4 is a `VersionMismatch`; a cg3
+file restated the episode counter, the pair counts and the raw-bit total.
 
-Loading reads every concept row and hands the rows to `ConceptGraph`, the
-one path from rows to a graph: they must start with the birth rows (a
-primitive per alphabet symbol, then pleasure and pain), and each is checked
-once by the row derivation that `add` uses (`ConceptGraph._enter`): its
-weight is one `set_weight` takes, and its references point at older
-concepts of a fitting kind, so a loaded graph has no dangling reference and
-no cycle.  The episode counter is the number of refinement chains, keyed
-exactly 0 to one below it and read in that order, as a live graph holds
-them, so the next ingest stores a new chain.  Each stored level is
-reconstructed, so its nodes keep `core`'s node rule, and must spell what
-its chain's level 0 spells, as `refine` promises.  Any
-violation is a `CorruptFile`, as is a file that is not UTF-8 JSON, a
-section of the wrong JSON type, a concept row of an unknown kind or the
-wrong length, an integer field holding anything but a JSON integer, an
-empty refinement chain, a run length below 2, an association pair listed
-twice or counted below 1, or a run member or associated pair member that
-is not a parseable concept (both count description refs).  A message
-quotes outside input through `_quote`, bounded to `QUOTE_CHARS`.
+Loading hands the concept rows to `ConceptGraph`, the one path from rows to
+a graph: they must start with the birth rows (a primitive per alphabet
+symbol, then pleasure and pain), and each is checked once by the row
+derivation that `add` uses (`ConceptGraph._enter`): its weight is one
+`set_weight` takes, and its references point at older concepts of a fitting
+kind, so a loaded graph has no dangling reference and no cycle.  Each
+stored level is reconstructed, so its nodes keep `core`'s node rule, and
+must spell what its chain's level 0 spells, as `refine` promises.  Any
+violation is a `CorruptFile`, as is a file that is not UTF-8 JSON, a section
+of the wrong JSON type, a concept row of an unknown kind or the wrong
+length, an integer field holding anything but a JSON integer, an empty
+refinement chain, a run length below 2, or a run's members that are not a
+non-empty, strictly increasing list (as the saver writes it) of parseable
+concepts (a run member is a description ref).  A message bounds outside
+input, and the text of an error it wraps, to `QUOTE_CHARS` (`_clip`).
 
 A teach script is one concept's subcircuit bottom-up, a line per concept:
 its row without the weight, `[kind, *fields]`, as one compact JSON array,
@@ -67,7 +68,6 @@ from .core import (
     Repeat,
     SlotRef,
     Template,
-    _check_number,
     reconstruct,
 )
 from .errors import (
@@ -78,15 +78,14 @@ from .errors import (
     VersionMismatch,
 )
 
-FORMAT_VERSION = "cg3"
+FORMAT_VERSION = "cg4"
 QUOTE_CHARS = 60  # the longest quote of outside input an error message holds
 
 _CONFIG_INTS = tuple(f for f in Config._fields if Config.__annotations__[f] == "int")
 _CONFIG_FLOATS = tuple(f for f in Config._fields if Config.__annotations__[f] == "float")
 _CONFIG_FIELDS = set(Config._fields)
 # the top-level keys of a graph file, each written by `graph_to_json`
-_SECTIONS = {"version", "alphabet", "config", "episode", "raw_bits_total", "concepts",
-             "assoc_counts", "run_observations", "refinements"}
+_SECTIONS = {"version", "alphabet", "config", "concepts", "run_observations", "refinements"}
 
 REF, REFS, BODY, INT, STR = "ref", "refs", "body", "int", "str"  # field tags
 
@@ -106,9 +105,9 @@ _FIELDS = {cls: tuple(zip(cls._fields, tags, strict=True))
            for cls, (_, *tags) in _KINDS.items()}  # class -> ((field, tag), ...)
 
 
-def _quote(value) -> str:
-    """`repr(value)` for an error message, if long its prefix and length."""
-    text = repr(value)
+def _clip(text: str) -> str:
+    """`text` (a `repr` of outside input, a wrapped error's text) for an error
+    message: if long, its prefix and length."""
     return text if len(text) <= QUOTE_CHARS else f"{text[:QUOTE_CHARS]}... ({len(text)} chars)"
 
 
@@ -130,7 +129,7 @@ def _parse_float(text: str) -> float:
     is what `json.dumps` writes, since another ("1.00", "1e0") resaves
     differently."""
     if repr(number := float(text)) != text:
-        raise CorruptFile(f"float {_quote(text)} is not written as the saver writes it")
+        raise CorruptFile(f"float {_clip(repr(text))} is not written as the saver writes it")
     return number
 
 
@@ -144,7 +143,7 @@ def _ints(values):
 def _key(text: str) -> int:
     """A section key: the canonical decimal that `str` writes."""
     if str(value := int(text)) != text:
-        raise CorruptFile(f"key {_quote(text)} is not a canonical integer")
+        raise CorruptFile(f"key {_clip(repr(text))} is not a canonical integer")
     return value
 
 
@@ -183,7 +182,7 @@ def _kind_from_json(name, values: list, readers: dict) -> Kind:
     """The kind of the row `[name, *values]`, its fields read by the row
     readers `readers` (`_readers`)."""
     if name not in readers:
-        raise CorruptFile(f"unknown concept kind {_quote(name)}")
+        raise CorruptFile(f"unknown concept kind {_clip(repr(name))}")
     cls, fields = readers[name]
     if len(values) != len(fields):
         raise CorruptFile(f"{name} takes {len(fields)} field(s)")
@@ -207,13 +206,9 @@ def graph_to_json(graph: ConceptGraph) -> dict:
         "version": FORMAT_VERSION,
         "alphabet": list(graph.alphabet),
         "config": config,
-        "episode": graph.episode,
-        "raw_bits_total": float(graph.raw_bits_total),
         "concepts": [_concept_to_json(c) for c in graph.concepts],
-        "assoc_counts": [[a, b, n] for (a, b), n in sorted(graph.assoc_counts.items())],
         "run_observations": {str(k): sorted(v) for k, v in sorted(graph.run_observations.items())},
-        "refinements": {str(ep): list(chain)  # JSON writes a tuple as an array
-                        for ep, chain in sorted(graph.refinement_store.items())},
+        "refinements": list(graph.refinement_store.values()),  # in episode order
     }
 
 
@@ -249,48 +244,34 @@ def save(graph: ConceptGraph, path: str) -> None:
 def graph_from_json(data) -> ConceptGraph:
     version = _dict(data).get("version")
     if version != FORMAT_VERSION:
-        raise VersionMismatch(f"expected {FORMAT_VERSION!r}, got {_quote(version)}")
+        raise VersionMismatch(f"expected {FORMAT_VERSION!r}, got {_clip(repr(version))}")
     if odd := sorted(map(str, data.keys() ^ _SECTIONS)):
-        raise CorruptFile(f"extra or missing sections: {_quote(odd)}")
+        raise CorruptFile(f"extra or missing sections: {_clip(repr(odd))}")
     try:
         config_data = _dict(data["config"])
         if odd := sorted(map(str, config_data.keys() ^ _CONFIG_FIELDS)):
-            raise CorruptFile(f"extra or missing config fields: {_quote(odd)}")
+            raise CorruptFile(f"extra or missing config fields: {_clip(repr(odd))}")
         kwargs = {name: _float(config_data[name]) for name in _CONFIG_FLOATS}
         kwargs.update({name: _int(config_data[name]) for name in _CONFIG_INTS})
         concepts = [_concept_from_json(row) for row in _list(data["concepts"])]
         graph = ConceptGraph(tuple(_list(data["alphabet"])), Config(**kwargs), concepts)
-        graph.raw_bits_total = _float(data["raw_bits_total"])
-        _check_number(graph.raw_bits_total, "raw_bits_total")
-        assoc = _list(data["assoc_counts"])
-        _ints(chain.from_iterable(assoc))  # row lengths: unpacking
-        graph.assoc_counts = {(a, b): n for a, b, n in assoc}
-        if len(graph.assoc_counts) != len(assoc):
-            raise CorruptFile("assoc_counts repeats a pair")
-        if min(graph.assoc_counts.values(), default=1) < 1:
-            raise CorruptFile("an assoc_counts count is below 1")
-        graph.run_observations = {_key(k): set(_ints(_list(v)))
-                                  for k, v in _dict(data["run_observations"]).items()}
-        if min(graph.run_observations, default=2) < 2:
-            raise CorruptFile("run_observations keys are run lengths, at least 2")
-        if not set(graph.parseable_ids()).issuperset(
-                chain(*graph.assoc_counts, *graph.run_observations.values())):
-            raise CorruptFile("an assoc_counts pair or run_observations member "
-                              "is not a parseable concept")
-        chains = _dict(data["refinements"])
-        keys = [str(ep) for ep in range(len(chains))]
-        if (_int(data["episode"]) != len(chains) or chains.keys() != set(keys)
-                or not all(chains.values())):
-            raise CorruptFile("the refinements are not one non-empty chain per episode "
-                              "before the counter")
-        for ep, key in enumerate(keys):  # `reconstruct` holds each node to the rule
-            levels = graph.refinement_store[ep] = [_desc_from_json(v) for v in _list(chains[key])]
-            spelled = reconstruct(graph, levels[0])
+        runs = {_key(k): _ints(_list(v)) for k, v in _dict(data["run_observations"]).items()}
+        if min(runs, default=2) < 2 or not all(v and v == sorted(set(v)) for v in runs.values()):
+            raise CorruptFile("a run length is below 2, or its members are not increasing")
+        if not set(graph.parseable_ids()).issuperset(chain(*runs.values())):
+            raise CorruptFile("a run_observations member is not a parseable concept")
+        graph.run_observations = {k: set(v) for k, v in runs.items()}
+        for ep, stored in enumerate(_list(data["refinements"])):
+            levels = graph.refinement_store[ep] = [_desc_from_json(v) for v in _list(stored)]
+            if not levels:
+                raise CorruptFile("a refinement chain is empty")
+            spelled = reconstruct(graph, levels[0])  # which holds each node to the rule
             if any(reconstruct(graph, level) != spelled for level in levels[1:]):
                 raise CorruptFile("a refinement level does not spell its episode's level 0")
+            graph.count_pairs(levels[0])  # as `ingest` counted it
         return graph
     except (GraphError, KeyError, ValueError, TypeError, IndexError, OverflowError) as exc:
-        raise CorruptFile(f"malformed graph file: {exc}") from exc
+        raise CorruptFile(f"malformed graph file: {_clip(str(exc))}") from exc
 
 
 def load(path: str) -> ConceptGraph:
@@ -363,9 +344,10 @@ def import_teach(graph: ConceptGraph, script: str) -> int:
 
     A line that is not a JSON row `load` reads is a `CorruptFile`, a
     reference to no earlier line an `UnresolvedReference`, and a kind that
-    `add` refuses raises `add`'s own error.  All or nothing: if any line
-    fails, the concepts the earlier lines added are popped again before the
-    error propagates.  A script that is not a `str` is a `CorruptFile`.
+    `add` refuses raises `add`'s own error, its text bounded (`_clip`).  All
+    or nothing: if any line fails, the concepts the earlier lines added are
+    popped again before the error propagates.  A script that is not a `str`
+    is a `CorruptFile`.
     """
     if not isinstance(script, str):
         raise CorruptFile(f"a teach script is a str, not {type(script).__name__}")
@@ -385,9 +367,13 @@ def import_teach(graph: ConceptGraph, script: str) -> int:
                 continue
             try:
                 name, *values = _list(json.loads(raw))
-                local.append(graph.add(_kind_from_json(name, values, readers)))
+                kind = _kind_from_json(name, values, readers)
             except (IndexError, KeyError, ValueError, TypeError, RecursionError) as exc:
-                raise CorruptFile(f"bad teach line {_quote(raw)}: {exc}") from exc
+                raise CorruptFile(f"bad teach line {_clip(repr(raw))}: {_clip(str(exc))}") from exc
+            try:
+                local.append(graph.add(kind))
+            except GraphError as exc:  # add's own error, its text bounded
+                raise type(exc)(_clip(str(exc))) from exc
         if not local:
             raise CorruptFile("empty teach script")
     except BaseException:

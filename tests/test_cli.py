@@ -12,7 +12,8 @@ from conceptgraph.cli import main
 from conceptgraph.core import (
     MAX_EXPANSION, Apply, Concat, ConceptGraph, Hole, Repeat, SlotRef, Template)
 from conceptgraph.errors import CorruptFile
-from conceptgraph.storage import dumps, import_teach, load
+from conceptgraph.mdl import graph_report
+from conceptgraph.storage import dumps, graph_from_json, import_teach, load
 
 
 def run(capsys, *argv):
@@ -135,7 +136,7 @@ def test_malformed_blob_in_a_graph_file_is_data_error(tmp_path, payload):
     assert run_cli("init", "--alphabet", "ab", "--out", str(graph)).returncode == 0
     assert run_cli("ingest", "--graph", str(graph), "--input", str(data)).returncode == 0
     doc = json.loads(graph.read_text())
-    doc["refinements"]["0"] = [[payload]]
+    doc["refinements"][0] = [[payload]]
     graph.write_text(json.dumps(doc))
     assert_data_error(["refine", "--graph", str(graph), "--episode", "0"],
                       ["stats", "--graph", str(graph)])
@@ -152,8 +153,8 @@ def test_a_level_that_does_not_spell_its_episode_is_data_error(tmp_path):
                  ["refine", "--graph", str(graph), "--episode", "0"]):
         assert run_cli(*argv).returncode == 0
     doc = json.loads(graph.read_text())
-    assert len(doc["refinements"]["0"]) == 2
-    doc["refinements"]["0"][1] = [["b", "b", "b"]]
+    assert len(doc["refinements"][0]) == 2
+    doc["refinements"][0][1] = [["b", "b", "b"]]
     graph.write_text(json.dumps(doc))
     with pytest.raises(CorruptFile, match="does not spell"):
         load(str(graph))
@@ -183,8 +184,9 @@ def test_deep_chain_graph_file_works(tmp_path):
 
 
 def test_an_episode_counter_at_a_stored_episode_is_data_error(tmp_path, capsys):
-    """Edited back to 0, the counter would make the next ingest append its
-    episode to episode 0's chain; the file is refused and left as it is."""
+    """The episode count is the number of chains, so the file states no
+    counter: one added, here at a stored episode, is refused, and the file
+    is left as it is."""
     graph, data = tmp_path / "g.cg", tmp_path / "in.txt"
     data.write_text("abab\nabba\nbaab\n")
     run(capsys, "init", "--alphabet", "ab", "--out", str(graph))
@@ -235,7 +237,7 @@ def test_an_empty_refinement_chain_is_data_error(tmp_path, capsys):
     run(capsys, "init", "--alphabet", "ab", "--out", str(graph))
     assert run(capsys, "ingest", "--graph", str(graph), "--input", str(data))[0] == 0
     doc = json.loads(graph.read_text())
-    doc["refinements"]["1"] = []
+    doc["refinements"][1] = []
     graph.write_text(json.dumps(doc))
     assert_data_error(["stats", "--graph", str(graph)])
 
@@ -406,7 +408,7 @@ def test_scalar_ingest_and_segment_bytes_are_pinned(tmp_path, capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "3c7ade114102ef829e1ef513d8f2e24518a20478de70c2b2239dd0885369d680")
     assert hashlib.sha256(graph.read_bytes()).hexdigest() == (
-        "0206b235376f0b6e60a9effdcc272f10fa6569b37f0ca4f15322b242f0efb595")
+        "00eb05fcf5c8dacb3a52fc53acca128892112eb8692713090b8d44e6b0673539")
 
 
 @pytest.mark.parametrize("theta", ["nan", "inf", "-1"])
@@ -425,14 +427,22 @@ def test_bad_theta_c_is_data_error_for_segment_and_scalar_ingest(tmp_path, theta
 
 @pytest.mark.parametrize("old, new", [
     pytest.param('"primitive"', '"' + "k" * 100000 + '"', id="kind-name"),
-    pytest.param('"raw_bits_total":0.0', '"raw_bits_total":' + "1" * 100000 + ".0",
+    pytest.param('["primitive",1.0,"a"]', '["primitive",' + "1" * 100000 + '.0,"a"]',
                  id="float-literal"),
     pytest.param('"run_observations":{}', '"run_observations":{"' + "0" * 4000 + '2":[]}',
                  id="key"),
+    # the text of an error that a load wraps is bounded too
+    pytest.param('["affect",1.0,-1]]', '["affect",1.0,-1],["primitive",1.0,"' + "x" * 100000
+                 + '"]]', id="token"),
+    pytest.param('"refinements":[]', '"refinements":[[[["' + "x" * 100000 + '"]]]]', id="blob"),
+    pytest.param('["affect",1.0,-1]]', '["affect",1.0,-1],["template",1.0,[["' + "x" * 100000
+                 + '",0]]]]', id="template-slot-tag"),
 ])
 def test_a_long_value_in_a_graph_file_is_quoted_to_a_prefix(tmp_path, old, new):
     """A data error quotes outside input by a prefix and its length: a
-    100,000-character kind name gave a 100,053-character stderr line."""
+    100,000-character kind name gave a 100,053-character stderr line, and a
+    token, blob token or template slot tag of that length gave over
+    100,000 characters through the error the load wraps."""
     graph = tmp_path / "g.cg"
     text = dumps(ConceptGraph("ab"))
     assert old in text
@@ -517,7 +527,7 @@ def test_cli_text_and_bytes_are_pinned(tmp_path, capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "4f0876f7f4079eac65a7e95c3b01a785e59ee8f04a200a7ffbd1fcd8e57aeef3")
     assert hashlib.sha256(data).hexdigest() == (
-        "74c64d37ac326d35528588ee6e6c221127516a53c6578b31275921ea9f69fdb9")
+        "4b764d131beb3ff60089e57d1e7f176f225d9c5b5a88502c22b9f259d932e0c6")
 
 
 def test_the_cg2_file_of_the_pinned_session_is_at_most_2940_bytes(tmp_path, capsys):
@@ -528,12 +538,12 @@ def test_the_cg2_file_of_the_pinned_session_is_at_most_2940_bytes(tmp_path, caps
 
 
 def test_a_cg1_file_is_a_version_mismatch(tmp_path):
-    """The reader reads cg3 alone; an older file is refused by its version."""
+    """The reader reads cg4 alone; an older file is refused by its version."""
     graph = tmp_path / "g.cg"
     graph.write_text(json.dumps({"version": "cg1", "alphabet": ["a", "b"], "concepts": [],
                                  "digram_counts": []}))
     proc = run_cli("stats", "--graph", str(graph))
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: expected 'cg3', got 'cg1'\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: expected 'cg4', got 'cg1'\n")
 
 
 # A fresh graph over "ab" as the cg2 saver wrote it: a creation episode in
@@ -554,5 +564,34 @@ def test_a_cg2_file_is_a_version_mismatch(tmp_path):
     graph = tmp_path / "g.cg"
     graph.write_text(CG2_FRESH_AB)
     proc = run_cli("stats", "--graph", str(graph))
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: expected 'cg3', got 'cg2'\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: expected 'cg4', got 'cg2'\n")
     assert graph.read_text() == CG2_FRESH_AB
+
+
+# A graph over "ab" after `ingest("abab")`, as the cg3 saver wrote it: the file
+# restates the episode counter, the pair counts and the raw-bit total.
+CG3_AB_AFTER_ABAB = (
+    '{"alphabet":["a","b"],"assoc_counts":[],"concepts":[["primitive",1.9,"a"],'
+    '["primitive",1.9,"b"],["affect",1.0,1],["affect",1.0,-1],["concat",1.9,[0,1]],'
+    '["repeat",1.9,4,2]],"config":{"assoc_threshold":3,"beam_base":4,"contrast_threshold":1.0,'
+    '"decay":0.9,"fast_path_threshold":8.0,"generalize_threshold":3,"pool_base":64,'
+    '"repeat_threshold":2,"valence_decay":0.5,"valence_hop_cap":6},"episode":1,'
+    '"raw_bits_total":9.0,"refinements":{"0":[[5]]},"run_observations":{"2":[4]},'
+    '"version":"cg3"}\n')
+
+
+def test_a_cg3_file_is_a_version_mismatch(tmp_path):
+    """A cg3 file is refused by its version, and its bytes are kept; the same
+    graph written as cg4 loads, with the episode, pair counts and raw bits
+    its chains give."""
+    graph = tmp_path / "g.cg"
+    graph.write_text(CG3_AB_AFTER_ABAB)
+    proc = run_cli("stats", "--graph", str(graph))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: expected 'cg4', got 'cg3'\n")
+    assert graph.read_text() == CG3_AB_AFTER_ABAB
+    doc = json.loads(CG3_AB_AFTER_ABAB)
+    for section in ("episode", "assoc_counts", "raw_bits_total"):
+        del doc[section]
+    doc.update(version="cg4", refinements=list(doc["refinements"].values()))
+    g = graph_from_json(doc)
+    assert (g.episode, g.assoc_counts, graph_report(g).raw_bits) == (1, {}, 9.0)

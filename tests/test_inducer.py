@@ -633,6 +633,7 @@ def test_induce_repeats_matches_the_rescanning_loop(data):
         g.assoc_counts[a, b] = g.assoc_counts.get((a, b), 0) + 1
     nodes = drawn_nodes(data, g) * data.draw(st.integers(1, 3))
     reference, size = graph_from_json(json.loads(dumps(g))), len(g)
+    reference.assoc_counts = dict(g.assoc_counts)  # set by hand, so not what its chains give
     out, _ = induce_repeats(g, tuple(nodes))
     want = rescanning_induce(reference, nodes)
     event(f"added={min(len(g) - size, 3)}")
@@ -1174,14 +1175,14 @@ def test_ingest_graph_bytes_are_pinned():
     for _ in range(60):
         ingest(g, "".join(rng.choice(sigma) for _ in range(rng.randint(0, 256))))
     assert len(g) == 564
-    assert _graph_sha256(g) == "3f840ec1809ec5d7c4167c928ff2fa9fa0c3c45a917966882c7b95c3d442d39f"
+    assert _graph_sha256(g) == "3acc3588e5137efcc3760285d628fa55dcacd82f31550ac3b6e11aa3d7e2280a"
 
     tokens, _ = gen_grammar_corpus(7, 5, 64 * 60, rules_per_level=3)
     g = ConceptGraph(GRAMMAR_ALPHABET)
     for i in range(0, 64 * 60, 64):
         ingest(g, tokens[i:i + 64])
     assert len(g) == 27
-    assert _graph_sha256(g) == "38b50a074172816cef95ab894fa3791d09f1a749e0dc5a208fb9376b33e5d994"
+    assert _graph_sha256(g) == "4b7d579ef7c7421e0354693a3aa574747a182182a118e07dafa4a4572e8f1242"
 
 
 def test_ingest_graph_bytes_survive_python_O(tmp_path):

@@ -57,7 +57,7 @@ from conceptgraph.storage import (
 )
 
 
-# A cg3 concept row is [kind, weight, *fields], fields in record order.
+# A concept row is [kind, weight, *fields], fields in record order.
 WEIGHT = 1
 KIND_CLASSES = {"primitive": Primitive, "concat": Concat, "repeat": Repeat,
                 "template": Template, "apply": Apply, "association": Association,
@@ -65,7 +65,7 @@ KIND_CLASSES = {"primitive": Primitive, "concat": Concat, "repeat": Repeat,
 
 
 def set_field(row: list, name: str, value) -> None:
-    """Set the named kind field of a cg3 concept row."""
+    """Set the named kind field of a concept row."""
     row[2 + KIND_CLASSES[row[0]]._fields.index(name)] = value
 
 
@@ -99,10 +99,9 @@ def test_a_loaded_graph_reloads_to_the_same_state():
 
 
 def test_a_reload_keeps_the_episode_order():
-    """The file writes the chains under string keys ("0", "1", "10", ...);
-    a load takes them in episode order, as the live graph holds them, so the
-    stored description bits, a float sum in chain order, are the live
-    graph's to the last bit."""
+    """The file lists the chains in episode order, and a load keeps that
+    order, as the live graph holds them, so the stored description bits, a
+    float sum in chain order, are the live graph's to the last bit."""
     rng = random.Random(4)
     for _ in range(20):
         g = ConceptGraph("abcd")
@@ -220,6 +219,11 @@ def test_load_rejects_non_finite_or_negative_weight(tmp_path, weight):
         load(str(path))
 
 
+# A `None` section is a top-level key.  The episode counter, the pair counts
+# and the raw-bit total come from the chains, so a file that states any of
+# them (`episode`, `assoc_counts`, `raw_bits_total`) is refused, whatever the
+# value: the cases that set one keep the values that cg3, which stored
+# them, refused.
 @pytest.mark.parametrize("section, field, value", [
     ("config", "fast_path_threshold", "nan"),
     ("config", "contrast_threshold", "nan"),
@@ -236,13 +240,10 @@ def test_load_rejects_non_finite_or_negative_weight(tmp_path, weight):
     # as the affect primitive 2
     ("run_observations", "2", [-7, 999, 1000000]),
     ("run_observations", "2", [2]),
-    # pairs are counted over description refs too, and a stored count is at
-    # least 1: two missing concepts, counts below 1, the two affect primitives
     (None, "assoc_counts", [[999, 1000, 5]]),
     (None, "assoc_counts", [[0, 1, -7]]),
     (None, "assoc_counts", [[0, 1, 0]]),
     (None, "assoc_counts", [[2, 3, 100]]),
-    # the saver writes each pair once
     (None, "assoc_counts", [[0, 1, 5], [0, 1, 6]]),
     # the saver writes every float field as a JSON float, so a bool, an
     # integer or a string is an edit whose resave would differ
@@ -264,6 +265,11 @@ def test_load_rejects_non_finite_or_negative_weight(tmp_path, weight):
     (None, "raw_bits_total", -3.0),
     pytest.param(None, "raw_bits_total", math.nan, id="None-raw_bits_total-float-nan"),
     pytest.param(None, "raw_bits_total", math.inf, id="None-raw_bits_total-inf"),
+    # the saver writes a run's members once each, in increasing order, and
+    # ingest never keeps a run length with no member
+    ("run_observations", "2", []),
+    ("run_observations", "4", [0, 0]),
+    ("run_observations", "2", [1, 0]),
 ])
 def test_load_rejects_bad_config_and_counters(section, field, value):
     data = json.loads(dumps(ConceptGraph("ab")))
@@ -273,8 +279,7 @@ def test_load_rejects_bad_config_and_counters(section, field, value):
 
 
 # a float field of a fresh graph's file, by the path to it
-FLOAT_FIELDS = {"weight": ("concepts", 0, WEIGHT), "config": ("config", "decay"),
-                "raw_bits_total": ("raw_bits_total",)}
+FLOAT_FIELDS = {"weight": ("concepts", 0, WEIGHT), "config": ("config", "decay")}
 
 
 def file_with(tmp_path, where: str, spelling: str) -> str:
@@ -315,7 +320,7 @@ EDGE_FLOATS = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_every_float_survives_a_save_and_load(tmp_path_factory, data):
-    """Weights, `raw_bits_total` and the float config fields load back `==`
+    """Weights and the float config fields load back `==`
     to what was saved, at edge values and as an int given for a float, and
     saving the loaded graph gives the same bytes."""
     unit = st.sampled_from([1 / 3, 0.1 + 0.2, 5e-324, FORGET_WEIGHT, 0.9 ** 40])
@@ -326,20 +331,18 @@ def test_every_float_survives_a_save_and_load(tmp_path_factory, data):
     g.add(Repeat(g.add(Concat((0, 1))), 2))
     for cid in range(len(g)):
         g.set_weight(cid, data.draw(EDGE_FLOATS))
-    g.raw_bits_total = data.draw(EDGE_FLOATS)
     path = str(tmp_path_factory.mktemp("floats") / "g.cg")
     save(g, path)
     text = Path(path).read_text()
     loaded = load(path)
     assert [c.weight for c in loaded.concepts] == [c.weight for c in g.concepts]
-    assert (loaded.raw_bits_total, loaded.config) == (g.raw_bits_total, g.config)
+    assert loaded.config == g.config
     assert {type(getattr(loaded.config, name)) for name in storage._CONFIG_FLOATS} == {float}
     save(loaded, path)
     assert Path(path).read_text() == text
 
 
 @pytest.mark.parametrize("edit", [
-    pytest.param(lambda g: setattr(g, "raw_bits_total", math.inf), id="raw-bits-inf"),
     pytest.param(lambda g: setattr(g.concepts[4], "weight", math.nan), id="weight-nan"),
 ])
 def test_save_refuses_a_float_that_load_refuses(tmp_path, edit):
@@ -456,7 +459,7 @@ def test_load_rejects_an_expansion_past_the_cap():
 def test_load_rejects_a_refinement_ref_that_does_not_expand():
     g = trained_graph()
     data = json.loads(dumps(g))
-    level = next(iter(data["refinements"].values()))[0]
+    level = data["refinements"][0][0]
     i = next(i for i, node in enumerate(level) if type(node) is int)
     for bad in (g.pleasure_id, len(g)):
         level[i] = bad
@@ -476,15 +479,14 @@ BAD_NODES = [[["a"]], [], ["z"], [5], [None], "ab", None, True, 3.0, {}, 4, -1, 
 @pytest.mark.parametrize("payload", BAD_NODES)
 def test_load_rejects_a_malformed_blob(payload):
     data = json.loads(dumps(trained_graph()))
-    next(iter(data["refinements"].values()))[0].append(payload)
+    data["refinements"][0][0].append(payload)
     with pytest.raises(CorruptFile):
         graph_from_json(data)
 
 
 def test_load_reads_a_blob_as_a_token_tuple():
     data = json.loads(dumps(trained_graph()))
-    chain = next(iter(data["refinements"].values()))
-    chain[0].append(["d", "a"])
+    data["refinements"][0][0].append(["d", "a"])
     assert graph_from_json(data).refinement_store[0][0][-1] == ("d", "a")
 
 
@@ -550,8 +552,8 @@ def test_load_validates_each_concept_once(monkeypatch):
 
 
 def int_fields(row) -> list[tuple]:
-    """Paths of the integer reference and count fields of one cg3 concept
-    row, whose fields start at column 2."""
+    """Paths of the integer reference and count fields of one concept row,
+    whose fields start at column 2."""
     kind = row[0]
     if kind == "concat":
         return [(2, i) for i in range(len(row[2]))]
@@ -592,17 +594,15 @@ def test_load_of_a_graph_with_one_edited_integer(data):
 
 def numeric_paths(doc) -> list[tuple]:
     """Paths of every numeric field of a saved graph: weights, references and
-    counts, the episode, the integer config fields, the entries of the
-    association and run counts, and the refinement refs."""
-    paths = [("episode",)]
-    paths += [("config", name) for name, value in doc["config"].items() if isinstance(value, int)]
+    counts, the integer config fields, the run members, and the refinement
+    refs."""
+    paths = [("config", name) for name, value in doc["config"].items() if isinstance(value, int)]
     for i, row in enumerate(doc["concepts"]):
         paths.append(("concepts", i, WEIGHT))
         paths += [("concepts", i) + field for field in int_fields(row)]
-    paths += [("assoc_counts", i, j) for i in range(len(doc["assoc_counts"])) for j in range(3)]
     for k, members in doc["run_observations"].items():
         paths += [("run_observations", k, i) for i in range(len(members))]
-    for ep, chain in doc["refinements"].items():
+    for ep, chain in enumerate(doc["refinements"]):
         paths += [("refinements", ep, level, i) for level, desc in enumerate(chain)
                   for i, node in enumerate(desc) if type(node) is int]
     return paths
@@ -639,29 +639,25 @@ def test_load_of_a_graph_with_one_non_integer_field(data):
     assert dumps(graph_from_json(json.loads(text))) == text
 
 
-NOT_A_ROW = st.one_of(
-    st.lists(st.integers(0, 9), max_size=5).filter(lambda row: len(row) != 3),
-    st.tuples(st.integers(0, 9), st.integers(0, 9), NOT_AN_INTEGER)
-    .flatmap(lambda row: st.permutations(row)).map(list),
-    st.sampled_from(["abc", "", {}, {"a": 1, "b": 2, "c": 3}, None, 7, 2.5, True]))
 NOT_A_LIST = st.sampled_from(["", "12", "abcd", {}, {"1": 2}, None, 7, 2.5, True, False])
 NOT_A_DICT = st.sampled_from([[], [["2", [0]]], "", "ab", None, 7, 2.5, True])
-SECTION_TYPES = {"alphabet": NOT_A_LIST, "concepts": NOT_A_LIST, "assoc_counts": NOT_A_LIST,
-                 "config": NOT_A_DICT, "run_observations": NOT_A_DICT,
-                 "refinements": NOT_A_DICT}
+SECTION_TYPES = {"alphabet": NOT_A_LIST, "concepts": NOT_A_LIST, "config": NOT_A_DICT,
+                 "run_observations": NOT_A_DICT, "refinements": NOT_A_LIST}
 
 
 @settings(max_examples=300, deadline=1000)
 @given(st.data())
 def test_load_of_a_graph_with_one_misshapen_row_or_section(data):
-    """A count row that is not a list of exactly three JSON integers, a run
-    member list that is not a list, and a section of the wrong JSON type
-    are each a `CorruptFile`."""
+    """A refinement chain or level that is not a list, a run member list
+    that is not a list, and a section of the wrong JSON type are each a
+    `CorruptFile`."""
     doc = json.loads(trained_graph_text())
     where = data.draw(st.sampled_from(["row", "members", "section"]))
     if where == "row":
-        rows = doc["assoc_counts"]
-        rows[data.draw(st.integers(0, len(rows) - 1))] = data.draw(NOT_A_ROW)
+        chains = doc["refinements"]
+        chain = chains[data.draw(st.integers(0, len(chains) - 1))]
+        rows = data.draw(st.sampled_from([chains, chain]))
+        rows[data.draw(st.integers(0, len(rows) - 1))] = data.draw(NOT_A_LIST)
     elif where == "members":
         doc["run_observations"][data.draw(st.sampled_from(sorted(doc["run_observations"])))] = \
             data.draw(NOT_A_LIST)
@@ -673,43 +669,39 @@ def test_load_of_a_graph_with_one_misshapen_row_or_section(data):
 
 
 @pytest.mark.parametrize("key", ["01", "+1", " 1", "1.0", "-0", "x", ""])
-@pytest.mark.parametrize("section", ["refinements", "run_observations"])
+@pytest.mark.parametrize("section", ["run_observations"])
 def test_load_rejects_a_non_canonical_key(section, key):
     doc = json.loads(trained_graph_text())
-    value = doc[section].pop("1" if section == "refinements" else "2")
-    doc[section][key] = value
+    doc[section][key] = doc[section].pop("2")
     with pytest.raises(CorruptFile):
         graph_from_json(doc)
 
 
 @pytest.mark.parametrize("edit", [
     pytest.param(lambda d: d.__setitem__("episode", 0), id="episode-0"),
-    pytest.param(lambda d: d.__setitem__("episode", d["episode"] - 1), id="episode-at-the-last-key"),
-    pytest.param(lambda d: d["refinements"].__setitem__("-1", [[0]]), id="a-negative-key"),
-    pytest.param(lambda d: d["refinements"].__setitem__("1", []), id="an-empty-chain"),
-    pytest.param(lambda d: d.__setitem__("episode", d["episode"] + 1),
+    pytest.param(lambda d: d.__setitem__("episode", len(d["refinements"]) - 1),
+                 id="episode-at-the-last-key"),
+    pytest.param(lambda d: d["refinements"].__setitem__(1, []), id="an-empty-chain"),
+    pytest.param(lambda d: d.__setitem__("episode", len(d["refinements"]) + 1),
                  id="episode-past-the-last-key"),
-    pytest.param(lambda d: d["refinements"].pop("1"), id="a-skipped-key"),
     pytest.param(lambda d: (d.__setitem__("episode", -1), d["refinements"].clear()),
                  id="episode--1-and-no-chains"),
 ])
 def test_load_rejects_a_refinement_chain_not_of_an_episode(edit):
-    """The counter is the number of chains, keyed exactly 0 to one below it,
-    and each chain holds level 0.  A key at or past the counter would make
-    the next ingest append its episode to a stored chain, as a level that
-    need not reconstruct level 0; a counter past the keys, or a skipped
-    key, leaves an episode that `refine` cannot find, as does an empty
-    chain."""
+    """A chain's position is its episode id and the chain count is the
+    episode count, so the file states no counter: a file that states one,
+    at any value, is refused.  Each chain holds level 0; an empty chain
+    would leave an episode that `refine` cannot find."""
     doc = json.loads(trained_graph_text())
-    assert sorted(map(int, doc["refinements"])) == list(range(doc["episode"]))
+    assert "episode" not in doc and len(doc["refinements"]) == 12
     edit(doc)
     with pytest.raises(CorruptFile):
         graph_from_json(doc)
 
 
 def test_a_cg1_document_is_a_version_mismatch():
-    """The reader reads cg3 alone: a cg1 file is refused by its version."""
-    with pytest.raises(VersionMismatch, match="expected 'cg3', got 'cg1'"):
+    """The reader reads cg4 alone: a cg1 file is refused by its version."""
+    with pytest.raises(VersionMismatch, match="expected 'cg4', got 'cg1'"):
         graph_from_json({"version": "cg1", "alphabet": ["a", "b"], "concepts": [],
                          "digram_counts": []})
 
@@ -1024,6 +1016,16 @@ def test_a_corrupt_teach_line_is_quoted_to_a_prefix_and_its_length(script):
     with pytest.raises(CorruptFile, match="100002 chars") as info:
         import_teach(ConceptGraph("ab"), script)
     assert len(str(info.value)) < 300
+
+
+def test_the_error_of_a_teach_line_that_add_refuses_is_bounded():
+    """`add`'s own error keeps its class and bounds its text: a
+    100,000-character token gave a 100,024-character `DanglingReference`."""
+    g = ConceptGraph("ab")
+    text = dumps(g)
+    with pytest.raises(DanglingReference, match=" chars\\)") as info:
+        import_teach(g, json.dumps(["primitive", "x" * 100000]))
+    assert len(str(info.value)) < 300 and dumps(g) == text
 
 
 @pytest.mark.parametrize("script, error", [
