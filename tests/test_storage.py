@@ -222,8 +222,7 @@ def test_load_rejects_non_finite_or_negative_weight(tmp_path, weight):
 # A `None` section is a top-level key.  The episode counter, the pair counts
 # and the raw-bit total come from the chains, so a file that states any of
 # them (`episode`, `assoc_counts`, `raw_bits_total`) is refused, whatever the
-# value: the cases that set one keep the values that cg3, which stored
-# them, refused.
+# value.
 @pytest.mark.parametrize("section, field, value", [
     ("config", "fast_path_threshold", "nan"),
     ("config", "contrast_threshold", "nan"),
