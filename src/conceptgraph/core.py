@@ -285,12 +285,17 @@ class ConceptGraph:
 
     def count_pairs(self, desc: Description) -> list[tuple[tuple[int, int], int]]:
         """Count `desc`'s adjacent ref pairs into `assoc_counts`: each, with its new count."""
-        counts, counted = self.assoc_counts, []
-        for pair in zip(desc, desc[1:]):
-            if type(pair[0]) is int and type(pair[1]) is int:
-                counts[pair] = counts.get(pair, 0) + 1
-                counted.append((pair, counts[pair]))
+        counted: list[tuple[tuple[int, int], int]] = []
+        _count_pairs_into(self.assoc_counts, desc, counted)
         return counted
+
+    def chain_pair_counts(self) -> dict[tuple[int, int], int]:
+        """The adjacent ref pair counts over the stored level-0 descriptions:
+        `assoc_counts` as `ingest` keeps it, and as a load derives it."""
+        counts: dict[tuple[int, int], int] = {}
+        for chain in self.refinement_store.values():
+            _count_pairs_into(counts, chain[0])
+        return counts
 
     def concept(self, cid: int) -> Concept:
         if type(cid) is not int or not 0 <= cid < len(self.concepts):  # True is no id
@@ -497,7 +502,7 @@ class ConceptGraph:
         self._expansions.pop(cid, None)
         if isinstance(concept.kind, _CODEABLE):
             self._codeable_count -= 1
-            self._codeable_weight -= concept.weight
+            self._codeable_weight = self._code_mass()
 
     def replace_kind(self, cid: int, kind: Kind) -> None:
         """Structural rewrite (Concat -> Apply abstraction).
@@ -544,13 +549,24 @@ class ConceptGraph:
     # ------------------------------------------------------------------
     # weight dynamics
 
+    def _code_mass(self) -> float:
+        """The codeable weights summed in id order, as `_enter` adds them up:
+        the code mass, bit for bit.  A running total that subtracted weights
+        could lose small ones to rounding, and a reference would then cost
+        less than 0 bits and a reload would code differently."""
+        total = 0.0
+        for concept in self.concepts:
+            if isinstance(concept.kind, _CODEABLE):
+                total += concept.weight
+        return total
+
     def set_weight(self, cid: int, weight: float) -> None:
-        """Set one weight directly, keeping the code-mass counter in sync."""
+        """Set one weight directly, keeping the code mass in sync."""
         _check_number(weight)
         concept = self.concept(cid)
-        if isinstance(concept.kind, _CODEABLE):
-            self._codeable_weight += weight - concept.weight
         concept.weight = weight
+        if isinstance(concept.kind, _CODEABLE):
+            self._codeable_weight = self._code_mass()
 
     def tick_weights(self, used: Iterable[int]) -> None:
         """Decay every weight geometrically, then reward the used concepts.
@@ -566,8 +582,7 @@ class ConceptGraph:
         for concept in rewarded.values():
             if not isinstance(concept.kind, AffectPrimitive):
                 concept.weight += 1.0
-        self._codeable_weight = sum(
-            c.weight for c in self.concepts if isinstance(c.kind, _CODEABLE))
+        self._codeable_weight = self._code_mass()
 
     # ------------------------------------------------------------------
     # valence
@@ -624,6 +639,16 @@ class ConceptGraph:
         valences[self.pleasure_id] = 1.0
         valences[self.pain_id] = -1.0
         return valences
+
+
+def _count_pairs_into(counts: dict, desc: Description, counted: Optional[list] = None) -> None:
+    """Count `desc`'s adjacent ref pairs into `counts`, listing each with its
+    new count in `counted` if one is given."""
+    for pair in zip(desc, desc[1:]):
+        if type(pair[0]) is int and type(pair[1]) is int:
+            counts[pair] = n = counts.get(pair, 0) + 1
+            if counted is not None:
+                counted.append((pair, n))
 
 
 def _buckets_of(kind: Concat):

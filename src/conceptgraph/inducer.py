@@ -8,7 +8,9 @@ Parsing is a left-to-right beam search over concept references and raw
 blobs, minimizing description bits.  A beam state is a plain tuple whose
 parent chain spells the partial description; a frontier bucket larger
 than the beam is sorted in place by cost and cut, and a node signature is
-built only to break an exact cost tie at the cut.  Candidate lookups walk
+built only to break an exact cost tie at the cut.  A position whose states
+all cost more than a complete description already found is skipped (an
+exact bound: no step lowers a cost).  Candidate lookups walk
 a token trie of the candidates' expansions; `ingest` keeps that trie
 across episodes while the candidates and their expansions are unchanged
 (the circuit changes only when a node is formed), refreshing only the
@@ -249,9 +251,27 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token],
     Its position is its bucket's index, so it is not stored.  A bucket is
     cut to the beam (`_select_beam`) only when it holds more states than
     that, and successors go straight into the buckets of their end
-    positions.  Every state has a blob successor at the next position, so
-    no bucket before the last is empty when it is read.  `_signature`
-    walks a parent chain only for exact cost ties and for the winner.
+    positions.  `_signature` walks a parent chain only for exact cost ties
+    and for the winner.
+
+    Branch and bound (Land & Doig 1960): once a final exists, `bound` is the
+    cheapest cost among the finals so far and the all-blob description, and
+    a position whose every state costs strictly more than `bound` is not
+    extended, so a later bucket may be empty.  This is exact because no step
+    lowers a cost: a ref adds log2(D) - log2(w + 1) >= 0, as the code
+    denominator D = W + C + 1 exceeds w + 1 (`codeable_weight` is the
+    exact sum W, which float rounding keeps >= w), a blob step adds
+    sigma_bits, log_d and gamma increments, each >= 0, and adding a
+    non-negative float never rounds a sum down.  Let T be the cost of the
+    unbounded search's answer; `bound` >= T throughout.  A skipped state
+    and all its descendants cost more than T.  In every bucket the states
+    costing <= T rank before the rest, so the cut keeps the same of them
+    whatever else the bucket lost, and by induction over positions every
+    bucket holds the same states costing <= T as without the bound.  The
+    finals costing exactly T are among them, so the (cost, signature)
+    minimum is unchanged.  Pruning at a tie (>=) would not be exact: a
+    state at cost T can still reach a final of cost T through zero-cost
+    steps, with a smaller signature.
     """
     tokens = tuple(tokens)
     graph.check_tokens(tokens)
@@ -270,9 +290,17 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token],
     open_plain = 0 + log_d + gamma_len(1) + sigma_bits
     open_pow2 = 2 + log_d + gamma_len(1) + sigma_bits
     grow_pow2 = 2 + sigma_bits
+    all_blob = gamma_len(2) + log_d + gamma_len(n) + n * sigma_bits
+    bound, finals, seen = all_blob, frontier[n], 0  # seen: the finals `bound` covers
 
     for pos in range(n):
         bucket, frontier[pos] = frontier[pos], None  # so the states a cut drops are freed
+        if finals:  # until a final exists, no position is skipped, so none is empty
+            if len(finals) > seen:
+                bound = min(bound, min(map(_COST, finals[seen:])))
+                seen = len(finals)
+            if not bucket or min(map(_COST, bucket)) > bound:
+                continue  # nothing here can reach a final costing <= bound
         if len(bucket) > beam:
             bucket = _select_beam(bucket, beam, tokens)
         targets = [(cid, bits, frontier[pos + length])
@@ -293,8 +321,8 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token],
                 blob_target.append((opened, count + 1, pos, state, 1))
 
     # the all-blob description is always a candidate
-    frontier[n].append((gamma_len(2) + log_d + gamma_len(n) + n * sigma_bits, 1, 0, start, n))
-    best = _select_beam(frontier[n], 1, tokens)[0]
+    finals.append((all_blob, 1, 0, start, n))
+    best = _select_beam(finals, 1, tokens)[0]
     return tuple(payload for _, payload in _signature(best, tokens))
 
 

@@ -13,7 +13,9 @@ before it writes.  A description node is a JSON integer (a concept ref) or
 a JSON list of one or more alphabet tokens (a blob).  Load derives what the
 chains hold: the episode count is their number, and the adjacent-pair
 counts (the digram counts too) are recounted over each level 0 as `ingest`
-counted them (`ConceptGraph.count_pairs`); `mdl.graph_report` sums the raw
+counted them (`ConceptGraph.chain_pair_counts`); since no file can hold
+other counts, `dumps` refuses a graph whose counts differ with a
+`GraphError`, as it refuses a NaN; `mdl.graph_report` sums the raw
 bits over the level-0 lengths.  The follows marker's id is not stored
 either.  The file holds exactly the sections the saver writes, its config
 exactly the fields of `Config`, and each float in `repr`'s spelling:
@@ -213,6 +215,12 @@ def graph_to_json(graph: ConceptGraph) -> dict:
 
 
 def dumps(graph: ConceptGraph) -> str:
+    """The graph file's text.  A `GraphError` if the pair counts are not
+    those of the stored level-0 descriptions, which is all a load derives
+    them from (a direct `record_associations` call, or a hand edit, makes
+    counts the file cannot hold)."""
+    if graph.assoc_counts != graph.chain_pair_counts():
+        raise GraphError("the pair counts are not the stored level 0's, so a file cannot hold them")
     return json.dumps(graph_to_json(graph), sort_keys=True, separators=(",", ":"),
                       allow_nan=False,  # a NaN or infinity is a ValueError, as load refuses it
                       check_circular=False) + "\n"  # a fresh tree: no cycle to look for
@@ -268,7 +276,7 @@ def graph_from_json(data) -> ConceptGraph:
             spelled = reconstruct(graph, levels[0])  # which holds each node to the rule
             if any(reconstruct(graph, level) != spelled for level in levels[1:]):
                 raise CorruptFile("a refinement level does not spell its episode's level 0")
-            graph.count_pairs(levels[0])  # as `ingest` counted it
+        graph.assoc_counts = graph.chain_pair_counts()  # as `ingest` counted them
         return graph
     except (GraphError, KeyError, ValueError, TypeError, IndexError, OverflowError) as exc:
         raise CorruptFile(f"malformed graph file: {_clip(str(exc))}") from exc

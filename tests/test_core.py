@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -35,7 +36,8 @@ from conceptgraph.errors import (
     UnknownConcept,
 )
 from conceptgraph.inducer import Budget, _ParseContext, ingest
-from conceptgraph.storage import dumps
+from conceptgraph.mdl import ref_cost
+from conceptgraph.storage import dumps, graph_from_json
 
 
 def fresh(alphabet="ab", **overrides):
@@ -526,7 +528,55 @@ def test_rebuild_derived_matches_incremental_counters():
     count, weight = g.codeable_count(), g.codeable_weight()
     g = ConceptGraph(g.alphabet, g.config, g.concepts)
     assert g.codeable_count() == count
-    assert g.codeable_weight() == pytest.approx(weight)
+    assert g.codeable_weight() == weight
+
+
+def id_order_sum(g):
+    """The codeable weights added up one by one in id order."""
+    total = 0.0
+    for cid, concept in enumerate(g.concepts):
+        if g.is_codeable(cid):
+            total += concept.weight
+    return total
+
+
+def test_a_weight_set_and_reset_leaves_the_code_mass_exact():
+    """A running total would lose the small weights to a huge one set and
+    reset (W 0.0 of a true 7.0), and a reference would then cost < 0 bits."""
+    g = fresh("ab")
+    c = g.add(Concat((0, 1)))
+    g.set_weight(0, 5.0)
+    g.set_weight(c, 1e20)
+    g.set_weight(c, 1.0)
+    assert g.codeable_weight() == 7.0
+    assert ref_cost(g, 0) >= 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_code_mass_is_the_sum_a_reload_derives(data):
+    """After every `add`, `set_weight` (0 to 1e300), `pop_last` or
+    `tick_weights`, the code mass is the id-order sum of the codeable
+    weights, bit for bit, and a reload derives the same; so no parse
+    candidate's reference costs less than 0 bits."""
+    g = fresh("ab")
+    weights = st.one_of(st.sampled_from([0.0, 1.0, 5.0, 1e20, 1e300]), st.floats(0, 1e300))
+    for _ in range(data.draw(st.integers(1, 25))):
+        step = data.draw(st.sampled_from(["add", "weight", "pop", "tick"]))
+        ids = range(len(g))
+        if step == "add":
+            a, b = (data.draw(st.sampled_from(g.parseable_ids())) for _ in range(2))
+            g.add(Concat((a, b)))
+        elif step == "weight":
+            g.set_weight(data.draw(st.sampled_from(ids)), data.draw(weights))
+        elif step == "pop":
+            if len(g) > 4:  # past the birth rows
+                g.pop_last()
+        else:
+            g.tick_weights(data.draw(st.sets(st.sampled_from(ids), max_size=3)))
+        assert g.codeable_weight() == id_order_sum(g)
+        assert graph_from_json(json.loads(dumps(g))).codeable_weight() == g.codeable_weight()
+        assert all(bits >= 0 for _, _, bits in _ParseContext(g, Budget(1, 128)).entries)
 
 
 @pytest.mark.parametrize("name", [f for f in Config._fields if Config.__annotations__[f] == "int"])
@@ -638,9 +688,8 @@ def test_every_step_keeps_the_tables_the_constructor_derives(data):
     rewrite it takes or one it refuses) or `tick_weights` on an ingested
     graph, the dedup table, the expansion table, the codeable count and the
     kind facts equal those the constructor derives from copies of the rows
-    (a bucket's members in any order).  The code mass matches to float
-    rounding: a `pop_last` after a tick subtracts a weight from a sum, so it
-    can differ from the constructor's sum in the last bit."""
+    (a bucket's members in any order), and so does the code mass, bit for
+    bit."""
     g = ConceptGraph("abc", Config(generalize_threshold=2))
     for episode in data.draw(st.lists(st.text("abc", max_size=40), max_size=6)):
         ingest(g, episode)
@@ -670,7 +719,7 @@ def test_every_step_keeps_the_tables_the_constructor_derives(data):
         assert kind_facts(g) == facts
         assert list(g._expansions.items()) == expansions
         assert g.codeable_count() == count
-        assert g.codeable_weight() == pytest.approx(weight, rel=1e-12)
+        assert g.codeable_weight() == weight
 
 
 def test_a_rewrite_keeps_the_first_id_of_a_repeated_kind():

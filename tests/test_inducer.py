@@ -50,8 +50,8 @@ from conceptgraph.inducer import (
     record_associations,
     refine,
 )
-from conceptgraph.mdl import description_dl, kraft_sum
-from conceptgraph.storage import _desc_from_json, dumps, graph_from_json, load, save
+from conceptgraph.mdl import description_dl, gamma_len, kraft_sum
+from conceptgraph.storage import _desc_from_json, dumps, graph_from_json, graph_to_json, load, save
 from test_storage import BAD_NODES
 
 
@@ -246,10 +246,10 @@ def test_record_associations_refuses_a_bad_description(desc):
     and an out-of-alphabet blob: nothing is counted or reified."""
     g = ConceptGraph("ab", Config(assoc_threshold=1))
     record_associations(g, (0, 1))
-    before = dumps(g)
+    before = graph_to_json(g), dict(g.assoc_counts)
     with pytest.raises(InvalidDescription):
         record_associations(g, desc)
-    assert dumps(g) == before
+    assert (graph_to_json(g), g.assoc_counts) == before
 
 
 def test_follows_marker_after_three_distinct_associations():
@@ -621,24 +621,26 @@ def rescanning_induce(graph, nodes):
 @given(st.data())
 def test_induce_repeats_matches_the_rescanning_loop(data):
     """The pair index takes the same steps in the same order: the same
-    nodes, concepts, run observations and saved bytes."""
+    nodes, concepts, run observations and pair counts, so the same file
+    content (the counts are set by hand, so `dumps` would refuse them)."""
     config = Config(generalize_threshold=data.draw(st.integers(2, 3)),
                     repeat_threshold=data.draw(st.integers(1, 3)))
     g = drawn_graph(data, config)
     if data.draw(st.booleans()):  # runs of two become ungated applications
         g.add(Template((Hole(0), Hole(0))))
+    reference, size = graph_from_json(json.loads(dumps(g))), len(g)
     ids = g.parseable_ids()
     for a, b in data.draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
                                    max_size=6)):
         g.assoc_counts[a, b] = g.assoc_counts.get((a, b), 0) + 1
+    reference.assoc_counts = dict(g.assoc_counts)  # set by hand, so no file holds them
     nodes = drawn_nodes(data, g) * data.draw(st.integers(1, 3))
-    reference, size = graph_from_json(json.loads(dumps(g))), len(g)
-    reference.assoc_counts = dict(g.assoc_counts)  # set by hand, so not what its chains give
     out, _ = induce_repeats(g, tuple(nodes))
     want = rescanning_induce(reference, nodes)
     event(f"added={min(len(g) - size, 3)}")
     assert out == tuple(want)
-    assert dumps(g) == dumps(reference)
+    assert graph_to_json(g) == graph_to_json(reference)
+    assert g.assoc_counts == reference.assoc_counts
 
 
 @settings(max_examples=60, deadline=None)
@@ -763,6 +765,113 @@ class LinearScan(_ParseContext):
 def linear_parse(graph, tokens):
     """`parse` with the trie lookup replaced by the linear scan."""
     return parse(graph, tokens, context=LinearScan(graph, Budget.from_config(graph.config)))
+
+
+def unbounded_parse(graph, tokens, context):
+    """`parse` as it was before the cost bound: every position's states are
+    extended, whatever the finals found so far cost."""
+    tokens = tuple(tokens)
+    n = len(tokens)
+    if n == 0:
+        return ()
+    beam, log_d, sigma_bits = context.budget.beam, context.log_d, context.sigma_bits
+    start = (float(gamma_len(1)), 0, None, None, 0)
+    frontier = [[start]] + [[] for _ in range(n)]
+    open_plain = 0 + log_d + gamma_len(1) + sigma_bits
+    open_pow2 = 2 + log_d + gamma_len(1) + sigma_bits
+    grow_pow2 = 2 + sigma_bits
+    for pos in range(n):
+        bucket, frontier[pos] = frontier[pos], None
+        if len(bucket) > beam:
+            bucket = _select_beam(bucket, beam, tokens)
+        targets = [(cid, bits, frontier[pos + length])
+                   for cid, length, bits in context.candidates_at(tokens, pos)]
+        blob_target = frontier[pos + 1]
+        for state in bucket:
+            cost, count, node, parent, blob_len = state
+            header_grows = ((count + 2) & (count + 1)) == 0
+            ref_base = cost + 2 if header_grows else cost
+            for cid, bits, target in targets:
+                target.append((ref_base + bits, count + 1, cid, state, 0))
+            if blob_len:
+                grown = cost + (grow_pow2 if ((blob_len + 1) & blob_len) == 0 else sigma_bits)
+                blob_target.append((grown, count, node, parent, blob_len + 1))
+            else:
+                opened = cost + (open_pow2 if header_grows else open_plain)
+                blob_target.append((opened, count + 1, pos, state, 1))
+    frontier[n].append((gamma_len(2) + log_d + gamma_len(n) + n * sigma_bits, 1, 0, start, n))
+    best = _select_beam(frontier[n], 1, tokens)[0]
+    return tuple(payload for _, payload in _signature(best, tokens))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_the_cost_bound_keeps_the_unbounded_parse(data):
+    """Pruning the positions that cost more than a final found so far keeps
+    the parse exactly, over drawn graphs that include a one-symbol alphabet
+    (blob steps that add 0 bits), twin concepts, a concept that spans the
+    whole input, and beams 1-8 with pools 0-128.  The weights make w + 1
+    and often the code denominator powers of two, so exact cost ties
+    between different descriptions are common."""
+    g = ConceptGraph("abc"[:data.draw(st.sampled_from([1, 1, 2, 3]))])
+    weights = st.sampled_from([0.0, 1.0, 3.0, 7.0, 15.0, 0.5, 2.0])
+    for _ in range(data.draw(st.integers(0, 4))):
+        a, b = (data.draw(st.sampled_from(g.parseable_ids())) for _ in range(2))
+        g.add(Concat((a, b)) if data.draw(st.booleans()) else Repeat(a, data.draw(st.integers(2, 4))))
+    if data.draw(st.booleans()):  # twins: one expansion at two ids
+        a, b = (data.draw(st.sampled_from(g.parseable_ids())) for _ in range(2))
+        g.add(Concat(tuple(map(g.alphabet.index, g.expansion(g.add(Concat((a, b))))))))
+    for cid in g.parseable_ids():
+        g.set_weight(cid, data.draw(weights))
+    pieces = data.draw(st.lists(st.sampled_from(g.parseable_ids()), min_size=1, max_size=8))
+    tokens = [t for cid in pieces for t in g.expansion(cid)]
+    if len(pieces) > 1 and data.draw(st.booleans()):  # a concept spanning the whole input
+        g.set_weight(g.add(Concat(tuple(pieces))), data.draw(weights))
+    context = _ParseContext(g, Budget(data.draw(st.integers(1, 8)), data.draw(st.integers(0, 128))))
+    event(f"sigma={len(g.alphabet)}")
+    assert parse(g, tokens, context=context) == unbounded_parse(g, tokens, context)
+
+
+def test_a_state_that_ties_the_bound_is_still_extended():
+    """Over one symbol a blob grows at 0 bits between powers of two, so
+    "aaaaaaa" costs the same as a blob then the 4-run and as the 4-run then
+    a blob.  The first is found first and sets the bound; the second wins
+    the signature tie through a state that costs exactly the bound."""
+    g = ConceptGraph("a")
+    four = g.add(Repeat(0, 4))
+    g.set_weight(0, 0.0)
+    g.set_weight(four, 0.0)
+    context = _ParseContext(g, Budget(4, 8))
+    want = (four, ("a",) * 3)
+    assert parse(g, "a" * 7, context=context) == want == unbounded_parse(g, "a" * 7, context)
+    assert description_dl(g, want) == description_dl(g, (("a",) * 3, four))
+
+
+class CountingTrie(_ParseContext):
+    """A parse context that lists the positions it looks candidates up at."""
+
+    __slots__ = ("looked_up",)
+
+    def __init__(self, graph, budget):
+        super().__init__(graph, budget)
+        self.looked_up = []
+
+    def candidates_at(self, tokens, pos):
+        self.looked_up.append(pos)
+        return super().candidates_at(tokens, pos)
+
+
+def test_a_final_that_spans_the_episode_stops_the_other_positions():
+    """Once one heavy concept describes the whole 64-token episode, no
+    other position's states can cost less, so they are not extended."""
+    g = ConceptGraph("ab")
+    whole = g.add(Repeat(g.add(Concat((0, 1))), 32))
+    g.set_weight(whole, 50.0)
+    context = CountingTrie(g, Budget.from_config(g.config))
+    tokens = "ab" * 32
+    assert parse(g, tokens, context=context) == (whole,)
+    assert len(context.looked_up) < 64
+    assert unbounded_parse(g, tokens, _ParseContext(g, context.budget)) == (whole,)
 
 
 def test_fast_path_equivalence_small():

@@ -42,7 +42,14 @@ from conceptgraph.errors import (
     VersionMismatch,
     WrongKind,
 )
-from conceptgraph.inducer import FORGET_WEIGHT, ingest, parse, reconstruct, refine
+from conceptgraph.inducer import (
+    FORGET_WEIGHT,
+    ingest,
+    parse,
+    reconstruct,
+    record_associations,
+    refine,
+)
 from conceptgraph.mdl import graph_report, ref_cost, stored_description_dl
 from conceptgraph.storage import (
     dot_text,
@@ -353,6 +360,26 @@ def test_save_refuses_a_float_that_load_refuses(tmp_path, edit):
     g = trained_graph()
     edit(g)
     with pytest.raises(ValueError):
+        save(g, str(path))
+    assert path.read_bytes() == old
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda g: record_associations(g, (0, 1, 0, 1)), id="direct-count"),
+    pytest.param(lambda g: g.assoc_counts.update({(0, 1): 99}), id="hand-edit"),
+    pytest.param(lambda g: g.assoc_counts.clear(), id="cleared"),
+])
+def test_save_refuses_pair_counts_that_no_level_0_holds(tmp_path, edit):
+    """A load recounts the pair counts over the stored level 0s, so counts
+    that differ would silently change in a save and load: `save` raises a
+    `GraphError` before writing, and the old file keeps its bytes."""
+    path = tmp_path / "g.cg"
+    save(trained_graph(), str(path))
+    old = path.read_bytes()
+    g = trained_graph()
+    assert g.assoc_counts and g.assoc_counts == g.chain_pair_counts()
+    edit(g)
+    with pytest.raises(GraphError, match="pair counts"):
         save(g, str(path))
     assert path.read_bytes() == old
 
