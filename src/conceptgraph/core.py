@@ -572,17 +572,23 @@ class ConceptGraph:
         """Decay every weight geometrically, then reward the used concepts.
 
         Affect primitives are exempt from decay (their weight is unused).
-        Every used id is checked before any weight changes.
+        Every used id is checked before any weight changes.  One pass in id
+        order decays, rewards and adds each codeable weight to the code
+        mass, as `_code_mass` would sum it afterwards.
         """
         rewarded = {cid: self.concept(cid) for cid in used}  # raises UnknownConcept
         gamma = self.config.decay
-        for concept in self.concepts:
-            if not isinstance(concept.kind, AffectPrimitive):
-                concept.weight *= gamma
-        for concept in rewarded.values():
-            if not isinstance(concept.kind, AffectPrimitive):
-                concept.weight += 1.0
-        self._codeable_weight = self._code_mass()
+        mass = 0.0
+        for cid, concept in enumerate(self.concepts):
+            codeable = isinstance(concept.kind, _CODEABLE)
+            if codeable or not isinstance(concept.kind, AffectPrimitive):
+                weight = concept.weight * gamma
+                if cid in rewarded:
+                    weight += 1.0
+                concept.weight = weight
+                if codeable:
+                    mass += weight
+        self._codeable_weight = mass
 
     # ------------------------------------------------------------------
     # valence

@@ -8,9 +8,10 @@ Parsing is a left-to-right beam search over concept references and raw
 blobs, minimizing description bits.  A beam state is a plain tuple whose
 parent chain spells the partial description; a frontier bucket larger
 than the beam is sorted in place by cost and cut, and a node signature is
-built only to break an exact cost tie at the cut.  A position whose states
-all cost more than a complete description already found is skipped (an
-exact bound: no step lowers a cost).  Candidate lookups walk
+built only to break an exact cost tie at the cut.  A position is skipped
+when none of its states can finish under a complete description already
+found, charging each remaining token the fewest bits any step pays per
+token (an exact, admissible bound: no step pays less).  Candidate lookups walk
 a token trie of the candidates' expansions; `ingest` keeps that trie
 across episodes while the candidates and their expansions are unchanged
 (the circuit changes only when a node is formed), refreshing only the
@@ -79,6 +80,7 @@ from .records import record
 
 
 MAX_BUDGET_LEVEL = 8  # parse time about doubles per level: a long refine chain stops here
+BOUND_SLACK = 2.0 ** -48  # `parse`'s bound slack per token: more than its sums can round away
 
 
 @record
@@ -177,9 +179,14 @@ class _ParseContext:
     between episodes the members change only when a node is formed or a
     weight crosses into the pool or the fast path.  `refine` and direct
     `parse` calls build a fresh context per call.
+
+    The same pass sets `per_token`, the fewest bits any parse step pays per
+    token it covers: min(sigma_bits, bits / length over the entries), since
+    a blob step pays at least sigma_bits for its one token.  `parse` charges
+    it for the tokens a state has left (its completion bound).
     """
 
-    __slots__ = ("budget", "log_d", "sigma_bits", "entries", "trie",
+    __slots__ = ("budget", "log_d", "sigma_bits", "per_token", "entries", "trie",
                  "members", "member_expansions")
 
     def __init__(self, graph: ConceptGraph, budget: Budget):
@@ -211,8 +218,12 @@ class _ParseContext:
                 node[1].append(entry)
         self.members, self.member_expansions = members, expansions
         self.log_d = log_d = mdl.escape_cost(graph)
+        per_token = self.sigma_bits
         for entry in self.entries:
-            entry[2] = log_d - math.log2(concepts[entry[0]].weight + 1.0)
+            bits = entry[2] = log_d - math.log2(concepts[entry[0]].weight + 1.0)
+            if bits / entry[1] < per_token:  # no `min` call: this runs every episode
+                per_token = bits / entry[1]
+        self.per_token = per_token
 
     def candidates_at(self, tokens: tuple, pos: int) -> list[list]:
         """Entries of the candidates whose expansion prefixes tokens[pos:]."""
@@ -254,24 +265,39 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token],
     positions.  `_signature` walks a parent chain only for exact cost ties
     and for the winner.
 
-    Branch and bound (Land & Doig 1960): once a final exists, `bound` is the
+    Branch and bound (Land & Doig 1960) with an admissible completion bound
+    (A*, Hart, Nilsson & Raphael 1968): once a final exists, `bound` is the
     cheapest cost among the finals so far and the all-blob description, and
-    a position whose every state costs strictly more than `bound` is not
-    extended, so a later bucket may be empty.  This is exact because no step
-    lowers a cost: a ref adds log2(D) - log2(w + 1) >= 0, as the code
-    denominator D = W + C + 1 exceeds w + 1 (`codeable_weight` is the
+    a position p is not extended when every state there costs more than
+    `bound` + slack - (n - p) * per_token, so a later bucket may be empty.
+    No step lowers a cost: a ref adds log2(D) - log2(w + 1) >= 0, as the
+    code denominator D = W + C + 1 exceeds w + 1 (`codeable_weight` is the
     exact sum W, which float rounding keeps >= w), a blob step adds
     sigma_bits, log_d and gamma increments, each >= 0, and adding a
-    non-negative float never rounds a sum down.  Let T be the cost of the
-    unbounded search's answer; `bound` >= T throughout.  A skipped state
-    and all its descendants cost more than T.  In every bucket the states
-    costing <= T rank before the rest, so the cut keeps the same of them
-    whatever else the bucket lost, and by induction over positions every
-    bucket holds the same states costing <= T as without the bound.  The
-    finals costing exactly T are among them, so the (cost, signature)
-    minimum is unchanged.  Pruning at a tie (>=) would not be exact: a
-    state at cost T can still reach a final of cost T through zero-cost
-    steps, with a smaller signature.
+    non-negative float never rounds a sum down.  Nor does a step over k
+    tokens pay less than k * per_token (the context's): a ref adds its bits
+    >= length * per_token, plus 2 when the header grows, and a blob step
+    adds at least sigma_bits >= per_token for its one token.
+    So in exact arithmetic a state at position p reaches no final cheaper
+    than its cost + (n - p) * per_token.  Let T be the cost of the unbounded
+    search's answer and u = 2**-53.  On the way to a final costing <= T the
+    floats lose at most (2 (n - p) + 5) * u * T: two rounded sums a step,
+    u * T over the quotients bits / length, and a few u * T in the product,
+    the slack and the subtraction.  The slack, bound * (n + 1) *
+    BOUND_SLACK = 32 (n + 1) * u * bound, is over nine times that.  So there
+    are thresholds t_p, T - (n - p) * per_token raised by the rounding still
+    ahead, with t_n = T, such that a skipped state costs more than t_p and a state
+    costing more than t_p has only successors costing more than t at their
+    positions.  The test is the same for every state at a position, so in
+    every bucket the states costing <= t_p rank before the rest, and the
+    cut keeps the same of them whatever else the bucket lost.  By induction
+    over positions every bucket holds the same states costing <= t_p as
+    without the bound, and `bound` >= T throughout, since a final costing
+    less than T would be one of them.  The finals costing exactly T are
+    among them, so the (cost, signature) minimum is unchanged.  Without the
+    slack, a state whose remaining tokens cost exactly (n - p) * per_token
+    could be dropped when the product rounds up, though it may reach a
+    final of cost T with a smaller signature.
     """
     tokens = tuple(tokens)
     graph.check_tokens(tokens)
@@ -282,6 +308,7 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token],
     beam = ctx.budget.beam
     log_d = ctx.log_d
     sigma_bits = ctx.sigma_bits
+    per_token = ctx.per_token
 
     start = (float(gamma_len(1)), 0, None, None, 0)
     frontier = [[start]] + [[] for _ in range(n)]
@@ -292,6 +319,7 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token],
     grow_pow2 = 2 + sigma_bits
     all_blob = gamma_len(2) + log_d + gamma_len(n) + n * sigma_bits
     bound, finals, seen = all_blob, frontier[n], 0  # seen: the finals `bound` covers
+    slack = (n + 1) * BOUND_SLACK
 
     for pos in range(n):
         bucket, frontier[pos] = frontier[pos], None  # so the states a cut drops are freed
@@ -299,7 +327,8 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token],
             if len(finals) > seen:
                 bound = min(bound, min(map(_COST, finals[seen:])))
                 seen = len(finals)
-            if not bucket or min(map(_COST, bucket)) > bound:
+                top = bound + bound * slack
+            if not bucket or min(map(_COST, bucket)) > top - (n - pos) * per_token:
                 continue  # nothing here can reach a final costing <= bound
         if len(bucket) > beam:
             bucket = _select_beam(bucket, beam, tokens)

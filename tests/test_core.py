@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conceptgraph.core import (
+    FOLLOWS,
     MAX_EXPANSION,
     AffectPrimitive,
     Apply,
@@ -577,6 +578,50 @@ def test_the_code_mass_is_the_sum_a_reload_derives(data):
         assert g.codeable_weight() == id_order_sum(g)
         assert graph_from_json(json.loads(dumps(g))).codeable_weight() == g.codeable_weight()
         assert all(bits >= 0 for _, _, bits in _ParseContext(g, Budget(1, 128)).entries)
+
+
+def two_pass_tick(g, used):
+    """`tick_weights` as two passes, the reference: decay every weight,
+    then reward the used concepts, then sum the code mass afresh."""
+    rewarded = {cid: g.concept(cid) for cid in used}
+    for concept in g.concepts:
+        if not isinstance(concept.kind, AffectPrimitive):
+            concept.weight *= g.config.decay
+    for concept in rewarded.values():
+        if not isinstance(concept.kind, AffectPrimitive):
+            concept.weight += 1.0
+    g._codeable_weight = g._code_mass()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_one_pass_tick_matches_the_two_pass_tick(data):
+    """Over graphs with concats, repeats, associations, the follows marker
+    and the affect primitives, any weights and decays, and used lists with
+    repeated ids and affect primitives, the one-pass `tick_weights` leaves
+    every weight and the code mass equal to the two-pass reference's, bit
+    for bit."""
+    decay = data.draw(st.sampled_from([0.9, 0.5, 1.0, 0.999, 1e-3]))
+    pair = [fresh("abc", decay=decay) for _ in range(2)]
+    for _ in range(data.draw(st.integers(0, 6))):
+        ids = pair[0].parseable_ids()
+        a, b = data.draw(st.sampled_from(ids)), data.draw(st.sampled_from(ids))
+        kind = data.draw(st.sampled_from([Concat((a, b)), Repeat(a, 3), Association(a, b), FOLLOWS]))
+        for g in pair:
+            g.add(kind)
+    weights = st.one_of(st.sampled_from([0.0, 1.0, 2.0**-30, 1e20]), st.floats(0, 1e300))
+    for cid in range(len(pair[0])):
+        weight = data.draw(weights)
+        for g in pair:
+            g.set_weight(cid, weight)
+    for _ in range(data.draw(st.integers(1, 4))):
+        used = data.draw(st.lists(st.sampled_from(range(len(pair[0]))), max_size=8))
+        pair[0].tick_weights(iter(used))
+        two_pass_tick(pair[1], used)
+        one, two = ([c.weight.hex() for c in g.concepts] for g in pair)
+        assert one == two
+        assert pair[0].codeable_weight().hex() == pair[1].codeable_weight().hex()
+        assert pair[0].codeable_weight() == id_order_sum(pair[0])
 
 
 @pytest.mark.parametrize("name", [f for f in Config._fields if Config.__annotations__[f] == "int"])

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -872,6 +873,85 @@ def test_a_final_that_spans_the_episode_stops_the_other_positions():
     assert parse(g, tokens, context=context) == (whole,)
     assert len(context.looked_up) < 64
     assert unbounded_parse(g, tokens, _ParseContext(g, context.budget)) == (whole,)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_the_completion_bound_keeps_the_unbounded_parse(data):
+    """Pruning the positions whose states cannot finish under the best
+    final so far, at `per_token` bits a token, keeps the parse exactly.
+    The drawn graphs have 2-3 symbols and a heavy long concept, usually
+    the cheapest per token, and the inputs mix its expansion with symbol
+    runs that blobs or primitives describe.  A heavy concept often spans a
+    suffix of the input, so that a final bounds the search early.  Weights
+    make w + 1 a power of two, and often the code denominator before the
+    suffix concept too, so exact cost ties are common."""
+    g = ConceptGraph("abc"[:data.draw(st.integers(2, 3))])
+    symbols = g.parseable_ids()
+    for _ in range(data.draw(st.integers(0, 3))):
+        a, b = (data.draw(st.sampled_from(g.parseable_ids())) for _ in range(2))
+        g.add(Concat((a, b)) if data.draw(st.booleans()) else Repeat(a, data.draw(st.integers(2, 4))))
+    for cid in g.parseable_ids():
+        g.set_weight(cid, data.draw(st.sampled_from([0.0, 1.0, 3.0, 7.0])))
+    heavy_weights = st.sampled_from([7.0, 15.0, 31.0, 63.0, 127.0])
+    body = data.draw(st.lists(st.sampled_from(g.parseable_ids()), min_size=2, max_size=6))
+    heavy = g.add(Concat(tuple(body)))
+    g.set_weight(heavy, data.draw(heavy_weights))
+    runs = st.lists(st.sampled_from(symbols), min_size=1, max_size=4)
+    pieces = data.draw(st.lists(st.one_of(st.just([heavy]), st.just([heavy]), runs), min_size=1, max_size=10))
+    nodes = [cid for piece in pieces for cid in piece]
+    tokens = [t for cid in nodes for t in g.expansion(cid)]
+    if data.draw(st.booleans()):  # make the code denominator a power of two
+        denominator = g.codeable_weight() + g.codeable_count() + 1.0
+        g.set_weight(0, g.concept(0).weight + 2.0 ** math.ceil(math.log2(denominator)) - denominator)
+    if len(nodes) > 1 and data.draw(st.sampled_from([True, True, False])):
+        suffix = nodes[data.draw(st.integers(0, len(nodes) - 2)):]
+        g.set_weight(g.add(Concat(tuple(suffix))), data.draw(heavy_weights))
+    budget = Budget(data.draw(st.integers(1, 8)), data.draw(st.integers(0, 32)))
+    context, plain = CountingTrie(g, budget), CountingTrie(g, budget)
+    plain.per_token = 0.0  # the cost bound alone
+    want = unbounded_parse(g, tokens, _ParseContext(g, budget))
+    assert parse(g, tokens, context=context) == want == parse(g, tokens, context=plain)
+    event(f"per_token < sigma_bits: {context.per_token < context.sigma_bits}")
+    event(f"fewer positions extended: {len(context.looked_up) < len(plain.looked_up)}")
+
+
+def test_a_state_that_ties_the_completion_bound_is_still_extended():
+    """A state whose cost plus its remaining tokens at `per_token` equals
+    the bound is extended, though the float sum exceeds the bound.  The
+    25-token run costs 7 bits, so `per_token` is 7/25, which is no binary
+    fraction: "ab" then the run costs 4 + 7 = 11 bits, as the concept that
+    spans both does, and wins the tie on its smaller signature.  But
+    25 * per_token rounds above 7, so without the bound's slack the state
+    at position 2, which costs 4, would look unable to finish under 11."""
+    g = ConceptGraph("ab")
+    ab, run = g.add(Concat((0, 1))), g.add(Repeat(0, 25))
+    whole = g.add(Concat((ab, run)))
+    for cid, weight in ((0, 61.0), (1, 61.0), (ab, 127.0), (run, 1.0), (whole, 0.0)):
+        g.set_weight(cid, weight)  # the code denominator is 256, so log_d = 8
+    context = _ParseContext(g, Budget(4, 8))
+    assert context.per_token == 7 / 25 and 11.0 - 25 * context.per_token < 4.0
+    tokens = "ab" + "a" * 25
+    assert parse(g, tokens, context=context) == (ab, run) == unbounded_parse(g, tokens, context)
+    assert description_dl(g, (ab, run)) == description_dl(g, (whole,)) == 11.0
+
+
+def test_the_completion_bound_looks_up_fewer_positions():
+    """On a grammar episode, charging the remaining tokens at `per_token`
+    skips positions that the cost bound alone extends, with the same
+    parse."""
+    tokens, _ = gen_grammar_corpus(3, 3, 1600)
+    g = ConceptGraph(GRAMMAR_ALPHABET)
+    for i in range(0, 1280, 64):
+        ingest(g, tokens[i:i + 64])
+    episode = tokens[1280:1344]
+    context = CountingTrie(g, Budget.from_config(g.config))
+    plain = CountingTrie(g, context.budget)
+    plain.per_token = 0.0  # the cost bound alone
+    want = unbounded_parse(g, episode, _ParseContext(g, context.budget))
+    assert parse(g, episode, context=context) == want == parse(g, episode, context=plain)
+    assert 0 < context.per_token < context.sigma_bits
+    assert len(context.looked_up) < len(plain.looked_up)
 
 
 def test_fast_path_equivalence_small():
