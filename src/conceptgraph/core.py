@@ -220,7 +220,8 @@ class ConceptGraph:
     since `abstract_common` last took them (every bucket, in a graph just
     built), the Repeat children by count and the Association count.  The
     graph also holds the refinement store, whose chain count is the episode
-    count, the run counts and the adjacent-pair counts over the chains' level
+    count, with the ids of its chains of two or more levels (`deep_chains`),
+    the run counts and the adjacent-pair counts over the chains' level
     0 (`count_pairs`) that associations and digrams share; description
     lengths come from `mdl`.  The config is fixed.  The follows marker is
     the concept that is `FOLLOWS`, by structure.
@@ -254,6 +255,9 @@ class ConceptGraph:
         self.assoc_counts: dict[tuple[int, int], int] = {}
         # episode id -> refinement chain (level 0 first); the ids run from 0
         self.refinement_store: dict[int, list[Description]] = {}
+        # the episode ids whose chain has two or more levels: the chains that
+        # forgetting can shorten (`refine`, the forgetting pop and a load keep it)
+        self.deep_chains: set[int] = set()
         # run-length observations feeding number generalization: k -> child ids
         self.run_observations: dict[int, set[int]] = {}
         # the derived tables: kind -> first id, parseable id -> expansion, code mass
@@ -321,6 +325,11 @@ class ConceptGraph:
     def parseable_ids(self) -> list[int]:
         """The parseable ids in id order: the keys of the expansion table."""
         return list(self._expansions)
+
+    def expansion_table(self) -> dict[int, tuple[Token, ...]]:
+        """The expansion table itself, parseable id -> expansion in id order;
+        callers only read it."""
+        return self._expansions
 
     def check_tokens(self, tokens: Sequence[Token]) -> None:
         """Raise `UnknownToken` unless every token is an alphabet symbol."""
@@ -595,18 +604,7 @@ class ConceptGraph:
 
     def reference_edges(self, cid: int) -> list[int]:
         """Concepts directly referenced by `cid` (the affinity-graph edges)."""
-        kind = self.concept(cid).kind
-        if isinstance(kind, Concat):
-            return list(kind.children)
-        if isinstance(kind, Repeat):
-            return [kind.child]
-        if isinstance(kind, Template):
-            return [s.concept for s in kind.body if isinstance(s, SlotRef)]
-        if isinstance(kind, Apply):
-            return [kind.template, *kind.fillers]
-        if isinstance(kind, Association):
-            return [kind.a, kind.b]
-        return []
+        return list(kind_references(self.concept(cid).kind))
 
     def propagate_valence(self) -> dict[int, float]:
         """Signed proximity to pleasure/pain over the undirected reference graph.
@@ -645,6 +643,23 @@ class ConceptGraph:
         valences[self.pleasure_id] = 1.0
         valences[self.pain_id] = -1.0
         return valences
+
+
+def kind_references(kind: Kind) -> Sequence[int]:
+    """The ids a kind references directly, in order: the one edge rule, which
+    `reference_edges` applies after checking the id.  A concat's children come
+    back as its own tuple, so a walk over many rows copies nothing."""
+    if isinstance(kind, Concat):
+        return kind.children
+    if isinstance(kind, Repeat):
+        return (kind.child,)
+    if isinstance(kind, Template):
+        return [s.concept for s in kind.body if isinstance(s, SlotRef)]
+    if isinstance(kind, Apply):
+        return (kind.template, *kind.fillers)
+    if isinstance(kind, Association):
+        return (kind.a, kind.b)
+    return ()
 
 
 def _count_pairs_into(counts: dict, desc: Description, counted: Optional[list] = None) -> None:

@@ -38,7 +38,11 @@ concepts' kinds is not rescanned: the concat buckets that agree everywhere
 but one position, the Repeat children by count and the association count
 are kind facts that the graph derives with each row it takes in
 (`ConceptGraph`).  The one thing kept beside a graph is `ingest`'s level-0
-parse context (`_KEPT`).
+parse context (`_KEPT`).  The rest of an episode's upkeep also pays for
+what changed: the context ranks weights only when the graph has more
+parseable concepts than the pool, the reward walk reads each row's
+references from its kind, and forgetting visits only the chains of two or
+more levels, which the graph keeps (`deep_chains`).
 
 Descriptions are the plain tuples of nodes that `core` defines (a
 reference is the concept id it names, a blob the tuple of raw tokens it
@@ -72,6 +76,7 @@ from .core import (
     Template,
     Token,
     _check_number,
+    kind_references,
     reconstruct,
 )
 from .errors import TooLarge, UnknownEpisode
@@ -167,13 +172,18 @@ class _ParseContext:
     are constant between ticks, so one context serves every parse call an
     ingest makes (segments plus blob residue).
 
-    `refresh` moves the context to the graph's current code state.  It
-    sorts the graph's parseable ids once by weight; the fast-path concepts
-    are a prefix of that order, so the members are its first max(pool,
-    fast-path count) ids.  The trie depends only on the member ids and their
-    expansions, so it is kept when both are unchanged and only each entry's
-    bits are rewritten in place; the check is a list comparison, which finds
-    an unchanged member's stored expansion by identity.  `ingest` builds its
+    `refresh` moves the context to the graph's current code state.  While
+    the graph has no more parseable concepts than the pool, every one of
+    them is a member and nothing is ranked.  Otherwise it sorts the
+    parseable ids once, heaviest first (a stable reverse sort, so weight
+    ties stay in id order); the fast-path concepts are a prefix of that
+    order, so the members are its first max(pool, fast-path count) ids.
+    The member expansions are the graph's own table entries.  The trie
+    depends only on the member ids and their expansions, so it is kept when
+    both are unchanged and only each entry's bits are rewritten in place;
+    the check is a list comparison, which finds an unchanged member's
+    stored expansion by identity.  A rebuild makes a node only for a token
+    the trie does not have yet.  `ingest` builds its
     level-0 context once per graph (the config, so the budget, is fixed),
     keeps it in `_KEPT` and refreshes it each episode:
     between episodes the members change only when a node is formed or a
@@ -199,22 +209,28 @@ class _ParseContext:
         """Take the graph's current candidates and reference bits, rebuilding
         the trie only if a member or a member's expansion changed."""
         concepts = graph.concepts
-
-        def heaviest_first(cid: int) -> float:
-            return -concepts[cid].weight
-
-        # a stable sort of the ids in id order: weight ties stay in id order
-        ranked = sorted(graph.parseable_ids(), key=heaviest_first)
-        hot = bisect_right(ranked, -graph.config.fast_path_threshold, key=heaviest_first)
-        members = sorted(ranked[:max(self.budget.pool, hot)])
-        expansions = [graph.expansion(cid) for cid in members]
+        table = graph.expansion_table()
+        pool = self.budget.pool
+        if len(table) <= pool:  # every parseable concept is a member: nothing to rank
+            members, expansions = list(table), list(table.values())
+        else:
+            weights = [concept.weight for concept in concepts]
+            # a stable reverse sort of the ids in id order: weight ties stay in id order
+            ranked = sorted(table, key=weights.__getitem__, reverse=True)
+            hot = bisect_right(ranked, -graph.config.fast_path_threshold,
+                               key=lambda cid: -weights[cid])
+            members = sorted(ranked[:max(pool, hot)])
+            expansions = [table[cid] for cid in members]
         if members != self.members or expansions != self.member_expansions:
             self.entries = [[cid, len(e), 0.0] for cid, e in zip(members, expansions)]
             self.trie = ({}, [])
             for entry, expansion in zip(self.entries, expansions):
                 node = self.trie
                 for token in expansion:
-                    node = node[0].setdefault(token, ({}, []))
+                    child = node[0].get(token)
+                    if child is None:  # build a node only where the trie has none
+                        child = node[0][token] = ({}, [])
+                    node = child
                 node[1].append(entry)
         self.members, self.member_expansions = members, expansions
         self.log_d = log_d = mdl.escape_cost(graph)
@@ -687,15 +703,17 @@ def record_associations(graph: ConceptGraph, desc: Description) -> list[tuple[in
 
 def _transitive_refs(graph: ConceptGraph, desc: Description) -> set[int]:
     """Everything exercised by expanding the description: a concept's use
-    fires its whole subcircuit, so children share the usage reward."""
+    fires its whole subcircuit, so children share the usage reward.  The
+    description's refs are valid ids, so each row's references are read
+    from its kind without `reference_edges`' id check."""
+    concepts = graph.concepts
     seen: set[int] = set()
     stack = [n for n in desc if type(n) is int]
     while stack:
         cid = stack.pop()
-        if cid in seen:
-            continue
-        seen.add(cid)
-        stack.extend(graph.reference_edges(cid))
+        if cid not in seen:
+            seen.add(cid)
+            stack.extend(kind_references(concepts[cid].kind))
     return seen
 
 
@@ -703,14 +721,21 @@ FORGET_WEIGHT = 2.0 ** -20
 
 
 def _apply_forgetting(graph: ConceptGraph) -> None:
-    """Drop a chain's deepest level once its exclusive concepts fade away."""
-    for chain in graph.refinement_store.values():
-        if len(chain) < 2:
-            continue
+    """Drop a chain's deepest level once its exclusive concepts fade away.
+
+    Only a chain of two or more levels can lose one, so the walk visits the
+    graph's `deep_chains`, not every chain.  Each chain's test reads only the
+    weights and its own levels, so the order of the visits does not matter.
+    """
+    store, deep = graph.refinement_store, graph.deep_chains
+    for episode_id in list(deep):
+        chain = store[episode_id]
         shallow = set().union(*chain[:-1])  # its blobs never match a ref
         exclusive = {n for n in chain[-1] if type(n) is int} - shallow
         if exclusive and all(graph.concept(c).weight < FORGET_WEIGHT for c in exclusive):
             chain.pop()
+            if len(chain) < 2:
+                deep.discard(episode_id)
 
 
 def _resegment_blobs(graph: ConceptGraph, desc: Description,
@@ -788,7 +813,7 @@ def ingest(graph: ConceptGraph, tokens: Sequence[Token], cuts: Sequence[int] = (
 
     pre_count = len(graph)
     desc, _ = induce_repeats(graph, _resegment_blobs(graph, first_pass, context))
-    if description_dl(graph, first_pass) < description_dl(graph, desc):
+    if desc != first_pass and description_dl(graph, first_pass) < description_dl(graph, desc):
         desc = first_pass
     abstract_common(graph)
     new_pairs = record_associations(graph, desc)
@@ -822,4 +847,5 @@ def refine(graph: ConceptGraph, episode_id: int) -> Description:
     if description_dl(graph, previous) <= description_dl(graph, candidate):
         candidate = previous
     chain.append(candidate)
+    graph.deep_chains.add(episode_id)
     return candidate

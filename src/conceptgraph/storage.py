@@ -276,6 +276,8 @@ def graph_from_json(data) -> ConceptGraph:
             spelled = reconstruct(graph, levels[0])  # which holds each node to the rule
             if any(reconstruct(graph, level) != spelled for level in levels[1:]):
                 raise CorruptFile("a refinement level does not spell its episode's level 0")
+            if len(levels) > 1:
+                graph.deep_chains.add(ep)
         graph.assoc_counts = graph.chain_pair_counts()  # as `ingest` counted them
         return graph
     except (GraphError, KeyError, ValueError, TypeError, IndexError, OverflowError) as exc:

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import weakref
+from bisect import bisect_right
 from functools import partial
 
 import pytest
@@ -29,7 +30,7 @@ from conceptgraph.core import (
 )
 from conceptgraph.corpus import GRAMMAR_ALPHABET, gen_grammar_corpus
 from conceptgraph.errors import InvalidDescription, TooLarge, UnknownEpisode, UnknownToken
-from conceptgraph import inducer
+from conceptgraph import inducer, mdl
 from conceptgraph.inducer import (
     FALLBACK_BAND,
     GATE_MARGIN,
@@ -734,11 +735,14 @@ def test_refine_refuses_an_episode_id_that_is_not_an_int(episode):
 
 
 def test_forgetting_drops_deepest_level():
+    """The deep level comes from `refine`, the path that marks a chain as one
+    forgetting can shorten: a heavy concept spelling the whole episode."""
     g = ConceptGraph("ab")
     ingest(g, "abab")
-    deep = g.add(Repeat(0, 5))
+    deep = g.add(Concat((0, 1, 0, 1)))
+    g.set_weight(deep, 100.0)
     chain = g.refinement_store[0]
-    chain.append((deep,))
+    assert refine(g, 0) == (deep,) and chain[-1] == (deep,) and deep not in chain[0]
     _apply_forgetting(g)
     assert len(chain) == 2  # still above the forgetting threshold
     g.set_weight(deep, 2.0**-21)
@@ -747,6 +751,164 @@ def test_forgetting_drops_deepest_level():
     # the surviving level has no exclusive fading concepts to trigger on
     _apply_forgetting(g)
     assert len(chain) == 1
+
+
+def full_walk_forgetting(graph):
+    """The reference forgetting walk: every chain, whatever its depth."""
+    for chain in graph.refinement_store.values():
+        if len(chain) < 2:
+            continue
+        shallow = set().union(*chain[:-1])
+        exclusive = {n for n in chain[-1] if type(n) is int} - shallow
+        if exclusive and all(graph.concept(c).weight < inducer.FORGET_WEIGHT for c in exclusive):
+            chain.pop()
+
+
+def deep_chain_ids(graph):
+    """The episodes whose chain has two or more levels, by their definition."""
+    return {ep for ep, chain in graph.refinement_store.items() if len(chain) >= 2}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_forgetting_matches_the_full_walk(data):
+    """Streams mixing ingest, refine (some after adding a heavy concept that
+    spells the episode), weight edits, fading a deepest level's refs below
+    the forgetting weight before an empty episode, and save/load round
+    trips, mirrored on a graph whose ingest forgets through the full walk:
+    the same saved bytes after every step, and the deep-chain set equal to
+    its definition, in the live graph and in the loaded one."""
+    sigma = "abc"[:data.draw(st.integers(1, 3))]
+    config = Config(decay=data.draw(st.sampled_from([0.05, 0.3, 0.9])))
+    motifs = st.tuples(st.text(sigma, min_size=1, max_size=4), st.integers(1, 6))
+    episodes = st.one_of(st.text(sigma, max_size=20), motifs.map(lambda m: m[0] * m[1]))
+    g, ref = ConceptGraph(sigma, config), ConceptGraph(sigma, config)
+    dropped = 0
+
+    def mirrored_ingest(episode):
+        nonlocal dropped
+        levels = sum(map(len, g.refinement_store.values()))
+        got = ingest(g, episode)
+        inducer._apply_forgetting = full_walk_forgetting
+        try:
+            assert ingest(ref, episode) == got
+        finally:
+            inducer._apply_forgetting = _apply_forgetting
+        dropped += levels + 1 - sum(map(len, g.refinement_store.values()))
+
+    ops = st.sampled_from(["ingest", "ingest", "refine", "deepen", "weights", "fade", "reload"])
+    for op in data.draw(st.lists(ops, min_size=1, max_size=12)):
+        event(op)
+        if op == "ingest":
+            mirrored_ingest(data.draw(episodes))
+        elif op in ("refine", "deepen") and g.episode:
+            ep = data.draw(st.integers(0, g.episode - 1))
+            tokens = reconstruct(g, g.refinement_store[ep][0])
+            if op == "deepen" and len(tokens) > 1:
+                # a heavy concept spelling the whole episode: the refine takes it
+                kind = Concat(tuple(map(sigma.index, tokens)))
+                cid = g.add(kind)
+                assert ref.add(kind) == cid
+                g.set_weight(cid, 100.0)
+                ref.set_weight(cid, 100.0)
+            assert refine(g, ep) == refine(ref, ep)
+        elif op == "weights":
+            for cid in data.draw(st.lists(st.sampled_from(g.parseable_ids()), max_size=4)):
+                weight = data.draw(st.sampled_from([100.0, 2.0 ** -21]))
+                g.set_weight(cid, weight)
+                ref.set_weight(cid, weight)
+        elif op == "fade" and g.deep_chains:  # then an episode that rewards nothing
+            ep = data.draw(st.sampled_from(sorted(g.deep_chains)))
+            for cid in {n for n in g.refinement_store[ep][-1] if type(n) is int}:
+                g.set_weight(cid, 2.0 ** -21)
+                ref.set_weight(cid, 2.0 ** -21)
+            mirrored_ingest("")
+        elif op == "reload":
+            g = graph_from_json(json.loads(dumps(g)))
+            ref = graph_from_json(json.loads(dumps(ref)))
+        assert dumps(g) == dumps(ref)
+        assert g.deep_chains == deep_chain_ids(g)
+    event(f"levels dropped={min(dropped, 2)}")
+
+
+class CountingStore(dict):
+    """A refinement store that counts the chains read from it."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def values(self):
+        self.reads += len(self)
+        return super().values()
+
+    def items(self):
+        self.reads += len(self)
+        return super().items()
+
+    def __iter__(self):
+        self.reads += len(self)
+        return super().__iter__()
+
+
+def test_an_ingest_only_stream_visits_no_chain():
+    """Forgetting visits only the chains of two or more levels: an
+    ingest-only stream reads no chain at all, and after one refine each
+    ingest reads that one chain."""
+    tokens, _ = gen_grammar_corpus(1, 3, 1200)
+    g = ConceptGraph(GRAMMAR_ALPHABET)
+    g.refinement_store = store = CountingStore()
+    for i in range(0, len(tokens), 48):
+        ingest(g, tokens[i:i + 48])
+    assert g.episode > 20 and store.reads == 0 and g.deep_chains == set()
+    refine(g, 3)
+    store.reads = 0
+    for i in range(0, 480, 48):
+        ingest(g, tokens[i:i + 48])
+    assert store.reads == 10 and g.deep_chains == {3}
+
+
+def reference_closure(graph, desc):
+    """The reward set by its definition: the closure of the description's
+    refs over `reference_edges`."""
+    seen, stack = set(), [n for n in desc if type(n) is int]
+    while stack:
+        cid = stack.pop()
+        if cid not in seen:
+            seen.add(cid)
+            stack.extend(graph.reference_edges(cid))
+    return seen
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_reward_set_is_the_closure_over_reference_edges(seed):
+    """On grown graphs, whose `abstract_common` rewrote concats into
+    applications, the reward walk reaches what `reference_edges` reaches,
+    for every description ingest stores."""
+    tokens, _ = gen_grammar_corpus(seed, 3, 1500)
+    rng = random.Random(seed)
+    g = ConceptGraph(GRAMMAR_ALPHABET)
+    for i in range(0, len(tokens), 36):
+        episode = tokens[i:i + 36] if rng.random() < 0.8 else rng.choices(GRAMMAR_ALPHABET, k=30)
+        desc = ingest(g, episode).description
+        assert inducer._transitive_refs(g, desc) == reference_closure(g, desc)
+    assert any(isinstance(c.kind, Apply) for c in g.concepts)
+    for chain in g.refinement_store.values():
+        assert inducer._transitive_refs(g, chain[0]) == reference_closure(g, chain[0])
+    # wider rows than induction makes: a three-child concat, a template with
+    # three slot refs and its application
+    a, b, c = g.parseable_ids()[-3:]
+    g.add(Concat((a, b, c)))
+    tpl = g.add(Template((SlotRef(a), SlotRef(b), Hole(0), SlotRef(c))))
+    g.add(Apply(tpl, (a,)))
+    for cid in range(len(g)):
+        assert inducer._transitive_refs(g, (cid,)) == reference_closure(g, (cid,))
 
 
 class LinearScan(_ParseContext):
@@ -1237,6 +1399,106 @@ def test_kind_index_matches_the_rescans(data):
         if kept is not None:
             kept.refresh(g)
             assert kept.members == want
+
+
+class RankingContext(_ParseContext):
+    """The reference refresh: every parseable id ranked by a Python key,
+    heaviest first, the fast path found by `bisect_right`, one
+    `graph.expansion` call per member and the trie rebuilt each time."""
+
+    __slots__ = ()
+
+    def refresh(self, graph):
+        concepts = graph.concepts
+
+        def heaviest_first(cid):
+            return -concepts[cid].weight
+
+        ranked = sorted(graph.parseable_ids(), key=heaviest_first)
+        hot = bisect_right(ranked, -graph.config.fast_path_threshold, key=heaviest_first)
+        self.members = sorted(ranked[:max(self.budget.pool, hot)])
+        self.member_expansions = [graph.expansion(cid) for cid in self.members]
+        self.entries = [[cid, len(e), 0.0] for cid, e in zip(self.members, self.member_expansions)]
+        self.trie = ({}, [])
+        for entry, expansion in zip(self.entries, self.member_expansions):
+            node = self.trie
+            for token in expansion:
+                node = node[0].setdefault(token, ({}, []))
+            node[1].append(entry)
+        self.log_d = log_d = mdl.escape_cost(graph)
+        self.per_token = self.sigma_bits
+        for entry in self.entries:
+            entry[2] = log_d - math.log2(concepts[entry[0]].weight + 1.0)
+            self.per_token = min(self.per_token, entry[2] / entry[1])
+
+
+def context_state(context):
+    """What a parse reads of a context, floats by their exact repr."""
+    return (context.members, context.member_expansions, repr(context.entries), context.trie,
+            repr(context.log_d), repr(context.per_token))
+
+
+# tied weights, 0.0 beside -0.0, ints beside floats, and weights at and
+# above the fast-path threshold (8.0)
+RANK_WEIGHTS = [0.0, -0.0, 0, 1, 1.0, 0.5, 2.0 ** -21, 3, 8, 8.0, 9.5, 12]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_refresh_matches_the_ranking_reference(data):
+    """A kept context refreshed after each round of weight edits and adds,
+    and a fresh one, read the same members, entries, trie, bits and
+    `per_token` as the reference refresh, with the pool one below, at and
+    one above the parseable count, or small enough for fast-path concepts
+    beyond it."""
+    sigma = "abc"[:data.draw(st.integers(1, 3))]
+    g = ConceptGraph(sigma)
+    for _ in range(data.draw(st.integers(0, 10))):
+        ids = g.parseable_ids()
+        children = tuple(data.draw(st.lists(st.sampled_from(ids), min_size=2, max_size=3)))
+        g.add(data.draw(st.sampled_from([Concat(children), Repeat(children[0], len(children))])))
+    n = len(g.parseable_ids())
+    pool = data.draw(st.one_of(st.sampled_from([n - 1, n, n + 1]), st.integers(0, n + 2),
+                               st.integers(0, 2)))  # a small pool: the fast path beyond it
+    budget = Budget(4, max(pool, 0))
+    event(f"pool - parseable={min(max(budget.pool - n, -2), 2)}")
+    kept = _ParseContext(g, budget)
+    for _ in range(data.draw(st.integers(1, 4))):
+        for cid in data.draw(st.lists(st.sampled_from(g.parseable_ids()), max_size=8)):
+            g.set_weight(cid, data.draw(st.sampled_from(RANK_WEIGHTS)))
+        if data.draw(st.booleans()):
+            a, b = (data.draw(st.sampled_from(g.parseable_ids())) for _ in range(2))
+            g.add(Concat((a, b)))
+        kept.refresh(g)
+        want = context_state(RankingContext(g, budget))
+        assert context_state(kept) == context_state(_ParseContext(g, budget)) == want
+        top = sorted(g.parseable_ids(), key=lambda c: (-g.concepts[c].weight, c))[:budget.pool]
+        event(f"fast path beyond the pool={bool(hot(g) - set(top))}")
+
+
+def test_a_graph_that_fits_the_pool_is_not_ranked(monkeypatch):
+    """With no more parseable concepts than the pool, `refresh` takes them
+    all and calls no ranking key; one more concept and it ranks once."""
+    keys, bisects = [], []
+
+    def spy_sorted(items, **kwargs):
+        keys.append(kwargs.get("key"))
+        return sorted(items, **kwargs)
+
+    def spy_bisect(*args, **kwargs):
+        bisects.append(args)
+        return bisect_right(*args, **kwargs)
+
+    g = ConceptGraph("ab")
+    ingest(g, "abab" * 4)
+    n = len(g.parseable_ids())
+    monkeypatch.setattr(inducer, "sorted", spy_sorted, raising=False)
+    monkeypatch.setattr(inducer, "bisect_right", spy_bisect)
+    fits = _ParseContext(g, Budget(4, n))
+    assert fits.members == g.parseable_ids() and keys == [] and bisects == []
+    ranked = _ParseContext(g, Budget(4, n - 1))
+    assert len(ranked.members) == n - 1 and len(bisects) == 1
+    assert len([key for key in keys if key is not None]) == 1
 
 
 @settings(max_examples=200, deadline=None)
