@@ -42,14 +42,10 @@ from .inducer import (
 )
 from .mdl import (
     DLReport,
-    attention,
-    blob_cost,
     description_dl,
     gamma_len,
-    kraft_sum,
     model_dl,
     raw_dl,
-    ref_cost,
     two_part_total,
 )
 from .fnsynth import (

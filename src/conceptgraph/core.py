@@ -222,9 +222,11 @@ class ConceptGraph:
     graph also holds the refinement store, whose chain count is the episode
     count, with the ids of its chains of two or more levels (`deep_chains`),
     the run counts and the adjacent-pair counts over the chains' level
-    0 (`count_pairs`) that associations and digrams share; description
-    lengths come from `mdl`.  The config is fixed.  The follows marker is
-    the concept that is `FOLLOWS`, by structure.
+    0 (`count_pairs`) that associations and digrams share.  `ingest`,
+    `refine`, forgetting and `load` are the store's only writers, and each
+    keeps `deep_chains`: a chain grown any other way is never forgotten.
+    Description lengths come from `mdl`.  The config is fixed.  The follows
+    marker is the concept that is `FOLLOWS`, by structure.
     """
 
     def __init__(self, alphabet: Sequence[Token], config: Optional[Config] = None,
@@ -306,21 +308,11 @@ class ConceptGraph:
             raise UnknownConcept(f"no concept {cid!r}")
         return self.concepts[cid]
 
-    def is_codeable(self, cid: int) -> bool:
-        return isinstance(self.concept(cid).kind, _CODEABLE)
-
-    def is_parseable(self, cid: int) -> bool:
-        self.concept(cid)  # raises UnknownConcept
-        return cid in self._expansions
-
     def codeable_count(self) -> int:
         return self._codeable_count
 
     def codeable_weight(self) -> float:
         return self._codeable_weight
-
-    def codeable_ids(self) -> list[int]:
-        return [cid for cid, c in enumerate(self.concepts) if isinstance(c.kind, _CODEABLE)]
 
     def parseable_ids(self) -> list[int]:
         """The parseable ids in id order: the keys of the expansion table."""

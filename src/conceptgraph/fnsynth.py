@@ -98,16 +98,6 @@ def section_size(section: Section) -> int:
     return 1 + len(section.fillers)
 
 
-def term_size(term: Term) -> int:
-    if isinstance(term, (Var, Const)):
-        return 1
-    if isinstance(term, Call):
-        return 1 + sum(term_size(a) for a in term.args)
-    if isinstance(term, Iter):
-        return 1 + section_size(term.section) + term_size(term.count) + term_size(term.seed)
-    raise MalformedTerm(f"unknown term {term!r}")
-
-
 @record
 class LibraryFn:
     name: str

@@ -4,14 +4,15 @@ Costs are real-valued bits, never emitted as an actual bitstream.  The code
 over concept references is weight-proportional with Laplace smoothing: a
 concept c costs -log2((w_c + 1) / (W + N + 1)) bits, where W and N sum over
 the codeable concepts and the trailing +1 reserves mass for the blob-escape
-symbol.  The Kraft sum of this code is exactly 1.
+symbol.  The Kraft sum of this code is exactly 1 (`tests/oracle.py` sums
+it, and `test_kraft_sum_is_exactly_one` checks it).
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import NonPositive, ReconstructionMismatch, UnknownConcept
+from .errors import NonPositive
 from .core import (Apply, Concat, ConceptGraph, Description, Hole, Repeat, Template,
                    node_tokens, reconstruct)
 from .records import record
@@ -54,22 +55,9 @@ def _denominator(graph: ConceptGraph) -> float:
     return graph.codeable_weight() + graph.codeable_count() + 1.0
 
 
-def ref_cost(graph: ConceptGraph, cid: int) -> float:
-    if not graph.is_codeable(cid):
-        raise UnknownConcept(f"concept {cid} is not in the reference code")
-    w = graph.concept(cid).weight
-    return math.log2(_denominator(graph)) - math.log2(w + 1.0)
-
-
 def escape_cost(graph: ConceptGraph) -> float:
     """Cost of the escape symbol that introduces a raw blob."""
     return math.log2(_denominator(graph))
-
-
-def blob_cost(graph: ConceptGraph, length: int) -> float:
-    if length < 1:
-        raise ValueError("blob length must be >= 1")
-    return escape_cost(graph) + gamma_len(length) + length * math.log2(len(graph.alphabet))
 
 
 def description_dl(graph: ConceptGraph, desc: Description) -> float:
@@ -92,9 +80,10 @@ def description_dl(graph: ConceptGraph, desc: Description) -> float:
 
 def concept_model_dl(graph: ConceptGraph, cid: int, log_d: float) -> float:
     """Model bits for one definition: 2-bit kind header, body-count gamma,
-    children coded with ref_cost at code denominator 2^log_d; Repeat adds
-    gamma_len(count), holes are coded as escape plus their index.  A kind
-    that defines nothing (primitive, association, affect, marker) costs 0."""
+    children coded at their reference cost under code denominator 2^log_d;
+    Repeat adds gamma_len(count), holes are coded as escape plus their
+    index.  A kind that defines nothing (primitive, association, affect,
+    marker) costs 0."""
 
     def rc(child: int) -> float:
         return log_d - math.log2(graph.concept(child).weight + 1.0)
@@ -127,15 +116,6 @@ def model_dl(graph: ConceptGraph) -> float:
     return total
 
 
-def attention(graph: ConceptGraph, tokens, desc: Description) -> float:
-    """raw bits minus described bits; large when a complex input maps to a
-    simple description."""
-    tokens = tuple(tokens)
-    if reconstruct(graph, desc) != tokens:
-        raise ReconstructionMismatch("description does not reconstruct the tokens")
-    return raw_dl(len(tokens), len(graph.alphabet)) - description_dl(graph, desc)
-
-
 def stored_description_dl(graph: ConceptGraph) -> float:
     """Sum of description bits over every stored refinement level."""
     total = 0.0
@@ -148,14 +128,6 @@ def stored_description_dl(graph: ConceptGraph) -> float:
 def two_part_total(graph: ConceptGraph) -> float:
     """model bits + stored description bits: the induction objective."""
     return model_dl(graph) + stored_description_dl(graph)
-
-
-def kraft_sum(graph: ConceptGraph) -> float:
-    """Sum of 2^-cost over the reference code plus the escape symbol."""
-    total = 2.0 ** -escape_cost(graph)
-    for cid in graph.codeable_ids():
-        total += 2.0 ** -ref_cost(graph, cid)
-    return total
 
 
 def graph_report(graph: ConceptGraph) -> DLReport:

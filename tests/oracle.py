@@ -1,17 +1,51 @@
-"""The exhaustive tiny-scale MDL oracle that acceptance 02 scores the engine against."""
+"""The test oracles: the reference code's per-concept costs and its Kraft sum,
+the attention of a description, and the exhaustive tiny-scale MDL oracle that
+acceptance 02 scores the engine against.  Each is computed from what the
+engine itself uses: `mdl.escape_cost`, the weights and the expansion table."""
 
 import functools
 import math
 from typing import Optional, Sequence
 
-from conceptgraph import mdl
-from conceptgraph.core import Concat, ConceptGraph, Token
-from conceptgraph.errors import TooLarge
-from conceptgraph.mdl import gamma_len, model_dl
+from conceptgraph.core import Concat, ConceptGraph, Description, Template, Token, reconstruct
+from conceptgraph.errors import ReconstructionMismatch, TooLarge, UnknownConcept
+from conceptgraph.mdl import description_dl, escape_cost, gamma_len, model_dl, raw_dl
 
 ORACLE_MAX_LEN = 12
 ORACLE_MAX_SIGMA = 3
 ORACLE_MAX_RULES = 4
+
+
+def is_codeable(graph: ConceptGraph, cid: int) -> bool:
+    """In the reference code: a parseable concept or a template."""
+    return cid in graph.expansion_table() or isinstance(graph.concept(cid).kind, Template)
+
+
+def ref_cost(graph: ConceptGraph, cid: int) -> float:
+    """Bits for a reference to `cid`: the escape symbol's cost, log2 of the
+    code denominator, less log2(w + 1)."""
+    weight = graph.concept(cid).weight  # raises UnknownConcept
+    if not is_codeable(graph, cid):
+        raise UnknownConcept(f"concept {cid} is not in the reference code")
+    return escape_cost(graph) - math.log2(weight + 1.0)
+
+
+def kraft_sum(graph: ConceptGraph) -> float:
+    """Sum of 2^-cost over the reference code plus the escape symbol."""
+    total = 2.0 ** -escape_cost(graph)
+    for cid in range(len(graph)):
+        if is_codeable(graph, cid):
+            total += 2.0 ** -ref_cost(graph, cid)
+    return total
+
+
+def attention(graph: ConceptGraph, tokens, desc: Description) -> float:
+    """Raw bits minus described bits: large when a complex input maps to a
+    simple description (`DLReport.attention` over a whole graph)."""
+    tokens = tuple(tokens)
+    if reconstruct(graph, desc) != tokens:
+        raise ReconstructionMismatch("description does not reconstruct the tokens")
+    return raw_dl(len(tokens), len(graph.alphabet)) - description_dl(graph, desc)
 
 
 def _best_parse_dl(tokens: tuple[Token, ...], escape: float, sigma_bits: float,
@@ -60,8 +94,8 @@ def _oracle_grammars(alphabet: tuple[Token, ...], rules: int) -> tuple[tuple, ..
         symbols = graph.parseable_ids()
         if depth == rules:
             options = sorted(shared.setdefault(option, option) for option in (
-                (graph.expansion(cid), mdl.ref_cost(graph, cid)) for cid in symbols))
-            found.add((model_dl(graph), mdl.escape_cost(graph), tuple(options)))
+                (graph.expansion(cid), ref_cost(graph, cid)) for cid in symbols))
+            found.add((model_dl(graph), escape_cost(graph), tuple(options)))
             return
         for left in symbols:
             for right in symbols:

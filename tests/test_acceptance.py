@@ -35,15 +35,13 @@ from conceptgraph.fnsynth import (
 )
 from conceptgraph.inducer import ingest, parse, reconstruct
 from conceptgraph.mdl import (
-    attention,
     description_dl,
-    kraft_sum,
     model_dl,
     raw_dl,
     two_part_total,
 )
 from conceptgraph.storage import export_teach, import_teach
-from oracle import mdl_oracle
+from oracle import attention, kraft_sum, mdl_oracle
 from test_inducer import hot, linear_parse
 
 
@@ -202,7 +200,7 @@ def test_09_teach_roundtrip():
     for _ in range(40):
         tokens = [rng.choice(sigma) for _ in range(rng.randint(0, 40))]
         ingest(graph, tokens)
-    candidates = [cid for cid in range(len(graph)) if graph.is_parseable(cid)]
+    candidates = graph.parseable_ids()
     picks = [rng.choice(candidates) for _ in range(100)]
     for cid in picks:
         script = export_teach(graph, cid)

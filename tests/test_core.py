@@ -37,8 +37,8 @@ from conceptgraph.errors import (
     UnknownConcept,
 )
 from conceptgraph.inducer import Budget, _ParseContext, ingest
-from conceptgraph.mdl import ref_cost
 from conceptgraph.storage import dumps, graph_from_json
+from oracle import is_codeable, ref_cost
 
 
 def fresh(alphabet="ab", **overrides):
@@ -227,7 +227,7 @@ def test_tick_weights_with_an_unknown_id_changes_nothing(used):
         g.tick_weights(used)
     assert [c.weight for c in g.concepts] == weights
     assert g.codeable_weight() == codeable
-    assert codeable == sum(w for cid, w in enumerate(weights) if g.is_codeable(cid))
+    assert codeable == sum(w for cid, w in enumerate(weights) if is_codeable(g, cid))
 
 
 def test_decay_closed_form():
@@ -536,7 +536,7 @@ def id_order_sum(g):
     """The codeable weights added up one by one in id order."""
     total = 0.0
     for cid, concept in enumerate(g.concepts):
-        if g.is_codeable(cid):
+        if is_codeable(g, cid):
             total += concept.weight
     return total
 
@@ -651,7 +651,7 @@ def test_a_graphs_config_cannot_be_reassigned():
 
 
 def test_the_expansion_table_is_the_parseable_set_in_id_order():
-    """`parseable_ids` and `is_parseable` read the expansion table; it keeps
+    """`parseable_ids` and membership read the expansion table; it keeps
     id order through add, pop_last, replace_kind and the constructor."""
     g = fresh("abc")
 
@@ -661,7 +661,7 @@ def test_the_expansion_table_is_the_parseable_set_in_id_order():
 
     def check():
         assert g.parseable_ids() == scanned()
-        assert [cid for cid in range(len(g)) if g.is_parseable(cid)] == scanned()
+        assert [cid for cid in range(len(g)) if cid in g.expansion_table()] == scanned()
 
     check()
     x = g.add(Concat((0, 1, 2)))
@@ -678,7 +678,7 @@ def test_the_expansion_table_is_the_parseable_set_in_id_order():
     g = ConceptGraph(g.alphabet, g.config, g.concepts)
     check()
     with pytest.raises(UnknownConcept):
-        g.is_parseable(len(g))
+        g.expansion(len(g))
 
 
 def derived_tables(g):

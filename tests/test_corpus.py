@@ -14,7 +14,7 @@ from conceptgraph.errors import TooLarge, UnknownToken
 from conceptgraph.inducer import parse
 from conceptgraph import mdl
 from conceptgraph.mdl import description_dl, gamma_len, model_dl
-from oracle import mdl_oracle
+from oracle import mdl_oracle, ref_cost
 
 
 def test_grammar_corpus_deterministic_per_seed():
@@ -103,7 +103,7 @@ def walked_best_parse_dl(graph, tokens):
     n = len(tokens)
     sigma_bits = math.log2(len(graph.alphabet))
     escape = mdl.escape_cost(graph)
-    options = [(graph.expansion(cid), mdl.ref_cost(graph, cid))
+    options = [(graph.expansion(cid), ref_cost(graph, cid))
                for cid in graph.parseable_ids()]
     inf = float("inf")
     dp = [[inf] * (n + 1) for _ in range(n + 1)]

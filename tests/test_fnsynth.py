@@ -30,7 +30,6 @@ from conceptgraph.fnsynth import (
     library_to_lines,
     parse_examples_text,
     synthesize,
-    term_size,
 )
 from conceptgraph import fnsynth
 from conceptgraph.corpus import gen_fn_ensemble
@@ -123,13 +122,6 @@ def test_a_library_entry_has_an_int_arity(arity):
     with pytest.raises(MalformedTerm):
         Library([LibraryFn("succ", arity, None)])
     assert library_to_lines(lib) == ["(builtin succ 1)"]
-
-
-def test_term_size_counts_section_fillers():
-    assert term_size(Iter(SUCC, Var(0), Var(1))) == 4
-    assert term_size(Call("succ", (Call("succ", (Call("succ", (Var(0),)),)),))) == 4
-    plus_section = Section("red", 0, (Var(0),))
-    assert term_size(Iter(plus_section, Var(1), Const(0))) == 5
 
 
 def test_synthesize_red_finds_addition():
@@ -231,6 +223,25 @@ def test_learn_all_refuses_a_label_or_pair_the_example_text_would_not_give(monke
     monkeypatch.setattr(fnsynth, "synthesize", no_search)
     with pytest.raises(ValueError, match="pairs|cannot name a library entry"):
         learn_all(sets)
+
+
+def term_size(term):
+    """A term's size as the enumerator counts it: a node per leaf and call,
+    and an `Iter` node plus its section's (`fnsynth.section_size`)."""
+    if isinstance(term, (Var, Const)):
+        return 1
+    if isinstance(term, Call):
+        return 1 + sum(term_size(a) for a in term.args)
+    if isinstance(term, Iter):
+        return 1 + fnsynth.section_size(term.section) + term_size(term.count) + term_size(term.seed)
+    raise MalformedTerm(f"unknown term {term!r}")
+
+
+def test_term_size_counts_section_fillers():
+    assert term_size(Iter(SUCC, Var(0), Var(1))) == 4
+    assert term_size(Call("succ", (Call("succ", (Call("succ", (Var(0),)),)),))) == 4
+    plus_section = Section("red", 0, (Var(0),))
+    assert term_size(Iter(plus_section, Var(1), Const(0))) == 5
 
 
 def naive_enumerate(library, arity, max_size):

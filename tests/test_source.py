@@ -114,6 +114,51 @@ def test_every_function_and_class_is_named_beside_its_definition():
     assert sorted(name for name, count in defined.items() if words[name] <= count) == []
 
 
+# The functions no package code calls, each kept on purpose, with the reason.
+UNCALLED_ON_PURPOSE = {
+    "set_weight": "a user's weight edit, the one that keeps the code mass in sync",
+    "propagate_valence": "valence waits for episodes that carry affect (ROADMAP item 11)",
+    "match_emotion": "emotions wait for episodes that carry affect (ROADMAP item 11)",
+    "default_emotion_templates": "emotions wait for episodes that carry affect (ROADMAP item 11)",
+    "import_teach": "no CLI command reads a teach script yet (ROADMAP item 11)",
+}
+
+
+def code_references(node):
+    """The names `node` reads or writes as code: each AST `Name` and `Attribute`."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+
+
+def test_every_function_is_reached_from_package_code():
+    """The package exports what a caller uses: each function and method it
+    defines (dunder names aside) is referenced as code outside its own `def`,
+    in a package module other than `__init__`, or named as a whole word in
+    `perfbench/`, which wraps functions by name.  A helper that only tests
+    reach belongs in the tests."""
+    perfbench = set()
+    for folder, _, names in os.walk(os.path.join(ROOT, "perfbench")):
+        for name in names:
+            if name.endswith(".py"):
+                with open(os.path.join(folder, name), encoding="utf-8") as handle:
+                    perfbench.update(re.findall(r"\w+", handle.read()))
+    used, own, defined = Counter(), Counter(), set()
+    for module in sorted(MODULES | {"__init__"}):
+        tree = module_tree(module)
+        if module != "__init__":  # what `__init__` re-exports is no use
+            used.update(code_references(tree))
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not re.fullmatch(r"__\w+__", node.name)):
+                defined.add(node.name)
+                own[node.name] += sum(name == node.name for name in code_references(node))
+    uncalled = {name for name in defined if used[name] <= own[name] and name not in perfbench}
+    assert sorted(uncalled) == sorted(UNCALLED_ON_PURPOSE)
+
+
 def test_every_module_is_imported_by_the_package():
     """A module whose last importer goes goes with it: each package module
     is imported by `__init__` or by another package module, or is the

@@ -50,7 +50,7 @@ from conceptgraph.inducer import (
     record_associations,
     refine,
 )
-from conceptgraph.mdl import graph_report, ref_cost, stored_description_dl
+from conceptgraph.mdl import graph_report, stored_description_dl
 from conceptgraph.storage import (
     dot_text,
     dumps,
@@ -62,6 +62,7 @@ from conceptgraph.storage import (
     load,
     save,
 )
+from oracle import ref_cost
 
 
 # A concept row is [kind, weight, *fields], fields in record order.
@@ -866,7 +867,7 @@ def test_teach_import_preserves_expansion():
 def test_teach_roundtrip_random_concepts():
     g = trained_graph()
     rng = random.Random(15)
-    candidates = [cid for cid in range(len(g)) if g.is_parseable(cid)]
+    candidates = g.parseable_ids()
     for cid in rng.sample(candidates, min(25, len(candidates))):
         script = export_teach(g, cid)
         fresh = ConceptGraph("abcd")
@@ -1149,8 +1150,6 @@ def small_graph():
 
 ID_CALLS = {
     "concept": lambda g, cid: g.concept(cid),
-    "is_parseable": lambda g, cid: g.is_parseable(cid),
-    "is_codeable": lambda g, cid: g.is_codeable(cid),
     "expansion": lambda g, cid: g.expansion(cid),
     "reference_edges": lambda g, cid: g.reference_edges(cid),
     "set_weight": lambda g, cid: g.set_weight(cid, 2.0),
