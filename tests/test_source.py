@@ -95,18 +95,24 @@ def test_the_finite_number_rule_has_one_home():
     assert sites == []
 
 
-def test_every_function_and_class_is_named_beside_its_definition():
-    """A helper whose last caller is deleted goes with it: each function and
-    class the package defines (dunder names aside) is named somewhere besides
-    its own `def` or `class` statement, in `src/`, `tests/` or `perfbench/`,
-    as a whole word."""
+def source_words(*tops):
+    """How often each whole word occurs in the Python files under the top folders."""
     words = Counter()
-    for top in ("src", "tests", "perfbench"):
+    for top in tops:
         for folder, _, names in os.walk(os.path.join(ROOT, top)):
             for name in names:
                 if name.endswith(".py"):
                     with open(os.path.join(folder, name), encoding="utf-8") as handle:
                         words.update(re.findall(r"\w+", handle.read()))
+    return words
+
+
+def test_every_function_and_class_is_named_beside_its_definition():
+    """A helper whose last caller is deleted goes with it: each function and
+    class the package defines (dunder names aside) is named somewhere besides
+    its own `def` or `class` statement, in `src/`, `tests/` or `perfbench/`,
+    as a whole word."""
+    words = source_words("src", "tests", "perfbench")
     defined = Counter(node.name for module in sorted(MODULES | {"__init__"})
                       for node in ast.walk(module_tree(module))
                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
@@ -139,12 +145,7 @@ def test_every_function_is_reached_from_package_code():
     in a package module other than `__init__`, or named as a whole word in
     `perfbench/`, which wraps functions by name.  A helper that only tests
     reach belongs in the tests."""
-    perfbench = set()
-    for folder, _, names in os.walk(os.path.join(ROOT, "perfbench")):
-        for name in names:
-            if name.endswith(".py"):
-                with open(os.path.join(folder, name), encoding="utf-8") as handle:
-                    perfbench.update(re.findall(r"\w+", handle.read()))
+    perfbench = source_words("perfbench")
     used, own, defined = Counter(), Counter(), set()
     for module in sorted(MODULES | {"__init__"}):
         tree = module_tree(module)
