@@ -30,7 +30,6 @@ from .core import (
     reconstruct,
 )
 from .inducer import (
-    Budget,
     IngestReport,
     abstract_common,
     contrast_cuts,

@@ -106,7 +106,7 @@ def _cmd_ingest(args) -> int:
             report = ingest(graph, line)
         print(f"episode {report.episode}: nodes={len(report.description)} "
               f"new_concepts={len(report.new_concepts)} "
-              f"described_bits={report.described_bits:.9f}")
+              f"described_bits={description_dl(graph, report.description):.9f}")
     storage.save(graph, args.graph)
     return 0
 
@@ -193,6 +193,8 @@ _COMMANDS = {
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if args.command == "ingest" and args.theta_c is not None and not args.scalar:
+            raise UsageError("--theta-c needs --scalar")  # a text episode has no levels to cut
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

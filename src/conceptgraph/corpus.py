@@ -82,7 +82,6 @@ ENSEMBLE_TRUTH = {
     "add": (2, _truth_add), "dbl": (1, _truth_dbl), "mul": (2, _truth_mul),
     "sq": (1, _truth_sq), "cube": (1, _truth_cube), "quadp": (2, _truth_quadp),
 }
-ENSEMBLE_LEVELS = {"add": 1, "dbl": 1, "mul": 2, "sq": 2, "cube": 3, "quadp": 3}
 _ENSEMBLE_RANGES = {"add": 10, "dbl": 10, "mul": 10, "sq": 10, "cube": 7, "quadp": 10}
 
 

@@ -67,7 +67,6 @@ from .core import (
     Association,
     Concat,
     ConceptGraph,
-    Config,
     Description,
     Hole,
     Node,
@@ -80,7 +79,7 @@ from .core import (
     reconstruct,
 )
 from .errors import TooLarge, UnknownEpisode
-from .mdl import description_dl, gamma_len, raw_dl
+from .mdl import description_dl, gamma_len
 from .records import record
 
 
@@ -89,35 +88,10 @@ BOUND_SLACK = 2.0 ** -48  # `parse`'s bound slack per token: more than its sums 
 
 
 @record
-class Budget:
-    """Search effort: beam width and candidate pool double per level, up to
-    `MAX_BUDGET_LEVEL`; a higher level gets that level's budget."""
-
-    beam: int
-    pool: int
-
-    def __post_init__(self) -> None:
-        # a beam of at least 1 keeps a state at every position `parse` reaches
-        if not (type(self.beam) is int and type(self.pool) is int
-                and self.beam >= 1 and self.pool >= 0):
-            raise ValueError("beam must be an integer >= 1 and pool an integer >= 0")
-
-    @staticmethod
-    def from_config(config: Config, level: int = 0) -> "Budget":
-        if type(level) is not int or level < 0:
-            raise ValueError("budget level must be an int >= 0")
-        level = min(level, MAX_BUDGET_LEVEL)
-        return Budget(beam=config.beam_base << level, pool=config.pool_base << level)
-
-
-@record
 class IngestReport:
     episode: int
     description: Description
     new_concepts: list[int]
-    new_associations: list[tuple[int, int]]
-    raw_bits: float
-    described_bits: float
 
 
 # ----------------------------------------------------------------------
@@ -164,13 +138,17 @@ def _select_beam(bucket: list[tuple], k: int, tokens: tuple) -> list[tuple]:
 class _ParseContext:
     """Parse machinery for one code state: candidate entries, their trie, ref costs.
 
-    The candidates are the top-pool concepts by weight plus the fast-path
-    set, each with its mutable [id, length, reference bits] entry.  Their
-    expansions are merged into a token trie whose nodes list the entries
-    ending there (the same lists as `entries`), so a lookup walks only as
-    far as the longest match and builds nothing but its result.  Weights
-    are constant between ticks, so one context serves every parse call an
-    ingest makes (segments plus blob residue).
+    A context fixes the search effort too: the `beam` of states `parse`
+    keeps per position and the `pool` of candidates by weight.  Level n's
+    (`at_level`) are the config's bases doubled n times, up to
+    `MAX_BUDGET_LEVEL`.  The candidates are the top-pool concepts by
+    weight plus the fast-path set, each with its mutable [id, length,
+    reference bits] entry.  Their expansions are merged into a token trie
+    whose nodes list the entries ending there (the same lists as
+    `entries`), so a lookup walks only as far as the longest match and
+    builds nothing but its result.  Weights are constant between ticks, so
+    one context serves every parse call an ingest makes (segments plus
+    blob residue).
 
     `refresh` moves the context to the graph's current code state.  While
     the graph has no more parseable concepts than the pool, every one of
@@ -184,11 +162,12 @@ class _ParseContext:
     the check is a list comparison, which finds an unchanged member's
     stored expansion by identity.  A rebuild makes a node only for a token
     the trie does not have yet.  `ingest` builds its
-    level-0 context once per graph (the config, so the budget, is fixed),
-    keeps it in `_KEPT` and refreshes it each episode:
-    between episodes the members change only when a node is formed or a
-    weight crosses into the pool or the fast path.  `refine` and direct
-    `parse` calls build a fresh context per call.
+    level-0 context once per graph (the config, so the beam and pool, is
+    fixed for the graph's life), keeps it in `_KEPT` and refreshes it each
+    episode: between episodes the members change only when a node is
+    formed or a weight crosses into the pool or the fast path.  `refine`
+    builds a fresh context at the chain's level per call, and a direct
+    `parse` call one at level 0.
 
     The same pass sets `per_token`, the fewest bits any parse step pays per
     token it covers: min(sigma_bits, bits / length over the entries), since
@@ -196,21 +175,28 @@ class _ParseContext:
     it for the tokens a state has left (its completion bound).
     """
 
-    __slots__ = ("budget", "log_d", "sigma_bits", "per_token", "entries", "trie",
+    __slots__ = ("beam", "pool", "log_d", "sigma_bits", "per_token", "entries", "trie",
                  "members", "member_expansions")
 
-    def __init__(self, graph: ConceptGraph, budget: Budget):
-        self.budget = budget
+    def __init__(self, graph: ConceptGraph, beam: int, pool: int):
+        self.beam, self.pool = beam, pool
         self.sigma_bits = math.log2(len(graph.alphabet))
         self.members = self.member_expansions = None  # no trie yet
         self.refresh(graph)
+
+    @classmethod
+    def at_level(cls, graph: ConceptGraph, level: int) -> "_ParseContext":
+        """A context whose beam and pool are the config's bases doubled
+        `level` times, held at `MAX_BUDGET_LEVEL` for a higher level."""
+        level = min(level, MAX_BUDGET_LEVEL)
+        return cls(graph, graph.config.beam_base << level, graph.config.pool_base << level)
 
     def refresh(self, graph: ConceptGraph) -> None:
         """Take the graph's current candidates and reference bits, rebuilding
         the trie only if a member or a member's expansion changed."""
         concepts = graph.concepts
         table = graph.expansion_table()
-        pool = self.budget.pool
+        pool = self.pool
         if len(table) <= pool:  # every parseable concept is a member: nothing to rank
             members, expansions = list(table), list(table.values())
         else:
@@ -259,17 +245,16 @@ class _ParseContext:
 _KEPT: "weakref.WeakKeyDictionary[ConceptGraph, _ParseContext]" = weakref.WeakKeyDictionary()
 
 
-def parse(graph: ConceptGraph, tokens: Sequence[Token],
-          budget: Optional[Budget] = None, *,
+def parse(graph: ConceptGraph, tokens: Sequence[Token], *,
           context: Optional[_ParseContext] = None) -> Description:
     """Minimum-description-length parse of `tokens` against the graph.
 
     Candidates at each position are the fast-path and top-pool concepts
     (by weight) whose expansion prefixes the remainder, and a single-token
-    blob.  The all-blob description is always considered.  The budget is
-    the context's if one is passed.  Refs come out as concept ids, blobs
-    as token tuples; exact cost ties go to the smallest (0, id) / (1,
-    tokens) signature.
+    blob.  The all-blob description is always considered.  The beam and
+    pool are the context's, level 0's when none is passed.  Refs come out
+    as concept ids, blobs as token tuples; exact cost ties go to the
+    smallest (0, id) / (1, tokens) signature.
 
     The frontier holds one bucket per position 0..n of the states reaching
     it; the last holds the finals.  A state is a tuple (cost, count, node,
@@ -320,8 +305,8 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token],
     n = len(tokens)
     if n == 0:
         return ()
-    ctx = context or _ParseContext(graph, budget or Budget.from_config(graph.config, 0))
-    beam = ctx.budget.beam
+    ctx = context or _ParseContext.at_level(graph, 0)
+    beam = ctx.beam
     log_d = ctx.log_d
     sigma_bits = ctx.sigma_bits
     per_token = ctx.per_token
@@ -802,8 +787,8 @@ def ingest(graph: ConceptGraph, tokens: Sequence[Token], cuts: Sequence[int] = (
     bounds = [0, *cuts, len(tokens)]
     if cuts and not all(a < b for a, b in zip(bounds, bounds[1:])):
         raise ValueError("cuts must increase strictly inside the tokens")
-    if (context := _KEPT.get(graph)) is None:  # built once: the config, so the budget, is fixed
-        context = _KEPT[graph] = _ParseContext(graph, Budget.from_config(graph.config, 0))
+    if (context := _KEPT.get(graph)) is None:  # built once: the config fixes beam and pool
+        context = _KEPT[graph] = _ParseContext.at_level(graph, 0)
     else:
         context.refresh(graph)
     nodes: list[Node] = []
@@ -816,33 +801,29 @@ def ingest(graph: ConceptGraph, tokens: Sequence[Token], cuts: Sequence[int] = (
     if desc != first_pass and description_dl(graph, first_pass) < description_dl(graph, desc):
         desc = first_pass
     abstract_common(graph)
-    new_pairs = record_associations(graph, desc)
+    record_associations(graph, desc)
     new_concepts = list(range(pre_count, len(graph)))
 
     graph.tick_weights(_transitive_refs(graph, desc))
     episode_id = graph.episode
     graph.refinement_store[episode_id] = [desc]  # which counts the episode
     _apply_forgetting(graph)
-    return IngestReport(episode=episode_id, description=desc,
-                        new_concepts=new_concepts, new_associations=new_pairs,
-                        raw_bits=raw_dl(len(tokens), len(graph.alphabet)),
-                        described_bits=description_dl(graph, desc))
+    return IngestReport(episode=episode_id, description=desc, new_concepts=new_concepts)
 
 
 def refine(graph: ConceptGraph, episode_id: int) -> Description:
-    """Append one refinement level: re-parse at a larger budget, never worse.
+    """Append one refinement level: re-parse with a wider search, never worse.
 
-    Level n parses at budget level n, held at `MAX_BUDGET_LEVEL` for a
-    longer chain.  The previous chain tail stays a candidate, so description
-    bits are non-increasing along the chain and every level reconstructs
-    exactly.  An id that is not an `int` has no chain, even if it equals one.
+    Level n parses with level n's beam and pool (`_ParseContext.at_level`),
+    which stop doubling at `MAX_BUDGET_LEVEL`.  The previous chain tail
+    stays a candidate, so description bits are non-increasing along the
+    chain and every level reconstructs exactly.  An id that is not an `int` has no chain, even if it equals one.
     """
     chain = graph.refinement_store.get(episode_id) if type(episode_id) is int else None
     if not chain:
         raise UnknownEpisode(f"no refinement chain for episode {episode_id}")
     tokens = reconstruct(graph, chain[0])
-    budget = Budget.from_config(graph.config, len(chain))
-    candidate = parse(graph, tokens, budget)
+    candidate = parse(graph, tokens, context=_ParseContext.at_level(graph, len(chain)))
     previous = chain[-1]
     if description_dl(graph, previous) <= description_dl(graph, candidate):
         candidate = previous

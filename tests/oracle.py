@@ -1,7 +1,8 @@
 """The test oracles: the reference code's per-concept costs and its Kraft sum,
 the attention of a description, and the exhaustive tiny-scale MDL oracle that
 acceptance 02 scores the engine against.  Each is computed from what the
-engine itself uses: `mdl.escape_cost`, the weights and the expansion table."""
+engine itself uses: `mdl.escape_cost`, the weights and the expansion table.
+Beside them, the level of each function in the synthesizer's ensemble."""
 
 import functools
 import math
@@ -14,6 +15,9 @@ from conceptgraph.mdl import description_dl, escape_cost, gamma_len, model_dl, r
 ORACLE_MAX_LEN = 12
 ORACLE_MAX_SIGMA = 3
 ORACLE_MAX_RULES = 4
+# the level of each function in `corpus.gen_fn_ensemble`'s ensemble: a level-n
+# function is built from functions of lower levels
+ENSEMBLE_LEVELS = {"add": 1, "dbl": 1, "mul": 2, "sq": 2, "cube": 3, "quadp": 3}
 
 
 def is_codeable(graph: ConceptGraph, cid: int) -> bool:

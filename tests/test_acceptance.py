@@ -20,7 +20,6 @@ from conceptgraph.core import (
     Template,
 )
 from conceptgraph.corpus import (
-    ENSEMBLE_LEVELS,
     ENSEMBLE_TRUTH,
     gen_fn_ensemble,
     gen_grammar_corpus,
@@ -41,7 +40,7 @@ from conceptgraph.mdl import (
     two_part_total,
 )
 from conceptgraph.storage import export_teach, import_teach
-from oracle import attention, kraft_sum, mdl_oracle
+from oracle import ENSEMBLE_LEVELS, attention, kraft_sum, mdl_oracle
 from test_inducer import hot, linear_parse
 
 

@@ -425,6 +425,20 @@ def test_bad_theta_c_is_data_error_for_segment_and_scalar_ingest(tmp_path, theta
     assert graph.read_bytes() == before
 
 
+@pytest.mark.parametrize("theta", ["nan", "1"])
+def test_theta_c_without_scalar_is_usage_error(tmp_path, capsys, theta):
+    """A text episode has no levels to cut, so `ingest --theta-c` without
+    `--scalar` is refused, whatever the threshold, and the graph keeps its bytes."""
+    graph, data = tmp_path / "g.cg", tmp_path / "in.txt"
+    data.write_text("abab\n")
+    run(capsys, "init", "--alphabet", "ab", "--out", str(graph))
+    before = graph.read_bytes()
+    code, out, err = run(capsys, "ingest", "--graph", str(graph), "--input", str(data),
+                         "--theta-c", theta)
+    assert (code, out) == (1, "") and err.startswith("usage error:")
+    assert graph.read_bytes() == before
+
+
 @pytest.mark.parametrize("old, new", [
     pytest.param('"primitive"', '"' + "k" * 100000 + '"', id="kind-name"),
     pytest.param('["primitive",1.0,"a"]', '["primitive",' + "1" * 100000 + '.0,"a"]',

@@ -36,7 +36,7 @@ from conceptgraph.errors import (
     TooLarge,
     UnknownConcept,
 )
-from conceptgraph.inducer import Budget, _ParseContext, ingest
+from conceptgraph.inducer import _ParseContext, ingest
 from conceptgraph.storage import dumps, graph_from_json
 from oracle import is_codeable, ref_cost
 
@@ -250,13 +250,13 @@ def test_fast_path_threshold():
     c2 = g.add(Concat((1, 0)))
     g.set_weight(c1, 9.0)
     g.set_weight(c2, 7.9)
-    assert _ParseContext(g, Budget(1, 0)).members == [c1]
+    assert _ParseContext(g, 1, 0).members == [c1]
 
 
 def test_fast_path_zero_threshold_admits_all_expanding():
     g = fresh("ab", fast_path_threshold=1e-12)
     c1 = g.add(Concat((0, 1)))
-    assert _ParseContext(g, Budget(1, 0)).members == [0, 1, c1]
+    assert _ParseContext(g, 1, 0).members == [0, 1, c1]
 
 
 def test_valence_decay_along_path():
@@ -577,7 +577,7 @@ def test_the_code_mass_is_the_sum_a_reload_derives(data):
             g.tick_weights(data.draw(st.sets(st.sampled_from(ids), max_size=3)))
         assert g.codeable_weight() == id_order_sum(g)
         assert graph_from_json(json.loads(dumps(g))).codeable_weight() == g.codeable_weight()
-        assert all(bits >= 0 for _, _, bits in _ParseContext(g, Budget(1, 128)).entries)
+        assert all(bits >= 0 for _, _, bits in _ParseContext(g, 1, 128).entries)
 
 
 def two_pass_tick(g, used):

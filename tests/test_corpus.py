@@ -5,7 +5,6 @@ import pytest
 
 from conceptgraph.core import Concat, ConceptGraph
 from conceptgraph.corpus import (
-    ENSEMBLE_LEVELS,
     ENSEMBLE_TRUTH,
     gen_fn_ensemble,
     gen_grammar_corpus,
@@ -14,7 +13,7 @@ from conceptgraph.errors import TooLarge, UnknownToken
 from conceptgraph.inducer import parse
 from conceptgraph import mdl
 from conceptgraph.mdl import description_dl, gamma_len, model_dl
-from oracle import mdl_oracle, ref_cost
+from oracle import ENSEMBLE_LEVELS, mdl_oracle, ref_cost
 
 
 def test_grammar_corpus_deterministic_per_seed():

@@ -35,7 +35,6 @@ from conceptgraph.inducer import (
     FALLBACK_BAND,
     GATE_MARGIN,
     MAX_BUDGET_LEVEL,
-    Budget,
     _PairIndex,
     _ParseContext,
     _apply_forgetting,
@@ -52,7 +51,7 @@ from conceptgraph.inducer import (
     record_associations,
     refine,
 )
-from conceptgraph.mdl import description_dl, gamma_len
+from conceptgraph.mdl import description_dl, gamma_len, raw_dl
 from conceptgraph.storage import _desc_from_json, dumps, graph_from_json, graph_to_json, load, save
 from oracle import kraft_sum
 from test_storage import BAD_NODES
@@ -243,6 +242,21 @@ def test_record_associations_reifies_at_threshold():
     assert g.find(Association(1, icecream)) is not None
 
 
+def test_ingest_reifies_an_association_from_a_rejected_run():
+    """The ingest path to an association: the run `ddd` is no Repeat (the
+    gate rejects it), but its pair (3, 3) is counted twice beside the `dd`
+    earlier in the episode, which reaches the threshold of 3.  The
+    association is one of the episode's new concepts and survives a save
+    and load byte for byte."""
+    g = ConceptGraph("abcd")
+    report = ingest(g, "cacbaddaabcdddbbc")
+    assert g.find(Repeat(3, 3)) is None and g.assoc_counts[(3, 3)] == g.config.assoc_threshold
+    association = g.find(Association(3, 3))
+    assert association is not None and association in report.new_concepts
+    text = dumps(g)
+    assert dumps(graph_from_json(json.loads(text))) == text
+
+
 @pytest.mark.parametrize("desc", [(999, 1000), (2, 3), (0, 1, 999), (0, ("z",), 1)])
 def test_record_associations_refuses_a_bad_description(desc):
     """Missing concepts, the affect primitives, a bad node after a good pair
@@ -274,7 +288,7 @@ def test_ingest_learns_triple_pattern():
     g = ConceptGraph("abc")
     report = ingest(g, "abcabcabc")
     assert any("".join(tokens) == "abc" for tokens in g.expansion_table().values())
-    assert report.described_bits < report.raw_bits
+    assert description_dl(g, report.description) < raw_dl(9, len(g.alphabet))
 
 
 def test_ingest_empty_episode():
@@ -916,8 +930,8 @@ class LinearScan(_ParseContext):
 
     __slots__ = ("expansions",)
 
-    def __init__(self, graph, budget):
-        super().__init__(graph, budget)
+    def __init__(self, graph, beam, pool):
+        super().__init__(graph, beam, pool)
         self.expansions = {cid: graph.expansion(cid) for cid, _, _ in self.entries}
 
     def candidates_at(self, tokens, pos):
@@ -927,7 +941,7 @@ class LinearScan(_ParseContext):
 
 def linear_parse(graph, tokens):
     """`parse` with the trie lookup replaced by the linear scan."""
-    return parse(graph, tokens, context=LinearScan(graph, Budget.from_config(graph.config)))
+    return parse(graph, tokens, context=LinearScan.at_level(graph, 0))
 
 
 def unbounded_parse(graph, tokens, context):
@@ -937,7 +951,7 @@ def unbounded_parse(graph, tokens, context):
     n = len(tokens)
     if n == 0:
         return ()
-    beam, log_d, sigma_bits = context.budget.beam, context.log_d, context.sigma_bits
+    beam, log_d, sigma_bits = context.beam, context.log_d, context.sigma_bits
     start = (float(gamma_len(1)), 0, None, None, 0)
     frontier = [[start]] + [[] for _ in range(n)]
     open_plain = 0 + log_d + gamma_len(1) + sigma_bits
@@ -990,7 +1004,7 @@ def test_the_cost_bound_keeps_the_unbounded_parse(data):
     tokens = [t for cid in pieces for t in g.expansion(cid)]
     if len(pieces) > 1 and data.draw(st.booleans()):  # a concept spanning the whole input
         g.set_weight(g.add(Concat(tuple(pieces))), data.draw(weights))
-    context = _ParseContext(g, Budget(data.draw(st.integers(1, 8)), data.draw(st.integers(0, 128))))
+    context = _ParseContext(g, data.draw(st.integers(1, 8)), data.draw(st.integers(0, 128)))
     event(f"sigma={len(g.alphabet)}")
     assert parse(g, tokens, context=context) == unbounded_parse(g, tokens, context)
 
@@ -1004,7 +1018,7 @@ def test_a_state_that_ties_the_bound_is_still_extended():
     four = g.add(Repeat(0, 4))
     g.set_weight(0, 0.0)
     g.set_weight(four, 0.0)
-    context = _ParseContext(g, Budget(4, 8))
+    context = _ParseContext(g, 4, 8)
     want = (four, ("a",) * 3)
     assert parse(g, "a" * 7, context=context) == want == unbounded_parse(g, "a" * 7, context)
     assert description_dl(g, want) == description_dl(g, (("a",) * 3, four))
@@ -1015,8 +1029,8 @@ class CountingTrie(_ParseContext):
 
     __slots__ = ("looked_up",)
 
-    def __init__(self, graph, budget):
-        super().__init__(graph, budget)
+    def __init__(self, graph, beam, pool):
+        super().__init__(graph, beam, pool)
         self.looked_up = []
 
     def candidates_at(self, tokens, pos):
@@ -1030,11 +1044,11 @@ def test_a_final_that_spans_the_episode_stops_the_other_positions():
     g = ConceptGraph("ab")
     whole = g.add(Repeat(g.add(Concat((0, 1))), 32))
     g.set_weight(whole, 50.0)
-    context = CountingTrie(g, Budget.from_config(g.config))
+    context = CountingTrie.at_level(g, 0)
     tokens = "ab" * 32
     assert parse(g, tokens, context=context) == (whole,)
     assert len(context.looked_up) < 64
-    assert unbounded_parse(g, tokens, _ParseContext(g, context.budget)) == (whole,)
+    assert unbounded_parse(g, tokens, _ParseContext(g, context.beam, context.pool)) == (whole,)
 
 
 @settings(max_examples=400, deadline=None)
@@ -1069,10 +1083,10 @@ def test_the_completion_bound_keeps_the_unbounded_parse(data):
     if len(nodes) > 1 and data.draw(st.sampled_from([True, True, False])):
         suffix = nodes[data.draw(st.integers(0, len(nodes) - 2)):]
         g.set_weight(g.add(Concat(tuple(suffix))), data.draw(heavy_weights))
-    budget = Budget(data.draw(st.integers(1, 8)), data.draw(st.integers(0, 32)))
-    context, plain = CountingTrie(g, budget), CountingTrie(g, budget)
+    beam, pool = data.draw(st.integers(1, 8)), data.draw(st.integers(0, 32))
+    context, plain = CountingTrie(g, beam, pool), CountingTrie(g, beam, pool)
     plain.per_token = 0.0  # the cost bound alone
-    want = unbounded_parse(g, tokens, _ParseContext(g, budget))
+    want = unbounded_parse(g, tokens, _ParseContext(g, beam, pool))
     assert parse(g, tokens, context=context) == want == parse(g, tokens, context=plain)
     event(f"per_token < sigma_bits: {context.per_token < context.sigma_bits}")
     event(f"fewer positions extended: {len(context.looked_up) < len(plain.looked_up)}")
@@ -1091,7 +1105,7 @@ def test_a_state_that_ties_the_completion_bound_is_still_extended():
     whole = g.add(Concat((ab, run)))
     for cid, weight in ((0, 61.0), (1, 61.0), (ab, 127.0), (run, 1.0), (whole, 0.0)):
         g.set_weight(cid, weight)  # the code denominator is 256, so log_d = 8
-    context = _ParseContext(g, Budget(4, 8))
+    context = _ParseContext(g, 4, 8)
     assert context.per_token == 7 / 25 and 11.0 - 25 * context.per_token < 4.0
     tokens = "ab" + "a" * 25
     assert parse(g, tokens, context=context) == (ab, run) == unbounded_parse(g, tokens, context)
@@ -1107,10 +1121,10 @@ def test_the_completion_bound_looks_up_fewer_positions():
     for i in range(0, 1280, 64):
         ingest(g, tokens[i:i + 64])
     episode = tokens[1280:1344]
-    context = CountingTrie(g, Budget.from_config(g.config))
-    plain = CountingTrie(g, context.budget)
+    context = CountingTrie.at_level(g, 0)
+    plain = CountingTrie(g, context.beam, context.pool)
     plain.per_token = 0.0  # the cost bound alone
-    want = unbounded_parse(g, episode, _ParseContext(g, context.budget))
+    want = unbounded_parse(g, episode, _ParseContext(g, context.beam, context.pool))
     assert parse(g, episode, context=context) == want == parse(g, episode, context=plain)
     assert 0 < context.per_token < context.sigma_bits
     assert len(context.looked_up) < len(plain.looked_up)
@@ -1168,14 +1182,13 @@ def test_kept_context_parses_like_a_fresh_one():
         ingest(g, "".join(rng.choice(["ab", "cab", "bca", "cc"]) for _ in range(12)))
     kept = inducer._KEPT[g]
     kept.refresh(g)  # the last ingest grew the graph after its parses
-    budget = Budget.from_config(g.config)
 
     def check():
         kept.refresh(g)
         pieces = [g.expansion(c) for c in g.parseable_ids()]
         for _ in range(30):
             tokens = [t for _ in range(rng.randint(0, 8)) for t in rng.choice(pieces)]
-            fresh = parse(g, tokens, context=_ParseContext(g, budget))
+            fresh = parse(g, tokens, context=_ParseContext.at_level(g, 0))
             assert parse(g, tokens, context=kept) == fresh == linear_parse(g, tokens)
 
     # a weight tick that keeps the members keeps the trie and rewrites the bits
@@ -1235,9 +1248,9 @@ def test_ingest_builds_the_level0_context_once_per_graph(monkeypatch):
     class CountingContext(inducer._ParseContext):
         __slots__ = ()
 
-        def __init__(self, graph, budget):
+        def __init__(self, graph, beam, pool):
             built.append(graph)
-            super().__init__(graph, budget)
+            super().__init__(graph, beam, pool)
 
     monkeypatch.setattr(inducer, "_ParseContext", CountingContext)
     g, h = ConceptGraph("abcdefghijklmnop"), ConceptGraph("abcd")
@@ -1334,7 +1347,7 @@ def test_kind_index_matches_the_rescans(data):
     motifs = st.tuples(st.text(sigma, min_size=1, max_size=4), st.integers(1, 6))
     episodes = st.one_of(st.text(sigma, max_size=20), motifs.map(lambda m: m[0] * m[1]))
     g, ref = ConceptGraph(sigma, config), ConceptGraph(sigma, config)
-    budget = Budget.from_config(config)
+    pool = config.pool_base  # level 0's pool
     poppable = set()  # added by the add step since the last ingest
     ops = st.sampled_from(["ingest", "add", "add", "pop", "regroup", "abstract", "weights",
                            "reload"])
@@ -1393,8 +1406,8 @@ def test_kind_index_matches_the_rescans(data):
         assert [c.kind for c in g.concepts] == [c.kind for c in ref.concepts]
         assert dumps(g) == dumps(ref)
         assert kept_index(g) == rescanned_index(g)
-        want = ranked_members(g, budget.pool)
-        assert _ParseContext(g, budget).members == want
+        want = ranked_members(g, pool)
+        assert _ParseContext.at_level(g, 0).members == want
         kept = inducer._KEPT.get(g)
         if kept is not None:
             kept.refresh(g)
@@ -1416,7 +1429,7 @@ class RankingContext(_ParseContext):
 
         ranked = sorted(graph.parseable_ids(), key=heaviest_first)
         hot = bisect_right(ranked, -graph.config.fast_path_threshold, key=heaviest_first)
-        self.members = sorted(ranked[:max(self.budget.pool, hot)])
+        self.members = sorted(ranked[:max(self.pool, hot)])
         self.member_expansions = [graph.expansion(cid) for cid in self.members]
         self.entries = [[cid, len(e), 0.0] for cid, e in zip(self.members, self.member_expansions)]
         self.trie = ({}, [])
@@ -1460,9 +1473,9 @@ def test_refresh_matches_the_ranking_reference(data):
     n = len(g.parseable_ids())
     pool = data.draw(st.one_of(st.sampled_from([n - 1, n, n + 1]), st.integers(0, n + 2),
                                st.integers(0, 2)))  # a small pool: the fast path beyond it
-    budget = Budget(4, max(pool, 0))
-    event(f"pool - parseable={min(max(budget.pool - n, -2), 2)}")
-    kept = _ParseContext(g, budget)
+    pool = max(pool, 0)
+    event(f"pool - parseable={min(max(pool - n, -2), 2)}")
+    kept = _ParseContext(g, 4, pool)
     for _ in range(data.draw(st.integers(1, 4))):
         for cid in data.draw(st.lists(st.sampled_from(g.parseable_ids()), max_size=8)):
             g.set_weight(cid, data.draw(st.sampled_from(RANK_WEIGHTS)))
@@ -1470,9 +1483,9 @@ def test_refresh_matches_the_ranking_reference(data):
             a, b = (data.draw(st.sampled_from(g.parseable_ids())) for _ in range(2))
             g.add(Concat((a, b)))
         kept.refresh(g)
-        want = context_state(RankingContext(g, budget))
-        assert context_state(kept) == context_state(_ParseContext(g, budget)) == want
-        top = sorted(g.parseable_ids(), key=lambda c: (-g.concepts[c].weight, c))[:budget.pool]
+        want = context_state(RankingContext(g, 4, pool))
+        assert context_state(kept) == context_state(_ParseContext(g, 4, pool)) == want
+        top = sorted(g.parseable_ids(), key=lambda c: (-g.concepts[c].weight, c))[:pool]
         event(f"fast path beyond the pool={bool(hot(g) - set(top))}")
 
 
@@ -1494,9 +1507,9 @@ def test_a_graph_that_fits_the_pool_is_not_ranked(monkeypatch):
     n = len(g.parseable_ids())
     monkeypatch.setattr(inducer, "sorted", spy_sorted, raising=False)
     monkeypatch.setattr(inducer, "bisect_right", spy_bisect)
-    fits = _ParseContext(g, Budget(4, n))
+    fits = _ParseContext(g, 4, n)
     assert fits.members == g.parseable_ids() and keys == [] and bisects == []
-    ranked = _ParseContext(g, Budget(4, n - 1))
+    ranked = _ParseContext(g, 4, n - 1)
     assert len(ranked.members) == n - 1 and len(bisects) == 1
     assert len([key for key in keys if key is not None]) == 1
 
@@ -1669,7 +1682,7 @@ def test_parse_bytes_are_pinned_at_wider_beams():
         episodes += [(noise, "".join(rng.choice(sigma) for _ in range(96))) for _ in range(10)]
         for level in range(4):
             for g, episode in episodes:
-                nodes = parse(g, episode, Budget.from_config(g.config, level))
+                nodes = parse(g, episode, context=_ParseContext.at_level(g, level))
                 digest.update(repr(nodes).encode())
     assert sizes == [(23, 318), (23, 312)]
     assert digest.hexdigest() == "eb20e468fec7ddbc0b81f77ff155c657eee9115e5d69750b5a3b9d8711ed2ee4"
@@ -1685,21 +1698,21 @@ def test_ingest_determinism_byte_level():
 
 
 def test_budget_doubles_per_level():
-    config = Config()
-    b0 = Budget.from_config(config, 0)
-    b2 = Budget.from_config(config, 2)
+    g = ConceptGraph("ab")
+    config = g.config
+    b0 = _ParseContext.at_level(g, 0)
+    b2 = _ParseContext.at_level(g, 2)
     assert (b0.beam, b0.pool) == (config.beam_base, config.pool_base)
     assert (b2.beam, b2.pool) == (config.beam_base * 4, config.pool_base * 4)
-    for level in (-1, "1", 1.5, True, None):  # an exact int >= 0
-        with pytest.raises(ValueError, match="budget level"):
-            Budget.from_config(config, level)
 
 
 @pytest.mark.parametrize("beam, pool", [(-1, 5), (0, 0), (0, 5), (1, -1), (1.5, 3), (2, 2.0),
                                         ("4", 64)])
 def test_budget_refuses_a_bad_beam_or_pool(beam, pool):
+    """A parse's beam and pool are the config's bases doubled per level, and
+    the config refuses a bad base."""
     with pytest.raises(ValueError):
-        Budget(beam, pool)
+        Config(beam_base=beam, pool_base=pool)
 
 
 def test_parse_at_the_smallest_budget_reaches_the_end():
@@ -1708,14 +1721,14 @@ def test_parse_at_the_smallest_budget_reaches_the_end():
     g = ConceptGraph("ab")
     for _ in range(3):
         ingest(g, "ababab")
-    got = parse(g, "ababab", Budget(1, 0))
+    got = parse(g, "ababab", context=_ParseContext(g, 1, 0))
     assert got == (("a", "b", "a", "b", "a", "b"),)
-    assert reconstruct(g, parse(g, "abbaab", Budget(1, 64))) == tuple("abbaab")
+    assert reconstruct(g, parse(g, "abbaab", context=_ParseContext(g, 1, 64))) == tuple("abbaab")
 
 
 def test_refine_past_the_budget_ceiling_parses_at_the_ceiling(monkeypatch):
-    """Past `MAX_BUDGET_LEVEL`, a refine parses with the ceiling's budget
-    instead of doubling again (parse time about doubles per level)."""
+    """Past `MAX_BUDGET_LEVEL`, a refine parses with the ceiling's beam and
+    pool instead of doubling again (parse time about doubles per level)."""
     g = ConceptGraph("ab")
     ingest(g, "ab" * 20)
     for _ in range(MAX_BUDGET_LEVEL + 3):
@@ -1723,16 +1736,16 @@ def test_refine_past_the_budget_ceiling_parses_at_the_ceiling(monkeypatch):
     chain = g.refinement_store[0]
     budgets = []
 
-    def spy(graph, tokens, budget=None, **kwargs):
-        budgets.append(budget)
-        return parse(graph, tokens, budget, **kwargs)
+    def spy(graph, tokens, **kwargs):
+        budgets.append((kwargs["context"].beam, kwargs["context"].pool))
+        return parse(graph, tokens, **kwargs)
 
     monkeypatch.setattr(inducer, "parse", spy)
     level = refine(g, 0)
-    ceiling = Budget(beam=g.config.beam_base << MAX_BUDGET_LEVEL,
-                     pool=g.config.pool_base << MAX_BUDGET_LEVEL)
+    ceiling = (g.config.beam_base << MAX_BUDGET_LEVEL, g.config.pool_base << MAX_BUDGET_LEVEL)
     assert budgets == [ceiling]
-    assert Budget.from_config(g.config, MAX_BUDGET_LEVEL + 40) == ceiling
+    beyond = _ParseContext.at_level(g, MAX_BUDGET_LEVEL + 40)
+    assert (beyond.beam, beyond.pool) == ceiling
     assert reconstruct(g, level) == reconstruct(g, chain[0])
 
 
@@ -1742,9 +1755,7 @@ def test_parse_takes_the_budget_from_the_context():
     g = ConceptGraph(sigma)
     for _ in range(30):
         ingest(g, "".join(rng.choice(sigma) for _ in range(rng.randint(0, 40))))
-    wide = Budget.from_config(g.config, 6)
+    wide = _ParseContext.at_level(g, 6)
     tokens = "chafgbdheegghacf"  # the level-0 beam over the wide pool parses it worse
-    narrow_beam = parse(g, tokens, Budget(beam=g.config.beam_base, pool=wide.pool))
-    via_context = parse(g, tokens, Budget.from_config(g.config, 0),
-                        context=_ParseContext(g, wide))
-    assert via_context == parse(g, tokens, wide) != narrow_beam
+    narrow_beam = parse(g, tokens, context=_ParseContext(g, g.config.beam_base, wide.pool))
+    assert parse(g, tokens, context=wide) != narrow_beam

@@ -160,6 +160,38 @@ def test_every_function_is_reached_from_package_code():
     assert sorted(uncalled) == sorted(UNCALLED_ON_PURPOSE)
 
 
+def module_level_definitions(tree):
+    """Each module-level assignment target and each class in `tree`, with the
+    statement that defines it (dunder names aside)."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not re.fullmatch(r"__\w+__", name.id):
+                        yield name.id, node
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            yield node.name, node
+
+
+def test_every_module_level_name_and_class_is_read_by_package_code():
+    """The sibling of the function rule for the other names a module
+    defines: each module-level name and each class is read as code outside
+    its own statement, in a package module other than `__init__`, or named
+    as a whole word in `perfbench/`.  A constant that only tests read
+    belongs in the tests."""
+    perfbench = source_words("perfbench")
+    used, own, defined = Counter(), Counter(), set()
+    for module in sorted(MODULES):
+        tree = module_tree(module)
+        used.update(code_references(tree))
+        for name, node in module_level_definitions(tree):
+            defined.add(name)
+            own[name] += sum(ref == name for ref in code_references(node))
+    unread = {name for name in defined if used[name] <= own[name] and name not in perfbench}
+    assert sorted(unread) == []
+
+
 def test_every_module_is_imported_by_the_package():
     """A module whose last importer goes goes with it: each package module
     is imported by `__init__` or by another package module, or is the
