@@ -7,8 +7,8 @@ between, and `_resegment_blobs` re-divides blob residue at symbol runs.
 Parsing is a left-to-right beam search over concept references and raw
 blobs, minimizing description bits.  A beam state is a plain tuple whose
 parent chain spells the partial description; a frontier bucket larger
-than the beam is sorted in place by cost and cut, and a node signature is
-built only to break an exact cost tie at the cut.  A position is skipped
+than the beam is sorted in place by cost and cut, and an exact cost tie at
+the cut is broken where the tied states' chains meet.  A position is skipped
 when none of its states can finish under a complete description already
 found, charging each remaining token the fewest bits any step pays per
 token (an exact, admissible bound: no step pays less).  Candidate lookups walk
@@ -55,6 +55,7 @@ import heapq
 import math
 import weakref
 from bisect import bisect_left, bisect_right
+from functools import cmp_to_key
 from itertools import groupby
 from operator import itemgetter
 from typing import Collection, Iterable, Optional, Sequence
@@ -97,31 +98,42 @@ class IngestReport:
 # ----------------------------------------------------------------------
 # parsing
 
-def _signature(state: tuple, tokens: tuple) -> tuple:
-    """A state's nodes in order as (0, id) / (1, tokens) pairs: the exact-tie key."""
-    parts = []
-    _, _, node, parent, blob_len = state
-    while parent is not None:
-        parts.append((1, tokens[node:node + blob_len]) if blob_len else (0, node))
-        _, _, node, parent, blob_len = parent
-    parts.reverse()
-    return tuple(parts)
+def _tie_order(a: tuple, b: tuple) -> int:
+    """-1, 0 or 1 as state a's signature sorts before, with or after b's.
+
+    States form one tree under `start` (`count` is the depth), so signatures
+    first differ just below the lowest common ancestor, where a ref's key is
+    (0, id) and a blob's (1, blob_len): the blobs under one parent start at
+    its end.  Equal keys there mean one state's nodes prefix the other's.
+    """
+    x, y = a, b
+    for _ in range(a[1] - b[1]):
+        x = x[3]
+    for _ in range(b[1] - a[1]):
+        y = y[3]
+    while x[3] is not y[3]:
+        x, y = x[3], y[3]
+    kx, ky = ((1, x[4]) if x[4] else (0, x[2])), ((1, y[4]) if y[4] else (0, y[2]))
+    if kx == ky:  # the shorter description first, or the same description twice
+        kx, ky = a[1], b[1]
+    return (kx > ky) - (kx < ky)
 
 
 _COST = itemgetter(0)
 
 
-def _select_beam(bucket: list[tuple], k: int, tokens: tuple) -> list[tuple]:
+def _select_beam(bucket: list[tuple], k: int) -> list[tuple]:
     """The `k` cheapest states; exact cost ties at the cut go by signature.
 
     Equals sorting the whole bucket by (cost, signature) and keeping the
-    first `k`: the bucket is sorted in place by cost alone, and signatures
-    are built only for the tie group that straddles the cut.  The kept set
-    does not depend on the bucket's order, since no two states in a bucket
-    share a signature (a blob successor extends a trailing blob instead of
-    opening a second one), so sorting the caller's list is safe.  Callers
-    re-select or take the one state of k = 1, so the order of the returned
-    states does not matter.
+    first `k`: the bucket is sorted in place by cost alone, and only the tie
+    group that straddles the cut by `_tie_order`.  No two states the search
+    makes share a signature (a blob successor extends a trailing blob), and
+    `parse` adds the all-blob final only when the blob chain's own final,
+    which spells the same, is missing or costs more.  So no two states tie
+    on both, and the kept set does not depend on the bucket's order.
+    Callers re-select or take the one state of k = 1, so the returned order
+    does not matter.
     """
     if len(bucket) <= k:
         return bucket
@@ -131,7 +143,7 @@ def _select_beam(bucket: list[tuple], k: int, tokens: tuple) -> list[tuple]:
         return bucket[:k]
     lo = bisect_left(bucket, cut, 0, k - 1, key=_COST)
     hi = bisect_right(bucket, cut, k, key=_COST)
-    tied = sorted(bucket[lo:hi], key=lambda s: _signature(s, tokens))
+    tied = sorted(bucket[lo:hi], key=cmp_to_key(_tie_order))
     return bucket[:lo] + tied[:k - lo]
 
 
@@ -256,21 +268,22 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token], *,
     as concept ids, blobs as token tuples; exact cost ties go to the
     smallest (0, id) / (1, tokens) signature.
 
-    The frontier holds one bucket per position 0..n of the states reaching
-    it; the last holds the finals.  A state is a tuple (cost, count, node,
-    parent, blob_len): a node count and a parent chain, whose `node` is a
-    ref's concept id or, when blob_len > 0, the start of a trailing blob.
-    Its position is its bucket's index, so it is not stored.  A bucket is
-    cut to the beam (`_select_beam`) only when it holds more states than
-    that, and successors go straight into the buckets of their end
-    positions.  `_signature` walks a parent chain only for exact cost ties
-    and for the winner.
+    The frontier has a slot per position 0..n, which gets a bucket of the
+    states reaching it when the first one does; a heap yields the reached
+    positions in order, and position n's bucket holds the finals.  A state
+    is a tuple (cost, count, node, parent, blob_len): a node count (its
+    depth under `start`) and a parent chain, whose `node` is a ref's
+    concept id or, when blob_len > 0, the start of a trailing blob.  Its
+    position is its bucket's index, so it is not stored.  A bucket is cut
+    to the beam (`_select_beam`) only when it holds more states than that,
+    and successors go straight into the buckets of their end positions.
 
     Branch and bound (Land & Doig 1960) with an admissible completion bound
     (A*, Hart, Nilsson & Raphael 1968): once a final exists, `bound` is the
     cheapest cost among the finals so far and the all-blob description, and
     a position p is not extended when every state there costs more than
-    `bound` + slack - (n - p) * per_token, so a later bucket may be empty.
+    `bound` + slack - (n - p) * per_token, so a later position may never
+    be reached.
     No step lowers a cost: a ref adds log2(D) - log2(w + 1) >= 0, as the
     code denominator D = W + C + 1 exceeds w + 1 (`codeable_weight` is the
     exact sum W, which float rounding keeps >= w), a blob step adds
@@ -292,13 +305,14 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token], *,
     positions.  The test is the same for every state at a position, so in
     every bucket the states costing <= t_p rank before the rest, and the
     cut keeps the same of them whatever else the bucket lost.  By induction
-    over positions every bucket holds the same states costing <= t_p as
-    without the bound, and `bound` >= T throughout, since a final costing
-    less than T would be one of them.  The finals costing exactly T are
-    among them, so the (cost, signature) minimum is unchanged.  Without the
-    slack, a state whose remaining tokens cost exactly (n - p) * per_token
-    could be dropped when the product rounds up, though it may reach a
-    final of cost T with a smaller signature.
+    over positions every position holds the same states costing <= t_p as
+    without the bound (none, if never reached), and `bound` >= T
+    throughout, since a final costing less than T would be one of them.
+    The finals costing exactly T are among them, so the (cost, signature)
+    minimum is unchanged.  Without the slack, a state whose remaining
+    tokens cost exactly (n - p) * per_token could be dropped when the
+    product rounds up, though it may reach a final of cost T with a smaller
+    signature.
     """
     tokens = tuple(tokens)
     graph.check_tokens(tokens)
@@ -311,31 +325,40 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token], *,
     sigma_bits = ctx.sigma_bits
     per_token = ctx.per_token
 
-    start = (float(gamma_len(1)), 0, None, None, 0)
-    frontier = [[start]] + [[] for _ in range(n)]
+    start = (1.0, 0, None, None, 0)  # gamma_len(1) = 1 bit: the header of no nodes
+    frontier = [[start]] + [None] * (n - 1) + [[]]  # a bucket once a state reaches it
+    pending = [0, n]  # a heap of the reached positions not yet taken
     # blob cost steps, summed as `header + log_d + gamma_len(1) + sigma_bits`
     # left to right so that exact cost ties stay where they were
-    open_plain = 0 + log_d + gamma_len(1) + sigma_bits
-    open_pow2 = 2 + log_d + gamma_len(1) + sigma_bits
+    open_plain = 0 + log_d + 1 + sigma_bits
+    open_pow2 = 2 + log_d + 1 + sigma_bits
     grow_pow2 = 2 + sigma_bits
-    all_blob = gamma_len(2) + log_d + gamma_len(n) + n * sigma_bits
+    all_blob = 3 + log_d + gamma_len(n) + n * sigma_bits  # gamma_len(2) = 3
     bound, finals, seen = all_blob, frontier[n], 0  # seen: the finals `bound` covers
     slack = (n + 1) * BOUND_SLACK
 
-    for pos in range(n):
+    while (pos := heapq.heappop(pending)) < n:
         bucket, frontier[pos] = frontier[pos], None  # so the states a cut drops are freed
-        if finals:  # until a final exists, no position is skipped, so none is empty
+        if finals:
             if len(finals) > seen:
                 bound = min(bound, min(map(_COST, finals[seen:])))
                 seen = len(finals)
                 top = bound + bound * slack
-            if not bucket or min(map(_COST, bucket)) > top - (n - pos) * per_token:
+            if min(map(_COST, bucket)) > top - (n - pos) * per_token:
                 continue  # nothing here can reach a final costing <= bound
         if len(bucket) > beam:
-            bucket = _select_beam(bucket, beam, tokens)
-        targets = [(cid, bits, frontier[pos + length])
-                   for cid, length, bits in ctx.candidates_at(tokens, pos)]
+            bucket = _select_beam(bucket, beam)
+        targets = []
+        for cid, length, bits in ctx.candidates_at(tokens, pos):
+            target = frontier[pos + length]
+            if target is None:  # no state has reached this position yet
+                target = frontier[pos + length] = []
+                heapq.heappush(pending, pos + length)
+            targets.append((cid, bits, target))
         blob_target = frontier[pos + 1]
+        if blob_target is None:
+            blob_target = frontier[pos + 1] = []
+            heapq.heappush(pending, pos + 1)
         for state in bucket:
             cost, count, node, parent, blob_len = state
             # gamma_len(x) - gamma_len(x - 1) is 2 at a power of two x, else 0
@@ -350,10 +373,19 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token], *,
                 opened = cost + (open_pow2 if header_grows else open_plain)
                 blob_target.append((opened, count + 1, pos, state, 1))
 
-    # the all-blob description is always a candidate
-    finals.append((all_blob, 1, 0, start, n))
-    best = _select_beam(finals, 1, tokens)[0]
-    return tuple(payload for _, payload in _signature(best, tokens))
+    # the all-blob description is always a candidate, unless the blob chain's own
+    # final already spells it at no higher cost
+    for state in finals:
+        if state[1] == 1 and state[4] and state[0] <= all_blob:
+            break
+    else:
+        finals.append((all_blob, 1, 0, start, n))
+    _, _, node, parent, blob_len = _select_beam(finals, 1)[0]
+    nodes = []
+    while parent is not None:  # spell the winner's nodes, last first
+        nodes.append(tokens[node:node + blob_len] if blob_len else node)
+        _, _, node, parent, blob_len = parent
+    return tuple(reversed(nodes))
 
 
 # ----------------------------------------------------------------------

@@ -39,6 +39,8 @@ class DLReport:
 
 def gamma_len(k: int) -> int:
     """Elias-gamma code length for a positive integer: 2*floor(log2 k) + 1."""
+    if type(k) is not int:  # a bool or a float is no count
+        raise ValueError(f"gamma_len needs an int, got {type(k).__name__}")
     if k < 1:
         raise NonPositive(f"gamma_len needs k >= 1, got {k}")
     return 2 * (k.bit_length() - 1) + 1
@@ -46,8 +48,8 @@ def gamma_len(k: int) -> int:
 
 def raw_dl(n: int, sigma_size: int) -> float:
     """Bits to store n tokens verbatim: length header plus n symbols."""
-    if n < 0 or sigma_size < 1:
-        raise ValueError("need n >= 0 and sigma_size >= 1")
+    if type(n) is not int or type(sigma_size) is not int or n < 0 or sigma_size < 1:
+        raise ValueError("need int n >= 0 and int sigma_size >= 1")
     return gamma_len(n + 1) + n * math.log2(sigma_size)
 
 

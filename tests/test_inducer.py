@@ -42,7 +42,7 @@ from conceptgraph.inducer import (
     _gated_add,
     _generalize_numbers,
     _select_beam,
-    _signature,
+    _tie_order,
     abstract_common,
     induce_repeats,
     ingest,
@@ -944,13 +944,30 @@ def linear_parse(graph, tokens):
     return parse(graph, tokens, context=LinearScan.at_level(graph, 0))
 
 
+def signature(state, tokens):
+    """A state's nodes in order as (0, id) / (1, tokens) pairs: the exact-tie key."""
+    parts = []
+    _, _, node, parent, blob_len = state
+    while parent is not None:
+        parts.append((1, tokens[node:node + blob_len]) if blob_len else (0, node))
+        _, _, node, parent, blob_len = parent
+    parts.reverse()
+    return tuple(parts)
+
+
 def unbounded_parse(graph, tokens, context):
-    """`parse` as it was before the cost bound: every position's states are
-    extended, whatever the finals found so far cost."""
+    """`parse` as it was before the cost bound and the tie order: every
+    position's states are extended, whatever the finals found so far cost,
+    and a bucket over the beam keeps the first states of a full sort by
+    (cost, signature)."""
     tokens = tuple(tokens)
     n = len(tokens)
     if n == 0:
         return ()
+
+    def cut(bucket, k):
+        return sorted(bucket, key=lambda s: (s[0], signature(s, tokens)))[:k]
+
     beam, log_d, sigma_bits = context.beam, context.log_d, context.sigma_bits
     start = (float(gamma_len(1)), 0, None, None, 0)
     frontier = [[start]] + [[] for _ in range(n)]
@@ -960,7 +977,7 @@ def unbounded_parse(graph, tokens, context):
     for pos in range(n):
         bucket, frontier[pos] = frontier[pos], None
         if len(bucket) > beam:
-            bucket = _select_beam(bucket, beam, tokens)
+            bucket = cut(bucket, beam)
         targets = [(cid, bits, frontier[pos + length])
                    for cid, length, bits in context.candidates_at(tokens, pos)]
         blob_target = frontier[pos + 1]
@@ -977,8 +994,7 @@ def unbounded_parse(graph, tokens, context):
                 opened = cost + (open_pow2 if header_grows else open_plain)
                 blob_target.append((opened, count + 1, pos, state, 1))
     frontier[n].append((gamma_len(2) + log_d + gamma_len(n) + n * sigma_bits, 1, 0, start, n))
-    best = _select_beam(frontier[n], 1, tokens)[0]
-    return tuple(payload for _, payload in _signature(best, tokens))
+    return tuple(payload for _, payload in signature(cut(frontier[n], 1)[0], tokens))
 
 
 @settings(max_examples=400, deadline=None)
@@ -1586,46 +1602,98 @@ def test_a_graph_file_is_an_exact_copy_of_the_graph(tmp_path_factory, seed, gram
         assert handle.read() == dumps(kept)
 
 
-def _beam_states(draw):
-    """Distinct-signature states over shared tokens, with exact cost ties."""
-    node = st.one_of(st.tuples(st.just(0), st.integers(0, 4)),
-                     st.tuples(st.just(1), st.lists(st.sampled_from("ab"), min_size=1,
-                                                    max_size=3).map(tuple)))
-    sigs = draw(st.lists(st.lists(node, max_size=3).map(tuple), min_size=1,
-                         max_size=14, unique=True))
-    costs = draw(st.lists(st.sampled_from([0.5, 0.1 + 0.2, 0.3, 1.0, 2.0]),
-                          min_size=len(sigs), max_size=len(sigs)))
-    k = draw(st.integers(1, len(sigs) + 1))
-    if k < len(sigs) and draw(st.booleans()):
-        # force an exact tie across the cut
-        order = sorted(range(len(sigs)), key=lambda i: costs[i])
-        costs[order[k]] = costs[order[k - 1]]
-    tokens: list = []
-    bucket = []
-    for sig, cost in zip(sigs, costs):
-        state = (cost, 0, None, None, 0)
-        for tag, payload in sig:
-            if tag == 0:
-                state = (cost, 0, payload, state, 0)
-            else:
-                state = (cost, 0, len(tokens), state, len(payload))
-                tokens.extend(payload)
-        bucket.append(state)
-    return bucket, k, tuple(tokens)
+def _parse_tree(draw):
+    """A bucket of states shaped as `parse` makes them, with a cut `k`.
+
+    The states form one tree under a shared start.  A state's `count` is
+    its depth, a ref's expansion is (id % 3) + 1 tokens long, each blob
+    starts at its parent's end, no blob follows a blob, and no two children
+    of one state share a key, so no two states share a signature.  A drawn
+    pair is forced to tie exactly across the cut: two siblings, two blobs
+    under one parent, or two cousins at different depths.
+    """
+    pattern = draw(st.lists(st.sampled_from("ab"), min_size=1, max_size=8))
+    tokens = tuple(pattern * 200)[:200]
+    costs = st.sampled_from([0.5, 0.1 + 0.2, 0.3, 1.0])
+    start = (1.0, 0, None, None, 0)
+    states, ends, keys = [start], {id(start): 0}, {id(start): set()}
+
+    def grow(parent, tag, cost=None):
+        tag = 0 if parent[4] else tag  # a blob state extends its blob instead
+        taken = keys[id(parent)]
+        value = draw(st.sampled_from([v for v in range(tag, 12) if (tag, v) not in taken]))
+        taken.add((tag, value))
+        at = ends[id(parent)]
+        state = (draw(costs) if cost is None else cost, parent[1] + 1,
+                 at if tag else value, parent, value if tag else 0)
+        states.append(state)
+        ends[id(state)], keys[id(state)] = at + (value if tag else value % 3 + 1), set()
+        return state
+
+    for _ in range(draw(st.integers(1, 10))):
+        grow(draw(st.sampled_from(states)), draw(st.integers(0, 1)))
+    tie = draw(st.sampled_from(["none", "siblings", "blobs", "cousins"]))
+    event(f"forced tie: {tie}")
+    cost = draw(costs)
+    if tie == "siblings":
+        parent = draw(st.sampled_from(states))
+        pair = [grow(parent, draw(st.integers(0, 1)), cost) for _ in range(2)]
+    elif tie == "blobs":
+        parent = draw(st.sampled_from([s for s in states if not s[4]]))
+        pair = [grow(parent, 1, cost) for _ in range(2)]
+    elif tie == "cousins":
+        parent = draw(st.sampled_from(states))
+        near = grow(grow(parent, draw(st.integers(0, 1))), draw(st.integers(0, 1)), cost)
+        far = grow(grow(grow(parent, draw(st.integers(0, 1))), draw(st.integers(0, 1))),
+                   draw(st.integers(0, 1)), cost)
+        pair = [near, far]
+    else:
+        pair = []
+    bucket = [s for s in states[1:] if any(s is p for p in pair) or draw(st.booleans())]
+    if pair:  # the cut falls inside the pair's tie group
+        k = 1 + sum(s[0] < cost for s in bucket)
+    else:
+        k = draw(st.integers(1, len(bucket) + 1)) if bucket else 1
+    return bucket, k, tokens
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_beam_cut_matches_full_sort(data):
-    bucket, k, tokens = _beam_states(data.draw)
+    bucket, k, tokens = _parse_tree(data.draw)
+    for a in bucket:  # the tie order is the signature order
+        for b in bucket:
+            sa, sb = signature(a, tokens), signature(b, tokens)
+            assert _tie_order(a, b) == (sa > sb) - (sa < sb)
+    if not bucket:
+        return
     # the rule the cut replaces: sort by cost, exact ties by signature
-    want = sorted(bucket, key=lambda s: (s[0], _signature(s, tokens)))
-    got = _select_beam(list(bucket), k, tokens)
+    want = sorted(bucket, key=lambda s: (s[0], signature(s, tokens)))
+    got = _select_beam(list(bucket), k)
     assert sorted(map(id, got)) == sorted(map(id, want[:k]))
-    assert _select_beam(list(bucket), 1, tokens)[0] is want[0]
+    assert _select_beam(list(bucket), 1)[0] is want[0]
     # the bucket is sorted in place, and its order does not move the kept set
     shuffled = data.draw(st.permutations(bucket))
-    assert sorted(map(id, _select_beam(shuffled, k, tokens))) == sorted(map(id, want[:k]))
+    assert sorted(map(id, _select_beam(shuffled, k))) == sorted(map(id, want[:k]))
+
+
+def test_a_run_with_no_candidate_parses_to_the_blob():
+    """With no candidate (the pool is empty and no primitive is on the fast
+    path), the blob chain is the only description the search builds, and its
+    final spells what the all-blob description does.  Over five symbols the
+    two costs are summed in different orders: at 1 token they are equal, at
+    2 the chain's is rounded above the all-blob cost, and at 9 below it.
+    Each parses to the one blob, and the tie order ranks two copies of one
+    final equal."""
+    g = ConceptGraph("abcde")
+    context = _ParseContext(g, 4, 0)
+    assert context.entries == []
+    for n in (1, 2, 9, 40):
+        tokens = tuple("abcde" * 8)[:n]
+        assert parse(g, tokens, context=context) == (tokens,) == unbounded_parse(g, tokens, context)
+    start = (1.0, 0, None, None, 0)
+    chain, copy = (9.0, 1, 0, start, 4), (9.0, 1, 0, start, 4)
+    assert _tie_order(chain, copy) == _tie_order(copy, chain) == 0
 
 
 def _graph_sha256(graph):

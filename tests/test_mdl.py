@@ -45,6 +45,19 @@ def test_raw_dl_values():
     assert raw_dl(3, 4) == pytest.approx(11.0)
 
 
+@pytest.mark.parametrize("k", [2.0, "3", True, False, None, 1.5])
+def test_gamma_len_refuses_what_is_not_an_int(k):
+    with pytest.raises(ValueError, match="needs an int"):
+        gamma_len(k)
+
+
+@pytest.mark.parametrize("n, sigma_size", [(2.5, 4), (3, 2.5), (4.0, 2), (3, 4.0),
+                                           (True, 2), (3, True), ("3", 2), (3, None)])
+def test_raw_dl_refuses_what_is_not_an_int(n, sigma_size):
+    with pytest.raises(ValueError, match="int"):
+        raw_dl(n, sigma_size)
+
+
 def test_ref_and_escape_cost_single_concept():
     g = ConceptGraph("a")  # one expanding concept, w = 1
     assert ref_cost(g, 0) == pytest.approx(-math.log2(2 / 3), abs=1e-9)
