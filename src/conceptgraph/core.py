@@ -494,7 +494,7 @@ class ConceptGraph:
         return cid
 
     def pop_last(self) -> None:
-        """Remove the last row, the exact inverse of `_enter` (speculative-add rollback)."""
+        """Remove the last row, the exact inverse of `_enter` (`import_teach`'s rollback)."""
         concept = self.concepts.pop()
         cid = len(self.concepts)
         if self._dedup.get(concept.kind) == cid:  # a loaded file may repeat a kind

@@ -15,21 +15,19 @@ token (an exact, admissible bound: no step pays less).  Candidate lookups walk
 a token trie of the candidates' expansions; `ingest` keeps that trie
 across episodes while the candidates and their expansions are unchanged
 (the circuit changes only when a node is formed), refreshing only the
-reference bits.  Induction scans candidate steps,
-digram concats then runs, takes the first that pays (one gate: the
-episode's description bits strictly drop) and scans again.  The gate does
-not charge the new definition's model bits (`mdl.model_dl`): creation is
-paid for by the data side, which lets structure bootstrap from short
-experiences.  The gate decides from counts: a step's bit change follows in
-closed form from the occurrences it replaces, the node count and the code
-denominator, and only a change within float rounding of the margin is
-recomputed from whole descriptions.  The episode lives in a pair index
-(Re-Pair, Larsson & Moffat 1999; digram counts kept as in Sequitur,
-Nevill-Manning & Witten 1997), so the scan after a step re-reads only the
-pairs the step changed; it reads the graph's association counts as its
-one pair table.  Every step is applied through the index, and the
-recompute reads the episode after a step from it without applying it.
-Number templates, their applications to runs and the
+reference bits.  Induction scans candidate steps, digram concats then runs,
+takes the first that pays (one gate: the episode's description bits strictly
+drop) and scans again.  The gate does not charge the new definition's model
+bits (`mdl.model_dl`): creation is paid for by the data side, which lets
+structure bootstrap from short experiences.  The gate decides from counts
+alone: a step's bit change follows in closed form from the occurrences it
+replaces, the node count and the code denominator, and the margin it must
+beat is widened by a proven bound on the float rounding, so no description
+is recomputed.  The episode lives in a pair index (Re-Pair, Larsson & Moffat
+1999; digram counts kept as in Sequitur, Nevill-Manning & Witten 1997), so
+the scan after a step re-reads only the pairs the step changed; it reads the
+graph's association counts as its one pair table, and every step is applied
+through it.  Number templates, their applications to runs and the
 common-component abstractions are forced by generalization thresholds
 instead: their payoff is expressive, not an immediate bit gain.
 
@@ -391,14 +389,15 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token], *,
 # ----------------------------------------------------------------------
 # induction rules
 
-GATE_MARGIN = 1e-9   # an accepted step must save more than this many bits
-FALLBACK_BAND = 1e-6  # closed-form deltas this close to the margin are recomputed
+GATE_MARGIN = 1e-9  # an accepted step must save more than this many bits
 
 
-def _gate_delta(graph: ConceptGraph, kind, n: int, k: int, twin: Optional[int]) -> float:
+def _gate_delta(graph: ConceptGraph, kind, n: int, k: int, twin: Optional[int],
+                blob_bits: float) -> tuple[float, float]:
     """Change in an episode's description bits when `k` occurrences of
     `kind`'s children (out of `n` nodes) become refs to `kind`, or to its
-    existing `twin`, charged at the post-add code state.
+    existing `twin`, charged at the post-add code state, and the bound on
+    its rounding (`_gated_add`), which reads the episode's `blob_bits`.
 
     Only the header, the code denominator D = W + C + 1 (which a new
     concept of weight 1 moves by 2) and the rewritten refs change; blobs
@@ -413,36 +412,47 @@ def _gate_delta(graph: ConceptGraph, kind, n: int, k: int, twin: Optional[int]) 
     else:
         log_d_after, w_new = log_d, graph.concept(twin).weight
     removed = sum(math.log2(graph.concept(c).weight + 1.0) for c in children)
-    return (gamma_len(n_after + 1) - gamma_len(n + 1) + n_after * log_d_after - n * log_d
-            + k * (removed - math.log2(w_new + 1.0)))
+    delta = (gamma_len(n_after + 1) - gamma_len(n + 1) + n_after * log_d_after - n * log_d
+             + k * (removed - math.log2(w_new + 1.0)))
+    # 4 (n + 16) u B, u = 2**-53, B the bits either description can reach
+    return delta, (n + 16) * 2.0 ** -51 * (gamma_len(n + 1) + n * log_d_after + blob_bits)
 
 
 def _gated_add(graph: ConceptGraph, kind, index: "_PairIndex", firsts: Collection[int],
                span: int) -> tuple[bool, Optional[int]]:
     """Rewrite the `span` nodes from each of `firsts` in the episode `index`
-    into a ref to `kind` (or its existing twin) iff the episode's description
-    bits strictly drop, charged at the post-add code state.
+    into a ref to `kind` (or its existing twin) iff `_gate_delta`'s closed
+    form is below -(GATE_MARGIN + bound).  Returns (accepted, the id the
+    occurrences now name, or None); nothing changes on a rejection.
 
-    The decision is `_gate_delta`'s closed form against the margin, unless
-    the delta lies within `FALLBACK_BAND` of it: then two full
-    `description_dl` calls decide, on the episode as it is and as
-    `index.rewritten` reads it after a speculative add, so float rounding
-    cannot flip a decision.  Returns (accepted, the id the occurrences now
-    name, or None); the graph and the index change only on acceptance.
+    Then `description_dl` drops by more than the margin in floats, for any n
+    <= MAX_EXPANSION.  Let u = 2**-53, so n u <= 2**-33.  Both sides read
+    the same floats: L = log2 D, L' = log2 D' (D' summed as `add` sums the
+    code mass; L' = L for a twin), each ref's r = log2(w + 1) and each
+    blob's beta = gamma_len(len) + len * sigma_bits.  As exact reals, they
+    give B* = H + sum(L - r) over refs + sum(L + beta) over blobs (H the
+    header), A* alike, and A* - B* = the closed form.  As 0 <= r <= L (see
+    `parse`) and L <= L', every term is >= 0, and both descriptions, the
+    closed form's products and k times the s children's summed r (k s <= n)
+    are at most B = gamma_len(n + 1) + n L' + blob bits.  By recursive
+    summation (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., 2002, (4.4) and Lemma 3.3), `description_dl`, which rounds a term
+    at most three times and sums n + 1 terms, is within (n + 2) u B of B*
+    (of A* after).  The closed form's sum of the children's r is within s u
+    of its value (left to right or compensated), and its seven other
+    roundings, the one multiplied by k counted after it, are of magnitudes
+    <= B, but 2B and 3B for its last two additions: it is within (s + 10) u
+    B of A* - B*.  So, to first order and with the rest under 2**-30 of it,
+    |delta - (after - before)| <= (3n + 14) u B = bound - (n + 50) u B.  An
+    accepted delta gives after - before < -GATE_MARGIN - (n + 49) u B, and
+    the float before - GATE_MARGIN is within u B of the real one: after <
+    before - GATE_MARGIN.
     """
     twin = graph.find(kind)
-    delta = _gate_delta(graph, kind, len(index), len(firsts), twin)
-    if abs(delta + GATE_MARGIN) > FALLBACK_BAND:
-        if not delta < -GATE_MARGIN:
-            return False, None
-        cid = graph.add(kind) if twin is None else twin
-    else:
-        before = description_dl(graph, tuple(index))
-        cid = graph.add(kind) if twin is None else twin
-        if not description_dl(graph, index.rewritten(firsts, span, cid)) < before - GATE_MARGIN:
-            if twin is None:
-                graph.pop_last()
-            return False, None
+    delta, bound = _gate_delta(graph, kind, len(index), len(firsts), twin, index.blob_bits)
+    if not delta < -(GATE_MARGIN + bound):
+        return False, None
+    cid = graph.add(kind) if twin is None else twin
     index.rewrite(firsts, span, cid)
     return True, cid
 
@@ -459,15 +469,18 @@ class _PairIndex:
     mark the runs.  A heap orders the candidate digrams (distinct pairs whose
     episode count plus stored count, `graph.assoc_counts`, reaches the
     threshold) by (-combined count, first position, pair), with stale
-    entries skipped.  Iterating yields the current nodes.
+    entries skipped.  Iterating yields the current nodes; no rewrite
+    changes `blob_bits`, what the blobs cost beside their escapes.
     """
 
     __slots__ = ("node", "nxt", "prv", "size", "at",
-                 "stored", "threshold", "heap", "live", "aside")
+                 "stored", "threshold", "heap", "live", "aside", "blob_bits")
 
-    def __init__(self, nodes: Sequence[Node], stored: dict, threshold: int):
+    def __init__(self, nodes: Sequence[Node], stored: dict, threshold: int, sigma_bits: float):
         n = len(nodes)
         self.node = node = list(nodes)
+        self.blob_bits = sum(gamma_len(len(b)) + len(b) * sigma_bits
+                             for b in node if type(b) is tuple)
         self.nxt = list(range(1, n + 1))
         self.prv = list(range(-1, n - 1))
         if n:
@@ -581,20 +594,6 @@ class _PairIndex:
         for pair in touched:
             self._rekey(pair)
 
-    def rewritten(self, firsts: Collection[int], span: int, cid: int) -> tuple[Node, ...]:
-        """The nodes `rewrite(firsts, span, cid)` would leave, without applying it."""
-        starts, out = set(firsts), []
-        node, nxt, i = self.node, self.nxt, 0 if self.size else -1
-        while i >= 0:
-            if i in starts:
-                out.append(cid)
-                for _ in range(span):
-                    i = nxt[i]
-            else:
-                out.append(node[i])
-                i = nxt[i]
-        return tuple(out)
-
 
 def _number_template_id(graph: ConceptGraph, k: int) -> Optional[int]:
     return graph.find(Template((Hole(0),) * k))
@@ -623,7 +622,7 @@ def _steps(graph: ConceptGraph, index: _PairIndex):
             yield Apply(num_tpl, (concept,)), firsts, length, False
 
 
-def induce_repeats(graph: ConceptGraph, desc: Description) -> tuple[Description, list[int]]:
+def induce_repeats(graph: ConceptGraph, desc: Description) -> Description:
     """Grow concepts from within-episode repetition and rewrite the episode.
 
     Take the first of `_steps` that pays (`_gated_add`; ungated steps
@@ -633,8 +632,8 @@ def induce_repeats(graph: ConceptGraph, desc: Description) -> tuple[Description,
     episode lives in a `_PairIndex`, so a scan after a step reads the
     pairs it changed instead of the whole episode.
     """
-    before = len(graph)
-    index = _PairIndex(desc, graph.assoc_counts, graph.config.repeat_threshold)
+    index = _PairIndex(desc, graph.assoc_counts, graph.config.repeat_threshold,
+                       math.log2(len(graph.alphabet)))
     while True:
         for kind, firsts, span, gated in _steps(graph, index):
             if not gated:
@@ -645,7 +644,7 @@ def induce_repeats(graph: ConceptGraph, desc: Description) -> tuple[Description,
         else:
             break  # no step paid
     _generalize_numbers(graph)
-    return tuple(index), list(range(before, len(graph)))
+    return tuple(index)
 
 
 def _generalize_numbers(graph: ConceptGraph) -> None:
@@ -829,7 +828,7 @@ def ingest(graph: ConceptGraph, tokens: Sequence[Token], cuts: Sequence[int] = (
     first_pass = tuple(nodes)
 
     pre_count = len(graph)
-    desc, _ = induce_repeats(graph, _resegment_blobs(graph, first_pass, context))
+    desc = induce_repeats(graph, _resegment_blobs(graph, first_pass, context))
     if desc != first_pass and description_dl(graph, first_pass) < description_dl(graph, desc):
         desc = first_pass
     abstract_common(graph)
