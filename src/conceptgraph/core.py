@@ -211,10 +211,14 @@ class ConceptGraph:
     per alphabet symbol, then pleasure and pain) lead every graph: a fresh
     one makes them, and rows given to the constructor (a load) must start
     with them.  One row derivation (`_enter`) keeps the dedup table, the
-    expansions (the parseable set, in id order), the codeable count and
-    weight (the code denominator) and the kind facts that induction reads,
-    for each row the constructor is given and each row `add` appends;
-    `pop_last` undoes it and `replace_kind` moves a row between kinds.  The
+    expansions (the parseable set, in id order), the row lists that
+    `tick_weights` walks (the rows that decay, all but the affect
+    primitives, and the codeable rows, each in id order), the code mass
+    (the codeable weights, which with the codeable count make the code
+    denominator) and the kind facts that induction reads, for each row the
+    constructor is given and each row `add` appends; `pop_last` undoes it
+    and `replace_kind` moves a row between kinds.  A rewrite goes from one
+    parseable kind to another, so it never changes a row's lists.  The
     kind facts are the concat buckets, (length, position, head, tail) ->
     {concat id: its child at the position}, with the buckets a concat joined
     since `abstract_common` last took them (every bucket, in a graph just
@@ -262,8 +266,12 @@ class ConceptGraph:
         self.deep_chains: set[int] = set()
         # run-length observations feeding number generalization: k -> child ids
         self.run_observations: dict[int, set[int]] = {}
-        # the derived tables: kind -> first id, parseable id -> expansion, code mass
-        self._dedup, self._expansions, self._codeable_count, self._codeable_weight = {}, {}, 0, 0.0
+        # the derived tables: kind -> first id, parseable id -> expansion, the
+        # rows that decay and the codeable rows (the graph's own, in id order)
+        # and the code mass
+        self._dedup, self._expansions, self._codeable_weight = {}, {}, 0.0
+        self._decaying_rows: list[Concept] = []
+        self._codeable_rows: list[Concept] = []
         # the kind facts: concat buckets, the buckets joined since `abstract_common`
         # took them, count -> Repeat children, and the number of Associations
         self.concat_buckets: dict[tuple, dict[int, int]] = {}
@@ -309,7 +317,7 @@ class ConceptGraph:
         return self.concepts[cid]
 
     def codeable_count(self) -> int:
-        return self._codeable_count
+        return len(self._codeable_rows)
 
     def codeable_weight(self) -> float:
         return self._codeable_weight
@@ -435,8 +443,8 @@ class ConceptGraph:
     def _enter(self, cid: int, concept: Concept) -> None:
         """The one row derivation: check the row at `cid` (else raise before any
         table changes) and enter it in the dedup table, where a repeated kind
-        keeps its first id, the expansion table, the kind facts and the code
-        mass."""
+        keeps its first id, the expansion table, the kind facts, the row lists
+        and the code mass."""
         if type(concept) is not Concept:
             raise ValueError(f"row {cid} is not a Concept: {concept!r}")
         _check_number(concept.weight)
@@ -446,8 +454,10 @@ class ConceptGraph:
             self._expansions[cid] = self._expand(kind)
         self._dedup.setdefault(kind, cid)
         self._enter_kind(cid, kind)
+        if not isinstance(kind, AffectPrimitive):  # an affect weight is unused and never decays
+            self._decaying_rows.append(concept)
         if isinstance(kind, _CODEABLE):
-            self._codeable_count += 1
+            self._codeable_rows.append(concept)
             self._codeable_weight += concept.weight
 
     def _enter_kind(self, cid: int, kind: Kind) -> None:
@@ -501,8 +511,10 @@ class ConceptGraph:
             del self._dedup[concept.kind]
         self._leave_kind(cid, concept.kind)
         self._expansions.pop(cid, None)
+        if not isinstance(concept.kind, AffectPrimitive):
+            self._decaying_rows.pop()
         if isinstance(concept.kind, _CODEABLE):
-            self._codeable_count -= 1
+            self._codeable_rows.pop()
             self._codeable_weight = self._code_mass()
 
     def replace_kind(self, cid: int, kind: Kind) -> None:
@@ -551,14 +563,15 @@ class ConceptGraph:
     # weight dynamics
 
     def _code_mass(self) -> float:
-        """The codeable weights summed in id order, as `_enter` adds them up:
-        the code mass, bit for bit.  A running total that subtracted weights
-        could lose small ones to rounding, and a reference would then cost
-        less than 0 bits and a reload would code differently."""
+        """The codeable weights summed one by one over the codeable rows, in
+        id order, as `_enter` adds them up: the code mass, bit for bit.  A
+        running total that subtracted weights could lose small ones to
+        rounding, and a reference would then cost less than 0 bits and a
+        reload would code differently.  The sum is a plain loop: `sum()` is
+        compensated from CPython 3.12, so its bits would differ by version."""
         total = 0.0
-        for concept in self.concepts:
-            if isinstance(concept.kind, _CODEABLE):
-                total += concept.weight
+        for concept in self._codeable_rows:
+            total += concept.weight
         return total
 
     def set_weight(self, cid: int, weight: float) -> None:
@@ -572,24 +585,22 @@ class ConceptGraph:
     def tick_weights(self, used: Iterable[int]) -> None:
         """Decay every weight geometrically, then reward the used concepts.
 
-        Affect primitives are exempt from decay (their weight is unused).
-        Every used id is checked before any weight changes.  One pass in id
-        order decays, rewards and adds each codeable weight to the code
-        mass, as `_code_mass` would sum it afterwards.
+        Affect primitives are exempt from decay and reward (their weight is
+        unused).  Every used id is checked before any weight changes, and a
+        repeated id is rewarded once.  Three tight passes over the graph's row
+        lists follow: each decaying row's weight times `decay`, then `+ 1.0`
+        on each used row that decays, then the code mass as `_code_mass`
+        sums it.  A row's new weight is (w * decay) + 1.0 either way, so the
+        bits are those of one pass that decays and rewards row by row.
         """
         rewarded = {cid: self.concept(cid) for cid in used}  # raises UnknownConcept
         gamma = self.config.decay
-        mass = 0.0
-        for cid, concept in enumerate(self.concepts):
-            codeable = isinstance(concept.kind, _CODEABLE)
-            if codeable or not isinstance(concept.kind, AffectPrimitive):
-                weight = concept.weight * gamma
-                if cid in rewarded:
-                    weight += 1.0
-                concept.weight = weight
-                if codeable:
-                    mass += weight
-        self._codeable_weight = mass
+        for concept in self._decaying_rows:
+            concept.weight *= gamma
+        for concept in rewarded.values():
+            if not isinstance(concept.kind, AffectPrimitive):
+                concept.weight += 1.0
+        self._codeable_weight = self._code_mass()
 
     # ------------------------------------------------------------------
     # valence

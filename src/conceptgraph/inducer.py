@@ -39,8 +39,11 @@ are kind facts that the graph derives with each row it takes in
 parse context (`_KEPT`).  The rest of an episode's upkeep also pays for
 what changed: the context ranks weights only when the graph has more
 parseable concepts than the pool, the reward walk reads each row's
-references from its kind, and forgetting visits only the chains of two or
-more levels, which the graph keeps (`deep_chains`).
+references from its kind, the weight tick walks the row lists the graph
+keeps (the rows that decay, then the used ones, then the codeable rows
+for the code mass) without testing a row's kind, `description_dl` prices
+a ref straight from the expansion table, and forgetting visits only the
+chains of two or more levels, which the graph keeps (`deep_chains`).
 
 Descriptions are the plain tuples of nodes that `core` defines (a
 reference is the concept id it names, a blob the tuple of raw tokens it
@@ -75,6 +78,7 @@ from .core import (
     Token,
     _check_number,
     kind_references,
+    node_tokens,
     reconstruct,
 )
 from .errors import TooLarge, UnknownEpisode
@@ -479,8 +483,11 @@ class _PairIndex:
     def __init__(self, nodes: Sequence[Node], stored: dict, threshold: int, sigma_bits: float):
         n = len(nodes)
         self.node = node = list(nodes)
-        self.blob_bits = sum(gamma_len(len(b)) + len(b) * sigma_bits
-                             for b in node if type(b) is tuple)
+        blob_bits = 0.0  # added left to right, as `description_dl` adds its terms
+        for b in node:
+            if type(b) is tuple:
+                blob_bits += gamma_len(len(b)) + len(b) * sigma_bits
+        self.blob_bits = blob_bits
         self.nxt = list(range(1, n + 1))
         self.prv = list(range(-1, n - 1))
         if n:
@@ -694,24 +701,20 @@ def abstract_common(graph: ConceptGraph) -> list[int]:
             graph.replace_kind(cid, Apply(tpl, (differ,)))
 
 
-def record_associations(graph: ConceptGraph, desc: Description) -> list[tuple[int, int]]:
+def record_associations(graph: ConceptGraph, desc: Description) -> None:
     """Count adjacent ref pairs, as a load recounts a stored level 0; reify an
     Association at the threshold, and add the generic follows marker once
     enough distinct associations exist.  A description that breaks the node
     rule raises `InvalidDescription` before anything is counted."""
-    reconstruct(graph, desc)  # holds every node to the rule
+    for node in desc:
+        node_tokens(graph, node)  # holds every node to the rule
     cfg = graph.config
-    reified: list[tuple[int, int]] = []
     for pair, count in graph.count_pairs(desc):
         if count == cfg.assoc_threshold:
-            before = len(graph)
             graph.add(Association(*pair))
-            if len(graph) > before:
-                reified.append(pair)
     if (graph.follows_marker_id is None
             and cfg.generalize_threshold <= graph.association_count):
         graph.add(FOLLOWS)
-    return reified
 
 
 # ----------------------------------------------------------------------

@@ -66,16 +66,21 @@ def description_dl(graph: ConceptGraph, desc: Description) -> float:
     """Bits for one description: node-count header plus per-node costs.
 
     Referenced concept definitions are not recounted here; they live in
-    model_dl (two-part code).  Each node is held to `core.node_tokens`'s rule.
+    model_dl (two-part code).  Each node is held to `core.node_tokens`'s
+    rule: a ref to a parseable concept is priced straight from the
+    expansion table, and any other node goes through `node_tokens`, which
+    passes a blob and raises `InvalidDescription` for the rest.  The node
+    costs are added one by one, left to right.
     """
     total = float(gamma_len(len(desc) + 1))
     sigma_bits = math.log2(len(graph.alphabet))
     log_d = math.log2(_denominator(graph))
+    table, concepts = graph.expansion_table(), graph.concepts
     for node in desc:
-        node_tokens(graph, node)  # raises InvalidDescription
-        if type(node) is int:
-            total += log_d - math.log2(graph.concepts[node].weight + 1.0)
+        if type(node) is int and node in table:
+            total += log_d - math.log2(concepts[node].weight + 1.0)
         else:
+            node_tokens(graph, node)  # a blob, else InvalidDescription
             total += log_d + gamma_len(len(node)) + len(node) * sigma_bits
     return total
 

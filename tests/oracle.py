@@ -1,14 +1,16 @@
 """The test oracles: the reference code's per-concept costs and its Kraft sum,
-the attention of a description, and the exhaustive tiny-scale MDL oracle that
-acceptance 02 scores the engine against.  Each is computed from what the
-engine itself uses: `mdl.escape_cost`, the weights and the expansion table.
-Beside them, the level of each function in the synthesizer's ensemble."""
+description bits node by node, the attention of a description, and the
+exhaustive tiny-scale MDL oracle that acceptance 02 scores the engine
+against.  Each is computed from what the engine itself uses:
+`mdl.escape_cost`, the weights and the expansion table.  Beside them, the
+level of each function in the synthesizer's ensemble."""
 
 import functools
 import math
 from typing import Optional, Sequence
 
-from conceptgraph.core import Concat, ConceptGraph, Description, Template, Token, reconstruct
+from conceptgraph.core import (Concat, ConceptGraph, Description, Template, Token, node_tokens,
+                               reconstruct)
 from conceptgraph.errors import ReconstructionMismatch, TooLarge, UnknownConcept
 from conceptgraph.mdl import description_dl, escape_cost, gamma_len, model_dl, raw_dl
 
@@ -40,6 +42,22 @@ def kraft_sum(graph: ConceptGraph) -> float:
     for cid in range(len(graph)):
         if is_codeable(graph, cid):
             total += 2.0 ** -ref_cost(graph, cid)
+    return total
+
+
+def per_node_description_dl(graph: ConceptGraph, desc: Description) -> float:
+    """`mdl.description_dl` as a loop that holds every node to
+    `core.node_tokens`'s rule before pricing it: the header, then each
+    node's bits added left to right."""
+    total = float(gamma_len(len(desc) + 1))
+    sigma_bits = math.log2(len(graph.alphabet))
+    log_d = escape_cost(graph)
+    for node in desc:
+        node_tokens(graph, node)  # raises InvalidDescription
+        if type(node) is int:
+            total += log_d - math.log2(graph.concepts[node].weight + 1.0)
+        else:
+            total += log_d + gamma_len(len(node)) + len(node) * sigma_bits
     return total
 
 

@@ -559,7 +559,9 @@ def test_the_code_mass_is_the_sum_a_reload_derives(data):
     """After every `add`, `set_weight` (0 to 1e300), `pop_last` or
     `tick_weights`, the code mass is the id-order sum of the codeable
     weights, bit for bit, and a reload derives the same; so no parse
-    candidate's reference costs less than 0 bits."""
+    candidate's reference costs less than 0 bits.  The row lists the tick
+    and the sum walk hold the graph's own rows, as the constructor derives
+    them."""
     g = fresh("ab")
     weights = st.one_of(st.sampled_from([0.0, 1.0, 5.0, 1e20, 1e300]), st.floats(0, 1e300))
     for _ in range(data.draw(st.integers(1, 25))):
@@ -576,6 +578,7 @@ def test_the_code_mass_is_the_sum_a_reload_derives(data):
         else:
             g.tick_weights(data.draw(st.sets(st.sampled_from(ids), max_size=3)))
         assert g.codeable_weight() == id_order_sum(g)
+        assert same_rows(row_lists(g), derived_tables(g)[5])
         assert graph_from_json(json.loads(dumps(g))).codeable_weight() == g.codeable_weight()
         assert all(bits >= 0 for _, _, bits in _ParseContext(g, 1, 128).entries)
 
@@ -595,12 +598,13 @@ def two_pass_tick(g, used):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_the_one_pass_tick_matches_the_two_pass_tick(data):
+def test_the_row_list_tick_matches_the_two_pass_tick(data):
     """Over graphs with concats, repeats, associations, the follows marker
     and the affect primitives, any weights and decays, and used lists with
-    repeated ids and affect primitives, the one-pass `tick_weights` leaves
-    every weight and the code mass equal to the two-pass reference's, bit
-    for bit."""
+    repeated ids and affect primitives, `tick_weights`' passes over the
+    graph's row lists leave every weight and the code mass equal to the
+    reference's, which decays and rewards over a scan of every row, bit for
+    bit."""
     decay = data.draw(st.sampled_from([0.9, 0.5, 1.0, 0.999, 1e-3]))
     pair = [fresh("abc", decay=decay) for _ in range(2)]
     for _ in range(data.draw(st.integers(0, 6))):
@@ -683,11 +687,25 @@ def test_the_expansion_table_is_the_parseable_set_in_id_order():
 
 def derived_tables(g):
     """The dedup table, the expansion table (in order), the codeable count,
-    the code mass and the kind facts that the constructor derives from
-    copies of the rows."""
+    the code mass, the kind facts and the row lists (the rows that decay,
+    the codeable rows) that the constructor derives from copies of the rows;
+    each row list as `g`'s own rows at the ids its copies hold."""
     built = ConceptGraph(g.alphabet, g.config, rows_of(g))
+    position = {id(row): cid for cid, row in enumerate(built.concepts)}
+    lists = tuple([g.concepts[position[id(row)]] for row in rows]
+                  for rows in row_lists(built))
     return (built._dedup, list(built._expansions.items()), built.codeable_count(),
-            built.codeable_weight(), kind_facts(built))
+            built.codeable_weight(), kind_facts(built), lists)
+
+
+def row_lists(g):
+    """The rows that decay and the codeable rows, as the graph keeps them."""
+    return g._decaying_rows, g._codeable_rows
+
+
+def same_rows(got, want):
+    """Whether two tuples of row lists hold the same row objects in the same order."""
+    return [list(map(id, rows)) for rows in got] == [list(map(id, rows)) for rows in want]
 
 
 def kind_facts(g):
@@ -734,7 +752,8 @@ def test_every_step_keeps_the_tables_the_constructor_derives(data):
     graph, the dedup table, the expansion table, the codeable count and the
     kind facts equal those the constructor derives from copies of the rows
     (a bucket's members in any order), and so does the code mass, bit for
-    bit."""
+    bit; the row lists that `tick_weights` walks hold the graph's own rows
+    at the ids the constructor puts in them."""
     g = ConceptGraph("abc", Config(generalize_threshold=2))
     for episode in data.draw(st.lists(st.text("abc", max_size=40), max_size=6)):
         ingest(g, episode)
@@ -759,12 +778,13 @@ def test_every_step_keeps_the_tables_the_constructor_derives(data):
                 g.add(kind) if step == "add" else g.replace_kind(cid, kind)
             except GraphError:
                 pass
-        dedup, expansions, count, weight, facts = derived_tables(g)
+        dedup, expansions, count, weight, facts, lists = derived_tables(g)
         assert g._dedup == dedup
         assert kind_facts(g) == facts
         assert list(g._expansions.items()) == expansions
         assert g.codeable_count() == count
         assert g.codeable_weight() == weight
+        assert same_rows(row_lists(g), lists)
 
 
 def test_a_rewrite_keeps_the_first_id_of_a_repeated_kind():

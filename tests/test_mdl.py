@@ -3,14 +3,14 @@ import random
 
 import pytest
 
-from conceptgraph.core import Concat, ConceptGraph, Repeat
+from conceptgraph.core import Association, Concat, ConceptGraph, Hole, Repeat, SlotRef, Template
 from conceptgraph.errors import (
     InvalidDescription,
     NonPositive,
     ReconstructionMismatch,
     UnknownConcept,
 )
-from conceptgraph.inducer import ingest, parse
+from conceptgraph.inducer import ingest, parse, refine
 from conceptgraph.mdl import (
     DLReport,
     description_dl,
@@ -20,7 +20,7 @@ from conceptgraph.mdl import (
     raw_dl,
 )
 from conceptgraph.storage import _desc_from_json
-from oracle import attention, kraft_sum, ref_cost
+from oracle import attention, kraft_sum, per_node_description_dl, ref_cost
 from test_storage import BAD_NODES
 
 
@@ -108,6 +108,35 @@ def test_description_dl_rejects_bad_nodes():
     for node in BAD_NODES:
         with pytest.raises(InvalidDescription):
             description_dl(g, _desc_from_json([node]))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_description_dl_matches_the_per_node_reference(seed):
+    """On ingested graphs, `description_dl` gives the reference's bits, bit
+    for bit, for every stored level, for each episode's parse and for a mix
+    of refs and blobs; and both raise `InvalidDescription` for a bool, ids
+    out of range, a template, an association and malformed blobs."""
+    rng = random.Random(seed)
+    g = ConceptGraph("abc")
+    episodes = ["".join(rng.choice("abc") for _ in range(rng.randint(0, 30)))
+                for _ in range(25)]
+    for text in episodes:
+        ingest(g, text)
+    for episode_id in range(0, len(episodes), 5):
+        refine(g, episode_id)
+    descs = [d for chain in g.refinement_store.values() for d in chain]
+    descs += [parse(g, text) for text in episodes]
+    refs = g.parseable_ids()
+    descs += [tuple(rng.choice(refs) if rng.random() < 0.7 else tuple(rng.choices("abc", k=3))
+                    for _ in range(rng.randint(0, 12))) for _ in range(20)]
+    for desc in descs:
+        assert description_dl(g, desc).hex() == per_node_description_dl(g, desc).hex()
+    template = g.add(Template((SlotRef(0), Hole(0))))
+    association = g.add(Association(0, 1))
+    for bad in (True, -1, len(g), template, association, (), ("z",), ["a"]):
+        for dl in (description_dl, per_node_description_dl):
+            with pytest.raises(InvalidDescription):
+                dl(g, (0, ("a",), bad, 1))
 
 
 def test_model_dl_fresh_graph_is_zero():

@@ -80,6 +80,57 @@ def test_invalid_description_is_raised_at_one_site():
     assert len(sites) == 1 and sites[0].startswith("core:"), sites
 
 
+# The code-mass facts `ConceptGraph` derives from its rows, and the methods
+# that write them (`_enter` and the constructor, `pop_last` undoing it, the
+# two weight writers) or only read them.  The codeable count is the length of
+# the codeable rows: a counter beside the list would be a second writer.
+DERIVED_ROW_FACTS = {"_codeable_weight", "_codeable_count", "_decaying_rows", "_codeable_rows"}
+ROW_FACT_WRITERS = {"ConceptGraph." + name for name in
+                    ("__init__", "_enter", "pop_last", "set_weight", "tick_weights")}
+ROW_FACT_READERS = {"ConceptGraph." + name for name in
+                    ("codeable_count", "codeable_weight", "_code_mass")}
+
+
+def row_fact_uses(tree):
+    """(enclosing class.function, line, whether it writes) for each mention of
+    a derived row fact: an assignment, `del` or augmented assignment of the
+    attribute or an item of it, or a method call on it, is a write."""
+    parents, found = {}, []
+    for node in ast.walk(tree):
+        for child in ast.iter_child_nodes(node):
+            parents[child] = node
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and node.attr in DERIVED_ROW_FACTS):
+            continue
+        up = parents.get(node)
+        writes = (isinstance(node.ctx, (ast.Store, ast.Del))
+                  or isinstance(up, ast.Subscript) and isinstance(up.ctx, (ast.Store, ast.Del))
+                  or isinstance(up, ast.Attribute) and isinstance(parents.get(up), ast.Call)
+                  and parents[up].func is up)
+        names, at = [], node
+        while at in parents:
+            at = parents[at]
+            if isinstance(at, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.append(at.name)
+        found.append((".".join(reversed(names)), node.lineno, writes))
+    return found
+
+
+def test_each_derived_row_fact_has_its_writers():
+    """The code mass and the row lists that `tick_weights` walks have one
+    derivation: no package code outside the constructor, `_enter`,
+    `pop_last`, `set_weight` and `tick_weights` assigns or mutates them, and
+    only the accessors and `_code_mass` read them besides."""
+    stray = []
+    for module in sorted(MODULES):
+        for where, line, writes in row_fact_uses(module_tree(module)):
+            if where not in ROW_FACT_WRITERS and (writes or where not in ROW_FACT_READERS):
+                stray.append(f"{module}:{line} {where}")
+    assert stray == []
+    uses = row_fact_uses(module_tree("core"))
+    assert {where for where, _, writes in uses if writes} == ROW_FACT_WRITERS
+
+
 def test_the_finite_number_rule_has_one_home():
     """Finite and non-negative is `core._check_number`'s rule: no other
     module restates it with `math.isnan`, `isinf`, `isfinite` or `inf`."""
