@@ -18,6 +18,8 @@ from .fnsynth import learn_all, library_to_lines, parse_examples_text
 from .inducer import contrast_cuts, ingest, parse, refine
 from .mdl import DLReport, description_dl, model_dl, raw_dl
 
+THETA_C = 1.0  # `ingest --scalar`'s contrast threshold when `--theta-c` is not given
+
 
 class UsageError(Exception):
     pass
@@ -43,8 +45,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--scalar", action="store_true",
                    help="input lines are whitespace-separated integer levels")
-    p.add_argument("--theta-c", type=float, default=None,
-                   help="contrast threshold for scalar segmentation")
+    p.add_argument("--theta-c", type=float, default=None,  # `main` refuses it without --scalar
+                   help=f"contrast threshold for scalar segmentation (default {THETA_C})")
 
     p = sub.add_parser("parse", parents=[graph], help="parse the first input line without mutating")
     p.add_argument("--input", required=True)
@@ -97,7 +99,7 @@ def _cmd_init(args) -> int:
 
 def _cmd_ingest(args) -> int:
     graph = storage.load(args.graph)
-    theta = graph.config.contrast_threshold if args.theta_c is None else args.theta_c
+    theta = THETA_C if args.theta_c is None else args.theta_c
     for line in _read_text(args.input).splitlines():
         if args.scalar:
             levels = [int(v) for v in line.split()]

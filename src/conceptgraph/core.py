@@ -147,10 +147,8 @@ _PARSEABLE = (Primitive, Concat, Repeat, Apply)
 class Config:
     """Engine thresholds, frozen for a graph's life; desk-scale defaults."""
 
-    contrast_threshold: float = 1.0
     repeat_threshold: int = 2
     decay: float = 0.9
-    fast_path_threshold: float = 8.0
     assoc_threshold: int = 3
     generalize_threshold: int = 3
     valence_decay: float = 0.5

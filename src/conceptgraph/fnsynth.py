@@ -504,6 +504,20 @@ def _check_caps(**caps: int) -> None:
             raise ValueError(f"{name} must be an int, not {cap!r}")
 
 
+def _check_examples(examples: Sequence[FunctionExample]) -> None:
+    """`synthesize`'s example rule, which `learn_all` checks for every set first."""
+    if type(examples) not in (list, tuple) or any(
+            type(ex) is not FunctionExample for ex in examples):
+        raise ValueError("examples must be a list or tuple of FunctionExamples")
+    if not examples:
+        raise ArityMismatch("need at least one example")
+    arity = len(examples[0].inputs)
+    if any(len(ex.inputs) != arity for ex in examples):
+        raise ArityMismatch("inconsistent example arity")
+    if any(type(v) is not int for ex in examples for v in (*ex.inputs, ex.output)):
+        raise ValueError("example inputs and outputs must be integers")
+
+
 def synthesize(examples: Sequence[FunctionExample], library: Library,
                size_cap: int = DEFAULT_SIZE_CAP,
                iter_cap: int = DEFAULT_ITER_CAP,
@@ -512,20 +526,12 @@ def synthesize(examples: Sequence[FunctionExample], library: Library,
 
     Overflow and iteration-cap breaches count as inconsistency, not errors.
     The search stops at the first kept term whose vector equals the outputs.
-    An example that is not a `FunctionExample`, or an input, output or cap
-    that is not an `int` (a float, a bool, a string) is a ValueError; a
-    `size_cap` below 1 finds nothing.
+    Examples that are not a list or tuple of `FunctionExample`s, or an
+    input, output or cap that is not an `int` (a float, a bool, a string),
+    are a ValueError; a `size_cap` below 1 finds nothing.
     """
     _check_caps(size_cap=size_cap, iter_cap=iter_cap, value_cap=value_cap)
-    if not examples:
-        raise ArityMismatch("need at least one example")
-    if any(type(ex) is not FunctionExample for ex in examples):
-        raise ValueError("examples must be FunctionExamples")
-    arity = len(examples[0].inputs)
-    if any(len(ex.inputs) != arity for ex in examples):
-        raise ArityMismatch("inconsistent example arity")
-    if any(type(v) is not int for ex in examples for v in (*ex.inputs, ex.output)):
-        raise ValueError("example inputs and outputs must be integers")
+    _check_examples(examples)
     target = tuple(ex.output for ex in examples)
     enum = _Enumerator(_Evaluator(library, iter_cap, value_cap),
                        [ex.inputs for ex in examples])
@@ -554,9 +560,9 @@ def learn_all(example_sets: Sequence[tuple[str, Sequence[FunctionExample]]],
     after the library has grown (the search is deterministic, so an
     unchanged library would repeat the same failure).  Input that is not a
     list or tuple of (label, examples) pairs, a label that breaks the label
-    rule (`_label_fits`), is given twice or is already known, a set that is
-    not a list or tuple of `FunctionExample`s or a cap that is not an `int`
-    is a ValueError, raised before any search.
+    rule (`_label_fits`), is given twice or is already known, or a cap that
+    is not an `int` is a ValueError, and a set that `synthesize` would
+    refuse (`_check_examples`) raises as it would, all before any search.
     """
     _check_caps(size_cap=size_cap, iter_cap=iter_cap, value_cap=value_cap)
     if type(example_sets) not in (list, tuple) or not all(
@@ -569,9 +575,7 @@ def learn_all(example_sets: Sequence[tuple[str, Sequence[FunctionExample]]],
             raise ValueError(f"label {label!r} cannot name a library entry")
         if label in labels[:i] or label in library:
             raise ValueError(f"function {label!r} already defined")
-        if type(examples) not in (list, tuple) or not all(
-                type(ex) is FunctionExample for ex in examples):
-            raise ValueError(f"{label!r} needs a list or tuple of FunctionExamples")
+        _check_examples(examples)
     sets = dict(example_sets)
     unsolved = list(labels)
     attempted_at: dict[str, int] = {}

@@ -155,33 +155,29 @@ class _ParseContext:
     A context fixes the search effort too: the `beam` of states `parse`
     keeps per position and the `pool` of candidates by weight.  Level n's
     (`at_level`) are the config's bases doubled n times, up to
-    `MAX_BUDGET_LEVEL`.  The candidates are the top-pool concepts by
-    weight plus the fast-path set, each with its mutable [id, length,
-    reference bits] entry.  Their expansions are merged into a token trie
-    whose nodes list the entries ending there (the same lists as
-    `entries`), so a lookup walks only as far as the longest match and
-    builds nothing but its result.  Weights are constant between ticks, so
-    one context serves every parse call an ingest makes (segments plus
-    blob residue).
+    `MAX_BUDGET_LEVEL`.  The candidates are every parseable concept while
+    they fit the pool, else the top `pool` by (-weight, id), each with its
+    mutable [id, length, reference bits] entry.  Their expansions are
+    merged into a token trie whose nodes list the entries ending there (the
+    same lists as `entries`), so a lookup walks only as far as the longest
+    match and builds nothing but its result.  Weights are constant between
+    ticks, so one context serves every parse call an ingest makes (segments
+    plus blob residue).
 
-    `refresh` moves the context to the graph's current code state.  While
-    the graph has no more parseable concepts than the pool, every one of
-    them is a member and nothing is ranked.  Otherwise it sorts the
-    parseable ids once, heaviest first (a stable reverse sort, so weight
-    ties stay in id order); the fast-path concepts are a prefix of that
-    order, so the members are its first max(pool, fast-path count) ids.
+    `refresh` moves the context to the graph's current code state.  It
+    ranks only when the parseable concepts outnumber the pool, with one
+    stable reverse sort of the ids by weight, so ties stay in id order.
     The member expansions are the graph's own table entries.  The trie
     depends only on the member ids and their expansions, so it is kept when
     both are unchanged and only each entry's bits are rewritten in place;
     the check is a list comparison, which finds an unchanged member's
     stored expansion by identity.  A rebuild makes a node only for a token
-    the trie does not have yet.  `ingest` builds its
-    level-0 context once per graph (the config, so the beam and pool, is
-    fixed for the graph's life), keeps it in `_KEPT` and refreshes it each
-    episode: between episodes the members change only when a node is
-    formed or a weight crosses into the pool or the fast path.  `refine`
-    builds a fresh context at the chain's level per call, and a direct
-    `parse` call one at level 0.
+    the trie does not have yet.  `ingest` builds its level-0 context once
+    per graph (the config, so the beam and pool, is fixed for the graph's
+    life), keeps it in `_KEPT` and refreshes it each episode: between
+    episodes the members change only when a node is formed or a weight
+    crosses into the pool.  `refine` builds a fresh context at the chain's
+    level per call, and a direct `parse` call one at level 0.
 
     The same pass sets `per_token`, the fewest bits any parse step pays per
     token it covers: min(sigma_bits, bits / length over the entries), since
@@ -210,16 +206,11 @@ class _ParseContext:
         the trie only if a member or a member's expansion changed."""
         concepts = graph.concepts
         table = graph.expansion_table()
-        pool = self.pool
-        if len(table) <= pool:  # every parseable concept is a member: nothing to rank
-            members, expansions = list(table), list(table.values())
-        else:
+        members, expansions = list(table), list(table.values())
+        if len(members) > self.pool:  # else every parseable concept is a member: nothing to rank
             weights = [concept.weight for concept in concepts]
             # a stable reverse sort of the ids in id order: weight ties stay in id order
-            ranked = sorted(table, key=weights.__getitem__, reverse=True)
-            hot = bisect_right(ranked, -graph.config.fast_path_threshold,
-                               key=lambda cid: -weights[cid])
-            members = sorted(ranked[:max(pool, hot)])
+            members = sorted(sorted(members, key=weights.__getitem__, reverse=True)[:self.pool])
             expansions = [table[cid] for cid in members]
         if members != self.members or expansions != self.member_expansions:
             self.entries = [[cid, len(e), 0.0] for cid, e in zip(members, expansions)]
@@ -263,12 +254,13 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token], *,
           context: Optional[_ParseContext] = None) -> Description:
     """Minimum-description-length parse of `tokens` against the graph.
 
-    Candidates at each position are the fast-path and top-pool concepts
-    (by weight) whose expansion prefixes the remainder, and a single-token
-    blob.  The all-blob description is always considered.  The beam and
-    pool are the context's, level 0's when none is passed.  Refs come out
-    as concept ids, blobs as token tuples; exact cost ties go to the
-    smallest (0, id) / (1, tokens) signature.
+    Candidates at each position are the context's members (every parseable
+    concept while they fit the pool, else the top `pool` by (-weight, id))
+    whose expansion prefixes the remainder, and a single-token blob.  The
+    all-blob description is always considered; the beam and pool are the
+    context's, level 0's when none is passed.  Refs come out as concept
+    ids, blobs as token tuples; exact cost ties go to the smallest (0, id)
+    / (1, tokens) signature.
 
     The frontier has a slot per position 0..n, which gets a bucket of the
     states reaching it when the first one does; a heap yields the reached
@@ -480,12 +472,14 @@ class _PairIndex:
     __slots__ = ("node", "nxt", "prv", "size", "at",
                  "stored", "threshold", "heap", "live", "aside", "blob_bits")
 
-    def __init__(self, nodes: Sequence[Node], stored: dict, threshold: int, sigma_bits: float):
+    def __init__(self, graph: ConceptGraph, nodes: Sequence[Node], stored: dict, threshold: int):
         n = len(nodes)
         self.node = node = list(nodes)
+        sigma_bits, table = math.log2(len(graph.alphabet)), graph.expansion_table()
         blob_bits = 0.0  # added left to right, as `description_dl` adds its terms
-        for b in node:
-            if type(b) is tuple:
+        for b in node:  # held to core's node rule as `description_dl` holds them
+            if not (type(b) is int and b in table):
+                node_tokens(graph, b)  # a blob, else InvalidDescription before a step
                 blob_bits += gamma_len(len(b)) + len(b) * sigma_bits
         self.blob_bits = blob_bits
         self.nxt = list(range(1, n + 1))
@@ -637,10 +631,10 @@ def induce_repeats(graph: ConceptGraph, desc: Description) -> Description:
     number templates whose runs span enough children.  A rejected step
     adds nothing, so the new ids are those from the old length on.  The
     episode lives in a `_PairIndex`, so a scan after a step reads the
-    pairs it changed instead of the whole episode.
+    pairs it changed instead of the whole episode.  A node that breaks
+    `core`'s rule raises `InvalidDescription` with the graph unchanged.
     """
-    index = _PairIndex(desc, graph.assoc_counts, graph.config.repeat_threshold,
-                       math.log2(len(graph.alphabet)))
+    index = _PairIndex(graph, desc, graph.assoc_counts, graph.config.repeat_threshold)
     while True:
         for kind, firsts, span, gated in _steps(graph, index):
             if not gated:
@@ -784,8 +778,8 @@ def _resegment_blobs(graph: ConceptGraph, desc: Description,
 
 def contrast_cuts(levels: Iterable[int], threshold: float) -> list[int]:
     """The positions where an `int` level jumps from the one before by more
-    than `threshold`, which keeps core's number rule as
-    `Config.contrast_threshold` does: the cuts `ingest` takes."""
+    than `threshold`, which keeps core's number rule: the cuts `ingest`
+    takes."""
     _check_number(threshold, "contrast threshold")
     try:
         levels = tuple(levels)

@@ -12,6 +12,7 @@ from conceptgraph.cli import main
 from conceptgraph.core import (
     MAX_EXPANSION, Apply, Concat, ConceptGraph, Hole, Repeat, SlotRef, Template)
 from conceptgraph.errors import CorruptFile
+from conceptgraph.inducer import ingest
 from conceptgraph.mdl import graph_report
 from conceptgraph.storage import dumps, graph_from_json, import_teach, load
 
@@ -408,7 +409,7 @@ def test_scalar_ingest_and_segment_bytes_are_pinned(tmp_path, capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "3c7ade114102ef829e1ef513d8f2e24518a20478de70c2b2239dd0885369d680")
     assert hashlib.sha256(graph.read_bytes()).hexdigest() == (
-        "00eb05fcf5c8dacb3a52fc53acca128892112eb8692713090b8d44e6b0673539")
+        "11b24167d9bdc5736d53dbba290a69d24490081aae3265e282c2fc60814d1cfd")
 
 
 @pytest.mark.parametrize("theta", ["nan", "inf", "-1"])
@@ -497,6 +498,22 @@ def test_one_process_reuses_the_parser_without_leaking_state(tmp_path, capsys):
         assert call(argv)[1] == out, argv
 
 
+def test_scalar_ingest_without_theta_c_cuts_at_the_documented_default(tmp_path, capsys):
+    """`ingest --scalar` with no `--theta-c` cuts at 1.0, the default its
+    help states: the same stdout and graph bytes as `--theta-c 1`."""
+    data = tmp_path / "s.txt"
+    data.write_text("\n".join(scalar_lines(11, 12)) + "\n")
+    runs = []
+    for name, theta in (("default.cg", []), ("one.cg", ["--theta-c", "1"])):
+        graph = tmp_path / name
+        run(capsys, "init", "--alphabet", "abcdef", "--out", str(graph))
+        code, text, _ = run(capsys, "ingest", "--graph", str(graph), "--input", str(data),
+                            "--scalar", *theta)
+        assert code == 0 and "episode 11:" in text
+        runs.append((text, graph.read_bytes()))
+    assert runs[0] == runs[1]
+
+
 def test_cli_runs_are_byte_deterministic(tmp_path, capsys):
     corpora = tmp_path / "c.txt"
     corpora.write_text("abab\nbaba\nabab\n")
@@ -541,7 +558,7 @@ def test_cli_text_and_bytes_are_pinned(tmp_path, capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "4f0876f7f4079eac65a7e95c3b01a785e59ee8f04a200a7ffbd1fcd8e57aeef3")
     assert hashlib.sha256(data).hexdigest() == (
-        "4b764d131beb3ff60089e57d1e7f176f225d9c5b5a88502c22b9f259d932e0c6")
+        "d87dbc0416412a20ab6546d33ebc131e29699840b4bf286ec3897e30f36a71e5")
 
 
 def test_the_cg2_file_of_the_pinned_session_is_at_most_2940_bytes(tmp_path, capsys):
@@ -552,12 +569,12 @@ def test_the_cg2_file_of_the_pinned_session_is_at_most_2940_bytes(tmp_path, caps
 
 
 def test_a_cg1_file_is_a_version_mismatch(tmp_path):
-    """The reader reads cg4 alone; an older file is refused by its version."""
+    """The reader reads cg5 alone; an older file is refused by its version."""
     graph = tmp_path / "g.cg"
     graph.write_text(json.dumps({"version": "cg1", "alphabet": ["a", "b"], "concepts": [],
                                  "digram_counts": []}))
     proc = run_cli("stats", "--graph", str(graph))
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: expected 'cg4', got 'cg1'\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: expected 'cg5', got 'cg1'\n")
 
 
 # A fresh graph over "ab" as the cg2 saver wrote it: a creation episode in
@@ -578,7 +595,7 @@ def test_a_cg2_file_is_a_version_mismatch(tmp_path):
     graph = tmp_path / "g.cg"
     graph.write_text(CG2_FRESH_AB)
     proc = run_cli("stats", "--graph", str(graph))
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: expected 'cg4', got 'cg2'\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: expected 'cg5', got 'cg2'\n")
     assert graph.read_text() == CG2_FRESH_AB
 
 
@@ -596,16 +613,47 @@ CG3_AB_AFTER_ABAB = (
 
 def test_a_cg3_file_is_a_version_mismatch(tmp_path):
     """A cg3 file is refused by its version, and its bytes are kept; the same
-    graph written as cg4 loads, with the episode, pair counts and raw bits
+    graph written as cg5 loads, with the episode, pair counts and raw bits
     its chains give."""
     graph = tmp_path / "g.cg"
     graph.write_text(CG3_AB_AFTER_ABAB)
     proc = run_cli("stats", "--graph", str(graph))
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: expected 'cg4', got 'cg3'\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: expected 'cg5', got 'cg3'\n")
     assert graph.read_text() == CG3_AB_AFTER_ABAB
     doc = json.loads(CG3_AB_AFTER_ABAB)
     for section in ("episode", "assoc_counts", "raw_bits_total"):
         del doc[section]
-    doc.update(version="cg4", refinements=list(doc["refinements"].values()))
+    for field in CG4_DROPPED:
+        del doc["config"][field]
+    doc.update(version="cg5", refinements=list(doc["refinements"].values()))
     g = graph_from_json(doc)
     assert (g.episode, g.assoc_counts, graph_report(g).raw_bits) == (1, {}, 9.0)
+
+
+# The same graph as the cg4 saver wrote it: its config also held the contrast
+# threshold and the parse fast path's, which the engine never read.
+CG4_AB_AFTER_ABAB = (
+    '{"alphabet":["a","b"],"concepts":[["primitive",1.9,"a"],["primitive",1.9,"b"],'
+    '["affect",1.0,1],["affect",1.0,-1],["concat",1.9,[0,1]],["repeat",1.9,4,2]],'
+    '"config":{"assoc_threshold":3,"beam_base":4,"contrast_threshold":1.0,"decay":0.9,'
+    '"fast_path_threshold":8.0,"generalize_threshold":3,"pool_base":64,"repeat_threshold":2,'
+    '"valence_decay":0.5,"valence_hop_cap":6},"refinements":[[[5]]],'
+    '"run_observations":{"2":[4]},"version":"cg4"}\n')
+CG4_DROPPED = {"contrast_threshold": "1.0", "fast_path_threshold": "8.0"}
+
+
+def test_a_cg4_file_is_a_version_mismatch(tmp_path):
+    """A cg4 file is refused by its version, and its bytes are kept; the cg5
+    file of the same graph is its bytes with the version renamed and the two
+    dropped config entries cut."""
+    graph = tmp_path / "g.cg"
+    graph.write_text(CG4_AB_AFTER_ABAB)
+    proc = run_cli("stats", "--graph", str(graph))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: expected 'cg5', got 'cg4'\n")
+    assert graph.read_text() == CG4_AB_AFTER_ABAB
+    text = CG4_AB_AFTER_ABAB.replace('"version":"cg4"', '"version":"cg5"')
+    for field, value in CG4_DROPPED.items():
+        text = text.replace(f'"{field}":{value},', "")
+    g = ConceptGraph("ab")
+    ingest(g, "abab")
+    assert dumps(g) == text

@@ -244,21 +244,6 @@ def test_affect_weight_exempt_from_decay():
     assert g.concepts[g.pleasure_id].weight == 1.0
 
 
-def test_fast_path_threshold():
-    g = fresh("ab", fast_path_threshold=8.0)
-    c1 = g.add(Concat((0, 1)))
-    c2 = g.add(Concat((1, 0)))
-    g.set_weight(c1, 9.0)
-    g.set_weight(c2, 7.9)
-    assert _ParseContext(g, 1, 0).members == [c1]
-
-
-def test_fast_path_zero_threshold_admits_all_expanding():
-    g = fresh("ab", fast_path_threshold=1e-12)
-    c1 = g.add(Concat((0, 1)))
-    assert _ParseContext(g, 1, 0).members == [0, 1, c1]
-
-
 def test_valence_decay_along_path():
     g = fresh("ab", valence_decay=0.5)
     # pleasure -- assoc -- concept chain
@@ -637,7 +622,7 @@ def test_config_refuses_a_non_integer_for_an_int_field(name, bad):
 
 @pytest.mark.parametrize("name, value", [
     ("decay", 5.0), ("assoc_threshold", 0), ("generalize_threshold", True),
-    ("fast_path_threshold", float("nan")), ("pool_base", 8)])
+    ("valence_decay", float("nan")), ("pool_base", 8)])
 def test_a_config_field_cannot_be_assigned(name, value):
     """A graph's thresholds are fixed for its life: an edit in place would
     skip `Config`'s checks, and a kept index would have to follow it."""

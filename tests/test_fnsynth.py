@@ -178,9 +178,10 @@ def test_synthesize_refuses_a_value_that_is_not_an_int(inputs, output):
 @pytest.mark.parametrize("search", [
     lambda: synthesize([5], Library.initial()),
     lambda: synthesize([FunctionExample("f", (1,), 2), ("f", (2,), 3)], Library.initial()),
-    lambda: learn_all([("f", [5])])])
+    lambda: learn_all([("f", [5])]), lambda: synthesize(iter(RED), Library.initial())])
 def test_an_example_that_is_not_a_function_example_is_refused(search):
-    """Unchecked, each of these raised a bare `AttributeError`."""
+    """Unchecked, each of these raised a bare `AttributeError`, and examples
+    given as an iterator a bare `TypeError`."""
     with pytest.raises(ValueError, match="FunctionExample"):
         search()
 
@@ -208,6 +209,29 @@ def test_learn_all_refuses_a_known_label_or_a_malformed_set_before_searching(mon
     monkeypatch.setattr(fnsynth, "synthesize", no_search)
     with pytest.raises(ValueError, match="already defined|FunctionExamples"):
         learn_all(sets)
+
+
+@pytest.mark.parametrize("sets, error", [
+    ([("f", RED), ("g", [])], ArityMismatch),
+    ([("f", RED), ("g", [FunctionExample("g", (1,), 2), FunctionExample("g", (1, 2), 3)])],
+     ArityMismatch),
+    ([("f", RED), ("g", [FunctionExample("g", (1,), 2.0)])], ValueError),
+    ([("f", RED), ("g", [FunctionExample("g", (True,), 2)])], ValueError)])
+def test_learn_all_holds_every_set_to_the_example_rule_before_searching(monkeypatch, sets,
+                                                                        error):
+    """An empty set, mixed arity or a value that is not an int in a later
+    set is refused as `synthesize` refuses it, before any search.
+    Unchecked, `learn_all` searched `f` first and only then raised."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return synthesize(*args, **kwargs)
+
+    monkeypatch.setattr(fnsynth, "synthesize", spy)
+    with pytest.raises(error):
+        learn_all(sets)
+    assert calls == []
 
 
 @pytest.mark.parametrize("sets", [

@@ -7,7 +7,6 @@ import random
 import subprocess
 import sys
 import weakref
-from bisect import bisect_right
 from functools import partial
 
 import pytest
@@ -272,6 +271,23 @@ def test_record_associations_refuses_a_bad_description(desc):
     assert (graph_to_json(g), g.assoc_counts) == before
 
 
+@pytest.mark.parametrize("desc", [(999, 999), (2, 2), (99,), (3,), (0, 1, 0, 1, 999), (0, (), 1),
+                                  (0, ("z",), 1), (True, True), [0, 1, 0, 1, "a"]], ids=repr)
+def test_induce_repeats_refuses_a_bad_description(desc):
+    """Missing concepts (a run of them, a lone one, one after a digram that
+    pays), the affect primitives, an empty or out-of-alphabet blob and
+    non-int refs raise `InvalidDescription` with the graph unchanged.
+    Unchecked, a run of 999 or of the pleasure primitive was recorded in
+    `run_observations`, so `save` wrote a file `load` refuses, and a lone 99
+    came back as it was."""
+    g = ConceptGraph("ab")
+    ingest(g, "abab")
+    before = dumps(g)
+    with pytest.raises(InvalidDescription):
+        induce_repeats(g, desc)
+    assert dumps(g) == before
+
+
 def test_follows_marker_after_three_distinct_associations():
     g = ConceptGraph("abcdef", Config(assoc_threshold=1, generalize_threshold=3))
     record_associations(g, (0, 1))
@@ -432,7 +448,7 @@ def list_firsts(nodes, kind, positions=None):
 
 def pair_index(g, nodes):
     """A `_PairIndex` over `nodes` with no stored counts and threshold 1."""
-    return _PairIndex(nodes, {}, 1, math.log2(len(g.alphabet)))
+    return _PairIndex(g, nodes, {}, 1)
 
 
 def drawn_step(data, refs):
@@ -1212,9 +1228,7 @@ def test_fast_path_equivalence_sigma16_beyond_the_pool():
     pool_size = g.config.pool_base
     pool = set(sorted(parseable, key=lambda c: (-g.concepts[c].weight, c))[:pool_size])
     assert len(parseable) > pool_size
-    assert hot(g) - pool, "the fast path must add candidates beyond the pool"
-    candidates = hot(g) | pool
-    expansions = [g.expansion(c) for c in candidates]
+    expansions = [g.expansion(c) for c in pool]
     assert len(set(expansions)) < len(expansions), "candidates must share expansions"
     pieces = [g.expansion(c) for c in parseable]
     for _ in range(60):
@@ -1259,14 +1273,14 @@ def test_kept_context_parses_like_a_fresh_one():
     g.set_weight(new, 9.5)
     check()
     assert kept.members == members and kept.trie is not trie
-    # a weight that crosses the fast-path threshold adds a member beyond the pool
+    # a weight that crosses into the pool takes the place of the last member by
+    # (-weight, id)
     members = kept.members
-    for cid in members:
-        g.set_weight(cid, 20.0)
+    last = max(members, key=lambda c: (-g.concepts[c].weight, c))
     outside = next(c for c in g.parseable_ids() if c not in members)
-    g.set_weight(outside, g.config.fast_path_threshold)
+    g.set_weight(outside, max(g.concepts[c].weight for c in members) + 1.0)
     check()
-    assert kept.members == sorted(members + [outside])
+    assert kept.members == sorted(set(members) - {last} | {outside})
 
 
 def test_ingest_with_the_kept_context_cleared_gives_the_same_bytes():
@@ -1345,18 +1359,22 @@ def rebuilding_abstract_common(graph):
     return list(range(before, len(graph)))
 
 
-def hot(graph):
-    """The fast-path set by its definition: parseable ids of weight >= the threshold."""
-    theta = graph.config.fast_path_threshold
-    return {cid for cid in graph.parseable_ids() if graph.concepts[cid].weight >= theta}
+# A weight is below 1 / (1 - decay) = 10, so a concept reaches this one only
+# when it is rewarded in nearly every recent episode.
+HEAVY = 8.0
+
+
+def heavy_ids(graph):
+    """The parseable ids that weigh at least `HEAVY`."""
+    return {cid for cid in graph.parseable_ids() if graph.concepts[cid].weight >= HEAVY}
 
 
 def ranked_members(graph, pool):
-    """The parse members by their definition: the fast-path set plus the
-    top `pool` parseable ids by (-weight, id)."""
+    """The parse members by their definition: every parseable id while they
+    fit the pool, else the top `pool` by (-weight, id)."""
     concepts = graph.concepts
-    top = sorted(graph.parseable_ids(), key=lambda cid: (-concepts[cid].weight, cid))[:pool]
-    return sorted(hot(graph).union(top))
+    ranked = sorted(graph.parseable_ids(), key=lambda cid: (-concepts[cid].weight, cid))
+    return sorted(ranked[:pool])
 
 
 def rescanned_index(graph):
@@ -1467,8 +1485,8 @@ def test_kind_index_matches_the_rescans(data):
 
 class RankingContext(_ParseContext):
     """The reference refresh: every parseable id ranked by a Python key,
-    heaviest first, the fast path found by `bisect_right`, one
-    `graph.expansion` call per member and the trie rebuilt each time."""
+    heaviest first, one `graph.expansion` call per member and the trie
+    rebuilt each time."""
 
     __slots__ = ()
 
@@ -1479,8 +1497,7 @@ class RankingContext(_ParseContext):
             return -concepts[cid].weight
 
         ranked = sorted(graph.parseable_ids(), key=heaviest_first)
-        hot = bisect_right(ranked, -graph.config.fast_path_threshold, key=heaviest_first)
-        self.members = sorted(ranked[:max(self.pool, hot)])
+        self.members = sorted(ranked[:self.pool])
         self.member_expansions = [graph.expansion(cid) for cid in self.members]
         self.entries = [[cid, len(e), 0.0] for cid, e in zip(self.members, self.member_expansions)]
         self.trie = ({}, [])
@@ -1502,8 +1519,7 @@ def context_state(context):
             repr(context.log_d), repr(context.per_token))
 
 
-# tied weights, 0.0 beside -0.0, ints beside floats, and weights at and
-# above the fast-path threshold (8.0)
+# tied weights, 0.0 beside -0.0, and ints beside floats
 RANK_WEIGHTS = [0.0, -0.0, 0, 1, 1.0, 0.5, 2.0 ** -21, 3, 8, 8.0, 9.5, 12]
 
 
@@ -1513,8 +1529,8 @@ def test_refresh_matches_the_ranking_reference(data):
     """A kept context refreshed after each round of weight edits and adds,
     and a fresh one, read the same members, entries, trie, bits and
     `per_token` as the reference refresh, with the pool one below, at and
-    one above the parseable count, or small enough for fast-path concepts
-    beyond it."""
+    one above the parseable count, or small enough that most concepts are
+    left out."""
     sigma = "abc"[:data.draw(st.integers(1, 3))]
     g = ConceptGraph(sigma)
     for _ in range(data.draw(st.integers(0, 10))):
@@ -1523,7 +1539,7 @@ def test_refresh_matches_the_ranking_reference(data):
         g.add(data.draw(st.sampled_from([Concat(children), Repeat(children[0], len(children))])))
     n = len(g.parseable_ids())
     pool = data.draw(st.one_of(st.sampled_from([n - 1, n, n + 1]), st.integers(0, n + 2),
-                               st.integers(0, 2)))  # a small pool: the fast path beyond it
+                               st.integers(0, 2)))  # a small pool: most concepts left out
     pool = max(pool, 0)
     event(f"pool - parseable={min(max(pool - n, -2), 2)}")
     kept = _ParseContext(g, 4, pool)
@@ -1536,32 +1552,25 @@ def test_refresh_matches_the_ranking_reference(data):
         kept.refresh(g)
         want = context_state(RankingContext(g, 4, pool))
         assert context_state(kept) == context_state(_ParseContext(g, 4, pool)) == want
-        top = sorted(g.parseable_ids(), key=lambda c: (-g.concepts[c].weight, c))[:pool]
-        event(f"fast path beyond the pool={bool(hot(g) - set(top))}")
 
 
 def test_a_graph_that_fits_the_pool_is_not_ranked(monkeypatch):
     """With no more parseable concepts than the pool, `refresh` takes them
     all and calls no ranking key; one more concept and it ranks once."""
-    keys, bisects = [], []
+    keys = []
 
     def spy_sorted(items, **kwargs):
         keys.append(kwargs.get("key"))
         return sorted(items, **kwargs)
 
-    def spy_bisect(*args, **kwargs):
-        bisects.append(args)
-        return bisect_right(*args, **kwargs)
-
     g = ConceptGraph("ab")
     ingest(g, "abab" * 4)
     n = len(g.parseable_ids())
     monkeypatch.setattr(inducer, "sorted", spy_sorted, raising=False)
-    monkeypatch.setattr(inducer, "bisect_right", spy_bisect)
     fits = _ParseContext(g, 4, n)
-    assert fits.members == g.parseable_ids() and keys == [] and bisects == []
+    assert fits.members == g.parseable_ids() and keys == []
     ranked = _ParseContext(g, 4, n - 1)
-    assert len(ranked.members) == n - 1 and len(bisects) == 1
+    assert len(ranked.members) == n - 1
     assert len([key for key in keys if key is not None]) == 1
 
 
@@ -1742,14 +1751,14 @@ def test_ingest_graph_bytes_are_pinned():
     for _ in range(60):
         ingest(g, "".join(rng.choice(sigma) for _ in range(rng.randint(0, 256))))
     assert len(g) == 564
-    assert _graph_sha256(g) == "3acc3588e5137efcc3760285d628fa55dcacd82f31550ac3b6e11aa3d7e2280a"
+    assert _graph_sha256(g) == "c2d2960fd47a61e65467306b898abaae92051f77205c15f3188b121d12ebc4a2"
 
     tokens, _ = gen_grammar_corpus(7, 5, 64 * 60, rules_per_level=3)
     g = ConceptGraph(GRAMMAR_ALPHABET)
     for i in range(0, 64 * 60, 64):
         ingest(g, tokens[i:i + 64])
     assert len(g) == 27
-    assert _graph_sha256(g) == "4b7d579ef7c7421e0354693a3aa574747a182182a118e07dafa4a4572e8f1242"
+    assert _graph_sha256(g) == "ae97cfd0642109c4db2a73c2d62f6e90527141701f31655192620cbae3bc7faf"
 
 
 def test_ingest_graph_bytes_survive_python_O(tmp_path):

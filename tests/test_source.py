@@ -131,6 +131,27 @@ def test_each_derived_row_fact_has_its_writers():
     assert {where for where, _, writes in uses if writes} == ROW_FACT_WRITERS
 
 
+# The modules whose code learns: a `Config` field that none of them reads is
+# a knob stored in every graph file that changes nothing the engine does.
+ENGINE_MODULES = ("core", "inducer", "mdl")
+
+
+def test_every_config_field_is_read_by_the_engine():
+    """Each `Config` field is read as an attribute by engine code (`core`
+    outside `Config` itself, `inducer`, `mdl`), not only by `storage`, which
+    writes every field, or by the CLI."""
+    from conceptgraph.core import Config
+    read = set()
+    for module in ENGINE_MODULES:
+        tree = module_tree(module)
+        config = {id(node) for top in tree.body
+                  if isinstance(top, ast.ClassDef) and top.name == "Config"
+                  for node in ast.walk(top)}
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Load) and id(node) not in config}
+    assert sorted(set(Config._fields) - read) == []
+
+
 def test_the_finite_number_rule_has_one_home():
     """Finite and non-negative is `core._check_number`'s rule: no other
     module restates it with `math.isnan`, `isinf`, `isfinite` or `inf`."""

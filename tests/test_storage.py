@@ -232,9 +232,9 @@ def test_load_rejects_non_finite_or_negative_weight(tmp_path, weight):
 # them (`episode`, `assoc_counts`, `raw_bits_total`) is refused, whatever the
 # value.
 @pytest.mark.parametrize("section, field, value", [
-    ("config", "fast_path_threshold", "nan"),
-    ("config", "contrast_threshold", "nan"),
-    ("config", "contrast_threshold", "-1"),
+    ("config", "decay", "nan"),
+    ("config", "valence_decay", "nan"),
+    ("config", "valence_decay", "-1"),
     (None, "raw_bits_total", "nan"),
     (None, "raw_bits_total", "-3"),
     (None, "episode", -5),
@@ -256,18 +256,18 @@ def test_load_rejects_non_finite_or_negative_weight(tmp_path, weight):
     # integer or a string is an edit whose resave would differ
     ("config", "decay", True),
     ("config", "decay", "0.5"),
-    ("config", "fast_path_threshold", 8),
+    ("config", "decay", 1),
     (None, "raw_bits_total", 12),
     (None, "raw_bits_total", "12.0"),
     (None, "raw_bits_total", False),
-    ("config", "fast_path_threshold", "1_0"),
-    ("config", "contrast_threshold", " 2.5 "),
+    ("config", "decay", "1_0"),
+    ("config", "valence_decay", " 0.5 "),
     (None, "raw_bits_total", "1e0"),
     (None, "raw_bits_total", "1.0"),
     # a float out of its field's range
-    ("config", "contrast_threshold", -1.0),
+    ("config", "valence_decay", -1.0),
     ("config", "decay", 1.5),
-    pytest.param("config", "fast_path_threshold", math.inf, id="config-fast_path_threshold-inf"),
+    pytest.param("config", "decay", math.inf, id="config-decay-inf"),
     pytest.param("config", "valence_decay", math.nan, id="config-valence_decay-float-nan"),
     (None, "raw_bits_total", -3.0),
     pytest.param(None, "raw_bits_total", math.nan, id="None-raw_bits_total-float-nan"),
@@ -331,9 +331,7 @@ def test_every_float_survives_a_save_and_load(tmp_path_factory, data):
     to what was saved, at edge values and as an int given for a float, and
     saving the loaded graph gives the same bytes."""
     unit = st.sampled_from([1 / 3, 0.1 + 0.2, 5e-324, FORGET_WEIGHT, 0.9 ** 40])
-    config = Config(contrast_threshold=data.draw(EDGE_FLOATS),
-                    decay=data.draw(st.one_of(st.just(1), unit)),
-                    fast_path_threshold=data.draw(EDGE_FLOATS), valence_decay=data.draw(unit))
+    config = Config(decay=data.draw(st.one_of(st.just(1), unit)), valence_decay=data.draw(unit))
     g = ConceptGraph("ab", config)
     g.add(Repeat(g.add(Concat((0, 1))), 2))
     for cid in range(len(g)):
@@ -727,15 +725,15 @@ def test_load_rejects_a_refinement_chain_not_of_an_episode(edit):
 
 
 def test_a_cg1_document_is_a_version_mismatch():
-    """The reader reads cg4 alone: a cg1 file is refused by its version."""
-    with pytest.raises(VersionMismatch, match="expected 'cg4', got 'cg1'"):
+    """The reader reads cg5 alone: a cg1 file is refused by its version."""
+    with pytest.raises(VersionMismatch, match="expected 'cg5', got 'cg1'"):
         graph_from_json({"version": "cg1", "alphabet": ["a", "b"], "concepts": [],
                          "digram_counts": []})
 
 
 # Edits that leave a file other than the saver writes, whose resave would
 # differ: older files held the `library` and `follows_marker` sections and
-# four more config fields.
+# four more config fields, and cg4 files the two thresholds the engine never read.
 UNSAVED_EDITS = {
     "an-extra-section": lambda d: d.__setitem__("junk", 1),
     "a-library-section": lambda d: d.__setitem__("library", ["(builtin succ 1)"]),
@@ -743,6 +741,7 @@ UNSAVED_EDITS = {
     "a-missing-section": lambda d: d.pop("run_observations"),
     "an-extra-config-field": lambda d: d["config"].__setitem__("bogus", "1.0"),
     "a-dropped-config-field": lambda d: d["config"].__setitem__("iter_cap", 100),
+    "a-cg4-config-field": lambda d: d["config"].__setitem__("fast_path_threshold", 8.0),
     "a-missing-config-field": lambda d: d["config"].pop("decay"),
 }
 
