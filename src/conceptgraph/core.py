@@ -47,6 +47,9 @@ ingest reports and graph files hold."""
 PLEASURE = 1
 PAIN = -1
 
+VALENCE_DECAY = 0.5  # `propagate_valence`'s factor per hop (nothing that learns reads it)
+VALENCE_HOP_CAP = 6  # and its hop cap
+
 # Longest expansion of one concept, in tokens (`_expand` checks it).  `ingest`
 # refuses longer episodes, so induction, whose expansions are substrings of
 # episodes, never meets the cap.
@@ -151,8 +154,6 @@ class Config:
     decay: float = 0.9
     assoc_threshold: int = 3
     generalize_threshold: int = 3
-    valence_decay: float = 0.5
-    valence_hop_cap: int = 6
     beam_base: int = 4
     pool_base: int = 64
 
@@ -166,8 +167,6 @@ class Config:
                 _check_number(value, name)
         if not (0.0 < self.decay <= 1.0):
             raise ValueError("decay must be in (0, 1]")
-        if not (0.0 < self.valence_decay < 1.0):
-            raise ValueError("valence_decay must be in (0, 1)")
 
 
 class Concept:
@@ -610,11 +609,9 @@ class ConceptGraph:
     def propagate_valence(self) -> dict[int, float]:
         """Signed proximity to pleasure/pain over the undirected reference graph.
 
-        valence(c) = clamp(alpha^d+ - alpha^d-, -1, +1) with hop cap H;
-        unreachable or beyond-cap distances contribute 0.
+        valence(c) = clamp(alpha^d+ - alpha^d-, -1, +1), alpha = `VALENCE_DECAY`;
+        unreachable or beyond-cap (`VALENCE_HOP_CAP`) distances contribute 0.
         """
-        alpha = self.config.valence_decay
-        cap = self.config.valence_hop_cap
         adjacency = {cid: set(self.reference_edges(cid)) for cid in range(len(self.concepts))}
         for cid in range(len(self.concepts)):
             for ref in self.reference_edges(cid):
@@ -626,7 +623,7 @@ class ConceptGraph:
             while frontier:
                 node = frontier.popleft()
                 d = dist[node]
-                if d >= cap:
+                if d >= VALENCE_HOP_CAP:
                     continue
                 for other in adjacency[node]:
                     if other not in dist:
@@ -638,8 +635,8 @@ class ConceptGraph:
         d_minus = distances(self.pain_id)
         valences: dict[int, float] = {}
         for cid in adjacency:
-            pos = alpha ** d_plus[cid] if cid in d_plus else 0.0
-            neg = alpha ** d_minus[cid] if cid in d_minus else 0.0
+            pos = VALENCE_DECAY ** d_plus[cid] if cid in d_plus else 0.0
+            neg = VALENCE_DECAY ** d_minus[cid] if cid in d_minus else 0.0
             valences[cid] = max(-1.0, min(1.0, pos - neg))
         valences[self.pleasure_id] = 1.0
         valences[self.pain_id] = -1.0
@@ -694,10 +691,18 @@ def node_tokens(graph: ConceptGraph, node) -> tuple[Token, ...]:
                              "concept nor a non-empty blob of alphabet tokens")
 
 
+def as_tuple(values, what: str) -> tuple:
+    """`values` as a tuple, or a ValueError if they are not iterable (`what`)."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValueError(f"expected {what}, not {type(values).__name__}") from None
+
+
 def reconstruct(graph: ConceptGraph, desc: Description) -> tuple[Token, ...]:
     """Exact inverse of parse: concatenated expansions and blob payloads."""
     out: list[Token] = []
-    for node in desc:
+    for node in as_tuple(desc, "an iterable of nodes"):
         out.extend(node_tokens(graph, node))
     return tuple(out)
 

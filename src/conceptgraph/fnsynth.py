@@ -249,7 +249,7 @@ class _Evaluator:
             if result is None:
                 result = self.memo[key] = self.library.bodies[fn.name](self, values)
         if result > self.value_cap:
-            raise Overflow(f"value {result} exceeds cap {self.value_cap}")
+            raise Overflow("a value exceeds the value cap")
         return result
 
     def apply_rows(self, fn: LibraryFn, arg_vectors: Sequence[Vector],
@@ -270,7 +270,7 @@ class _Evaluator:
         if fn.definition is None:
             out = tuple(map(_BUILTINS[name][1], *arg_vectors))
             if max(out) > cap:
-                raise Overflow(f"value {max(out)} exceeds cap {cap}")
+                raise Overflow("a value exceeds the value cap")
             return out
         return tuple([result if (result := get((name, values))) is not None and result <= cap
                       else apply(fn, values) for values in zip(*arg_vectors)])
@@ -290,7 +290,7 @@ class _Evaluator:
         it, since the orbit already holds them.
         """
         if count > self.iter_cap:
-            raise IterCountExceeded(f"iteration count {count} exceeds cap {self.iter_cap}")
+            raise IterCountExceeded("an iteration count exceeds the iteration cap")
         if count <= 0:
             return value
         key = (fn.name, slot, fillers, value)
@@ -311,7 +311,7 @@ class _Evaluator:
             elif (value := get((name, args))) is None:
                 value = body(self, args)
             if value > cap:
-                raise Overflow(f"value {value} exceeds cap {cap}")
+                raise Overflow("a value exceeds the value cap")
             orbit.append(value)
         return value
 

@@ -77,6 +77,7 @@ from .core import (
     Template,
     Token,
     _check_number,
+    as_tuple,
     kind_references,
     node_tokens,
     reconstruct,
@@ -263,12 +264,12 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token], *,
     / (1, tokens) signature.
 
     The frontier has a slot per position 0..n, which gets a bucket of the
-    states reaching it when the first one does; a heap yields the reached
-    positions in order, and position n's bucket holds the finals.  A state
-    is a tuple (cost, count, node, parent, blob_len): a node count (its
-    depth under `start`) and a parent chain, whose `node` is a ref's
-    concept id or, when blob_len > 0, the start of a trailing blob.  Its
-    position is its bucket's index, so it is not stored.  A bucket is cut
+    states reaching it when the first one does; positions are taken in order,
+    passing over those no state reached, and position n's bucket holds the
+    finals.  A state is a tuple (cost, count, node, parent, blob_len): a node
+    count (its depth under `start`) and a parent chain, whose `node` is a
+    ref's concept id or, when blob_len > 0, the start of a trailing blob.
+    Its position is its bucket's index, so it is not stored.  A bucket is cut
     to the beam (`_select_beam`) only when it holds more states than that,
     and successors go straight into the buckets of their end positions.
 
@@ -308,7 +309,7 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token], *,
     product rounds up, though it may reach a final of cost T with a smaller
     signature.
     """
-    tokens = tuple(tokens)
+    tokens = as_tuple(tokens, "an iterable of tokens")
     graph.check_tokens(tokens)
     n = len(tokens)
     if n == 0:
@@ -321,7 +322,6 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token], *,
 
     start = (1.0, 0, None, None, 0)  # gamma_len(1) = 1 bit: the header of no nodes
     frontier = [[start]] + [None] * (n - 1) + [[]]  # a bucket once a state reaches it
-    pending = [0, n]  # a heap of the reached positions not yet taken
     # blob cost steps, summed as `header + log_d + gamma_len(1) + sigma_bits`
     # left to right so that exact cost ties stay where they were
     open_plain = 0 + log_d + 1 + sigma_bits
@@ -331,8 +331,10 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token], *,
     bound, finals, seen = all_blob, frontier[n], 0  # seen: the finals `bound` covers
     slack = (n + 1) * BOUND_SLACK
 
-    while (pos := heapq.heappop(pending)) < n:
+    for pos in range(n):
         bucket, frontier[pos] = frontier[pos], None  # so the states a cut drops are freed
+        if bucket is None:
+            continue  # no state reached this position
         if finals:
             if len(finals) > seen:
                 bound = min(bound, min(map(_COST, finals[seen:])))
@@ -347,12 +349,10 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token], *,
             target = frontier[pos + length]
             if target is None:  # no state has reached this position yet
                 target = frontier[pos + length] = []
-                heapq.heappush(pending, pos + length)
             targets.append((cid, bits, target))
         blob_target = frontier[pos + 1]
         if blob_target is None:
             blob_target = frontier[pos + 1] = []
-            heapq.heappush(pending, pos + 1)
         for state in bucket:
             cost, count, node, parent, blob_len = state
             # gamma_len(x) - gamma_len(x - 1) is 2 at a power of two x, else 0
@@ -473,8 +473,8 @@ class _PairIndex:
                  "stored", "threshold", "heap", "live", "aside", "blob_bits")
 
     def __init__(self, graph: ConceptGraph, nodes: Sequence[Node], stored: dict, threshold: int):
-        n = len(nodes)
-        self.node = node = list(nodes)
+        self.node = node = list(as_tuple(nodes, "an iterable of nodes"))
+        n = len(node)
         sigma_bits, table = math.log2(len(graph.alphabet)), graph.expansion_table()
         blob_bits = 0.0  # added left to right, as `description_dl` adds its terms
         for b in node:  # held to core's node rule as `description_dl` holds them
@@ -700,6 +700,7 @@ def record_associations(graph: ConceptGraph, desc: Description) -> None:
     Association at the threshold, and add the generic follows marker once
     enough distinct associations exist.  A description that breaks the node
     rule raises `InvalidDescription` before anything is counted."""
+    desc = as_tuple(desc, "an iterable of nodes")
     for node in desc:
         node_tokens(graph, node)  # holds every node to the rule
     cfg = graph.config
@@ -781,10 +782,7 @@ def contrast_cuts(levels: Iterable[int], threshold: float) -> list[int]:
     than `threshold`, which keeps core's number rule: the cuts `ingest`
     takes."""
     _check_number(threshold, "contrast threshold")
-    try:
-        levels = tuple(levels)
-    except TypeError:
-        raise ValueError("scalar levels must be a sequence of integers") from None
+    levels = as_tuple(levels, "an iterable of integers")
     if not set(map(type, levels)) <= {int}:
         raise ValueError("scalar levels must be integers")
     return [i for i in range(1, len(levels)) if abs(levels[i] - levels[i - 1]) > threshold]
@@ -804,10 +802,7 @@ def ingest(graph: ConceptGraph, tokens: Sequence[Token], cuts: Sequence[int] = (
     a token that is no alphabet symbol (an int level too) `UnknownToken`,
     with the graph unchanged.
     """
-    try:
-        tokens = tuple(tokens)
-    except TypeError:
-        raise ValueError("ingest takes an iterable of tokens") from None
+    tokens = as_tuple(tokens, "an iterable of tokens")
     if len(tokens) > MAX_EXPANSION:
         raise TooLarge(f"episode exceeds {MAX_EXPANSION} tokens")
     if type(cuts) not in (list, tuple) or not set(map(type, cuts)) <= {int}:

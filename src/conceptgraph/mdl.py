@@ -14,7 +14,7 @@ import math
 
 from .errors import NonPositive
 from .core import (Apply, Concat, ConceptGraph, Description, Hole, Repeat, Template,
-                   node_tokens, reconstruct)
+                   _check_number, as_tuple, node_tokens, reconstruct)
 from .records import record
 
 
@@ -48,8 +48,9 @@ def gamma_len(k: int) -> int:
 
 def raw_dl(n: int, sigma_size: int) -> float:
     """Bits to store n tokens verbatim: length header plus n symbols."""
-    if type(n) is not int or type(sigma_size) is not int or n < 0 or sigma_size < 1:
+    if type(n) is not int or type(sigma_size) is not int or sigma_size < 1:
         raise ValueError("need int n >= 0 and int sigma_size >= 1")
+    _check_number(n, "n")  # a negative n, or one too large for a float, is no count
     return gamma_len(n + 1) + n * math.log2(sigma_size)
 
 
@@ -72,6 +73,7 @@ def description_dl(graph: ConceptGraph, desc: Description) -> float:
     passes a blob and raises `InvalidDescription` for the rest.  The node
     costs are added one by one, left to right.
     """
+    desc = as_tuple(desc, "an iterable of nodes")
     total = float(gamma_len(len(desc) + 1))
     sigma_bits = math.log2(len(graph.alphabet))
     log_d = math.log2(_denominator(graph))

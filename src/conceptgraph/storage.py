@@ -1,6 +1,6 @@
 """Persistence and export formats: graph files, DOT, teach scripts.
 
-Graph files (format cg5) are JSON with sorted keys, so saving the same graph
+Graph files (format cg6) are JSON with sorted keys, so saving the same graph
 always produces the same bytes, and loading them gives back that graph
 exactly.  Each fact is stated once, in the sections `version`, `alphabet`,
 `config`, `concepts`, `run_observations` and `refinements`.  A concept is
@@ -20,9 +20,9 @@ bits over the level-0 lengths.  The follows marker's id is not stored
 either.  The file holds exactly the sections the saver writes, its config
 exactly the fields of `Config`, and each float in `repr`'s spelling:
 anything else ("1.00", "1e0", an int for a float) is a `CorruptFile`, since
-its resave would differ.  Any version but cg5 is a `VersionMismatch`; a cg4
-config held two thresholds the engine never read, and a cg3 file restated
-the episode counter, the pair counts and the raw-bit total.
+its resave would differ.  Any version but cg6 is a `VersionMismatch`: a cg5
+or cg4 config held settings no learning step reads (the valence decay and
+hop cap; two thresholds), and a cg3 file restated derived counts.
 
 Loading hands the concept rows to `ConceptGraph`, the one path from rows to
 a graph: they must start with the birth rows (a primitive per alphabet
@@ -32,12 +32,13 @@ derivation that `add` uses (`ConceptGraph._enter`): its weight is one
 kind, so a loaded graph has no dangling reference and no cycle.  Each
 stored level is reconstructed, so its nodes keep `core`'s node rule, and
 must spell what its chain's level 0 spells, as `refine` promises.  Any
-violation is a `CorruptFile`, as is a file that is not UTF-8 JSON, a section
-of the wrong JSON type, a concept row of an unknown kind or the wrong
-length, an integer field holding anything but a JSON integer, an empty
-refinement chain, a run length below 2, or a run's members that are not a
-non-empty, strictly increasing list (as the saver writes it) of parseable
-concepts (a run member is a description ref).  A message bounds outside
+violation is a `CorruptFile`, as is a file that is not UTF-8 JSON, an
+integer too long for `int` to read, a section of the wrong JSON type, a
+concept row of an unknown kind or the wrong length, an integer field
+holding anything but a JSON integer, an empty refinement chain, a run
+length below 2, or a run's members that are not a non-empty, strictly
+increasing list (as the saver writes it) of parseable concepts (a run
+member is a description ref).  A message bounds outside
 input, and the text of an error it wraps, to `QUOTE_CHARS` (`_clip`).
 
 A teach script is one concept's subcircuit bottom-up, a line per concept:
@@ -81,7 +82,7 @@ from .errors import (
     VersionMismatch,
 )
 
-FORMAT_VERSION = "cg5"
+FORMAT_VERSION = "cg6"
 QUOTE_CHARS = 60  # the longest quote of outside input an error message holds
 
 _CONFIG_INTS = tuple(f for f in Config._fields if Config.__annotations__[f] == "int")
@@ -291,8 +292,8 @@ def load(path: str) -> ConceptGraph:
             data = json.loads(handle.read().decode("utf-8"), parse_float=_parse_float)
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
-        raise CorruptFile(f"not UTF-8 JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, an integer too long, too deep
+        raise CorruptFile(f"unreadable graph file: {_clip(str(exc))}") from exc
     return graph_from_json(data)
 
 

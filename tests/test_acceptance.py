@@ -144,7 +144,7 @@ def test_06_closed_forms():
         graph.tick_weights(set())
     assert abs(graph.concepts[0].weight - 3.0 * 0.9**10) < 1e-9
 
-    g2 = ConceptGraph("ab", Config(valence_decay=0.5))
+    g2 = ConceptGraph("ab")  # valence halves per hop (`core.VALENCE_DECAY`)
     assoc = g2.add(Association(0, g2.pleasure_id))
     valences = g2.propagate_valence()
     assert valences[assoc] == 0.5
@@ -208,7 +208,7 @@ def test_09_teach_roundtrip():
     report(9, "teach roundtrip", started, 60)
 
 
-def test_10_fast_path_equivalence():
+def test_10_trie_matches_the_linear_scan():
     started = time.monotonic()
     rng = random.Random(10)
     sigma = "abcd"
@@ -221,7 +221,7 @@ def test_10_fast_path_equivalence():
         with_index = parse(graph, tokens)
         without = linear_parse(graph, tokens)
         assert repr(with_index) == repr(without)
-    report(10, "fast-path equivalence", started, 60)
+    report(10, "trie vs linear scan", started, 60)
 
 
 def test_11_cli_determinism(tmp_path, capsys):

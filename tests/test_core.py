@@ -23,6 +23,8 @@ from conceptgraph.core import (
     SlotConstraint,
     SlotRef,
     Template,
+    VALENCE_DECAY,
+    VALENCE_HOP_CAP,
     default_emotion_templates,
     match_emotion,
 )
@@ -245,7 +247,8 @@ def test_affect_weight_exempt_from_decay():
 
 
 def test_valence_decay_along_path():
-    g = fresh("ab", valence_decay=0.5)
+    assert VALENCE_DECAY == 0.5
+    g = fresh("ab")
     # pleasure -- assoc -- concept chain
     assoc = g.add(Association(0, g.pleasure_id))
     v = g.propagate_valence()
@@ -255,7 +258,7 @@ def test_valence_decay_along_path():
 
 
 def test_valence_symmetric_cancellation_and_isolation():
-    g = fresh("ab", valence_decay=0.5)
+    g = fresh("ab")
     both = g.add(Association(g.pleasure_id, g.pain_id))
     v = g.propagate_valence()
     assert v[both] == pytest.approx(0.0)
@@ -263,15 +266,15 @@ def test_valence_symmetric_cancellation_and_isolation():
 
 
 def test_valence_hop_cap():
-    g = fresh("abcdefgh", valence_decay=0.5, valence_hop_cap=2)
-    # chain: pleasure <- a0 <- a1 <- a2, distances 1, 2, 3
-    a0 = g.add(Association(0, g.pleasure_id))
-    a1 = g.add(Association(1, a0))
-    a2 = g.add(Association(2, a1))
+    g = fresh("abcdefgh")
+    # chain: pleasure <- a0 <- a1 <- ..., a_k at distance k + 1
+    chain = [g.add(Association(0, g.pleasure_id))]
+    for k in range(1, VALENCE_HOP_CAP + 1):
+        chain.append(g.add(Association(k, chain[-1])))
     v = g.propagate_valence()
-    assert v[a0] == pytest.approx(0.5)
-    assert v[a1] == pytest.approx(0.25)
-    assert v[a2] == 0.0  # beyond the cap contributes nothing
+    for k, cid in enumerate(chain[:-1]):
+        assert v[cid] == pytest.approx(VALENCE_DECAY ** (k + 1))
+    assert v[chain[-1]] == 0.0  # beyond the cap contributes nothing
 
 
 def test_match_emotion_anger_example():
@@ -622,7 +625,7 @@ def test_config_refuses_a_non_integer_for_an_int_field(name, bad):
 
 @pytest.mark.parametrize("name, value", [
     ("decay", 5.0), ("assoc_threshold", 0), ("generalize_threshold", True),
-    ("valence_decay", float("nan")), ("pool_base", 8)])
+    ("decay", float("nan")), ("pool_base", 8)])
 def test_a_config_field_cannot_be_assigned(name, value):
     """A graph's thresholds are fixed for its life: an edit in place would
     skip `Config`'s checks, and a kept index would have to follow it."""
@@ -793,7 +796,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         Config(decay=0.0)
     with pytest.raises(ValueError):
-        Config(valence_decay=1.0)
+        Config(decay=1.5)
     with pytest.raises(ValueError):
         Config(pool_base=0)
     for f in Config._fields:  # every int must be positive, every float finite and >= 0

@@ -47,6 +47,27 @@ def test_eval_iteration_basics():
     assert eval_term(Call("succ", (Const(1),)), (), lib) == 2
 
 
+HUGE = 10 ** 5000  # an int whose decimal text `str` refuses to build (over 4,300 digits)
+
+
+def test_a_value_too_long_to_print_overflows_cleanly():
+    """An `Overflow` or `IterCountExceeded` message formatted the value, so a
+    value this large raised a bare ValueError while the message was built:
+    in `apply` (a call), `apply_rows` (the search's vectors) and `iterate`."""
+    lib = Library.initial()
+    with pytest.raises(Overflow):
+        eval_term(Call("succ", (Var(0),)), [HUGE], lib)
+    with pytest.raises(Overflow):
+        eval_term(Iter(SUCC, Const(1), Var(0)), [HUGE], lib)
+    with pytest.raises(IterCountExceeded):
+        eval_term(Iter(SUCC, Var(0), Const(0)), [HUGE], lib)
+    with pytest.raises(Overflow):
+        _Evaluator(lib, DEFAULT_ITER_CAP, DEFAULT_VALUE_CAP).apply_rows(
+            lib.fn("succ"), [(HUGE,)], None)
+    # the search counts an overflow as inconsistency: nothing fits
+    assert synthesize([FunctionExample("f", (HUGE,), 7)], lib, size_cap=3) is None
+
+
 def test_eval_caps():
     lib = Library.initial()
     with pytest.raises(IterCountExceeded):

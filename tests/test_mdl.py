@@ -58,6 +58,14 @@ def test_raw_dl_refuses_what_is_not_an_int(n, sigma_size):
         raw_dl(n, sigma_size)
 
 
+def test_raw_dl_refuses_a_length_too_large_for_a_float():
+    """`n * log2(sigma_size)` raised a bare OverflowError; the largest n a
+    float holds still gives bits."""
+    with pytest.raises(ValueError, match="n must be finite"):
+        raw_dl(10 ** 400, 2)
+    assert raw_dl(10 ** 300, 2) == pytest.approx(1e300)
+
+
 def test_ref_and_escape_cost_single_concept():
     g = ConceptGraph("a")  # one expanding concept, w = 1
     assert ref_cost(g, 0) == pytest.approx(-math.log2(2 / 3), abs=1e-9)

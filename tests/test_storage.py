@@ -210,6 +210,16 @@ def test_load_errors(tmp_path):
         load(str(wrong))
 
 
+def test_load_of_an_integer_too_long_for_int_is_corrupt_file(tmp_path):
+    """`json.loads` refuses an integer literal of over 4,300 digits with a
+    bare ValueError, which load let through."""
+    path = tmp_path / "huge.cg"
+    path.write_text(dumps(ConceptGraph("ab")).replace('"repeat_threshold":2', '"repeat_threshold":'
+                                                       + "9" * 5000))
+    with pytest.raises(CorruptFile, match="unreadable graph file"):
+        load(str(path))
+
+
 # the saver writes a weight only as a finite, non-negative JSON float: a string,
 # a bool or an integer is refused ("1_0" would load as 10.0), as is a negative
 # float, NaN or an infinity
@@ -233,8 +243,8 @@ def test_load_rejects_non_finite_or_negative_weight(tmp_path, weight):
 # value.
 @pytest.mark.parametrize("section, field, value", [
     ("config", "decay", "nan"),
-    ("config", "valence_decay", "nan"),
-    ("config", "valence_decay", "-1"),
+    ("config", "decay", "NaN"),
+    ("config", "decay", "-1"),
     (None, "raw_bits_total", "nan"),
     (None, "raw_bits_total", "-3"),
     (None, "episode", -5),
@@ -261,14 +271,14 @@ def test_load_rejects_non_finite_or_negative_weight(tmp_path, weight):
     (None, "raw_bits_total", "12.0"),
     (None, "raw_bits_total", False),
     ("config", "decay", "1_0"),
-    ("config", "valence_decay", " 0.5 "),
+    ("config", "decay", " 0.5 "),
     (None, "raw_bits_total", "1e0"),
     (None, "raw_bits_total", "1.0"),
     # a float out of its field's range
-    ("config", "valence_decay", -1.0),
+    ("config", "decay", -1.0),
     ("config", "decay", 1.5),
     pytest.param("config", "decay", math.inf, id="config-decay-inf"),
-    pytest.param("config", "valence_decay", math.nan, id="config-valence_decay-float-nan"),
+    pytest.param("config", "decay", math.nan, id="config-decay-float-nan"),
     (None, "raw_bits_total", -3.0),
     pytest.param(None, "raw_bits_total", math.nan, id="None-raw_bits_total-float-nan"),
     pytest.param(None, "raw_bits_total", math.inf, id="None-raw_bits_total-inf"),
@@ -331,7 +341,7 @@ def test_every_float_survives_a_save_and_load(tmp_path_factory, data):
     to what was saved, at edge values and as an int given for a float, and
     saving the loaded graph gives the same bytes."""
     unit = st.sampled_from([1 / 3, 0.1 + 0.2, 5e-324, FORGET_WEIGHT, 0.9 ** 40])
-    config = Config(decay=data.draw(st.one_of(st.just(1), unit)), valence_decay=data.draw(unit))
+    config = Config(decay=data.draw(st.one_of(st.just(1), unit)))
     g = ConceptGraph("ab", config)
     g.add(Repeat(g.add(Concat((0, 1))), 2))
     for cid in range(len(g)):
@@ -557,8 +567,13 @@ def test_load_rejects_initial_rows_other_than_the_alphabet_and_affects(edit):
 def test_load_validates_each_concept_once(monkeypatch):
     """`ConceptGraph` validates the initial concepts, and load the rest, an
     Apply that names a newer template included."""
-    doc = json.loads(trained_graph_text())
+    doc = json.loads(dumps(ConceptGraph("abcd")))
     rows = doc["concepts"]
+    # 6-21: the template 22 + a (token a, then a hole) applied to each token
+    # b, so 16 Applies name a newer template; 26-39: concats of Applies
+    rows += [["apply", 1.0, 22 + a, [b]] for a in range(4) for b in range(4)]
+    rows += [["template", 1.0, [["ref", a], ["hole", 0]]] for a in range(4)]
+    rows += [["concat", 1.0, [cid, cid + 1]] for cid in range(6, 20)]
     forward = [i for i, row in enumerate(rows) if row[0] == "apply" and row[2] > i]
     assert len(rows) == 40 and len(forward) == 16
     calls = []
@@ -725,15 +740,16 @@ def test_load_rejects_a_refinement_chain_not_of_an_episode(edit):
 
 
 def test_a_cg1_document_is_a_version_mismatch():
-    """The reader reads cg5 alone: a cg1 file is refused by its version."""
-    with pytest.raises(VersionMismatch, match="expected 'cg5', got 'cg1'"):
+    """The reader reads cg6 alone: a cg1 file is refused by its version."""
+    with pytest.raises(VersionMismatch, match="expected 'cg6', got 'cg1'"):
         graph_from_json({"version": "cg1", "alphabet": ["a", "b"], "concepts": [],
                          "digram_counts": []})
 
 
 # Edits that leave a file other than the saver writes, whose resave would
 # differ: older files held the `library` and `follows_marker` sections and
-# four more config fields, and cg4 files the two thresholds the engine never read.
+# four more config fields, cg4 files the two thresholds the engine never read,
+# and cg5 files the valence decay and hop cap.
 UNSAVED_EDITS = {
     "an-extra-section": lambda d: d.__setitem__("junk", 1),
     "a-library-section": lambda d: d.__setitem__("library", ["(builtin succ 1)"]),
@@ -742,6 +758,7 @@ UNSAVED_EDITS = {
     "an-extra-config-field": lambda d: d["config"].__setitem__("bogus", "1.0"),
     "a-dropped-config-field": lambda d: d["config"].__setitem__("iter_cap", 100),
     "a-cg4-config-field": lambda d: d["config"].__setitem__("fast_path_threshold", 8.0),
+    "a-cg5-config-field": lambda d: d["config"].__setitem__("valence_hop_cap", 6),
     "a-missing-config-field": lambda d: d["config"].pop("decay"),
 }
 
