@@ -38,8 +38,8 @@ concept row of an unknown kind or the wrong length, an integer field
 holding anything but a JSON integer, an empty refinement chain, a run
 length below 2, or a run's members that are not a non-empty, strictly
 increasing list (as the saver writes it) of parseable concepts (a run
-member is a description ref).  A message bounds outside
-input, and the text of an error it wraps, to `QUOTE_CHARS` (`_clip`).
+member is a description ref).  A message bounds outside input, and the
+text of an error it wraps, to `QUOTE_CHARS` (`_clip`).
 
 A teach script is one concept's subcircuit bottom-up, a line per concept:
 its row without the weight, `[kind, *fields]`, as one compact JSON array,

@@ -59,8 +59,8 @@ def test_raw_dl_refuses_what_is_not_an_int(n, sigma_size):
 
 
 def test_raw_dl_refuses_a_length_too_large_for_a_float():
-    """`n * log2(sigma_size)` raised a bare OverflowError; the largest n a
-    float holds still gives bits."""
+    """`n * log2(sigma_size)` raised a bare OverflowError; an n that a float
+    holds still gives bits."""
     with pytest.raises(ValueError, match="n must be finite"):
         raw_dl(10 ** 400, 2)
     assert raw_dl(10 ** 300, 2) == pytest.approx(1e300)

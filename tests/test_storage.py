@@ -214,8 +214,8 @@ def test_load_of_an_integer_too_long_for_int_is_corrupt_file(tmp_path):
     """`json.loads` refuses an integer literal of over 4,300 digits with a
     bare ValueError, which load let through."""
     path = tmp_path / "huge.cg"
-    path.write_text(dumps(ConceptGraph("ab")).replace('"repeat_threshold":2', '"repeat_threshold":'
-                                                       + "9" * 5000))
+    huge = '"repeat_threshold":' + "9" * 5000
+    path.write_text(dumps(ConceptGraph("ab")).replace('"repeat_threshold":2', huge))
     with pytest.raises(CorruptFile, match="unreadable graph file"):
         load(str(path))
 
