@@ -154,7 +154,6 @@ class Config:
     decay: float = 0.9
     assoc_threshold: int = 3
     generalize_threshold: int = 3
-    beam_base: int = 4
     pool_base: int = 64
 
     def __post_init__(self) -> None:
@@ -583,14 +582,16 @@ class ConceptGraph:
         """Decay every weight geometrically, then reward the used concepts.
 
         Affect primitives are exempt from decay and reward (their weight is
-        unused).  Every used id is checked before any weight changes, and a
-        repeated id is rewarded once.  Three tight passes over the graph's row
-        lists follow: each decaying row's weight times `decay`, then `+ 1.0`
+        unused).  Every used id is checked before any weight changes (ids
+        that are not iterable are a ValueError), and a repeated id is
+        rewarded once.  Three tight passes over the graph's row lists
+        follow: each decaying row's weight times `decay`, then `+ 1.0`
         on each used row that decays, then the code mass as `_code_mass`
         sums it.  A row's new weight is (w * decay) + 1.0 either way, so the
         bits are those of one pass that decays and rewards row by row.
         """
-        rewarded = {cid: self.concept(cid) for cid in used}  # raises UnknownConcept
+        rewarded = {cid: self.concept(cid)  # raises UnknownConcept
+                    for cid in as_tuple(used, "an iterable of concept ids")}
         gamma = self.config.decay
         for concept in self._decaying_rows:
             concept.weight *= gamma
@@ -795,6 +796,7 @@ def match_emotion(desc: Description, templates: Sequence[EmotionTemplate],
     to right.  Spans are reported in ascending start order.  Each template
     is checked before it is matched (`MalformedTemplate`).
     """
+    desc = as_tuple(desc, "an iterable of nodes")
     labels = labels or {}
     results: list[tuple[str, tuple[int, int]]] = []
     for template in templates:

@@ -606,7 +606,9 @@ def parse_examples_text(text: str) -> list[tuple[str, list[FunctionExample]]]:
 
     A library line writes a label unquoted, so a label holds no `(` or `)`,
     does not start with `"` (`_label_fits`) and names no builtin; any other
-    label is a ValueError."""
+    label, or a `text` that is not a str, is a ValueError."""
+    if not isinstance(text, str):
+        raise ValueError(f"expected the examples as a str, not {type(text).__name__}")
     sets: dict[str, list[FunctionExample]] = {}
     order: list[str] = []
     for lineno, line in enumerate(text.splitlines(), start=1):

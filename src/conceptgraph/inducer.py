@@ -4,14 +4,14 @@ Both contrast rules live here: `contrast_cuts` cuts a level stream where
 a level jumps by more than the contrast threshold, for `ingest` to parse
 between, and `_resegment_blobs` re-divides blob residue at symbol runs.
 
-Parsing is a left-to-right beam search over concept references and raw
-blobs, minimizing description bits.  A beam state is a plain tuple whose
-parent chain spells the partial description; a frontier bucket larger
-than the beam is sorted in place by cost and cut, and an exact cost tie at
-the cut is broken where the tied states' chains meet.  A position is skipped
-when none of its states can finish under a complete description already
-found, charging each remaining token the fewest bits any step pays per
-token (an exact, admissible bound: no step pays less).  Candidate lookups walk
+Parsing is a left-to-right shortest path over token positions, through
+concept references and raw blobs, minimizing description bits: each
+position keeps the one cheapest state that reaches it, a plain tuple whose
+parent chain spells the partial description, and an exact cost tie is
+broken where the tied states' chains meet.  A position is skipped when its
+state cannot finish under a complete description already found, charging
+each remaining token the fewest bits any step pays per token (an exact,
+admissible bound: no step pays less).  Candidate lookups walk
 a token trie of the candidates' expansions; `ingest` keeps that trie
 across episodes while the candidates and their expansions are unchanged
 (the circuit changes only when a node is formed), refreshing only the
@@ -55,10 +55,7 @@ from __future__ import annotations
 import heapq
 import math
 import weakref
-from bisect import bisect_left, bisect_right
-from functools import cmp_to_key
 from itertools import groupby
-from operator import itemgetter
 from typing import Collection, Iterable, Optional, Sequence
 
 from . import mdl
@@ -122,41 +119,12 @@ def _tie_order(a: tuple, b: tuple) -> int:
     return (kx > ky) - (kx < ky)
 
 
-_COST = itemgetter(0)
-
-
-def _select_beam(bucket: list[tuple], k: int) -> list[tuple]:
-    """The `k` cheapest states; exact cost ties at the cut go by signature.
-
-    Equals sorting the whole bucket by (cost, signature) and keeping the
-    first `k`: the bucket is sorted in place by cost alone, and only the tie
-    group that straddles the cut by `_tie_order`.  No two states the search
-    makes share a signature (a blob successor extends a trailing blob), and
-    `parse` adds the all-blob final only when the blob chain's own final,
-    which spells the same, is missing or costs more.  So no two states tie
-    on both, and the kept set does not depend on the bucket's order.
-    Callers re-select or take the one state of k = 1, so the returned order
-    does not matter.
-    """
-    if len(bucket) <= k:
-        return bucket
-    bucket.sort(key=_COST)
-    cut = bucket[k - 1][0]
-    if bucket[k][0] != cut:
-        return bucket[:k]
-    lo = bisect_left(bucket, cut, 0, k - 1, key=_COST)
-    hi = bisect_right(bucket, cut, k, key=_COST)
-    tied = sorted(bucket[lo:hi], key=cmp_to_key(_tie_order))
-    return bucket[:lo] + tied[:k - lo]
-
-
 class _ParseContext:
     """Parse machinery for one code state: candidate entries, their trie, ref costs.
 
-    A context fixes the search effort too: the `beam` of states `parse`
-    keeps per position and the `pool` of candidates by weight.  Level n's
-    (`at_level`) are the config's bases doubled n times, up to
-    `MAX_BUDGET_LEVEL`.  The candidates are every parseable concept while
+    A context fixes the search effort too: the `pool` of candidates by
+    weight.  Level n's (`at_level`) is the config's base doubled n times, up
+    to `MAX_BUDGET_LEVEL`.  The candidates are every parseable concept while
     they fit the pool, else the top `pool` by (-weight, id), each with its
     mutable [id, length, reference bits] entry.  Their expansions are
     merged into a token trie whose nodes list the entries ending there (the
@@ -174,7 +142,7 @@ class _ParseContext:
     the check is a list comparison, which finds an unchanged member's
     stored expansion by identity.  A rebuild makes a node only for a token
     the trie does not have yet.  `ingest` builds its level-0 context once
-    per graph (the config, so the beam and pool, is fixed for the graph's
+    per graph (the config, so the pool, is fixed for the graph's
     life), keeps it in `_KEPT` and refreshes it each episode: between
     episodes the members change only when a node is formed or a weight
     crosses into the pool.  `refine` builds a fresh context at the chain's
@@ -186,21 +154,20 @@ class _ParseContext:
     it for the tokens a state has left (its completion bound).
     """
 
-    __slots__ = ("beam", "pool", "log_d", "sigma_bits", "per_token", "entries", "trie",
+    __slots__ = ("pool", "log_d", "sigma_bits", "per_token", "entries", "trie",
                  "members", "member_expansions")
 
-    def __init__(self, graph: ConceptGraph, beam: int, pool: int):
-        self.beam, self.pool = beam, pool
+    def __init__(self, graph: ConceptGraph, pool: int):
+        self.pool = pool
         self.sigma_bits = math.log2(len(graph.alphabet))
         self.members = self.member_expansions = None  # no trie yet
         self.refresh(graph)
 
     @classmethod
     def at_level(cls, graph: ConceptGraph, level: int) -> "_ParseContext":
-        """A context whose beam and pool are the config's bases doubled
-        `level` times, held at `MAX_BUDGET_LEVEL` for a higher level."""
-        level = min(level, MAX_BUDGET_LEVEL)
-        return cls(graph, graph.config.beam_base << level, graph.config.pool_base << level)
+        """A context whose pool is the config's base doubled `level` times,
+        held at `MAX_BUDGET_LEVEL` for a higher level."""
+        return cls(graph, graph.config.pool_base << min(level, MAX_BUDGET_LEVEL))
 
     def refresh(self, graph: ConceptGraph) -> None:
         """Take the graph's current candidates and reference bits, rebuilding
@@ -258,27 +225,50 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token], *,
     Candidates at each position are the context's members (every parseable
     concept while they fit the pool, else the top `pool` by (-weight, id))
     whose expansion prefixes the remainder, and a single-token blob.  The
-    all-blob description is always considered; the beam and pool are the
-    context's, level 0's when none is passed.  Refs come out as concept
-    ids, blobs as token tuples; exact cost ties go to the smallest (0, id)
-    / (1, tokens) signature.
+    all-blob description is always considered; the pool is the context's,
+    level 0's when none is passed.  Refs come out as concept ids, blobs as
+    token tuples; exact cost ties go to the smallest (0, id) / (1, tokens)
+    signature.
 
-    The frontier has a slot per position 0..n, which gets a bucket of the
-    states reaching it when the first one does; positions are taken in order,
-    passing over those no state reached, and position n's bucket holds the
-    finals.  A state is a tuple (cost, count, node, parent, blob_len): a node
-    count (its depth under `start`) and a parent chain, whose `node` is a
-    ref's concept id or, when blob_len > 0, the start of a trailing blob.
-    Its position is its bucket's index, so it is not stored.  A bucket is cut
-    to the beam (`_select_beam`) only when it holds more states than that,
-    and successors go straight into the buckets of their end positions.
+    The frontier holds one state per position 0..n: the cheapest that
+    reaches it (the Viterbi recursion, Viterbi 1967, a shortest path over
+    positions).  A successor replaces the held state when it costs less, or
+    the same and `_tie_order` puts it first, so each position keeps the
+    (cost, signature) minimum of the states offered to it.  Positions are
+    taken in order, passing over those no state reached, and position n
+    holds the final; the all-blob description is offered to it last.  A
+    state is a tuple (cost, count, node, parent, blob_len): a node count
+    (its depth under `start`) and a parent chain, whose `node` is a ref's
+    concept id or, when blob_len > 0, the start of a trailing blob.  Its
+    position is its frontier index, so it is not stored.
+
+    What is exact and what is not.  The completion bound below never
+    changes the answer, but keeping one state per position is not exact:
+    what a state's successors pay depends on more than its cost.  The
+    header grows by 2 bits when the node count reaches a power of two, and
+    a blob token costs about log_d + 1 more when it opens a blob than when it
+    extends a trailing one, so a state that wins a position by a hair can
+    cost its successors more than the loser would have.  The miss is
+    bounded: in exact arithmetic, for every description D over the same
+    candidates, the answer costs at most D's bits plus 2 a node plus
+    log_d + 3 for each token a blob of D holds beyond its first.  Let e_p
+    bound how much the held state at a position p that D passes costs over
+    D's prefix there (e_0 = 0).  D's next step is offered from the held
+    state too, since the candidates depend on the position alone, and the
+    state held at the step's end costs no more than that offer.  Against
+    D's step, the held state pays at most 2 more for a ref (a header
+    increment) or for a blob D opens (it opens one too, or extends its own
+    for at most sigma_bits + 2 where D pays sigma_bits + log_d + 1), and at
+    most log_d + 3 more for a token that D's blob extends (it opens a blob,
+    where D pays sigma_bits or more).  The search without the completion
+    bound gives the same answer, so the bound holds.  `tests/oracle.py`
+    computes it and the exact parse over the same candidates.
 
     Branch and bound (Land & Doig 1960) with an admissible completion bound
     (A*, Hart, Nilsson & Raphael 1968): once a final exists, `bound` is the
-    cheapest cost among the finals so far and the all-blob description, and
-    a position p is not extended when every state there costs more than
-    `bound` + slack - (n - p) * per_token, so a later position may never
-    be reached.
+    cheaper of it and the all-blob description, and the state at position
+    p is not extended when it costs more than `bound` + slack - (n - p) *
+    per_token, so a later position may never be reached.
     No step lowers a cost: a ref adds log2(D) - log2(w + 1) >= 0, as the
     code denominator D = W + C + 1 exceeds w + 1 (`codeable_weight` is the
     exact sum W, which float rounding keeps >= w), a blob step adds
@@ -295,16 +285,14 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token], *,
     the slack and the subtraction.  The slack, bound * (n + 1) *
     BOUND_SLACK = 32 (n + 1) * u * bound, is over nine times that.  So there
     are thresholds t_p, T - (n - p) * per_token raised by the rounding still
-    ahead, with t_n = T, such that a skipped state costs more than t_p and a state
-    costing more than t_p has only successors costing more than t at their
-    positions.  The test is the same for every state at a position, so in
-    every bucket the states costing <= t_p rank before the rest, and the
-    cut keeps the same of them whatever else the bucket lost.  By induction
-    over positions every position holds the same states costing <= t_p as
-    without the bound (none, if never reached), and `bound` >= T
-    throughout, since a final costing less than T would be one of them.
-    The finals costing exactly T are among them, so the (cost, signature)
-    minimum is unchanged.  Without the slack, a state whose remaining
+    ahead, with t_n = T, such that a skipped state costs more than t_p, and
+    a state costing more than t_p has only successors costing more than t
+    at their positions.  By induction over positions, a position whose held
+    state costs <= t_p holds the same state with and without the bound: the
+    offers costing <= t_p come from held states costing <= t_q, the same in
+    both searches and never skipped, and every other offer ranks after
+    them.  And `bound` >= T throughout, since no offer to position n costs
+    less than T.  Without the slack, a state whose remaining
     tokens cost exactly (n - p) * per_token could be dropped when the
     product rounds up, though it may reach a final of cost T with a smaller
     signature.
@@ -315,66 +303,57 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token], *,
     if n == 0:
         return ()
     ctx = context or _ParseContext.at_level(graph, 0)
-    beam = ctx.beam
     log_d = ctx.log_d
     sigma_bits = ctx.sigma_bits
     per_token = ctx.per_token
 
     start = (1.0, 0, None, None, 0)  # gamma_len(1) = 1 bit: the header of no nodes
-    frontier = [[start]] + [None] * (n - 1) + [[]]  # a bucket once a state reaches it
+    frontier = [start] + [None] * n  # the state held at each position, once one reaches it
     # blob cost steps, summed as `header + log_d + gamma_len(1) + sigma_bits`
     # left to right so that exact cost ties stay where they were
     open_plain = 0 + log_d + 1 + sigma_bits
     open_pow2 = 2 + log_d + 1 + sigma_bits
     grow_pow2 = 2 + sigma_bits
     all_blob = 3 + log_d + gamma_len(n) + n * sigma_bits  # gamma_len(2) = 3
-    bound, finals, seen = all_blob, frontier[n], 0  # seen: the finals `bound` covers
     slack = (n + 1) * BOUND_SLACK
 
     for pos in range(n):
-        bucket, frontier[pos] = frontier[pos], None  # so the states a cut drops are freed
-        if bucket is None:
+        state = frontier[pos]
+        if state is None:
             continue  # no state reached this position
-        if finals:
-            if len(finals) > seen:
-                bound = min(bound, min(map(_COST, finals[seen:])))
-                seen = len(finals)
-                top = bound + bound * slack
-            if min(map(_COST, bucket)) > top - (n - pos) * per_token:
-                continue  # nothing here can reach a final costing <= bound
-        if len(bucket) > beam:
-            bucket = _select_beam(bucket, beam)
-        targets = []
+        cost, count, node, parent, blob_len = state
+        final = frontier[n]
+        if final is not None:
+            bound = final[0] if final[0] < all_blob else all_blob
+            if cost > bound + bound * slack - (n - pos) * per_token:
+                continue  # this state cannot reach a final costing <= bound
+        # gamma_len(x) - gamma_len(x - 1) is 2 at a power of two x, else 0
+        header_grows = ((count + 2) & (count + 1)) == 0
+        ref_base = cost + 2 if header_grows else cost
         for cid, length, bits in ctx.candidates_at(tokens, pos):
-            target = frontier[pos + length]
-            if target is None:  # no state has reached this position yet
-                target = frontier[pos + length] = []
-            targets.append((cid, bits, target))
-        blob_target = frontier[pos + 1]
-        if blob_target is None:
-            blob_target = frontier[pos + 1] = []
-        for state in bucket:
-            cost, count, node, parent, blob_len = state
-            # gamma_len(x) - gamma_len(x - 1) is 2 at a power of two x, else 0
-            header_grows = ((count + 2) & (count + 1)) == 0
-            ref_base = cost + 2 if header_grows else cost
-            for cid, bits, target in targets:
-                target.append((ref_base + bits, count + 1, cid, state, 0))
-            if blob_len:  # extend the trailing blob by one token
-                grown = cost + (grow_pow2 if ((blob_len + 1) & blob_len) == 0 else sigma_bits)
-                blob_target.append((grown, count, node, parent, blob_len + 1))
-            else:
-                opened = cost + (open_pow2 if header_grows else open_plain)
-                blob_target.append((opened, count + 1, pos, state, 1))
+            held, ref_cost = frontier[pos + length], ref_base + bits
+            if held is None or ref_cost < held[0]:
+                frontier[pos + length] = (ref_cost, count + 1, cid, state, 0)
+            elif ref_cost == held[0]:  # an exact tie: the smaller signature is held
+                new = (ref_cost, count + 1, cid, state, 0)
+                if _tie_order(new, held) < 0:
+                    frontier[pos + length] = new
+        if blob_len:  # extend the trailing blob by one token
+            grown = cost + (grow_pow2 if ((blob_len + 1) & blob_len) == 0 else sigma_bits)
+            new = (grown, count, node, parent, blob_len + 1)
+        else:
+            new = (cost + (open_pow2 if header_grows else open_plain), count + 1, pos, state, 1)
+        held = frontier[pos + 1]
+        if held is None or new[0] < held[0] or new[0] == held[0] and _tie_order(new, held) < 0:
+            frontier[pos + 1] = new
 
-    # the all-blob description is always a candidate, unless the blob chain's own
-    # final already spells it at no higher cost
-    for state in finals:
-        if state[1] == 1 and state[4] and state[0] <= all_blob:
-            break
-    else:
-        finals.append((all_blob, 1, 0, start, n))
-    _, _, node, parent, blob_len = _select_beam(finals, 1)[0]
+    # A final exists: a state is skipped only once one does, and otherwise
+    # every position's blob step reaches the next.  The all-blob description
+    # ties the blob chain's own final (the same signature), which then stays.
+    final, new = frontier[n], (all_blob, 1, 0, start, n)
+    if all_blob < final[0] or all_blob == final[0] and _tie_order(new, final) < 0:
+        final = new
+    _, _, node, parent, blob_len = final
     nodes = []
     while parent is not None:  # spell the winner's nodes, last first
         nodes.append(tokens[node:node + blob_len] if blob_len else node)
@@ -810,7 +789,7 @@ def ingest(graph: ConceptGraph, tokens: Sequence[Token], cuts: Sequence[int] = (
     bounds = [0, *cuts, len(tokens)]
     if cuts and not all(a < b for a, b in zip(bounds, bounds[1:])):
         raise ValueError("cuts must increase strictly inside the tokens")
-    if (context := _KEPT.get(graph)) is None:  # built once: the config fixes beam and pool
+    if (context := _KEPT.get(graph)) is None:  # built once: the config fixes the pool
         context = _KEPT[graph] = _ParseContext.at_level(graph, 0)
     else:
         context.refresh(graph)
@@ -835,10 +814,10 @@ def ingest(graph: ConceptGraph, tokens: Sequence[Token], cuts: Sequence[int] = (
 
 
 def refine(graph: ConceptGraph, episode_id: int) -> Description:
-    """Append one refinement level: re-parse with a wider search, never worse.
+    """Append one refinement level: re-parse with a wider pool, never worse.
 
-    Level n parses with level n's beam and pool (`_ParseContext.at_level`),
-    which stop doubling at `MAX_BUDGET_LEVEL`.  The previous chain tail
+    Level n parses with level n's pool (`_ParseContext.at_level`), which
+    stops doubling at `MAX_BUDGET_LEVEL`.  The previous chain tail
     stays a candidate, so description bits are non-increasing along the
     chain and every level reconstructs exactly.  An id that is not an `int` has no chain, even if it equals one.
     """

@@ -3,7 +3,9 @@ description bits node by node, the attention of a description, and the
 exhaustive tiny-scale MDL oracle that acceptance 02 scores the engine
 against.  Each is computed from what the engine itself uses:
 `mdl.escape_cost`, the weights and the expansion table.  Beside them, the
-level of each function in the synthesizer's ensemble."""
+exact parse over a parse context's candidates with the bound on how far
+`inducer.parse` may miss it, and the level of each function in the
+synthesizer's ensemble."""
 
 import functools
 import math
@@ -71,10 +73,14 @@ def attention(graph: ConceptGraph, tokens, desc: Description) -> float:
 
 
 def _best_parse_dl(tokens: tuple[Token, ...], escape: float, sigma_bits: float,
-                   options: Sequence[tuple[tuple[Token, ...], float]]) -> float:
+                   options: Sequence[tuple[tuple[Token, ...], float]],
+                   node_extra: float = 0.0, token_extra: float = 0.0) -> float:
     """Exact minimum description bits over refs and blobs (DP over
     position and node count; the node-count header is settled at the end).
-    `options` are the (expansion, ref cost) pairs of the parseable concepts."""
+    `options` are the (expansion, ref cost) pairs of the parseable concepts.
+    A surcharge of `node_extra` bits a node and `token_extra` bits for each
+    token a blob holds beyond its first is added to each description's
+    bits; adding the default 0.0 leaves every sum as it was."""
     n = len(tokens)
     gammas = [0] + [gamma_len(k) for k in range(1, n + 2)]
     refs_at = [[(pos + len(exp), cost) for exp, cost in options
@@ -89,15 +95,35 @@ def _best_parse_dl(tokens: tuple[Token, ...], escape: float, sigma_bits: float,
             if base == inf:
                 continue
             for end, cost in refs_at[pos]:
-                if base + cost < dp[end][count + 1]:
-                    dp[end][count + 1] = base + cost
-            opened = base + escape
+                if base + cost + node_extra < dp[end][count + 1]:
+                    dp[end][count + 1] = base + cost + node_extra
+            opened = base + escape + node_extra
             for length in range(1, n - pos + 1):
-                cost = opened + gammas[length] + length * sigma_bits
+                cost = opened + gammas[length] + length * sigma_bits + (length - 1) * token_extra
                 if cost < dp[pos + length][count + 1]:
                     dp[pos + length][count + 1] = cost
     return min(dp[n][count] + gammas[count + 1]
                for count in range(n + 1) if dp[n][count] < inf)
+
+
+def exact_parse_dl(graph: ConceptGraph, tokens: Sequence[Token], context) -> float:
+    """The fewest description bits of `tokens` over the candidates that
+    `inducer.parse` searches with `context` (an `inducer._ParseContext`):
+    refs to its members, at their entries' bits, and blobs of any length.
+    `_best_parse_dl`'s dynamic program over position and node count is
+    exact, where `parse` keeps one state per position."""
+    options = [(graph.expansion(cid), bits) for cid, _, bits in context.entries]
+    return _best_parse_dl(tuple(tokens), context.log_d, context.sigma_bits, options)
+
+
+def parse_gap_bound(graph: ConceptGraph, tokens: Sequence[Token], context) -> float:
+    """The most bits `inducer.parse` may spend with `context`, as its
+    docstring proves: the least, over every description D over the same
+    candidates, of D's bits plus 2 a node plus log_d + 3 for each token a
+    blob of D holds beyond its first."""
+    options = [(graph.expansion(cid), bits) for cid, _, bits in context.entries]
+    return _best_parse_dl(tuple(tokens), context.log_d, context.sigma_bits, options,
+                          2.0, context.log_d + 3.0)
 
 
 @functools.lru_cache(maxsize=16)  # a few alphabets of up to ORACLE_MAX_SIGMA symbols

@@ -409,7 +409,7 @@ def test_scalar_ingest_and_segment_bytes_are_pinned(tmp_path, capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "3c7ade114102ef829e1ef513d8f2e24518a20478de70c2b2239dd0885369d680")
     assert hashlib.sha256(graph.read_bytes()).hexdigest() == (
-        "6d6650cf752696d5f4e365da66afba320680c8848ad2b45a7d8ba9ed96dd4d09")
+        "a88305f68179bfc7eafca30308307dd02e340d5f34abf1ccf9c80ad6fcdf3851")
 
 
 @pytest.mark.parametrize("theta", ["nan", "inf", "-1"])
@@ -554,11 +554,11 @@ def pinned_session(tmp_path, capsys) -> tuple[str, bytes]:
 
 def test_cli_text_and_bytes_are_pinned(tmp_path, capsys):
     text, data = pinned_session(tmp_path, capsys)
-    assert "desc: [20] [18] 'mkoilnpj' [32]\n" in text
+    assert "desc: [20] [18] [12] [10] [14] [8] [11] [13] [15] [9] [32]\n" in text
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "4f0876f7f4079eac65a7e95c3b01a785e59ee8f04a200a7ffbd1fcd8e57aeef3")
+        "39bbb7fb2352cc24fdedc99488630e4a0ba8343fdc3f7ea3418f9e6e48717ccc")
     assert hashlib.sha256(data).hexdigest() == (
-        "6b337f0d752f5ef3bf0af435c62f1f649f45c104fd49606fc5d33fea37b61433")
+        "146f678698bca1e384d10d8f4454c52f828b2f7229aba0f797a2a93cecc64573")
 
 
 def test_the_cg2_file_of_the_pinned_session_is_at_most_2940_bytes(tmp_path, capsys):
@@ -569,12 +569,12 @@ def test_the_cg2_file_of_the_pinned_session_is_at_most_2940_bytes(tmp_path, caps
 
 
 def test_a_cg1_file_is_a_version_mismatch(tmp_path):
-    """The reader reads cg6 alone; an older file is refused by its version."""
+    """The reader reads cg7 alone; an older file is refused by its version."""
     graph = tmp_path / "g.cg"
     graph.write_text(json.dumps({"version": "cg1", "alphabet": ["a", "b"], "concepts": [],
                                  "digram_counts": []}))
     proc = run_cli("stats", "--graph", str(graph))
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: expected 'cg6', got 'cg1'\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: expected 'cg7', got 'cg1'\n")
 
 
 # A fresh graph over "ab" as the cg2 saver wrote it: a creation episode in
@@ -595,7 +595,7 @@ def test_a_cg2_file_is_a_version_mismatch(tmp_path):
     graph = tmp_path / "g.cg"
     graph.write_text(CG2_FRESH_AB)
     proc = run_cli("stats", "--graph", str(graph))
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: expected 'cg6', got 'cg2'\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: expected 'cg7', got 'cg2'\n")
     assert graph.read_text() == CG2_FRESH_AB
 
 
@@ -613,19 +613,19 @@ CG3_AB_AFTER_ABAB = (
 
 def test_a_cg3_file_is_a_version_mismatch(tmp_path):
     """A cg3 file is refused by its version, and its bytes are kept; the same
-    graph written as cg6 loads, with the episode, pair counts and raw bits
+    graph written as cg7 loads, with the episode, pair counts and raw bits
     its chains give."""
     graph = tmp_path / "g.cg"
     graph.write_text(CG3_AB_AFTER_ABAB)
     proc = run_cli("stats", "--graph", str(graph))
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: expected 'cg6', got 'cg3'\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: expected 'cg7', got 'cg3'\n")
     assert graph.read_text() == CG3_AB_AFTER_ABAB
     doc = json.loads(CG3_AB_AFTER_ABAB)
     for section in ("episode", "assoc_counts", "raw_bits_total"):
         del doc[section]
-    for field in (*CG4_DROPPED, *CG5_DROPPED):
+    for field in (*CG4_DROPPED, *CG5_DROPPED, *CG6_DROPPED):
         del doc["config"][field]
-    doc.update(version="cg6", refinements=list(doc["refinements"].values()))
+    doc.update(version="cg7", refinements=list(doc["refinements"].values()))
     g = graph_from_json(doc)
     assert (g.episode, g.assoc_counts, graph_report(g).raw_bits) == (1, {}, 9.0)
 
@@ -643,16 +643,16 @@ CG4_DROPPED = {"contrast_threshold": "1.0", "fast_path_threshold": "8.0"}
 
 
 def test_a_cg4_file_is_a_version_mismatch(tmp_path):
-    """A cg4 file is refused by its version, and its bytes are kept; the cg6
+    """A cg4 file is refused by its version, and its bytes are kept; the cg7
     file of the same graph is its bytes with the version renamed, without
-    the four config entries that cg5 and cg6 dropped."""
+    the five config entries that cg5, cg6 and cg7 dropped."""
     graph = tmp_path / "g.cg"
     graph.write_text(CG4_AB_AFTER_ABAB)
     proc = run_cli("stats", "--graph", str(graph))
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: expected 'cg6', got 'cg4'\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: expected 'cg7', got 'cg4'\n")
     assert graph.read_text() == CG4_AB_AFTER_ABAB
-    text = CG4_AB_AFTER_ABAB.replace('"version":"cg4"', '"version":"cg6"')
-    for field, value in CG4_DROPPED.items():
+    text = CG4_AB_AFTER_ABAB.replace('"version":"cg4"', '"version":"cg7"')
+    for field, value in {**CG4_DROPPED, **CG6_DROPPED}.items():
         text = text.replace(f'"{field}":{value},', "")
     for field, value in CG5_DROPPED.items():
         text = text.replace(f',"{field}":{value}', "")
@@ -674,15 +674,47 @@ CG5_DROPPED = {"valence_decay": "0.5", "valence_hop_cap": "6"}
 
 def test_a_cg5_file_is_a_version_mismatch(tmp_path):
     """A cg5 file is refused by its version, and its bytes are kept; it is
-    the cg6 file of the same graph with the version renamed and the two
-    valence entries added back, the last of its sorted config."""
+    the cg7 file of the same graph with the version renamed, the beam base
+    added back after the first config entry and the two valence entries
+    after the last."""
     graph = tmp_path / "g.cg"
     graph.write_text(CG5_AB_AFTER_ABAB)
     proc = run_cli("stats", "--graph", str(graph))
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: expected 'cg6', got 'cg5'\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: expected 'cg7', got 'cg5'\n")
     assert graph.read_text() == CG5_AB_AFTER_ABAB
     g = ConceptGraph("ab")
     ingest(g, "abab")
     added = "".join(f',"{field}":{value}' for field, value in CG5_DROPPED.items())
-    text = dumps(g).replace('"version":"cg6"', '"version":"cg5"')
+    text = with_beam_base(dumps(g)).replace('"version":"cg7"', '"version":"cg5"')
     assert text.replace('"repeat_threshold":2}', f'"repeat_threshold":2{added}}}') == CG5_AB_AFTER_ABAB
+
+
+# The same graph as the cg6 saver wrote it: its config also held the beam base,
+# the states a parse kept per position.
+CG6_AB_AFTER_ABAB = (
+    '{"alphabet":["a","b"],"concepts":[["primitive",1.9,"a"],["primitive",1.9,"b"],'
+    '["affect",1.0,1],["affect",1.0,-1],["concat",1.9,[0,1]],["repeat",1.9,4,2]],'
+    '"config":{"assoc_threshold":3,"beam_base":4,"decay":0.9,"generalize_threshold":3,'
+    '"pool_base":64,"repeat_threshold":2},"refinements":[[[5]]],"run_observations":{"2":[4]},'
+    '"version":"cg6"}\n')
+CG6_DROPPED = {"beam_base": "4"}
+
+
+def with_beam_base(text):
+    """A cg7 file's text with the cg6 beam base back in its sorted place."""
+    return text.replace('"assoc_threshold":3,', '"assoc_threshold":3,"beam_base":4,')
+
+
+def test_a_cg6_file_is_a_version_mismatch(tmp_path):
+    """A cg6 file is refused by its version, and its bytes are kept; it is
+    the cg7 file of the same graph with the version renamed and the beam
+    base added back."""
+    graph = tmp_path / "g.cg"
+    graph.write_text(CG6_AB_AFTER_ABAB)
+    proc = run_cli("stats", "--graph", str(graph))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: expected 'cg7', got 'cg6'\n")
+    assert graph.read_text() == CG6_AB_AFTER_ABAB
+    g = ConceptGraph("ab")
+    ingest(g, "abab")
+    text = with_beam_base(dumps(g)).replace('"version":"cg7"', '"version":"cg6"')
+    assert text == CG6_AB_AFTER_ABAB

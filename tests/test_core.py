@@ -568,7 +568,7 @@ def test_the_code_mass_is_the_sum_a_reload_derives(data):
         assert g.codeable_weight() == id_order_sum(g)
         assert same_rows(row_lists(g), derived_tables(g)[5])
         assert graph_from_json(json.loads(dumps(g))).codeable_weight() == g.codeable_weight()
-        assert all(bits >= 0 for _, _, bits in _ParseContext(g, 1, 128).entries)
+        assert all(bits >= 0 for _, _, bits in _ParseContext(g, 128).entries)
 
 
 def two_pass_tick(g, used):

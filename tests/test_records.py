@@ -41,8 +41,8 @@ FROZEN = [
     (AffectPrimitive(-1), "AffectPrimitive(sign=-1)", (-1,)),
     (Marker("follows"), "Marker(label='follows')", ("follows",)),
     (Config(), "Config(repeat_threshold=2, decay=0.9, assoc_threshold=3, "
-     "generalize_threshold=3, beam_base=4, pool_base=64)",
-     (2, 0.9, 3, 3, 4, 64)),
+     "generalize_threshold=3, pool_base=64)",
+     (2, 0.9, 3, 3, 64)),
     (SlotConstraint(kind="valence", sign=-1),
      "SlotConstraint(kind='valence', concept=None, label=None, sign=-1)",
      ("valence", None, None, -1)),
@@ -128,7 +128,7 @@ def test_terms_of_different_classes_are_different_keys():
 @pytest.mark.parametrize("a, b", [
     (Repeat(3, 2), Repeat(3, 3)), (Primitive("a"), Primitive("b")),
     (Repeat(3, 2), Association(3, 3)), (Var(0), Var(1)), (Repeat(3, 2), (3, 3)),
-    ((3, 3), Repeat(3, 2)), (Config(beam_base=1), Config(beam_base=2))])
+    ((3, 3), Repeat(3, 2)), (Config(pool_base=1), Config(pool_base=2))])
 def test_records_have_no_order(a, b):
     for compare in (lambda: a < b, lambda: a <= b, lambda: a > b, lambda: a >= b):
         with pytest.raises(TypeError):
@@ -156,8 +156,8 @@ def test_a_malformed_template_raises_only_when_add_reads_its_holes(body, error):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: Config()._replace(decay=5.0), lambda: Config._make([0.0] * 6),
-    lambda: Config()._replace(beam_base=0), lambda: Config()._replace(decay=-1.0)])
+    lambda: Config()._replace(decay=5.0), lambda: Config._make([0.0] * 5),
+    lambda: Config()._replace(pool_base=0), lambda: Config()._replace(decay=-1.0)])
 def test_a_checked_record_is_checked_however_it_is_built(build):
     with pytest.raises(ValueError):
         build()

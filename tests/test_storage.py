@@ -740,8 +740,8 @@ def test_load_rejects_a_refinement_chain_not_of_an_episode(edit):
 
 
 def test_a_cg1_document_is_a_version_mismatch():
-    """The reader reads cg6 alone: a cg1 file is refused by its version."""
-    with pytest.raises(VersionMismatch, match="expected 'cg6', got 'cg1'"):
+    """The reader reads cg7 alone: a cg1 file is refused by its version."""
+    with pytest.raises(VersionMismatch, match="expected 'cg7', got 'cg1'"):
         graph_from_json({"version": "cg1", "alphabet": ["a", "b"], "concepts": [],
                          "digram_counts": []})
 
@@ -749,7 +749,7 @@ def test_a_cg1_document_is_a_version_mismatch():
 # Edits that leave a file other than the saver writes, whose resave would
 # differ: older files held the `library` and `follows_marker` sections and
 # four more config fields, cg4 files the two thresholds the engine never read,
-# and cg5 files the valence decay and hop cap.
+# cg5 files the valence decay and hop cap, and cg6 files the beam base.
 UNSAVED_EDITS = {
     "an-extra-section": lambda d: d.__setitem__("junk", 1),
     "a-library-section": lambda d: d.__setitem__("library", ["(builtin succ 1)"]),
@@ -759,6 +759,7 @@ UNSAVED_EDITS = {
     "a-dropped-config-field": lambda d: d["config"].__setitem__("iter_cap", 100),
     "a-cg4-config-field": lambda d: d["config"].__setitem__("fast_path_threshold", 8.0),
     "a-cg5-config-field": lambda d: d["config"].__setitem__("valence_hop_cap", 6),
+    "a-cg6-config-field": lambda d: d["config"].__setitem__("beam_base", 4),
     "a-missing-config-field": lambda d: d["config"].pop("decay"),
 }
 
