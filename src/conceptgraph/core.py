@@ -250,9 +250,9 @@ class ConceptGraph:
         birth = [*map(Primitive, self.alphabet), AffectPrimitive(PLEASURE), AffectPrimitive(PAIN)]
         if concepts is None:
             concepts = [Concept(kind, 1.0) for kind in birth]
-        elif [getattr(c, "kind", None) for c in concepts[:len(birth)]] != birth:
+        self.concepts: list[Concept] = list(as_tuple(concepts, "an iterable of concepts"))
+        if [getattr(c, "kind", None) for c in self.concepts[:len(birth)]] != birth:
             raise ValueError("initial concepts do not match the alphabet")
-        self.concepts: list[Concept] = list(concepts)
         # adjacent ref pair counts over the stored level-0 descriptions
         self.assoc_counts: dict[tuple[int, int], int] = {}
         # episode id -> refinement chain (level 0 first); the ids run from 0
@@ -797,6 +797,7 @@ def match_emotion(desc: Description, templates: Sequence[EmotionTemplate],
     is checked before it is matched (`MalformedTemplate`).
     """
     desc = as_tuple(desc, "an iterable of nodes")
+    templates = as_tuple(templates, "an iterable of emotion templates")
     labels = labels or {}
     results: list[tuple[str, tuple[int, int]]] = []
     for template in templates:

@@ -50,6 +50,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterator, Optional, Sequence, Union
 
+from .core import as_tuple
 from .errors import ArityMismatch, IterCountExceeded, MalformedTerm, Overflow
 from .records import record
 
@@ -172,14 +173,15 @@ class Library:
     name; `_compile` checks it in the same walk.  So evaluating a library
     term always terminates (iteration counts are capped) and never meets an
     unknown function or a wrong argument count.  A builtin entry must name
-    a builtin with its arity.
+    a builtin with its arity; an entry that is no `LibraryFn`, or whose name
+    breaks the label rule (`_label_fits`), is a ValueError.
     """
 
     def __init__(self, entries: Optional[list[LibraryFn]] = None):
         self.entries: list[LibraryFn] = []
         self._by_name: dict[str, LibraryFn] = {}
         self.bodies: dict[str, Callable] = {}
-        for fn in entries or []:
+        for fn in as_tuple(() if entries is None else entries, "an iterable of LibraryFns"):
             self._append(fn)
 
     @staticmethod
@@ -202,6 +204,8 @@ class Library:
         self._append(LibraryFn(name, arity, definition))
 
     def _append(self, fn: LibraryFn) -> None:
+        if type(fn) is not LibraryFn or not _label_fits(fn.name):
+            raise ValueError(f"{fn!r} is not a LibraryFn whose name fits the label rule")
         if fn.name in self._by_name:
             raise ValueError(f"function {fn.name!r} already defined")
         if type(fn.arity) is not int or fn.arity < 0:
@@ -231,6 +235,8 @@ class _Evaluator:
     value differs from the target's, and return None there."""
 
     def __init__(self, library: Library, iter_cap: int, value_cap: int):
+        if type(library) is not Library:
+            raise ValueError(f"expected a Library, not {type(library).__name__}")
         self.library = library
         self.iter_cap = iter_cap
         self.value_cap = value_cap
@@ -340,9 +346,10 @@ class _Evaluator:
 def eval_term(term: Term, inputs: Sequence[int], library: Library,
               iter_cap: int = DEFAULT_ITER_CAP,
               value_cap: int = DEFAULT_VALUE_CAP) -> int:
-    """Evaluate a term on integer inputs with int caps (else ValueError);
-    raises MalformedTerm (before any evaluation), Overflow or IterCountExceeded."""
-    inputs = tuple(inputs)
+    """Evaluate a term on integer inputs with int caps and a `Library` (else
+    ValueError); raises MalformedTerm (before any evaluation), Overflow or
+    IterCountExceeded."""
+    inputs = as_tuple(inputs, "an iterable of integers")
     if any(type(v) is not int for v in inputs):
         raise ValueError("inputs must be integers")
     _check_caps(iter_cap=iter_cap, value_cap=value_cap)
@@ -526,9 +533,9 @@ def synthesize(examples: Sequence[FunctionExample], library: Library,
 
     Overflow and iteration-cap breaches count as inconsistency, not errors.
     The search stops at the first kept term whose vector equals the outputs.
-    Examples that are not a list or tuple of `FunctionExample`s, or an
-    input, output or cap that is not an `int` (a float, a bool, a string),
-    are a ValueError; a `size_cap` below 1 finds nothing.
+    Examples that are not a list or tuple of `FunctionExample`s, a library
+    that is no `Library`, or an input, output or cap that is not an `int` (a
+    float, a bool, a string), are a ValueError; `size_cap` < 1 finds nothing.
     """
     _check_caps(size_cap=size_cap, iter_cap=iter_cap, value_cap=value_cap)
     _check_examples(examples)
@@ -656,6 +663,8 @@ def term_to_sexpr(term: Term) -> str:
 
 def library_to_lines(library: Library) -> list[str]:
     """One s-expression per entry, already in dependency order."""
+    if type(library) is not Library:
+        raise ValueError(f"expected a Library, not {type(library).__name__}")
     lines = []
     for fn in library.entries:
         if fn.definition is None:

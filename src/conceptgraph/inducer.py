@@ -35,8 +35,8 @@ An episode adds a handful of concepts, so what induction reads of the
 concepts' kinds is not rescanned: the concat buckets that agree everywhere
 but one position, the Repeat children by count and the association count
 are kind facts that the graph derives with each row it takes in
-(`ConceptGraph`).  The one thing kept beside a graph is `ingest`'s level-0
-parse context (`_KEPT`).  The rest of an episode's upkeep also pays for
+(`ConceptGraph`).  The one thing kept beside a graph is `ingest`'s parse
+context (`_KEPT`).  The rest of an episode's upkeep also pays for
 what changed: the context ranks weights only when the graph has more
 parseable concepts than the pool, the reward walk reads each row's
 references from its kind, the weight tick walks the row lists the graph
@@ -84,7 +84,6 @@ from .mdl import description_dl, gamma_len
 from .records import record
 
 
-MAX_BUDGET_LEVEL = 8  # parse time about doubles per level: a long refine chain stops here
 BOUND_SLACK = 2.0 ** -48  # `parse`'s bound slack per token: more than its sums can round away
 
 
@@ -122,16 +121,13 @@ def _tie_order(a: tuple, b: tuple) -> int:
 class _ParseContext:
     """Parse machinery for one code state: candidate entries, their trie, ref costs.
 
-    A context fixes the search effort too: the `pool` of candidates by
-    weight.  Level n's (`at_level`) is the config's base doubled n times, up
-    to `MAX_BUDGET_LEVEL`.  The candidates are every parseable concept while
-    they fit the pool, else the top `pool` by (-weight, id), each with its
-    mutable [id, length, reference bits] entry.  Their expansions are
-    merged into a token trie whose nodes list the entries ending there (the
-    same lists as `entries`), so a lookup walks only as far as the longest
-    match and builds nothing but its result.  Weights are constant between
-    ticks, so one context serves every parse call an ingest makes (segments
-    plus blob residue).
+    The candidates are every parseable concept while they fit the `pool`,
+    else the top `pool` by (-weight, id), each with its mutable [id, length,
+    reference bits] entry.  Their expansions are merged into a token trie
+    whose nodes list the entries ending there (the same lists as `entries`),
+    so a lookup walks only as far as the longest match and builds nothing
+    but its result.  Weights are constant between ticks, so one context
+    serves every parse call an ingest makes (segments plus blob residue).
 
     `refresh` moves the context to the graph's current code state.  It
     ranks only when the parseable concepts outnumber the pool, with one
@@ -141,12 +137,11 @@ class _ParseContext:
     both are unchanged and only each entry's bits are rewritten in place;
     the check is a list comparison, which finds an unchanged member's
     stored expansion by identity.  A rebuild makes a node only for a token
-    the trie does not have yet.  `ingest` builds its level-0 context once
-    per graph (the config, so the pool, is fixed for the graph's
-    life), keeps it in `_KEPT` and refreshes it each episode: between
-    episodes the members change only when a node is formed or a weight
-    crosses into the pool.  `refine` builds a fresh context at the chain's
-    level per call, and a direct `parse` call one at level 0.
+    the trie does not have yet.  `ingest` builds its context, at the
+    config's `pool_base`, once per graph, keeps it in `_KEPT` and refreshes
+    it each episode: between episodes the members change only when a node
+    is formed or a weight crosses into the pool.  A direct `parse` call
+    builds one at `pool_base` too, and `refine` one the whole graph fits in.
 
     The same pass sets `per_token`, the fewest bits any parse step pays per
     token it covers: min(sigma_bits, bits / length over the entries), since
@@ -162,12 +157,6 @@ class _ParseContext:
         self.sigma_bits = math.log2(len(graph.alphabet))
         self.members = self.member_expansions = None  # no trie yet
         self.refresh(graph)
-
-    @classmethod
-    def at_level(cls, graph: ConceptGraph, level: int) -> "_ParseContext":
-        """A context whose pool is the config's base doubled `level` times,
-        held at `MAX_BUDGET_LEVEL` for a higher level."""
-        return cls(graph, graph.config.pool_base << min(level, MAX_BUDGET_LEVEL))
 
     def refresh(self, graph: ConceptGraph) -> None:
         """Take the graph's current candidates and reference bits, rebuilding
@@ -212,7 +201,7 @@ class _ParseContext:
         return found
 
 
-# Each graph's level-0 parse context.  Weak keys keep the graph's own state
+# Each graph's `ingest` parse context.  Weak keys keep the graph's own state
 # and saved bytes free of it, and let a dropped graph free its trie; the
 # context holds no reference to the graph.
 _KEPT: "weakref.WeakKeyDictionary[ConceptGraph, _ParseContext]" = weakref.WeakKeyDictionary()
@@ -222,13 +211,12 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token], *,
           context: Optional[_ParseContext] = None) -> Description:
     """Minimum-description-length parse of `tokens` against the graph.
 
-    Candidates at each position are the context's members (every parseable
-    concept while they fit the pool, else the top `pool` by (-weight, id))
-    whose expansion prefixes the remainder, and a single-token blob.  The
-    all-blob description is always considered; the pool is the context's,
-    level 0's when none is passed.  Refs come out as concept ids, blobs as
-    token tuples; exact cost ties go to the smallest (0, id) / (1, tokens)
-    signature.
+    Candidates at each position are the context's members whose expansion
+    prefixes the remainder, and a single-token blob; with no context, the
+    members are those of a pool of the config's `pool_base`.  The all-blob
+    description is always considered.  Refs come out as concept ids, blobs
+    as token tuples; exact cost ties go to the smallest (0, id) / (1,
+    tokens) signature.
 
     The frontier holds one state per position 0..n: the cheapest that
     reaches it (the Viterbi recursion, Viterbi 1967, a shortest path over
@@ -302,7 +290,7 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token], *,
     n = len(tokens)
     if n == 0:
         return ()
-    ctx = context or _ParseContext.at_level(graph, 0)
+    ctx = context or _ParseContext(graph, graph.config.pool_base)
     log_d = ctx.log_d
     sigma_bits = ctx.sigma_bits
     per_token = ctx.per_token
@@ -775,7 +763,7 @@ def ingest(graph: ConceptGraph, tokens: Sequence[Token], cuts: Sequence[int] = (
     concepts from repetition, abstract commonality, record associations,
     decay-and-reward weights, store the description as level 0 of a new
     refinement chain (which counts the episode).  The parses share the
-    graph's kept level-0 context, refreshed first; a str is its characters.
+    graph's kept parse context, refreshed first; a str is its characters.
     Cuts that are not a list or tuple of ints strictly increasing inside
     (0, len(tokens)), or tokens that are not iterable, are a ValueError and
     a token that is no alphabet symbol (an int level too) `UnknownToken`,
@@ -790,7 +778,7 @@ def ingest(graph: ConceptGraph, tokens: Sequence[Token], cuts: Sequence[int] = (
     if cuts and not all(a < b for a, b in zip(bounds, bounds[1:])):
         raise ValueError("cuts must increase strictly inside the tokens")
     if (context := _KEPT.get(graph)) is None:  # built once: the config fixes the pool
-        context = _KEPT[graph] = _ParseContext.at_level(graph, 0)
+        context = _KEPT[graph] = _ParseContext(graph, graph.config.pool_base)
     else:
         context.refresh(graph)
     nodes: list[Node] = []
@@ -814,18 +802,19 @@ def ingest(graph: ConceptGraph, tokens: Sequence[Token], cuts: Sequence[int] = (
 
 
 def refine(graph: ConceptGraph, episode_id: int) -> Description:
-    """Append one refinement level: re-parse with a wider pool, never worse.
+    """Append one refinement level: the episode described under today's code.
 
-    Level n parses with level n's pool (`_ParseContext.at_level`), which
-    stops doubling at `MAX_BUDGET_LEVEL`.  The previous chain tail
-    stays a candidate, so description bits are non-increasing along the
-    chain and every level reconstructs exactly.  An id that is not an `int` has no chain, even if it equals one.
+    The parse's candidates are every parseable concept, whatever the chain's
+    length (its context's pool is the graph's size).  The previous tail
+    stays a candidate and wins a tie, so description bits never rise along
+    the chain and every level reconstructs exactly.  An id that is not an
+    `int` has no chain, even if it equals one.
     """
     chain = graph.refinement_store.get(episode_id) if type(episode_id) is int else None
     if not chain:
         raise UnknownEpisode(f"no refinement chain for episode {episode_id}")
     tokens = reconstruct(graph, chain[0])
-    candidate = parse(graph, tokens, context=_ParseContext.at_level(graph, len(chain)))
+    candidate = parse(graph, tokens, context=_ParseContext(graph, len(graph)))
     previous = chain[-1]
     if description_dl(graph, previous) <= description_dl(graph, candidate):
         candidate = previous

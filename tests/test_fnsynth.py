@@ -145,6 +145,26 @@ def test_a_library_entry_has_an_int_arity(arity):
     assert library_to_lines(lib) == ["(builtin succ 1)"]
 
 
+@pytest.mark.parametrize("name", ["a b", "", "(f", "f)", '"f', 7, None, ("f",)], ids=repr)
+def test_a_library_name_keeps_the_label_rule(name):
+    """Unchecked, `define("a b", 1, Var(0))` printed `(def a b 1 (var 0))`, a
+    line that does not read back as one entry, and `define(7, ...)` passed."""
+    lib = Library.initial()
+    with pytest.raises(ValueError):
+        lib.define(name, 1, Var(0))
+    with pytest.raises(ValueError):
+        Library([LibraryFn("succ", 1, None), LibraryFn(name, 1, Var(0))])
+    assert library_to_lines(lib) == ["(builtin succ 1)"]
+
+
+@pytest.mark.parametrize("entries", [5, [5], ["succ"], [("succ", 1, None)]], ids=repr)
+def test_library_entries_that_are_not_library_fns_are_refused(entries):
+    """Unchecked, `Library(5)` raised a bare `TypeError`, and an entry that is
+    not a `LibraryFn` an `AttributeError`."""
+    with pytest.raises(ValueError):
+        Library(entries)
+
+
 def test_synthesize_red_finds_addition():
     term = synthesize(RED, Library.initial())
     assert term == Iter(SUCC, Var(0), Var(1))

@@ -32,10 +32,10 @@ from conceptgraph.core import (
 from conceptgraph.corpus import GRAMMAR_ALPHABET, gen_grammar_corpus
 from conceptgraph.errors import InvalidDescription, TooLarge, UnknownEpisode, UnknownToken
 from conceptgraph import inducer, mdl
-from conceptgraph.fnsynth import parse_examples_text
+from conceptgraph.fnsynth import (FunctionExample, Library, Var, eval_term, library_to_lines,
+                                  parse_examples_text, synthesize)
 from conceptgraph.inducer import (
     GATE_MARGIN,
-    MAX_BUDGET_LEVEL,
     _PairIndex,
     _ParseContext,
     _apply_forgetting,
@@ -360,19 +360,36 @@ NOT_ITERABLE = {f"{fn.__name__}-{arg}": lambda g, fn=fn, arg=arg: fn(g, arg)
     lambda g: ingest(g, None), lambda g: ingest(g, 5),
     lambda g: gen_grammar_corpus(1, "x", 5), lambda g: gen_grammar_corpus(1, 2, None),
     lambda g: g.tick_weights(None), lambda g: match_emotion(None, default_emotion_templates(), {}),
-    lambda g: parse_examples_text(None), *NOT_ITERABLE.values()],
+    lambda g: parse_examples_text(None), *NOT_ITERABLE.values(),
+    lambda g: ConceptGraph(g.alphabet, g.config, 5),
+    lambda g: ConceptGraph(g.alphabet, g.config, dict.fromkeys(range(len(g)))),
+    lambda g: eval_term(Var(0), None, Library.initial()),
+    lambda g: eval_term(Var(0), (1,), None),
+    lambda g: synthesize([FunctionExample("f", (1,), 2)], None),
+    lambda g: library_to_lines(None),
+    lambda g: match_emotion((), None, {})],
     ids=["ingest-None", "ingest-5", "corpus-depth", "corpus-length", "tick_weights-None",
-         "match_emotion-None", "parse_examples_text-None", *NOT_ITERABLE])
+         "match_emotion-None", "parse_examples_text-None", *NOT_ITERABLE,
+         "graph_concepts-5", "graph_concepts-dict", "eval_term-inputs", "eval_term-library",
+         "synthesize-library", "library_to_lines-library", "match_emotion-templates"])
 def test_an_argument_of_the_wrong_type_is_a_value_error(call):
     """Unchecked, each raised a bare `TypeError` (`ingest` raised a ValueError
-    already, and `parse_examples_text` an `AttributeError`); a refused call
-    keeps the graph."""
+    already, and `parse_examples_text` and a library that is no `Library` an
+    `AttributeError`); a refused call keeps the graph."""
     g = ConceptGraph("ab")
     ingest(g, "abab")
     before = dumps(g)
     with pytest.raises(ValueError):
         call(g)
     assert dumps(g) == before
+
+
+def test_a_graph_takes_its_rows_from_any_iterable():
+    """The constructor reads its rows once, so a generator of them works."""
+    g = ConceptGraph("ab")
+    ingest(g, "abab" * 3)
+    copy = ConceptGraph(g.alphabet, g.config, (row for row in g.concepts))
+    assert copy.concepts == g.concepts and copy.parseable_ids() == g.parseable_ids()
 
 
 def test_ingest_rejects_scalar_stream():
@@ -1006,7 +1023,7 @@ class LinearScan(_ParseContext):
 
 def linear_parse(graph, tokens):
     """`parse` with the trie lookup replaced by the linear scan."""
-    return parse(graph, tokens, context=LinearScan.at_level(graph, 0))
+    return parse(graph, tokens, context=LinearScan(graph, graph.config.pool_base))
 
 
 def signature(state, tokens):
@@ -1128,7 +1145,7 @@ def test_a_final_that_spans_the_episode_stops_the_other_positions():
     g = ConceptGraph("ab")
     whole = g.add(Repeat(g.add(Concat((0, 1))), 32))
     g.set_weight(whole, 50.0)
-    context = CountingTrie.at_level(g, 0)
+    context = CountingTrie(g, g.config.pool_base)
     tokens = "ab" * 32
     assert parse(g, tokens, context=context) == (whole,)
     assert len(context.looked_up) < 64
@@ -1234,7 +1251,7 @@ def test_the_completion_bound_looks_up_fewer_positions():
     for i in range(0, 1280, 64):
         ingest(g, tokens[i:i + 64])
     episode = tokens[1280:1344]
-    context = CountingTrie.at_level(g, 0)
+    context = CountingTrie(g, g.config.pool_base)
     plain = CountingTrie(g, context.pool)
     plain.per_token = 0.0  # the cost bound alone
     want = unbounded_parse(g, episode, _ParseContext(g, context.pool))
@@ -1290,7 +1307,7 @@ def test_trie_parse_matches_the_linear_scan_sigma16_beyond_the_pool():
 
 
 def test_kept_context_parses_like_a_fresh_one():
-    """`ingest`'s level-0 context, refreshed after each kind of graph change,
+    """`ingest`'s kept context, refreshed after each kind of graph change,
     parses like a fresh context and like the linear scan."""
     g = ConceptGraph("abc", Config(pool_base=8))
     rng = random.Random(5)
@@ -1304,7 +1321,7 @@ def test_kept_context_parses_like_a_fresh_one():
         pieces = [g.expansion(c) for c in g.parseable_ids()]
         for _ in range(30):
             tokens = [t for _ in range(rng.randint(0, 8)) for t in rng.choice(pieces)]
-            fresh = parse(g, tokens, context=_ParseContext.at_level(g, 0))
+            fresh = parse(g, tokens, context=_ParseContext(g, g.config.pool_base))
             assert parse(g, tokens, context=kept) == fresh == linear_parse(g, tokens)
 
     # a weight tick that keeps the members keeps the trie and rewrites the bits
@@ -1357,7 +1374,7 @@ def test_ingest_with_the_kept_context_cleared_gives_the_same_bytes():
 
 
 def test_ingest_builds_the_level0_context_once_per_graph(monkeypatch):
-    """`ingest` builds a graph's level-0 parse context at its first episode,
+    """`ingest` builds a graph's parse context at its first episode,
     keeps it as the graph's one entry in `_KEPT` and refreshes it after."""
     built = []
 
@@ -1467,7 +1484,7 @@ def test_kind_index_matches_the_rescans(data):
     motifs = st.tuples(st.text(sigma, min_size=1, max_size=4), st.integers(1, 6))
     episodes = st.one_of(st.text(sigma, max_size=20), motifs.map(lambda m: m[0] * m[1]))
     g, ref = ConceptGraph(sigma, config), ConceptGraph(sigma, config)
-    pool = config.pool_base  # level 0's pool
+    pool = config.pool_base  # the pool of `ingest`'s context
     poppable = set()  # added by the add step since the last ingest
     ops = st.sampled_from(["ingest", "add", "add", "pop", "regroup", "abstract", "weights",
                            "reload"])
@@ -1527,7 +1544,7 @@ def test_kind_index_matches_the_rescans(data):
         assert dumps(g) == dumps(ref)
         assert kept_index(g) == rescanned_index(g)
         want = ranked_members(g, pool)
-        assert _ParseContext.at_level(g, 0).members == want
+        assert _ParseContext(g, pool).members == want
         kept = inducer._KEPT.get(g)
         if kept is not None:
             kept.refresh(g)
@@ -1814,10 +1831,11 @@ def test_ingest_graph_bytes_survive_python_O(tmp_path):
 
 
 def test_parse_bytes_are_pinned_at_wider_pools():
-    """Held-out grammar and random sigma-16 episodes parsed at budget levels
-    0-3, whose pools double, against graphs trained at pool bases 64 and 32.
-    Exact cost ties are common among the states offered to one position,
-    so the hash pins their order: reversing the tie-break changes it."""
+    """Held-out grammar and random sigma-16 episodes parsed at the config's
+    `pool_base` (`ingest`'s pool) and with every parseable concept (a
+    refine's), against graphs trained at pool bases 64 and 32.  Exact cost
+    ties are common among the states offered to one position, so the hash
+    pins their order: reversing the tie-break changes it."""
     tokens, _ = gen_grammar_corpus(11, 5, 64 * 50, rules_per_level=3)
     sigma = "abcdefghijklmnop"
     digest, sizes = hashlib.sha256(), []
@@ -1832,12 +1850,12 @@ def test_parse_bytes_are_pinned_at_wider_pools():
         sizes.append((len(grammar), len(noise)))
         episodes = [(grammar, tokens[i:i + 64]) for i in range(64 * 40, 64 * 50, 64)]
         episodes += [(noise, "".join(rng.choice(sigma) for _ in range(96))) for _ in range(10)]
-        for level in range(4):
+        for every in (False, True):
             for g, episode in episodes:
-                nodes = parse(g, episode, context=_ParseContext.at_level(g, level))
-                digest.update(repr(nodes).encode())
+                context = _ParseContext(g, len(g) if every else config.pool_base)
+                digest.update(repr(parse(g, episode, context=context)).encode())
     assert sizes == [(23, 312), (23, 283)]
-    assert digest.hexdigest() == "3b2f0ce36ea93e82d506f4a5e9a3dc809b55cbea0f05154afc609d91dcaed032"
+    assert digest.hexdigest() == "f07a1f126e326e831571bbd66ca3b14e7986974c651601e7f2f5f3e35d5e65a6"
 
 
 def test_ingest_determinism_byte_level():
@@ -1849,18 +1867,42 @@ def test_ingest_determinism_byte_level():
     assert dumps(g1) == dumps(g2)
 
 
-def test_budget_doubles_per_level():
-    g = ConceptGraph("ab")
-    config = g.config
-    b0 = _ParseContext.at_level(g, 0)
-    b2 = _ParseContext.at_level(g, 2)
-    assert (b0.pool, b2.pool) == (config.pool_base, config.pool_base * 4)
+def graph_past_the_pool(config=None):
+    """A graph over 8 symbols with more parseable concepts than its `pool_base`."""
+    sigma = "abcdefgh"
+    rng = random.Random(0)
+    g = ConceptGraph(sigma, config)
+    for _ in range(30):
+        ingest(g, "".join(rng.choice(sigma) for _ in range(rng.randint(0, 40))))
+    assert len(g.parseable_ids()) > g.config.pool_base
+    return g
+
+
+def test_refine_parses_with_every_parseable_concept(monkeypatch):
+    """A chain's length is no search budget: a refine at chain length 1 and
+    one past 10 levels both parse with every parseable concept as a
+    candidate, on a graph that outgrows `pool_base` many times over, and
+    each level spells the episode."""
+    g = graph_past_the_pool(Config(pool_base=4))
+    seen = []
+
+    def spy(graph, tokens, **kwargs):
+        seen.append((len(graph.refinement_store[0]), kwargs["context"].members))
+        return parse(graph, tokens, **kwargs)
+
+    monkeypatch.setattr(inducer, "parse", spy)
+    for _ in range(12):
+        refine(g, 0)
+    chain = g.refinement_store[0]
+    assert [length for length, _ in seen] == list(range(1, 13))
+    assert all(members == g.parseable_ids() for _, members in seen)
+    assert all(reconstruct(g, level) == reconstruct(g, chain[0]) for level in chain)
 
 
 @pytest.mark.parametrize("pool", [-1, 0, 1.5, 2.0, "64", True])
 def test_budget_refuses_a_bad_pool(pool):
-    """A parse's pool is the config's base doubled per level, and the config
-    refuses a bad base."""
+    """`ingest` parses with a pool of the config's `pool_base`, and the
+    config refuses a bad base."""
     with pytest.raises(ValueError):
         Config(pool_base=pool)
 
@@ -1876,37 +1918,53 @@ def test_parse_at_the_smallest_budget_reaches_the_end():
     assert reconstruct(g, parse(g, "abbaab", context=_ParseContext(g, 64))) == tuple("abbaab")
 
 
-def test_refine_past_the_budget_ceiling_parses_at_the_ceiling(monkeypatch):
-    """Past `MAX_BUDGET_LEVEL`, a refine parses with the ceiling's pool
-    instead of doubling again (parse time about doubles per level)."""
-    g = ConceptGraph("ab")
-    ingest(g, "ab" * 20)
-    for _ in range(MAX_BUDGET_LEVEL + 3):
-        refine(g, 0)
-    chain = g.refinement_store[0]
-    budgets = []
-
-    def spy(graph, tokens, **kwargs):
-        budgets.append(kwargs["context"].pool)
-        return parse(graph, tokens, **kwargs)
-
-    monkeypatch.setattr(inducer, "parse", spy)
-    level = refine(g, 0)
-    ceiling = g.config.pool_base << MAX_BUDGET_LEVEL
-    assert budgets == [ceiling]
-    beyond = _ParseContext.at_level(g, MAX_BUDGET_LEVEL + 40)
-    assert beyond.pool == ceiling
-    assert reconstruct(g, level) == reconstruct(g, chain[0])
-
-
 def test_parse_takes_the_budget_from_the_context():
-    sigma = "abcdefgh"
-    rng = random.Random(0)
-    g = ConceptGraph(sigma)
-    for _ in range(30):
-        ingest(g, "".join(rng.choice(sigma) for _ in range(rng.randint(0, 40))))
-    wide, narrow = _ParseContext.at_level(g, 6), _ParseContext.at_level(g, 0)
-    assert len(narrow.members) < len(g.parseable_ids()) <= len(wide.members)
-    tokens = "gecgcbchccaaddcc"  # the level-0 pool lacks the concepts that describe it best
+    """A refine's context (every parseable concept) describes an episode in
+    fewer bits than `ingest`'s pool of `pool_base` can."""
+    g = graph_past_the_pool()
+    wide, narrow = _ParseContext(g, len(g)), _ParseContext(g, g.config.pool_base)
+    assert len(narrow.members) < len(g.parseable_ids()) == len(wide.members)
+    tokens = "gecgcbchccaaddcc"  # the `pool_base` pool lacks the concepts that describe it best
     got, narrow_pool = parse(g, tokens, context=wide), parse(g, tokens, context=narrow)
     assert description_dl(g, got) < description_dl(g, narrow_pool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_refine_appends_the_cheaper_of_the_tail_and_a_full_parse(data):
+    """On drawn graphs that outgrow a pool of 1-4, a refine appends the
+    cheaper of the chain's tail and a parse with every parseable concept as
+    a candidate, the tail on a tie, and the same level whatever number of
+    levels the chain already holds."""
+    config = Config(pool_base=data.draw(st.integers(1, 4)))
+    g = ConceptGraph("abcd", config)
+    motifs = st.tuples(st.text("abcd", min_size=1, max_size=4), st.integers(1, 6))
+    episodes = st.one_of(st.text("abcd", max_size=20), motifs.map(lambda m: m[0] * m[1]))
+    for episode in data.draw(st.lists(episodes, min_size=1, max_size=5)):
+        ingest(g, episode)
+    for pair in ((0, 1), (1, 2), (2, 3)):  # past the pool, whatever the stream grew
+        g.add(Concat(pair))
+    weights = st.lists(st.tuples(st.sampled_from(g.parseable_ids()),
+                                 st.sampled_from([0.0, 0.5, 1.0, 3.0, 9.0])), max_size=4)
+    ep = data.draw(st.integers(0, g.episode - 1))
+    for _ in range(data.draw(st.integers(0, 3))):  # earlier levels, under other weights
+        for cid, weight in data.draw(weights):
+            g.set_weight(cid, weight)
+        refine(g, ep)
+    for cid, weight in data.draw(weights):
+        g.set_weight(cid, weight)
+    parseable = g.parseable_ids()
+    full = _ParseContext(g, len(parseable))
+    assert full.members == parseable and len(parseable) > config.pool_base
+    level0, tail = g.refinement_store[ep][0], g.refinement_store[ep][-1]
+    candidate = parse(g, reconstruct(g, level0), context=full)
+    want = tail if description_dl(g, tail) <= description_dl(g, candidate) else candidate
+    saved = dumps(g)
+    assert refine(g, ep) == want
+    for depth in {1 if tail == level0 else 2, 12}:  # the same tail under a shorter or longer chain
+        other = graph_from_json(json.loads(saved))
+        other.refinement_store[ep] = [level0] * (depth - 1) + [tail]
+        assert refine(other, ep) == want
+    event("kept the tail" if want is tail else "took the full parse")
+    event("the pool parse differs" if parse(g, reconstruct(g, level0)) != candidate
+          else "the pool parse agrees")
