@@ -1878,24 +1878,46 @@ def graph_past_the_pool(config=None):
     return g
 
 
-def test_refine_parses_with_every_parseable_concept(monkeypatch):
-    """A chain's length is no search budget: a refine at chain length 1 and
-    one past 10 levels both parse with every parseable concept as a
-    candidate, on a graph that outgrows `pool_base` many times over, and
-    each level spells the episode."""
-    g = graph_past_the_pool(Config(pool_base=4))
+def spy_on_refine_contexts(monkeypatch):
+    """Record (chain length, pool, members) of each context a refine parses with."""
     seen = []
 
     def spy(graph, tokens, **kwargs):
-        seen.append((len(graph.refinement_store[0]), kwargs["context"].members))
+        context = kwargs["context"]
+        seen.append((len(graph.refinement_store[0]), context.pool, context.members))
         return parse(graph, tokens, **kwargs)
 
     monkeypatch.setattr(inducer, "parse", spy)
+    return seen
+
+
+def test_budget_doubles_per_level(monkeypatch):
+    """What the old ladder reached by doubling `pool_base` per level, a
+    refine now has from the first level: at chain lengths 1-3 its pool is
+    the graph's size, never below `pool_base << level`, and its candidates
+    are every parseable concept of a graph that outgrows `pool_base`."""
+    g = graph_past_the_pool(Config(pool_base=4))
+    seen = spy_on_refine_contexts(monkeypatch)
+    for _ in range(3):
+        refine(g, 0)
+    assert [length for length, _, _ in seen] == [1, 2, 3]
+    for level, (_, pool, members) in enumerate(seen):
+        assert pool == len(g) >= g.config.pool_base << level
+        assert members == g.parseable_ids()
+
+
+def test_refine_past_the_budget_ceiling_parses_at_the_ceiling(monkeypatch):
+    """A chain's length is no search budget, so the ceiling is the graph
+    itself: a refine past the old ladder's level 8, at chain length 12,
+    still parses with every parseable concept of a graph that outgrows
+    `pool_base` many times over, and each level spells the episode."""
+    g = graph_past_the_pool(Config(pool_base=4))
+    seen = spy_on_refine_contexts(monkeypatch)
     for _ in range(12):
         refine(g, 0)
     chain = g.refinement_store[0]
-    assert [length for length, _ in seen] == list(range(1, 13))
-    assert all(members == g.parseable_ids() for _, members in seen)
+    assert [length for length, _, _ in seen] == list(range(1, 13))
+    assert all(pool == len(g) and members == g.parseable_ids() for _, pool, members in seen)
     assert all(reconstruct(g, level) == reconstruct(g, chain[0]) for level in chain)
 
 
