@@ -154,7 +154,6 @@ class Config:
     decay: float = 0.9
     assoc_threshold: int = 3
     generalize_threshold: int = 3
-    pool_base: int = 64
 
     def __post_init__(self) -> None:
         for name, value in zip(self._fields, self):
@@ -250,7 +249,9 @@ class ConceptGraph:
         birth = [*map(Primitive, self.alphabet), AffectPrimitive(PLEASURE), AffectPrimitive(PAIN)]
         if concepts is None:
             concepts = [Concept(kind, 1.0) for kind in birth]
-        self.concepts: list[Concept] = list(as_tuple(concepts, "an iterable of concepts"))
+        # each row copied, so that no other graph shares it; `_enter` refuses a non-Concept
+        self.concepts: list[Concept] = [Concept(c.kind, c.weight) if type(c) is Concept else c
+                                        for c in as_tuple(concepts, "an iterable of concepts")]
         if [getattr(c, "kind", None) for c in self.concepts[:len(birth)]] != birth:
             raise ValueError("initial concepts do not match the alphabet")
         # adjacent ref pair counts over the stored level-0 descriptions
@@ -794,11 +795,14 @@ def match_emotion(desc: Description, templates: Sequence[EmotionTemplate],
     Returns (emotion, (start, end)) for every maximal contiguous span where
     the template pattern repeats at least `min_repeats` times, scanning left
     to right.  Spans are reported in ascending start order.  Each template
-    is checked before it is matched (`MalformedTemplate`).
+    is checked before it is matched (`MalformedTemplate`), and `valences`
+    or `labels` that is no dict is a ValueError.
     """
     desc = as_tuple(desc, "an iterable of nodes")
     templates = as_tuple(templates, "an iterable of emotion templates")
     labels = labels or {}
+    if not (isinstance(valences, dict) and isinstance(labels, dict)):
+        raise ValueError("valences and labels must be dicts keyed by concept id")
     results: list[tuple[str, tuple[int, int]]] = []
     for template in templates:
         _check_template(template)

@@ -192,10 +192,10 @@ class Library:
         return len(self.entries)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._by_name
+        return type(name) is str and name in self._by_name
 
     def fn(self, name: str) -> LibraryFn:
-        fn = self._by_name.get(name)
+        fn = self._by_name.get(name) if type(name) is str else None
         if fn is None:
             raise MalformedTerm(f"unknown function {name!r}")
         return fn

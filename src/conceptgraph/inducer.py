@@ -85,6 +85,7 @@ from .records import record
 
 
 BOUND_SLACK = 2.0 ** -48  # `parse`'s bound slack per token: more than its sums can round away
+POOL = 64  # the candidates `ingest`'s parses rank down to
 
 
 @record
@@ -137,11 +138,11 @@ class _ParseContext:
     both are unchanged and only each entry's bits are rewritten in place;
     the check is a list comparison, which finds an unchanged member's
     stored expansion by identity.  A rebuild makes a node only for a token
-    the trie does not have yet.  `ingest` builds its context, at the
-    config's `pool_base`, once per graph, keeps it in `_KEPT` and refreshes
-    it each episode: between episodes the members change only when a node
-    is formed or a weight crosses into the pool.  A direct `parse` call
-    builds one at `pool_base` too, and `refine` one the whole graph fits in.
+    the trie does not have yet.  `ingest` builds its context, at `POOL`,
+    once per graph, keeps it in `_KEPT` and refreshes it each episode:
+    between episodes the members change only when a node is formed or a
+    weight crosses into the pool.  A `parse` call without a context (a
+    `refine` too) builds one the whole graph fits in.
 
     The same pass sets `per_token`, the fewest bits any parse step pays per
     token it covers: min(sigma_bits, bits / length over the entries), since
@@ -213,10 +214,10 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token], *,
 
     Candidates at each position are the context's members whose expansion
     prefixes the remainder, and a single-token blob; with no context, the
-    members are those of a pool of the config's `pool_base`.  The all-blob
-    description is always considered.  Refs come out as concept ids, blobs
-    as token tuples; exact cost ties go to the smallest (0, id) / (1,
-    tokens) signature.
+    members are every parseable concept.  The all-blob description is
+    always considered.  Refs come out as concept ids, blobs as token
+    tuples; exact cost ties go to the smallest (0, id) / (1, tokens)
+    signature.
 
     The frontier holds one state per position 0..n: the cheapest that
     reaches it (the Viterbi recursion, Viterbi 1967, a shortest path over
@@ -285,12 +286,14 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token], *,
     product rounds up, though it may reach a final of cost T with a smaller
     signature.
     """
+    if context is not None and not isinstance(context, _ParseContext):
+        raise ValueError(f"context must be a _ParseContext, not {type(context).__name__}")
     tokens = as_tuple(tokens, "an iterable of tokens")
     graph.check_tokens(tokens)
     n = len(tokens)
     if n == 0:
         return ()
-    ctx = context or _ParseContext(graph, graph.config.pool_base)
+    ctx = context or _ParseContext(graph, len(graph))
     log_d = ctx.log_d
     sigma_bits = ctx.sigma_bits
     per_token = ctx.per_token
@@ -763,7 +766,7 @@ def ingest(graph: ConceptGraph, tokens: Sequence[Token], cuts: Sequence[int] = (
     concepts from repetition, abstract commonality, record associations,
     decay-and-reward weights, store the description as level 0 of a new
     refinement chain (which counts the episode).  The parses share the
-    graph's kept parse context, refreshed first; a str is its characters.
+    graph's kept `POOL` context, refreshed first; a str is its characters.
     Cuts that are not a list or tuple of ints strictly increasing inside
     (0, len(tokens)), or tokens that are not iterable, are a ValueError and
     a token that is no alphabet symbol (an int level too) `UnknownToken`,
@@ -777,8 +780,8 @@ def ingest(graph: ConceptGraph, tokens: Sequence[Token], cuts: Sequence[int] = (
     bounds = [0, *cuts, len(tokens)]
     if cuts and not all(a < b for a, b in zip(bounds, bounds[1:])):
         raise ValueError("cuts must increase strictly inside the tokens")
-    if (context := _KEPT.get(graph)) is None:  # built once: the config fixes the pool
-        context = _KEPT[graph] = _ParseContext(graph, graph.config.pool_base)
+    if (context := _KEPT.get(graph)) is None:  # built once per graph
+        context = _KEPT[graph] = _ParseContext(graph, POOL)
     else:
         context.refresh(graph)
     nodes: list[Node] = []
@@ -804,8 +807,8 @@ def ingest(graph: ConceptGraph, tokens: Sequence[Token], cuts: Sequence[int] = (
 def refine(graph: ConceptGraph, episode_id: int) -> Description:
     """Append one refinement level: the episode described under today's code.
 
-    The parse's candidates are every parseable concept, whatever the chain's
-    length (its context's pool is the graph's size).  The previous tail
+    The parse is `parse`'s with no context, so its candidates are every
+    parseable concept, whatever the chain's length.  The previous tail
     stays a candidate and wins a tie, so description bits never rise along
     the chain and every level reconstructs exactly.  An id that is not an
     `int` has no chain, even if it equals one.
@@ -814,7 +817,7 @@ def refine(graph: ConceptGraph, episode_id: int) -> Description:
     if not chain:
         raise UnknownEpisode(f"no refinement chain for episode {episode_id}")
     tokens = reconstruct(graph, chain[0])
-    candidate = parse(graph, tokens, context=_ParseContext(graph, len(graph)))
+    candidate = parse(graph, tokens)
     previous = chain[-1]
     if description_dl(graph, previous) <= description_dl(graph, candidate):
         candidate = previous

@@ -1,6 +1,6 @@
 """Persistence and export formats: graph files, DOT, teach scripts.
 
-Graph files (format cg7) are JSON with sorted keys, so saving the same graph
+Graph files (format cg8) are JSON with sorted keys, so saving the same graph
 always produces the same bytes, and loading them gives back that graph
 exactly.  Each fact is stated once, in the sections `version`, `alphabet`,
 `config`, `concepts`, `run_observations` and `refinements`.  A concept is
@@ -20,11 +20,11 @@ bits over the level-0 lengths.  The follows marker's id is not stored
 either.  The file holds exactly the sections the saver writes, its config
 exactly the fields of `Config`, and each float in `repr`'s spelling:
 anything else ("1.00", "1e0", an int for a float) is a `CorruptFile`, since
-its resave would differ.  Any version but cg7 is a `VersionMismatch`: a cg6
-config held the parse's beam width, which the parse no longer has (it
-keeps one state per position); a cg5 or cg4 config held settings no
-learning step reads (the valence decay and hop cap; two thresholds), and a
-cg3 file restated derived counts.
+its resave would differ.  Any version but cg8 is a `VersionMismatch`: a cg7
+config held `ingest`'s parse pool (now `inducer.POOL`), a cg6 one the beam
+width a parse no longer has (it keeps one state per position); a cg5 or
+cg4 config held settings no learning step reads (the valence decay and
+hop cap; two thresholds), and a cg3 file restated derived counts.
 
 Loading hands the concept rows to `ConceptGraph`, the one path from rows to
 a graph: they must start with the birth rows (a primitive per alphabet
@@ -84,7 +84,7 @@ from .errors import (
     VersionMismatch,
 )
 
-FORMAT_VERSION = "cg7"
+FORMAT_VERSION = "cg8"
 QUOTE_CHARS = 60  # the longest quote of outside input an error message holds
 
 _CONFIG_INTS = tuple(f for f in Config._fields if Config.__annotations__[f] == "int")

@@ -797,8 +797,8 @@ def test_config_validation():
         Config(decay=0.0)
     with pytest.raises(ValueError):
         Config(decay=1.5)
-    with pytest.raises(ValueError):
-        Config(pool_base=0)
+    with pytest.raises(TypeError):  # `ingest`'s pool is an inducer constant, no setting
+        Config(pool_base=64)
     for f in Config._fields:  # every int must be positive, every float finite and >= 0
         ints = Config.__annotations__[f] == "int"
         # a float field takes a number by the weight rule: no string, list or bool

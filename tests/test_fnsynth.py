@@ -134,6 +134,16 @@ def test_the_term_check_takes_int_leaves_only(term):
     assert library_to_lines(lib) == ["(builtin succ 1)"]
 
 
+@pytest.mark.parametrize("name", [[1], ["succ"], {}, None, 7], ids=repr)
+def test_a_name_that_is_no_str_names_no_function(name):
+    """Unchecked, `fn([1])` and `[1] in library` raised a bare `TypeError`
+    (unhashable)."""
+    lib = Library.initial()
+    assert name not in lib
+    with pytest.raises(MalformedTerm, match="unknown function"):
+        lib.fn(name)
+
+
 @pytest.mark.parametrize("arity", [1.5, True, 1.0, "1"], ids=repr)
 def test_a_library_entry_has_an_int_arity(arity):
     """Unchecked, `define("f", 1.5, ...)` printed `(def f 1.5 (var 0))`."""

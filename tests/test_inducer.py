@@ -20,17 +20,20 @@ from conceptgraph.core import (
     Concat,
     ConceptGraph,
     Config,
+    EmotionTemplate,
     Hole,
     Marker,
     Primitive,
     Repeat,
+    SlotConstraint,
     SlotRef,
     Template,
     default_emotion_templates,
     match_emotion,
 )
 from conceptgraph.corpus import GRAMMAR_ALPHABET, gen_grammar_corpus
-from conceptgraph.errors import InvalidDescription, TooLarge, UnknownEpisode, UnknownToken
+from conceptgraph.errors import (CorruptFile, InvalidDescription, TooLarge, UnknownEpisode,
+                                 UnknownToken)
 from conceptgraph import inducer, mdl
 from conceptgraph.fnsynth import (FunctionExample, Library, Var, eval_term, library_to_lines,
                                   parse_examples_text, synthesize)
@@ -350,6 +353,10 @@ def test_ingest_refuses_an_unknown_token_unchanged():
     assert dumps(g) == before
 
 
+# one-slot emotion templates whose slot reads the valences or the labels
+PAINFUL = [EmotionTemplate("pain", (SlotConstraint(kind="valence", sign=-1),))]
+LABELED = [EmotionTemplate("named", (SlotConstraint(kind="label", label="x"),))]
+
 # tokens or a description that is not iterable, by the function that takes it
 NOT_ITERABLE = {f"{fn.__name__}-{arg}": lambda g, fn=fn, arg=arg: fn(g, arg)
                 for arg in (None, 5) for fn in (
@@ -367,14 +374,20 @@ NOT_ITERABLE = {f"{fn.__name__}-{arg}": lambda g, fn=fn, arg=arg: fn(g, arg)
     lambda g: eval_term(Var(0), (1,), None),
     lambda g: synthesize([FunctionExample("f", (1,), 2)], None),
     lambda g: library_to_lines(None),
-    lambda g: match_emotion((), None, {})],
+    lambda g: match_emotion((), None, {}),
+    lambda g: match_emotion((0,), PAINFUL, None), lambda g: match_emotion((0,), PAINFUL, 5),
+    lambda g: match_emotion((0,), LABELED, {}, [1]),
+    lambda g: parse(g, "ab", context=5)],
     ids=["ingest-None", "ingest-5", "corpus-depth", "corpus-length", "tick_weights-None",
          "match_emotion-None", "parse_examples_text-None", *NOT_ITERABLE,
          "graph_concepts-5", "graph_concepts-dict", "eval_term-inputs", "eval_term-library",
-         "synthesize-library", "library_to_lines-library", "match_emotion-templates"])
+         "synthesize-library", "library_to_lines-library", "match_emotion-templates",
+         "match_emotion-valences-None", "match_emotion-valences-5", "match_emotion-labels",
+         "parse-context"])
 def test_an_argument_of_the_wrong_type_is_a_value_error(call):
     """Unchecked, each raised a bare `TypeError` (`ingest` raised a ValueError
-    already, and `parse_examples_text` and a library that is no `Library` an
+    already, and `parse_examples_text`, a library that is no `Library`,
+    valences or labels that are no dict and a parse context that is none an
     `AttributeError`); a refused call keeps the graph."""
     g = ConceptGraph("ab")
     ingest(g, "abab")
@@ -390,6 +403,22 @@ def test_a_graph_takes_its_rows_from_any_iterable():
     ingest(g, "abab" * 3)
     copy = ConceptGraph(g.alphabet, g.config, (row for row in g.concepts))
     assert copy.concepts == g.concepts and copy.parseable_ids() == g.parseable_ids()
+
+
+def test_a_graph_shares_no_row_with_the_graph_it_was_built_from():
+    """The constructor copies each row: ticking a graph built from another
+    graph's rows leaves the other's weights and code mass as a reload of its
+    file reads them.  Shared, its rows decayed under a stale code mass."""
+    g = ConceptGraph("ab")
+    ingest(g, "abab" * 3)
+    saved = dumps(g)
+    h = ConceptGraph(g.alphabet, g.config, g.concepts)
+    assert not any(a is b for a, b in zip(g.concepts, h.concepts))
+    for _ in range(50):
+        h.tick_weights([])
+    reloaded = graph_from_json(json.loads(dumps(g)))
+    assert dumps(g) == saved and g.concepts == reloaded.concepts
+    assert g.codeable_weight() == reloaded.codeable_weight()
 
 
 def test_ingest_rejects_scalar_stream():
@@ -1021,9 +1050,10 @@ class LinearScan(_ParseContext):
                 if tokens[pos:pos + entry[1]] == self.expansions[entry[0]]]
 
 
-def linear_parse(graph, tokens):
-    """`parse` with the trie lookup replaced by the linear scan."""
-    return parse(graph, tokens, context=LinearScan(graph, graph.config.pool_base))
+def linear_parse(graph, tokens, pool=None):
+    """`parse` with the trie lookup replaced by the linear scan, over a pool
+    of `pool` (every parseable concept by default, as `parse`'s own)."""
+    return parse(graph, tokens, context=LinearScan(graph, len(graph) if pool is None else pool))
 
 
 def signature(state, tokens):
@@ -1145,7 +1175,7 @@ def test_a_final_that_spans_the_episode_stops_the_other_positions():
     g = ConceptGraph("ab")
     whole = g.add(Repeat(g.add(Concat((0, 1))), 32))
     g.set_weight(whole, 50.0)
-    context = CountingTrie(g, g.config.pool_base)
+    context = CountingTrie(g, inducer.POOL)
     tokens = "ab" * 32
     assert parse(g, tokens, context=context) == (whole,)
     assert len(context.looked_up) < 64
@@ -1251,7 +1281,7 @@ def test_the_completion_bound_looks_up_fewer_positions():
     for i in range(0, 1280, 64):
         ingest(g, tokens[i:i + 64])
     episode = tokens[1280:1344]
-    context = CountingTrie(g, g.config.pool_base)
+    context = CountingTrie(g, inducer.POOL)
     plain = CountingTrie(g, context.pool)
     plain.per_token = 0.0  # the cost bound alone
     want = unbounded_parse(g, episode, _ParseContext(g, context.pool))
@@ -1272,7 +1302,8 @@ def test_trie_parse_matches_the_linear_scan_small():
 
 def test_trie_parse_matches_the_linear_scan_sigma16_beyond_the_pool():
     """The trie and the linear scan parse alike with more parseable concepts
-    than the pool and with pool members that share an expansion."""
+    than `ingest`'s pool, at that pool and with every candidate, and with
+    pool members that share an expansion."""
     sigma = "abcdefghijklmnop"
     g = ConceptGraph(sigma)
     rng = random.Random(16)
@@ -1293,9 +1324,11 @@ def test_trie_parse_matches_the_linear_scan_sigma16_beyond_the_pool():
     for cid, twin in pairs:  # 20.0 outweighs the rest: each pair is in the pool
         g.set_weight(cid, 20.0)
         g.set_weight(twin, 20.0)
-    pool_size = g.config.pool_base
+    pool_size = inducer.POOL
     pool = set(sorted(parseable, key=lambda c: (-g.concepts[c].weight, c))[:pool_size])
     assert len(parseable) > pool_size
+    ranked = _ParseContext(g, pool_size)
+    assert ranked.members == sorted(pool)
     expansions = [g.expansion(c) for c in pool]
     assert len(set(expansions)) < len(expansions), "candidates must share expansions"
     pieces = [g.expansion(c) for c in parseable]
@@ -1303,13 +1336,15 @@ def test_trie_parse_matches_the_linear_scan_sigma16_beyond_the_pool():
         tokens, size = [], rng.randint(0, 96)
         while len(tokens) < size:
             tokens.extend(rng.choice(pieces) if rng.random() < 0.7 else rng.choice(sigma))
+        assert parse(g, tokens, context=ranked) == linear_parse(g, tokens, pool_size)
         assert parse(g, tokens) == linear_parse(g, tokens)
 
 
-def test_kept_context_parses_like_a_fresh_one():
+def test_kept_context_parses_like_a_fresh_one(monkeypatch):
     """`ingest`'s kept context, refreshed after each kind of graph change,
-    parses like a fresh context and like the linear scan."""
-    g = ConceptGraph("abc", Config(pool_base=8))
+    parses like a fresh context and like the linear scan, at a pool of 8."""
+    monkeypatch.setattr(inducer, "POOL", 8)
+    g = ConceptGraph("abc")
     rng = random.Random(5)
     for _ in range(8):
         ingest(g, "".join(rng.choice(["ab", "cab", "bca", "cc"]) for _ in range(12)))
@@ -1321,8 +1356,8 @@ def test_kept_context_parses_like_a_fresh_one():
         pieces = [g.expansion(c) for c in g.parseable_ids()]
         for _ in range(30):
             tokens = [t for _ in range(rng.randint(0, 8)) for t in rng.choice(pieces)]
-            fresh = parse(g, tokens, context=_ParseContext(g, g.config.pool_base))
-            assert parse(g, tokens, context=kept) == fresh == linear_parse(g, tokens)
+            fresh = parse(g, tokens, context=_ParseContext(g, 8))
+            assert parse(g, tokens, context=kept) == fresh == linear_parse(g, tokens, 8)
 
     # a weight tick that keeps the members keeps the trie and rewrites the bits
     trie, bits = kept.trie, [entry[2] for entry in kept.entries]
@@ -1478,77 +1513,79 @@ def test_kind_index_matches_the_rescans(data):
     their definition, and the graph's kind facts equal to a recount, on
     graphs of many tied weights and a small pool."""
     config = Config(generalize_threshold=data.draw(st.integers(2, 3)),
-                    assoc_threshold=data.draw(st.integers(1, 3)),
-                    pool_base=data.draw(st.integers(1, 4)))
-    sigma = "abc"[:data.draw(st.integers(1, 3))]
-    motifs = st.tuples(st.text(sigma, min_size=1, max_size=4), st.integers(1, 6))
-    episodes = st.one_of(st.text(sigma, max_size=20), motifs.map(lambda m: m[0] * m[1]))
-    g, ref = ConceptGraph(sigma, config), ConceptGraph(sigma, config)
-    pool = config.pool_base  # the pool of `ingest`'s context
-    poppable = set()  # added by the add step since the last ingest
-    ops = st.sampled_from(["ingest", "add", "add", "pop", "regroup", "abstract", "weights",
-                           "reload"])
-    for op in data.draw(st.lists(ops, min_size=1, max_size=14)):
-        event(op)
-        if op == "ingest":
-            episode = data.draw(episodes)
-            got = ingest(g, episode)
-            inducer._KEPT.pop(ref, None)
-            inducer.abstract_common = rebuilding_abstract_common
-            try:
-                want = ingest(ref, episode)
-            finally:
-                inducer.abstract_common = abstract_common
-            assert got == want
-            poppable.clear()
-        elif op == "add":
-            ids = g.parseable_ids()
-            children = tuple(data.draw(st.lists(st.sampled_from(ids), min_size=2, max_size=3)))
-            pairs = [c.kind.children for c in g.concepts
-                     if isinstance(c.kind, Concat) and len(c.kind.children) == 2]
-            kind = data.draw(st.sampled_from([Concat(children), Repeat(children[0], len(children)),
-                                              Association(*children[:2])]
-                                             + [Concat(p + children[-1:]) for p in pairs[-2:]]))
-            size = len(g)
-            cid = g.add(kind)
-            assert ref.add(kind) == cid
-            if cid == size:  # a new row, not one `add` found already there
-                poppable.add(cid)
-        elif op == "pop":  # and, as a rejected gate step does, maybe an add at the same id
-            last = len(g) - 1
-            if last in poppable and not any(last in g.reference_edges(c) for c in range(last)):
-                g.pop_last()
-                ref.pop_last()
-                poppable.discard(last)
-                kind = Concat((last - 1, data.draw(st.sampled_from(g.parseable_ids()))))
-                if data.draw(st.booleans()) and last - 1 in g.expansion_table():
-                    assert g.add(kind) == ref.add(kind)
-        elif op == "regroup":  # an outside rewrite of a seen row: (x, y, z) becomes ((x, y), z)
-            x, y, z = (data.draw(st.sampled_from(g.parseable_ids())) for _ in range(3))
-            for graph in (g, ref):
-                pair, triple = graph.add(Concat((x, y))), graph.add(Concat((x, y, z)))
-            if pair < triple:
-                g.replace_kind(triple, Concat((pair, z)))
-                ref.replace_kind(triple, Concat((pair, z)))
-        elif op == "abstract":
-            assert abstract_common(g) == rebuilding_abstract_common(ref)
-        elif op == "weights":
-            for cid in data.draw(st.lists(st.sampled_from(g.parseable_ids()), max_size=6)):
-                weight = data.draw(st.sampled_from([0.5, 1.0, 8.0, 9.0]))
-                g.set_weight(cid, weight)
-                ref.set_weight(cid, weight)
-        else:
-            g = graph_from_json(json.loads(dumps(g)))
-            ref = graph_from_json(json.loads(dumps(ref)))
-        assert [c.kind for c in g.concepts] == [c.kind for c in ref.concepts]
-        assert dumps(g) == dumps(ref)
-        assert kept_index(g) == rescanned_index(g)
-        want = ranked_members(g, pool)
-        assert _ParseContext(g, pool).members == want
-        kept = inducer._KEPT.get(g)
-        if kept is not None:
-            kept.refresh(g)
-            assert kept.members == want
+                    assoc_threshold=data.draw(st.integers(1, 3)))
+    pool = data.draw(st.integers(1, 4))  # the pool of `ingest`'s context
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inducer, "POOL", pool)
+        sigma = "abc"[:data.draw(st.integers(1, 3))]
+        motifs = st.tuples(st.text(sigma, min_size=1, max_size=4), st.integers(1, 6))
+        episodes = st.one_of(st.text(sigma, max_size=20), motifs.map(lambda m: m[0] * m[1]))
+        g, ref = ConceptGraph(sigma, config), ConceptGraph(sigma, config)
+        poppable = set()  # added by the add step since the last ingest
+        ops = st.sampled_from(["ingest", "add", "add", "pop", "regroup", "abstract", "weights",
+                               "reload"])
+        for op in data.draw(st.lists(ops, min_size=1, max_size=14)):
+            event(op)
+            if op == "ingest":
+                episode = data.draw(episodes)
+                got = ingest(g, episode)
+                inducer._KEPT.pop(ref, None)
+                inducer.abstract_common = rebuilding_abstract_common
+                try:
+                    want = ingest(ref, episode)
+                finally:
+                    inducer.abstract_common = abstract_common
+                assert got == want
+                poppable.clear()
+            elif op == "add":
+                ids = g.parseable_ids()
+                children = tuple(data.draw(st.lists(st.sampled_from(ids), min_size=2, max_size=3)))
+                pairs = [c.kind.children for c in g.concepts
+                         if isinstance(c.kind, Concat) and len(c.kind.children) == 2]
+                kinds = [Concat(children), Repeat(children[0], len(children)),
+                         Association(*children[:2])]
+                kind = data.draw(st.sampled_from(kinds + [Concat(p + children[-1:])
+                                                          for p in pairs[-2:]]))
+                size = len(g)
+                cid = g.add(kind)
+                assert ref.add(kind) == cid
+                if cid == size:  # a new row, not one `add` found already there
+                    poppable.add(cid)
+            elif op == "pop":  # and, as a rejected gate step does, maybe an add at the same id
+                last = len(g) - 1
+                if last in poppable and not any(last in g.reference_edges(c) for c in range(last)):
+                    g.pop_last()
+                    ref.pop_last()
+                    poppable.discard(last)
+                    kind = Concat((last - 1, data.draw(st.sampled_from(g.parseable_ids()))))
+                    if data.draw(st.booleans()) and last - 1 in g.expansion_table():
+                        assert g.add(kind) == ref.add(kind)
+            elif op == "regroup":  # an outside rewrite of a seen row: (x, y, z) becomes ((x, y), z)
+                x, y, z = (data.draw(st.sampled_from(g.parseable_ids())) for _ in range(3))
+                for graph in (g, ref):
+                    pair, triple = graph.add(Concat((x, y))), graph.add(Concat((x, y, z)))
+                if pair < triple:
+                    g.replace_kind(triple, Concat((pair, z)))
+                    ref.replace_kind(triple, Concat((pair, z)))
+            elif op == "abstract":
+                assert abstract_common(g) == rebuilding_abstract_common(ref)
+            elif op == "weights":
+                for cid in data.draw(st.lists(st.sampled_from(g.parseable_ids()), max_size=6)):
+                    weight = data.draw(st.sampled_from([0.5, 1.0, 8.0, 9.0]))
+                    g.set_weight(cid, weight)
+                    ref.set_weight(cid, weight)
+            else:
+                g = graph_from_json(json.loads(dumps(g)))
+                ref = graph_from_json(json.loads(dumps(ref)))
+            assert [c.kind for c in g.concepts] == [c.kind for c in ref.concepts]
+            assert dumps(g) == dumps(ref)
+            assert kept_index(g) == rescanned_index(g)
+            want = ranked_members(g, pool)
+            assert _ParseContext(g, pool).members == want
+            kept = inducer._KEPT.get(g)
+            if kept is not None:
+                kept.refresh(g)
+                assert kept.members == want
 
 
 class RankingContext(_ParseContext):
@@ -1808,14 +1845,14 @@ def test_ingest_graph_bytes_are_pinned():
     for _ in range(60):
         ingest(g, "".join(rng.choice(sigma) for _ in range(rng.randint(0, 256))))
     assert len(g) == 518
-    assert _graph_sha256(g) == "2059f401c7bbcb3a85456cde6f7fff4a759127c435c45d32d97644d13aead91e"
+    assert _graph_sha256(g) == "c2b222db20f7d832642db28f711fb55d1933db9da78077a04302f9460815ba8e"
 
     tokens, _ = gen_grammar_corpus(7, 5, 64 * 60, rules_per_level=3)
     g = ConceptGraph(GRAMMAR_ALPHABET)
     for i in range(0, 64 * 60, 64):
         ingest(g, tokens[i:i + 64])
     assert len(g) == 27
-    assert _graph_sha256(g) == "fbf2caac9156d0375af377a75343aad9ec27179484357944e1bf4fed51e9e536"
+    assert _graph_sha256(g) == "946141b00a098d2c8e01aa499f26a2a14cec7770373710c65c2a79c8e2cc6919"
 
 
 def test_ingest_graph_bytes_survive_python_O(tmp_path):
@@ -1831,28 +1868,30 @@ def test_ingest_graph_bytes_survive_python_O(tmp_path):
 
 
 def test_parse_bytes_are_pinned_at_wider_pools():
-    """Held-out grammar and random sigma-16 episodes parsed at the config's
-    `pool_base` (`ingest`'s pool) and with every parseable concept (a
-    refine's), against graphs trained at pool bases 64 and 32.  Exact cost
-    ties are common among the states offered to one position, so the hash
-    pins their order: reversing the tie-break changes it."""
+    """Held-out grammar and random sigma-16 episodes parsed at `ingest`'s
+    pool and with no context (every parseable concept, as a refine's),
+    against graphs trained at `ingest` pools of 64 (`POOL`) and 32.  Exact
+    cost ties are common among the states offered to one position, so the
+    hash pins their order: reversing the tie-break changes it."""
     tokens, _ = gen_grammar_corpus(11, 5, 64 * 50, rules_per_level=3)
     sigma = "abcdefghijklmnop"
     digest, sizes = hashlib.sha256(), []
-    for config in (Config(), Config(pool_base=32)):
-        grammar = ConceptGraph(GRAMMAR_ALPHABET, config)
-        for i in range(0, 64 * 40, 64):
-            ingest(grammar, tokens[i:i + 64])
-        rng = random.Random(11)
-        noise = ConceptGraph(sigma, config)
-        for _ in range(40):
-            ingest(noise, "".join(rng.choice(sigma) for _ in range(rng.randint(0, 160))))
+    for pool in (64, 32):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inducer, "POOL", pool)
+            grammar = ConceptGraph(GRAMMAR_ALPHABET)
+            for i in range(0, 64 * 40, 64):
+                ingest(grammar, tokens[i:i + 64])
+            rng = random.Random(11)
+            noise = ConceptGraph(sigma)
+            for _ in range(40):
+                ingest(noise, "".join(rng.choice(sigma) for _ in range(rng.randint(0, 160))))
         sizes.append((len(grammar), len(noise)))
         episodes = [(grammar, tokens[i:i + 64]) for i in range(64 * 40, 64 * 50, 64)]
         episodes += [(noise, "".join(rng.choice(sigma) for _ in range(96))) for _ in range(10)]
         for every in (False, True):
             for g, episode in episodes:
-                context = _ParseContext(g, len(g) if every else config.pool_base)
+                context = None if every else _ParseContext(g, pool)
                 digest.update(repr(parse(g, episode, context=context)).encode())
     assert sizes == [(23, 312), (23, 283)]
     assert digest.hexdigest() == "f07a1f126e326e831571bbd66ca3b14e7986974c651601e7f2f5f3e35d5e65a6"
@@ -1867,42 +1906,46 @@ def test_ingest_determinism_byte_level():
     assert dumps(g1) == dumps(g2)
 
 
-def graph_past_the_pool(config=None):
-    """A graph over 8 symbols with more parseable concepts than its `pool_base`."""
+def graph_past_the_pool():
+    """A graph over 8 symbols with more parseable concepts than `ingest`'s pool."""
     sigma = "abcdefgh"
     rng = random.Random(0)
-    g = ConceptGraph(sigma, config)
+    g = ConceptGraph(sigma)
     for _ in range(30):
         ingest(g, "".join(rng.choice(sigma) for _ in range(rng.randint(0, 40))))
-    assert len(g.parseable_ids()) > g.config.pool_base
+    assert len(g.parseable_ids()) > inducer.POOL
     return g
 
 
 def spy_on_refine_contexts(monkeypatch):
-    """Record (chain length, pool, members) of each context a refine parses with."""
+    """Record (chain length, pool, members) of each parse context built from
+    here on: a refine's parse, given no context, builds its own."""
     seen = []
 
-    def spy(graph, tokens, **kwargs):
-        context = kwargs["context"]
-        seen.append((len(graph.refinement_store[0]), context.pool, context.members))
-        return parse(graph, tokens, **kwargs)
+    class Spy(_ParseContext):
+        __slots__ = ()
 
-    monkeypatch.setattr(inducer, "parse", spy)
+        def __init__(self, graph, pool):
+            super().__init__(graph, pool)
+            seen.append((len(graph.refinement_store[0]), pool, self.members))
+
+    monkeypatch.setattr(inducer, "_ParseContext", Spy)
     return seen
 
 
 def test_budget_doubles_per_level(monkeypatch):
-    """What the old ladder reached by doubling `pool_base` per level, a
-    refine now has from the first level: at chain lengths 1-3 its pool is
-    the graph's size, never below `pool_base << level`, and its candidates
-    are every parseable concept of a graph that outgrows `pool_base`."""
-    g = graph_past_the_pool(Config(pool_base=4))
+    """What the old ladder reached by doubling the pool per level, a refine
+    now has from the first level: at chain lengths 1-3 it parses with a
+    pool of the graph's size, never below `ingest`'s pool << level, and
+    with every parseable concept of a graph that outgrows `ingest`'s pool."""
+    monkeypatch.setattr(inducer, "POOL", 4)
+    g = graph_past_the_pool()
     seen = spy_on_refine_contexts(monkeypatch)
     for _ in range(3):
         refine(g, 0)
     assert [length for length, _, _ in seen] == [1, 2, 3]
     for level, (_, pool, members) in enumerate(seen):
-        assert pool == len(g) >= g.config.pool_base << level
+        assert pool == len(g) >= inducer.POOL << level
         assert members == g.parseable_ids()
 
 
@@ -1910,8 +1953,9 @@ def test_refine_past_the_budget_ceiling_parses_at_the_ceiling(monkeypatch):
     """A chain's length is no search budget, so the ceiling is the graph
     itself: a refine past the old ladder's level 8, at chain length 12,
     still parses with every parseable concept of a graph that outgrows
-    `pool_base` many times over, and each level spells the episode."""
-    g = graph_past_the_pool(Config(pool_base=4))
+    `ingest`'s pool many times over, and each level spells the episode."""
+    monkeypatch.setattr(inducer, "POOL", 4)
+    g = graph_past_the_pool()
     seen = spy_on_refine_contexts(monkeypatch)
     for _ in range(12):
         refine(g, 0)
@@ -1923,10 +1967,14 @@ def test_refine_past_the_budget_ceiling_parses_at_the_ceiling(monkeypatch):
 
 @pytest.mark.parametrize("pool", [-1, 0, 1.5, 2.0, "64", True])
 def test_budget_refuses_a_bad_pool(pool):
-    """`ingest` parses with a pool of the config's `pool_base`, and the
-    config refuses a bad base."""
-    with pytest.raises(ValueError):
+    """`ingest`'s pool is the inducer's `POOL`, not a setting: a config
+    refuses a pool base, and so does a graph file's config section."""
+    with pytest.raises(TypeError):
         Config(pool_base=pool)
+    doc = json.loads(dumps(ConceptGraph("ab")))
+    doc["config"]["pool_base"] = pool
+    with pytest.raises(CorruptFile):
+        graph_from_json(doc)
 
 
 def test_parse_at_the_smallest_budget_reaches_the_end():
@@ -1942,28 +1990,49 @@ def test_parse_at_the_smallest_budget_reaches_the_end():
 
 def test_parse_takes_the_budget_from_the_context():
     """A refine's context (every parseable concept) describes an episode in
-    fewer bits than `ingest`'s pool of `pool_base` can."""
+    fewer bits than `ingest`'s pool of `POOL` can."""
     g = graph_past_the_pool()
-    wide, narrow = _ParseContext(g, len(g)), _ParseContext(g, g.config.pool_base)
+    wide, narrow = _ParseContext(g, len(g)), _ParseContext(g, inducer.POOL)
     assert len(narrow.members) < len(g.parseable_ids()) == len(wide.members)
-    tokens = "gecgcbchccaaddcc"  # the `pool_base` pool lacks the concepts that describe it best
+    tokens = "gecgcbchccaaddcc"  # the `POOL` pool lacks the concepts that describe it best
     got, narrow_pool = parse(g, tokens, context=wide), parse(g, tokens, context=narrow)
     assert description_dl(g, got) < description_dl(g, narrow_pool)
+
+
+def test_a_direct_parse_sees_the_whole_graph():
+    """With no context, `parse` takes every parseable concept as a candidate,
+    as a refine does: on a graph past `ingest`'s pool each line parses as
+    with a context of the graph's size, and some lines in fewer bits than
+    `ingest`'s kept context, which ranks the pool, can give."""
+    g = graph_past_the_pool()
+    kept = inducer._KEPT[g]
+    kept.refresh(g)
+    assert len(kept.members) == inducer.POOL < len(g.parseable_ids())
+    rng = random.Random(3)
+    cheaper = 0
+    for _ in range(20):
+        line = "".join(rng.choice(g.alphabet) for _ in range(rng.randint(8, 40)))
+        got = parse(g, line)
+        assert got == parse(g, line, context=_ParseContext(g, len(g)))
+        cheaper += description_dl(g, got) < description_dl(g, parse(g, line, context=kept))
+    assert cheaper > 0
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_refine_appends_the_cheaper_of_the_tail_and_a_full_parse(data):
-    """On drawn graphs that outgrow a pool of 1-4, a refine appends the
-    cheaper of the chain's tail and a parse with every parseable concept as
-    a candidate, the tail on a tie, and the same level whatever number of
-    levels the chain already holds."""
-    config = Config(pool_base=data.draw(st.integers(1, 4)))
-    g = ConceptGraph("abcd", config)
+    """On drawn graphs that outgrow an `ingest` pool of 1-4, a refine
+    appends the cheaper of the chain's tail and a parse with every parseable
+    concept as a candidate, the tail on a tie, and the same level whatever
+    number of levels the chain already holds."""
+    pool = data.draw(st.integers(1, 4))
+    g = ConceptGraph("abcd")
     motifs = st.tuples(st.text("abcd", min_size=1, max_size=4), st.integers(1, 6))
     episodes = st.one_of(st.text("abcd", max_size=20), motifs.map(lambda m: m[0] * m[1]))
-    for episode in data.draw(st.lists(episodes, min_size=1, max_size=5)):
-        ingest(g, episode)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inducer, "POOL", pool)
+        for episode in data.draw(st.lists(episodes, min_size=1, max_size=5)):
+            ingest(g, episode)
     for pair in ((0, 1), (1, 2), (2, 3)):  # past the pool, whatever the stream grew
         g.add(Concat(pair))
     weights = st.lists(st.tuples(st.sampled_from(g.parseable_ids()),
@@ -1977,7 +2046,7 @@ def test_refine_appends_the_cheaper_of_the_tail_and_a_full_parse(data):
         g.set_weight(cid, weight)
     parseable = g.parseable_ids()
     full = _ParseContext(g, len(parseable))
-    assert full.members == parseable and len(parseable) > config.pool_base
+    assert full.members == parseable and len(parseable) > pool
     level0, tail = g.refinement_store[ep][0], g.refinement_store[ep][-1]
     candidate = parse(g, reconstruct(g, level0), context=full)
     want = tail if description_dl(g, tail) <= description_dl(g, candidate) else candidate
@@ -1988,5 +2057,5 @@ def test_refine_appends_the_cheaper_of_the_tail_and_a_full_parse(data):
         other.refinement_store[ep] = [level0] * (depth - 1) + [tail]
         assert refine(other, ep) == want
     event("kept the tail" if want is tail else "took the full parse")
-    event("the pool parse differs" if parse(g, reconstruct(g, level0)) != candidate
-          else "the pool parse agrees")
+    pooled = parse(g, reconstruct(g, level0), context=_ParseContext(g, pool))
+    event("the pool parse differs" if pooled != candidate else "the pool parse agrees")
