@@ -14,7 +14,6 @@ from .core import (
     Concat,
     Concept,
     ConceptGraph,
-    Config,
     Description,
     EmotionTemplate,
     Hole,

@@ -12,7 +12,7 @@ import sys
 from typing import Optional
 
 from . import mdl, storage
-from .core import ConceptGraph, Config, Description
+from .core import ConceptGraph, Description
 from .errors import GraphError
 from .fnsynth import learn_all, library_to_lines, parse_examples_text
 from .inducer import contrast_cuts, ingest, parse, refine
@@ -91,7 +91,7 @@ def _quantize(graph: ConceptGraph, levels: list[int]) -> tuple[str, ...]:
 
 def _cmd_init(args) -> int:
     symbols = list(args.alphabet)
-    graph = ConceptGraph(symbols, Config())
+    graph = ConceptGraph(symbols)
     storage.save(graph, args.out)
     print(f"initialized graph over {len(symbols)} symbols: {args.out}")
     return 0

@@ -47,6 +47,7 @@ ingest reports and graph files hold."""
 PLEASURE = 1
 PAIN = -1
 
+DECAY = 0.9  # `tick_weights`' factor on every weight but an affect primitive's
 VALENCE_DECAY = 0.5  # `propagate_valence`'s factor per hop (nothing that learns reads it)
 VALENCE_HOP_CAP = 6  # and its hop cap
 
@@ -55,9 +56,9 @@ VALENCE_HOP_CAP = 6  # and its hop cap
 # episodes, never meets the cap.
 MAX_EXPANSION = 1 << 20
 
-# The largest finite float: a weight or a float `Config` field is a number
-# from 0 to it, so NaN, infinity and an int too large for a float (which the
-# saver's `float()` would raise on) are all refused.
+# The largest finite float: a weight is a number from 0 to it, so NaN,
+# infinity and an int too large for a float (which the saver's `float()`
+# would raise on) are all refused.
 _MAX_FLOAT = sys.float_info.max
 
 
@@ -146,27 +147,6 @@ _CODEABLE = (Primitive, Concat, Repeat, Template, Apply)
 _PARSEABLE = (Primitive, Concat, Repeat, Apply)
 
 
-@record
-class Config:
-    """Engine thresholds, frozen for a graph's life; desk-scale defaults."""
-
-    repeat_threshold: int = 2
-    decay: float = 0.9
-    assoc_threshold: int = 3
-    generalize_threshold: int = 3
-
-    def __post_init__(self) -> None:
-        for name, value in zip(self._fields, self):
-            if self.__annotations__[name] == "int":  # the annotations are strings (PEP 563)
-                # a bool or a float would save a file its loader refuses
-                if type(value) is not int or value <= 0:
-                    raise ValueError(f"{name} must be a positive integer")
-            else:
-                _check_number(value, name)
-        if not (0.0 < self.decay <= 1.0):
-            raise ValueError("decay must be in (0, 1]")
-
-
 class Concept:
     """One row of a graph, whose id is its position: a kind and a weight."""
 
@@ -188,8 +168,8 @@ class Concept:
 
 
 def _check_number(value, name: str = "weight") -> None:
-    """The one number rule, for weights and the float `Config` fields: an int
-    or a float (no bool) from 0 to the largest float."""
+    """The one number rule, for weights, `contrast_cuts`' threshold and
+    `raw_dl`'s count: an int or a float (no bool) from 0 to the largest float."""
     if type(value) not in (int, float) or not 0 <= value <= _MAX_FLOAT:
         raise ValueError(f"{name} must be finite and non-negative")
 
@@ -204,12 +184,12 @@ class ConceptGraph:
     references never form a cycle, and each parseable concept's expansion
     is built from its references' stored ones.  The birth rows (a primitive
     per alphabet symbol, then pleasure and pain) lead every graph: a fresh
-    one makes them, and rows given to the constructor (a load) must start
-    with them.  One row derivation (`_enter`) keeps the dedup table, the
-    expansions (the parseable set, in id order), the row lists that
-    `tick_weights` walks (the rows that decay, all but the affect
-    primitives, and the codeable rows, each in id order), the code mass
-    (the codeable weights, which with the codeable count make the code
+    one makes them, and the (kind, weight) rows given to the constructor (a
+    load) must start with them.  One row derivation (`_enter`) keeps the
+    dedup table, the expansions (the parseable set, in id order), the row
+    lists that `tick_weights` walks (the rows that decay, all but the
+    affect primitives, and the codeable rows, each in id order), the code
+    mass (the codeable weights, which with the codeable count make the code
     denominator) and the kind facts that induction reads, for each row the
     constructor is given and each row `add` appends; `pop_last` undoes it
     and `replace_kind` moves a row between kinds.  A rewrite goes from one
@@ -224,12 +204,12 @@ class ConceptGraph:
     0 (`count_pairs`) that associations and digrams share.  `ingest`,
     `refine`, forgetting and `load` are the store's only writers, and each
     keeps `deep_chains`: a chain grown any other way is never forgotten.
-    Description lengths come from `mdl`.  The config is fixed.  The follows
-    marker is the concept that is `FOLLOWS`, by structure.
+    Description lengths come from `mdl`.  The follows marker is the concept
+    that is `FOLLOWS`, by structure.
     """
 
-    def __init__(self, alphabet: Sequence[Token], config: Optional[Config] = None,
-                 concepts: Optional[Sequence[Concept]] = None):
+    def __init__(self, alphabet: Sequence[Token],
+                 rows: Optional[Iterable[tuple[Kind, float]]] = None):
         if type(alphabet) not in (str, list, tuple):  # a set's order follows the hash seed
             raise ValueError("alphabet must be a str, list or tuple of symbols")
         alphabet = tuple(alphabet)
@@ -239,20 +219,18 @@ class ConceptGraph:
             raise ValueError("alphabet symbols must be strings")
         if len(set(alphabet)) != len(alphabet):
             raise ValueError("alphabet symbols must be unique")
-        if config is not None and type(config) is not Config:
-            raise ValueError(f"config must be a Config, not {config!r}")
         self.alphabet: tuple[Token, ...] = alphabet
         self.alphabet_set: frozenset[Token] = frozenset(alphabet)
-        self._config = config or Config()
         # the birth rows: a primitive per symbol, then pleasure and pain
         self.pleasure_id, self.pain_id = len(self.alphabet), len(self.alphabet) + 1
         birth = [*map(Primitive, self.alphabet), AffectPrimitive(PLEASURE), AffectPrimitive(PAIN)]
-        if concepts is None:
-            concepts = [Concept(kind, 1.0) for kind in birth]
-        # each row copied, so that no other graph shares it; `_enter` refuses a non-Concept
-        self.concepts: list[Concept] = [Concept(c.kind, c.weight) if type(c) is Concept else c
-                                        for c in as_tuple(concepts, "an iterable of concepts")]
-        if [getattr(c, "kind", None) for c in self.concepts[:len(birth)]] != birth:
+        rows = ([(kind, 1.0) for kind in birth] if rows is None
+                else as_tuple(rows, "an iterable of (kind, weight) rows"))
+        if not (set(map(type, rows)) <= {tuple} and set(map(len, rows)) <= {2}):
+            raise ValueError("each row must be a (kind, weight) pair")
+        # each row a new Concept, so that no other graph shares it
+        self.concepts: list[Concept] = [Concept(kind, weight) for kind, weight in rows]
+        if [c.kind for c in self.concepts[:len(birth)]] != birth:
             raise ValueError("initial concepts do not match the alphabet")
         # adjacent ref pair counts over the stored level-0 descriptions
         self.assoc_counts: dict[tuple[int, int], int] = {}
@@ -283,11 +261,6 @@ class ConceptGraph:
 
     def __len__(self) -> int:
         return len(self.concepts)
-
-    @property
-    def config(self) -> Config:
-        """The engine thresholds, fixed for the graph's life."""
-        return self._config
 
     @property
     def episode(self) -> int:
@@ -442,8 +415,6 @@ class ConceptGraph:
         table changes) and enter it in the dedup table, where a repeated kind
         keeps its first id, the expansion table, the kind facts, the row lists
         and the code mass."""
-        if type(concept) is not Concept:
-            raise ValueError(f"row {cid} is not a Concept: {concept!r}")
         _check_number(concept.weight)
         kind = concept.kind
         self._validate(kind, cid)
@@ -586,16 +557,15 @@ class ConceptGraph:
         unused).  Every used id is checked before any weight changes (ids
         that are not iterable are a ValueError), and a repeated id is
         rewarded once.  Three tight passes over the graph's row lists
-        follow: each decaying row's weight times `decay`, then `+ 1.0`
+        follow: each decaying row's weight times `DECAY`, then `+ 1.0`
         on each used row that decays, then the code mass as `_code_mass`
-        sums it.  A row's new weight is (w * decay) + 1.0 either way, so the
+        sums it.  A row's new weight is (w * DECAY) + 1.0 either way, so the
         bits are those of one pass that decays and rewards row by row.
         """
         rewarded = {cid: self.concept(cid)  # raises UnknownConcept
                     for cid in as_tuple(used, "an iterable of concept ids")}
-        gamma = self.config.decay
         for concept in self._decaying_rows:
-            concept.weight *= gamma
+            concept.weight *= DECAY
         for concept in rewarded.values():
             if not isinstance(concept.kind, AffectPrimitive):
                 concept.weight += 1.0

@@ -23,10 +23,11 @@ def gen_grammar_corpus(seed: int, depth: int, target_len: int,
 
     Returns (tokens, generator two-part DL): the model bits of the hierarchy
     plus the description bits of the sampled top-rule sequence, both at
-    initial weights.  Deterministic per seed.  Each count must be an `int`.
+    initial weights.  Deterministic per seed.  The seed and each count must
+    be an `int` (a `None` seed would seed from the OS).
     """
-    if not all(type(n) is int for n in (depth, target_len, rules_per_level)):
-        raise ValueError("depth, target_len and rules_per_level must be ints")
+    if not all(type(n) is int for n in (seed, depth, target_len, rules_per_level)):
+        raise ValueError("seed, depth, target_len and rules_per_level must be ints")
     if depth < 1 or rules_per_level < 1:
         raise ValueError("depth and rules_per_level must be >= 1")
     rng = random.Random(seed)
@@ -89,11 +90,12 @@ def gen_fn_ensemble(seed: int, examples_per_fn: int = 8):
     """Seeded example sets for the three-level six-function ensemble.
 
     Returns (example_sets, interleaved_lines): the sets in label order and
-    the same examples as interleaved `label arity in... out` text lines.
-    `examples_per_fn` must be an `int` of at least 1.
+    the same examples as interleaved `label arity in... out` text lines,
+    deterministic per seed.  The seed must be an `int` and `examples_per_fn`
+    an `int` of at least 1.
     """
-    if type(examples_per_fn) is not int or examples_per_fn < 1:
-        raise ValueError("examples_per_fn must be an int >= 1")
+    if type(seed) is not int or type(examples_per_fn) is not int or examples_per_fn < 1:
+        raise ValueError("seed must be an int and examples_per_fn an int >= 1")
     rng = random.Random(seed)
     sets: list[tuple[str, list[FunctionExample]]] = []
     for label, (arity, fn) in ENSEMBLE_TRUTH.items():

@@ -86,6 +86,9 @@ from .records import record
 
 BOUND_SLACK = 2.0 ** -48  # `parse`'s bound slack per token: more than its sums can round away
 POOL = 64  # the candidates `ingest`'s parses rank down to
+REPEAT_THRESHOLD = 2  # the count (episode plus stored) at which a digram is a candidate
+ASSOC_THRESHOLD = 3  # the pair count at which an Association is reified
+GENERALIZE_THRESHOLD = 3  # the distinct children that force a template, and the follows marker
 
 
 @record
@@ -604,7 +607,7 @@ def induce_repeats(graph: ConceptGraph, desc: Description) -> Description:
     pairs it changed instead of the whole episode.  A node that breaks
     `core`'s rule raises `InvalidDescription` with the graph unchanged.
     """
-    index = _PairIndex(graph, desc, graph.assoc_counts, graph.config.repeat_threshold)
+    index = _PairIndex(graph, desc, graph.assoc_counts, REPEAT_THRESHOLD)
     while True:
         for kind, firsts, span, gated in _steps(graph, index):
             if not gated:
@@ -620,11 +623,10 @@ def induce_repeats(graph: ConceptGraph, desc: Description) -> Description:
 
 def _generalize_numbers(graph: ConceptGraph) -> None:
     """Create the k-fold template once runs of length k span enough children."""
-    m = graph.config.generalize_threshold
     observed, repeats = graph.run_observations, graph.repeat_children
     for k in sorted(observed.keys() | repeats.keys()):
         children = observed.get(k, set()) | repeats.get(k, set())
-        if len(children) >= m and _number_template_id(graph, k) is None:
+        if len(children) >= GENERALIZE_THRESHOLD and _number_template_id(graph, k) is None:
             graph.add(Template((Hole(0),) * k))
 
 
@@ -633,7 +635,7 @@ def abstract_common(graph: ConceptGraph) -> list[int]:
     one-hole template, rewriting each as an application (same expansion).
 
     A bucket of concats that agree everywhere but one position qualifies
-    once its members differ there in at least `generalize_threshold`
+    once its members differ there in at least `GENERALIZE_THRESHOLD`
     children.  Each round templates the qualifying bucket with the smallest
     (first member id, position) and rewrites its members.  The buckets are
     the graph's kind facts: only a bucket that a concat joined since the
@@ -643,14 +645,13 @@ def abstract_common(graph: ConceptGraph) -> list[int]:
     members, so a bucket ranks by its smallest member id, as one rebuilt in
     id order would.
     """
-    m = graph.config.generalize_threshold
     before = len(graph)
     buckets, touched = graph.concat_buckets, graph.touched_buckets
     while True:
         best = rank = None
         for key in list(touched):
             members = buckets.get(key)
-            if members is None or len(set(members.values())) < m:
+            if members is None or len(set(members.values())) < GENERALIZE_THRESHOLD:
                 touched.discard(key)  # it only loses members until a concat joins it
             else:
                 here = (min(members), key[1])  # smallest member id, position
@@ -673,12 +674,10 @@ def record_associations(graph: ConceptGraph, desc: Description) -> None:
     desc = as_tuple(desc, "an iterable of nodes")
     for node in desc:
         node_tokens(graph, node)  # holds every node to the rule
-    cfg = graph.config
     for pair, count in graph.count_pairs(desc):
-        if count == cfg.assoc_threshold:
+        if count == ASSOC_THRESHOLD:
             graph.add(Association(*pair))
-    if (graph.follows_marker_id is None
-            and cfg.generalize_threshold <= graph.association_count):
+    if graph.follows_marker_id is None and GENERALIZE_THRESHOLD <= graph.association_count:
         graph.add(FOLLOWS)
 
 

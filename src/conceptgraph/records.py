@@ -1,4 +1,4 @@
-"""Immutable value records: the engine's kinds, terms, reports and settings.
+"""Immutable value records: the engine's kinds, terms and reports.
 
 `record` turns an annotated class body into a `collections.namedtuple`
 subclass.  It exists for import cost, which every CLI command pays as a
@@ -20,8 +20,6 @@ A record keeps the value semantics of a frozen dataclass:
 - the repr is `Name(field=value, ...)`;
 - assigning or deleting an attribute raises `AttributeError`, and `<`,
   `<=`, `>` and `>=` raise `TypeError`;
-- a `__post_init__` method, if the body defines one, checks each new
-  record, however it is built, and raises to refuse it;
 - a record has no `__dict__`.
 
 Field defaults are class attributes, as in a dataclass, and the field
@@ -71,15 +69,6 @@ _METHODS = {"__slots__": (), "__eq__": _eq, "__ne__": _ne, "__hash__": tuple.__h
             "__setattr__": _setattr, "__delattr__": _delattr}
 
 
-def _checked(new):
-    """`new` followed by the class's `__post_init__` on the record it built."""
-    def __new__(cls, *args, **kwargs):
-        self = new(cls, *args, **kwargs)
-        self.__post_init__()
-        return self
-    return __new__
-
-
 def record(cls):
     """The record class for an annotated class body (see the module doc)."""
     body = dict(cls.__dict__)
@@ -92,7 +81,4 @@ def record(cls):
     for name in ("__dict__", "__weakref__") + (() if body.get("__doc__") else ("__doc__",)):
         body.pop(name, None)  # without a docstring, the namedtuple's "Name(fields)" stays
     body.update(_METHODS)
-    if "__post_init__" in body:  # checked on every path, `_replace` included
-        body["__new__"] = _checked(base.__new__)
-        body["_make"] = classmethod(lambda cls, values: cls(*values))
     return type(cls.__name__, (base,), body)

@@ -1,47 +1,50 @@
 """Persistence and export formats: graph files, DOT, teach scripts.
 
-Graph files (format cg8) are JSON with sorted keys, so saving the same graph
-always produces the same bytes, and loading them gives back that graph
-exactly.  Each fact is stated once, in the sections `version`, `alphabet`,
-`config`, `concepts`, `run_observations` and `refinements`.  A concept is
-the row `[kind, weight, *fields]` at the position that is its id, its fields
-in its kind record's `_fields` order, and a refinement chain is the entry at
-the position that is its episode id.  A float (a weight, a float `Config`
-field) is a JSON float as `json` writes it, in the shortest spelling that
-`repr` reads back to the same float; NaN and infinity make `save` raise
-before it writes.  A description node is a JSON integer (a concept ref) or
-a JSON list of one or more alphabet tokens (a blob).  Load derives what the
-chains hold: the episode count is their number, and the adjacent-pair
-counts (the digram counts too) are recounted over each level 0 as `ingest`
-counted them (`ConceptGraph.chain_pair_counts`); since no file can hold
-other counts, `dumps` refuses a graph whose counts differ with a
-`GraphError`, as it refuses a NaN; `mdl.graph_report` sums the raw
-bits over the level-0 lengths.  The follows marker's id is not stored
-either.  The file holds exactly the sections the saver writes, its config
-exactly the fields of `Config`, and each float in `repr`'s spelling:
+Graph files (format cg9) are JSON with sorted keys, so saving the same
+graph always produces the same bytes, and loading them gives back that
+graph exactly.  Each fact is stated once, in the sections `version`,
+`alphabet`, `concepts`, `run_observations` and `refinements`.  A concept is
+the row `[kind, weight, *fields]` at the position that is its id, its
+fields in its kind record's `_fields` order, and a refinement chain is the
+entry at the position that is its episode id.  A weight is a JSON float as
+`json` writes it, in the shortest spelling that `repr` reads back to the
+same float; NaN and infinity make `save` raise before it writes.  A
+description node is a JSON integer (a concept ref) or a JSON list of one or
+more alphabet tokens (a blob).  Load derives what the chains hold: the
+episode count is their number, and the adjacent-pair counts (the digram
+counts too) are recounted over each level 0 as `ingest` counted them
+(`ConceptGraph.chain_pair_counts`); since no file can hold other counts,
+`dumps` refuses a graph whose counts differ with a `GraphError`, as it
+refuses a NaN; `mdl.graph_report` sums the raw bits over the level-0
+lengths.  The follows marker's id is not stored either.  The file holds
+exactly the sections the saver writes, and each float in `repr`'s spelling:
 anything else ("1.00", "1e0", an int for a float) is a `CorruptFile`, since
-its resave would differ.  Any version but cg8 is a `VersionMismatch`: a cg7
-config held `ingest`'s parse pool (now `inducer.POOL`), a cg6 one the beam
-width a parse no longer has (it keeps one state per position); a cg5 or
-cg4 config held settings no learning step reads (the valence decay and
-hop cap; two thresholds), and a cg3 file restated derived counts.
+its resave would differ.  Any version but cg9 is a `VersionMismatch`: a cg8
+file held a config section of four thresholds (now the constants
+`core.DECAY` and `inducer`'s `REPEAT_THRESHOLD`, `ASSOC_THRESHOLD` and
+`GENERALIZE_THRESHOLD`); a cg7 config also held `ingest`'s parse pool (now
+`inducer.POOL`), a cg6 one the beam width a parse no longer has (it keeps
+one state per position); a cg5 or cg4 config held settings no learning step
+reads (the valence decay and hop cap; two thresholds), and a cg3 file
+restated derived counts.
 
-Loading hands the concept rows to `ConceptGraph`, the one path from rows to
-a graph: they must start with the birth rows (a primitive per alphabet
-symbol, then pleasure and pain), and each is checked once by the row
-derivation that `add` uses (`ConceptGraph._enter`): its weight is one
-`set_weight` takes, and its references point at older concepts of a fitting
-kind, so a loaded graph has no dangling reference and no cycle.  Each
-stored level is reconstructed, so its nodes keep `core`'s node rule, and
-must spell what its chain's level 0 spells, as `refine` promises.  Any
-violation is a `CorruptFile`, as is a file that is not UTF-8 JSON, an
-integer too long for `int` to read, a section of the wrong JSON type, a
-concept row of an unknown kind or the wrong length, an integer field
-holding anything but a JSON integer, an empty refinement chain, a run
-length below 2, or a run's members that are not a non-empty, strictly
-increasing list (as the saver writes it) of parseable concepts (a run
-member is a description ref).  A message bounds outside input, and the
-text of an error it wraps, to `QUOTE_CHARS` (`_clip`).
+Loading hands the (kind, weight) rows to `ConceptGraph`, the one path from
+rows to a graph, which makes each row's `Concept` once: they must start
+with the birth rows (a primitive per alphabet symbol, then pleasure and
+pain), and each is checked once by the row derivation that `add` uses
+(`ConceptGraph._enter`): its weight is one `set_weight` takes, and its
+references point at older concepts of a fitting kind, so a loaded graph has
+no dangling reference and no cycle.  Each stored level is reconstructed, so
+its nodes keep `core`'s node rule, and must spell what its chain's level 0
+spells, as `refine` promises.  Any violation is a `CorruptFile`, as is a
+file that is not UTF-8 JSON, an integer too long for `int` to read, a
+section of the wrong JSON type, a concept row of an unknown kind or the
+wrong length, an integer field holding anything but a JSON integer, an
+empty refinement chain, a run length below 2, or a run's members that are
+not a non-empty, strictly increasing list (as the saver writes it) of
+parseable concepts (a run member is a description ref).  A message bounds
+outside input, and the text of an error it wraps, to `QUOTE_CHARS`
+(`_clip`).
 
 A teach script is one concept's subcircuit bottom-up, a line per concept:
 its row without the weight, `[kind, *fields]`, as one compact JSON array,
@@ -65,7 +68,6 @@ from .core import (
     Concat,
     Concept,
     ConceptGraph,
-    Config,
     Description,
     Hole,
     Kind,
@@ -84,14 +86,11 @@ from .errors import (
     VersionMismatch,
 )
 
-FORMAT_VERSION = "cg8"
+FORMAT_VERSION = "cg9"
 QUOTE_CHARS = 60  # the longest quote of outside input an error message holds
 
-_CONFIG_INTS = tuple(f for f in Config._fields if Config.__annotations__[f] == "int")
-_CONFIG_FLOATS = tuple(f for f in Config._fields if Config.__annotations__[f] == "float")
-_CONFIG_FIELDS = set(Config._fields)
 # the top-level keys of a graph file, each written by `graph_to_json`
-_SECTIONS = {"version", "alphabet", "config", "concepts", "run_observations", "refinements"}
+_SECTIONS = {"version", "alphabet", "concepts", "run_observations", "refinements"}
 
 REF, REFS, BODY, INT, STR = "ref", "refs", "body", "int", "str"  # field tags
 
@@ -195,9 +194,10 @@ def _kind_from_json(name, values: list, readers: dict) -> Kind:
     return cls(*[read(value) for read, value in zip(fields, values)])
 
 
-def _concept_from_json(row) -> Concept:
+def _row_from_json(row) -> tuple[Kind, float]:
+    """A concept row's (kind, weight) pair, for `ConceptGraph` to make its `Concept`."""
     name, weight, *values = _list(row)
-    return Concept(_kind_from_json(name, values, _ROW_READERS), _float(weight))
+    return _kind_from_json(name, values, _ROW_READERS), _float(weight)
 
 
 def _desc_from_json(level) -> Description:
@@ -206,12 +206,9 @@ def _desc_from_json(level) -> Description:
 
 
 def graph_to_json(graph: ConceptGraph) -> dict:
-    config = {name: float(getattr(graph.config, name)) for name in _CONFIG_FLOATS}
-    config.update({name: getattr(graph.config, name) for name in _CONFIG_INTS})
     return {
         "version": FORMAT_VERSION,
         "alphabet": list(graph.alphabet),
-        "config": config,
         "concepts": [_concept_to_json(c) for c in graph.concepts],
         "run_observations": {str(k): sorted(v) for k, v in sorted(graph.run_observations.items())},
         "refinements": list(graph.refinement_store.values()),  # in episode order
@@ -260,13 +257,8 @@ def graph_from_json(data) -> ConceptGraph:
     if odd := sorted(map(str, data.keys() ^ _SECTIONS)):
         raise CorruptFile(f"extra or missing sections: {_clip(repr(odd))}")
     try:
-        config_data = _dict(data["config"])
-        if odd := sorted(map(str, config_data.keys() ^ _CONFIG_FIELDS)):
-            raise CorruptFile(f"extra or missing config fields: {_clip(repr(odd))}")
-        kwargs = {name: _float(config_data[name]) for name in _CONFIG_FLOATS}
-        kwargs.update({name: _int(config_data[name]) for name in _CONFIG_INTS})
-        concepts = [_concept_from_json(row) for row in _list(data["concepts"])]
-        graph = ConceptGraph(tuple(_list(data["alphabet"])), Config(**kwargs), concepts)
+        rows = [_row_from_json(row) for row in _list(data["concepts"])]
+        graph = ConceptGraph(tuple(_list(data["alphabet"])), rows)
         runs = {_key(k): _ints(_list(v)) for k, v in _dict(data["run_observations"]).items()}
         if min(runs, default=2) < 2 or not all(v and v == sorted(set(v)) for v in runs.values()):
             raise CorruptFile("a run length is below 2, or its members are not increasing")

@@ -15,7 +15,6 @@ from conceptgraph.core import (
     Association,
     Concat,
     ConceptGraph,
-    Config,
     Hole,
     Template,
 )
@@ -138,7 +137,7 @@ def test_05_hierarchy_scaling():
 
 def test_06_closed_forms():
     started = time.monotonic()
-    graph = ConceptGraph("ab", Config(decay=0.9))
+    graph = ConceptGraph("ab")  # weights decay by 0.9 per tick (`core.DECAY`)
     graph.set_weight(0, 3.0)
     for _ in range(10):
         graph.tick_weights(set())

@@ -409,12 +409,12 @@ def test_scalar_ingest_and_segment_bytes_are_pinned(tmp_path, capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "3c7ade114102ef829e1ef513d8f2e24518a20478de70c2b2239dd0885369d680")
     assert hashlib.sha256(graph.read_bytes()).hexdigest() == (
-        "c3b9814ea485de6ed9511ae0f829061626dd4767d894c8cf69c00c70c5b5d2ee")
+        "0288d976e6e388a986007cea906bf6f70048127152ec37ef7609344e50470326")
 
 
 @pytest.mark.parametrize("theta", ["nan", "inf", "-1"])
 def test_bad_theta_c_is_data_error_for_segment_and_scalar_ingest(tmp_path, theta):
-    """`--theta-c` follows `Config`'s rule for `contrast_threshold`: finite
+    """`--theta-c` follows core's number rule, as `contrast_cuts` holds it: finite
     and non-negative; a NaN threshold would never cut, -1 would cut everywhere."""
     graph, data = tmp_path / "g.cg", tmp_path / "s.txt"
     data.write_text("0 0 5 5\n")
@@ -558,7 +558,7 @@ def test_cli_text_and_bytes_are_pinned(tmp_path, capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "39bbb7fb2352cc24fdedc99488630e4a0ba8343fdc3f7ea3418f9e6e48717ccc")
     assert hashlib.sha256(data).hexdigest() == (
-        "1536557f5768fd9c8058ed9e9e6f374608da3d31a679c53c6fb25aeb9993162b")
+        "1f19b9dd61070a18471f63a777b6c5dd5a0cc3afb3a431dbbc98cba432a40060")
 
 
 def test_the_cg2_file_of_the_pinned_session_is_at_most_2940_bytes(tmp_path, capsys):
@@ -568,184 +568,123 @@ def test_the_cg2_file_of_the_pinned_session_is_at_most_2940_bytes(tmp_path, caps
     assert len(data) <= 2940
 
 
-def test_a_cg1_file_is_a_version_mismatch(tmp_path):
-    """The reader reads cg8 alone; an older file is refused by its version."""
-    graph = tmp_path / "g.cg"
-    graph.write_text(json.dumps({"version": "cg1", "alphabet": ["a", "b"], "concepts": [],
-                                 "digram_counts": []}))
-    proc = run_cli("stats", "--graph", str(graph))
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: expected 'cg8', got 'cg1'\n")
+# Files of older formats, by version, each refused by its version.  The cg1
+# and cg2 texts are documents of their savers; from cg3 on each is the graph
+# over "ab" after `ingest("abab")`, and `older_text` derives it from today's
+# file.
+OLD_FILES = {
+    "cg1": json.dumps({"version": "cg1", "alphabet": ["a", "b"], "concepts": [],
+                       "digram_counts": []}),
+    # A fresh graph over "ab" as the cg2 saver wrote it: a creation episode in
+    # each concept row, and every float a string with 9 decimals.
+    "cg2": (
+        '{"alphabet":["a","b"],"assoc_counts":[],"concepts":[["primitive",0,"1.000000000","a"],'
+        '["primitive",0,"1.000000000","b"],["affect",0,"1.000000000",1],'
+        '["affect",0,"1.000000000",-1]],"config":{"assoc_threshold":3,"beam_base":4,'
+        '"contrast_threshold":"1.000000000","decay":"0.900000000",'
+        '"fast_path_threshold":"8.000000000","generalize_threshold":3,"pool_base":64,'
+        '"repeat_threshold":2,"valence_decay":"0.500000000","valence_hop_cap":6},"episode":0,'
+        '"raw_bits_total":"0.000000000","refinements":{},"run_observations":{},"version":"cg2"}\n'),
+    # cg3 restated the episode counter, the pair counts and the raw-bit total.
+    "cg3": (
+        '{"alphabet":["a","b"],"assoc_counts":[],"concepts":[["primitive",1.9,"a"],'
+        '["primitive",1.9,"b"],["affect",1.0,1],["affect",1.0,-1],["concat",1.9,[0,1]],'
+        '["repeat",1.9,4,2]],"config":{"assoc_threshold":3,"beam_base":4,"contrast_threshold":1.0,'
+        '"decay":0.9,"fast_path_threshold":8.0,"generalize_threshold":3,"pool_base":64,'
+        '"repeat_threshold":2,"valence_decay":0.5,"valence_hop_cap":6},"episode":1,'
+        '"raw_bits_total":9.0,"refinements":{"0":[[5]]},"run_observations":{"2":[4]},'
+        '"version":"cg3"}\n'),
+    # cg4 also held the contrast threshold and the parse fast path's, which the
+    # engine never read.
+    "cg4": (
+        '{"alphabet":["a","b"],"concepts":[["primitive",1.9,"a"],["primitive",1.9,"b"],'
+        '["affect",1.0,1],["affect",1.0,-1],["concat",1.9,[0,1]],["repeat",1.9,4,2]],'
+        '"config":{"assoc_threshold":3,"beam_base":4,"contrast_threshold":1.0,"decay":0.9,'
+        '"fast_path_threshold":8.0,"generalize_threshold":3,"pool_base":64,"repeat_threshold":2,'
+        '"valence_decay":0.5,"valence_hop_cap":6},"refinements":[[[5]]],'
+        '"run_observations":{"2":[4]},"version":"cg4"}\n'),
+    # cg5 also held the valence decay and hop cap, which only
+    # `propagate_valence` read.
+    "cg5": (
+        '{"alphabet":["a","b"],"concepts":[["primitive",1.9,"a"],["primitive",1.9,"b"],'
+        '["affect",1.0,1],["affect",1.0,-1],["concat",1.9,[0,1]],["repeat",1.9,4,2]],'
+        '"config":{"assoc_threshold":3,"beam_base":4,"decay":0.9,"generalize_threshold":3,'
+        '"pool_base":64,"repeat_threshold":2,"valence_decay":0.5,"valence_hop_cap":6},'
+        '"refinements":[[[5]]],"run_observations":{"2":[4]},"version":"cg5"}\n'),
+    # cg6 also held the beam base, the states a parse kept per position.
+    "cg6": (
+        '{"alphabet":["a","b"],"concepts":[["primitive",1.9,"a"],["primitive",1.9,"b"],'
+        '["affect",1.0,1],["affect",1.0,-1],["concat",1.9,[0,1]],["repeat",1.9,4,2]],'
+        '"config":{"assoc_threshold":3,"beam_base":4,"decay":0.9,"generalize_threshold":3,'
+        '"pool_base":64,"repeat_threshold":2},"refinements":[[[5]]],"run_observations":{"2":[4]},'
+        '"version":"cg6"}\n'),
+    # cg7 also held the pool base, the candidates that `ingest`'s parses ranked
+    # down to.
+    "cg7": (
+        '{"alphabet":["a","b"],"concepts":[["primitive",1.9,"a"],["primitive",1.9,"b"],'
+        '["affect",1.0,1],["affect",1.0,-1],["concat",1.9,[0,1]],["repeat",1.9,4,2]],'
+        '"config":{"assoc_threshold":3,"decay":0.9,"generalize_threshold":3,"pool_base":64,'
+        '"repeat_threshold":2},"refinements":[[[5]]],"run_observations":{"2":[4]},'
+        '"version":"cg7"}\n'),
+    # cg8 held the four thresholds that are now `core` and `inducer` constants.
+    "cg8": (
+        '{"alphabet":["a","b"],"concepts":[["primitive",1.9,"a"],["primitive",1.9,"b"],'
+        '["affect",1.0,1],["affect",1.0,-1],["concat",1.9,[0,1]],["repeat",1.9,4,2]],'
+        '"config":{"assoc_threshold":3,"decay":0.9,"generalize_threshold":3,'
+        '"repeat_threshold":2},"refinements":[[[5]]],"run_observations":{"2":[4]},'
+        '"version":"cg8"}\n'),
+}
+
+# How each older saver's file differs from the next newer one's: by version,
+# the newer version and the edit that puts back what the newer one dropped.
+OLDER = {
+    "cg8": ("cg9", lambda t: t.replace(
+        '"refinements":', '"config":{"assoc_threshold":3,"decay":0.9,"generalize_threshold":3,'
+        '"repeat_threshold":2},"refinements":')),
+    "cg7": ("cg8", lambda t: t.replace('"generalize_threshold":3,',
+                                       '"generalize_threshold":3,"pool_base":64,')),
+    "cg6": ("cg7", lambda t: t.replace('"assoc_threshold":3,',
+                                       '"assoc_threshold":3,"beam_base":4,')),
+    "cg5": ("cg6", lambda t: t.replace(
+        '"repeat_threshold":2}', '"repeat_threshold":2,"valence_decay":0.5,"valence_hop_cap":6}')),
+    "cg4": ("cg5", lambda t: t.replace('"beam_base":4,', '"beam_base":4,"contrast_threshold":1.0,')
+            .replace('"decay":0.9,', '"decay":0.9,"fast_path_threshold":8.0,')),
+    "cg3": ("cg4", lambda t: t.replace('"concepts":', '"assoc_counts":[],"concepts":').replace(
+        '"refinements":[[[5]]]', '"episode":1,"raw_bits_total":9.0,"refinements":{"0":[[5]]}')),
+}
 
 
-# A fresh graph over "ab" as the cg2 saver wrote it: a creation episode in
-# each concept row, and every float a string with 9 decimals.
-CG2_FRESH_AB = (
-    '{"alphabet":["a","b"],"assoc_counts":[],"concepts":[["primitive",0,"1.000000000","a"],'
-    '["primitive",0,"1.000000000","b"],["affect",0,"1.000000000",1],'
-    '["affect",0,"1.000000000",-1]],"config":{"assoc_threshold":3,"beam_base":4,'
-    '"contrast_threshold":"1.000000000","decay":"0.900000000",'
-    '"fast_path_threshold":"8.000000000","generalize_threshold":3,"pool_base":64,'
-    '"repeat_threshold":2,"valence_decay":"0.500000000","valence_hop_cap":6},"episode":0,'
-    '"raw_bits_total":"0.000000000","refinements":{},"run_observations":{},"version":"cg2"}\n')
-
-
-def test_a_cg2_file_is_a_version_mismatch(tmp_path):
-    """A cg2 file holds its floats rounded, so it cannot give back the graph
-    that wrote it: it is refused by its version, and its bytes are kept."""
-    graph = tmp_path / "g.cg"
-    graph.write_text(CG2_FRESH_AB)
-    proc = run_cli("stats", "--graph", str(graph))
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: expected 'cg8', got 'cg2'\n")
-    assert graph.read_text() == CG2_FRESH_AB
-
-
-# A graph over "ab" after `ingest("abab")`, as the cg3 saver wrote it: the file
-# restates the episode counter, the pair counts and the raw-bit total.
-CG3_AB_AFTER_ABAB = (
-    '{"alphabet":["a","b"],"assoc_counts":[],"concepts":[["primitive",1.9,"a"],'
-    '["primitive",1.9,"b"],["affect",1.0,1],["affect",1.0,-1],["concat",1.9,[0,1]],'
-    '["repeat",1.9,4,2]],"config":{"assoc_threshold":3,"beam_base":4,"contrast_threshold":1.0,'
-    '"decay":0.9,"fast_path_threshold":8.0,"generalize_threshold":3,"pool_base":64,'
-    '"repeat_threshold":2,"valence_decay":0.5,"valence_hop_cap":6},"episode":1,'
-    '"raw_bits_total":9.0,"refinements":{"0":[[5]]},"run_observations":{"2":[4]},'
-    '"version":"cg3"}\n')
-
-
-def test_a_cg3_file_is_a_version_mismatch(tmp_path):
-    """A cg3 file is refused by its version, and its bytes are kept; the same
-    graph written as cg8 loads, with the episode, pair counts and raw bits
-    its chains give."""
-    graph = tmp_path / "g.cg"
-    graph.write_text(CG3_AB_AFTER_ABAB)
-    proc = run_cli("stats", "--graph", str(graph))
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: expected 'cg8', got 'cg3'\n")
-    assert graph.read_text() == CG3_AB_AFTER_ABAB
-    doc = json.loads(CG3_AB_AFTER_ABAB)
-    for section in ("episode", "assoc_counts", "raw_bits_total"):
-        del doc[section]
-    for field in (*CG4_DROPPED, *CG5_DROPPED, *CG6_DROPPED, *CG7_DROPPED):
-        del doc["config"][field]
-    doc.update(version="cg8", refinements=list(doc["refinements"].values()))
-    g = graph_from_json(doc)
-    assert (g.episode, g.assoc_counts, graph_report(g).raw_bits) == (1, {}, 9.0)
-
-
-# The same graph as the cg4 saver wrote it: its config also held the contrast
-# threshold and the parse fast path's, which the engine never read.
-CG4_AB_AFTER_ABAB = (
-    '{"alphabet":["a","b"],"concepts":[["primitive",1.9,"a"],["primitive",1.9,"b"],'
-    '["affect",1.0,1],["affect",1.0,-1],["concat",1.9,[0,1]],["repeat",1.9,4,2]],'
-    '"config":{"assoc_threshold":3,"beam_base":4,"contrast_threshold":1.0,"decay":0.9,'
-    '"fast_path_threshold":8.0,"generalize_threshold":3,"pool_base":64,"repeat_threshold":2,'
-    '"valence_decay":0.5,"valence_hop_cap":6},"refinements":[[[5]]],'
-    '"run_observations":{"2":[4]},"version":"cg4"}\n')
-CG4_DROPPED = {"contrast_threshold": "1.0", "fast_path_threshold": "8.0"}
-
-
-def test_a_cg4_file_is_a_version_mismatch(tmp_path):
-    """A cg4 file is refused by its version, and its bytes are kept; the cg8
-    file of the same graph is its bytes with the version renamed, without
-    the six config entries that cg5, cg6, cg7 and cg8 dropped."""
-    graph = tmp_path / "g.cg"
-    graph.write_text(CG4_AB_AFTER_ABAB)
-    proc = run_cli("stats", "--graph", str(graph))
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: expected 'cg8', got 'cg4'\n")
-    assert graph.read_text() == CG4_AB_AFTER_ABAB
-    text = CG4_AB_AFTER_ABAB.replace('"version":"cg4"', '"version":"cg8"')
-    for field, value in {**CG4_DROPPED, **CG6_DROPPED, **CG7_DROPPED}.items():
-        text = text.replace(f'"{field}":{value},', "")
-    for field, value in CG5_DROPPED.items():
-        text = text.replace(f',"{field}":{value}', "")
+def ab_after_abab() -> str:
+    """Today's file of the graph over "ab" after `ingest("abab")`."""
     g = ConceptGraph("ab")
     ingest(g, "abab")
-    assert dumps(g) == text
+    return dumps(g)
 
 
-# The same graph as the cg5 saver wrote it: its config also held the valence
-# decay and hop cap, which only `propagate_valence` read.
-CG5_AB_AFTER_ABAB = (
-    '{"alphabet":["a","b"],"concepts":[["primitive",1.9,"a"],["primitive",1.9,"b"],'
-    '["affect",1.0,1],["affect",1.0,-1],["concat",1.9,[0,1]],["repeat",1.9,4,2]],'
-    '"config":{"assoc_threshold":3,"beam_base":4,"decay":0.9,"generalize_threshold":3,'
-    '"pool_base":64,"repeat_threshold":2,"valence_decay":0.5,"valence_hop_cap":6},'
-    '"refinements":[[[5]]],"run_observations":{"2":[4]},"version":"cg5"}\n')
-CG5_DROPPED = {"valence_decay": "0.5", "valence_hop_cap": "6"}
+def older_text(version: str) -> str:
+    """The file of the graph over "ab" after `ingest("abab")` as the `version`
+    saver wrote it: today's file, then each older version's edit in turn."""
+    newer, edit = OLDER[version]
+    text = ab_after_abab() if newer == "cg9" else older_text(newer)
+    return edit(text).replace(f'"version":"{newer}"', f'"version":"{version}"')
 
 
-def test_a_cg5_file_is_a_version_mismatch(tmp_path):
-    """A cg5 file is refused by its version, and its bytes are kept; it is
-    the cg8 file of the same graph with the version renamed, the beam and
-    pool bases added back in their sorted places and the two valence
-    entries after the last config entry."""
+@pytest.mark.parametrize("version", list(OLD_FILES))
+def test_an_old_file_is_a_version_mismatch(tmp_path, version):
+    """The reader reads cg9 alone: an older file is refused by its version,
+    and its bytes are kept.  From cg3 on, the old file is today's file of
+    the same graph with what later formats dropped put back, and what a cg3
+    file restated is what a load derives from the chains."""
+    old = OLD_FILES[version]
     graph = tmp_path / "g.cg"
-    graph.write_text(CG5_AB_AFTER_ABAB)
+    graph.write_text(old)
     proc = run_cli("stats", "--graph", str(graph))
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: expected 'cg8', got 'cg5'\n")
-    assert graph.read_text() == CG5_AB_AFTER_ABAB
-    g = ConceptGraph("ab")
-    ingest(g, "abab")
-    added = "".join(f',"{field}":{value}' for field, value in CG5_DROPPED.items())
-    text = with_beam_base(with_pool_base(dumps(g))).replace('"cg8"', '"cg5"')
-    assert text.replace('"repeat_threshold":2}', f'"repeat_threshold":2{added}}}') == CG5_AB_AFTER_ABAB
-
-
-# The same graph as the cg6 saver wrote it: its config also held the beam base,
-# the states a parse kept per position.
-CG6_AB_AFTER_ABAB = (
-    '{"alphabet":["a","b"],"concepts":[["primitive",1.9,"a"],["primitive",1.9,"b"],'
-    '["affect",1.0,1],["affect",1.0,-1],["concat",1.9,[0,1]],["repeat",1.9,4,2]],'
-    '"config":{"assoc_threshold":3,"beam_base":4,"decay":0.9,"generalize_threshold":3,'
-    '"pool_base":64,"repeat_threshold":2},"refinements":[[[5]]],"run_observations":{"2":[4]},'
-    '"version":"cg6"}\n')
-CG6_DROPPED = {"beam_base": "4"}
-
-
-def with_beam_base(text):
-    """A graph file's text with the cg6 beam base back in its sorted place."""
-    return text.replace('"assoc_threshold":3,', '"assoc_threshold":3,"beam_base":4,')
-
-
-def test_a_cg6_file_is_a_version_mismatch(tmp_path):
-    """A cg6 file is refused by its version, and its bytes are kept; it is
-    the cg8 file of the same graph with the version renamed and the beam
-    and pool bases added back."""
-    graph = tmp_path / "g.cg"
-    graph.write_text(CG6_AB_AFTER_ABAB)
-    proc = run_cli("stats", "--graph", str(graph))
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: expected 'cg8', got 'cg6'\n")
-    assert graph.read_text() == CG6_AB_AFTER_ABAB
-    g = ConceptGraph("ab")
-    ingest(g, "abab")
-    text = with_beam_base(with_pool_base(dumps(g))).replace('"cg8"', '"cg6"')
-    assert text == CG6_AB_AFTER_ABAB
-
-
-# The same graph as the cg7 saver wrote it: its config also held the pool base,
-# the candidates that `ingest`'s parses ranked down to.
-CG7_AB_AFTER_ABAB = (
-    '{"alphabet":["a","b"],"concepts":[["primitive",1.9,"a"],["primitive",1.9,"b"],'
-    '["affect",1.0,1],["affect",1.0,-1],["concat",1.9,[0,1]],["repeat",1.9,4,2]],'
-    '"config":{"assoc_threshold":3,"decay":0.9,"generalize_threshold":3,"pool_base":64,'
-    '"repeat_threshold":2},"refinements":[[[5]]],"run_observations":{"2":[4]},'
-    '"version":"cg7"}\n')
-CG7_DROPPED = {"pool_base": "64"}
-
-
-def with_pool_base(text):
-    """A graph file's text with the cg7 pool base back in its sorted place."""
-    return text.replace('"generalize_threshold":3,', '"generalize_threshold":3,"pool_base":64,')
-
-
-def test_a_cg7_file_is_a_version_mismatch(tmp_path):
-    """A cg7 file is refused by its version, and its bytes are kept; it is
-    the cg8 file of the same graph with the version renamed and the pool
-    base added back."""
-    graph = tmp_path / "g.cg"
-    graph.write_text(CG7_AB_AFTER_ABAB)
-    proc = run_cli("stats", "--graph", str(graph))
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: expected 'cg8', got 'cg7'\n")
-    assert graph.read_text() == CG7_AB_AFTER_ABAB
-    g = ConceptGraph("ab")
-    ingest(g, "abab")
-    text = with_pool_base(dumps(g)).replace('"version":"cg8"', '"version":"cg7"')
-    assert text == CG7_AB_AFTER_ABAB
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"error: expected 'cg9', got '{version}'\n")
+    assert graph.read_text() == old
+    if version in OLDER:
+        assert older_text(version) == old
+    if version == "cg3":
+        doc, g = json.loads(old), graph_from_json(json.loads(ab_after_abab()))
+        assert (g.episode, g.assoc_counts, graph_report(g).raw_bits) == (
+            doc["episode"], dict(doc["assoc_counts"]), doc["raw_bits_total"]) == (1, {}, 9.0)

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conceptgraph import core, inducer
 from conceptgraph.core import (
     FOLLOWS,
     MAX_EXPANSION,
@@ -14,7 +15,6 @@ from conceptgraph.core import (
     Concat,
     Concept,
     ConceptGraph,
-    Config,
     EmotionTemplate,
     Hole,
     Marker,
@@ -43,8 +43,8 @@ from conceptgraph.storage import dumps, graph_from_json
 from oracle import is_codeable, ref_cost
 
 
-def fresh(alphabet="ab", **overrides):
-    return ConceptGraph(alphabet, Config(**overrides))
+def fresh(alphabet="ab"):
+    return ConceptGraph(alphabet)
 
 
 def test_initial_graph_contents():
@@ -58,60 +58,61 @@ def test_initial_graph_contents():
 
 
 def rows_of(g):
-    """Copies of a graph's concept rows, as a load hands them over."""
-    return [Concept(c.kind, c.weight) for c in g.concepts]
+    """A graph's concept rows as (kind, weight) pairs, as a load hands them over."""
+    return [(c.kind, c.weight) for c in g.concepts]
 
 
 def test_a_graph_given_its_own_rows_is_the_same_graph():
     """One path from rows to a graph: a fresh graph makes the birth rows,
     a load passes its rows, and both build the same tables."""
-    g = fresh("abc", decay=0.5)
+    g = fresh("abc")
     x = g.add(Concat((0, 1)))
     tpl = g.add(Template((SlotRef(2), Hole(0))))
     g.add(Repeat(x, 3))
     g.add(Apply(tpl, (x,)))
     g.add(Association(0, x))
     g.tick_weights({x})
-    assert vars(ConceptGraph("abc", g.config, rows_of(g))) == vars(g)
-    assert vars(ConceptGraph("abc", None, rows_of(fresh("abc")))) == vars(fresh("abc"))
+    assert vars(ConceptGraph("abc", rows_of(g))) == vars(g)
+    assert vars(ConceptGraph("abc", rows_of(fresh("abc")))) == vars(fresh("abc"))
 
 
 @pytest.mark.parametrize("edit", [
     pytest.param(lambda rows: rows.clear(), id="no-rows"),
     pytest.param(lambda rows: rows.pop(), id="no-pain"),
     pytest.param(lambda rows: rows.reverse(), id="reversed"),
-    pytest.param(lambda rows: rows.__setitem__(0, Concept(Primitive("b"), 1.0)),
-                 id="b-for-a"),
-    pytest.param(lambda rows: rows.__setitem__(2, Concept(AffectPrimitive(-1), 1.0)),
+    pytest.param(lambda rows: rows.__setitem__(0, (Primitive("b"), 1.0)), id="b-for-a"),
+    pytest.param(lambda rows: rows.__setitem__(2, (AffectPrimitive(-1), 1.0)),
                  id="pain-for-pleasure"),
-    pytest.param(lambda rows: rows.insert(0, Concept(Primitive("c"), 1.0)),
+    pytest.param(lambda rows: rows.insert(0, (Primitive("c"), 1.0)),
                  id="a-primitive-outside-the-alphabet"),
 ])
 def test_rows_that_do_not_start_with_the_birth_rows_are_refused(edit):
     rows = rows_of(fresh("ab"))
     edit(rows)
     with pytest.raises(ValueError, match="initial concepts do not match the alphabet"):
-        ConceptGraph("ab", None, rows)
+        ConceptGraph("ab", rows)
 
 
 @pytest.mark.parametrize("row", [
-    Concept(Concat((0, 1)), -1.0), Concept(Concat((0, 1)), math.nan),
-    Concept(Concat((0, 1)), math.inf), Concept(Concat((0, 1)), 10**400),
-    Concept(Concat((0, 1)), "x"), Concept(Concat((0, 1)), True), Concept(Concat((0, 1)), None),
-    (Concat((0, 1)), 1.0), None])
+    (Concat((0, 1)), -1.0), (Concat((0, 1)), math.nan),
+    (Concat((0, 1)), math.inf), (Concat((0, 1)), 10**400),
+    (Concat((0, 1)), "x"), (Concat((0, 1)), True), (Concat((0, 1)), None),
+    Concept(Concat((0, 1)), 1.0), None, [Concat((0, 1)), 1.0], (Concat((0, 1)),),
+    (Concat((0, 1)), 1.0, 1.0)])
 def test_a_row_that_is_not_a_concept_or_has_a_bad_weight_is_refused(row):
-    """One weight rule for every row: the constructor takes a weight that
-    `set_weight` takes, so every graph it builds saves a file that loads."""
-    with pytest.raises(ValueError, match="weight|not a Concept"):
-        ConceptGraph("ab", None, rows_of(fresh("ab")) + [row])
+    """A concept row is a (kind, weight) pair, and one weight rule holds for
+    every row: the constructor takes a weight that `set_weight` takes, so
+    every graph it builds saves a file that loads."""
+    with pytest.raises(ValueError, match="weight|pair"):
+        ConceptGraph("ab", rows_of(fresh("ab")) + [row])
 
 
 def test_a_birth_row_with_a_bad_weight_is_refused():
     """Affect primitives are outside the code, but their weights are saved."""
     rows = rows_of(fresh("ab"))
-    rows[2].weight = -1.0
+    rows[2] = (rows[2][0], -1.0)
     with pytest.raises(ValueError, match="weight"):
-        ConceptGraph("ab", None, rows)
+        ConceptGraph("ab", rows)
 
 
 def test_alphabet_must_be_unique_and_nonempty():
@@ -138,14 +139,14 @@ def test_an_unordered_or_one_shot_alphabet_is_refused(alphabet):
         ConceptGraph(alphabet)
 
 
-@pytest.mark.parametrize("alphabet, config", [
-    (None, None), (5, None), ("ab", "cfg"), ("ab", {"decay": 0.5}), ("ab", (1.0, 2))])
-def test_graph_arguments_of_the_wrong_type_are_refused(alphabet, config):
-    """An alphabet that is not a sequence, or a config that is not a
-    `Config`, is refused at construction: unchecked, the first raised a bare
-    `TypeError` and the second built a graph that failed in `ingest`."""
-    with pytest.raises(ValueError, match="alphabet|config"):
-        ConceptGraph(alphabet, config)
+@pytest.mark.parametrize("alphabet, rows", [
+    (None, None), (5, None), ("ab", "cfg"), ("ab", {"decay": 0.5}), ("ab", (1.0, 2)), ("ab", 5)])
+def test_graph_arguments_of_the_wrong_type_are_refused(alphabet, rows):
+    """An alphabet that is not a sequence, or rows that are not an iterable
+    of (kind, weight) pairs, are refused at construction: unchecked, the
+    first raised a bare `TypeError`."""
+    with pytest.raises(ValueError, match="alphabet|rows|pair"):
+        ConceptGraph(alphabet, rows)
 
 
 def test_expansion_base_cases():
@@ -212,7 +213,7 @@ def test_add_validation_errors():
 
 
 def test_tick_weights_decay_then_reward():
-    g = fresh("ab", decay=0.9)
+    g = fresh("ab")
     g.set_weight(0, 5.0)
     g.set_weight(1, 5.0)
     g.tick_weights({1})
@@ -233,7 +234,7 @@ def test_tick_weights_with_an_unknown_id_changes_nothing(used):
 
 
 def test_decay_closed_form():
-    g = fresh("ab", decay=0.9)
+    g = fresh("ab")
     for _ in range(10):
         g.tick_weights(set())
     assert g.concepts[0].weight == pytest.approx(0.9**10, abs=1e-9)
@@ -419,8 +420,7 @@ def test_a_repeated_kind_keeps_its_first_id_through_pop_and_rewrite():
 
     def restore_twin():  # as load restores rows
         nonlocal g
-        g.concepts.append(Concept(Concat((0, 1)), 1.0))
-        g = ConceptGraph(g.alphabet, g.config, g.concepts)
+        g = ConceptGraph(g.alphabet, rows_of(g) + [(Concat((0, 1)), 1.0)])
         return len(g) - 1
 
     restore_twin()
@@ -481,7 +481,7 @@ def test_expansion_is_capped():
     assert g.concept(ab).kind == Concat((0, 1)) and g.expansion(ab) == ("a", "b")
     g.concepts[ab].kind = Repeat(0, MAX_EXPANSION + 1)
     with pytest.raises(TooLarge):
-        ConceptGraph(g.alphabet, g.config, g.concepts)
+        ConceptGraph(g.alphabet, rows_of(g))
 
 
 def test_set_weight_rejects_negative_and_non_finite():
@@ -503,19 +503,13 @@ def test_set_weight_refuses_an_int_too_large_for_a_float(cid):
     assert ",1e+300," in dumps(g)
 
 
-@pytest.mark.parametrize("name", [f for f in Config._fields if Config.__annotations__[f] == "float"])
-def test_config_refuses_an_int_too_large_for_a_float(name):
-    with pytest.raises(ValueError, match=name):
-        Config(**{name: 10**400})
-
-
 def test_rebuild_derived_matches_incremental_counters():
     g = fresh("ab")
     g.add(Concat((0, 1)))
     g.add(Repeat(0, 4))
     g.tick_weights({0, 1})
     count, weight = g.codeable_count(), g.codeable_weight()
-    g = ConceptGraph(g.alphabet, g.config, g.concepts)
+    g = ConceptGraph(g.alphabet, rows_of(g))
     assert g.codeable_count() == count
     assert g.codeable_weight() == weight
 
@@ -577,7 +571,7 @@ def two_pass_tick(g, used):
     rewarded = {cid: g.concept(cid) for cid in used}
     for concept in g.concepts:
         if not isinstance(concept.kind, AffectPrimitive):
-            concept.weight *= g.config.decay
+            concept.weight *= core.DECAY
     for concept in rewarded.values():
         if not isinstance(concept.kind, AffectPrimitive):
             concept.weight += 1.0
@@ -593,8 +587,13 @@ def test_the_row_list_tick_matches_the_two_pass_tick(data):
     graph's row lists leave every weight and the code mass equal to the
     reference's, which decays and rewards over a scan of every row, bit for
     bit."""
-    decay = data.draw(st.sampled_from([0.9, 0.5, 1.0, 0.999, 1e-3]))
-    pair = [fresh("abc", decay=decay) for _ in range(2)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "DECAY", data.draw(st.sampled_from([0.9, 0.5, 1.0, 0.999, 1e-3])))
+        row_list_tick_matches_two_pass_tick(data)
+
+
+def row_list_tick_matches_two_pass_tick(data):
+    pair = [fresh("abc") for _ in range(2)]
     for _ in range(data.draw(st.integers(0, 6))):
         ids = pair[0].parseable_ids()
         a, b = data.draw(st.sampled_from(ids)), data.draw(st.sampled_from(ids))
@@ -614,32 +613,6 @@ def test_the_row_list_tick_matches_the_two_pass_tick(data):
         assert one == two
         assert pair[0].codeable_weight().hex() == pair[1].codeable_weight().hex()
         assert pair[0].codeable_weight() == id_order_sum(pair[0])
-
-
-@pytest.mark.parametrize("name", [f for f in Config._fields if Config.__annotations__[f] == "int"])
-@pytest.mark.parametrize("bad", [2.5, 3.0, True])
-def test_config_refuses_a_non_integer_for_an_int_field(name, bad):
-    with pytest.raises(ValueError, match=name):
-        Config(**{name: bad})
-
-
-@pytest.mark.parametrize("name, value", [
-    ("decay", 5.0), ("assoc_threshold", 0), ("generalize_threshold", True),
-    ("decay", float("nan")), ("pool_base", 8)])
-def test_a_config_field_cannot_be_assigned(name, value):
-    """A graph's thresholds are fixed for its life: an edit in place would
-    skip `Config`'s checks, and a kept index would have to follow it."""
-    g = fresh("ab")
-    with pytest.raises(AttributeError):
-        setattr(g.config, name, value)
-    assert g.config == Config()
-
-
-def test_a_graphs_config_cannot_be_reassigned():
-    g = fresh("ab", decay=0.5)
-    with pytest.raises(AttributeError):
-        g.config = Config()
-    assert g.config == Config(decay=0.5)
 
 
 def test_the_expansion_table_is_the_parseable_set_in_id_order():
@@ -667,7 +640,7 @@ def test_the_expansion_table_is_the_parseable_set_in_id_order():
     g.pop_last()
     g.add(Marker("m"))
     check()
-    g = ConceptGraph(g.alphabet, g.config, g.concepts)
+    g = ConceptGraph(g.alphabet, rows_of(g))
     check()
     with pytest.raises(UnknownConcept):
         g.expansion(len(g))
@@ -678,7 +651,7 @@ def derived_tables(g):
     the code mass, the kind facts and the row lists (the rows that decay,
     the codeable rows) that the constructor derives from copies of the rows;
     each row list as `g`'s own rows at the ids its copies hold."""
-    built = ConceptGraph(g.alphabet, g.config, rows_of(g))
+    built = ConceptGraph(g.alphabet, rows_of(g))
     position = {id(row): cid for cid, row in enumerate(built.concepts)}
     lists = tuple([g.concepts[position[id(row)]] for row in rows]
                   for rows in row_lists(built))
@@ -742,7 +715,13 @@ def test_every_step_keeps_the_tables_the_constructor_derives(data):
     (a bucket's members in any order), and so does the code mass, bit for
     bit; the row lists that `tick_weights` walks hold the graph's own rows
     at the ids the constructor puts in them."""
-    g = ConceptGraph("abc", Config(generalize_threshold=2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inducer, "GENERALIZE_THRESHOLD", 2)
+        every_step_keeps_the_tables_the_constructor_derives(data)
+
+
+def every_step_keeps_the_tables_the_constructor_derives(data):
+    g = ConceptGraph("abc")
     for episode in data.draw(st.lists(st.text("abc", max_size=40), max_size=6)):
         ingest(g, episode)
     cid = 0
@@ -793,15 +772,9 @@ def test_a_rewrite_keeps_the_first_id_of_a_repeated_kind():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        Config(decay=0.0)
-    with pytest.raises(ValueError):
-        Config(decay=1.5)
-    with pytest.raises(TypeError):  # `ingest`'s pool is an inducer constant, no setting
-        Config(pool_base=64)
-    for f in Config._fields:  # every int must be positive, every float finite and >= 0
-        ints = Config.__annotations__[f] == "int"
-        # a float field takes a number by the weight rule: no string, list or bool
-        for bad in (0,) if ints else (float("nan"), float("inf"), -1.0, "x", [1], True, None):
-            with pytest.raises(ValueError):
-                Config(**{f: bad})
+    """The engine's thresholds are in range: each count a positive int, so a
+    comparison with a count means what it says, and the decay in (0, 1], so
+    a weight never grows by decaying and never reaches 0 in one tick."""
+    for count in (inducer.REPEAT_THRESHOLD, inducer.ASSOC_THRESHOLD, inducer.GENERALIZE_THRESHOLD):
+        assert type(count) is int and count > 0
+    assert type(core.DECAY) is float and 0.0 < core.DECAY <= 1.0

@@ -1,4 +1,4 @@
-"""The value semantics every kind, term, report and settings type keeps:
+"""The value semantics every kind, term and report type keeps:
 strict equality by class, the hash of its field values, a fixed repr, no
 assignment and no ordering."""
 
@@ -11,7 +11,6 @@ from conceptgraph.core import (
     Concat,
     Concept,
     ConceptGraph,
-    Config,
     EmotionTemplate,
     Hole,
     Marker,
@@ -40,9 +39,8 @@ FROZEN = [
     (Association(3, 4), "Association(a=3, b=4)", (3, 4)),
     (AffectPrimitive(-1), "AffectPrimitive(sign=-1)", (-1,)),
     (Marker("follows"), "Marker(label='follows')", ("follows",)),
-    (Config(), "Config(repeat_threshold=2, decay=0.9, assoc_threshold=3, "
-     "generalize_threshold=3)",
-     (2, 0.9, 3, 3)),
+    (EmotionTemplate("joy", (), 2), "EmotionTemplate(emotion='joy', pattern=(), min_repeats=2)",
+     ("joy", (), 2)),
     (SlotConstraint(kind="valence", sign=-1),
      "SlotConstraint(kind='valence', concept=None, label=None, sign=-1)",
      ("valence", None, None, -1)),
@@ -128,7 +126,7 @@ def test_terms_of_different_classes_are_different_keys():
 @pytest.mark.parametrize("a, b", [
     (Repeat(3, 2), Repeat(3, 3)), (Primitive("a"), Primitive("b")),
     (Repeat(3, 2), Association(3, 3)), (Var(0), Var(1)), (Repeat(3, 2), (3, 3)),
-    ((3, 3), Repeat(3, 2)), (Config(assoc_threshold=1), Config(assoc_threshold=2))])
+    ((3, 3), Repeat(3, 2)), (EmotionTemplate("joy", (), 1), EmotionTemplate("joy", (), 2))])
 def test_records_have_no_order(a, b):
     for compare in (lambda: a < b, lambda: a <= b, lambda: a > b, lambda: a >= b):
         with pytest.raises(TypeError):
@@ -153,14 +151,6 @@ def test_a_malformed_template_raises_only_when_add_reads_its_holes(body, error):
     assert len(g) == 4
     with pytest.raises(error):
         template.holes
-
-
-@pytest.mark.parametrize("build", [
-    lambda: Config()._replace(decay=5.0), lambda: Config._make([0.0] * 4),
-    lambda: Config()._replace(assoc_threshold=0), lambda: Config()._replace(decay=-1.0)])
-def test_a_checked_record_is_checked_however_it_is_built(build):
-    with pytest.raises(ValueError):
-        build()
 
 
 def test_a_field_without_a_default_may_not_follow_one_with_a_default():

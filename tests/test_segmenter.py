@@ -104,8 +104,8 @@ def test_ingest_refuses_cuts_that_are_not_positions_inside_the_tokens():
 @pytest.mark.parametrize("threshold", ["x", None, True, [1], 1j, float("nan"),
                                        -1, -0.5, float("inf")])
 def test_a_threshold_off_the_number_rule_is_refused(threshold):
-    """The contrast threshold keeps core's number rule, as
-    `Config.contrast_threshold` does: an int or a float, finite and
-    non-negative.  -1 would cut everywhere and infinity nowhere."""
+    """The contrast threshold keeps core's number rule, as a weight does: an
+    int or a float, finite and non-negative.  -1 would cut everywhere and
+    infinity nowhere."""
     with pytest.raises(ValueError, match="threshold"):
         contrast_cuts([1, 2, 4], threshold)

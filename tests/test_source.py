@@ -131,30 +131,6 @@ def test_each_derived_row_fact_has_its_writers():
     assert {where for where, _, writes in uses if writes} == ROW_FACT_WRITERS
 
 
-# The modules whose code learns: a `Config` field that none of them reads is
-# a knob stored in every graph file that changes nothing the engine does.
-ENGINE_MODULES = ("core", "inducer", "mdl")
-
-
-def test_every_config_field_is_read_by_the_engine():
-    """Each `Config` field is read as an attribute by engine code (`core`
-    outside `Config` itself, `inducer`, `mdl`), not only by `storage`, which
-    writes every field, or by the CLI.  A read inside a function that no
-    package code calls (`UNCALLED_ON_PURPOSE`) does not count: it changes
-    nothing the engine does."""
-    from conceptgraph.core import Config
-    read = set()
-    for module in ENGINE_MODULES:
-        tree = module_tree(module)
-        skipped = {id(node) for top in ast.walk(tree)
-                   if isinstance(top, ast.ClassDef) and top.name == "Config"
-                   or isinstance(top, ast.FunctionDef) and top.name in UNCALLED_ON_PURPOSE
-                   for node in ast.walk(top)}
-        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
-                 and isinstance(node.ctx, ast.Load) and id(node) not in skipped}
-    assert sorted(set(Config._fields) - read) == []
-
-
 def test_the_finite_number_rule_has_one_home():
     """Finite and non-negative is `core._check_number`'s rule: no other
     module restates it with `math.isnan`, `isinf`, `isfinite` or `inf`."""

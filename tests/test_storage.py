@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from conceptgraph import storage
+from conceptgraph import inducer, storage
 from conceptgraph.cli import main
 from conceptgraph.corpus import GRAMMAR_ALPHABET, gen_grammar_corpus
 from conceptgraph.core import (
@@ -21,7 +21,6 @@ from conceptgraph.core import (
     Association,
     Concat,
     ConceptGraph,
-    Config,
     Hole,
     Kind,
     Marker,
@@ -94,10 +93,11 @@ def test_save_load_save_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_a_loaded_graph_reloads_to_the_same_state():
+def test_a_loaded_graph_reloads_to_the_same_state(monkeypatch):
     """Load derives the caches and the follows marker's id, which the file
     does not store: a reload equals the first load in every attribute."""
-    g = ConceptGraph("abcd", Config(assoc_threshold=1))  # each adjacent pair is an association
+    monkeypatch.setattr(inducer, "ASSOC_THRESHOLD", 1)  # each adjacent pair is an association
+    g = ConceptGraph("abcd")
     for episode in ("abcd", "dcba", "abab"):
         ingest(g, episode)
     first = graph_from_json(json.loads(dumps(g)))
@@ -134,15 +134,17 @@ def test_a_reload_holds_the_pair_counts_and_report_of_the_live_graph(data):
     else:
         alphabet = "abcdefghijklmnop"
         episodes = st.text(alphabet[:data.draw(st.integers(2, 16))], max_size=40)
-    g = ConceptGraph(alphabet, Config(assoc_threshold=data.draw(st.integers(1, 3))))
-    for _ in range(data.draw(st.integers(1, 12))):
-        if g.episode and data.draw(st.integers(0, 2)) == 0:
-            refine(g, data.draw(st.integers(0, g.episode - 1)))
-        else:
-            ingest(g, data.draw(episodes))
-        back = graph_from_json(json.loads(dumps(g)))
-        assert back.assoc_counts == g.assoc_counts
-        assert graph_report(back) == graph_report(g)
+    g = ConceptGraph(alphabet)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inducer, "ASSOC_THRESHOLD", data.draw(st.integers(1, 3)))
+        for _ in range(data.draw(st.integers(1, 12))):
+            if g.episode and data.draw(st.integers(0, 2)) == 0:
+                refine(g, data.draw(st.integers(0, g.episode - 1)))
+            else:
+                ingest(g, data.draw(episodes))
+            back = graph_from_json(json.loads(dumps(g)))
+            assert back.assoc_counts == g.assoc_counts
+            assert graph_report(back) == graph_report(g)
 
 
 def test_load_restores_structure_and_behavior(tmp_path):
@@ -214,8 +216,8 @@ def test_load_of_an_integer_too_long_for_int_is_corrupt_file(tmp_path):
     """`json.loads` refuses an integer literal of over 4,300 digits with a
     bare ValueError, which load let through."""
     path = tmp_path / "huge.cg"
-    huge = '"repeat_threshold":' + "9" * 5000
-    path.write_text(dumps(ConceptGraph("ab")).replace('"repeat_threshold":2', huge))
+    huge = '["affect",1.0,' + "9" * 5000 + "]"
+    path.write_text(dumps(ConceptGraph("ab")).replace('["affect",1.0,1]', huge))
     with pytest.raises(CorruptFile, match="unreadable graph file"):
         load(str(path))
 
@@ -237,14 +239,15 @@ def test_load_rejects_non_finite_or_negative_weight(tmp_path, weight):
         load(str(path))
 
 
-# A `None` section is a top-level key.  The episode counter, the pair counts
-# and the raw-bit total come from the chains, so a file that states any of
-# them (`episode`, `assoc_counts`, `raw_bits_total`) is refused, whatever the
-# value.
+# A `None` section is a top-level key, and a `concepts` field is the row
+# whose weight is set, the one float field a file holds.  The episode
+# counter, the pair counts and the raw-bit total come from the chains, so a
+# file that states any of them (`episode`, `assoc_counts`, `raw_bits_total`)
+# is refused, whatever the value.
 @pytest.mark.parametrize("section, field, value", [
-    ("config", "decay", "nan"),
-    ("config", "decay", "NaN"),
-    ("config", "decay", "-1"),
+    ("concepts", 0, "nan"),
+    ("concepts", 0, "NaN"),
+    ("concepts", 0, "-1"),
     (None, "raw_bits_total", "nan"),
     (None, "raw_bits_total", "-3"),
     (None, "episode", -5),
@@ -264,21 +267,21 @@ def test_load_rejects_non_finite_or_negative_weight(tmp_path, weight):
     (None, "assoc_counts", [[0, 1, 5], [0, 1, 6]]),
     # the saver writes every float field as a JSON float, so a bool, an
     # integer or a string is an edit whose resave would differ
-    ("config", "decay", True),
-    ("config", "decay", "0.5"),
-    ("config", "decay", 1),
+    ("concepts", 0, True),
+    ("concepts", 0, "0.5"),
+    ("concepts", 0, 1),
     (None, "raw_bits_total", 12),
     (None, "raw_bits_total", "12.0"),
     (None, "raw_bits_total", False),
-    ("config", "decay", "1_0"),
-    ("config", "decay", " 0.5 "),
+    ("concepts", 0, "1_0"),
+    ("concepts", 0, " 0.5 "),
     (None, "raw_bits_total", "1e0"),
     (None, "raw_bits_total", "1.0"),
-    # a float out of its field's range
-    ("config", "decay", -1.0),
-    ("config", "decay", 1.5),
-    pytest.param("config", "decay", math.inf, id="config-decay-inf"),
-    pytest.param("config", "decay", math.nan, id="config-decay-float-nan"),
+    # a weight out of range
+    ("concepts", 0, -1.0),
+    ("concepts", 0, -2.5),
+    pytest.param("concepts", 0, math.inf, id="concepts-0-inf"),
+    pytest.param("concepts", 0, math.nan, id="concepts-0-float-nan"),
     (None, "raw_bits_total", -3.0),
     pytest.param(None, "raw_bits_total", math.nan, id="None-raw_bits_total-float-nan"),
     pytest.param(None, "raw_bits_total", math.inf, id="None-raw_bits_total-inf"),
@@ -290,13 +293,16 @@ def test_load_rejects_non_finite_or_negative_weight(tmp_path, weight):
 ])
 def test_load_rejects_bad_config_and_counters(section, field, value):
     data = json.loads(dumps(ConceptGraph("ab")))
-    (data[section] if section else data)[field] = value
+    if section == "concepts":
+        data["concepts"][field][WEIGHT] = value
+    else:
+        (data[section] if section else data)[field] = value
     with pytest.raises(CorruptFile):
         graph_from_json(data)
 
 
 # a float field of a fresh graph's file, by the path to it
-FLOAT_FIELDS = {"weight": ("concepts", 0, WEIGHT), "config": ("config", "decay")}
+FLOAT_FIELDS = {"weight": ("concepts", 0, WEIGHT)}
 
 
 def file_with(tmp_path, where: str, spelling: str) -> str:
@@ -337,12 +343,10 @@ EDGE_FLOATS = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_every_float_survives_a_save_and_load(tmp_path_factory, data):
-    """Weights and the float config fields load back `==`
-    to what was saved, at edge values and as an int given for a float, and
-    saving the loaded graph gives the same bytes."""
-    unit = st.sampled_from([1 / 3, 0.1 + 0.2, 5e-324, FORGET_WEIGHT, 0.9 ** 40])
-    config = Config(decay=data.draw(st.one_of(st.just(1), unit)))
-    g = ConceptGraph("ab", config)
+    """Weights load back `==` to what was saved, at edge values and as an
+    int given for a float, and saving the loaded graph gives the same
+    bytes."""
+    g = ConceptGraph("ab")
     g.add(Repeat(g.add(Concat((0, 1))), 2))
     for cid in range(len(g)):
         g.set_weight(cid, data.draw(EDGE_FLOATS))
@@ -351,8 +355,6 @@ def test_every_float_survives_a_save_and_load(tmp_path_factory, data):
     text = Path(path).read_text()
     loaded = load(path)
     assert [c.weight for c in loaded.concepts] == [c.weight for c in g.concepts]
-    assert loaded.config == g.config
-    assert {type(getattr(loaded.config, name)) for name in storage._CONFIG_FLOATS} == {float}
     save(loaded, path)
     assert Path(path).read_text() == text
 
@@ -459,11 +461,6 @@ def test_every_kind_has_one_row_in_the_kind_table():
     assert len({row[0] for row in rows.values()}) == len(rows)  # file, teach and DOT name
     for cls, named_tags in storage._FIELDS.items():
         assert [name for name, _ in named_tags] == list(cls._fields)
-
-
-def test_config_fields_are_the_dataclass_fields():
-    names = list(Config._fields)
-    assert sorted(storage._CONFIG_INTS + storage._CONFIG_FLOATS) == sorted(names)
 
 
 @pytest.mark.parametrize("cid, field, value", [
@@ -634,9 +631,8 @@ def test_load_of_a_graph_with_one_edited_integer(data):
 
 def numeric_paths(doc) -> list[tuple]:
     """Paths of every numeric field of a saved graph: weights, references and
-    counts, the integer config fields, the run members, and the refinement
-    refs."""
-    paths = [("config", name) for name, value in doc["config"].items() if isinstance(value, int)]
+    counts, the run members, and the refinement refs."""
+    paths = []
     for i, row in enumerate(doc["concepts"]):
         paths.append(("concepts", i, WEIGHT))
         paths += [("concepts", i) + field for field in int_fields(row)]
@@ -681,7 +677,7 @@ def test_load_of_a_graph_with_one_non_integer_field(data):
 
 NOT_A_LIST = st.sampled_from(["", "12", "abcd", {}, {"1": 2}, None, 7, 2.5, True, False])
 NOT_A_DICT = st.sampled_from([[], [["2", [0]]], "", "ab", None, 7, 2.5, True])
-SECTION_TYPES = {"alphabet": NOT_A_LIST, "concepts": NOT_A_LIST, "config": NOT_A_DICT,
+SECTION_TYPES = {"alphabet": NOT_A_LIST, "concepts": NOT_A_LIST,
                  "run_observations": NOT_A_DICT, "refinements": NOT_A_LIST}
 
 
@@ -740,29 +736,42 @@ def test_load_rejects_a_refinement_chain_not_of_an_episode(edit):
 
 
 def test_a_cg1_document_is_a_version_mismatch():
-    """The reader reads cg8 alone: a cg1 file is refused by its version."""
-    with pytest.raises(VersionMismatch, match="expected 'cg8', got 'cg1'"):
+    """The reader reads cg9 alone: a cg1 file is refused by its version."""
+    with pytest.raises(VersionMismatch, match="expected 'cg9', got 'cg1'"):
         graph_from_json({"version": "cg1", "alphabet": ["a", "b"], "concepts": [],
                          "digram_counts": []})
 
 
+# The config section of a cg8 file: the four thresholds that are now constants.
+CG8_CONFIG = {"assoc_threshold": 3, "decay": 0.9, "generalize_threshold": 3, "repeat_threshold": 2}
+
+
+def with_config(**fields):
+    """An edit that gives a file a config section: cg8's, with `fields`
+    added (or, given None, dropped)."""
+    config = {k: v for k, v in {**CG8_CONFIG, **fields}.items() if v is not None}
+    return lambda d: d.__setitem__("config", config)
+
+
 # Edits that leave a file other than the saver writes, whose resave would
 # differ: older files held the `library` and `follows_marker` sections and
-# four more config fields, cg4 files the two thresholds the engine never read,
-# cg5 files the valence decay and hop cap, cg6 files the beam base and cg7
-# files the pool base.
+# a config section, with four more fields in old files, the two thresholds
+# the engine never read in cg4 files, the valence decay and hop cap in cg5
+# files, the beam base in cg6 files, the pool base in cg7 files and the
+# four thresholds alone in cg8 files.
 UNSAVED_EDITS = {
     "an-extra-section": lambda d: d.__setitem__("junk", 1),
     "a-library-section": lambda d: d.__setitem__("library", ["(builtin succ 1)"]),
     "a-follows-marker-section": lambda d: d.__setitem__("follows_marker", 5),
     "a-missing-section": lambda d: d.pop("run_observations"),
-    "an-extra-config-field": lambda d: d["config"].__setitem__("bogus", "1.0"),
-    "a-dropped-config-field": lambda d: d["config"].__setitem__("iter_cap", 100),
-    "a-cg4-config-field": lambda d: d["config"].__setitem__("fast_path_threshold", 8.0),
-    "a-cg5-config-field": lambda d: d["config"].__setitem__("valence_hop_cap", 6),
-    "a-cg6-config-field": lambda d: d["config"].__setitem__("beam_base", 4),
-    "a-cg7-config-field": lambda d: d["config"].__setitem__("pool_base", 64),
-    "a-missing-config-field": lambda d: d["config"].pop("decay"),
+    "an-extra-config-field": with_config(bogus="1.0"),
+    "a-dropped-config-field": with_config(iter_cap=100),
+    "a-cg4-config-field": with_config(fast_path_threshold=8.0),
+    "a-cg5-config-field": with_config(valence_hop_cap=6),
+    "a-cg6-config-field": with_config(beam_base=4),
+    "a-cg7-config-field": with_config(pool_base=64),
+    "a-missing-config-field": with_config(decay=None),
+    "a-cg8-config-section": with_config(),
 }
 
 
