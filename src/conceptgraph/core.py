@@ -194,10 +194,10 @@ class ConceptGraph:
     constructor is given and each row `add` appends; `pop_last` undoes it
     and `replace_kind` moves a row between kinds.  A rewrite goes from one
     parseable kind to another, so it never changes a row's lists.  The
-    kind facts are the concat buckets, (length, position, head, tail) ->
-    {concat id: its child at the position}, with the buckets a concat joined
-    since `abstract_common` last took them (every bucket, in a graph just
-    built), the Repeat children by count and the Association count.  The
+    kind facts are the concat buckets, (head, tail) -> {concat id: its
+    child between them}, with the buckets a concat joined since
+    `abstract_common` last took them (every bucket, in a graph just built),
+    the Repeat children by count and the Association count.  The
     graph also holds the refinement store, whose chain count is the episode
     count, with the ids of its chains of two or more levels (`deep_chains`),
     the run counts and the adjacent-pair counts over the chains' level
@@ -646,7 +646,7 @@ def _buckets_of(kind: Concat):
     """(bucket key, differing child) for each position of a concat."""
     ch = kind.children
     for i in range(len(ch)):
-        yield (len(ch), i, ch[:i], ch[i + 1:]), ch[i]
+        yield (ch[:i], ch[i + 1:]), ch[i]
 
 
 def node_tokens(graph: ConceptGraph, node) -> tuple[Token, ...]:
@@ -669,6 +669,12 @@ def as_tuple(values, what: str) -> tuple:
         return tuple(values)
     except TypeError:
         raise ValueError(f"expected {what}, not {type(values).__name__}") from None
+
+
+def check_graph(graph) -> None:
+    """ValueError unless `graph` is a `ConceptGraph` (a subclass is one)."""
+    if not isinstance(graph, ConceptGraph):
+        raise ValueError(f"expected a ConceptGraph, not {type(graph).__name__}")
 
 
 def reconstruct(graph: ConceptGraph, desc: Description) -> tuple[Token, ...]:

@@ -103,11 +103,9 @@ def gen_fn_ensemble(seed: int, examples_per_fn: int = 8):
         domain = ([(x,) for x in range(top + 1)] if arity == 1
                   else [(x, y) for x in range(top + 1) for y in range(top + 1)])
         picks = rng.sample(domain, min(examples_per_fn, len(domain)))
-        sets.append((label, [FunctionExample(label, inputs, fn(*inputs))
-                             for inputs in picks]))
-    examples = [ex for _, batch in sets for ex in batch]
+        sets.append((label, [FunctionExample(inputs, fn(*inputs)) for inputs in picks]))
+    examples = [(label, ex) for label, batch in sets for ex in batch]
     rng.shuffle(examples)
-    lines = [f"{ex.label} {len(ex.inputs)} "
-             + " ".join(str(v) for v in ex.inputs) + f" {ex.output}"
-             for ex in examples]
+    lines = [f"{label} {len(ex.inputs)} " + " ".join(map(str, ex.inputs)) + f" {ex.output}"
+             for label, ex in examples]
     return sets, lines

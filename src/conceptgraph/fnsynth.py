@@ -4,9 +4,11 @@ Terms are built from variables, the constants 0 and 1, calls to library
 functions, and a bounded iteration combinator that applies a one-open-slot
 section of a library function n times to a seed.  Enumeration is by
 ascending term size with a fixed order inside each size, so the returned
-term is the canonical smallest one consistent with every example.  Each
-learned function joins the library and becomes a building block for the
-rest, which is what lets later, harder functions become reachable at all.
+term is the canonical smallest one consistent with every example.  A
+library starts from the builtin `succ`; each learned function joins it and
+becomes a building block for the rest, which is what lets later, harder
+functions become reachable at all.  The search reads its caps at each call:
+`SIZE_CAP` nodes a term, `ITER_CAP` steps an iteration, `VALUE_CAP` a value.
 
 Terms are enumerated together with their value vectors on the example
 inputs, and only the first term of each vector is kept (observational
@@ -54,9 +56,9 @@ from .core import as_tuple
 from .errors import ArityMismatch, IterCountExceeded, MalformedTerm, Overflow
 from .records import record
 
-DEFAULT_ITER_CAP = 100
-DEFAULT_VALUE_CAP = 10**6
-DEFAULT_SIZE_CAP = 7
+SIZE_CAP = 7  # the largest term size `synthesize` searches
+ITER_CAP = 100  # the largest iteration count a term may run
+VALUE_CAP = 10**6  # the largest value a call may return
 
 
 @record
@@ -169,24 +171,17 @@ def _compile(term: Term, arity: int, known: dict[str, LibraryFn]) -> Callable:
 class Library:
     """Ordered function store; definitions only reference earlier entries.
 
-    Each definition is compiled once, when it is added, into `bodies` by
-    name; `_compile` checks it in the same walk.  So evaluating a library
-    term always terminates (iteration counts are capped) and never meets an
-    unknown function or a wrong argument count.  A builtin entry must name
-    a builtin with its arity; an entry that is no `LibraryFn`, or whose name
-    breaks the label rule (`_label_fits`), is a ValueError.
+    It starts from the builtin `succ`.  Each definition is compiled once,
+    when `define` adds it, into `bodies` by name; `_compile` checks it in
+    the same walk.  So evaluating a library term always terminates
+    (iteration counts are capped) and never meets an unknown function or a
+    wrong argument count.
     """
 
-    def __init__(self, entries: Optional[list[LibraryFn]] = None):
-        self.entries: list[LibraryFn] = []
-        self._by_name: dict[str, LibraryFn] = {}
+    def __init__(self):
+        self.entries = [LibraryFn(name, arity, None) for name, (arity, _) in _BUILTINS.items()]
+        self._by_name: dict[str, LibraryFn] = {fn.name: fn for fn in self.entries}
         self.bodies: dict[str, Callable] = {}
-        for fn in as_tuple(() if entries is None else entries, "an iterable of LibraryFns"):
-            self._append(fn)
-
-    @staticmethod
-    def initial() -> "Library":
-        return Library([LibraryFn("succ", 1, None)])
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -201,22 +196,16 @@ class Library:
         return fn
 
     def define(self, name: str, arity: int, definition: Term) -> None:
-        self._append(LibraryFn(name, arity, definition))
-
-    def _append(self, fn: LibraryFn) -> None:
-        if type(fn) is not LibraryFn or not _label_fits(fn.name):
-            raise ValueError(f"{fn!r} is not a LibraryFn whose name fits the label rule")
-        if fn.name in self._by_name:
-            raise ValueError(f"function {fn.name!r} already defined")
-        if type(fn.arity) is not int or fn.arity < 0:
-            raise MalformedTerm(f"{fn.name!r} has arity {fn.arity!r}, not an int >= 0")
-        if fn.definition is None:
-            builtin = _BUILTINS.get(fn.name)
-            if builtin is None or builtin[0] != fn.arity:
-                raise MalformedTerm(f"no builtin {fn.name!r} of arity {fn.arity}")
-        else:
-            self.bodies[fn.name] = _compile(fn.definition, fn.arity, self._by_name)
-        self._by_name[fn.name] = fn
+        """A name that breaks the label rule (`_label_fits`) or is taken is a
+        ValueError; an arity that is no int >= 0 is a MalformedTerm."""
+        if not _label_fits(name):
+            raise ValueError(f"{name!r} does not fit the label rule")
+        if name in self._by_name:
+            raise ValueError(f"function {name!r} already defined")
+        if type(arity) is not int or arity < 0:
+            raise MalformedTerm(f"{name!r} has arity {arity!r}, not an int >= 0")
+        self.bodies[name] = _compile(definition, arity, self._by_name)
+        fn = self._by_name[name] = LibraryFn(name, arity, definition)
         self.entries.append(fn)
 
 
@@ -344,21 +333,21 @@ class _Evaluator:
 
 
 def eval_term(term: Term, inputs: Sequence[int], library: Library,
-              iter_cap: int = DEFAULT_ITER_CAP,
-              value_cap: int = DEFAULT_VALUE_CAP) -> int:
-    """Evaluate a term on integer inputs with int caps and a `Library` (else
-    ValueError); raises MalformedTerm (before any evaluation), Overflow or
-    IterCountExceeded."""
+              iter_cap: int = ITER_CAP, value_cap: int = VALUE_CAP) -> int:
+    """Evaluate a term on integer inputs with int caps (a bool is not one)
+    and a `Library` (else ValueError); raises MalformedTerm (before any
+    evaluation), Overflow or IterCountExceeded."""
     inputs = as_tuple(inputs, "an iterable of integers")
     if any(type(v) is not int for v in inputs):
         raise ValueError("inputs must be integers")
-    _check_caps(iter_cap=iter_cap, value_cap=value_cap)
+    for name, cap in (("iter_cap", iter_cap), ("value_cap", value_cap)):
+        if type(cap) is not int:
+            raise ValueError(f"{name} must be an int, not {cap!r}")
     return _Evaluator(library, iter_cap, value_cap).eval(term, inputs)
 
 
 @record
 class FunctionExample:
-    label: str
     inputs: tuple[int, ...]
     output: int
 
@@ -504,13 +493,6 @@ class _Enumerator:
         return [term for term, _ in self.levels[size]]
 
 
-def _check_caps(**caps: int) -> None:
-    """ValueError unless every cap is an `int` (a bool is not)."""
-    for name, cap in caps.items():
-        if type(cap) is not int:
-            raise ValueError(f"{name} must be an int, not {cap!r}")
-
-
 def _check_examples(examples: Sequence[FunctionExample]) -> None:
     """`synthesize`'s example rule, which `learn_all` checks for every set first."""
     if type(examples) not in (list, tuple) or any(
@@ -518,6 +500,8 @@ def _check_examples(examples: Sequence[FunctionExample]) -> None:
         raise ValueError("examples must be a list or tuple of FunctionExamples")
     if not examples:
         raise ArityMismatch("need at least one example")
+    if any(type(ex.inputs) is not tuple for ex in examples):
+        raise ValueError("example inputs must be a tuple of integers")
     arity = len(examples[0].inputs)
     if any(len(ex.inputs) != arity for ex in examples):
         raise ArityMismatch("inconsistent example arity")
@@ -525,25 +509,22 @@ def _check_examples(examples: Sequence[FunctionExample]) -> None:
         raise ValueError("example inputs and outputs must be integers")
 
 
-def synthesize(examples: Sequence[FunctionExample], library: Library,
-               size_cap: int = DEFAULT_SIZE_CAP,
-               iter_cap: int = DEFAULT_ITER_CAP,
-               value_cap: int = DEFAULT_VALUE_CAP) -> Optional[Term]:
-    """Smallest term consistent with every example, or None if unlearnable.
+def synthesize(examples: Sequence[FunctionExample], library: Library) -> Optional[Term]:
+    """Smallest term of at most `SIZE_CAP` nodes consistent with every
+    example, or None if unlearnable.
 
-    Overflow and iteration-cap breaches count as inconsistency, not errors.
-    The search stops at the first kept term whose vector equals the outputs.
-    Examples that are not a list or tuple of `FunctionExample`s, a library
-    that is no `Library`, or an input, output or cap that is not an `int` (a
-    float, a bool, a string), are a ValueError; `size_cap` < 1 finds nothing.
+    A value over `VALUE_CAP` or an iteration count over `ITER_CAP` counts
+    as inconsistency, not an error.  The search stops at the first kept
+    term whose vector equals the outputs.  Examples that are not a list or
+    tuple of `FunctionExample`s, inputs that are not a tuple, a library that
+    is no `Library`, or an input or output that is not an `int` (a float, a
+    bool, a string), are a ValueError.  The caps are read at each call.
     """
-    _check_caps(size_cap=size_cap, iter_cap=iter_cap, value_cap=value_cap)
     _check_examples(examples)
     target = tuple(ex.output for ex in examples)
-    enum = _Enumerator(_Evaluator(library, iter_cap, value_cap),
-                       [ex.inputs for ex in examples])
-    for size in range(1, size_cap + 1):
-        for term, vector in enum.grow(size, target if size == size_cap else None):
+    enum = _Enumerator(_Evaluator(library, ITER_CAP, VALUE_CAP), [ex.inputs for ex in examples])
+    for size in range(1, SIZE_CAP + 1):
+        for term, vector in enum.grow(size, target if size == SIZE_CAP else None):
             if vector == target:
                 return term
     return None
@@ -556,26 +537,25 @@ def _label_fits(label) -> bool:
             and ")" not in label and not label.startswith('"'))
 
 
-def learn_all(example_sets: Sequence[tuple[str, Sequence[FunctionExample]]],
-              size_cap: int = DEFAULT_SIZE_CAP,
-              iter_cap: int = DEFAULT_ITER_CAP,
-              value_cap: int = DEFAULT_VALUE_CAP) -> tuple[Library, list[str]]:
-    """Learn every label it can, in repeated passes over the input order.
+def learn_all(example_sets: Sequence[tuple[str, Sequence[FunctionExample]]]
+              ) -> tuple[Library, list[str]]:
+    """Learn every label it can, in repeated passes over the input order,
+    into a new `Library` (so from `succ`), each by `synthesize` at the
+    module caps (`SIZE_CAP`, `ITER_CAP`, `VALUE_CAP`).
 
     Each success is appended to the library immediately, so later labels in
     the same pass can already build on it.  A label is only re-attempted
     after the library has grown (the search is deterministic, so an
     unchanged library would repeat the same failure).  Input that is not a
-    list or tuple of (label, examples) pairs, a label that breaks the label
-    rule (`_label_fits`), is given twice or is already known, or a cap that
-    is not an `int` is a ValueError, and a set that `synthesize` would
-    refuse (`_check_examples`) raises as it would, all before any search.
+    list or tuple of (label, examples) pairs, or a label that breaks the
+    label rule (`_label_fits`), is given twice or is already known, is a
+    ValueError, and a set that `synthesize` would refuse (`_check_examples`)
+    raises as it would, all before any search.
     """
-    _check_caps(size_cap=size_cap, iter_cap=iter_cap, value_cap=value_cap)
     if type(example_sets) not in (list, tuple) or not all(
             type(item) in (list, tuple) and len(item) == 2 for item in example_sets):
         raise ValueError("example sets must be a list or tuple of (label, examples) pairs")
-    library = Library.initial()
+    library = Library()
     labels = [label for label, _ in example_sets]
     for i, (label, examples) in enumerate(example_sets):
         if not _label_fits(label):
@@ -595,7 +575,7 @@ def learn_all(example_sets: Sequence[tuple[str, Sequence[FunctionExample]]],
                 still.append(label)
                 continue
             attempted_at[label] = len(library)
-            term = synthesize(sets[label], library, size_cap, iter_cap, value_cap)
+            term = synthesize(sets[label], library)
             if term is None:
                 still.append(label)
             else:
@@ -635,7 +615,7 @@ def parse_examples_text(text: str) -> list[tuple[str, list[FunctionExample]]]:
             raise ValueError(f"line {lineno}: {exc}") from None
         if len(numbers) != arity + 1:
             raise ValueError(f"line {lineno}: arity {arity} needs {arity + 1} numbers")
-        example = FunctionExample(label, tuple(numbers[:-1]), numbers[-1])
+        example = FunctionExample(tuple(numbers[:-1]), numbers[-1])
         if label not in sets:
             sets[label] = []
             order.append(label)

@@ -75,6 +75,7 @@ from .core import (
     Token,
     _check_number,
     as_tuple,
+    check_graph,
     kind_references,
     node_tokens,
     reconstruct,
@@ -289,6 +290,7 @@ def parse(graph: ConceptGraph, tokens: Sequence[Token], *,
     product rounds up, though it may reach a final of cost T with a smaller
     signature.
     """
+    check_graph(graph)
     if context is not None and not isinstance(context, _ParseContext):
         raise ValueError(f"context must be a _ParseContext, not {type(context).__name__}")
     tokens = as_tuple(tokens, "an iterable of tokens")
@@ -436,16 +438,16 @@ class _PairIndex:
     each replaced occurrence.  Pairs of distinct concepts never overlap, so
     their position count is the greedy left-to-right count; equal pairs
     mark the runs.  A heap orders the candidate digrams (distinct pairs whose
-    episode count plus stored count, `graph.assoc_counts`, reaches the
-    threshold) by (-combined count, first position, pair), with stale
+    episode count plus stored count, `graph.assoc_counts`, reaches
+    `REPEAT_THRESHOLD`) by (-combined count, first position, pair), with stale
     entries skipped.  Iterating yields the current nodes; no rewrite
     changes `blob_bits`, what the blobs cost beside their escapes.
     """
 
     __slots__ = ("node", "nxt", "prv", "size", "at",
-                 "stored", "threshold", "heap", "live", "aside", "blob_bits")
+                 "stored", "heap", "live", "aside", "blob_bits")
 
-    def __init__(self, graph: ConceptGraph, nodes: Sequence[Node], stored: dict, threshold: int):
+    def __init__(self, graph: ConceptGraph, nodes: Sequence[Node]):
         self.node = node = list(as_tuple(nodes, "an iterable of nodes"))
         n = len(node)
         sigma_bits, table = math.log2(len(graph.alphabet)), graph.expansion_table()
@@ -465,7 +467,7 @@ class _PairIndex:
             a, b = node[i], node[i + 1]
             if type(a) is int and type(b) is int:
                 self.at.setdefault((a, b), set()).add(i)
-        self.stored, self.threshold = stored, threshold
+        self.stored = graph.assoc_counts
         self.live: dict[tuple[int, int], Optional[tuple]] = {}  # pair -> its heap entry
         self.heap: list[tuple] = []
         self.aside: list[tuple] = []
@@ -489,7 +491,7 @@ class _PairIndex:
         key = None
         if where:
             combined = len(where) + self.stored.get(pair, 0)
-            if combined >= self.threshold:
+            if combined >= REPEAT_THRESHOLD:
                 key = (-combined, min(where), pair)
         if key is None:
             self.live[pair] = None
@@ -607,7 +609,8 @@ def induce_repeats(graph: ConceptGraph, desc: Description) -> Description:
     pairs it changed instead of the whole episode.  A node that breaks
     `core`'s rule raises `InvalidDescription` with the graph unchanged.
     """
-    index = _PairIndex(graph, desc, graph.assoc_counts, REPEAT_THRESHOLD)
+    check_graph(graph)
+    index = _PairIndex(graph, desc)
     while True:
         for kind, firsts, span, gated in _steps(graph, index):
             if not gated:
@@ -645,6 +648,7 @@ def abstract_common(graph: ConceptGraph) -> list[int]:
     members, so a bucket ranks by its smallest member id, as one rebuilt in
     id order would.
     """
+    check_graph(graph)
     before = len(graph)
     buckets, touched = graph.concat_buckets, graph.touched_buckets
     while True:
@@ -654,12 +658,12 @@ def abstract_common(graph: ConceptGraph) -> list[int]:
             if members is None or len(set(members.values())) < GENERALIZE_THRESHOLD:
                 touched.discard(key)  # it only loses members until a concat joins it
             else:
-                here = (min(members), key[1])  # smallest member id, position
+                here = (min(members), len(key[0]))  # smallest member id, position
                 if best is None or here < rank:
                     best, rank = key, here
         if best is None:
             return list(range(before, len(graph)))
-        _, _, head, tail = best
+        head, tail = best
         body = tuple(SlotRef(c) for c in head) + (Hole(0),) + tuple(SlotRef(c) for c in tail)
         tpl = graph.add(Template(body))
         for cid, differ in list(buckets[best].items()):
@@ -671,6 +675,7 @@ def record_associations(graph: ConceptGraph, desc: Description) -> None:
     Association at the threshold, and add the generic follows marker once
     enough distinct associations exist.  A description that breaks the node
     rule raises `InvalidDescription` before anything is counted."""
+    check_graph(graph)
     desc = as_tuple(desc, "an iterable of nodes")
     for node in desc:
         node_tokens(graph, node)  # holds every node to the rule
@@ -771,6 +776,7 @@ def ingest(graph: ConceptGraph, tokens: Sequence[Token], cuts: Sequence[int] = (
     a token that is no alphabet symbol (an int level too) `UnknownToken`,
     with the graph unchanged.
     """
+    check_graph(graph)
     tokens = as_tuple(tokens, "an iterable of tokens")
     if len(tokens) > MAX_EXPANSION:
         raise TooLarge(f"episode exceeds {MAX_EXPANSION} tokens")
@@ -812,6 +818,7 @@ def refine(graph: ConceptGraph, episode_id: int) -> Description:
     the chain and every level reconstructs exactly.  An id that is not an
     `int` has no chain, even if it equals one.
     """
+    check_graph(graph)
     chain = graph.refinement_store.get(episode_id) if type(episode_id) is int else None
     if not chain:
         raise UnknownEpisode(f"no refinement chain for episode {episode_id}")

@@ -14,7 +14,7 @@ import math
 
 from .errors import NonPositive
 from .core import (Apply, Concat, ConceptGraph, Description, Hole, Repeat, Template,
-                   _check_number, as_tuple, node_tokens, reconstruct)
+                   _check_number, as_tuple, check_graph, node_tokens, reconstruct)
 from .records import record
 
 
@@ -73,6 +73,7 @@ def description_dl(graph: ConceptGraph, desc: Description) -> float:
     passes a blob and raises `InvalidDescription` for the rest.  The node
     costs are added one by one, left to right.
     """
+    check_graph(graph)
     desc = as_tuple(desc, "an iterable of nodes")
     total = float(gamma_len(len(desc) + 1))
     sigma_bits = math.log2(len(graph.alphabet))
@@ -118,6 +119,7 @@ def concept_model_dl(graph: ConceptGraph, cid: int, log_d: float) -> float:
 
 def model_dl(graph: ConceptGraph) -> float:
     """Total model bits over every concept (`concept_model_dl`)."""
+    check_graph(graph)
     log_d = math.log2(_denominator(graph))
     total = 0.0
     for cid in range(len(graph.concepts)):
@@ -142,6 +144,7 @@ def two_part_total(graph: ConceptGraph) -> float:
 def graph_report(graph: ConceptGraph) -> DLReport:
     """Cumulative accounting: raw bits seen vs stored description bits.  The
     raw bits are each chain's `raw_dl` of its level-0 length, in episode order."""
+    check_graph(graph)
     raw_bits, sigma = 0.0, len(graph.alphabet)
     for chain in graph.refinement_store.values():
         raw_bits += raw_dl(len(reconstruct(graph, chain[0])), sigma)

@@ -19,14 +19,7 @@ refuses a NaN; `mdl.graph_report` sums the raw bits over the level-0
 lengths.  The follows marker's id is not stored either.  The file holds
 exactly the sections the saver writes, and each float in `repr`'s spelling:
 anything else ("1.00", "1e0", an int for a float) is a `CorruptFile`, since
-its resave would differ.  Any version but cg9 is a `VersionMismatch`: a cg8
-file held a config section of four thresholds (now the constants
-`core.DECAY` and `inducer`'s `REPEAT_THRESHOLD`, `ASSOC_THRESHOLD` and
-`GENERALIZE_THRESHOLD`); a cg7 config also held `ingest`'s parse pool (now
-`inducer.POOL`), a cg6 one the beam width a parse no longer has (it keeps
-one state per position); a cg5 or cg4 config held settings no learning step
-reads (the valence decay and hop cap; two thresholds), and a cg3 file
-restated derived counts.
+its resave would differ.  Any version but cg9 is a `VersionMismatch`.
 
 Loading hands the (kind, weight) rows to `ConceptGraph`, the one path from
 rows to a graph, which makes each row's `Concept` once: they must start
@@ -76,6 +69,7 @@ from .core import (
     Repeat,
     SlotRef,
     Template,
+    check_graph,
     reconstruct,
 )
 from .errors import (
@@ -220,6 +214,7 @@ def dumps(graph: ConceptGraph) -> str:
     those of the stored level-0 descriptions, which is all a load derives
     them from (a direct `record_associations` call, or a hand edit, makes
     counts the file cannot hold)."""
+    check_graph(graph)
     if graph.assoc_counts != graph.chain_pair_counts():
         raise GraphError("the pair counts are not the stored level 0's, so a file cannot hold them")
     return json.dumps(graph_to_json(graph), sort_keys=True, separators=(",", ":"),
@@ -295,6 +290,7 @@ def load(path: str) -> ConceptGraph:
 # DOT export
 
 def dot_text(graph: ConceptGraph) -> str:
+    check_graph(graph)
     lines = ["digraph concepts {"]
     for cid, concept in enumerate(graph.concepts):
         kind_name = _KINDS[type(concept.kind)][0]
@@ -321,6 +317,7 @@ def export_teach(graph: ConceptGraph, cid: int) -> str:
     """Script rebuilding `cid` bottom-up: one line per concept of its
     subcircuit, each its graph-file row without the weight, `[kind,
     *fields]`, and each reference the index of an earlier line."""
+    check_graph(graph)
     graph.concept(cid)  # raises UnknownConcept
     order: list[int] = []  # post-order: each concept after its references
     seen = {cid}
@@ -355,6 +352,7 @@ def import_teach(graph: ConceptGraph, script: str) -> int:
     popped again before the error propagates.  A script that is not a `str`
     is a `CorruptFile`.
     """
+    check_graph(graph)
     if not isinstance(script, str):
         raise CorruptFile(f"a teach script is a str, not {type(script).__name__}")
     local: list[int] = []

@@ -83,19 +83,19 @@ def test_03_hidden_grammar_compression():
     report(3, "hidden-grammar compression", started, 60)
 
 
-RED = [FunctionExample("red", i, o) for i, o in [((1, 3), 4), ((2, 3), 5), ((5, 2), 7)]]
-GREEN = [FunctionExample("green", i, o) for i, o in [((2, 4), 8), ((3, 4), 12), ((2, 5), 10)]]
+RED = [FunctionExample(i, o) for i, o in [((1, 3), 4), ((2, 3), 5), ((5, 2), 7)]]
+GREEN = [FunctionExample(i, o) for i, o in [((2, 4), 8), ((3, 4), 12), ((2, 5), 10)]]
 
 
 def test_04_red_green_function_pair():
     started = time.monotonic()
     # pass structure: green needs red, red needs only the builtin
-    assert synthesize(GREEN, Library.initial(), size_cap=7) is None
-    pass1 = Library.initial()
-    red_term = synthesize(RED, pass1, size_cap=7)
+    assert synthesize(GREEN, Library()) is None
+    pass1 = Library()
+    red_term = synthesize(RED, pass1)
     assert red_term is not None
     pass1.define("red", 2, red_term)
-    green_term = synthesize(GREEN, pass1, size_cap=7)
+    green_term = synthesize(GREEN, pass1)
     assert green_term is not None
 
     library, unsolved = learn_all([("green", GREEN), ("red", RED)])
@@ -111,7 +111,7 @@ def test_05_hierarchy_scaling():
     started = time.monotonic()
     sets, _ = gen_fn_ensemble(11)
     # bounded-pass protocol, reimplemented here as an independent check
-    library = Library.initial()
+    library = Library()
     unsolved = [label for label, _ in sets]
     examples = dict(sets)
     for _ in range(3):

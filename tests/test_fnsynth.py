@@ -14,14 +14,13 @@ from conceptgraph.errors import (
     Overflow,
 )
 from conceptgraph.fnsynth import (
-    DEFAULT_ITER_CAP,
-    DEFAULT_VALUE_CAP,
+    ITER_CAP,
+    VALUE_CAP,
     Call,
     Const,
     FunctionExample,
     Iter,
     Library,
-    LibraryFn,
     Section,
     Var,
     _Evaluator,
@@ -36,12 +35,12 @@ from conceptgraph.corpus import gen_fn_ensemble
 
 SUCC = Section("succ", 0, ())
 
-RED = [FunctionExample("red", i, o) for i, o in [((1, 3), 4), ((2, 3), 5), ((5, 2), 7)]]
-GREEN = [FunctionExample("green", i, o) for i, o in [((2, 4), 8), ((3, 4), 12), ((2, 5), 10)]]
+RED = [FunctionExample(i, o) for i, o in [((1, 3), 4), ((2, 3), 5), ((5, 2), 7)]]
+GREEN = [FunctionExample(i, o) for i, o in [((2, 4), 8), ((3, 4), 12), ((2, 5), 10)]]
 
 
 def test_eval_iteration_basics():
-    lib = Library.initial()
+    lib = Library()
     assert eval_term(Iter(SUCC, Var(0), Const(0)), (3,), lib) == 3
     assert eval_term(Iter(SUCC, Var(0), Var(1)), (1, 3), lib) == 4
     assert eval_term(Call("succ", (Const(1),)), (), lib) == 2
@@ -50,11 +49,11 @@ def test_eval_iteration_basics():
 HUGE = 10 ** 5000  # an int whose decimal text `str` refuses to build (over 4,300 digits)
 
 
-def test_a_value_too_long_to_print_overflows_cleanly():
+def test_a_value_too_long_to_print_overflows_cleanly(monkeypatch):
     """An `Overflow` or `IterCountExceeded` message formatted the value, so a
     value this large raised a bare ValueError while the message was built:
     in `apply` (a call), `apply_rows` (the search's vectors) and `iterate`."""
-    lib = Library.initial()
+    lib = Library()
     with pytest.raises(Overflow):
         eval_term(Call("succ", (Var(0),)), [HUGE], lib)
     with pytest.raises(Overflow):
@@ -62,21 +61,21 @@ def test_a_value_too_long_to_print_overflows_cleanly():
     with pytest.raises(IterCountExceeded):
         eval_term(Iter(SUCC, Var(0), Const(0)), [HUGE], lib)
     with pytest.raises(Overflow):
-        _Evaluator(lib, DEFAULT_ITER_CAP, DEFAULT_VALUE_CAP).apply_rows(
+        _Evaluator(lib, ITER_CAP, VALUE_CAP).apply_rows(
             lib.fn("succ"), [(HUGE,)], None)
     # the search counts an overflow as inconsistency: nothing fits
-    assert synthesize([FunctionExample("f", (HUGE,), 7)], lib, size_cap=3) is None
+    monkeypatch.setattr(fnsynth, "SIZE_CAP", 3)
+    assert synthesize([FunctionExample((HUGE,), 7)], lib) is None
 
 
 def test_eval_caps():
-    lib = Library.initial()
+    lib = Library()
     with pytest.raises(IterCountExceeded):
         eval_term(Iter(SUCC, Var(0), Const(0)), (101,), lib, iter_cap=100)
     with pytest.raises(Overflow):
         eval_term(Iter(SUCC, Var(0), Const(0)), (50,), lib, value_cap=10)
-    # a cap that is not an int is refused, as `synthesize` refuses it:
-    # unchecked, "x" and None raised a bare TypeError, 2.5 ran against a
-    # float and True counted as 1
+    # a cap that is not an int is refused: unchecked, "x" and None raised a
+    # bare TypeError, 2.5 ran against a float and True counted as 1
     for caps in ({"iter_cap": "x"}, {"value_cap": None}, {"value_cap": 2.5},
                  {"iter_cap": True}):
         with pytest.raises(ValueError, match="must be an int"):
@@ -86,11 +85,11 @@ def test_eval_caps():
 @pytest.mark.parametrize("inputs", [(1.5,), (True,), ("1",), (1, 2.0)])
 def test_eval_term_refuses_an_input_that_is_not_an_int(inputs):
     with pytest.raises(ValueError, match="integers"):
-        eval_term(Call("succ", (Var(0),)), inputs, Library.initial())
+        eval_term(Call("succ", (Var(0),)), inputs, Library())
 
 
 def test_eval_malformed():
-    lib = Library.initial()
+    lib = Library()
     with pytest.raises(MalformedTerm):
         eval_term(Var(2), (1, 2), lib)
     with pytest.raises(MalformedTerm):
@@ -102,7 +101,7 @@ def test_eval_malformed():
 def test_eval_checks_the_whole_term_first_in_field_order():
     """A term is checked before any of it runs, and the fault reported is the
     first in field order: an iteration's fillers, then count, then seed."""
-    lib = Library([LibraryFn("succ", 1, None), LibraryFn("add", 2, Iter(SUCC, Var(0), Var(1)))])
+    lib = _with_add()
     for (filler, count, seed), fault in [((Var(5), Call("nope", ()), Var(9)), "var 5"),
                                          ((Var(0), Call("nope", ()), Var(9)), "'nope'"),
                                          ((Var(0), Var(0), Var(9)), "var 9")]:
@@ -126,7 +125,7 @@ def test_the_term_check_takes_int_leaves_only(term):
     `Const("x")` evaluated to 'x', `Var(True)` read input 1, `Call("succ",
     [Var(0)])` gave 4, a name in a list raised a bare TypeError and an
     iteration without a `Section` a bare AttributeError."""
-    lib = Library.initial()
+    lib = Library()
     with pytest.raises(MalformedTerm):
         eval_term(term, (3, 4), lib)
     with pytest.raises(MalformedTerm):
@@ -138,7 +137,7 @@ def test_the_term_check_takes_int_leaves_only(term):
 def test_a_name_that_is_no_str_names_no_function(name):
     """Unchecked, `fn([1])` and `[1] in library` raised a bare `TypeError`
     (unhashable)."""
-    lib = Library.initial()
+    lib = Library()
     assert name not in lib
     with pytest.raises(MalformedTerm, match="unknown function"):
         lib.fn(name)
@@ -147,11 +146,9 @@ def test_a_name_that_is_no_str_names_no_function(name):
 @pytest.mark.parametrize("arity", [1.5, True, 1.0, "1"], ids=repr)
 def test_a_library_entry_has_an_int_arity(arity):
     """Unchecked, `define("f", 1.5, ...)` printed `(def f 1.5 (var 0))`."""
-    lib = Library.initial()
+    lib = Library()
     with pytest.raises(MalformedTerm):
         lib.define("f", arity, Var(0))
-    with pytest.raises(MalformedTerm):
-        Library([LibraryFn("succ", arity, None)])
     assert library_to_lines(lib) == ["(builtin succ 1)"]
 
 
@@ -159,26 +156,16 @@ def test_a_library_entry_has_an_int_arity(arity):
 def test_a_library_name_keeps_the_label_rule(name):
     """Unchecked, `define("a b", 1, Var(0))` printed `(def a b 1 (var 0))`, a
     line that does not read back as one entry, and `define(7, ...)` passed."""
-    lib = Library.initial()
+    lib = Library()
     with pytest.raises(ValueError):
         lib.define(name, 1, Var(0))
-    with pytest.raises(ValueError):
-        Library([LibraryFn("succ", 1, None), LibraryFn(name, 1, Var(0))])
     assert library_to_lines(lib) == ["(builtin succ 1)"]
 
 
-@pytest.mark.parametrize("entries", [5, [5], ["succ"], [("succ", 1, None)]], ids=repr)
-def test_library_entries_that_are_not_library_fns_are_refused(entries):
-    """Unchecked, `Library(5)` raised a bare `TypeError`, and an entry that is
-    not a `LibraryFn` an `AttributeError`."""
-    with pytest.raises(ValueError):
-        Library(entries)
-
-
 def test_synthesize_red_finds_addition():
-    term = synthesize(RED, Library.initial())
+    term = synthesize(RED, Library())
     assert term == Iter(SUCC, Var(0), Var(1))
-    lib = Library.initial()
+    lib = Library()
     for x, y in itertools.product(range(21), range(21)):
         assert eval_term(term, (x, y), lib) == x + y
 
@@ -187,49 +174,37 @@ def test_synthesize_underdetermined_red_prefers_succ_chain():
     # the two examples alone admit a same-size constant-shift solution that
     # enumerates earlier (calls before iterations)
     two = RED[:2]
-    term = synthesize(two, Library.initial())
+    term = synthesize(two, Library())
     assert term == Call("succ", (Call("succ", (Call("succ", (Var(0),)),)),))
 
 
 def test_synthesize_green_unlearnable_without_red():
-    assert synthesize(GREEN, Library.initial(), size_cap=7) is None
+    assert synthesize(GREEN, Library()) is None
 
 
 def test_synthesize_input_validation():
-    """Bad examples and caps that are not ints (a bool is not) are refused;
-    unchecked, `size_cap=7.5` and `value_cap=None` raised a bare TypeError,
-    `iter_cap="x"` was taken and `value_cap=2.5` ran.  `learn_all` refuses a
-    cap before any search, so even with nothing to learn.  An int cap keeps
-    its meaning: a `size_cap` below 1 finds nothing."""
+    """No examples, or examples of mixed arity, are an `ArityMismatch`."""
     with pytest.raises(ArityMismatch):
-        synthesize([], Library.initial())
-    mixed = [FunctionExample("f", (1,), 2), FunctionExample("f", (1, 2), 3)]
+        synthesize([], Library())
+    mixed = [FunctionExample((1,), 2), FunctionExample((1, 2), 3)]
     with pytest.raises(ArityMismatch):
-        synthesize(mixed, Library.initial())
-    for caps in [{"size_cap": 7.5}, {"size_cap": True}, {"size_cap": None}, {"iter_cap": "x"},
-                 {"iter_cap": 100.0}, {"value_cap": None}, {"value_cap": 2.5},
-                 {"value_cap": False}]:
-        for search in (lambda: synthesize(RED, Library.initial(), **caps),
-                       lambda: learn_all([("red", RED)], **caps), lambda: learn_all([], **caps)):
-            with pytest.raises(ValueError, match="must be an int"):
-                search()
-    for size_cap in (0, -3):
-        assert synthesize(RED, Library.initial(), size_cap=size_cap) is None
-        assert learn_all([("red", RED)], size_cap=size_cap)[1] == ["red"]
+        synthesize(mixed, Library())
 
 
 @pytest.mark.parametrize("inputs, output", [
-    (("a",), 2), ((1.5,), 2), ((True,), 2), ((1,), 2.0), ((1,), "2")])
+    (("a",), 2), ((1.5,), 2), ((True,), 2), ((1,), 2.0), ((1,), "2"), (5, 2), ([1], 2)])
 def test_synthesize_refuses_a_value_that_is_not_an_int(inputs, output):
-    examples = [FunctionExample("f", (1,), 2), FunctionExample("f", inputs, output)]
+    """Inputs are a tuple of ints: unchecked, inputs of 5 raised a bare
+    `TypeError` and a list `[1]` was learned from."""
+    examples = [FunctionExample((1,), 2), FunctionExample(inputs, output)]
     with pytest.raises(ValueError, match="integers"):
-        synthesize(examples, Library.initial())
+        synthesize(examples, Library())
 
 
 @pytest.mark.parametrize("search", [
-    lambda: synthesize([5], Library.initial()),
-    lambda: synthesize([FunctionExample("f", (1,), 2), ("f", (2,), 3)], Library.initial()),
-    lambda: learn_all([("f", [5])]), lambda: synthesize(iter(RED), Library.initial())])
+    lambda: synthesize([5], Library()),
+    lambda: synthesize([FunctionExample((1,), 2), ((2,), 3)], Library()),
+    lambda: learn_all([("f", [5])]), lambda: synthesize(iter(RED), Library())])
 def test_an_example_that_is_not_a_function_example_is_refused(search):
     """Unchecked, each of these raised a bare `AttributeError`, and examples
     given as an iterator a bare `TypeError`."""
@@ -242,14 +217,14 @@ def test_learn_all_refuses_a_repeated_label_before_searching(monkeypatch):
         raise AssertionError("searched before refusing the repeated label")
 
     monkeypatch.setattr(fnsynth, "synthesize", no_search)
-    sets = [("f", [FunctionExample("f", (1,), 2)]), ("g", RED),
-            ("f", [FunctionExample("f", (1,), 3)])]
+    sets = [("f", [FunctionExample((1,), 2)]), ("g", RED),
+            ("f", [FunctionExample((1,), 3)])]
     with pytest.raises(ValueError, match="function 'f' already defined"):
         learn_all(sets)
 
 
 @pytest.mark.parametrize("sets", [
-    [("succ", [FunctionExample("succ", (5,), 6)])], [("f", 5)], [("f", None)],
+    [("succ", [FunctionExample((5,), 6)])], [("f", 5)], [("f", None)],
     [("g", RED), ("f", iter(RED))], [("g", RED), ("f", [RED])]])
 def test_learn_all_refuses_a_known_label_or_a_malformed_set_before_searching(monkeypatch, sets):
     """Unchecked, a known label was skipped without a word and a set that is
@@ -264,14 +239,17 @@ def test_learn_all_refuses_a_known_label_or_a_malformed_set_before_searching(mon
 
 @pytest.mark.parametrize("sets, error", [
     ([("f", RED), ("g", [])], ArityMismatch),
-    ([("f", RED), ("g", [FunctionExample("g", (1,), 2), FunctionExample("g", (1, 2), 3)])],
+    ([("f", RED), ("g", [FunctionExample((1,), 2), FunctionExample((1, 2), 3)])],
      ArityMismatch),
-    ([("f", RED), ("g", [FunctionExample("g", (1,), 2.0)])], ValueError),
-    ([("f", RED), ("g", [FunctionExample("g", (True,), 2)])], ValueError)])
+    ([("f", RED), ("g", [FunctionExample((1,), 2.0)])], ValueError),
+    ([("f", RED), ("g", [FunctionExample((True,), 2)])], ValueError),
+    ([("f", RED), ("g", [FunctionExample(5, 2)])], ValueError),
+    ([("f", RED), ("g", [FunctionExample([1], 2)])], ValueError)])
 def test_learn_all_holds_every_set_to_the_example_rule_before_searching(monkeypatch, sets,
                                                                         error):
-    """An empty set, mixed arity or a value that is not an int in a later
-    set is refused as `synthesize` refuses it, before any search.
+    """An empty set, mixed arity, inputs that are not a tuple or a value
+    that is not an int in a later set is refused as `synthesize` refuses
+    it, before any search.
     Unchecked, `learn_all` searched `f` first and only then raised."""
     calls = []
 
@@ -286,7 +264,7 @@ def test_learn_all_holds_every_set_to_the_example_rule_before_searching(monkeypa
 
 
 @pytest.mark.parametrize("sets", [
-    [(5, [FunctionExample("f", (1,), 2)])], [(["f"], RED)], [5], 5, [("g", RED, RED)],
+    [(5, [FunctionExample((1,), 2)])], [(["f"], RED)], [5], 5, [("g", RED, RED)],
     [("a b", RED)], [("(f", RED)]], ids=repr)
 def test_learn_all_refuses_a_label_or_pair_the_example_text_would_not_give(monkeypatch, sets):
     """The items are (label, examples) pairs, and each label keeps the rule
@@ -348,15 +326,16 @@ def naive_enumerate(library, arity, max_size):
 
 
 @pytest.mark.parametrize("examples", [
-    [FunctionExample("f", (2,), 3), FunctionExample("f", (5,), 6)],
-    [FunctionExample("f", (1, 1), 2), FunctionExample("f", (2, 3), 5)],
-    [FunctionExample("f", (4,), 0)],
-    [FunctionExample("f", (0, 3), 3), FunctionExample("f", (2, 0), 2),
-     FunctionExample("f", (2, 2), 4)],
+    [FunctionExample((2,), 3), FunctionExample((5,), 6)],
+    [FunctionExample((1, 1), 2), FunctionExample((2, 3), 5)],
+    [FunctionExample((4,), 0)],
+    [FunctionExample((0, 3), 3), FunctionExample((2, 0), 2),
+     FunctionExample((2, 2), 4)],
 ])
-def test_minimality_cross_checked_naively(examples):
-    lib = Library.initial()
-    term = synthesize(examples, lib, size_cap=4)
+def test_minimality_cross_checked_naively(examples, monkeypatch):
+    lib = Library()
+    monkeypatch.setattr(fnsynth, "SIZE_CAP", 4)
+    term = synthesize(examples, lib)
     assert term is not None
 
     def consistent(t):
@@ -372,12 +351,12 @@ def test_minimality_cross_checked_naively(examples):
 
 
 def _with_add():
-    lib = Library.initial()
+    lib = Library()
     lib.define("add", 2, Iter(SUCC, Var(0), Var(1)))
     return lib
 
 
-LIBRARIES = {"initial": Library.initial(), "add": _with_add()}
+LIBRARIES = {"initial": Library(), "add": _with_add()}
 
 
 @functools.lru_cache(maxsize=None)
@@ -396,7 +375,7 @@ def test_synthesize_returns_first_naive_term(data, lib_name, arity, size_cap, it
     lib = LIBRARIES[lib_name]
     rows = data.draw(st.lists(st.tuples(st.tuples(*[st.integers(0, 4)] * arity),
                                         st.integers(0, 6)), min_size=1, max_size=3))
-    examples = [FunctionExample("f", inputs, output) for inputs, output in rows]
+    examples = [FunctionExample(inputs, output) for inputs, output in rows]
 
     def consistent(t):
         try:
@@ -407,8 +386,11 @@ def test_synthesize_returns_first_naive_term(data, lib_name, arity, size_cap, it
 
     naive = itertools.takewhile(lambda t: term_size(t) <= size_cap, _naive_terms(lib_name, arity))
     naive_first = next((t for t in naive if consistent(t)), None)
-    assert synthesize(examples, lib, size_cap=size_cap, iter_cap=iter_cap,
-                      value_cap=value_cap) == naive_first
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fnsynth, "SIZE_CAP", size_cap)
+        mp.setattr(fnsynth, "ITER_CAP", iter_cap)
+        mp.setattr(fnsynth, "VALUE_CAP", value_cap)
+        assert synthesize(examples, lib) == naive_first
 
 
 @pytest.mark.parametrize("lib_name, rows, caps, skipped, found", [
@@ -421,7 +403,7 @@ def test_synthesize_returns_first_naive_term(data, lib_name, arity, size_cap, it
     ids=["overflow", "iteration cap"])
 @pytest.mark.parametrize("last", [True, False], ids=["searched", "built"])
 def test_a_candidate_that_fails_after_matching_rows_is_skipped(lib_name, rows, caps, skipped,
-                                                               found, last):
+                                                               found, last, monkeypatch):
     """`skipped` comes before `found` in the order, with its size, and
     matches the target on the first row but overflows or exceeds the
     iteration cap on the second, so the search passes over it, both when
@@ -434,8 +416,11 @@ def test_a_candidate_that_fails_after_matching_rows_is_skipped(lib_name, rows, c
     size = term_size(found)
     order = list(naive_enumerate(lib, len(first_inputs), size))
     assert term_size(skipped) == size and order.index(skipped) < order.index(found)
-    examples = [FunctionExample("f", inputs, output) for inputs, output in rows]
-    assert synthesize(examples, lib, size_cap=size if last else size + 1, **caps) == found
+    examples = [FunctionExample(inputs, output) for inputs, output in rows]
+    for name, cap in caps.items():  # `eval_term`'s cap as the search's module cap
+        monkeypatch.setattr(fnsynth, name.upper(), cap)
+    monkeypatch.setattr(fnsynth, "SIZE_CAP", size if last else size + 1)
+    assert synthesize(examples, lib) == found
 
 
 def test_succ_only_terms_are_affine_sums():
@@ -443,10 +428,10 @@ def test_succ_only_terms_are_affine_sums():
     # constant; checked exhaustively at the full search cap.  The enumerator
     # keeps one term per vector on the probes, and the property depends only
     # on those values, so it covers every term.
-    lib = Library.initial()
+    lib = Library()
     from conceptgraph.fnsynth import _Enumerator, _Evaluator
     probes = [(0, 0), (1, 0), (0, 1), (3, 5), (7, 2)]
-    enum = _Enumerator(_Evaluator(lib, DEFAULT_ITER_CAP, DEFAULT_VALUE_CAP), probes)
+    enum = _Enumerator(_Evaluator(lib, ITER_CAP, VALUE_CAP), probes)
     for size in range(1, 8):
         for term in enum.terms_of(size):
             try:
@@ -462,8 +447,8 @@ def test_succ_only_terms_are_affine_sums():
 
 def test_learn_all_with_a_nullary_function():
     # a learned constant joins the library but is never enumerated as a call
-    two = [FunctionExample("two", (), 2)]
-    inc = [FunctionExample("inc", (1,), 2), FunctionExample("inc", (4,), 5)]
+    two = [FunctionExample((), 2)]
+    inc = [FunctionExample((1,), 2), FunctionExample((4,), 5)]
     lib, unsolved = learn_all([("two", two), ("inc", inc)])
     assert unsolved == []
     assert lib.fn("two").definition == Call("succ", (Const(1),))
@@ -500,8 +485,8 @@ def test_learn_all_deterministic():
 
 
 def test_hierarchy_monotonicity_extra_member_keeps_labels_learnable():
-    base = Library.initial()
-    with_extra = Library.initial()
+    base = Library()
+    with_extra = Library()
     with_extra.define("noise", 1, Call("succ", (Call("succ", (Var(0),)),)))
     for examples in (RED,):
         assert synthesize(examples, base) is not None
@@ -512,7 +497,7 @@ def test_examples_text_roundtrip_and_errors():
     text = "red 2 1 3 4\nred 2 2 3 5\ngreen 2 2 4 8\n\n# comment\n"
     sets = parse_examples_text(text)
     assert [label for label, _ in sets] == ["red", "green"]
-    assert sets[0][1][0] == FunctionExample("red", (1, 3), 4)
+    assert sets[0][1][0] == FunctionExample((1, 3), 4)
     with pytest.raises(ValueError):
         parse_examples_text("red 2 1 3\n")  # wrong number count
     with pytest.raises(ArityMismatch):
@@ -554,7 +539,7 @@ def test_examples_text_fuzz_yields_labels_the_library_format_holds(lines):
         sets = parse_examples_text("\n".join(lines))
     except (ValueError, GraphError):
         return
-    lib = Library.initial()
+    lib = Library()
     for label, examples in sets:
         arity = len(examples[0].inputs)
         lib.define(label, arity, Var(0) if arity else Const(0))
@@ -562,37 +547,33 @@ def test_examples_text_fuzz_yields_labels_the_library_format_holds(lines):
     assert names == [fn.name for fn in lib.entries]
 
 
-def _lib(*defs):
-    """Library entries after the builtin: (name, arity, definition)."""
-    return [LibraryFn("succ", 1, None), *(LibraryFn(*d) for d in defs)]
-
-
 def _iter(fn, slot, fillers=()):
     return Iter(Section(fn, slot, fillers), Var(0), Var(0))
 
 
-# One case per rule an entry is held to when it joins a library (`Library._append`
-# and `_compile`): each case is a library, one entry per line.
+# One case per rule an entry is held to when `define` adds it (`_compile`):
+# each case is the (name, arity, definition) entries defined after `succ`.
 @pytest.mark.parametrize("lines", [
-    _lib(("f", 1, Call("f", (Var(0),)))),                                 # self call
-    _lib(("f", 1, Call("g", (Var(0),))), ("g", 1, Var(0))),              # later
-    _lib(("f", 1, Call("nope", (Var(0),)))),                             # unknown
-    _lib(("f", 1, Call("succ", (Var(0), Var(0))))),                      # arg count
-    _lib(("f", 1, _iter("succ", 1))),                                    # slot
-    _lib(("f", 1, _iter("succ", 0, (Var(0),)))),                         # filler count
-    _lib(("f", 1, _iter("f", 0))),                                       # self section
-    _lib(("f", 1, Var(1))),                                              # var range
-    _lib(("f", -1, Const(0))),                                           # negative arity
-    [LibraryFn("pred", 1, None)],                                        # unknown builtin
-    [LibraryFn("succ", 2, None)],                                        # builtin arity
+    [("f", 1, Call("f", (Var(0),)))],                                    # self call
+    [("f", 1, Call("g", (Var(0),))), ("g", 1, Var(0))],                 # later
+    [("f", 1, Call("nope", (Var(0),)))],                                # unknown
+    [("f", 1, Call("succ", (Var(0), Var(0))))],                         # arg count
+    [("f", 1, _iter("succ", 1))],                                       # slot
+    [("f", 1, _iter("succ", 0, (Var(0),)))],                            # filler count
+    [("f", 1, _iter("f", 0))],                                          # self section
+    [("f", 1, Var(1))],                                                 # var range
+    [("f", -1, Const(0))],                                              # negative arity
+    [("pred", 1, None)],                                                # no term (no builtin)
 ])
 def test_malformed_library_rejected(lines):
+    lib = Library()
     with pytest.raises(MalformedTerm):
-        Library(lines)
+        for line in lines:
+            lib.define(*line)
 
 
 def test_define_checks_the_definition():
-    lib = Library.initial()
+    lib = Library()
     with pytest.raises(MalformedTerm):
         lib.define("f", 1, Call("f", (Var(0),)))
     with pytest.raises(MalformedTerm):
@@ -775,20 +756,20 @@ def test_row_kernels_agree_with_a_per_row_reference(data, iter_cap, value_cap, n
 
 
 def test_iteration_with_a_negative_count_returns_the_seed():
-    lib = Library.initial()
+    lib = Library()
     inner = Iter(SUCC, Var(0), Var(1))
     assert eval_term(Iter(SUCC, Var(0), inner), (-3, 5), lib) == 5
-    ev = _Evaluator(lib, DEFAULT_ITER_CAP, DEFAULT_VALUE_CAP)
+    ev = _Evaluator(lib, ITER_CAP, VALUE_CAP)
     assert ev.eval(inner, (4, 5)) == 9
     assert ev.eval(inner, (-1, 5)) == 5
     assert ev.eval(inner, (2, 5)) == 7
-    lib, unsolved = learn_all([("f", [FunctionExample("f", (-2, 4), 4),
-                                      FunctionExample("f", (3, 1), 7)])])
+    lib, unsolved = learn_all([("f", [FunctionExample((-2, 4), 4),
+                                      FunctionExample((3, 1), 7)])])
     assert unsolved == [] and "f" in lib
 
 
 def test_failed_orbit_step_fails_again_the_same_way():
-    lib = Library.initial()
+    lib = Library()
     ev = _Evaluator(lib, iter_cap=5, value_cap=7)
     assert ev.eval(Iter(SUCC, Var(0), Var(1)), (2, 4)) == 6
     for _ in range(2):
@@ -804,26 +785,29 @@ _QUADP_SIZE_7 = "7cf05c8606f71cf82a2b6dc3281c8b0fdd64cf1f1ea59d1ba6d9287a6051923
 LIBRARY_PINS = (
     [(s, 8, {}, _QUADP_SIZE_6 if s in (1, 2, 7) else _QUADP_SIZE_7) for s in range(1, 11)]
     + [(s, 32, {}, _QUADP_SIZE_7) for s in (1, 2, 3)]
-    + [(1, 8, {"value_cap": 300},
+    + [(1, 8, {"VALUE_CAP": 300},
         "59e6219733e0c4779eb97415678eae41f011cb3f77bb4f61088895d7615aa26f"),
-       (3, 8, {"value_cap": 300},
+       (3, 8, {"VALUE_CAP": 300},
         "a6c10a2a422f46fd488bfa5ebe62c2dfe257c815f062b63b9804c34ae5971f2d"),
-       (5, 8, {"value_cap": 300},
+       (5, 8, {"VALUE_CAP": 300},
         "ad345ade6ee6cd3a779e169dfc9b575110774b7f88a497165c17b7776a95eaff"),
-       (1, 8, {"iter_cap": 30, "value_cap": 2000},
+       (1, 8, {"ITER_CAP": 30, "VALUE_CAP": 2000},
         "f7a9def4f63f4e698c4b8161127375a4f4ad7b83bac0f744f61b14ef0955516e"),
-       (3, 8, {"iter_cap": 12},
+       (3, 8, {"ITER_CAP": 12},
         "5f558548e0d2b183dc6fa68b40413c9d8e7b676e3548be344295c13def925a93"),
-       (3, 8, {"size_cap": 6},
+       (3, 8, {"SIZE_CAP": 6},
         "5a44b1a3eccbb41768568fbe69c70a0f7ef82328f0b9fabb178d24696165719e")])
 
 
 @pytest.mark.parametrize("seed, per_fn, caps, digest", LIBRARY_PINS)
-def test_learned_library_is_pinned(seed, per_fn, caps, digest):
-    """The library text and unsolved labels of `learn_all` on the ensemble.
-    With 8 examples about a quarter of the seeds admit a size-6 quadp; the
-    tight caps leave labels unsolved."""
-    lib, unsolved = learn_all(gen_fn_ensemble(seed * 1000, per_fn)[0], **caps)
+def test_learned_library_is_pinned(seed, per_fn, caps, digest, monkeypatch):
+    """The library text and unsolved labels of `learn_all` on the ensemble,
+    at the module caps with `caps` in place of some.  With 8 examples about
+    a quarter of the seeds admit a size-6 quadp; the tight caps leave labels
+    unsolved."""
+    for name, cap in caps.items():
+        monkeypatch.setattr(fnsynth, name, cap)
+    lib, unsolved = learn_all(gen_fn_ensemble(seed * 1000, per_fn)[0])
     text = "\n".join(library_to_lines(lib) + unsolved)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 

@@ -53,8 +53,10 @@ from conceptgraph.inducer import (
     record_associations,
     refine,
 )
-from conceptgraph.mdl import description_dl, gamma_len, raw_dl
-from conceptgraph.storage import _desc_from_json, dumps, graph_from_json, graph_to_json, load, save
+from conceptgraph.mdl import (description_dl, gamma_len, graph_report, model_dl, raw_dl,
+                              two_part_total)
+from conceptgraph.storage import (_desc_from_json, dot_text, dumps, export_dot, export_teach,
+                                  graph_from_json, graph_to_json, import_teach, load, save)
 from oracle import exact_parse_dl, kraft_sum, parse_gap_bound
 from test_storage import BAD_NODES
 
@@ -364,6 +366,17 @@ NOT_ITERABLE = {f"{fn.__name__}-{arg}": lambda g, fn=fn, arg=arg: fn(g, arg)
                 for arg in (None, 5) for fn in (
                     parse, reconstruct, description_dl, induce_repeats, record_associations)}
 
+# a graph that is no `ConceptGraph`, by the function that takes it, with
+# the rest of a call that a graph would pass (a path in no directory)
+NOT_A_GRAPH = {f"{fn.__name__}-graph": lambda g, fn=fn, rest=rest: fn(5, *rest)
+               for fn, rest in [
+                   (ingest, ("ab",)), (abstract_common, ()), (import_teach, ('["primitive","a"]',)),
+                   (parse, ("ab",)), (refine, (0,)), (induce_repeats, ((0,),)),
+                   (record_associations, ((0,),)), (description_dl, ((0,),)), (model_dl, ()),
+                   (two_part_total, ()), (graph_report, ()), (dumps, ()),
+                   (save, ("no-such-dir/g.json",)), (dot_text, ()),
+                   (export_dot, ("no-such-dir/g.dot",)), (export_teach, (0,))]}
+
 
 @pytest.mark.parametrize("call", [
     lambda g: ingest(g, None), lambda g: ingest(g, 5),
@@ -372,9 +385,9 @@ NOT_ITERABLE = {f"{fn.__name__}-{arg}": lambda g, fn=fn, arg=arg: fn(g, arg)
     lambda g: parse_examples_text(None), *NOT_ITERABLE.values(),
     lambda g: ConceptGraph(g.alphabet, 5),
     lambda g: ConceptGraph(g.alphabet, dict.fromkeys(range(len(g)))),
-    lambda g: eval_term(Var(0), None, Library.initial()),
+    lambda g: eval_term(Var(0), None, Library()),
     lambda g: eval_term(Var(0), (1,), None),
-    lambda g: synthesize([FunctionExample("f", (1,), 2)], None),
+    lambda g: synthesize([FunctionExample((1,), 2)], None),
     lambda g: library_to_lines(None),
     lambda g: match_emotion((), None, {}),
     lambda g: match_emotion((0,), PAINFUL, None), lambda g: match_emotion((0,), PAINFUL, 5),
@@ -383,7 +396,7 @@ NOT_ITERABLE = {f"{fn.__name__}-{arg}": lambda g, fn=fn, arg=arg: fn(g, arg)
     lambda g: gen_grammar_corpus([1], 2, 5), lambda g: gen_grammar_corpus({}, 2, 5),
     lambda g: gen_grammar_corpus(None, 2, 5), lambda g: gen_grammar_corpus(1.0, 2, 5),
     lambda g: gen_fn_ensemble([1]), lambda g: gen_fn_ensemble({}), lambda g: gen_fn_ensemble(None),
-    lambda g: gen_fn_ensemble(True)],
+    lambda g: gen_fn_ensemble(True), *NOT_A_GRAPH.values()],
     ids=["ingest-None", "ingest-5", "corpus-depth", "corpus-length", "tick_weights-None",
          "match_emotion-None", "parse_examples_text-None", *NOT_ITERABLE,
          "graph_concepts-5", "graph_concepts-dict", "eval_term-inputs", "eval_term-library",
@@ -391,13 +404,15 @@ NOT_ITERABLE = {f"{fn.__name__}-{arg}": lambda g, fn=fn, arg=arg: fn(g, arg)
          "match_emotion-valences-None", "match_emotion-valences-5", "match_emotion-labels",
          "parse-context", "corpus-seed-list", "corpus-seed-dict", "corpus-seed-None",
          "corpus-seed-float", "ensemble-seed-list", "ensemble-seed-dict", "ensemble-seed-None",
-         "ensemble-seed-bool"])
+         "ensemble-seed-bool", *NOT_A_GRAPH])
 def test_an_argument_of_the_wrong_type_is_a_value_error(call):
     """Unchecked, each raised a bare `TypeError` (`ingest` raised a ValueError
     already, and `parse_examples_text`, a library that is no `Library`,
     valences or labels that are no dict and a parse context that is none an
     `AttributeError`; a corpus seed of None, a float or a bool seeded a run
-    of its own); a refused call keeps the graph."""
+    of its own; a graph that is no `ConceptGraph` raised a bare `TypeError`
+    in `ingest`, `abstract_common` and `import_teach` and an
+    `AttributeError` elsewhere); a refused call keeps the graph."""
     g = ConceptGraph("ab")
     ingest(g, "abab")
     before = dumps(g)
@@ -517,8 +532,12 @@ def list_firsts(nodes, kind, positions=None):
 
 
 def pair_index(g, nodes):
-    """A `_PairIndex` over `nodes` with no stored counts and threshold 1."""
-    return _PairIndex(g, nodes, {}, 1)
+    """A `_PairIndex` over `nodes` of a graph with no stored counts (no
+    episode yet), built with every pair a candidate (`REPEAT_THRESHOLD` 1)."""
+    assert not g.assoc_counts
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inducer, "REPEAT_THRESHOLD", 1)
+        return _PairIndex(g, nodes)
 
 
 def drawn_step(data, refs):
@@ -1466,12 +1485,12 @@ def rebuilding_abstract_common(graph):
                 continue
             ch = kind.children
             for i in range(len(ch)):
-                key = (len(ch), i, ch[:i], ch[i + 1:])
+                key = (ch[:i], ch[i + 1:])
                 buckets.setdefault(key, []).append((cid, ch[i]))
         for key, members in buckets.items():
             if len({differ for _, differ in members}) < m:
                 continue
-            _, _, head, tail = key
+            head, tail = key
             body = tuple(SlotRef(c) for c in head) + (Hole(0),) + tuple(SlotRef(c) for c in tail)
             tpl = graph.add(Template(body))
             for cid, differ in members:
@@ -1509,7 +1528,7 @@ def rescanned_index(graph):
         if isinstance(kind, Concat):
             ch = kind.children
             for i in range(len(ch)):
-                buckets.setdefault((len(ch), i, ch[:i], ch[i + 1:]), {})[cid] = ch[i]
+                buckets.setdefault((ch[:i], ch[i + 1:]), {})[cid] = ch[i]
         elif isinstance(kind, Repeat):
             repeats.setdefault(kind.count, set()).add(kind.child)
     associations = sum(isinstance(c.kind, Association) for c in graph.concepts)

@@ -55,8 +55,7 @@ FROZEN = [
     (Iter(Section("succ", 0, ()), Var(0), Const(0)),
      "Iter(section=Section(fn='succ', open_slot=0, fillers=()), count=Var(index=0), "
      "seed=Const(value=0))", (Section("succ", 0, ()), Var(0), Const(0))),
-    (FunctionExample("add", (1, 2), 3), "FunctionExample(label='add', inputs=(1, 2), output=3)",
-     ("add", (1, 2), 3)),
+    (FunctionExample((1, 2), 3), "FunctionExample(inputs=(1, 2), output=3)", ((1, 2), 3)),
     (SlotConstraint("exact", concept=3),
      "SlotConstraint(kind='exact', concept=3, label=None, sign=None)", ("exact", 3, None, None)),
     (DLReport(1.0, 0.5, 2.0), "DLReport(raw_bits=1.0, described_bits=0.5, model_bits=2.0)",

@@ -211,6 +211,59 @@ def test_every_function_is_reached_from_package_code():
     assert sorted(uncalled) == sorted(UNCALLED_ON_PURPOSE)
 
 
+def defaulted_parameters(tree):
+    """(callee name, position or None, parameter name) for each parameter
+    with a default of each function in `tree`: a class's `__init__` is
+    called by the class name, and a method's positions leave out `self`.
+    The position is None for a keyword-only parameter."""
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                if owner is not None:
+                    positional = positional[1:]  # `self`
+                name = owner if child.name == "__init__" else child.name
+                first = len(positional) - len(args.defaults)
+                for position, param in enumerate(positional[first:], first):
+                    yield name, position, param.arg
+                for param, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield name, None, param.arg
+            yield from visit(child, child.name if isinstance(child, ast.ClassDef) else None)
+    yield from visit(tree, None)
+
+
+def passed_parameters(tree):
+    """(callee name, position or keyword) for each argument of each call in
+    `tree`, the callee named by the called name or attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            yield from ((name, position) for position in range(len(node.args)))
+            yield from ((name, keyword.arg) for keyword in node.keywords)
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    """A parameter that every caller leaves at its default is a setting
+    with one value in use: each defaulted parameter of a package function
+    is passed, by keyword or by position, by at least one call in package
+    code or in `perfbench/` (its tests aside).  The functions kept without
+    a caller (`UNCALLED_ON_PURPOSE`) are exempt."""
+    package = [module_tree(module) for module in sorted(MODULES)]
+    callers = list(package)
+    for name in sorted(os.listdir(os.path.join(ROOT, "perfbench"))):
+        if name.endswith(".py") and not name.startswith("test_"):
+            with open(os.path.join(ROOT, "perfbench", name), encoding="utf-8") as handle:
+                callers.append(ast.parse(handle.read(), filename=name))
+    passed = {pair for tree in callers for pair in passed_parameters(tree)}
+    unpassed = [f"{callee}({param})" for tree in package
+                for callee, position, param in defaulted_parameters(tree)
+                if callee not in UNCALLED_ON_PURPOSE
+                and not passed & {(callee, param), (callee, position)}]
+    assert unpassed == []
+
+
 def module_level_definitions(tree):
     """Each module-level assignment target and each class in `tree`, with the
     statement that defines it (dunder names aside)."""
